@@ -44,7 +44,7 @@ mod ndjson;
 mod queue;
 
 pub use cache::QueryCache;
-pub use ndjson::{split_ndjson, Frame, NdjsonFramer, QuoteScan};
+pub use ndjson::{split_ndjson, DocBuffers, Frame, NdjsonFramer, QuoteScan};
 
 use queue::WorkQueue;
 use rsq_engine::{Engine, EngineError, EngineOptions, LimitKind, ProfileStats, RunError, Scratch};
@@ -461,24 +461,27 @@ impl BatchEngine {
             (local, stats, prof, perf, spans)
         };
 
-        let mut shards: Vec<ShardOutput> = if threads == 1 {
-            // Run inline: identical code path, no thread spawn overhead.
-            vec![shard(0)]
-        } else {
-            thread::scope(|scope| {
-                let shard = &shard;
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| scope.spawn(move || shard(w)))
-                    .collect();
-                // Per-document panics are contained inside the shard
-                // loop; a join failure means the worker died outside it
-                // (e.g. an allocator abort path that still unwound).
-                // Drop that shard's results — its claimed documents stay
-                // at the "worker thread lost" default below — and keep
-                // the batch alive.
-                handles.into_iter().filter_map(|h| h.join().ok()).collect()
-            })
-        };
+        // The calling thread is worker 0; only `threads - 1` more are
+        // spawned. Were it to sleep in `join` instead, every worker would
+        // be a new thread looking for a CPU while the caller's falls idle,
+        // and where the scheduler puts them differs from run to run: on a
+        // quiet 2-CPU host that widened the spread of `--threads 2` wall
+        // times by a third (DESIGN.md §10). One thread is the same path,
+        // no spawn.
+        let mut shards: Vec<ShardOutput> = thread::scope(|scope| {
+            let shard = &shard;
+            let handles: Vec<_> = (1..threads)
+                .map(|w| scope.spawn(move || shard(w)))
+                .collect();
+            let mut shards = vec![shard(0)];
+            // Per-document panics are contained inside the shard loop; a
+            // join failure means the worker died outside it (e.g. an
+            // allocator abort path that still unwound). Drop that shard's
+            // results — its claimed documents stay at the "worker thread
+            // lost" default below — and keep the batch alive.
+            shards.extend(handles.into_iter().filter_map(|h| h.join().ok()));
+            shards
+        });
 
         let mut result = BatchResult {
             outcomes: Vec::with_capacity(docs.len()),

@@ -5,37 +5,63 @@
 //! a string (control characters must be escaped), but a batch layer that
 //! serves untrusted corpora cannot assume validity: a lenient engine run
 //! over a document with a raw `\n` inside a string must still see the
-//! same bytes the producer wrote. The splitter therefore scans with the
-//! same quote/escape automaton the engine's scalar paths use — a `"`
-//! toggles string state unless preceded by an odd run of backslashes —
-//! and treats a newline as a document boundary *only outside strings*.
-//! Braces, brackets, and anything else inside strings never confuse it,
-//! because it never looks at them.
+//! same bytes the producer wrote. The splitter therefore follows the
+//! quote/escape automaton the engine's scalar paths use — a `"` toggles
+//! string state unless preceded by an odd run of backslashes — and treats
+//! a newline as a document boundary *only outside strings*. Braces,
+//! brackets, and anything else inside strings never confuse it, because
+//! it never looks at them.
 //!
 //! Blank lines (empty or whitespace-only) are skipped; a trailing `\r`
 //! (CRLF input) is trimmed from each document. Offsets returned are
 //! ranges into the original buffer, so callers can borrow each document
 //! as a subslice without copying.
 //!
-//! Two front-ends share one automaton ([`QuoteScan`]):
+//! # One scan, two automata
+//!
+//! [`QuoteScan`] is the specification: a two-bit automaton advanced one
+//! byte at a time. Both front-ends run it 64 bytes per step instead,
+//! through the engine's quote classifier (§4.2 of the paper; the
+//! [`LineScanner`] kernel): per block, `boundaries = eq_mask('\n') &
+//! !within_quotes`, and everything *between* boundaries — copying line
+//! bytes, the byte cap, blank-line and `\r` bookkeeping — is done once per
+//! segment, not once per byte. The classifier and `QuoteScan` disagree in
+//! exactly one situation, a backslash *outside* a string (`QuoteScan`
+//! ignores it, the classifier escapes through it); the kernel detects
+//! that per block and refuses the block, which then goes through
+//! `QuoteScan` byte by byte. So do the last `len % 64` bytes of every
+//! scan. The result is byte-identical to the scalar automaton on every
+//! input, which the differential tests below check against a verbatim
+//! copy of the old per-byte loops on all three SIMD backends.
+//!
+//! The two front-ends:
 //!
 //! * [`split_ndjson`] — the one-shot batch splitter over a fully
 //!   resident buffer, returning borrowed ranges;
 //! * [`NdjsonFramer`] — the incremental serve-side framer, fed
 //!   arbitrarily fragmented chunks (a 1-byte chunk may split an escape
 //!   sequence or a CRLF pair), carrying string/escape state across chunk
-//!   boundaries and never buffering more than a configured byte cap.
+//!   boundaries and never buffering more than a configured byte cap. Its
+//!   line buffers can come from, and go back to, a [`DocBuffers`] free
+//!   list, so a long-lived connection stops allocating per document.
 //!
 //! The two are differentially tested against each other: for any input
 //! and any chunk plan, the framer's documents are byte-identical to the
 //! splitter's.
 
+use rsq_engine::LineScanner;
 use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
-/// The quote/escape automaton shared by [`split_ndjson`] and
-/// [`NdjsonFramer`]: tracks whether the scan is inside a JSON string,
+/// Bytes the block kernel classifies per step.
+const BLOCK: usize = 64;
+
+/// The quote/escape automaton [`split_ndjson`] and [`NdjsonFramer`] are
+/// specified against: tracks whether the scan is inside a JSON string,
 /// honoring backslash escapes (a `"` preceded by an odd run of
-/// backslashes does not close the string).
+/// backslashes does not close the string). The front-ends run it directly
+/// only where the block kernel cannot: a scan's sub-block tail, and a
+/// block with a backslash outside a string.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QuoteScan {
     in_string: bool,
@@ -74,6 +100,58 @@ impl QuoteScan {
     }
 }
 
+/// [`QuoteScan`] over `run` (which starts at offset `base`), entered from
+/// the kernel's two bits of state; returns the kernel repositioned.
+#[inline]
+fn scan_scalar(
+    mut kernel: LineScanner,
+    run: &[u8],
+    base: usize,
+    boundary: &mut impl FnMut(usize),
+) -> LineScanner {
+    let mut scan = QuoteScan {
+        in_string: kernel.in_string(),
+        escaped: kernel.escaped(),
+    };
+    for (i, &b) in run.iter().enumerate() {
+        if scan.boundary(b) {
+            boundary(base + i);
+        }
+    }
+    kernel.set_state(scan.in_string, scan.escaped);
+    kernel
+}
+
+/// The boundary scan both front-ends share: advances `kernel` over
+/// `bytes`, calling `boundary` with the offset of every document boundary
+/// in it, in ascending order, and returns the advanced kernel. Whole
+/// 64-byte blocks go through the block kernel; the blocks it refuses and
+/// the tail go through [`QuoteScan`]. (The kernel travels by value so its
+/// state stays in registers across the calls into the SIMD backend.)
+#[inline]
+fn scan_lines(
+    mut kernel: LineScanner,
+    bytes: &[u8],
+    mut boundary: impl FnMut(usize),
+) -> LineScanner {
+    let mut blocks = bytes.chunks_exact(BLOCK);
+    let mut base = 0usize;
+    for chunk in blocks.by_ref() {
+        // PANIC-OK: chunks_exact yields exactly BLOCK bytes, so try_into cannot fail
+        let block: &[u8; BLOCK] = chunk.try_into().expect("block sized");
+        if let Some(mut mask) = kernel.boundaries(block) {
+            while mask != 0 {
+                boundary(base + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
+            }
+        } else {
+            kernel = scan_scalar(kernel, chunk, base, &mut boundary);
+        }
+        base += BLOCK;
+    }
+    scan_scalar(kernel, blocks.remainder(), base, &mut boundary)
+}
+
 /// Splits an NDJSON buffer into one byte range per document.
 ///
 /// Newlines inside JSON strings (tracked with a quote/escape scan) do
@@ -92,15 +170,17 @@ impl QuoteScan {
 /// ```
 #[must_use]
 pub fn split_ndjson(input: &[u8]) -> Vec<Range<usize>> {
+    split_with(LineScanner::detect(), input)
+}
+
+/// [`split_ndjson`] on an explicit kernel (the tests pin each backend).
+fn split_with(kernel: LineScanner, input: &[u8]) -> Vec<Range<usize>> {
     let mut docs = Vec::new();
     let mut start = 0usize;
-    let mut scan = QuoteScan::default();
-    for (i, &b) in input.iter().enumerate() {
-        if scan.boundary(b) {
-            push_line(input, start, i, &mut docs);
-            start = i + 1;
-        }
-    }
+    scan_lines(kernel, input, |i| {
+        push_line(input, start, i, &mut docs);
+        start = i + 1;
+    });
     push_line(input, start, input.len(), &mut docs);
     docs
 }
@@ -115,6 +195,58 @@ fn push_line(input: &[u8], start: usize, mut end: usize, docs: &mut Vec<Range<us
     // PANIC-OK: start <= end <= input.len() by the scanner's invariant
     if input[start..end].iter().any(|b| !b.is_ascii_whitespace()) {
         docs.push(start..end);
+    }
+}
+
+/// A bounded free list of document buffers, shared between the thread
+/// that frames documents and the threads that finish with them.
+///
+/// [`Frame::Doc`] hands each line out as an owned `Vec<u8>`; without
+/// this, every document costs a fresh vector grown by doubling. A
+/// consumer that is done with a document [`put`](Self::put)s the vector
+/// back and the framer [`take`](Self::take)s it for a later line, most
+/// recently returned first (the warm one). The list holds at most
+/// `max_bytes` of capacity; a buffer that would exceed that is dropped,
+/// so one huge document does not pin its allocation for the rest of the
+/// connection.
+#[derive(Debug)]
+pub struct DocBuffers {
+    free: Mutex<Vec<Vec<u8>>>,
+    max_bytes: usize,
+}
+
+impl DocBuffers {
+    /// An empty list that will park at most `max_bytes` of capacity.
+    #[must_use]
+    pub fn new(max_bytes: usize) -> Self {
+        DocBuffers {
+            free: Mutex::new(Vec::new()),
+            max_bytes,
+        }
+    }
+
+    /// Returns a buffer its holder is done with. Dropped instead when
+    /// parking it would exceed the list's byte bound.
+    pub fn put(&self, mut buf: Vec<u8>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        buf.clear();
+        // PANIC-OK: no code panics while holding this lock, so it cannot be poisoned
+        let mut free = self.free.lock().expect("doc buffer list");
+        // The list is a handful of buffers (a connection's window).
+        let parked: usize = free.iter().map(Vec::capacity).sum();
+        if parked.saturating_add(buf.capacity()) <= self.max_bytes {
+            free.push(buf);
+        }
+    }
+
+    /// The most recently returned buffer (empty, capacity retained), if
+    /// any is parked.
+    #[must_use]
+    pub fn take(&self) -> Option<Vec<u8>> {
+        // PANIC-OK: no code panics while holding this lock, so it cannot be poisoned
+        self.free.lock().expect("doc buffer list").pop()
     }
 }
 
@@ -156,12 +288,14 @@ pub enum Frame {
 /// skipped it too, and an error there would break parity.
 #[derive(Debug)]
 pub struct NdjsonFramer {
-    scan: QuoteScan,
+    scan: LineScanner,
     buf: Vec<u8>,
     max_document_bytes: Option<usize>,
+    /// Where line buffers come from once `buf` has been handed out.
+    buffers: Option<Arc<DocBuffers>>,
     /// The current line overflowed the cap: discard until boundary.
     overflowing: bool,
-    /// Total bytes of the current (overflowing) line.
+    /// Total bytes of the current line.
     line_bytes: u64,
     /// The current line is all-whitespace so far.
     blank: bool,
@@ -172,14 +306,30 @@ impl NdjsonFramer {
     /// `None` means unbounded (memory grows with the longest line).
     #[must_use]
     pub fn new(max_document_bytes: Option<usize>) -> Self {
+        Self::with_kernel(LineScanner::detect(), max_document_bytes)
+    }
+
+    /// [`new`](Self::new) on an explicit kernel (the tests pin each
+    /// backend).
+    fn with_kernel(kernel: LineScanner, max_document_bytes: Option<usize>) -> Self {
         NdjsonFramer {
-            scan: QuoteScan::default(),
+            scan: kernel,
             buf: Vec::new(),
             max_document_bytes,
+            buffers: None,
             overflowing: false,
             line_bytes: 0,
             blank: true,
         }
+    }
+
+    /// Takes the buffer for each new line from `buffers` (when one is
+    /// parked there) instead of growing a fresh vector. The consumer of
+    /// the [`Frame::Doc`]s is expected to [`DocBuffers::put`] them back.
+    #[must_use]
+    pub fn recycling(mut self, buffers: Arc<DocBuffers>) -> Self {
+        self.buffers = Some(buffers);
+        self
     }
 
     /// Bytes currently buffered for the in-progress line. Never exceeds
@@ -195,29 +345,15 @@ impl NdjsonFramer {
     /// input order. Chunks may be any size, including empty; state is
     /// carried so fragmentation never changes the emitted frames.
     pub fn push(&mut self, chunk: &[u8], emit: &mut impl FnMut(Frame)) {
-        for &b in chunk {
-            if self.scan.boundary(b) {
-                self.close_line(emit);
-                continue;
-            }
-            self.blank = self.blank && b.is_ascii_whitespace();
-            self.line_bytes += 1;
-            if self.overflowing {
-                continue;
-            }
-            if let Some(limit) = self.max_document_bytes {
-                // One byte of slack beyond the cap: a line of exactly
-                // `limit` content bytes plus a trailing `\r` must not
-                // trip (the `\r` is trimmed at the boundary). Whether
-                // the cap really tripped is decided in `close_line`.
-                if self.buf.len() > limit {
-                    self.overflowing = true;
-                    self.buf.clear();
-                    continue;
-                }
-            }
-            self.buf.push(b);
-        }
+        let mut start = 0usize;
+        self.scan = scan_lines(self.scan, chunk, |i| {
+            // PANIC-OK: boundaries ascend within the chunk, so start <= i < chunk.len()
+            self.append(&chunk[start..i]);
+            self.close_line(emit);
+            start = i + 1;
+        });
+        // PANIC-OK: start is at most one past the last boundary, so start <= chunk.len()
+        self.append(&chunk[start..]);
     }
 
     /// Ends the stream: a non-empty trailing line (no final newline) is
@@ -229,8 +365,39 @@ impl NdjsonFramer {
             let mut emit = |f: Frame| last = Some(f);
             self.close_line(&mut emit);
         }
-        self.scan = QuoteScan::default();
+        self.scan.set_state(false, false);
         last
+    }
+
+    /// Adds a boundary-free run of bytes to the current line: what the
+    /// per-byte loop did for each of them, once. That loop let the buffer
+    /// reach `limit + 1` bytes (one byte of slack: a line of exactly
+    /// `limit` content bytes plus a trailing `\r` must not trip — the
+    /// `\r` is trimmed at the boundary, and whether the cap really tripped
+    /// is decided in `close_line`) and discarded the line at the byte
+    /// after that.
+    fn append(&mut self, segment: &[u8]) {
+        if segment.is_empty() {
+            return;
+        }
+        self.blank = self.blank && segment.iter().all(u8::is_ascii_whitespace);
+        self.line_bytes += segment.len() as u64;
+        if self.overflowing {
+            return;
+        }
+        if let Some(limit) = self.max_document_bytes {
+            if segment.len() > limit.saturating_add(1) - self.buf.len() {
+                self.overflowing = true;
+                self.buf.clear();
+                return;
+            }
+        }
+        if self.buf.capacity() == 0 {
+            if let Some(spare) = self.buffers.as_ref().and_then(|b| b.take()) {
+                self.buf = spare;
+            }
+        }
+        self.buf.extend_from_slice(segment);
     }
 
     /// Closes the current line at a boundary (or at end of stream):
@@ -459,5 +626,310 @@ mod tests {
                 limit: 8
             }]
         ));
+    }
+
+    // ---- The block kernel against the per-byte loops it replaced ----
+
+    /// The splitter as it was before the block kernel, verbatim: one
+    /// `QuoteScan::boundary` call per byte. The oracle.
+    fn scalar_split(input: &[u8]) -> Vec<Range<usize>> {
+        let mut docs = Vec::new();
+        let mut start = 0usize;
+        let mut scan = QuoteScan::default();
+        for (i, &b) in input.iter().enumerate() {
+            if scan.boundary(b) {
+                push_line(input, start, i, &mut docs);
+                start = i + 1;
+            }
+        }
+        push_line(input, start, input.len(), &mut docs);
+        docs
+    }
+
+    /// The framer as it was before the block kernel, verbatim: every
+    /// byte through `QuoteScan`, the cap check and a `Vec::push`.
+    struct ScalarFramer {
+        scan: QuoteScan,
+        buf: Vec<u8>,
+        max_document_bytes: Option<usize>,
+        overflowing: bool,
+        line_bytes: u64,
+        blank: bool,
+    }
+
+    impl ScalarFramer {
+        fn new(max_document_bytes: Option<usize>) -> Self {
+            ScalarFramer {
+                scan: QuoteScan::default(),
+                buf: Vec::new(),
+                max_document_bytes,
+                overflowing: false,
+                line_bytes: 0,
+                blank: true,
+            }
+        }
+
+        fn push(&mut self, chunk: &[u8], emit: &mut impl FnMut(Frame)) {
+            for &b in chunk {
+                if self.scan.boundary(b) {
+                    self.close_line(emit);
+                    continue;
+                }
+                self.blank = self.blank && b.is_ascii_whitespace();
+                self.line_bytes += 1;
+                if self.overflowing {
+                    continue;
+                }
+                if let Some(limit) = self.max_document_bytes {
+                    if self.buf.len() > limit {
+                        self.overflowing = true;
+                        self.buf.clear();
+                        continue;
+                    }
+                }
+                self.buf.push(b);
+            }
+        }
+
+        fn finish(&mut self) -> Option<Frame> {
+            let mut last = None;
+            if self.line_bytes > 0 {
+                let mut emit = |f: Frame| last = Some(f);
+                self.close_line(&mut emit);
+            }
+            self.scan = QuoteScan::default();
+            last
+        }
+
+        fn close_line(&mut self, emit: &mut impl FnMut(Frame)) {
+            if !self.overflowing {
+                if self.buf.last() == Some(&b'\r') {
+                    self.buf.pop();
+                }
+                if self
+                    .max_document_bytes
+                    .is_some_and(|limit| self.buf.len() > limit)
+                {
+                    self.overflowing = true;
+                }
+            }
+            if self.overflowing {
+                if !self.blank {
+                    emit(Frame::Oversize {
+                        bytes_seen: self.line_bytes,
+                        limit: self.max_document_bytes.unwrap_or(0),
+                    });
+                }
+            } else if !self.blank {
+                emit(Frame::Doc(std::mem::take(&mut self.buf)));
+            }
+            self.buf.clear();
+            self.overflowing = false;
+            self.line_bytes = 0;
+            self.blank = true;
+        }
+    }
+
+    /// One kernel per backend this host can run, plus whatever
+    /// `RSQ_BACKEND` (or detection) selects — the one `split_ndjson` and
+    /// `NdjsonFramer::new` use.
+    fn kernels() -> Vec<(String, LineScanner)> {
+        use rsq_simd::{BackendKind, Simd};
+        let supported = |kind| match kind {
+            BackendKind::Swar => true,
+            #[cfg(target_arch = "x86_64")]
+            BackendKind::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            BackendKind::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512bw")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        };
+        let mut out = vec![("detected".to_owned(), LineScanner::detect())];
+        for kind in [BackendKind::Avx512, BackendKind::Avx2, BackendKind::Swar] {
+            if supported(kind) {
+                out.push((kind.to_string(), LineScanner::new(Simd::with_kind(kind))));
+            }
+        }
+        out
+    }
+
+    /// Inputs dense in the bytes the automata care about, so that quotes,
+    /// escapes, CRLF pairs and odd backslash runs land on every offset
+    /// relative to the 64-byte block edges — including backslashes
+    /// outside strings (the scalar-fallback case) and strings that never
+    /// close.
+    fn dense_input(rng: &mut rsq_difftest::XorShift64, len: usize) -> Vec<u8> {
+        const ALPHABET: &[u8] = b"\"\"\\\\\n\n\r ax{";
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            match rng.below(12) {
+                0 => {
+                    let run = 1 + rng.below(5);
+                    out.extend(std::iter::repeat_n(b'\\', run));
+                }
+                1 => out.extend_from_slice(b"\r\n"),
+                2 => {
+                    // A plain stretch, so some blocks hold nothing special.
+                    let run = 1 + rng.below(90);
+                    out.extend(std::iter::repeat_n(b'y', run));
+                }
+                _ => out.push(ALPHABET[rng.below(ALPHABET.len())]),
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
+    fn dense_corpus() -> Vec<Vec<u8>> {
+        let mut rng = rsq_difftest::XorShift64::new(0x5EED_0012);
+        let mut corpus: Vec<Vec<u8>> = (1..=700).map(|len| dense_input(&mut rng, len)).collect();
+        // Hand-placed edges: an escape pair, a CRLF pair and an odd
+        // backslash run straddling the first block edge, in and out of a
+        // string.
+        for pad in 60..=66 {
+            for tail in [
+                &b"\\\"\n\"\n"[..],
+                b"\r\n[1]\r\n",
+                b"\\\\\\\"\n\"\n",
+                b"\"\\\\\\\"\n\"\n[2]\n",
+                b"\"never closed\n\n",
+            ] {
+                let mut v = vec![b'x'; pad];
+                v.extend_from_slice(tail);
+                v.extend(std::iter::repeat_n(b'z', 70));
+                v.extend_from_slice(b"\n");
+                corpus.push(v);
+            }
+        }
+        corpus
+    }
+
+    #[test]
+    fn block_splitter_matches_the_scalar_loop_on_every_backend() {
+        let corpus = dense_corpus();
+        for (name, kernel) in kernels() {
+            for input in &corpus {
+                assert_eq!(
+                    split_with(kernel, input),
+                    scalar_split(input),
+                    "backend {name}, input {:?}",
+                    String::from_utf8_lossy(input)
+                );
+            }
+        }
+    }
+
+    /// What the differential test drives: both framers, old and new.
+    trait Framing {
+        fn feed(&mut self, chunk: &[u8], out: &mut Vec<Frame>);
+        fn end(&mut self) -> Option<Frame>;
+        fn held(&self) -> usize;
+    }
+
+    impl Framing for NdjsonFramer {
+        fn feed(&mut self, chunk: &[u8], out: &mut Vec<Frame>) {
+            self.push(chunk, &mut |f| out.push(f));
+        }
+        fn end(&mut self) -> Option<Frame> {
+            self.finish()
+        }
+        fn held(&self) -> usize {
+            self.buffered()
+        }
+    }
+
+    impl Framing for ScalarFramer {
+        fn feed(&mut self, chunk: &[u8], out: &mut Vec<Frame>) {
+            self.push(chunk, &mut |f| out.push(f));
+        }
+        fn end(&mut self) -> Option<Frame> {
+            self.finish()
+        }
+        fn held(&self) -> usize {
+            self.buf.len()
+        }
+    }
+
+    /// Frames `input` in chunks of `step` bytes, checking the bytes held
+    /// against the cap after every push.
+    fn framed(
+        mut framer: impl Framing,
+        input: &[u8],
+        step: usize,
+        cap: Option<usize>,
+    ) -> Vec<Frame> {
+        let mut out = Vec::new();
+        for chunk in input.chunks(step) {
+            framer.feed(chunk, &mut out);
+            if let Some(limit) = cap {
+                assert!(
+                    framer.held() <= limit + 1,
+                    "held {} > cap {limit} + 1",
+                    framer.held()
+                );
+            }
+        }
+        out.extend(framer.end());
+        out
+    }
+
+    #[test]
+    fn block_framer_matches_the_scalar_framer_for_every_plan_and_cap() {
+        let corpus = dense_corpus();
+        for (name, kernel) in kernels() {
+            // Every fifth input keeps the matrix (backends x plans x caps)
+            // quick while still covering all residues of length mod 64.
+            for input in corpus.iter().step_by(5) {
+                for cap in [None, Some(5), Some(40), Some(100)] {
+                    let expect = framed(ScalarFramer::new(cap), input, 1, cap);
+                    for step in [1, 63, 64, 65, 200, input.len()] {
+                        assert_eq!(
+                            framed(NdjsonFramer::with_kernel(kernel, cap), input, step, cap),
+                            expect,
+                            "backend {name}, cap {cap:?}, step {step}, input {:?}",
+                            String::from_utf8_lossy(input)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_buffers_carry_no_bytes_between_documents() {
+        let buffers = Arc::new(DocBuffers::new(1 << 10));
+        let mut framer = NdjsonFramer::new(None).recycling(Arc::clone(&buffers));
+        let mut docs = Vec::new();
+        framer.push(b"{\"first\": \"a long enough line\"}\n", &mut |f| {
+            docs.push(f)
+        });
+        let Some(Frame::Doc(first)) = docs.pop() else {
+            panic!("one document framed");
+        };
+        let allocation = first.as_ptr();
+        buffers.put(first);
+        framer.push(b"[2]\n", &mut |f| docs.push(f));
+        let Some(Frame::Doc(second)) = docs.pop() else {
+            panic!("one document framed");
+        };
+        assert_eq!(second, b"[2]");
+        assert_eq!(second.as_ptr(), allocation, "the parked buffer was reused");
+        assert!(buffers.take().is_none());
+    }
+
+    #[test]
+    fn doc_buffers_park_at_most_their_byte_bound() {
+        let buffers = DocBuffers::new(100);
+        buffers.put(Vec::with_capacity(60));
+        buffers.put(Vec::with_capacity(60)); // would make 120: dropped
+        buffers.put(Vec::new()); // nothing to reuse: dropped
+        assert!(buffers.take().is_some_and(|b| b.capacity() >= 60));
+        assert!(buffers.take().is_none());
+        // Taking gives the room back.
+        buffers.put(Vec::with_capacity(60));
+        assert!(buffers.take().is_some());
     }
 }

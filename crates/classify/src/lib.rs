@@ -16,7 +16,10 @@
 //! * the [`StructuralIterator`] stitches these into the `next`/`peek`/
 //!   `label_before`/`toggle`/`skip` interface consumed by the engine's
 //!   main algorithm (§3.4), and [`ResumeState`]/[`QuoteScanner`] provide
-//!   the stop/resume handoff of the multi-classifier pipeline (§4.5).
+//!   the stop/resume handoff of the multi-classifier pipeline (§4.5);
+//! * [`LineScanner`] reuses the quote classifier outside the engine: the
+//!   per-block mask of newlines outside strings that the NDJSON drivers
+//!   split and frame documents with.
 //!
 //! See the [`StructuralIterator`] example for typical usage.
 
@@ -31,7 +34,7 @@ mod structural;
 mod validate;
 
 pub use iterator::{BracketType, Structural, StructuralIterator};
-pub use pipeline::{QuoteScanner, ResumeState};
+pub use pipeline::{LineScanner, QuoteScanner, ResumeState};
 // The per-classifier block counters live in `rsq-obs` (the dependency-free
 // observability layer); re-exported so classifier consumers need not name
 // that crate.

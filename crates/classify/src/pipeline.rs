@@ -11,10 +11,11 @@
 //! the quote classifier, answering "is this position inside a string?" for
 //! monotonically increasing positions. The engine's skip-to-label uses it
 //! to validate `memmem` candidates without paying for full structural
-//! classification.
+//! classification. [`LineScanner`] is its sibling for the NDJSON drivers:
+//! the quote classifier plus one newline mask, block by block.
 
 use crate::quotes::QuoteState;
-use rsq_simd::{Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_SIZE};
+use rsq_simd::{Block, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_SIZE};
 
 /// A point in the input where classification can be resumed: a 64-byte
 /// block boundary and the quote state entering it.
@@ -156,6 +157,99 @@ impl<'a> QuoteScanner<'a> {
     }
 }
 
+/// The line-boundary kernel of the NDJSON drivers: per 64-byte block,
+/// the newlines that lie outside every string.
+///
+/// A boundary mask is `eq_mask('\n') & !within_quotes` — the quote
+/// classifier (§4.2) does the work 64 bytes per step that a byte-at-a-time
+/// quote/escape automaton does one byte per step. The two differ in one
+/// place: the classifier's add-carry escapes *through* any odd backslash
+/// run, while the scalar automaton the drivers are specified against
+/// honors backslashes only inside strings. A block holding a backslash
+/// outside a string (`eq_mask('\\') & !within_quotes != 0`) is therefore
+/// refused — [`boundaries`](Self::boundaries) returns `None` with the
+/// state untouched — and the caller runs its scalar automaton over those
+/// 64 bytes instead. Up to the first such backslash both automata agree
+/// (escape marks depend only on lower positions), so a block that is not
+/// refused is classified exactly as the scalar automaton would.
+///
+/// The carried state is the scalar automaton's own two bits, so callers
+/// move between the kernel and their scalar tail loop freely.
+///
+/// # Examples
+///
+/// ```
+/// use rsq_classify::LineScanner;
+/// use rsq_simd::Simd;
+///
+/// let mut block = [b' '; 64];
+/// block[..11].copy_from_slice(b"[1]\n\"a\nb\"\n0");
+/// let mut lines = LineScanner::new(Simd::detect());
+/// // The newline inside the string is not a boundary.
+/// assert_eq!(lines.boundaries(&block), Some(1 << 3 | 1 << 9));
+/// assert!(!lines.in_string());
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct LineScanner {
+    simd: Simd,
+    state: QuoteState,
+}
+
+impl LineScanner {
+    /// A scanner at a line start: outside strings, nothing escaped.
+    #[must_use]
+    pub fn new(simd: Simd) -> Self {
+        LineScanner {
+            simd,
+            state: QuoteState::default(),
+        }
+    }
+
+    /// [`new`](Self::new) on the backend [`Simd::detect`] selects — for
+    /// callers that do not otherwise name the SIMD crate.
+    #[must_use]
+    pub fn detect() -> Self {
+        Self::new(Simd::detect())
+    }
+
+    /// True when the scan stands inside an (unterminated) string.
+    #[must_use]
+    pub fn in_string(&self) -> bool {
+        self.state.in_string
+    }
+
+    /// True when the next byte is escaped by a backslash inside a string.
+    #[must_use]
+    pub fn escaped(&self) -> bool {
+        self.state.next_escaped
+    }
+
+    /// Repositions the scan, e.g. after the caller's scalar loop ran.
+    /// `escaped` is only meaningful inside a string.
+    pub fn set_state(&mut self, in_string: bool, escaped: bool) {
+        self.state = QuoteState {
+            in_string,
+            next_escaped: in_string && escaped,
+        };
+    }
+
+    /// Classifies one block: the mask of newlines outside strings, with
+    /// the state advanced past the block — or `None`, state untouched,
+    /// when the block holds a backslash outside a string and must go
+    /// through the caller's scalar automaton.
+    #[inline]
+    #[must_use]
+    pub fn boundaries(&mut self, block: &Block) -> Option<u64> {
+        let mut state = self.state;
+        let within = self.simd.classify_quotes(block, &mut state);
+        if self.simd.eq_mask(block, b'\\') & !within != 0 {
+            return None;
+        }
+        self.state = state;
+        Some(self.simd.eq_mask(block, b'\n') & !within)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +323,24 @@ mod tests {
             quote_state: QuoteState::default(),
         });
         assert_eq!(scanner.resume_state().block_start, 192);
+    }
+
+    #[test]
+    fn line_scanner_refuses_a_backslash_outside_a_string() {
+        let mut block = [b' '; BLOCK_SIZE];
+        block[..6].copy_from_slice(b"a\" \\\n\n");
+        let mut lines = LineScanner::new(Simd::detect());
+        // Entered inside a string, the quote closes it and the backslash
+        // stands outside: the scalar automaton ignores it, the classifier
+        // would escape the newline after it.
+        lines.set_state(true, false);
+        assert_eq!(lines.boundaries(&block), None);
+        assert!(lines.in_string(), "a refused block leaves the state alone");
+        // Entered outside, the same quote opens a string that never
+        // closes: an ordinary escape, and no newline is a boundary.
+        lines.set_state(false, false);
+        assert_eq!(lines.boundaries(&block), Some(0));
+        assert!(lines.in_string() && !lines.escaped());
     }
 
     #[test]

@@ -94,8 +94,10 @@ response per document streams back, in input order, byte-identical to
   --serve-socket PATH accept connections on a Unix socket at PATH
                       (responses and error lines share the socket)
   --max-inflight N    bound on admitted-but-unanswered documents
-                      (default 64); at the bound the server stops
-                      reading, pushing backpressure to the client
+                      (default 64; admission also stops while 128 KiB
+                      of documents per worker is held); at the bound
+                      the server stops reading, pushing backpressure
+                      to the client
 a failing document is answered with a per-document error and the
 connection keeps serving; --threads sets the per-connection worker
 pool, and the --max-* limits double as per-connection caps
@@ -1340,36 +1342,31 @@ fn run_batch(
 
     // Load the corpus: ingest is sequential (one disk), compute parallel.
     // Directory files honor the `--mmap` policy (large documents are
-    // mapped, not copied); NDJSON lines are always buffered, since they
-    // are slices of one shared read. Labels name documents in stderr
-    // diagnostics: line numbers for NDJSON, file names for directories.
-    let mut buffers: Vec<MmapInput> = Vec::new();
-    let mut labels: Vec<String> = Vec::new();
-    match source {
+    // mapped, not copied); NDJSON lines are borrowed from the one buffer
+    // the file or stdin was read into.
+    let ndjson: Vec<u8>;
+    let mut files: Vec<(String, MmapInput)> = Vec::new();
+    let docs: Vec<&[u8]> = match source {
         BatchSource::Ndjson(path) => {
-            let input = if path == "-" {
-                read_input_plain(None)?
-            } else {
-                read_input_plain(Some(path))?
-            };
-            for range in rsq_batch::split_ndjson(&input) {
-                labels.push(format!("document {}", labels.len() + 1));
-                // PANIC-OK: split_ndjson ranges are derived from input and lie in bounds
-                buffers.push(MmapInput::from_vec(input[range].to_vec()));
-            }
+            ndjson = read_input_plain((path != "-").then_some(path.as_str()))?;
+            rsq_batch::split_ndjson(&ndjson)
+                .into_iter()
+                // PANIC-OK: split_ndjson ranges are derived from the buffer and lie in bounds
+                .map(|range| &ndjson[range])
+                .collect()
         }
         BatchSource::Dir(path) => {
-            let files = BatchEngine::load_dir_mapped(std::path::Path::new(path), invocation.mmap)
-                .map_err(|e| {
-                CliError::new(CliErrorKind::Io, format!("cannot read {path}: {e}"))
-            })?;
-            for (name, input) in files {
-                labels.push(name);
-                buffers.push(input);
-            }
+            files = BatchEngine::load_dir_mapped(std::path::Path::new(path), invocation.mmap)
+                .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot read {path}: {e}")))?;
+            files.iter().map(|(_, input)| input.as_bytes()).collect()
         }
-    }
-    let docs: Vec<&[u8]> = buffers.iter().map(MmapInput::as_bytes).collect();
+    };
+    // Names a document in stderr diagnostics: its line's ordinal among
+    // the NDJSON documents, its file name in a directory.
+    let label = |i: usize| match files.get(i) {
+        Some((name, _)) => name.clone(),
+        None => format!("document {}", i + 1),
+    };
 
     let result = engine
         .run_slices(&invocation.query, &docs)
@@ -1395,8 +1392,7 @@ fn run_batch(
             Err(doc_err) => {
                 failed += 1;
                 first_failure.get_or_insert(doc_error_kind(doc_err.kind));
-                // PANIC-OK: labels grows in lockstep with the documents, so i < labels.len()
-                writeln!(err, "{}: {}", labels[i], doc_err.message).map_err(|e| {
+                writeln!(err, "{}: {}", label(i), doc_err.message).map_err(|e| {
                     CliError::new(CliErrorKind::Failure, format!("write error: {e}"))
                 })?;
             }

@@ -243,6 +243,22 @@ fn batch_failing_document_reports_but_does_not_abort() {
 }
 
 #[test]
+fn batch_good_lines_reach_stdout_when_the_batch_fails() {
+    // Stdout leaves in 64 KiB blocks, and a batch with a failed document
+    // returns its error *after* printing: the block must be flushed on
+    // that path too, with good lines on both sides of the failure.
+    let out = rsq(
+        &["--strict", "--batch-ndjson", "-", "$..a"],
+        Some(b"{\"a\": 1}\n{\"a\": [2}\n{\"a\": 3}\n"),
+    );
+    assert_eq!(out.status.code(), Some(6), "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out), "1\n3\n");
+    let err = stderr(&out);
+    assert!(err.contains("document 2: "), "{err}");
+    assert!(err.contains("1 of 3 documents failed"), "{err}");
+}
+
+#[test]
 fn stats_does_not_corrupt_count_exit_codes() {
     // A tripped limit must still exit 5, with no stats report (the run
     // failed) and nothing extra on stdout.

@@ -823,9 +823,40 @@ pub fn check_reader(input: &[u8]) -> Result<(), Mismatch> {
 ///
 /// Returns the first [`Mismatch`] found.
 pub fn check_framer(input: &[u8]) -> Result<(), Mismatch> {
-    use rsq_batch::{split_ndjson, Frame, NdjsonFramer};
+    use rsq_batch::{split_ndjson, Frame, NdjsonFramer, QuoteScan};
 
-    let docs: Vec<&[u8]> = split_ndjson(input).into_iter().map(|r| &input[r]).collect();
+    let ranges = split_ndjson(input);
+
+    // The splitter runs a SIMD block kernel; its specification is the
+    // byte-at-a-time `QuoteScan`: a line ends where the automaton reports
+    // a boundary (or at end of input), loses one trailing `\r`, and is a
+    // document unless blank.
+    let mut scalar = Vec::new();
+    let mut line = |start: usize, end: usize| {
+        let text = &input[start..end];
+        let text = text.strip_suffix(b"\r").unwrap_or(text);
+        if text.iter().any(|b| !b.is_ascii_whitespace()) {
+            scalar.push(start..start + text.len());
+        }
+    };
+    let mut scan = QuoteScan::default();
+    let mut start = 0usize;
+    for (i, &b) in input.iter().enumerate() {
+        if scan.boundary(b) {
+            line(start, i);
+            start = i + 1;
+        }
+    }
+    line(start, input.len());
+    if ranges != scalar {
+        return Err(mismatch(
+            "framer",
+            input,
+            format!("split_ndjson found {ranges:?}, the scalar QuoteScan loop {scalar:?}"),
+        ));
+    }
+
+    let docs: Vec<&[u8]> = ranges.into_iter().map(|r| &input[r]).collect();
 
     // Fixed plans cover the pathological splits (every byte alone, CRLF
     // and escape pairs straddling chunks); random plans come from the

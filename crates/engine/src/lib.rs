@@ -78,6 +78,11 @@ pub use sink::{CountSink, PositionsSink, Sink, SinkFull};
 // The validation error vocabulary surfaces through `RunError::Malformed`.
 pub use rsq_classify::{ValidationError, ValidationErrorKind};
 
+// The line-boundary kernel of the NDJSON drivers (`rsq-batch`, and through
+// it `rsq-serve`), which depend on this crate and not on the classifier
+// crates.
+pub use rsq_classify::LineScanner;
+
 // Tier A observability: run statistics and the recorder abstraction, from
 // the dependency-free `rsq-obs` crate (see `try_run_with_stats`).
 pub use rsq_obs::{BlockStats, ClassifierCounters, NoStats, Recorder, Route, RunStats, SkipStats};

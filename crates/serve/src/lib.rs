@@ -16,10 +16,15 @@
 //!   document split at any byte (including mid-escape) frames exactly
 //!   as the batch splitter would have framed it, and never buffers more
 //!   than the configured document byte cap.
-//! * **Backpressure** — at most [`ServeOptions::max_inflight`]
-//!   documents are admitted but unanswered at once. When the bound is
-//!   hit the server stops reading the connection, which propagates to
-//!   the client through the transport.
+//! * **Backpressure** — a connection holds at most 128 KiB of admitted
+//!   document bytes per worker (or one document, if that is larger), and
+//!   at most [`ServeOptions::max_inflight`] unanswered documents. When
+//!   either bound is hit the server stops reading the connection, which
+//!   propagates to the client through the transport. Buffered memory per
+//!   connection is therefore a small multiple of `128 KiB × workers`
+//!   plus one `max_document_bytes` line in the framer — not
+//!   `max_inflight × max_document_bytes` — and finished document
+//!   buffers are recycled to the framer rather than reallocated.
 //! * **Deadlines** — an optional per-document budget from admission;
 //!   expiry is a per-document `timeout` error, not a connection event.
 //! * **Fault isolation** — every per-document failure (resource limit,
@@ -43,7 +48,7 @@ pub use chaos::{ChaosFault, ChaosPlan, ChaosStream};
 pub use telemetry::serve_telemetry_listener;
 pub use telemetry::{Telemetry, TelemetryOptions};
 
-use pool::Pool;
+use pool::{Matches, Pool};
 use rsq_batch::{DocError, DocErrorKind, Frame, NdjsonFramer};
 use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
 use rsq_obs::{FlightRecorder, Histogram, ProfileStats, ServeCounters, SpanRecord};
@@ -90,9 +95,12 @@ pub struct ServeOptions {
     pub mode: ResponseMode,
     /// Worker threads per connection (0 = one per available CPU).
     pub threads: usize,
-    /// Bound on documents admitted but not yet answered. This caps the
-    /// job queue *and* the reorder buffer: worst-case buffered memory
-    /// is `max_inflight × max_document_bytes`.
+    /// Ceiling on documents admitted but not yet answered: the length
+    /// of the job queue plus the reorder buffer. It does not bound
+    /// memory on its own — admission also stops once the admitted
+    /// documents hold 128 KiB per worker (a lone larger document is
+    /// still admitted when nothing else is in flight), so the window is
+    /// `min(max_inflight, however many documents fit the byte budget)`.
     pub max_inflight: usize,
     /// Per-document processing budget, measured from admission.
     /// `None` = no deadline. `Some(Duration::ZERO)` deterministically
@@ -110,9 +118,9 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Default in-flight bound: deep enough to keep a pool of workers
-    /// busy over a bursty pipe, shallow enough that the reorder buffer
-    /// stays small next to the document cap.
+    /// Default document ceiling: deep enough to keep a pool of workers
+    /// busy over a bursty pipe of small documents; for large ones the
+    /// byte budget closes the window first.
     pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
     /// Options for `query` with engine defaults, count responses, one
@@ -211,37 +219,32 @@ impl ServeReport {
     }
 }
 
-/// Renders the response body for one successful document — exactly the
-/// bytes batch mode would print for it.
-fn render(mode: ResponseMode, doc: &[u8], positions: &[usize]) -> Vec<u8> {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    match mode {
-        ResponseMode::Count => {
-            let _ = writeln!(s, "{}", positions.len());
+/// Renders the response body for one successful document into `body` —
+/// exactly the bytes batch mode would print for it. `doc` is only read
+/// in [`ResponseMode::Values`].
+fn render(body: &mut Vec<u8>, mode: ResponseMode, doc: &[u8], matches: &Matches) {
+    body.clear();
+    // Writing into a `Vec` cannot fail.
+    let _ = match matches {
+        Matches::Count(count) => writeln!(body, "{count}"),
+        Matches::Positions(positions) if mode == ResponseMode::Positions => {
+            positions.iter().try_for_each(|p| writeln!(body, "{p}"))
         }
-        ResponseMode::Positions => {
-            for p in positions {
-                let _ = writeln!(s, "{p}");
-            }
-        }
-        ResponseMode::Values => {
+        Matches::Positions(positions) => {
             // Raw passthrough (DESIGN.md §15): the matched spans are the
             // document's own bytes, copied once into the response with
             // no per-match UTF-8 validation or formatting.
-            let mut out = Vec::new();
             for &p in positions {
                 match rsq_json::node_span(doc, p) {
                     // PANIC-OK: node_span ranges are in bounds of `doc` by construction
-                    Some(span) => out.extend_from_slice(&doc[span]),
-                    None => out.extend_from_slice(b"<malformed>"),
+                    Some(span) => body.extend_from_slice(&doc[span]),
+                    None => body.extend_from_slice(b"<malformed>"),
                 }
-                out.push(b'\n');
+                body.push(b'\n');
             }
-            return out;
+            Ok(())
         }
-    }
-    s.into_bytes()
+    };
 }
 
 /// The emitter thread's accumulated accounting.
@@ -297,14 +300,15 @@ fn emit_loop<W: Write, E: Write>(
     err: &mut E,
 ) -> EmitTally {
     let mut tally = EmitTally::new();
+    let mut body = Vec::new();
     while let Some((seq, mut resp)) = pool.take_next_response() {
         if !resp.framer_rejected {
             tally.latency.record(resp.latency_ns);
         }
         let wrote = match &resp.result {
-            Ok(positions) => {
+            Ok(matches) => {
                 tally.ok += 1;
-                let body = render(mode, &resp.doc, positions);
+                render(&mut body, mode, &resp.doc, matches);
                 out.write_all(&body).and_then(|()| out.flush())
             }
             Err(e) => {
@@ -323,6 +327,7 @@ fn emit_loop<W: Write, E: Write>(
                 err.write_all(line.as_bytes()).and_then(|()| err.flush())
             }
         };
+        pool.recycle(std::mem::take(&mut resp.doc));
         if resp.framer_rejected {
             if let Some(t) = telemetry {
                 t.record_reject();
@@ -420,16 +425,19 @@ where
     })?;
 
     let hub: Option<&Telemetry> = telemetry.map(Arc::as_ref);
+    let threads = options.effective_threads();
     if let Some(t) = hub {
-        t.set_workers(options.effective_threads() as u64);
+        t.set_workers(threads as u64);
     }
+    let mode = options.mode;
     let pool = Pool::new(
         options.max_inflight,
+        threads,
+        mode,
         telemetry.cloned(),
         options.collect_spans,
     );
-    let mut framer = NdjsonFramer::new(options.engine.max_document_bytes);
-    let mode = options.mode;
+    let mut framer = NdjsonFramer::new(options.engine.max_document_bytes).recycling(pool.buffers());
     let deadline = options.deadline;
     let collect_spans = options.collect_spans;
     let perf_mode = options.perf;
@@ -446,7 +454,7 @@ where
             let mut err = err;
             move || emit_loop(pool, mode, hub, collect_spans, &mut out, &mut err)
         });
-        let workers: Vec<_> = (0..options.effective_threads())
+        let workers: Vec<_> = (0..threads)
             .map(|worker_idx| {
                 let pool = &pool;
                 let engine = &engine;
@@ -491,7 +499,8 @@ where
                         if let Some(g) = group {
                             g.start();
                         }
-                        let mut resp = pool::process(engine, deadline, &job, profile.as_mut());
+                        let mut resp =
+                            pool::process(engine, mode, deadline, &job, profile.as_mut());
                         if let Some(delta) = group.and_then(|g| g.stop()) {
                             perf_local.add_run(job.doc.len() as u64, &delta);
                         }
@@ -516,9 +525,7 @@ where
                             }
                             resp.span = Some(span);
                         }
-                        let seq = job.seq;
-                        resp.doc = job.doc;
-                        pool.complete(seq, resp);
+                        pool.complete(job.seq, resp, job.doc);
                     }
                     if perf_local.docs > 0 {
                         // PANIC-OK: poisoned only if a panic escaped per-document containment
@@ -767,6 +774,36 @@ mod tests {
             report.counters
         );
         assert_eq!(report.counters.max_inflight, 1);
+    }
+
+    #[test]
+    fn documents_larger_than_the_byte_budget_are_all_answered() {
+        // Each line is several times the single worker's 128 KiB budget,
+        // so each is admitted only into an empty window: the stream must
+        // still drain, in order, in every mode.
+        let mut input = Vec::new();
+        for n in 0..3 {
+            input.extend_from_slice(b"{\"pad\": \"");
+            input.extend(std::iter::repeat_n(b'x', 300 * 1024));
+            input.extend_from_slice(format!("\", \"b\": {n}}}\n").as_bytes());
+        }
+        let mut o = opts("$..b");
+        o.threads = 1;
+        for (mode, expect) in [
+            (ResponseMode::Count, &b"1\n1\n1\n"[..]),
+            (ResponseMode::Values, b"0\n1\n2\n"),
+        ] {
+            o.mode = mode;
+            let (out, err, report) = serve_bytes(&o, &input);
+            assert_eq!(out, expect, "{mode:?}");
+            assert!(err.is_empty());
+            // A value response holds its document until emitted, so the
+            // window is exactly one; a finished count has released its
+            // bytes and may still await emission when the next is admitted.
+            let window = if mode == ResponseMode::Values { 1 } else { 2 };
+            assert!(report.counters.max_inflight <= window, "{mode:?}");
+            assert!(report.clean);
+        }
     }
 
     #[test]

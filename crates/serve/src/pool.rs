@@ -17,17 +17,40 @@
 //!   worker scheduling, so serve output is byte-identical to a
 //!   sequential batch run by construction.
 //!
-//! The in-flight bound counts *unanswered* documents (queued, running,
-//! or waiting in the reorder buffer), so the reorder buffer cannot grow
-//! without bound when one slow document holds back emission.
+//! Admission is bounded twice. The *document ceiling* (`--max-inflight`)
+//! counts unanswered documents (queued, running, or waiting in the
+//! reorder buffer), so the reorder buffer cannot grow without bound when
+//! one slow document holds back emission. The *byte budget* —
+//! [`INFLIGHT_BYTES_PER_WORKER`] per worker — counts the document bytes
+//! the pool is holding: the producer is admitted while the held bytes are
+//! under the budget, or when nothing at all is in flight (so a single
+//! document larger than the whole budget still gets through, alone). The
+//! budget, not the ceiling, is what bounds memory once framing outruns
+//! the engine: it is sized to keep each worker's next document ready, not
+//! to absorb a flood.
+//!
+//! A document's bytes stop counting when the pool lets go of the buffer:
+//! at [`Pool::complete`] when responses do not render from the document
+//! (counts, positions), at [`Pool::take_next_response`] when they do
+//! (values). Either way the buffer goes back to the connection's
+//! [`DocBuffers`] free list, where the framer picks it up for a later
+//! line instead of growing a fresh vector per document.
 
 use crate::telemetry::Telemetry;
-use rsq_batch::{run_document_contained_with, DocError};
+use crate::ResponseMode;
+use rsq_batch::{run_document_contained_with, DocBuffers, DocError};
 use rsq_engine::{Engine, RunError, Sink, SinkFull};
 use rsq_obs::{DocSpan, ProfileStats};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Document bytes a connection holds in flight per worker before it stops
+/// reading: room for the document a worker is running plus the next one
+/// queued behind it at the sizes serve mode sees (tens of KiB). Deeper
+/// windows measured no faster — the worker is the bottleneck either way —
+/// and cost resident memory one document at a time.
+pub(crate) const INFLIGHT_BYTES_PER_WORKER: usize = 128 * 1024;
 
 /// One admitted document awaiting a worker.
 pub(crate) struct Job {
@@ -39,12 +62,21 @@ pub(crate) struct Job {
     pub(crate) span: Option<DocSpan>,
 }
 
+/// What a successful run found, in the form the response mode renders.
+pub(crate) enum Matches {
+    /// [`ResponseMode::Count`]: only the number of matches.
+    Count(u64),
+    /// Positions and values: every match offset, in document order.
+    Positions(Vec<usize>),
+}
+
 /// One finished document awaiting emission.
 pub(crate) struct Response {
-    /// The document bytes (needed to render value output).
+    /// The document bytes when the response renders from them (value
+    /// output); empty otherwise — the worker already gave the buffer back.
     pub(crate) doc: Vec<u8>,
-    /// Match positions, or the per-document failure.
-    pub(crate) result: Result<Vec<usize>, DocError>,
+    /// The matches, or the per-document failure.
+    pub(crate) result: Result<Matches, DocError>,
     /// Admission-to-completion latency.
     pub(crate) latency_ns: u64,
     /// True when the framer rejected the line before any worker saw it
@@ -64,6 +96,9 @@ struct State {
     next_emit: u64,
     /// Admitted but not yet emitted (bounded by the pool capacity).
     outstanding: usize,
+    /// Bytes of the admitted documents whose buffers the pool still
+    /// holds (bounded by the byte budget, see `admit_slot`).
+    outstanding_bytes: usize,
     /// Producer finished: no further admissions.
     closed: bool,
     /// Emitter hit a write error: everyone winds down.
@@ -82,6 +117,13 @@ pub(crate) struct Pool {
     /// The emitter waits here for the next in-order response.
     done_ready: Condvar,
     capacity: usize,
+    /// The byte budget: [`INFLIGHT_BYTES_PER_WORKER`] per worker.
+    byte_budget: usize,
+    /// Responses render from the document (value output), so its buffer
+    /// stays with the response until the emitter has written it.
+    keep_docs: bool,
+    /// Finished document buffers, on their way back to the framer.
+    buffers: Arc<DocBuffers>,
     /// The session's telemetry hub. `None` keeps every pool operation
     /// exactly as cheap as before telemetry existed: no spans, no
     /// gauge atomics, no clock reads beyond the latency `Instant`.
@@ -99,9 +141,12 @@ pub(crate) struct Pool {
 impl Pool {
     pub(crate) fn new(
         capacity: usize,
+        workers: usize,
+        mode: ResponseMode,
         telemetry: Option<Arc<Telemetry>>,
         collect_spans: bool,
     ) -> Self {
+        let byte_budget = INFLIGHT_BYTES_PER_WORKER.saturating_mul(workers.max(1));
         Pool {
             state: Mutex::new(State {
                 jobs: VecDeque::new(),
@@ -109,6 +154,7 @@ impl Pool {
                 next_seq: 0,
                 next_emit: 0,
                 outstanding: 0,
+                outstanding_bytes: 0,
                 closed: false,
                 aborted: false,
                 backpressure_waits: 0,
@@ -118,19 +164,34 @@ impl Pool {
             slot_free: Condvar::new(),
             done_ready: Condvar::new(),
             capacity: capacity.max(1),
+            byte_budget,
+            keep_docs: mode == ResponseMode::Values,
+            // Parking more than the budget could never be taken up again.
+            buffers: Arc::new(DocBuffers::new(byte_budget)),
             telemetry,
             collect_spans,
             epoch: Instant::now(),
         }
     }
 
-    /// Blocks until an in-flight slot is free (backpressure), then runs
-    /// `f` on the locked state with the assigned sequence number.
-    /// Returns `None` without admitting when the pool has aborted.
-    fn admit_slot<T>(&self, f: impl FnOnce(&mut State, u64) -> T) -> Option<T> {
+    /// The connection's document-buffer free list, for the framer to take
+    /// from.
+    pub(crate) fn buffers(&self) -> Arc<DocBuffers> {
+        Arc::clone(&self.buffers)
+    }
+
+    /// Blocks until there is room in flight for a `bytes`-long document
+    /// (backpressure), then runs `f` on the locked state with the
+    /// assigned sequence number. There is room when nothing is in flight,
+    /// or when both the document ceiling and the byte budget have some
+    /// left. Returns `None` without admitting when the pool has aborted.
+    fn admit_slot<T>(&self, bytes: usize, f: impl FnOnce(&mut State, u64) -> T) -> Option<T> {
         // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
         let mut state = self.state.lock().unwrap();
-        while state.outstanding >= self.capacity && !state.aborted {
+        while state.outstanding > 0
+            && (state.outstanding >= self.capacity || state.outstanding_bytes >= self.byte_budget)
+            && !state.aborted
+        {
             state.backpressure_waits += 1;
             // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
             state = self.slot_free.wait(state).unwrap();
@@ -141,6 +202,7 @@ impl Pool {
         let seq = state.next_seq;
         state.next_seq += 1;
         state.outstanding += 1;
+        state.outstanding_bytes += bytes;
         state.max_inflight_hwm = state.max_inflight_hwm.max(state.outstanding as u64);
         Some(f(&mut state, seq))
     }
@@ -151,7 +213,7 @@ impl Pool {
         let telemetry = self.telemetry.as_deref();
         let spans = telemetry.is_some() || self.collect_spans;
         let admitted = self
-            .admit_slot(|state, seq| {
+            .admit_slot(doc.len(), |state, seq| {
                 let span = spans.then(|| {
                     let since_epoch =
                         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -180,7 +242,7 @@ impl Pool {
     /// when the pool has aborted.
     pub(crate) fn reject(&self, err: DocError) -> bool {
         let admitted = self
-            .admit_slot(|state, seq| {
+            .admit_slot(0, |state, seq| {
                 state.done.insert(
                     seq,
                     Response {
@@ -254,13 +316,32 @@ impl Pool {
         }
     }
 
-    /// Worker-side: posts a finished document's response.
-    pub(crate) fn complete(&self, seq: u64, response: Response) {
+    /// Worker-side: posts a finished document's response and disposes of
+    /// the document itself — attached to the response when the emitter
+    /// renders from it, otherwise straight back to the free list, its
+    /// bytes no longer in flight.
+    pub(crate) fn complete(&self, seq: u64, mut response: Response, doc: Vec<u8>) {
+        let mut released = 0;
+        if self.keep_docs {
+            response.doc = doc;
+        } else {
+            released = doc.len();
+            self.buffers.put(doc);
+        }
         // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
         let mut state = self.state.lock().unwrap();
         state.done.insert(seq, response);
+        state.outstanding_bytes -= released;
         drop(state);
         self.done_ready.notify_one();
+        if released > 0 {
+            self.slot_free.notify_one();
+        }
+    }
+
+    /// Emitter-side: the response that carried `doc` has been written.
+    pub(crate) fn recycle(&self, doc: Vec<u8>) {
+        self.buffers.put(doc);
     }
 
     /// Emitter-side: blocks for the next response **in admission
@@ -277,6 +358,7 @@ impl Pool {
             if let Some(mut response) = state.done.remove(&seq) {
                 state.next_emit += 1;
                 state.outstanding -= 1;
+                state.outstanding_bytes -= response.doc.len();
                 drop(state);
                 if let Some(span) = response.span.as_mut() {
                     // Reorder wait ends when the emitter receives it.
@@ -309,18 +391,22 @@ impl Pool {
     }
 }
 
-/// A positions sink that checks the wall clock every few records: the
-/// matching-phase half of the per-document deadline. Tripping reports
-/// [`SinkFull`] — a *clean* early stop for the engine — and the worker
-/// turns the `expired` flag into a timeout outcome.
-struct DeadlineSink<'a> {
-    inner: &'a mut Vec<usize>,
-    deadline: Instant,
+/// The one sink serve workers run the engine into — one type, so the
+/// engine's loops are instantiated once for this crate however many
+/// response modes and deadline settings there are. It counts, or records
+/// positions when the mode renders from them, and with a deadline set it
+/// checks the wall clock every few records: the matching-phase half of
+/// the per-document deadline. Tripping reports [`SinkFull`] — a *clean*
+/// early stop for the engine — and the worker turns the `expired` flag
+/// into a timeout outcome.
+struct DocSink {
+    matches: Matches,
+    deadline: Option<Instant>,
     since_check: u32,
     expired: bool,
 }
 
-impl DeadlineSink<'_> {
+impl DocSink {
     /// Records between clock reads. The engine can emit matches at
     /// hundreds of millions per second; reading the clock every record
     /// would dominate. 64 keeps the deadline granular to microseconds
@@ -328,21 +414,29 @@ impl DeadlineSink<'_> {
     const CHECK_EVERY: u32 = 64;
 }
 
-impl Sink for DeadlineSink<'_> {
+impl Sink for DocSink {
     fn record(&mut self, pos: usize) -> Result<(), SinkFull> {
-        self.since_check += 1;
-        if self.since_check >= Self::CHECK_EVERY {
-            self.since_check = 0;
-            if Instant::now() >= self.deadline {
-                self.expired = true;
-                return Err(SinkFull);
+        if let Some(deadline) = self.deadline {
+            self.since_check += 1;
+            if self.since_check >= Self::CHECK_EVERY {
+                self.since_check = 0;
+                if Instant::now() >= deadline {
+                    self.expired = true;
+                    return Err(SinkFull);
+                }
             }
         }
-        self.inner.record(pos)
+        match &mut self.matches {
+            Matches::Count(count) => *count += 1,
+            Matches::Positions(positions) => positions.push(pos),
+        }
+        Ok(())
     }
 }
 
-/// Runs one document with panic containment and the optional deadline.
+/// Runs one document with panic containment and the optional deadline,
+/// gathering only what `mode` renders: a count never builds the
+/// positions vector.
 ///
 /// The deadline is evaluated at deterministic points only: once before
 /// the run (a document admitted after its budget already passed — e.g.
@@ -355,39 +449,31 @@ impl Sink for DeadlineSink<'_> {
 /// the clock-free path.
 pub(crate) fn process(
     engine: &Engine,
+    mode: ResponseMode,
     deadline: Option<Duration>,
     job: &Job,
-    mut profile: Option<&mut ProfileStats>,
+    profile: Option<&mut ProfileStats>,
 ) -> Response {
     let hard = deadline.map(|d| job.admitted + d);
     let timeout = || DocError::from_run(&RunError::DeadlineExceeded);
     let result = if hard.is_some_and(|h| Instant::now() >= h) {
         Err(timeout())
     } else {
-        let mut positions = Vec::new();
-        let run = match hard {
-            Some(h) => {
-                let mut sink = DeadlineSink {
-                    inner: &mut positions,
-                    deadline: h,
-                    since_check: 0,
-                    expired: false,
-                };
-                let run = run_document_contained_with(
-                    engine,
-                    &job.doc,
-                    &mut sink,
-                    profile.as_deref_mut(),
-                );
-                if sink.expired {
-                    Err(timeout())
-                } else {
-                    run
-                }
-            }
-            None => run_document_contained_with(engine, &job.doc, &mut positions, profile),
+        let mut sink = DocSink {
+            matches: match mode {
+                ResponseMode::Count => Matches::Count(0),
+                ResponseMode::Positions | ResponseMode::Values => Matches::Positions(Vec::new()),
+            },
+            deadline: hard,
+            since_check: 0,
+            expired: false,
         };
-        run.map(|()| positions)
+        let run = run_document_contained_with(engine, &job.doc, &mut sink, profile);
+        if sink.expired {
+            Err(timeout())
+        } else {
+            run.map(|()| sink.matches)
+        }
     };
     Response {
         doc: Vec::new(),
@@ -395,5 +481,143 @@ pub(crate) fn process(
         latency_ns: u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
         framer_rejected: false,
         span: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::thread;
+
+    impl Pool {
+        fn in_flight_bytes(&self) -> usize {
+            self.state.lock().unwrap().outstanding_bytes
+        }
+
+        fn waits(&self) -> u64 {
+            self.accounting().1
+        }
+    }
+
+    fn pool(mode: ResponseMode) -> Pool {
+        Pool::new(64, 1, mode, None, false)
+    }
+
+    fn done() -> Response {
+        Response {
+            doc: Vec::new(),
+            result: Ok(Matches::Count(0)),
+            latency_ns: 0,
+            framer_rejected: false,
+            span: None,
+        }
+    }
+
+    /// Admits `doc` on another thread and returns once that thread is
+    /// provably parked in the backpressure wait.
+    fn admit_blocked<'s>(
+        scope: &'s thread::Scope<'s, '_>,
+        pool: &'s Pool,
+        doc: Vec<u8>,
+    ) -> thread::ScopedJoinHandle<'s, bool> {
+        let before = pool.waits();
+        let handle = scope.spawn(move || pool.admit(doc));
+        while pool.waits() == before {
+            thread::yield_now();
+        }
+        handle
+    }
+
+    #[test]
+    fn byte_budget_closes_the_window_before_the_document_ceiling() {
+        const DOC: usize = 100 * 1024;
+        let pool = pool(ResponseMode::Count);
+        thread::scope(|scope| {
+            // 0 and then 100 KiB in flight are both under the 128 KiB
+            // budget: two documents go straight in.
+            assert!(pool.admit(vec![b'1'; DOC]));
+            assert!(pool.admit(vec![b'2'; DOC]));
+            assert_eq!((pool.waits(), pool.in_flight_bytes()), (0, 2 * DOC));
+            // 200 KiB is not: the third waits, far below the ceiling of 64.
+            let third = admit_blocked(scope, &pool, vec![b'3'; DOC]);
+            assert_eq!(
+                pool.in_flight_bytes(),
+                2 * DOC,
+                "nothing admitted past the budget"
+            );
+            // A count response does not need the document: finishing one
+            // releases its bytes before the emitter has even seen it.
+            let job = pool.take_job().expect("a queued job");
+            pool.complete(job.seq, done(), job.doc);
+            assert!(third.join().expect("producer thread"));
+            assert_eq!(pool.in_flight_bytes(), 2 * DOC);
+            assert_eq!(pool.accounting().2, 3, "three documents unanswered");
+        });
+        assert!(
+            pool.buffers().take().is_some_and(|b| b.capacity() >= DOC),
+            "the finished document's buffer is parked for the framer"
+        );
+    }
+
+    #[test]
+    fn value_responses_hold_their_bytes_until_emitted() {
+        const DOC: usize = 100 * 1024;
+        let pool = pool(ResponseMode::Values);
+        thread::scope(|scope| {
+            assert!(pool.admit(vec![b'1'; DOC]));
+            assert!(pool.admit(vec![b'2'; DOC]));
+            let job = pool.take_job().expect("a queued job");
+            pool.complete(job.seq, done(), job.doc);
+            assert_eq!(
+                pool.in_flight_bytes(),
+                2 * DOC,
+                "the reorder buffer holds it"
+            );
+            let third = admit_blocked(scope, &pool, vec![b'3'; DOC]);
+            let (seq, response) = pool.take_next_response().expect("response 0");
+            assert_eq!((seq, response.doc.len()), (0, DOC));
+            assert!(third.join().expect("producer thread"));
+            assert_eq!(pool.in_flight_bytes(), 2 * DOC);
+        });
+    }
+
+    #[test]
+    fn a_document_larger_than_the_budget_is_admitted_alone() {
+        let big = 4 * INFLIGHT_BYTES_PER_WORKER;
+        let pool = pool(ResponseMode::Count);
+        thread::scope(|scope| {
+            assert!(
+                pool.admit(vec![b'x'; big]),
+                "an empty window admits anything"
+            );
+            assert_eq!((pool.waits(), pool.in_flight_bytes()), (0, big));
+            // …and nothing joins it, however small.
+            let next = admit_blocked(scope, &pool, b"[1]".to_vec());
+            let job = pool.take_job().expect("a queued job");
+            pool.complete(job.seq, done(), job.doc);
+            assert!(next.join().expect("producer thread"));
+            assert_eq!(pool.in_flight_bytes(), 3);
+        });
+        assert!(
+            pool.buffers().take().is_none(),
+            "a buffer larger than the budget is not parked"
+        );
+    }
+
+    #[test]
+    fn small_documents_fill_the_document_ceiling_not_the_budget() {
+        let pool = Pool::new(2, 1, ResponseMode::Count, None, false);
+        thread::scope(|scope| {
+            assert!(pool.admit(b"[1]".to_vec()));
+            assert!(pool.admit(b"[2]".to_vec()));
+            let third = admit_blocked(scope, &pool, b"[3]".to_vec());
+            // Finishing a count document frees bytes, not the slot: only
+            // emission does.
+            let job = pool.take_job().expect("a queued job");
+            pool.complete(job.seq, done(), job.doc);
+            assert_eq!(pool.accounting().2, 2);
+            assert!(pool.take_next_response().is_some());
+            assert!(third.join().expect("producer thread"));
+        });
     }
 }

@@ -44,6 +44,16 @@ echo "==> batch determinism gate (multi-threaded merge, SWAR override)"
 # repeats that under the portable backend override.
 cargo test -p rsq-batch -q
 RSQ_BACKEND=swar cargo test -p rsq-batch -q
+# The NDJSON splitter and framer run the SIMD line-boundary kernel; their
+# differential tests (against verbatim copies of the per-byte loops) pin
+# every backend the host has, and `split_ndjson`/`NdjsonFramer::new`
+# themselves follow the override — so the suite above has covered the
+# default and SWAR; repeat those tests under AVX2 where the host has it.
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+  RSQ_BACKEND=avx2 cargo test -p rsq-batch -q --lib ndjson::
+else
+  echo "SKIP: NDJSON differential under RSQ_BACKEND=avx2 (no AVX2 on this host)"
+fi
 
 echo "==> serve smoke gate (pipe protocol vs --batch-ndjson oracle)"
 # Stream a corpus with CRLF lines, a blank line, an in-string newline,
