@@ -1,4 +1,4 @@
-//! Batch determinism: for any thread count, any chunk size, and any
+//! Batch determinism: for any thread count (and so any chunk size) and any
 //! backend, `BatchEngine` output must be byte-identical to a sequential
 //! `Engine` loop over the same documents. This is the batch layer's
 //! contract — parallelism is an implementation detail the results must
@@ -54,38 +54,42 @@ fn sequential(query: &str, options: EngineOptions, docs: &[&[u8]]) -> Vec<Option
 }
 
 /// Asserts batch output equals the sequential loop for every thread
-/// count and a couple of chunk grains.
+/// count. The queue's chunk is derived from the thread count (about four
+/// claims per worker, at least one document), so the sweep also walks the
+/// chunk from one document up to a quarter of the corpus.
 fn assert_deterministic(query: &str, options: EngineOptions) {
     let docs = corpus();
     let doc_refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
     let expected = sequential(query, options, &doc_refs);
-    for threads in [1, 2, 8] {
-        for chunk_docs in [0, 1, 5] {
-            let batch = BatchEngine::new(BatchOptions {
-                threads,
-                chunk_docs,
-                engine: options,
-                ..BatchOptions::default()
-            });
-            let result = batch.run_slices(query, &doc_refs).unwrap();
-            assert_eq!(result.outcomes.len(), expected.len());
-            for (i, (got, want)) in result.outcomes.iter().zip(&expected).enumerate() {
-                match (got, want) {
-                    (Ok(g), Some(w)) => assert_eq!(
-                        g, w,
-                        "doc {i} diverged ({query}, threads={threads}, chunk={chunk_docs})"
-                    ),
-                    (Err(_), None) => {}
-                    (got, want) => panic!(
-                        "doc {i} outcome class diverged ({query}, threads={threads}, \
-                         chunk={chunk_docs}): batch={got:?} sequential={want:?}"
-                    ),
+    let mut claims = Vec::new();
+    for threads in [1, 2, 3, 8, 64] {
+        let batch = BatchEngine::new(BatchOptions {
+            threads,
+            engine: options,
+            ..BatchOptions::default()
+        });
+        let result = batch.run_slices(query, &doc_refs).unwrap();
+        assert_eq!(result.outcomes.len(), expected.len());
+        for (i, (got, want)) in result.outcomes.iter().zip(&expected).enumerate() {
+            match (got, want) {
+                (Ok(g), Some(w)) => {
+                    assert_eq!(g, w, "doc {i} diverged ({query}, threads={threads})");
                 }
+                (Err(_), None) => {}
+                (got, want) => panic!(
+                    "doc {i} outcome class diverged ({query}, threads={threads}): \
+                     batch={got:?} sequential={want:?}"
+                ),
             }
-            assert_eq!(result.counters.documents, doc_refs.len() as u64);
-            assert!(result.counters.shards >= 1 && result.counters.shards <= threads as u64);
         }
+        assert_eq!(result.counters.documents, doc_refs.len() as u64);
+        assert!(result.counters.shards >= 1 && result.counters.shards <= threads as u64);
+        claims.push(result.counters.queue_claims);
     }
+    assert!(
+        claims.first() < claims.last(),
+        "the sweep must vary the chunk size: claims per run {claims:?}"
+    );
 }
 
 #[test]

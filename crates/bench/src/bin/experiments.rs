@@ -613,37 +613,44 @@ fn fast_path(report: &mut Report) {
 /// hosts where the kernel denies counters this prints the reason and
 /// emits no rows.
 fn kernel_efficiency(report: &mut Report) {
+    use rsq_batch::{DocRunner, Record};
     use rsq_engine::{Route, RouteChoice};
-    use rsq_perf::{CounterSet, PerfMode, PerfStats};
+    use rsq_perf::{PerfMode, PerfStats};
     heading("Kernel efficiency: cycles per byte by route (perf_event_open)");
-    let counters = CounterSet::open(PerfMode::Auto);
-    let Some(group) = counters.group() else {
-        let reason = counters.reason().unwrap_or("unknown");
+    // One runner, so one counter group, for the whole experiment.
+    let mut runner = DocRunner::open(PerfMode::Auto);
+    if let Some(reason) = runner.counters_unavailable() {
         println!("SKIPPED: hardware counters unavailable ({reason})");
         println!("(no rows emitted; re-run on a host with perf_event_open access)");
         return;
-    };
+    }
     println!(
         "{:<5} {:>11} {:>10} {:>10} {:>7} {:>10} {:>10}",
         "id", "route", "fast c/B", "gen c/B", "ratio", "fast i/B", "gen i/B"
     );
-    // One (stats, match count, throughput) sample per rep; the rep with
-    // the fewest cycles per byte is the run least disturbed by the rest
-    // of the machine.
-    let best_of = |engine: &Engine, input: &[u8]| -> (PerfStats, u64, f64) {
+    // One (stats, match count, throughput) sample per rep — what the
+    // runner's totals grew by over that rep; the rep with the fewest
+    // cycles per byte is the run least disturbed by the rest of the
+    // machine.
+    let mut best_of = |engine: &Engine, input: &[u8]| -> (PerfStats, u64, f64) {
         let mut best: Option<(PerfStats, u64, f64)> = None;
         for _ in 0..REPS {
-            let mut stats = PerfStats {
-                core_only: group.is_core_only(),
-                ..PerfStats::default()
-            };
-            group.start();
+            let before = runner.perf().unwrap_or_default();
+            let mut sink = CountSink::new();
             let started = std::time::Instant::now();
-            let count = engine.count(input);
+            runner
+                .run(engine, input, &mut sink, Record::Nothing, true)
+                .expect("catalog run succeeds");
             let secs = started.elapsed().as_secs_f64();
-            if let Some(delta) = group.stop() {
-                stats.add_run(input.len() as u64, &delta);
-            }
+            let count = sink.count();
+            // A failed group read adds nothing: `docs` stays 0.
+            let after = runner.perf().unwrap_or_default();
+            let stats = PerfStats {
+                bytes: after.bytes - before.bytes,
+                docs: after.docs - before.docs,
+                total: after.total.delta_since(&before.total),
+                ..after
+            };
             #[allow(clippy::cast_precision_loss)]
             let gbps = input.len() as f64 / secs / 1e9;
             let replace = match &best {
@@ -1225,8 +1232,9 @@ fn skip_ablation(report: &mut Report) {
         let engine = Engine::from_text(entry.query).expect("catalog query compiles");
         let input = dataset(entry.dataset);
         let mut sink = CountSink::new();
-        let profile = engine
-            .try_run_with_profile(input, &mut sink)
+        let mut profile = rsq_engine::ProfileStats::for_document(input.len());
+        engine
+            .try_run_with_recorder(input, &mut sink, &mut profile)
             .expect("catalog run succeeds");
         assert_eq!(
             sink.count(),

@@ -9,27 +9,23 @@
 
 #![warn(missing_docs)]
 
-use rsq_batch::{BatchEngine, BatchOptions, DocErrorKind};
-use rsq_engine::{
-    CountSink, Engine, EngineOptions, PositionsSink, ProfileStage, ProfileStats, RunError,
-    RunStats, Sink,
-};
-// Shared with the serve layer so both render identical value output.
-use rsq_json::node_span;
+use rsq_batch::{BatchEngine, BatchOptions, DocError, DocErrorKind, DocRunner, DocSink, Record};
+use rsq_engine::{Engine, EngineOptions, ProfileStage, ProfileStats, RunError, RunStats};
 use rsq_mmap::{MapPolicy, MmapInput};
 use rsq_obs::{
-    chrome_trace_json, prometheus, prometheus_serve, ServeCounters, STATS_SCHEMA_VERSION,
+    chrome_trace_json, prometheus, prometheus_serve, BatchCounters, BatchProfile, Histogram,
+    ServeCounters, SpanRecord, STATS_SCHEMA_VERSION,
 };
-use rsq_perf::{prometheus_perf_into, CounterSet, PerfMode, PerfRecorder, PerfStats};
+use rsq_perf::{prometheus_perf_into, PerfMode, PerfStats};
 use rsq_query::Query;
 use rsq_serve::{
-    serve_connection_with, serve_telemetry_listener, ResponseMode, ServeOptions, ServeReport,
-    Telemetry, TelemetryOptions,
+    render, serve_connection_with, serve_telemetry_listener, serve_unix_with, ResponseMode,
+    ServeOptions, ServeReport, Telemetry, TelemetryOptions,
 };
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -290,6 +286,12 @@ impl From<RunError> for CliError {
     }
 }
 
+impl From<DocError> for CliError {
+    fn from(e: DocError) -> Self {
+        CliError::new(doc_error_kind(e.kind), e.message)
+    }
+}
+
 /// Maps a per-document failure class onto the CLI's exit-code classes.
 fn doc_error_kind(kind: DocErrorKind) -> CliErrorKind {
     match kind {
@@ -350,6 +352,33 @@ pub struct Invocation {
 }
 
 impl Invocation {
+    /// Whether the run gathers Tier A counters: some report renders them.
+    fn wants_stats(&self) -> bool {
+        self.stats.is_some() || self.metrics_out.is_some()
+    }
+
+    /// The hardware-counter mode the run's workers open with — the one
+    /// rule for when counters arm: only when a report will surface them
+    /// (`--stats*`, `--metrics-out`, `--profile`, live telemetry). The
+    /// plain result-only path never opens a perf fd.
+    fn perf_mode(&self) -> PerfMode {
+        if self.wants_stats() || self.profile || self.telemetry.enabled() {
+            self.perf
+        } else {
+            PerfMode::Off
+        }
+    }
+
+    /// What the drivers render per document (`--verify` compares
+    /// positions).
+    fn response_mode(&self) -> ResponseMode {
+        match self.mode {
+            Mode::Count => ResponseMode::Count,
+            Mode::Positions | Mode::Verify => ResponseMode::Positions,
+            _ => ResponseMode::Values,
+        }
+    }
+
     /// Parses command-line arguments (without the program name).
     ///
     /// # Errors
@@ -657,99 +686,24 @@ fn read_input_plain(file: Option<&str>) -> Result<Vec<u8>, CliError> {
     }
 }
 
-/// Writes one matched node as raw passthrough (DESIGN.md §15): the
-/// document's own bytes go straight to the writer — no per-match UTF-8
-/// validation, no intermediate `String`. Unterminated spans (truncated
-/// input) render as `<malformed>`, as the text path always did.
-fn write_node(out: &mut dyn Write, doc: &[u8], pos: usize) -> std::io::Result<()> {
-    match node_span(doc, pos) {
-        // PANIC-OK: node_span ranges are in bounds of `doc` by construction
-        Some(span) => out.write_all(&doc[span])?,
-        None => out.write_all(b"<malformed>")?,
-    }
-    out.write_all(b"\n")
+fn write_error(e: std::io::Error) -> CliError {
+    CliError::new(CliErrorKind::Failure, format!("write error: {e}"))
 }
 
-/// [`write_node`] with the CLI's write-error classification.
-fn emit_node(out: &mut dyn Write, doc: &[u8], pos: usize) -> Result<(), CliError> {
-    write_node(out, doc, pos)
-        .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))
+fn write_file(path: &str, text: String) -> Result<(), CliError> {
+    std::fs::write(path, text)
+        .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot write {path}: {e}")))
 }
 
-fn compile(invocation: &Invocation) -> Result<Engine, CliError> {
-    let query = Query::parse(&invocation.query)
+fn parse_query(invocation: &Invocation) -> Result<Query, CliError> {
+    Query::parse(&invocation.query).map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))
+}
+
+fn compile(invocation: &Invocation) -> Result<(Query, Engine), CliError> {
+    let query = parse_query(invocation)?;
+    let engine = Engine::with_options(&query, invocation.options)
         .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))?;
-    Engine::with_options(&query, invocation.options)
-        .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))
-}
-
-/// What a run gathered for the stderr report: nothing, Tier A counters,
-/// or the full Tier C profile (which carries the counters inside).
-enum EngineReport {
-    Stats(RunStats),
-    Profile(Box<ProfileStats>),
-}
-
-impl EngineReport {
-    fn stats(&self) -> &RunStats {
-        match self {
-            EngineReport::Stats(stats) => stats,
-            EngineReport::Profile(profile) => &profile.stats,
-        }
-    }
-
-    fn profile(&self) -> Option<&ProfileStats> {
-        match self {
-            EngineReport::Stats(_) => None,
-            EngineReport::Profile(profile) => Some(profile),
-        }
-    }
-}
-
-/// Runs the engine over `input` into `sink`, gathering [`RunStats`] or a
-/// full [`ProfileStats`] only when requested — the plain path stays on
-/// the zero-overhead entry point.
-///
-/// When `counters` is armed, the whole run is bracketed by one counter
-/// group start/stop and the delta folds into `perf`; profiled runs
-/// additionally attribute cycles and instructions per pipeline stage by
-/// riding the stage-timer brackets with a [`PerfRecorder`]. An
-/// unavailable counter set (denied kernel, `RSQ_PERF=off`/`deny`) makes
-/// all of this a no-op with identical results.
-fn run_engine<S: Sink>(
-    engine: &Engine,
-    input: &[u8],
-    sink: &mut S,
-    want_stats: bool,
-    want_profile: bool,
-    counters: &CounterSet,
-    perf: &mut PerfStats,
-) -> Result<Option<EngineReport>, RunError> {
-    let group = counters.group();
-    if let Some(g) = group {
-        g.start();
-    }
-    let outcome = if want_profile {
-        let mut profile = ProfileStats::for_document(input.len());
-        match group {
-            Some(g) => {
-                let mut rec = PerfRecorder::new(&mut profile, g, perf);
-                engine.try_run_with_recorder(input, sink, &mut rec)
-            }
-            None => engine.try_run_with_recorder(input, sink, &mut profile),
-        }
-        .map(|()| Some(EngineReport::Profile(Box::new(profile))))
-    } else if want_stats {
-        engine
-            .try_run_with_stats(input, sink)
-            .map(|s| Some(EngineReport::Stats(s)))
-    } else {
-        engine.try_run(input, sink).map(|()| None)
-    };
-    if let Some(delta) = group.and_then(|g| g.stop()) {
-        perf.add_run(input.len() as u64, &delta);
-    }
-    outcome
+    Ok((query, engine))
 }
 
 /// Nanoseconds since `t0`, saturated to `u64::MAX`.
@@ -757,37 +711,146 @@ fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The single-document `--stats-json` line: the [`RunStats`] JSON with a
-/// leading `schema_version` field spliced in, plus a trailing `profile`
-/// object when profiling was on and a `perf` object when hardware
-/// counters were readable. With `--profile` off and counters denied this
-/// is byte-identical to the unversioned report modulo the version field.
-fn versioned_stats_json(
-    stats: &RunStats,
-    profile: Option<&ProfileStats>,
-    perf: Option<&PerfStats>,
-) -> String {
-    let stats_json = stats.to_json();
-    let mut s = format!(
-        "{{\"schema_version\":{STATS_SCHEMA_VERSION},{}",
-        // PANIC-OK: RunStats::to_json always renders a brace-wrapped object, so byte 0 exists and is `{`
-        &stats_json[1..]
-    );
-    let mut append = |key: &str, object: String| {
-        s.pop();
-        s.push_str(",\"");
-        s.push_str(key);
-        s.push_str("\":");
-        s.push_str(&object);
-        s.push('}');
-    };
-    if let Some(p) = profile {
-        append("profile", p.to_json());
+/// What a finished run has to report, whichever driver ran it: the parts
+/// that are present are rendered, by the one writer below, to
+/// `--metrics-out`, `--trace-out` and the `--stats`/`--stats-json`/
+/// `--profile` block on stderr.
+#[derive(Default)]
+struct Report<'a> {
+    /// Batch-layer counters (batch runs).
+    batch: Option<&'a BatchCounters>,
+    /// Serve counters and the document latency histogram (serve runs).
+    serve: Option<(&'a ServeCounters, &'a Histogram)>,
+    /// Tier A counters: a single document's, or a batch's merged.
+    stats: Option<&'a RunStats>,
+    /// A single document's Tier C profile.
+    profile: Option<&'a ProfileStats>,
+    /// A batch's merged Tier C profile.
+    batch_profile: Option<&'a BatchProfile>,
+    /// Hardware-counter totals, when any run was counted.
+    perf: Option<&'a PerfStats>,
+    /// Why there are none (single-document runs say so in the profile).
+    counters_unavailable: Option<&'a str>,
+    /// The live-telemetry hub of a serve run.
+    telemetry: Option<&'a Telemetry>,
+    /// The document timeline of a batch or serve run.
+    spans: &'a [SpanRecord],
+}
+
+impl Report<'_> {
+    /// The `--stats-json` line: `schema_version`, then the driver's
+    /// objects — or a single document's counters as top-level fields —
+    /// then the `profile`, `perf` and `telemetry` objects that exist.
+    fn json(&self) -> String {
+        fn member(s: &mut String, key: &str, json: &str) {
+            s.push_str(",\"");
+            s.push_str(key);
+            s.push_str("\":");
+            s.push_str(json);
+        }
+        let mut s = format!("{{\"schema_version\":{STATS_SCHEMA_VERSION}");
+        let stats = self.stats.map(RunStats::to_json);
+        if let Some(batch) = self.batch {
+            member(&mut s, "batch", &batch.to_json());
+            if let Some(stats) = &stats {
+                member(&mut s, "stats", stats);
+            }
+        } else if let Some(stats) = &stats {
+            // The stats members join the top-level object: exactly the
+            // one outer brace pair comes off.
+            let members = stats.strip_prefix('{').and_then(|m| m.strip_suffix('}'));
+            s.push(',');
+            s.push_str(members.unwrap_or(stats));
+        }
+        if let Some((serve, _)) = self.serve {
+            member(&mut s, "serve", &serve.to_json());
+        }
+        let profile = self.profile.map(ProfileStats::to_json);
+        if let Some(profile) = profile.or_else(|| self.batch_profile.map(BatchProfile::to_json)) {
+            member(&mut s, "profile", &profile);
+        }
+        if let Some(perf) = self.perf {
+            member(&mut s, "perf", &perf.to_json());
+        }
+        if let Some(hub) = self.telemetry {
+            member(&mut s, "telemetry", &hub.to_json());
+        }
+        s.push_str("}\n");
+        s
     }
-    if let Some(p) = perf {
-        append("perf", p.to_json());
+
+    /// The human block: the counter tables when `--stats` asked for them,
+    /// then the profile (whose single-document table opens with the
+    /// counters itself) and the hardware-counter table or the reason
+    /// there is none.
+    fn human(&self, with_stats: bool) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::new();
+        // Writing into a `String` cannot fail.
+        if with_stats {
+            if let Some(batch) = self.batch {
+                let _ = writeln!(s, "{batch}");
+            }
+            if let Some((serve, _)) = self.serve {
+                let _ = writeln!(s, "{serve}");
+            }
+            if let (Some(stats), None) = (self.stats, self.profile) {
+                // `RunStats` ends without a newline; only a profile
+                // block after it needs one.
+                let _ = write!(s, "{stats}");
+                if self.batch_profile.is_some() {
+                    s.push('\n');
+                }
+            }
+        }
+        let profile = self.profile.map(|p| p as &dyn fmt::Display);
+        if let Some(profile) = profile.or(self.batch_profile.map(|p| p as &dyn fmt::Display)) {
+            let _ = writeln!(s, "{profile}");
+            if let Some(perf) = self.perf {
+                let _ = write!(s, "{perf}");
+            } else if let Some(reason) = self.counters_unavailable {
+                let _ = writeln!(s, "hw counters        unavailable: {reason}");
+            }
+        }
+        s
     }
-    s
+
+    /// The `--metrics-out` exposition. With telemetry on it is the hub's
+    /// live rendering (lifetime series plus rolling windows and gauges —
+    /// identical to a scrape, `rsq_perf_*` already folded in).
+    fn metrics(&self) -> String {
+        if let Some(hub) = self.telemetry {
+            return hub.render_metrics();
+        }
+        let mut text = match self.serve {
+            Some((counters, latency)) => prometheus_serve(counters, Some(latency)),
+            None => prometheus(
+                self.stats.unwrap_or(&RunStats::default()),
+                self.profile,
+                self.batch.map(|batch| (batch, self.batch_profile)),
+            ),
+        };
+        if let Some(perf) = self.perf {
+            prometheus_perf_into(&mut text, perf);
+        }
+        text
+    }
+
+    /// Writes the files and the stderr block the invocation asked for.
+    fn write(&self, invocation: &Invocation, err: &mut impl Write) -> Result<(), CliError> {
+        if let Some(path) = &invocation.metrics_out {
+            write_file(path, self.metrics())?;
+        }
+        if let Some(path) = &invocation.trace_out {
+            write_file(path, chrome_trace_json(self.spans))?;
+        }
+        let text = match invocation.stats {
+            Some(StatsFormat::Json) => self.json(),
+            Some(StatsFormat::Human) => self.human(true),
+            None => self.human(false),
+        };
+        err.write_all(text.as_bytes()).map_err(write_error)
+    }
 }
 
 /// Executes an invocation, writing results to `out` and diagnostics
@@ -812,207 +875,106 @@ pub fn run(
             ServeTransport::Unix(path) => run_serve_unix(invocation, path, err),
         };
     }
-    let emit = |out: &mut dyn Write, text: std::fmt::Arguments<'_>| {
-        writeln!(out, "{text}")
-            .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))
-    };
-    // Writes the metrics exposition (when requested) and the stderr
-    // stats/profile report for a finished single-document run.
-    let emit_stats = |err: &mut dyn Write,
-                      report: Option<EngineReport>,
-                      counters: &CounterSet,
-                      perf: &PerfStats|
-     -> Result<(), CliError> {
-        let Some(report) = report else { return Ok(()) };
-        if let Some(path) = &invocation.metrics_out {
-            let mut text = prometheus(report.stats(), report.profile(), None);
-            if perf.docs > 0 {
-                prometheus_perf_into(&mut text, perf);
-            }
-            std::fs::write(path, text).map_err(|e| {
-                CliError::new(CliErrorKind::Io, format!("cannot write {path}: {e}"))
-            })?;
-        }
-        // The hardware-counter block of the --profile report: the
-        // counter table, or one diagnostic line saying why there isn't
-        // one (denied kernel, RSQ_PERF=off/deny).
-        let hw = |err: &mut dyn Write| {
-            if perf.docs > 0 {
-                write!(err, "{perf}")
-            } else if let Some(reason) = counters.reason() {
-                writeln!(err, "hw counters        unavailable: {reason}")
-            } else {
-                Ok(())
-            }
-        };
-        match (&report, invocation.stats) {
-            (_, Some(StatsFormat::Json)) => writeln!(
-                err,
-                "{}",
-                versioned_stats_json(
-                    report.stats(),
-                    report.profile(),
-                    (perf.docs > 0).then_some(perf)
-                )
-            ),
-            (EngineReport::Profile(p), Some(StatsFormat::Human)) => {
-                writeln!(err, "{p}").and_then(|()| hw(err))
-            }
-            (EngineReport::Profile(p), None) if invocation.profile => {
-                writeln!(err, "{p}").and_then(|()| hw(err))
-            }
-            (EngineReport::Stats(stats), Some(StatsFormat::Human)) => write!(err, "{stats}"),
-            // Stats gathered only to feed --metrics-out: nothing on stderr.
-            (_, None) => Ok(()),
-        }
-        .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))
-    };
-    let want_profile = invocation.profile;
-    let want_stats = invocation.stats.is_some() || invocation.metrics_out.is_some();
     if let Some(source) = &invocation.batch {
         return run_batch(invocation, source, out, err);
-    }
-    // Hardware counters ride along only when a report will surface them;
-    // the plain result-only path never opens a perf fd.
-    let counters = if want_stats || want_profile {
-        CounterSet::open(invocation.perf)
-    } else {
-        CounterSet::open(PerfMode::Off)
-    };
-    let mut perf = PerfStats::default();
-    if let Some(g) = counters.group() {
-        perf.core_only = g.is_core_only();
     }
     match invocation.mode {
         Mode::Stats => {
             let input = read_input_plain(invocation.file.as_deref())?;
             let stats = rsq_json::document_stats(&input);
-            emit(
+            write!(
                 out,
-                format_args!(
-                    "size      {} bytes ({:.2} MB)",
-                    stats.size_bytes,
-                    stats.size_mb()
-                ),
-            )?;
-            emit(out, format_args!("depth     {}", stats.max_depth))?;
-            emit(out, format_args!("nodes     {}", stats.node_count))?;
-            emit(
-                out,
-                format_args!("verbosity {:.2} bytes/node", stats.verbosity()),
+                "size      {} bytes ({:.2} MB)\ndepth     {}\nnodes     {}\nverbosity {:.2} bytes/node\n",
+                stats.size_bytes,
+                stats.size_mb(),
+                stats.max_depth,
+                stats.node_count,
+                stats.verbosity()
             )
+            .map_err(write_error)
         }
         Mode::Compile => {
-            let query = Query::parse(&invocation.query)
-                .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))?;
+            let query = parse_query(invocation)?;
             let automaton = rsq_query::Automaton::compile(&query)
                 .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))?;
-            write!(out, "{}", automaton.to_dot())
-                .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))
+            write!(out, "{}", automaton.to_dot()).map_err(write_error)
         }
-        Mode::Count => {
-            let engine = compile(invocation)?;
-            let t_ingest = want_profile.then(Instant::now);
-            let input = read_input(&engine, invocation)?;
-            let ingest_ns = t_ingest.map(elapsed_ns);
-            let mut sink = CountSink::new();
-            let mut report = run_engine(
-                &engine,
-                &input,
-                &mut sink,
-                want_stats,
-                want_profile,
-                &counters,
-                &mut perf,
-            )?;
-            let t_sink = want_profile.then(Instant::now);
-            emit(out, format_args!("{}", sink.count()))?;
-            add_driver_stages(&mut report, ingest_ns, t_sink);
-            emit_stats(err, report, &counters, &perf)
-        }
-        Mode::Positions => {
-            let engine = compile(invocation)?;
-            let t_ingest = want_profile.then(Instant::now);
-            let input = read_input(&engine, invocation)?;
-            let ingest_ns = t_ingest.map(elapsed_ns);
-            let mut sink = PositionsSink::new();
-            let mut report = run_engine(
-                &engine,
-                &input,
-                &mut sink,
-                want_stats,
-                want_profile,
-                &counters,
-                &mut perf,
-            )?;
-            let t_sink = want_profile.then(Instant::now);
-            for pos in sink.into_positions() {
-                emit(out, format_args!("{pos}"))?;
-            }
-            add_driver_stages(&mut report, ingest_ns, t_sink);
-            emit_stats(err, report, &counters, &perf)
-        }
-        Mode::Values => {
-            let engine = compile(invocation)?;
-            let t_ingest = want_profile.then(Instant::now);
-            let input = read_input(&engine, invocation)?;
-            let ingest_ns = t_ingest.map(elapsed_ns);
-            let mut sink = PositionsSink::new();
-            let mut report = run_engine(
-                &engine,
-                &input,
-                &mut sink,
-                want_stats,
-                want_profile,
-                &counters,
-                &mut perf,
-            )?;
-            let t_sink = want_profile.then(Instant::now);
-            for pos in sink.into_positions() {
-                emit_node(out, &input, pos)?;
-            }
-            add_driver_stages(&mut report, ingest_ns, t_sink);
-            emit_stats(err, report, &counters, &perf)
-        }
-        Mode::Verify => {
-            let query = Query::parse(&invocation.query)
-                .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))?;
-            let engine = Engine::with_options(&query, invocation.options)
-                .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))?;
-            let input = read_input(&engine, invocation)?;
-            let mut sink = PositionsSink::new();
-            let report = run_engine(
-                &engine,
-                &input,
-                &mut sink,
-                want_stats,
-                want_profile,
-                &counters,
-                &mut perf,
-            )?;
-            let streamed = sink.into_positions();
-            let dom = rsq_json::parse(&input)
-                .map_err(|e| CliError::new(CliErrorKind::Malformed, e.to_string()))?;
-            let oracle = rsq_baselines::positions(&query, &dom);
-            if streamed == oracle {
-                emit(
-                    out,
-                    format_args!("ok: {} matches, engine and oracle agree", streamed.len()),
-                )?;
-                emit_stats(err, report, &counters, &perf)
-            } else {
-                Err(CliError::new(
-                    CliErrorKind::Failure,
-                    format!(
-                        "MISMATCH: engine found {} matches, oracle {} (this is a bug — \
-                         duplicate sibling keys? see README on sibling skipping)",
-                        streamed.len(),
-                        oracle.len()
-                    ),
-                ))
-            }
+        Mode::Count | Mode::Positions | Mode::Values | Mode::Verify => {
+            run_document(invocation, out, err)
         }
     }
+}
+
+/// Runs the query over one document: ingest, one contained run on the
+/// shared [`DocRunner`], the matches (or the oracle's verdict) on `out`,
+/// the report on `err`. A panic inside the run comes back as a failure
+/// (exit 1), not an abort.
+fn run_document(
+    invocation: &Invocation,
+    out: &mut impl Write,
+    err: &mut impl Write,
+) -> Result<(), CliError> {
+    let (query, engine) = compile(invocation)?;
+    let t_ingest = invocation.profile.then(Instant::now);
+    let input = read_input(&engine, invocation)?;
+    let ingest_ns = t_ingest.map(elapsed_ns);
+
+    let mut runner = DocRunner::open(invocation.perf_mode());
+    let mut stats = RunStats::default();
+    let mut profile = invocation
+        .profile
+        .then(|| ProfileStats::for_document(input.len()));
+    let record = match profile.as_mut() {
+        Some(profile) => Record::Profile(profile),
+        None if invocation.wants_stats() => Record::Stats(&mut stats),
+        None => Record::Nothing,
+    };
+    let mode = invocation.response_mode();
+    let mut sink = DocSink::new(mode != ResponseMode::Count, None);
+    runner.run_doc(&engine, &input, &mut sink, record, true)?;
+    let matches = sink.matches();
+
+    if invocation.mode == Mode::Verify {
+        let dom = rsq_json::parse(&input)
+            .map_err(|e| CliError::new(CliErrorKind::Malformed, e.to_string()))?;
+        let oracle = rsq_baselines::positions(&query, &dom);
+        if matches.positions() != oracle {
+            return Err(CliError::new(
+                CliErrorKind::Failure,
+                format!(
+                    "MISMATCH: engine found {} matches, oracle {} (this is a bug — \
+                     duplicate sibling keys? see README on sibling skipping)",
+                    matches.count(),
+                    oracle.len()
+                ),
+            ));
+        }
+    }
+    let t_sink = invocation.profile.then(Instant::now);
+    if invocation.mode == Mode::Verify {
+        writeln!(
+            out,
+            "ok: {} matches, engine and oracle agree",
+            matches.count()
+        )
+    } else {
+        render(out, mode, &input, matches.count(), matches.positions())
+    }
+    .map_err(write_error)?;
+    if let Some(profile) = profile.as_mut() {
+        profile.add_stage_ns(ProfileStage::Ingest, ingest_ns.unwrap_or(0));
+        profile.add_stage_ns(ProfileStage::Sink, t_sink.map_or(0, elapsed_ns));
+    }
+
+    let perf = runner.perf();
+    Report {
+        stats: Some(profile.as_ref().map_or(&stats, |p| &p.stats)),
+        profile: profile.as_ref(),
+        perf: perf.as_ref(),
+        counters_unavailable: runner.counters_unavailable(),
+        ..Report::default()
+    }
+    .write(invocation, err)
 }
 
 /// Assembles [`ServeOptions`] from a parsed serve invocation.
@@ -1020,27 +982,14 @@ fn serve_options(invocation: &Invocation) -> ServeOptions {
     ServeOptions {
         query: invocation.query.clone(),
         engine: invocation.options,
-        mode: match invocation.mode {
-            Mode::Count => ResponseMode::Count,
-            Mode::Positions => ResponseMode::Positions,
-            _ => ResponseMode::Values,
-        },
+        mode: invocation.response_mode(),
         threads: invocation.threads,
         max_inflight: invocation
             .max_inflight
             .unwrap_or(ServeOptions::DEFAULT_MAX_INFLIGHT),
         deadline: invocation.deadline_ms.map(Duration::from_millis),
         collect_spans: invocation.trace_out.is_some(),
-        // Counters arm only when some report will surface them — the
-        // plain serve path opens no perf fds on the workers.
-        perf: if invocation.stats.is_some()
-            || invocation.metrics_out.is_some()
-            || invocation.telemetry.enabled()
-        {
-            invocation.perf
-        } else {
-            PerfMode::Off
-        },
+        perf: invocation.perf_mode(),
     }
 }
 
@@ -1084,76 +1033,21 @@ fn stop_telemetry_listener(
     }
 }
 
-/// The serve-mode `--stats-json` line; with telemetry on it carries a
-/// `"telemetry"` object (rolling windows, slow-log/postmortem counts)
-/// next to the lifetime `"serve"` counters, and when hardware counters
-/// were readable a `"perf"` object with the cycles-per-byte report.
-fn serve_stats_line(
-    counters: &ServeCounters,
-    perf: Option<&PerfStats>,
-    hub: Option<&Arc<Telemetry>>,
-) -> String {
-    let mut line = format!(
-        "{{\"schema_version\":{STATS_SCHEMA_VERSION},\"serve\":{}",
-        counters.to_json()
-    );
-    if let Some(p) = perf {
-        line.push_str(",\"perf\":");
-        line.push_str(&p.to_json());
-    }
-    if let Some(h) = hub {
-        line.push_str(",\"telemetry\":");
-        line.push_str(&h.to_json());
-    }
-    line.push('}');
-    line
-}
-
-/// The `--metrics-out` exposition: the hub's live rendering (lifetime
-/// series plus rolling windows and gauges — identical to a scrape) when
-/// telemetry is on, else the report's counters.
-fn serve_metrics_text(report: &ServeReport, hub: Option<&Arc<Telemetry>>) -> String {
-    match hub {
-        // The hub rendering already carries the folded rsq_perf_* series.
-        Some(h) => h.render_metrics(),
-        None => {
-            let mut text = prometheus_serve(&report.counters, Some(&report.latency));
-            if let Some(p) = &report.perf {
-                prometheus_perf_into(&mut text, p);
-            }
-            text
-        }
+/// The report of a serve session, or of the sessions so far.
+fn serve_report<'a>(report: &'a ServeReport, hub: Option<&'a Arc<Telemetry>>) -> Report<'a> {
+    Report {
+        serve: Some((&report.counters, &report.latency)),
+        perf: report.perf.as_ref(),
+        telemetry: hub.map(Arc::as_ref),
+        spans: &report.spans,
+        ..Report::default()
     }
 }
 
-/// Writes the serve-mode reports (`--stats`/`--stats-json` on `err`,
-/// `--metrics-out` exposition including latency quantiles) and turns the
-/// session outcome into the exit classification: per-document failures
-/// map to the first failure's class, a lost connection to an I/O error.
-fn finish_serve(
-    invocation: &Invocation,
-    err: &mut impl Write,
-    report: &ServeReport,
-    hub: Option<&Arc<Telemetry>>,
-) -> Result<(), CliError> {
-    if let Some(path) = &invocation.metrics_out {
-        std::fs::write(path, serve_metrics_text(report, hub))
-            .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot write {path}: {e}")))?;
-    }
-    if let Some(path) = &invocation.trace_out {
-        std::fs::write(path, chrome_trace_json(&report.spans))
-            .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot write {path}: {e}")))?;
-    }
-    match invocation.stats {
-        Some(StatsFormat::Json) => writeln!(
-            err,
-            "{}",
-            serve_stats_line(&report.counters, report.perf.as_ref(), hub)
-        ),
-        Some(StatsFormat::Human) => writeln!(err, "{}", report.counters),
-        None => Ok(()),
-    }
-    .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))?;
+/// Turns a drained serve session into the exit classification:
+/// per-document failures map to the first failure's class, a lost
+/// connection to an I/O error.
+fn serve_outcome(report: &ServeReport) -> Result<(), CliError> {
     if let Some(kind) = report.first_failure {
         return Err(CliError::new(
             doc_error_kind(kind),
@@ -1197,20 +1091,21 @@ pub fn run_serve_pipe(
         .map_err(|e| CliError::new(CliErrorKind::Query, e.message));
     stop_telemetry_listener(hub.as_ref(), listener);
     let report = result?;
-    finish_serve(invocation, err, &report, hub.as_ref())
+    serve_report(&report, hub.as_ref()).write(invocation, err)?;
+    serve_outcome(&report)
 }
 
 /// Serves connections on a Unix socket. A stale socket file at `path`
-/// is replaced. Reports (`--stats*`, `--metrics-out`) are refreshed
-/// after every connection drains, so a long-lived server keeps its
-/// metrics file current.
+/// is replaced. Reports (`--stats*`, `--metrics-out`, `--trace-out`) are
+/// refreshed after every connection drains, so a long-lived server keeps
+/// its files current.
 ///
-/// Without telemetry the loop runs until the process is killed, exactly
-/// as before telemetry existed. With `--telemetry-socket`, `POST
-/// /shutdown` on the scrape endpoint requests a graceful drain: the
-/// in-progress connection finishes, no further connections are
-/// accepted, `/healthz` answers `503 draining` meanwhile, and the final
-/// reports (with exit classification) are written on the way out.
+/// Without telemetry the loop runs until the process is killed. With
+/// `--telemetry-socket`, `POST /shutdown` on the scrape endpoint requests
+/// a graceful drain: the in-progress connection finishes, no further
+/// connections are accepted, `/healthz` answers `503 draining` meanwhile,
+/// and the final reports (with exit classification) are written on the
+/// way out.
 fn run_serve_unix(
     invocation: &Invocation,
     path: &str,
@@ -1224,9 +1119,6 @@ fn run_serve_unix(
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)
         .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot bind {path}: {e}")))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot configure {path}: {e}")))?;
     let telemetry_thread = match (&hub, &invocation.telemetry.socket) {
         (Some(h), Some(sock)) => Some(spawn_telemetry_listener(h, sock)?),
         _ => None,
@@ -1236,77 +1128,20 @@ fn run_serve_unix(
     let never = AtomicBool::new(false);
     let shutdown: &AtomicBool = hub.as_deref().map_or(&never, Telemetry::shutdown_flag);
 
-    let mut aggregate = ServeReport::default();
-    let accept_loop = |aggregate: &mut ServeReport, err: &mut dyn Write| -> Result<(), CliError> {
-        while !shutdown.load(Ordering::Acquire) {
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                    continue;
-                }
-                Err(e) => {
-                    return Err(CliError::new(
-                        CliErrorKind::Io,
-                        format!("accept on {path}: {e}"),
-                    ))
-                }
-            };
-            stream
-                .set_nonblocking(false)
-                .map_err(|e| CliError::new(CliErrorKind::Io, format!("socket setup: {e}")))?;
-            let pair = stream
-                .try_clone()
-                .and_then(|o| stream.try_clone().map(|e| (o, e)));
-            let (sock_out, sock_err) = match pair {
-                Ok(pair) => pair,
-                // The client vanished between accept and setup: count it
-                // and keep serving.
-                Err(_) => {
-                    aggregate.counters.io_errors += 1;
-                    continue;
-                }
-            };
-            let report = serve_connection_with(&options, hub.as_ref(), &stream, sock_out, sock_err)
-                .map_err(|e| CliError::new(CliErrorKind::Query, e.message))?;
-            aggregate.merge(&report);
-            if let Some(mpath) = &invocation.metrics_out {
-                std::fs::write(mpath, serve_metrics_text(aggregate, hub.as_ref())).map_err(
-                    |e| CliError::new(CliErrorKind::Io, format!("cannot write {mpath}: {e}")),
-                )?;
-            }
-            // Like --metrics-out, the trace file is refreshed after every
-            // connection so a long-lived server's timeline stays current.
-            if let Some(tpath) = &invocation.trace_out {
-                std::fs::write(tpath, chrome_trace_json(&aggregate.spans)).map_err(|e| {
-                    CliError::new(CliErrorKind::Io, format!("cannot write {tpath}: {e}"))
-                })?;
-            }
-            match invocation.stats {
-                Some(StatsFormat::Json) => {
-                    writeln!(
-                        err,
-                        "{}",
-                        serve_stats_line(
-                            &aggregate.counters,
-                            aggregate.perf.as_ref(),
-                            hub.as_ref()
-                        )
-                    )
-                }
-                Some(StatsFormat::Human) => writeln!(err, "{}", aggregate.counters),
-                None => Ok(()),
-            }
-            .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))?;
-        }
-        Ok(())
-    };
-    let result = accept_loop(&mut aggregate, err);
+    // A report that cannot be written ends the loop with that error.
+    let mut refreshed = Ok(());
+    let served = serve_unix_with(&options, hub.as_ref(), &listener, shutdown, |aggregate| {
+        refreshed = serve_report(aggregate, hub.as_ref()).write(invocation, err);
+        refreshed.is_ok()
+    });
     stop_telemetry_listener(hub.as_ref(), telemetry_thread);
-    result?;
+    refreshed?;
+    let aggregate =
+        served.map_err(|e| CliError::new(CliErrorKind::Io, format!("serving on {path}: {e}")))?;
     // Only reachable through a graceful shutdown request: write the
     // final reports and map the session onto an exit class.
-    finish_serve(invocation, err, &aggregate, hub.as_ref())
+    serve_report(&aggregate, hub.as_ref()).write(invocation, err)?;
+    serve_outcome(&aggregate)
 }
 
 /// Executes a batch invocation: documents from the batch source, sharded
@@ -1325,19 +1160,10 @@ fn run_batch(
     let engine = BatchEngine::new(BatchOptions {
         threads: invocation.threads,
         engine: invocation.options,
-        collect_stats: invocation.stats.is_some() || invocation.metrics_out.is_some(),
+        collect_stats: invocation.wants_stats(),
         profile: invocation.profile,
         collect_spans: invocation.trace_out.is_some(),
-        // As in serve mode: counters only arm when a report surfaces them.
-        perf: if invocation.stats.is_some()
-            || invocation.metrics_out.is_some()
-            || invocation.profile
-        {
-            invocation.perf
-        } else {
-            PerfMode::Off
-        },
-        ..BatchOptions::default()
+        perf: invocation.perf_mode(),
     });
 
     // Load the corpus: ingest is sequential (one disk), compute parallel.
@@ -1372,89 +1198,31 @@ fn run_batch(
         .run_slices(&invocation.query, &docs)
         .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))?;
 
+    let mode = invocation.response_mode();
     let mut first_failure: Option<CliErrorKind> = None;
     let mut failed = 0usize;
-    for (i, outcome) in result.outcomes.iter().enumerate() {
+    // One outcome per document, in input order.
+    for (i, (doc, outcome)) in docs.iter().zip(&result.outcomes).enumerate() {
         match outcome {
-            Ok(output) => match invocation.mode {
-                Mode::Count => writeln!(out, "{}", output.count),
-                Mode::Positions => output
-                    .positions
-                    .iter()
-                    .try_for_each(|pos| writeln!(out, "{pos}")),
-                _ => output
-                    .positions
-                    .iter()
-                    // PANIC-OK: one outcome per document, so i < docs.len()
-                    .try_for_each(|pos| write_node(out, docs[i], *pos)),
-            }
-            .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))?,
+            Ok(output) => render(out, mode, doc, output.count, &output.positions),
             Err(doc_err) => {
                 failed += 1;
                 first_failure.get_or_insert(doc_error_kind(doc_err.kind));
-                writeln!(err, "{}: {}", label(i), doc_err.message).map_err(|e| {
-                    CliError::new(CliErrorKind::Failure, format!("write error: {e}"))
-                })?;
+                writeln!(err, "{}: {}", label(i), doc_err.message)
             }
         }
+        .map_err(write_error)?;
     }
 
-    if let Some(path) = &invocation.metrics_out {
-        let mut text = prometheus(
-            &result.stats,
-            None,
-            Some((&result.counters, result.profile.as_ref())),
-        );
-        if let Some(p) = &result.perf {
-            prometheus_perf_into(&mut text, p);
-        }
-        std::fs::write(path, text)
-            .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot write {path}: {e}")))?;
+    Report {
+        batch: Some(&result.counters),
+        stats: Some(&result.stats),
+        batch_profile: result.profile.as_ref(),
+        perf: result.perf.as_ref(),
+        spans: &result.spans,
+        ..Report::default()
     }
-    if let Some(path) = &invocation.trace_out {
-        std::fs::write(path, chrome_trace_json(&result.spans))
-            .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot write {path}: {e}")))?;
-    }
-    // The hardware-counter table rides the human profile report; JSON
-    // reports carry the structured "perf" object instead.
-    let hw = |err: &mut dyn Write| match &result.perf {
-        Some(p) => write!(err, "{p}"),
-        None => Ok(()),
-    };
-    match invocation.stats {
-        Some(StatsFormat::Json) => {
-            let mut line = format!(
-                "{{\"schema_version\":{STATS_SCHEMA_VERSION},\"batch\":{},\"stats\":{}",
-                result.counters.to_json(),
-                result.stats.to_json()
-            );
-            if let Some(profile) = &result.profile {
-                line.push_str(",\"profile\":");
-                line.push_str(&profile.to_json());
-            }
-            if let Some(p) = &result.perf {
-                line.push_str(",\"perf\":");
-                line.push_str(&p.to_json());
-            }
-            line.push('}');
-            writeln!(err, "{line}")
-        }
-        Some(StatsFormat::Human) => {
-            writeln!(err, "{}", result.counters).and_then(|()| match &result.profile {
-                // RunStats::Display ends without a newline; terminate it
-                // before the profile block.
-                Some(profile) => writeln!(err, "{}", result.stats)
-                    .and_then(|()| writeln!(err, "{profile}"))
-                    .and_then(|()| hw(err)),
-                None => write!(err, "{}", result.stats),
-            })
-        }
-        None => match &result.profile {
-            Some(profile) => writeln!(err, "{profile}").and_then(|()| hw(err)),
-            None => Ok(()),
-        },
-    }
-    .map_err(|e| CliError::new(CliErrorKind::Failure, format!("write error: {e}")))?;
+    .write(invocation, err)?;
 
     match first_failure {
         Some(kind) => Err(CliError::new(
@@ -1462,23 +1230,6 @@ fn run_batch(
             format!("{failed} of {} documents failed", result.outcomes.len()),
         )),
         None => Ok(()),
-    }
-}
-
-/// Folds the CLI driver's ingest and sink timings into a profiled
-/// report (no-op for unprofiled runs).
-fn add_driver_stages(
-    report: &mut Option<EngineReport>,
-    ingest_ns: Option<u64>,
-    sink_start: Option<Instant>,
-) {
-    if let Some(EngineReport::Profile(p)) = report {
-        if let Some(ns) = ingest_ns {
-            p.add_stage_ns(ProfileStage::Ingest, ns);
-        }
-        if let Some(t0) = sink_start {
-            p.add_stage_ns(ProfileStage::Sink, elapsed_ns(t0));
-        }
     }
 }
 

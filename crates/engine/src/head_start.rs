@@ -48,7 +48,6 @@ pub(crate) fn run_head_start(
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
-    let _span = rsq_obs::span!(HeadStart);
     let mut needle = Vec::with_capacity(label.len() + 2);
     needle.push(b'"');
     needle.extend_from_slice(label);
@@ -108,7 +107,6 @@ fn scan_candidates(
         // its final position reads as inside.
         if options.checked_head_start && scanner.in_string_at(p + needle_len - 1) {
             rec.memmem_decline();
-            rsq_obs::event!(MemmemDecline, p, 0u32);
             at = p + 1;
             continue;
         }
@@ -118,7 +116,6 @@ fn scan_candidates(
         };
         if input[colon] != b':' {
             rec.memmem_decline();
-            rsq_obs::event!(MemmemDecline, p, 0u32);
             at = p + 1;
             continue;
         }
@@ -133,7 +130,6 @@ fn scan_candidates(
                     BracketType::Bracket
                 };
                 rec.memmem_jump();
-                rsq_obs::event!(MemmemJump, p, 0u32);
                 rec.skip_span(SkipTechnique::Memmem, frontier, v);
                 frontier = v;
                 let resume = if options.checked_head_start {
@@ -158,7 +154,6 @@ fn scan_candidates(
                 if automaton.is_accepting(target) {
                     sink.record(v)?;
                     rec.matched();
-                    rsq_obs::event!(Match, v, 0u32);
                 }
                 // Fold the sub-run's classifier counters before
                 // propagating an interrupt: an early sink stop maps to a
@@ -179,17 +174,14 @@ fn scan_candidates(
             b'}' | b']' | b',' | b':' => {
                 // Malformed construct; step over the candidate.
                 rec.memmem_decline();
-                rsq_obs::event!(MemmemDecline, p, 0u32);
                 at = p + 1;
             }
             _ => {
                 // Atomic value.
                 rec.memmem_jump();
-                rsq_obs::event!(MemmemJump, p, 0u32);
                 if automaton.is_accepting(target) {
                     sink.record(v)?;
                     rec.matched();
-                    rsq_obs::event!(Match, v, 0u32);
                 }
                 at = after;
             }

@@ -53,20 +53,6 @@ pub(crate) fn map_validation(err: ValidationError, options: &EngineOptions) -> R
 
 /// Reads a whole document from `reader`, enforcing size, depth, and
 /// (in strict mode) structural validity while the bytes arrive.
-pub(crate) fn read_document<R: Read>(
-    reader: &mut R,
-    options: &EngineOptions,
-    simd: Simd,
-) -> Result<Vec<u8>, RunError> {
-    let mut doc = Vec::new();
-    read_document_into(reader, options, simd, &mut doc, None)?;
-    Ok(doc)
-}
-
-/// Like [`read_document`], but ingests into a caller-provided buffer
-/// (cleared first), so repeated ingests — a batch worker walking a
-/// directory of files — reuse one allocation instead of growing a fresh
-/// `Vec` per document.
 ///
 /// When `deadline` is set, the read loop checks the wall clock before
 /// every read and on every transient-error retry: a source that trickles
@@ -75,17 +61,16 @@ pub(crate) fn read_document<R: Read>(
 /// indefinitely. A single read blocked inside the OS cannot be
 /// interrupted this way — callers serving sockets should pair the
 /// deadline with a read timeout so blocked reads surface as `WouldBlock`.
-pub(crate) fn read_document_into<R: Read>(
+pub(crate) fn read_document<R: Read>(
     reader: &mut R,
     options: &EngineOptions,
     simd: Simd,
-    doc: &mut Vec<u8>,
     deadline: Option<Instant>,
-) -> Result<(), RunError> {
+) -> Result<Vec<u8>, RunError> {
     let mut validator = StructuralValidator::new(simd)
         .strict(options.strict)
         .with_max_depth(options.max_depth);
-    doc.clear();
+    let mut doc = Vec::new();
     let mut chunk = vec![0u8; CHUNK];
     loop {
         if let Some(deadline) = deadline {
@@ -125,7 +110,7 @@ pub(crate) fn read_document_into<R: Read>(
         }
     }
     validator.finish().map_err(|e| map_validation(e, options))?;
-    Ok(())
+    Ok(doc)
 }
 
 #[cfg(test)]
@@ -165,7 +150,7 @@ mod tests {
             interrupt_next: true,
         };
         let options = EngineOptions::default();
-        let got = read_document(&mut reader, &options, Simd::detect()).unwrap();
+        let got = read_document(&mut reader, &options, Simd::detect(), None).unwrap();
         assert_eq!(got, doc);
     }
 
@@ -182,7 +167,7 @@ mod tests {
             max_document_bytes: Some(1 << 20),
             ..EngineOptions::default()
         };
-        let err = read_document(&mut Endless, &options, Simd::detect()).unwrap_err();
+        let err = read_document(&mut Endless, &options, Simd::detect(), None).unwrap_err();
         assert!(err.is_limit(LimitKind::DocumentBytes), "{err}");
     }
 
@@ -195,7 +180,7 @@ mod tests {
             }
         }
         let options = EngineOptions::default();
-        let err = read_document(&mut Broken, &options, Simd::detect()).unwrap_err();
+        let err = read_document(&mut Broken, &options, Simd::detect(), None).unwrap_err();
         assert!(matches!(err, RunError::Io(_)), "{err}");
     }
 
@@ -203,16 +188,9 @@ mod tests {
     fn expired_deadline_aborts_ingest() {
         let doc = br#"{"a": 1}"#;
         let options = EngineOptions::default();
-        let mut buf = Vec::new();
         let deadline = Instant::now() - std::time::Duration::from_millis(1);
-        let err = read_document_into(
-            &mut &doc[..],
-            &options,
-            Simd::detect(),
-            &mut buf,
-            Some(deadline),
-        )
-        .unwrap_err();
+        let err =
+            read_document(&mut &doc[..], &options, Simd::detect(), Some(deadline)).unwrap_err();
         assert!(err.is_deadline(), "{err}");
     }
 
@@ -226,16 +204,9 @@ mod tests {
             }
         }
         let options = EngineOptions::default();
-        let mut buf = Vec::new();
         let deadline = Instant::now() + std::time::Duration::from_millis(5);
-        let err = read_document_into(
-            &mut Stalled,
-            &options,
-            Simd::detect(),
-            &mut buf,
-            Some(deadline),
-        )
-        .unwrap_err();
+        let err =
+            read_document(&mut Stalled, &options, Simd::detect(), Some(deadline)).unwrap_err();
         assert!(err.is_deadline(), "{err}");
     }
 
@@ -248,16 +219,8 @@ mod tests {
             interrupt_next: true,
         };
         let options = EngineOptions::default();
-        let mut buf = Vec::new();
         let deadline = Instant::now() + std::time::Duration::from_secs(60);
-        read_document_into(
-            &mut reader,
-            &options,
-            Simd::detect(),
-            &mut buf,
-            Some(deadline),
-        )
-        .unwrap();
+        let buf = read_document(&mut reader, &options, Simd::detect(), Some(deadline)).unwrap();
         assert_eq!(buf, doc);
     }
 
@@ -271,7 +234,7 @@ mod tests {
             }
         }
         let options = EngineOptions::default(); // lenient: depth still enforced
-        let err = read_document(&mut Openers, &options, Simd::detect()).unwrap_err();
+        let err = read_document(&mut Openers, &options, Simd::detect(), None).unwrap_err();
         assert!(err.is_limit(LimitKind::Depth), "{err}");
     }
 }

@@ -66,13 +66,11 @@ mod fast_path;
 mod head_start;
 mod input;
 mod main_loop;
-mod scratch;
 mod sink;
 mod util;
 
 pub use depth_stack::{DepthStack, Frame};
 pub use error::{LimitKind, RunError};
-pub use scratch::Scratch;
 pub use sink::{CountSink, PositionsSink, Sink, SinkFull};
 
 // The validation error vocabulary surfaces through `RunError::Malformed`.
@@ -92,8 +90,8 @@ pub use rsq_obs::{BlockStats, ClassifierCounters, NoStats, Recorder, Route, RunS
 pub use rsq_query::{PlanStep, RoutePlan};
 
 // Tier C observability: the profiling layer — byte-span accounting, stage
-// timers, latency histograms, and the document skip map (see
-// `try_run_with_profile`).
+// timers, latency histograms, and the document skip map (drive a run with
+// a `ProfileStats` through `try_run_with_recorder`).
 pub use rsq_obs::{
     Histogram, ProfileStage, ProfileStats, SkipBytes, SkipMap, SkipTechnique, StageTimes,
 };
@@ -263,6 +261,13 @@ impl From<CompileError> for EngineError {
 /// then run over any number of documents with [`Engine::run`],
 /// [`Engine::count`], or [`Engine::positions`].
 ///
+/// There is one matching loop, [`Engine::try_run_with_recorder`]; what a
+/// run observes is the recorder you pass, not a different entry point.
+/// For a Tier C profile (what `try_run_with_profile` used to return),
+/// call `try_run_with_recorder(doc, sink, &mut profile)` with
+/// `profile = ProfileStats::for_document(doc.len())`; to reuse buffers
+/// across documents, clear and pass the same `Vec<usize>` as the sink.
+///
 /// See the [crate documentation](crate) for an example.
 #[derive(Clone, Debug)]
 pub struct Engine {
@@ -383,7 +388,7 @@ impl Engine {
     ///
     /// [`RunError::Io`] is never returned from the slice path.
     pub fn try_run<S: Sink>(&self, input: &[u8], sink: &mut S) -> Result<(), RunError> {
-        self.try_run_impl(input, sink, &mut NoStats)
+        self.try_run_with_recorder(input, sink, &mut NoStats)
     }
 
     /// Like [`try_run`](Self::try_run), but additionally returns Tier A
@@ -412,71 +417,43 @@ impl Engine {
         input: &[u8],
         sink: &mut S,
     ) -> Result<RunStats, RunError> {
-        let mut stats = RunStats {
-            bytes: input.len() as u64,
-            ..RunStats::default()
-        };
-        self.try_run_impl(input, sink, &mut stats)?;
+        let mut stats = RunStats::default();
+        self.try_run_with_recorder(input, sink, &mut stats)?;
         Ok(stats)
     }
 
-    /// Like [`try_run_with_stats`](Self::try_run_with_stats), but returns
-    /// the full Tier C [`ProfileStats`]: the Tier A counters plus
-    /// per-technique `bytes_skipped` (the byte ranges each skip elided),
-    /// wall-clock per pipeline stage, and a bounded-resolution
-    /// [`SkipMap`] of the document.
-    ///
-    /// The match output is byte-identical to [`try_run`](Self::try_run):
-    /// profiling rides the same monomorphized recorder parameter as Tier
-    /// A, so the unprofiled entry points still compile to clock-free
-    /// code; only this entry point reads the monotonic clock (twice per
-    /// fast-forward plus twice per run).
-    ///
-    /// # Errors
-    ///
-    /// As [`try_run`](Self::try_run).
-    pub fn try_run_with_profile<S: Sink>(
-        &self,
-        input: &[u8],
-        sink: &mut S,
-    ) -> Result<ProfileStats, RunError> {
-        let mut profile = ProfileStats::for_document(input.len());
-        self.try_run_impl(input, sink, &mut profile)?;
-        Ok(profile)
-    }
-
-    /// Like [`try_run_with_profile`](Self::try_run_with_profile), but
-    /// accumulates into a caller-owned [`ProfileStats`]. The batch layer
-    /// reuses one profile (and its clock epoch) per worker across all the
-    /// documents of a shard, so steady-state profiled runs allocate no
-    /// per-document skip map — and a profile built with
-    /// [`ProfileStats::new`] carries no map at all.
-    ///
-    /// `profile.stats.bytes` grows by the document length; everything else
-    /// accumulates through the recorder hooks. Unlike
-    /// [`try_run_with_stats`](Self::try_run_with_stats), on an error
-    /// return the partial work performed before the failure remains in the
-    /// accumulator.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_run`](Self::try_run).
-    pub fn try_run_into_profile<S: Sink>(
-        &self,
-        input: &[u8],
-        sink: &mut S,
-        profile: &mut ProfileStats,
-    ) -> Result<(), RunError> {
-        profile.stats.bytes = profile.stats.bytes.saturating_add(input.len() as u64);
-        self.try_run_impl(input, sink, profile)
-    }
-
+    /// The spine: every other run method is a thin wrapper over this one.
     /// Like [`try_run`](Self::try_run), but drives a caller-supplied
-    /// [`Recorder`] through the engine's monomorphized inner loops. This
-    /// is the extension point composite recorders (e.g. the hardware-
-    /// counter wrapper in `rsq-perf`) use to observe stage brackets and
-    /// route decisions without the engine knowing about them; with
-    /// [`NoStats`] it compiles to exactly [`try_run`](Self::try_run).
+    /// [`Recorder`] through the engine's monomorphized inner loops:
+    ///
+    /// * [`NoStats`] compiles to exactly [`try_run`](Self::try_run) — no
+    ///   branches, no atomics, no clock reads;
+    /// * a [`RunStats`] adds only saturating integer increments (Tier A);
+    /// * a [`ProfileStats`] is the Tier C profile — the Tier A counters
+    ///   plus per-technique `bytes_skipped`, wall-clock per pipeline
+    ///   stage (the only recorder that reads the clock: twice per
+    ///   fast-forward plus twice per run) and, when built with
+    ///   [`ProfileStats::for_document`], a bounded-resolution [`SkipMap`];
+    /// * composite recorders (the hardware-counter wrapper in `rsq-perf`)
+    ///   observe stage brackets and route decisions the same way, without
+    ///   the engine knowing about them.
+    ///
+    /// ```
+    /// use rsq_engine::{CountSink, Engine, ProfileStats};
+    ///
+    /// let engine = Engine::from_text("$..a")?;
+    /// let doc = br#"{"a": 1, "b": {"a": 2}}"#;
+    /// let mut profile = ProfileStats::for_document(doc.len());
+    /// engine.try_run_with_recorder(doc, &mut CountSink::new(), &mut profile)?;
+    /// assert_eq!(profile.stats.bytes, doc.len() as u64);
+    /// assert_eq!(profile.stats.matches, 2);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// The recorder accumulates: the engine reports the document length
+    /// through [`Recorder::document`] and everything else through the
+    /// other hooks, so one recorder may span many runs, and on an error
+    /// return the partial work performed before the failure remains in it.
     ///
     /// # Errors
     ///
@@ -487,15 +464,7 @@ impl Engine {
         sink: &mut S,
         rec: &mut impl Recorder,
     ) -> Result<(), RunError> {
-        self.try_run_impl(input, sink, rec)
-    }
-
-    fn try_run_impl<S: Sink>(
-        &self,
-        input: &[u8],
-        sink: &mut S,
-        rec: &mut impl Recorder,
-    ) -> Result<(), RunError> {
+        rec.document(input.len());
         if let Some(limit) = self.options.max_document_bytes {
             if input.len() > limit {
                 return Err(RunError::LimitExceeded {
@@ -539,36 +508,10 @@ impl Engine {
         mut reader: R,
         sink: &mut S,
     ) -> Result<(), RunError> {
-        let doc = input::read_document(&mut reader, &self.options, self.simd)?;
+        let doc = input::read_document(&mut reader, &self.options, self.simd, None)?;
         // Ingest already validated and size-checked; go straight to
         // matching.
         self.run_limited(&doc, sink, &mut NoStats)
-    }
-
-    /// Like [`run_reader`](Self::run_reader), but additionally returns Tier
-    /// A [`RunStats`] for the matching phase (see
-    /// [`try_run_with_stats`](Self::try_run_with_stats)). Ingest-side work
-    /// (chunk reassembly, incremental validation) is not counted; `bytes`
-    /// reflects the assembled document.
-    ///
-    /// Statistics from runs over separate chunks or documents can be merged
-    /// with [`RunStats`]'s `Add`/`AddAssign`.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_reader`](Self::run_reader).
-    pub fn run_reader_with_stats<R: Read, S: Sink>(
-        &self,
-        mut reader: R,
-        sink: &mut S,
-    ) -> Result<RunStats, RunError> {
-        let doc = input::read_document(&mut reader, &self.options, self.simd)?;
-        let mut stats = RunStats {
-            bytes: doc.len() as u64,
-            ..RunStats::default()
-        };
-        self.run_limited(&doc, sink, &mut stats)?;
-        Ok(stats)
     }
 
     /// Reads a whole document from `reader` with the same protections as
@@ -583,7 +526,7 @@ impl Engine {
     ///
     /// As [`run_reader`](Self::run_reader), minus match-time errors.
     pub fn read_document<R: Read>(&self, mut reader: R) -> Result<Vec<u8>, RunError> {
-        input::read_document(&mut reader, &self.options, self.simd)
+        input::read_document(&mut reader, &self.options, self.simd, None)
     }
 
     /// Like [`read_document`](Self::read_document), but aborts with
@@ -602,15 +545,7 @@ impl Engine {
         mut reader: R,
         deadline: std::time::Instant,
     ) -> Result<Vec<u8>, RunError> {
-        let mut doc = Vec::new();
-        input::read_document_into(
-            &mut reader,
-            &self.options,
-            self.simd,
-            &mut doc,
-            Some(deadline),
-        )?;
-        Ok(doc)
+        input::read_document(&mut reader, &self.options, self.simd, Some(deadline))
     }
 
     /// Streams `input`, reporting every match to `sink` — the lenient
@@ -736,7 +671,6 @@ impl Engine {
         sink: &mut S,
         rec: &mut impl Recorder,
     ) -> Result<(), Interrupt> {
-        let _span = rsq_obs::span!(Dispatch);
         let initial = self.automaton.initial_state();
         if self.fast_path_eligible() {
             // Compile-time routing (DESIGN.md §15): the query shape is a

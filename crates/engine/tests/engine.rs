@@ -388,3 +388,29 @@ fn trailing_content_in_last_block() {
         assert_eq!(engine.count(doc.as_bytes()), 1, "pad {pad}");
     }
 }
+
+#[test]
+fn engine_is_shared_across_threads() {
+    // The batch and serve pools share one compiled engine across all of
+    // their workers.
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Engine>();
+}
+
+#[test]
+fn a_reused_vec_sink_matches_a_fresh_run() {
+    // `Vec<usize>` is a sink: a caller that clears and refills one
+    // vector across documents gets the positions of a fresh run each
+    // time, and keeps the buffer's capacity.
+    let engine = Engine::from_text("$..b").unwrap();
+    let doc1: &[u8] = br#"{"a": [1, {"b": 2}], "b": 3}"#;
+    let doc2: &[u8] = br#"{"b": {"b": 1}}"#;
+    let mut buf: Vec<usize> = Vec::new();
+    engine.try_run(doc1, &mut buf).unwrap();
+    assert_eq!(buf, engine.try_positions(doc1).unwrap());
+    let cap = buf.capacity();
+    buf.clear();
+    engine.try_run(doc2, &mut buf).unwrap();
+    assert_eq!(buf, engine.try_positions(doc2).unwrap());
+    assert_eq!(buf.capacity(), cap);
+}

@@ -147,8 +147,9 @@ fn skip_map_never_conflicts_with_consumed_events_across_backends() {
                 let expected = engine.try_positions(input).expect("document is valid");
 
                 let mut positions: Vec<usize> = Vec::new();
-                let profile: ProfileStats = engine
-                    .try_run_with_profile(input, &mut positions)
+                let mut profile = ProfileStats::for_document(input.len());
+                engine
+                    .try_run_with_recorder(input, &mut positions, &mut profile)
                     .expect("document is valid");
                 let context = format!("{query_text} seed={seed:#x} backend={backend:?}");
 

@@ -194,13 +194,30 @@ fn disabled_techniques_report_exactly_zero() {
 }
 
 #[test]
-fn run_reader_with_stats_matches_slice_path() {
+fn reader_ingest_then_stats_run_matches_slice_path() {
+    // The reader path is ingest + the slice engine: a document pulled
+    // through `read_document` one byte at a time reports the same
+    // matches and the same counters (`bytes` = the assembled length) as
+    // the slice it was read from, and `run_reader` the same matches.
+    struct OneByte<'a>(&'a [u8]);
+    impl std::io::Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
     let engine = engine("$..price", EngineOptions::default());
     let (slice_positions, slice_stats) = positions_with_stats(&engine, RICH);
-    let mut sink = PositionsSink::new();
-    let reader_stats = engine.run_reader_with_stats(RICH, &mut sink).unwrap();
-    assert_eq!(sink.positions(), slice_positions.as_slice());
+    let doc = engine.read_document(OneByte(RICH)).unwrap();
+    let (reader_positions, reader_stats) = positions_with_stats(&engine, &doc);
+    assert_eq!(reader_positions, slice_positions);
     assert_eq!(reader_stats, slice_stats);
+    assert_eq!(reader_stats.bytes, RICH.len() as u64);
+    let mut sink = PositionsSink::new();
+    engine.run_reader(OneByte(RICH), &mut sink).unwrap();
+    assert_eq!(sink.positions(), slice_positions.as_slice());
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! with [`Recorder::clock`] / [`Recorder::stage_ns`] pairs (accumulated
 //! into [`StageTimes`]).
 //!
-//! Like Tiers A and B this is pay-for-what-you-use: the hooks have empty
+//! Like Tier A this is pay-for-what-you-use: the hooks have empty
 //! `#[inline]` defaults, `NoStats` overrides none of them, and
 //! `RunStats` overrides only the counter hooks — so both the
 //! uninstrumented path and the `--stats` path monomorphize to code with
@@ -262,15 +262,11 @@ impl ProfileStats {
         Self::default()
     }
 
-    /// A profile for one `doc_bytes`-long document, with the byte count
-    /// pre-seeded and a bounded-resolution skip map attached.
+    /// A profile for one `doc_bytes`-long document, with a
+    /// bounded-resolution skip map attached.
     #[must_use]
     pub fn for_document(doc_bytes: usize) -> Self {
         Self {
-            stats: RunStats {
-                bytes: doc_bytes as u64,
-                ..RunStats::default()
-            },
             map: Some(SkipMap::new(doc_bytes)),
             ..Self::default()
         }
@@ -370,6 +366,11 @@ impl fmt::Display for ProfileStats {
 }
 
 impl Recorder for ProfileStats {
+    #[inline]
+    fn document(&mut self, bytes: usize) {
+        self.stats.document(bytes);
+    }
+
     #[inline]
     fn event(&mut self, pos: usize) {
         self.stats.event(pos);
@@ -803,6 +804,7 @@ mod tests {
     #[test]
     fn skip_rate_is_relative_to_bytes() {
         let mut p = ProfileStats::for_document(1000);
+        p.document(1000);
         p.skip_span(SkipTechnique::Memmem, 0, 250);
         assert!((p.skip_rate_pct() - 25.0).abs() < 1e-9);
     }

@@ -302,6 +302,13 @@ impl Add for RunStats {
 /// overrides what it cares about, and the no-op recorder ([`NoStats`])
 /// monomorphizes to nothing at all.
 pub trait Recorder {
+    /// A run over a `bytes`-long document begins (called once per run,
+    /// before any limit check, so failed runs count their input too).
+    #[inline]
+    fn document(&mut self, bytes: usize) {
+        let _ = bytes;
+    }
+
     /// One structural event consumed by the automaton loop, at byte
     /// position `pos`.
     #[inline]
@@ -403,6 +410,11 @@ pub struct NoStats;
 impl Recorder for NoStats {}
 
 impl Recorder for RunStats {
+    #[inline]
+    fn document(&mut self, bytes: usize) {
+        self.bytes = self.bytes.saturating_add(bytes as u64);
+    }
+
     #[inline]
     fn event(&mut self, _pos: usize) {
         bump(&mut self.events);

@@ -84,10 +84,12 @@ pub fn chrome_trace_json(records: &[SpanRecord]) -> String {
     // One thread_name metadata event per distinct worker, in first-seen
     // order. Worker counts are small (thread count), so a linear scan
     // beats pulling in a hash map.
-    let mut seen: Vec<u32> = Vec::new();
+    // Each entry also carries the worker's end-to-end packing cursor for
+    // records without an epoch stamp (`start_ns == 0`).
+    let mut cursors: Vec<(u32, u64)> = Vec::new();
     for r in records {
-        if !seen.contains(&r.worker) {
-            seen.push(r.worker);
+        if !cursors.iter().any(|(w, _)| *w == r.worker) {
+            cursors.push((r.worker, 0));
             sep(&mut out);
             let _ = write!(
                 out,
@@ -98,19 +100,13 @@ pub fn chrome_trace_json(records: &[SpanRecord]) -> String {
         }
     }
 
-    // Per-worker end-to-end packing cursor for records without an epoch
-    // stamp (`start_ns == 0`). Indexed parallel to `seen`.
-    let mut cursors: Vec<u64> = vec![0; seen.len()];
-
     for r in records {
-        // PANIC-OK: every record's worker was pushed into `seen` above
-        let slot = seen.iter().position(|&w| w == r.worker).unwrap();
-        let start = if r.start_ns != 0 {
-            r.start_ns
-        } else {
-            cursors[slot]
+        // Every record's worker was pushed above, so this always finds it.
+        let Some((_, cursor)) = cursors.iter_mut().find(|(w, _)| *w == r.worker) else {
+            continue;
         };
-        cursors[slot] = start.saturating_add(r.total_ns());
+        let start = if r.start_ns != 0 { r.start_ns } else { *cursor };
+        *cursor = start.saturating_add(r.total_ns());
         let tid = r.worker + 1;
 
         let mut name = String::with_capacity(32);

@@ -217,12 +217,8 @@ impl WindowSnapshot {
                 s.push(',');
             }
             // PANIC-OK: Route::index is < the per-route array length (one slot per route)
-            let _ = write!(
-                s,
-                "\"{}\":{}",
-                route.as_str(),
-                self.route_docs[route.index()]
-            );
+            let docs = self.route_docs[route.index()];
+            let _ = write!(s, "\"{}\":{docs}", route.as_str());
         }
         let _ = write!(s, "}},\"latency\":{}}}", self.latency.to_json());
         s

@@ -739,6 +739,11 @@ impl<'a, R: Recorder, C: ReadCounters> PerfRecorder<'a, R, C> {
 
 impl<R: Recorder, C: ReadCounters> Recorder for PerfRecorder<'_, R, C> {
     #[inline]
+    fn document(&mut self, bytes: usize) {
+        self.inner.document(bytes);
+    }
+
+    #[inline]
     fn event(&mut self, pos: usize) {
         self.inner.event(pos);
     }
@@ -1216,6 +1221,7 @@ mod tests {
         let mut stats = PerfStats::default();
         {
             let mut rec = PerfRecorder::new(&mut inner, &fake, &mut stats);
+            rec.document(40);
             rec.matched();
             rec.leaf_skip();
             rec.child_skip();
@@ -1228,6 +1234,7 @@ mod tests {
             rec.route(rsq_obs::Route::FieldChain);
             rec.quote_blocks(3);
         }
+        assert_eq!(inner.bytes, 40);
         assert_eq!(inner.matches, 1);
         assert_eq!(inner.skips.leaf, 1);
         assert_eq!(inner.skips.child, 1);

@@ -48,11 +48,11 @@ pub use chaos::{ChaosFault, ChaosPlan, ChaosStream};
 pub use telemetry::serve_telemetry_listener;
 pub use telemetry::{Telemetry, TelemetryOptions};
 
-use pool::{Matches, Pool};
-use rsq_batch::{DocError, DocErrorKind, Frame, NdjsonFramer};
+use pool::Pool;
+use rsq_batch::{DocError, DocErrorKind, DocRunner, Frame, NdjsonFramer, Record};
 use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
 use rsq_obs::{FlightRecorder, Histogram, ProfileStats, ServeCounters, SpanRecord};
-use rsq_perf::{CounterSet, PerfMode, PerfStats};
+use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use std::io::{self, Read, Write};
 use std::num::NonZeroUsize;
@@ -219,32 +219,37 @@ impl ServeReport {
     }
 }
 
-/// Renders the response body for one successful document into `body` —
-/// exactly the bytes batch mode would print for it. `doc` is only read
-/// in [`ResponseMode::Values`].
-fn render(body: &mut Vec<u8>, mode: ResponseMode, doc: &[u8], matches: &Matches) {
-    body.clear();
-    // Writing into a `Vec` cannot fail.
-    let _ = match matches {
-        Matches::Count(count) => writeln!(body, "{count}"),
-        Matches::Positions(positions) if mode == ResponseMode::Positions => {
-            positions.iter().try_for_each(|p| writeln!(body, "{p}"))
-        }
-        Matches::Positions(positions) => {
-            // Raw passthrough (DESIGN.md §15): the matched spans are the
-            // document's own bytes, copied once into the response with
-            // no per-match UTF-8 validation or formatting.
-            for &p in positions {
-                match rsq_json::node_span(doc, p) {
-                    // PANIC-OK: node_span ranges are in bounds of `doc` by construction
-                    Some(span) => body.extend_from_slice(&doc[span]),
-                    None => body.extend_from_slice(b"<malformed>"),
-                }
-                body.push(b'\n');
+/// Writes what one document matched — exactly the bytes every driver
+/// prints for it: the count, one offset per line, or one matched node per
+/// line. `positions` is only read outside [`ResponseMode::Count`], `doc`
+/// only in [`ResponseMode::Values`].
+///
+/// # Errors
+///
+/// The writer's.
+pub fn render(
+    out: &mut impl Write,
+    mode: ResponseMode,
+    doc: &[u8],
+    count: u64,
+    positions: &[usize],
+) -> io::Result<()> {
+    match mode {
+        ResponseMode::Count => writeln!(out, "{count}"),
+        ResponseMode::Positions => positions.iter().try_for_each(|p| writeln!(out, "{p}")),
+        // Raw passthrough (DESIGN.md §15): the matched spans are the
+        // document's own bytes, written once with no per-match UTF-8
+        // validation or formatting. Unterminated spans (truncated input)
+        // render as `<malformed>`.
+        ResponseMode::Values => positions.iter().try_for_each(|&p| {
+            match rsq_json::node_span(doc, p) {
+                // PANIC-OK: node_span ranges are in bounds of `doc` by construction
+                Some(span) => out.write_all(&doc[span])?,
+                None => out.write_all(b"<malformed>")?,
             }
-            Ok(())
-        }
-    };
+            out.write_all(b"\n")
+        }),
+    }
 }
 
 /// The emitter thread's accumulated accounting.
@@ -308,8 +313,16 @@ fn emit_loop<W: Write, E: Write>(
         let wrote = match &resp.result {
             Ok(matches) => {
                 tally.ok += 1;
-                render(&mut body, mode, &resp.doc, matches);
-                out.write_all(&body).and_then(|()| out.flush())
+                body.clear();
+                render(
+                    &mut body,
+                    mode,
+                    &resp.doc,
+                    matches.count(),
+                    matches.positions(),
+                )
+                .and_then(|()| out.write_all(&body))
+                .and_then(|()| out.flush())
             }
             Err(e) => {
                 match e.kind {
@@ -463,15 +476,9 @@ where
                     // Per-worker flight recorder: local to the thread,
                     // no locking; only exists with telemetry on.
                     let mut flight = hub.map(|t| FlightRecorder::new(t.flight_window()));
-                    // Per-worker counter group: perf events count the
-                    // opening thread, so each worker arms its own set.
-                    // `Off` (the default) and denied hosts both land on
-                    // `Unavailable`, making the bracket below a no-op.
-                    let counters = CounterSet::open(perf_mode);
-                    let mut perf_local = PerfStats::default();
-                    if let Some(g) = counters.group() {
-                        perf_local.core_only = g.is_core_only();
-                    }
+                    // Per-worker runner: perf events count the opening
+                    // thread, so each worker arms its own counter set.
+                    let mut runner = DocRunner::open(perf_mode);
                     let mut doc_index = 0usize;
                     while let Some(mut job) = pool.take_job() {
                         // Stage-timer detail is *sampled*: the Tier C
@@ -484,6 +491,7 @@ where
                         // breakdown, not a running total). Phase laps —
                         // queue/run/reorder/emit — still cover every
                         // document: they are a handful of clock reads.
+                        // Hardware counters ride the same cadence.
                         let sampled = doc_index.is_multiple_of(STAGE_SAMPLE_INTERVAL);
                         doc_index = doc_index.wrapping_add(1);
                         let mut profile = job
@@ -491,19 +499,16 @@ where
                             .as_ref()
                             .filter(|_| sampled)
                             .map(|_| ProfileStats::new());
-                        // Hardware counters ride the same sampling
-                        // cadence: bracket the whole run (containment,
-                        // deadline checks and all) so cycles/byte
-                        // reflects what serving actually costs.
-                        let group = counters.group().filter(|_| sampled);
-                        if let Some(g) = group {
-                            g.start();
-                        }
-                        let mut resp =
-                            pool::process(engine, mode, deadline, &job, profile.as_mut());
-                        if let Some(delta) = group.and_then(|g| g.stop()) {
-                            perf_local.add_run(job.doc.len() as u64, &delta);
-                        }
+                        let record = profile.as_mut().map_or(Record::Nothing, Record::Profile);
+                        let mut resp = pool::process(
+                            &mut runner,
+                            engine,
+                            mode,
+                            deadline,
+                            &job,
+                            record,
+                            sampled,
+                        );
                         if let Some(mut span) = job.span.take() {
                             span.worker(worker_idx as u32);
                             span.route(engine.route());
@@ -527,9 +532,9 @@ where
                         }
                         pool.complete(job.seq, resp, job.doc);
                     }
-                    if perf_local.docs > 0 {
+                    if let Some(perf) = runner.perf() {
                         // PANIC-OK: poisoned only if a panic escaped per-document containment
-                        *perf_total.lock().unwrap() += perf_local;
+                        *perf_total.lock().unwrap() += perf;
                     }
                 })
             })
@@ -632,9 +637,13 @@ where
     })
 }
 
-/// Accepts connections on a Unix socket until `shutdown` is set,
-/// serving each to completion (graceful drain: a set flag stops new
-/// accepts; the in-progress connection finishes first).
+/// Accepts connections on a Unix socket, serving each to completion
+/// with the optional live-telemetry hub attached (see
+/// [`serve_connection_with`]), until `shutdown` is set or
+/// `after_connection` — called with the aggregate report once each
+/// connection has drained, e.g. to refresh a metrics file — returns
+/// `false`. Either way the drain is graceful: the in-progress connection
+/// finishes first.
 ///
 /// Both response streams share the socket: result lines and error lines
 /// interleave per document, which is unambiguous because error lines
@@ -645,48 +654,41 @@ where
 /// Returns the accept-loop or socket-setup error; a bad query surfaces
 /// as [`io::ErrorKind::InvalidInput`]. Per-connection transport
 /// failures are *not* errors here — they land in the aggregated
-/// report's `io_errors`.
-#[cfg(unix)]
-pub fn serve_unix(
-    options: &ServeOptions,
-    listener: &std::os::unix::net::UnixListener,
-    shutdown: &std::sync::atomic::AtomicBool,
-) -> io::Result<ServeReport> {
-    serve_unix_with(options, None, listener, shutdown)
-}
-
-/// [`serve_unix`] with an optional live-telemetry hub attached to every
-/// served connection. See [`serve_connection_with`].
-///
-/// # Errors
-///
-/// As [`serve_unix`].
+/// report's `io_errors`, as does a client that vanishes between accept
+/// and setup.
 #[cfg(unix)]
 pub fn serve_unix_with(
     options: &ServeOptions,
     telemetry: Option<&Arc<Telemetry>>,
     listener: &std::os::unix::net::UnixListener,
     shutdown: &std::sync::atomic::AtomicBool,
+    mut after_connection: impl FnMut(&ServeReport) -> bool,
 ) -> io::Result<ServeReport> {
     use std::sync::atomic::Ordering;
 
     listener.set_nonblocking(true)?;
     let mut aggregate = ServeReport::default();
     while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let out = stream.try_clone()?;
-                let errw = stream.try_clone()?;
-                match serve_connection_with(options, telemetry, &stream, out, errw) {
-                    Ok(report) => aggregate.merge(&report),
-                    Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidInput, e.message)),
-                }
-            }
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(2));
+                continue;
             }
             Err(e) => return Err(e),
+        };
+        let setup = stream
+            .set_nonblocking(false)
+            .and_then(|()| Ok((stream.try_clone()?, stream.try_clone()?)));
+        let Ok((out, errw)) = setup else {
+            aggregate.counters.io_errors += 1;
+            continue;
+        };
+        let report = serve_connection_with(options, telemetry, &stream, out, errw)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.message))?;
+        aggregate.merge(&report);
+        if !after_connection(&aggregate) {
+            break;
         }
     }
     Ok(aggregate)

@@ -38,9 +38,9 @@
 
 use crate::telemetry::Telemetry;
 use crate::ResponseMode;
-use rsq_batch::{run_document_contained_with, DocBuffers, DocError};
-use rsq_engine::{Engine, RunError, Sink, SinkFull};
-use rsq_obs::{DocSpan, ProfileStats};
+use rsq_batch::{DocBuffers, DocError, DocRunner, DocSink, Matches, Record};
+use rsq_engine::Engine;
+use rsq_obs::DocSpan;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -60,14 +60,6 @@ pub(crate) struct Job {
     /// The document's live pipeline span — present iff telemetry is
     /// enabled (the untelemetered path never reads the clock).
     pub(crate) span: Option<DocSpan>,
-}
-
-/// What a successful run found, in the form the response mode renders.
-pub(crate) enum Matches {
-    /// [`ResponseMode::Count`]: only the number of matches.
-    Count(u64),
-    /// Positions and values: every match offset, in document order.
-    Positions(Vec<usize>),
 }
 
 /// One finished document awaiting emission.
@@ -391,93 +383,28 @@ impl Pool {
     }
 }
 
-/// The one sink serve workers run the engine into — one type, so the
-/// engine's loops are instantiated once for this crate however many
-/// response modes and deadline settings there are. It counts, or records
-/// positions when the mode renders from them, and with a deadline set it
-/// checks the wall clock every few records: the matching-phase half of
-/// the per-document deadline. Tripping reports [`SinkFull`] — a *clean*
-/// early stop for the engine — and the worker turns the `expired` flag
-/// into a timeout outcome.
-struct DocSink {
-    matches: Matches,
-    deadline: Option<Instant>,
-    since_check: u32,
-    expired: bool,
-}
-
-impl DocSink {
-    /// Records between clock reads. The engine can emit matches at
-    /// hundreds of millions per second; reading the clock every record
-    /// would dominate. 64 keeps the deadline granular to microseconds
-    /// of overrun at worst.
-    const CHECK_EVERY: u32 = 64;
-}
-
-impl Sink for DocSink {
-    fn record(&mut self, pos: usize) -> Result<(), SinkFull> {
-        if let Some(deadline) = self.deadline {
-            self.since_check += 1;
-            if self.since_check >= Self::CHECK_EVERY {
-                self.since_check = 0;
-                if Instant::now() >= deadline {
-                    self.expired = true;
-                    return Err(SinkFull);
-                }
-            }
-        }
-        match &mut self.matches {
-            Matches::Count(count) => *count += 1,
-            Matches::Positions(positions) => positions.push(pos),
-        }
-        Ok(())
-    }
-}
-
-/// Runs one document with panic containment and the optional deadline,
-/// gathering only what `mode` renders: a count never builds the
-/// positions vector.
-///
-/// The deadline is evaluated at deterministic points only: once before
-/// the run (a document admitted after its budget already passed — e.g.
-/// held back by backpressure — times out without running) and every few
-/// matches during it. A `deadline` of zero therefore times out every
-/// document deterministically, which the robustness suite leans on.
-///
-/// `profile` threads the Tier C stage-timer recorder through the run —
-/// telemetry's source for the span's engine stage breakdown. `None` is
-/// the clock-free path.
+/// Runs one admitted document on `runner` with the optional deadline
+/// (measured from admission; see [`DocRunner::run_doc`] for where it is
+/// checked), gathering only what `mode` renders: a count never builds the
+/// positions vector. `record` and `sample` are the runner's: what the run
+/// records, and whether the hardware counters bracket it.
 pub(crate) fn process(
+    runner: &mut DocRunner,
     engine: &Engine,
     mode: ResponseMode,
     deadline: Option<Duration>,
     job: &Job,
-    profile: Option<&mut ProfileStats>,
+    record: Record<'_>,
+    sample: bool,
 ) -> Response {
-    let hard = deadline.map(|d| job.admitted + d);
-    let timeout = || DocError::from_run(&RunError::DeadlineExceeded);
-    let result = if hard.is_some_and(|h| Instant::now() >= h) {
-        Err(timeout())
-    } else {
-        let mut sink = DocSink {
-            matches: match mode {
-                ResponseMode::Count => Matches::Count(0),
-                ResponseMode::Positions | ResponseMode::Values => Matches::Positions(Vec::new()),
-            },
-            deadline: hard,
-            since_check: 0,
-            expired: false,
-        };
-        let run = run_document_contained_with(engine, &job.doc, &mut sink, profile);
-        if sink.expired {
-            Err(timeout())
-        } else {
-            run.map(|()| sink.matches)
-        }
-    };
+    let mut sink = DocSink::new(
+        mode != ResponseMode::Count,
+        deadline.map(|d| job.admitted + d),
+    );
+    let run = runner.run_doc(engine, &job.doc, &mut sink, record, sample);
     Response {
         doc: Vec::new(),
-        result,
+        result: run.map(|()| sink.into_matches()),
         latency_ns: u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
         framer_rejected: false,
         span: None,

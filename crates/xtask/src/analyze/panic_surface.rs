@@ -11,7 +11,7 @@
 //!   thread, poisons pool locks, or tears down the process. `unwrap`,
 //!   `expect`, panic macros, *and* direct indexing all need a reason.
 //! * **Contained** code (the engine stack) panics into the per-document
-//!   `catch_unwind` in `rsq_batch::contain`, surfacing as a `panic`
+//!   `catch_unwind` in `rsq_batch::DocRunner::run`, surfacing as a `panic`
 //!   fault code rather than a crash. Explicit panic sites still need a
 //!   reason (they are a correctness smell), but direct indexing — the
 //!   engine's bread and butter, bounds-checked by the compiler — is

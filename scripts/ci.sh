@@ -28,9 +28,6 @@ assert r["schema_version"] == 1 and not r["findings"], r'
 echo "==> cargo clippy (deny warnings, undocumented unsafe blocks)"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::undocumented-unsafe-blocks
 
-echo "==> cargo clippy with obs-trace (deny warnings)"
-cargo clippy --workspace --all-targets --features rsq-engine/obs-trace -- -D warnings
-
 echo "==> tier-1: release build + tests"
 cargo build --release
 cargo test -q
@@ -39,7 +36,7 @@ echo "==> workspace tests with overflow checks"
 RUSTFLAGS="-C overflow-checks=on" cargo test --workspace -q
 
 echo "==> batch determinism gate (multi-threaded merge, SWAR override)"
-# The rsq-batch suites sweep worker counts {1, 2, 8} and assert the
+# The rsq-batch suites sweep worker counts {1, 2, 3, 8, 64} and assert the
 # merged outcomes are identical to a sequential run; the second pass
 # repeats that under the portable backend override.
 cargo test -p rsq-batch -q
@@ -281,11 +278,17 @@ PM_STATUS=0
 wait "$PM_SERVER_PID" || PM_STATUS=$?
 [ "$PM_STATUS" -eq 7 ] # deadline failure class on exit
 [ "$(ls "$SERVE_TMP/pm" | wc -l)" -eq 2 ]
-python3 - "$SERVE_TMP"/pm/postmortem-*.json <<'PYEOF'
+# Postmortems carry the stats schema version (STATS_SCHEMA_VERSION in
+# crates/obs/src/profile.rs); read it from the source so the gate follows
+# the constant.
+SCHEMA_VERSION="$(sed -n 's/^pub const STATS_SCHEMA_VERSION: u64 = \([0-9]*\);$/\1/p' \
+  crates/obs/src/profile.rs)"
+python3 - "$SCHEMA_VERSION" "$SERVE_TMP"/pm/postmortem-*.json <<'PYEOF'
 import json, sys
-pms = [json.load(open(p)) for p in sorted(sys.argv[1:])]
+schema_version = int(sys.argv[1])
+pms = [json.load(open(p)) for p in sorted(sys.argv[2:])]
 for pm in pms:
-    assert pm["schema_version"] == 2, pm
+    assert pm["schema_version"] == schema_version, pm
     assert pm["code"] == "timeout", pm
     doc = pm["doc"]
     phases = (
@@ -305,11 +308,6 @@ echo "==> serve robustness chaos sweep (slow-tests)"
 # 200 seeded fragmentation/stall/truncation/disconnect plans, each
 # checked for output parity with the batch oracle.
 cargo test -p rsq-serve --release --features slow-tests -q
-
-echo "==> workspace build + tests with the obs-trace feature (Tier B)"
-cargo build --workspace --features rsq-engine/obs-trace
-cargo test --workspace --features rsq-engine/obs-trace -q
-cargo test -p rsq-obs --features obs-trace -q
 
 echo "==> profile-overhead gate (Tier C compiles out of unprofiled runs)"
 # Tier C profiling is always-compiled (no cargo feature): the Recorder
@@ -364,5 +362,8 @@ if [ "$(uname -sm)" = "Linux x86_64" ] && rustc +nightly --version >/dev/null 2>
 else
   echo "==> ThreadSanitizer lane skipped (needs nightly + rust-src on x86_64 Linux)"
 fi
+
+echo "==> size series (non-test lines, engine instantiations, text bytes)"
+scripts/loc.sh
 
 echo "CI OK"

@@ -1,5 +1,5 @@
 //! Observability overhead guard (slow): on a large generated document,
-//! `try_run_with_stats` and the Tier C `try_run_with_profile` must report
+//! `try_run_with_stats` and a Tier C `ProfileStats` recorder must report
 //! byte-identical match positions to `try_run`, and the statistics must
 //! be consistent with the run. The throughput comparison lives in the
 //! `stats-overhead` experiments subcommand (timing assertions are too
@@ -81,7 +81,10 @@ fn profile_collection_never_changes_matches_or_tier_a_stats() {
         let with_stats = sink.into_positions();
 
         let mut sink = PositionsSink::new();
-        let profile: ProfileStats = engine.try_run_with_profile(&doc, &mut sink).unwrap();
+        let mut profile = ProfileStats::for_document(doc.len());
+        engine
+            .try_run_with_recorder(&doc, &mut sink, &mut profile)
+            .unwrap();
         let with_profile = sink.into_positions();
 
         // The profiled run is an observation, not a different engine: the
