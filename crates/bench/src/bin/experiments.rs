@@ -730,13 +730,14 @@ fn kernel_efficiency(report: &mut Report) {
 }
 
 /// Zero-copy ingest: end-to-end (load + query) throughput of a
-/// multi-megabyte on-disk document, read into a heap buffer vs mapped
-/// read-only by `rsq-mmap` (DESIGN.md §15). Match counts must be
-/// identical either way; the row pair is bench-diff's mmap-vs-read
-/// column, with the speedup recorded on the `mmap` row.
+/// multi-megabyte on-disk document, read into a heap buffer vs copied
+/// into the huge-page [`rsq_mmap::Region`] the drivers land copies in vs
+/// mapped read-only by `rsq-mmap` (DESIGN.md §15). Match counts must be
+/// identical every way; the rows are bench-diff's mmap-vs-read column,
+/// with each speedup over the heap read recorded on its row.
 fn mmap_ingest(report: &mut Report) {
-    use rsq_mmap::MapPolicy;
-    heading("Zero-copy ingest: buffered read vs mmap (load + query)");
+    use rsq_mmap::{MapPolicy, Region};
+    heading("Zero-copy ingest: buffered read vs region copy vs mmap (load + query)");
     let entry = by_id("B1").expect("catalog has B1");
     let engine = Engine::from_text(entry.query).expect("catalog query compiles");
     let input = dataset(entry.dataset);
@@ -754,19 +755,28 @@ fn mmap_ingest(report: &mut Report) {
         let buf = std::fs::read(&path).expect("buffered read succeeds");
         engine.count(&buf)
     });
+    let m_region = measure(input.len(), REPS, || {
+        let file = std::fs::File::open(&path).expect("dataset opens");
+        let region: Region = rsq_engine::read_to_end(file).expect("region copy succeeds");
+        engine.count(&region)
+    });
     let m_mmap = measure(input.len(), REPS, || {
         let mapped = rsq_mmap::load(&path, MapPolicy::On).expect("mapped load succeeds");
         engine.count(&mapped)
     });
     std::fs::remove_file(&path).expect("temp dataset removed");
+    assert_eq!(m_read.count, m_region.count, "ingest modes disagree");
     assert_eq!(m_read.count, m_mmap.count, "ingest modes disagree");
-    let speedup = m_mmap.gbps / m_read.gbps;
-    println!("{:<5} {:>9} {:>9} {:>9}", "id", "read", "mmap", "speedup");
-    println!(
-        "{:<5} {:>9.2} {:>9.2} {:>8.2}x",
-        entry.id, m_read.gbps, m_mmap.gbps, speedup,
-    );
-    for (tag, m, speedup) in [("read", m_read, None), ("mmap", m_mmap, Some(speedup))] {
+    println!("{:<5} {:<7} {:>9} {:>9}", "id", "mode", "GB/s", "speedup");
+    for (tag, m) in [("read", m_read), ("region", m_region), ("mmap", m_mmap)] {
+        let speedup = (tag != "read").then(|| m.gbps / m_read.gbps);
+        println!(
+            "{:<5} {:<7} {:>9.2} {:>8.2}x",
+            entry.id,
+            tag,
+            m.gbps,
+            speedup.unwrap_or(1.0)
+        );
         report.push(ReportEntry {
             experiment: "mmap-ingest".to_owned(),
             name: format!("{tag}/{}", entry.id),

@@ -25,7 +25,9 @@
 //! path can enforce the depth limit alone.
 
 use crate::quotes::QuoteState;
-use rsq_simd::{BitIter, Block, ByteClassifier, ByteSet, Simd, BLOCK_SIZE};
+use rsq_simd::{
+    BitIter, Block, ByteClassifier, ByteSet, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_SIZE,
+};
 use std::fmt;
 
 /// What a [`StructuralValidator`] found wrong.
@@ -203,24 +205,34 @@ impl StructuralValidator {
                 return Ok(());
             }
             let block = self.staging;
-            self.process_block(&block, BLOCK_SIZE);
+            let within = self.simd.classify_quotes(&block, &mut self.quote_state);
             self.staged = 0;
-            if let Some(err) = self.error {
-                return Err(err);
+            self.settle_block(&block, within, BLOCK_SIZE)?;
+        }
+        // Superblocks straight from the input: one quote-classifier
+        // dispatch per 256 bytes (as `BlockCursor` does), then the four
+        // blocks' brackets.
+        let mut superblocks = bytes.chunks_exact(SUPERBLOCK_SIZE);
+        for chunk in superblocks.by_ref() {
+            // PANIC-OK: chunks_exact yields exactly SUPERBLOCK_SIZE-byte chunks
+            let chunk: &Superblock = chunk.try_into().expect("exact chunk");
+            let (within, _) = self.simd.classify_quotes4(chunk, &mut self.quote_state);
+            for (block, within) in chunk.chunks_exact(BLOCK_SIZE).zip(within) {
+                // PANIC-OK: chunks_exact yields exactly BLOCK_SIZE-byte chunks
+                let block: &Block = block.try_into().expect("exact chunk");
+                self.settle_block(block, within, BLOCK_SIZE)?;
             }
         }
-        // Whole blocks straight from the input.
-        let mut chunks = bytes.chunks_exact(BLOCK_SIZE);
-        for chunk in chunks.by_ref() {
+        // The up to three whole blocks left, one at a time.
+        let mut blocks = superblocks.remainder().chunks_exact(BLOCK_SIZE);
+        for block in blocks.by_ref() {
             // PANIC-OK: chunks_exact yields exactly BLOCK_SIZE-byte chunks
-            let block: &Block = chunk.try_into().expect("exact chunk");
-            self.process_block(block, BLOCK_SIZE);
-            if let Some(err) = self.error {
-                return Err(err);
-            }
+            let block: &Block = block.try_into().expect("exact chunk");
+            let within = self.simd.classify_quotes(block, &mut self.quote_state);
+            self.settle_block(block, within, BLOCK_SIZE)?;
         }
         // Stage the remainder.
-        let rest = chunks.remainder();
+        let rest = blocks.remainder();
         self.staging[..rest.len()].copy_from_slice(rest);
         self.staged = rest.len();
         Ok(())
@@ -238,9 +250,9 @@ impl StructuralValidator {
             // Zero the tail: stale bytes past `len` would otherwise leak
             // into the quote classifier's carried state.
             block[len..].fill(0);
-            self.process_block(&block, len);
-            self.consumed += len;
+            let within = self.simd.classify_quotes(&block, &mut self.quote_state);
             self.staged = 0;
+            self.settle_block(&block, within, len)?;
         }
         if let Some(err) = self.error {
             return Err(err);
@@ -271,20 +283,42 @@ impl StructuralValidator {
         err
     }
 
-    fn process_block(&mut self, block: &Block, len: usize) {
+    /// Accounts for the brackets of one block, `within` being its
+    /// inside-string mask and `len` its valid prefix (whole but for the
+    /// final block). An error is recorded as well as returned.
+    fn settle_block(
+        &mut self,
+        block: &Block,
+        within: u64,
+        len: usize,
+    ) -> Result<(), ValidationError> {
         let valid = if len == BLOCK_SIZE {
             !0u64
         } else {
             (1u64 << len) - 1
         };
-        let within = self.simd.classify_quotes(block, &mut self.quote_state);
         let outside = !within & valid;
         let (open_brace, close_brace) = self.simd.eq_mask2(block, b'{', b'}');
         let (open_bracket, close_bracket) = self.simd.eq_mask2(block, b'[', b']');
         let opens = (open_brace | open_bracket) & outside;
         let closes = (close_brace | close_bracket) & outside;
-        let array_bits = open_bracket | close_bracket;
 
+        // Lenient mode keeps nothing but the depth counter, and when
+        // neither the limit nor the zero floor can be reached inside this
+        // block the order of its brackets does not matter: count them.
+        // A block that could reach either goes bracket by bracket below,
+        // so the limit error keeps its exact byte offset.
+        if !self.strict {
+            let (opened, closed) = (opens.count_ones(), closes.count_ones());
+            let limit = self.max_depth.unwrap_or(u32::MAX);
+            if closed <= self.depth && opened <= limit.saturating_sub(self.depth) {
+                self.depth = self.depth + opened - closed;
+                self.consumed += len;
+                return Ok(());
+            }
+        }
+
+        let array_bits = open_bracket | close_bracket;
         // `trailing_from` is the bit after which non-whitespace bytes are
         // trailing content (the root closed there), if any.
         let mut trailing_from: Option<u32> = if self.root_closed { Some(0) } else { None };
@@ -295,37 +329,42 @@ impl StructuralValidator {
             if opens >> bit & 1 == 1 {
                 if let Some(limit) = self.max_depth {
                     if self.depth >= limit {
-                        self.set_error(pos, ValidationErrorKind::DepthLimitExceeded { limit });
-                        return;
+                        return Err(
+                            self.set_error(pos, ValidationErrorKind::DepthLimitExceeded { limit })
+                        );
                     }
                 }
-                let (word, level_bit) = (self.depth as usize / 64, self.depth % 64);
-                if word == self.stack.len() {
-                    self.stack.push(0);
-                }
-                if is_array {
-                    self.stack[word] |= 1 << level_bit;
-                } else {
-                    self.stack[word] &= !(1 << level_bit);
+                // The bracket-type stack only ever answers `strict`'s
+                // mismatch check.
+                if self.strict {
+                    let (word, level_bit) = (self.depth as usize / 64, self.depth % 64);
+                    if word == self.stack.len() {
+                        self.stack.push(0);
+                    }
+                    if is_array {
+                        self.stack[word] |= 1 << level_bit;
+                    } else {
+                        self.stack[word] &= !(1 << level_bit);
+                    }
                 }
                 self.depth += 1;
             } else if self.depth == 0 {
                 if self.strict {
-                    self.set_error(pos, ValidationErrorKind::UnexpectedCloser);
-                    return;
+                    return Err(self.set_error(pos, ValidationErrorKind::UnexpectedCloser));
                 }
                 // Lenient: ignore the extra closer.
             } else {
                 self.depth -= 1;
-                let (word, level_bit) = (self.depth as usize / 64, self.depth % 64);
-                let opened_array = self.stack[word] >> level_bit & 1 == 1;
-                if self.strict && opened_array != is_array {
-                    self.set_error(pos, ValidationErrorKind::MismatchedCloser);
-                    return;
-                }
-                if self.depth == 0 && !self.root_closed {
-                    self.root_closed = true;
-                    trailing_from = Some(bit + 1);
+                if self.strict {
+                    let (word, level_bit) = (self.depth as usize / 64, self.depth % 64);
+                    let opened_array = self.stack[word] >> level_bit & 1 == 1;
+                    if opened_array != is_array {
+                        return Err(self.set_error(pos, ValidationErrorKind::MismatchedCloser));
+                    }
+                    if self.depth == 0 && !self.root_closed {
+                        self.root_closed = true;
+                        trailing_from = Some(bit + 1);
+                    }
                 }
             }
         }
@@ -340,15 +379,13 @@ impl StructuralValidator {
                 let trailing = nonws & after;
                 if trailing != 0 {
                     let pos = self.consumed + trailing.trailing_zeros() as usize;
-                    self.set_error(pos, ValidationErrorKind::TrailingContent);
-                    return;
+                    return Err(self.set_error(pos, ValidationErrorKind::TrailingContent));
                 }
             }
         }
 
-        if len == BLOCK_SIZE {
-            self.consumed += BLOCK_SIZE;
-        }
+        self.consumed += len;
+        Ok(())
     }
 }
 
@@ -493,6 +530,244 @@ mod tests {
             ValidationErrorKind::DepthLimitExceeded { limit: 1024 }
         );
         assert_eq!(err.pos, 1024);
+    }
+
+    /// The validator as it was before superblocks and the popcount path:
+    /// one block at a time, every bracket visited in order — here with
+    /// scalar string tracking instead of the SIMD quote classifier, so the
+    /// differential below checks that too. Verdicts surface per complete
+    /// 64-byte block, as the real one's do.
+    struct PerBracket {
+        strict: bool,
+        max_depth: Option<u32>,
+        in_string: bool,
+        escaped: bool,
+        stack: Vec<bool>,
+        depth: u32,
+        consumed: usize,
+        pending: Vec<u8>,
+        root_closed: bool,
+        error: Option<ValidationError>,
+    }
+
+    impl PerBracket {
+        fn new(strict: bool, max_depth: Option<u32>) -> Self {
+            PerBracket {
+                strict,
+                max_depth,
+                in_string: false,
+                escaped: false,
+                stack: Vec::new(),
+                depth: 0,
+                consumed: 0,
+                pending: Vec::new(),
+                root_closed: false,
+                error: None,
+            }
+        }
+
+        fn fail(&mut self, at: usize, kind: ValidationErrorKind) -> Result<(), ValidationError> {
+            let err = ValidationError {
+                pos: self.consumed + at,
+                kind,
+            };
+            self.error = Some(err);
+            Err(err)
+        }
+
+        fn block(&mut self, bytes: &[u8]) -> Result<(), ValidationError> {
+            let mut trailing_from = self.root_closed.then_some(0);
+            for (at, &byte) in bytes.iter().enumerate() {
+                if self.in_string {
+                    if self.escaped {
+                        self.escaped = false;
+                    } else if byte == b'\\' {
+                        self.escaped = true;
+                    } else if byte == b'"' {
+                        self.in_string = false;
+                    }
+                    continue;
+                }
+                match byte {
+                    b'"' => self.in_string = true,
+                    b'{' | b'[' => {
+                        if let Some(limit) = self.max_depth.filter(|&l| self.depth >= l) {
+                            return self
+                                .fail(at, ValidationErrorKind::DepthLimitExceeded { limit });
+                        }
+                        self.stack.truncate(self.depth as usize);
+                        self.stack.push(byte == b'[');
+                        self.depth += 1;
+                    }
+                    b'}' | b']' if self.depth == 0 && self.strict => {
+                        return self.fail(at, ValidationErrorKind::UnexpectedCloser);
+                    }
+                    // Lenient: a surplus closer is ignored.
+                    b'}' | b']' if self.depth == 0 => {}
+                    b'}' | b']' => {
+                        self.depth -= 1;
+                        if self.strict && self.stack[self.depth as usize] != (byte == b']') {
+                            return self.fail(at, ValidationErrorKind::MismatchedCloser);
+                        }
+                        if self.depth == 0 && !self.root_closed {
+                            self.root_closed = true;
+                            trailing_from = Some(at + 1);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            if let (true, Some(from)) = (self.strict, trailing_from) {
+                let content = |b: &u8| !b" \t\n\r".contains(b);
+                if let Some(at) = bytes.iter().skip(from).position(content) {
+                    return self.fail(from + at, ValidationErrorKind::TrailingContent);
+                }
+            }
+            self.consumed += bytes.len();
+            Ok(())
+        }
+
+        fn feed(&mut self, bytes: &[u8]) -> Result<(), ValidationError> {
+            self.error.map_or(Ok(()), Err)?;
+            self.pending.extend_from_slice(bytes);
+            while self.pending.len() >= BLOCK_SIZE {
+                let block: Vec<u8> = self.pending.drain(..BLOCK_SIZE).collect();
+                self.block(&block)?;
+            }
+            Ok(())
+        }
+
+        fn finish(&mut self) -> Result<(), ValidationError> {
+            self.error.map_or(Ok(()), Err)?;
+            let rest = std::mem::take(&mut self.pending);
+            self.block(&rest)?;
+            if self.strict && self.in_string {
+                return self.fail(0, ValidationErrorKind::UnclosedString);
+            }
+            if self.strict && self.depth > 0 {
+                return self.fail(
+                    0,
+                    ValidationErrorKind::UnclosedBrackets { open: self.depth },
+                );
+            }
+            Ok(())
+        }
+    }
+
+    /// `depth` containers deep, alternating arrays and objects, with `pad`
+    /// bytes of whitespace after every bracket so the nesting spreads over
+    /// many blocks.
+    fn nested(depth: usize, pad: usize) -> Vec<u8> {
+        let pad = " ".repeat(pad);
+        let mut doc = String::new();
+        for level in 0..depth {
+            doc += if level % 2 == 0 { "[" } else { "{\"k\":" };
+            doc += &pad;
+        }
+        doc += "1";
+        for level in (0..depth).rev() {
+            doc += if level % 2 == 0 { "]" } else { "}" };
+            doc += &pad;
+        }
+        doc.into_bytes()
+    }
+
+    /// A string full of brackets and escaped quotes, placed so that it
+    /// straddles the block boundary at 64 and the superblock boundary at
+    /// 256 once `lead` bytes precede it — with an escape's backslash as the
+    /// last byte before the boundary for some `lead`s.
+    fn hostile_strings(lead: usize) -> Vec<u8> {
+        let mut doc = b"[".to_vec();
+        doc.extend(std::iter::repeat_n(b' ', lead));
+        for _ in 0..6 {
+            doc.extend_from_slice(br#""]}\"{[\\\"]]\\", {"a\"]": ["}{\\"]}, "#);
+        }
+        doc.extend_from_slice(b"0]");
+        doc
+    }
+
+    #[test]
+    fn popcount_and_superblock_paths_match_the_per_bracket_reference() {
+        const LIMIT: u32 = 40;
+        let mut docs: Vec<(String, Vec<u8>)> = Vec::new();
+        for depth in [LIMIT - 1, LIMIT, LIMIT + 1] {
+            for pad in [0, 3, 17] {
+                let name = format!("depth {depth} pad {pad}");
+                docs.push((name, nested(depth as usize, pad)));
+            }
+        }
+        // Surplus closers: the lenient depth floors at zero, mid-block and
+        // across blocks, and climbs again afterwards.
+        let mut surplus = b"]]}} ".to_vec();
+        surplus.extend(nested(5, 9));
+        surplus.extend(std::iter::repeat_n(b'}', 70));
+        surplus.extend(nested(LIMIT as usize, 1));
+        surplus.extend_from_slice(b"]] [[[ ]]]");
+        // One closer too many and an opener after it, alone in a block, at
+        // depths 0..4: the count of the block is fine, its order is not.
+        for depth in 0..4 {
+            surplus.resize(surplus.len().next_multiple_of(BLOCK_SIZE), b' ');
+            surplus.extend(std::iter::repeat_n(b'[', depth));
+            surplus.resize(surplus.len().next_multiple_of(BLOCK_SIZE), b' ');
+            surplus.extend(std::iter::repeat_n(b']', depth + 1));
+            surplus.extend_from_slice(b" [");
+            surplus.resize(surplus.len().next_multiple_of(BLOCK_SIZE), b' ');
+            surplus.push(b']');
+        }
+        surplus.extend(nested(LIMIT as usize + 1, 2));
+        docs.push(("surplus closers".to_owned(), surplus));
+        for lead in [0, 40, 55, 56, 57, 200, 247, 248, 249] {
+            docs.push((format!("strings lead {lead}"), hostile_strings(lead)));
+        }
+        let mut unclosed = hostile_strings(60);
+        unclosed.extend_from_slice(br#" {"open": ["never closed\"#);
+        docs.push(("unclosed string".to_owned(), unclosed));
+        let mut trailing = nested(7, 11);
+        trailing.extend_from_slice(b"  \n x ] [");
+        docs.push(("trailing content".to_owned(), trailing));
+        let mut mismatched = nested(9, 30);
+        let last = mismatched.iter().rposition(|&b| b == b']').unwrap();
+        mismatched[last] = b'}';
+        docs.push(("mismatched closer".to_owned(), mismatched));
+
+        for (name, doc) in &docs {
+            for strict in [false, true] {
+                for limit in [Some(LIMIT), None] {
+                    for chunk in 1..=300 {
+                        let context = format!("{name}, strict {strict}, {limit:?}, chunk {chunk}");
+                        let mut real = StructuralValidator::new(simd()).strict(strict);
+                        real.max_depth = limit;
+                        let mut reference = PerBracket::new(strict, limit);
+                        for piece in doc.chunks(chunk) {
+                            assert_eq!(real.feed(piece), reference.feed(piece), "{context}");
+                            if reference.error.is_none() {
+                                assert_eq!(real.depth(), reference.depth, "{context}");
+                            }
+                        }
+                        assert_eq!(real.finish(), reference.finish(), "{context}");
+                        assert_eq!(real.finish(), reference.finish(), "{context}: sticky");
+                    }
+                }
+            }
+        }
+        // The matrix met every verdict it was built to meet.
+        let verdict = |doc: &[u8], strict| {
+            let mut v = PerBracket::new(strict, Some(LIMIT));
+            v.feed(doc).and_then(|()| v.finish()).map_err(|e| e.kind)
+        };
+        let depth = ValidationErrorKind::DepthLimitExceeded { limit: LIMIT };
+        assert_eq!(verdict(&nested(40, 3), false), Ok(()));
+        assert_eq!(verdict(&nested(41, 3), false), Err(depth));
+        assert_eq!(
+            verdict(&docs[9].1, false),
+            Err(depth),
+            "floor, then the limit"
+        );
+        assert_eq!(
+            verdict(&docs[9].1, true),
+            Err(ValidationErrorKind::UnexpectedCloser)
+        );
+        assert_eq!(verdict(&hostile_strings(56), true), Ok(()));
     }
 
     #[test]

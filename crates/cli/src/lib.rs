@@ -11,7 +11,7 @@
 
 use rsq_batch::{BatchEngine, BatchOptions, DocError, DocErrorKind, DocRunner, DocSink, Record};
 use rsq_engine::{Engine, EngineOptions, ProfileStage, ProfileStats, RunError, RunStats};
-use rsq_mmap::{MapPolicy, MmapInput};
+use rsq_mmap::{MapPolicy, MmapInput, Region};
 use rsq_obs::{
     chrome_trace_json, prometheus, prometheus_serve, BatchCounters, BatchProfile, Histogram,
     ServeCounters, SpanRecord, STATS_SCHEMA_VERSION,
@@ -621,11 +621,11 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Stri
 /// directly); the size limit is checked up front on that path, since
 /// mapping a too-large file and then refusing it would waste nothing
 /// but also prove nothing. Everything else — stdin, small or unmappable
-/// files, `--mmap off` — goes through the engine's hardened reader:
-/// chunked reads, transient-error retry, and limits enforced while
-/// bytes arrive. With a `--deadline-ms` budget the ingest loop aborts
-/// once the deadline passes (sources that block inside the OS need a
-/// read timeout for the check to fire).
+/// files, `--mmap off` — is copied by the engine's hardened ingest into a
+/// huge-page [`Region`]: reads in place, transient-error retry, and limits
+/// enforced while bytes arrive. With a `--deadline-ms` budget the ingest
+/// loop aborts once the deadline passes (sources that block inside the OS
+/// need a read timeout for the check to fire).
 fn read_input(engine: &Engine, invocation: &Invocation) -> Result<MmapInput, CliError> {
     let file = invocation.file.as_deref();
     if let Some(path) = file {
@@ -645,45 +645,33 @@ fn read_input(engine: &Engine, invocation: &Invocation) -> Result<MmapInput, Cli
     let deadline = invocation
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let ingest = |reader: &mut dyn Read| match deadline {
-        Some(d) => engine.read_document_with_deadline(reader, d),
-        None => engine.read_document(reader),
-    };
-    match file {
+    let (name, ingested) = match file {
         Some(path) => {
             let file = std::fs::File::open(path)
                 .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot read {path}: {e}")))?;
-            ingest(&mut std::io::BufReader::new(file))
-                .map(MmapInput::from_vec)
-                .map_err(|e| {
-                    let mut err = CliError::from(e);
-                    err.message = format!("{path}: {}", err.message);
-                    err
-                })
+            (path, engine.ingest::<_, Region>(file, deadline))
         }
-        None => ingest(&mut std::io::stdin().lock())
-            .map(MmapInput::from_vec)
-            .map_err(|e| {
-                let mut err = CliError::from(e);
-                err.message = format!("stdin: {}", err.message);
-                err
-            }),
-    }
+        None => ("stdin", engine.ingest(std::io::stdin().lock(), deadline)),
+    };
+    ingested.map(MmapInput::from).map_err(|e| {
+        let mut err = CliError::from(e);
+        err.message = format!("{name}: {}", err.message);
+        err
+    })
 }
 
-/// Reads input without an engine (`--stats` has no query to configure
-/// one).
-fn read_input_plain(file: Option<&str>) -> Result<Vec<u8>, CliError> {
+/// Copies a file or stdin whole, with no engine to check it against:
+/// `--stats` has no query, and the lines of an NDJSON file are the
+/// documents, not the file.
+fn read_unchecked(file: Option<&str>) -> Result<Region, CliError> {
     match file {
-        Some(path) => std::fs::read(path)
-            .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot read {path}: {e}"))),
-        None => {
-            let mut buf = Vec::new();
-            std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut buf)
-                .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot read stdin: {e}")))?;
-            Ok(buf)
-        }
+        Some(path) => std::fs::File::open(path).and_then(rsq_engine::read_to_end),
+        None => rsq_engine::read_to_end(std::io::stdin().lock()),
     }
+    .map_err(|e| {
+        let name = file.unwrap_or("stdin");
+        CliError::new(CliErrorKind::Io, format!("cannot read {name}: {e}"))
+    })
 }
 
 fn write_error(e: std::io::Error) -> CliError {
@@ -880,7 +868,7 @@ pub fn run(
     }
     match invocation.mode {
         Mode::Stats => {
-            let input = read_input_plain(invocation.file.as_deref())?;
+            let input = read_unchecked(invocation.file.as_deref())?;
             let stats = rsq_json::document_stats(&input);
             write!(
                 out,
@@ -918,6 +906,13 @@ fn run_document(
     let t_ingest = invocation.profile.then(Instant::now);
     let input = read_input(&engine, invocation)?;
     let ingest_ns = t_ingest.map(elapsed_ns);
+    // A document that was copied was validated while it arrived, and that
+    // verdict stands; only a mapped one is first seen by the run.
+    let engine = if input.is_mapped() {
+        engine
+    } else {
+        engine.without_validation()
+    };
 
     let mut runner = DocRunner::open(invocation.perf_mode());
     let mut stats = RunStats::default();
@@ -1168,13 +1163,13 @@ fn run_batch(
 
     // Load the corpus: ingest is sequential (one disk), compute parallel.
     // Directory files honor the `--mmap` policy (large documents are
-    // mapped, not copied); NDJSON lines are borrowed from the one buffer
-    // the file or stdin was read into.
-    let ndjson: Vec<u8>;
+    // mapped, not copied); NDJSON lines are borrowed from the one region
+    // the file or stdin was copied into.
+    let ndjson: Region;
     let mut files: Vec<(String, MmapInput)> = Vec::new();
     let docs: Vec<&[u8]> = match source {
         BatchSource::Ndjson(path) => {
-            ndjson = read_input_plain((path != "-").then_some(path.as_str()))?;
+            ndjson = read_unchecked((path != "-").then_some(path.as_str()))?;
             rsq_batch::split_ndjson(&ndjson)
                 .into_iter()
                 // PANIC-OK: split_ndjson ranges are derived from the buffer and lie in bounds

@@ -111,6 +111,55 @@ fn strict_well_formed_still_matches() {
     assert_eq!(stdout(&out), "2\n");
 }
 
+/// `--strict` validates a document once: a copied one while it arrives
+/// (the profile books that under ingest, and the run's own validation
+/// stage stays at zero), a mapped one — first seen by the run — there.
+#[test]
+fn strict_validates_once_on_every_input_path() {
+    let path = std::env::temp_dir().join(format!("rsq-cli-strict-{}.json", std::process::id()));
+    std::fs::write(&path, DOC).expect("temp document");
+    let file = path.to_str().expect("utf-8 temp path");
+    let validate_ns = |args: &[&str], stdin: Option<&[u8]>| {
+        let out = rsq(args, stdin);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        assert_eq!(stdout(&out), "2\n");
+        let err = stderr(&out);
+        let (_, rest) = err.split_once("\"validate_ns\":").expect("a profile");
+        let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+        digits.expect("a number").parse::<u64>().expect("a number")
+    };
+    let flags = ["--count", "--strict", "--profile", "--stats-json"];
+    let stdin = validate_ns(&[&flags[..], &["$..b"]].concat(), Some(DOC));
+    let copied = validate_ns(
+        &[&flags[..], &["--mmap", "off", "$..b", file]].concat(),
+        None,
+    );
+    let mapped = validate_ns(
+        &[&flags[..], &["--mmap", "on", "$..b", file]].concat(),
+        None,
+    );
+    let _ = std::fs::remove_file(&path);
+    assert_eq!((stdin, copied), (0, 0), "the ingest verdict stands");
+    assert!(mapped > 0, "a mapped document is validated by the run");
+
+    // The verdict itself is the same on every path.
+    let broken = br#"{"a": [1, 2}"#;
+    std::fs::write(&path, broken).expect("temp document");
+    let runs = [
+        rsq(&["--count", "--strict", "$..a"], Some(broken)),
+        rsq(
+            &["--count", "--strict", "--mmap", "off", "$..a", file],
+            None,
+        ),
+        rsq(&["--count", "--strict", "--mmap", "on", "$..a", file], None),
+    ];
+    let _ = std::fs::remove_file(&path);
+    for run in &runs {
+        assert_eq!(run.status.code(), Some(6), "stderr: {}", stderr(run));
+        assert!(stderr(run).contains("mismatched closing bracket at byte 11"));
+    }
+}
+
 #[test]
 fn stats_json_goes_to_stderr_and_leaves_stdout_identical() {
     let plain = rsq(&["$..b"], Some(DOC));

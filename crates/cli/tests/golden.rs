@@ -7,6 +7,12 @@
 //! one report writer. Hardware counters are off (`RSQ_PERF=off`), so the
 //! fixtures hold on hosts that grant `perf_event_open` too.
 //!
+//! The `doc-deep-skipped-*` pair (recorded from the commit before copied
+//! documents moved into the huge-page region) pins a known divergence
+//! between input paths rather than an agreement: 2 000 levels under a
+//! member the query skips pass when the file is mapped and trip
+//! `--max-depth` when it is copied (DESIGN.md §7).
+//!
 //! Only values that depend on the clock or on thread scheduling are
 //! masked (on both sides, by [`mask`]): `*_ns` timings, the latency
 //! histogram, and serve's `backpressure_waits`/`max_inflight`.
@@ -183,5 +189,5 @@ fn reports_are_byte_identical_to_the_fixtures() {
         ran += 1;
     }
     let _ = std::fs::remove_file(&scratch);
-    assert!(ran >= 26, "the case table shrank to {ran} cases");
+    assert!(ran >= 28, "the case table shrank to {ran} cases");
 }

@@ -61,7 +61,7 @@ pub enum RunError {
     Malformed(ValidationError),
     /// A caller-supplied wall-clock deadline passed before the work
     /// finished. Produced by the deadline-aware ingest entry points
-    /// ([`Engine::read_document_with_deadline`](crate::Engine::read_document_with_deadline)),
+    /// ([`Engine::ingest`](crate::Engine::ingest)),
     /// the serving layer's slow-loris protection: a client that trickles
     /// bytes slower than the deadline allows is cut off mid-ingest
     /// instead of holding a buffer open forever.

@@ -71,7 +71,12 @@ mod util;
 
 pub use depth_stack::{DepthStack, Frame};
 pub use error::{LimitKind, RunError};
+pub use input::read_to_end;
 pub use sink::{CountSink, PositionsSink, Sink, SinkFull};
+
+/// Where [`Engine::ingest`] lands a document (re-exported so callers need
+/// not name `rsq-mmap` for the bound).
+pub use rsq_mmap::Landing;
 
 // The validation error vocabulary surfaces through `RunError::Malformed`.
 pub use rsq_classify::{ValidationError, ValidationErrorKind};
@@ -508,7 +513,7 @@ impl Engine {
         mut reader: R,
         sink: &mut S,
     ) -> Result<(), RunError> {
-        let doc = input::read_document(&mut reader, &self.options, self.simd, None)?;
+        let doc: Vec<u8> = input::read_document(&mut reader, &self.options, self.simd, None)?;
         // Ingest already validated and size-checked; go straight to
         // matching.
         self.run_limited(&doc, sink, &mut NoStats)
@@ -525,27 +530,41 @@ impl Engine {
     /// # Errors
     ///
     /// As [`run_reader`](Self::run_reader), minus match-time errors.
-    pub fn read_document<R: Read>(&self, mut reader: R) -> Result<Vec<u8>, RunError> {
-        input::read_document(&mut reader, &self.options, self.simd, None)
+    pub fn read_document<R: Read>(&self, reader: R) -> Result<Vec<u8>, RunError> {
+        self.ingest(reader, None)
     }
 
-    /// Like [`read_document`](Self::read_document), but aborts with
-    /// [`RunError::DeadlineExceeded`] if `deadline` passes before ingest
-    /// completes. The check runs before every chunk read and on every
-    /// transient-error retry — slow-loris protection for serving layers.
-    /// A read already blocked inside the OS is not interrupted; pair the
-    /// deadline with a read timeout on the underlying source.
+    /// [`read_document`](Self::read_document) into any [`Landing`] — the
+    /// drivers land documents in an [`rsq_mmap::Region`], whose huge pages
+    /// take a fraction of the page faults a fresh `Vec` does — and, with a
+    /// `deadline`, aborting with [`RunError::DeadlineExceeded`] if it
+    /// passes before ingest completes. The check runs before every read
+    /// and on every transient-error retry — slow-loris protection for
+    /// serving layers. A read already blocked inside the OS is not
+    /// interrupted; pair the deadline with a read timeout on the
+    /// underlying source.
     ///
     /// # Errors
     ///
     /// As [`read_document`](Self::read_document), plus
     /// [`RunError::DeadlineExceeded`].
-    pub fn read_document_with_deadline<R: Read>(
+    pub fn ingest<R: Read, B: Landing>(
         &self,
         mut reader: R,
-        deadline: std::time::Instant,
-    ) -> Result<Vec<u8>, RunError> {
-        input::read_document(&mut reader, &self.options, self.simd, Some(deadline))
+        deadline: Option<std::time::Instant>,
+    ) -> Result<B, RunError> {
+        input::read_document(&mut reader, &self.options, self.simd, deadline)
+    }
+
+    /// This engine minus the up-front [`strict`](EngineOptions::strict)
+    /// pass of [`try_run`](Self::try_run) — for running documents that its
+    /// [`ingest`](Self::ingest) or [`read_document`](Self::read_document)
+    /// returned: those were validated while they arrived, and the verdict
+    /// stands ([`run_reader`](Self::run_reader) does the same in one call).
+    #[must_use]
+    pub fn without_validation(mut self) -> Engine {
+        self.options.strict = false;
+        self
     }
 
     /// Streams `input`, reporting every match to `sink` — the lenient

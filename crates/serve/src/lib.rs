@@ -800,10 +800,15 @@ mod tests {
             assert_eq!(out, expect, "{mode:?}");
             assert!(err.is_empty());
             // A value response holds its document until emitted, so the
-            // window is exactly one; a finished count has released its
-            // bytes and may still await emission when the next is admitted.
-            let window = if mode == ResponseMode::Values { 1 } else { 2 };
-            assert!(report.counters.max_inflight <= window, "{mode:?}");
+            // window is exactly one. A finished count has released its
+            // bytes and awaits the emitter while the next document runs:
+            // two unanswered when the emitter keeps up — which is the
+            // scheduler's doing, so that bound is pinned where the
+            // interleaving can be forced, in
+            // `pool::tests::oversize_counts_keep_at_most_two_documents_unanswered`.
+            if mode == ResponseMode::Values {
+                assert_eq!(report.counters.max_inflight, 1);
+            }
             assert!(report.clean);
         }
     }

@@ -531,6 +531,30 @@ mod tests {
         );
     }
 
+    /// Count documents that are each several budgets large, with an emitter
+    /// that keeps up: every one waits until the one before it has finished
+    /// (its bytes fill the window), is admitted while that response still
+    /// awaits emission, and so at most two are ever unanswered.
+    #[test]
+    fn oversize_counts_keep_at_most_two_documents_unanswered() {
+        let big = 3 * INFLIGHT_BYTES_PER_WORKER;
+        let pool = pool(ResponseMode::Count);
+        thread::scope(|scope| {
+            assert!(pool.admit(vec![b'0'; big]));
+            for seq in 0..3 {
+                let next = admit_blocked(scope, &pool, vec![b'x'; big]);
+                assert_eq!(pool.in_flight_bytes(), big, "one document's bytes");
+                let job = pool.take_job().expect("a queued job");
+                assert_eq!(job.seq, seq);
+                pool.complete(job.seq, done(), job.doc);
+                assert!(next.join().expect("producer thread"));
+                assert_eq!(pool.in_flight_bytes(), big, "the next one's, alone");
+                assert_eq!(pool.take_next_response().map(|(seq, _)| seq), Some(seq));
+            }
+        });
+        assert_eq!(pool.accounting().2, 2, "the running one and the one before");
+    }
+
     #[test]
     fn small_documents_fill_the_document_ceiling_not_the_budget() {
         let pool = Pool::new(2, 1, ResponseMode::Count, None, false);

@@ -3,10 +3,10 @@
 # audit + concurrency/panic-surface/consistency passes), tier-1 tests,
 # an overflow-checked test pass, the fast-path parity gate (routed
 # walker vs the general engine over the full query catalog), the mmap
-# ingest smoke, the hardware-counter and timeline-trace smokes, the
-# profile-overhead gate, differential fuzz smoke, and (when the host
-# toolchain provides them) Miri, AddressSanitizer, and ThreadSanitizer
-# lanes.
+# ingest smoke, the input-path parity gate, the hardware-counter and
+# timeline-trace smokes, the profile-overhead gate, differential fuzz
+# smoke, and (when the host toolchain provides them) Miri,
+# AddressSanitizer, and ThreadSanitizer lanes.
 # Run from anywhere; operates on the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -129,6 +129,61 @@ cp "$SERVE_TMP/corpus/B.json" "$SERVE_TMP/corpus/G.json" \
   > "$SERVE_TMP/mmap-auto.out"
 diff -u "$SERVE_TMP/mmap-on.out" "$SERVE_TMP/mmap-off.out"
 diff -u "$SERVE_TMP/mmap-auto.out" "$SERVE_TMP/mmap-off.out"
+
+echo "==> input-path parity gate (FILE, < FILE, cat FILE |, --mmap off|on FILE)"
+# Every single-document golden case, through each way a document can reach
+# the engine — the file as named (copied: the fixtures are far below the
+# 1 MiB mapping threshold), redirected, through a pipe, with mapping off,
+# and mapped by force — must give the same stdout and the same exit status
+# (the table's). The one known
+# divergence is listed by name: a mapped document counts only the openings
+# the run examines against --max-depth, a copied one all of them
+# (DESIGN.md §7; both behaviours are pinned by the golden fixtures).
+PARITY_EXCEPT=" doc-deep-skipped-mapped doc-deep-skipped-stdin "
+PARITY_RSQ="$PWD/target/release/rsq"
+PARITY_CASES=0
+set -f # the arguments are split on spaces, not globbed (queries hold `*`)
+while IFS=$'\t' read -r name exit stdin args; do
+  case "$name" in doc-*) ;; *) continue ;; esac
+  case "$PARITY_EXCEPT" in *" $name "*)
+    echo "parity gate: $name skipped (known divergence)"
+    continue ;;
+  esac
+  args="${args//@METRICS/$SERVE_TMP/parity.metrics}"
+  if [ "$stdin" = "-" ]; then
+    file="${args##* }" flags="${args% *}"
+  else
+    file="$stdin" flags="$args"
+  fi
+  for path in file redirect pipe mmap-off mmap-on; do
+    status=0
+    (
+      cd crates/cli/tests/golden
+      case "$path" in
+        file) RSQ_PERF=off "$PARITY_RSQ" $flags "$file" ;;
+        redirect) RSQ_PERF=off "$PARITY_RSQ" $flags < "$file" ;;
+        pipe) cat "$file" | RSQ_PERF=off "$PARITY_RSQ" $flags ;;
+        mmap-off) RSQ_PERF=off "$PARITY_RSQ" --mmap off $flags "$file" ;;
+        mmap-on) RSQ_PERF=off "$PARITY_RSQ" --mmap on $flags "$file" ;;
+      esac
+    ) > "$SERVE_TMP/parity-$path.out" 2> /dev/null || status=$?
+    if [ "$status" -ne "$exit" ]; then
+      echo "parity gate: $name as $path exits $status, the case table says $exit"
+      exit 1
+    fi
+    if ! cmp -s "$SERVE_TMP/parity-file.out" "$SERVE_TMP/parity-$path.out"; then
+      echo "parity gate: $name: stdout as $path differs from stdout as file"
+      exit 1
+    fi
+  done
+  PARITY_CASES=$((PARITY_CASES + 1))
+done < crates/cli/tests/golden/cases.tsv
+set +f
+if [ "$PARITY_CASES" -lt 12 ]; then
+  echo "parity gate: only $PARITY_CASES single-document cases ran (expected >= 12)"
+  exit 1
+fi
+echo "parity gate: $PARITY_CASES cases x 5 input paths agree"
 
 echo "==> hardware-counter smoke gate (forced denial + armed path)"
 # Counters must never change results. The forced-denial half runs
