@@ -53,104 +53,7 @@ use rsq_engine::LineScanner;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-/// Bytes the block kernel classifies per step.
-const BLOCK: usize = 64;
-
-/// The quote/escape automaton [`split_ndjson`] and [`NdjsonFramer`] are
-/// specified against: tracks whether the scan is inside a JSON string,
-/// honoring backslash escapes (a `"` preceded by an odd run of
-/// backslashes does not close the string). The front-ends run it directly
-/// only where the block kernel cannot: a scan's sub-block tail, and a
-/// block with a backslash outside a string.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QuoteScan {
-    in_string: bool,
-    escaped: bool,
-}
-
-impl QuoteScan {
-    /// Advances over one byte. Returns `true` exactly when `b` is a
-    /// document boundary: a newline outside any string.
-    #[inline]
-    pub fn boundary(&mut self, b: u8) -> bool {
-        if self.in_string {
-            if self.escaped {
-                self.escaped = false;
-            } else if b == b'\\' {
-                self.escaped = true;
-            } else if b == b'"' {
-                self.in_string = false;
-            }
-            return false;
-        }
-        match b {
-            b'"' => {
-                self.in_string = true;
-                false
-            }
-            b'\n' => true,
-            _ => false,
-        }
-    }
-
-    /// True while the scan is inside an (unterminated) string.
-    #[must_use]
-    pub fn in_string(&self) -> bool {
-        self.in_string
-    }
-}
-
-/// [`QuoteScan`] over `run` (which starts at offset `base`), entered from
-/// the kernel's two bits of state; returns the kernel repositioned.
-#[inline]
-fn scan_scalar(
-    mut kernel: LineScanner,
-    run: &[u8],
-    base: usize,
-    boundary: &mut impl FnMut(usize),
-) -> LineScanner {
-    let mut scan = QuoteScan {
-        in_string: kernel.in_string(),
-        escaped: kernel.escaped(),
-    };
-    for (i, &b) in run.iter().enumerate() {
-        if scan.boundary(b) {
-            boundary(base + i);
-        }
-    }
-    kernel.set_state(scan.in_string, scan.escaped);
-    kernel
-}
-
-/// The boundary scan both front-ends share: advances `kernel` over
-/// `bytes`, calling `boundary` with the offset of every document boundary
-/// in it, in ascending order, and returns the advanced kernel. Whole
-/// 64-byte blocks go through the block kernel; the blocks it refuses and
-/// the tail go through [`QuoteScan`]. (The kernel travels by value so its
-/// state stays in registers across the calls into the SIMD backend.)
-#[inline]
-fn scan_lines(
-    mut kernel: LineScanner,
-    bytes: &[u8],
-    mut boundary: impl FnMut(usize),
-) -> LineScanner {
-    let mut blocks = bytes.chunks_exact(BLOCK);
-    let mut base = 0usize;
-    for chunk in blocks.by_ref() {
-        // PANIC-OK: chunks_exact yields exactly BLOCK bytes, so try_into cannot fail
-        let block: &[u8; BLOCK] = chunk.try_into().expect("block sized");
-        if let Some(mut mask) = kernel.boundaries(block) {
-            while mask != 0 {
-                boundary(base + mask.trailing_zeros() as usize);
-                mask &= mask - 1;
-            }
-        } else {
-            kernel = scan_scalar(kernel, chunk, base, &mut boundary);
-        }
-        base += BLOCK;
-    }
-    scan_scalar(kernel, blocks.remainder(), base, &mut boundary)
-}
+pub use rsq_engine::QuoteScan;
 
 /// Splits an NDJSON buffer into one byte range per document.
 ///
@@ -177,7 +80,7 @@ pub fn split_ndjson(input: &[u8]) -> Vec<Range<usize>> {
 fn split_with(kernel: LineScanner, input: &[u8]) -> Vec<Range<usize>> {
     let mut docs = Vec::new();
     let mut start = 0usize;
-    scan_lines(kernel, input, |i| {
+    let _ = kernel.scan_lines(input, |i| {
         push_line(input, start, i, &mut docs);
         start = i + 1;
     });
@@ -346,7 +249,7 @@ impl NdjsonFramer {
     /// carried so fragmentation never changes the emitted frames.
     pub fn push(&mut self, chunk: &[u8], emit: &mut impl FnMut(Frame)) {
         let mut start = 0usize;
-        self.scan = scan_lines(self.scan, chunk, |i| {
+        self.scan = self.scan.scan_lines(chunk, |i| {
             // PANIC-OK: boundaries ascend within the chunk, so start <= i < chunk.len()
             self.append(&chunk[start..i]);
             self.close_line(emit);
@@ -735,23 +638,9 @@ mod tests {
     /// `NdjsonFramer::new` use.
     fn kernels() -> Vec<(String, LineScanner)> {
         use rsq_simd::{BackendKind, Simd};
-        let supported = |kind| match kind {
-            BackendKind::Swar => true,
-            #[cfg(target_arch = "x86_64")]
-            BackendKind::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            BackendKind::Avx512 => {
-                std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512bw")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        };
         let mut out = vec![("detected".to_owned(), LineScanner::detect())];
-        for kind in [BackendKind::Avx512, BackendKind::Avx2, BackendKind::Swar] {
-            if supported(kind) {
-                out.push((kind.to_string(), LineScanner::new(Simd::with_kind(kind))));
-            }
+        for kind in BackendKind::supported() {
+            out.push((kind.to_string(), LineScanner::new(Simd::with_kind(kind))));
         }
         out
     }

@@ -110,7 +110,7 @@ fn determinism_swar_backend() {
 
 #[test]
 fn determinism_avx2_backend_when_supported() {
-    if !rsq_difftest::supported(BackendKind::Avx2) {
+    if !BackendKind::Avx2.is_supported() {
         eprintln!("skipping: AVX2 not supported on this host");
         return;
     }

@@ -18,7 +18,7 @@ use crate::pipeline::ResumeState;
 use crate::quotes::QuoteState;
 use crate::structural::StructuralTables;
 use rsq_obs::ClassifierCounters;
-use rsq_simd::{Block, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_BLOCKS, SUPERBLOCK_SIZE};
+use rsq_simd::{Backend, Block, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_BLOCKS, SUPERBLOCK_SIZE};
 
 /// The two kinds of JSON containers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -93,7 +93,13 @@ pub(crate) enum GapScan {
     End,
 }
 
-/// A quote-and-structurally classified block in flight.
+/// A quote-classified block in flight. The structural iterator, the depth
+/// classifier and the seeks keep returning to the same 64 bytes (a 32-byte
+/// array element is a seek, a match and a sibling skip, each ending in a
+/// reposition), so the block's structural mask is kept once computed. The
+/// bracket-pair masks of the depth scans are not: keeping them as well
+/// made every block load dearer than the passes it saved (EXPERIMENTS.md
+/// "Dispatch").
 #[derive(Clone, Copy, Debug)]
 struct CurrentBlock {
     start: usize,
@@ -102,6 +108,24 @@ struct CurrentBlock {
     state_before: QuoteState,
     /// Structural bits not yet consumed.
     mask: u64,
+    /// Every enabled structural character outside strings under the
+    /// toggles in force, once classified (`set_toggles` forgets it).
+    /// Repositioning within the block masks this; it is not another pass.
+    structural: Option<u64>,
+}
+
+impl CurrentBlock {
+    /// A block fresh from the cursor: nothing pending, nothing computed.
+    #[inline(always)]
+    fn loaded((start, within_quotes, state_before): (usize, u64, QuoteState)) -> Self {
+        CurrentBlock {
+            start,
+            within_quotes,
+            state_before,
+            mask: 0,
+            structural: None,
+        }
+    }
 }
 
 /// Walks the input in 64-byte blocks, running the quote classifier over
@@ -111,11 +135,12 @@ struct CurrentBlock {
 /// classification is never repeated or skipped.
 ///
 /// Internally the cursor quote-classifies four blocks at a time through
-/// the superblock kernel, amortizing the backend dispatch cost.
+/// the superblock kernel, which amortizes the kernel call when the backend
+/// is the per-call [`Simd`] handle.
 #[derive(Clone, Debug)]
-struct BlockCursor<'a> {
+struct BlockCursor<'a, B> {
     input: &'a [u8],
-    simd: Simd,
+    backend: B,
     /// Offset of the next block to classify (multiple of [`BLOCK_SIZE`]).
     next_block: usize,
     /// Quote state at `next_block`.
@@ -133,15 +158,17 @@ struct BlockCursor<'a> {
     tail_start: usize,
 }
 
-impl<'a> BlockCursor<'a> {
-    fn new(input: &'a [u8], simd: Simd) -> Self {
-        Self::from_resume(input, simd, ResumeState::default())
+impl<'a, B: Backend> BlockCursor<'a, B> {
+    #[inline(always)]
+    fn new(input: &'a [u8], backend: B) -> Self {
+        Self::from_resume(input, backend, ResumeState::default())
     }
 
-    fn from_resume(input: &'a [u8], simd: Simd, resume: ResumeState) -> Self {
+    #[inline(always)]
+    fn from_resume(input: &'a [u8], backend: B, resume: ResumeState) -> Self {
         BlockCursor {
             input,
-            simd,
+            backend,
             next_block: resume.block_start,
             quote_state: resume.quote_state,
             buf: [(0, 0, QuoteState::default()); SUPERBLOCK_BLOCKS],
@@ -154,6 +181,7 @@ impl<'a> BlockCursor<'a> {
 
     /// Classifies the next block's quotes and returns `(start,
     /// within-quotes mask, state before)`, or `None` at EOF.
+    #[inline(always)]
     fn next(&mut self) -> Option<(usize, u64, QuoteState)> {
         if self.buf_pos == self.buf_len {
             self.refill();
@@ -168,6 +196,7 @@ impl<'a> BlockCursor<'a> {
 
     /// The classification frontier: the next block `next` would return and
     /// the quote state entering it.
+    #[inline(always)]
     fn frontier(&self) -> ResumeState {
         if self.buf_pos < self.buf_len {
             let (start, _, state_before) = self.buf[self.buf_pos];
@@ -185,6 +214,7 @@ impl<'a> BlockCursor<'a> {
 
     /// Start offset of the next block `next` would return, or `None` at
     /// EOF. Refills the buffer if needed.
+    #[inline(always)]
     fn peek_start(&mut self) -> Option<usize> {
         if self.buf_pos == self.buf_len {
             self.refill();
@@ -195,7 +225,16 @@ impl<'a> BlockCursor<'a> {
         Some(self.buf[self.buf_pos].0)
     }
 
+    #[inline(always)]
     fn refill(&mut self) {
+        self.backend.enter(
+            #[inline(always)]
+            || self.refill_in_place(),
+        );
+    }
+
+    #[inline(always)]
+    fn refill_in_place(&mut self) {
         self.buf_pos = 0;
         self.buf_len = 0;
         let start = self.next_block;
@@ -208,7 +247,7 @@ impl<'a> BlockCursor<'a> {
                 // PANIC-OK: the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail
                 .expect("superblock sized");
             let mut state_before = self.quote_state;
-            let (within, after) = self.simd.classify_quotes4(chunk, &mut self.quote_state);
+            let (within, after) = self.backend.classify_quotes4(chunk, &mut self.quote_state);
             for i in 0..SUPERBLOCK_BLOCKS {
                 self.buf[i] = (start + i * BLOCK_SIZE, within[i], state_before);
                 state_before = after[i];
@@ -225,7 +264,9 @@ impl<'a> BlockCursor<'a> {
             }
             let state_before = self.quote_state;
             let mut state = self.quote_state;
-            let within = self.simd.classify_quotes(self.bytes_at(start), &mut state);
+            let within = self
+                .backend
+                .classify_quotes(self.bytes_at(start), &mut state);
             self.quote_state = state;
             self.buf[0] = (start, within, state_before);
             self.buf_len = 1;
@@ -235,7 +276,7 @@ impl<'a> BlockCursor<'a> {
 
     /// A zero-copy view of the block starting at `start`; partial final
     /// blocks resolve to the zero-padded `tail` copy.
-    #[inline]
+    #[inline(always)]
     fn bytes_at(&self, start: usize) -> &Block {
         if start + BLOCK_SIZE <= self.input.len() {
             self.input[start..start + BLOCK_SIZE]
@@ -267,9 +308,14 @@ impl<'a> BlockCursor<'a> {
 /// assert_eq!(iter.next(), Some(Structural::Closing(BracketType::Brace, 9)));
 /// assert_eq!(iter.next(), None);
 /// ```
+///
+/// Generic over the [`Backend`] its kernels come from: the run-time
+/// [`Simd`] handle by default (a `match` and a kernel call per primitive),
+/// a static backend inside a dispatched pass ([`Simd::dispatch`]), where
+/// the whole iterator inlines into the pass.
 #[derive(Clone, Debug)]
-pub struct StructuralIterator<'a> {
-    cursor: BlockCursor<'a>,
+pub struct StructuralIterator<'a, B: Backend = Simd> {
+    cursor: BlockCursor<'a, B>,
     tables: StructuralTables,
     current: Option<CurrentBlock>,
     peeked: Option<Option<Structural>>,
@@ -281,13 +327,14 @@ pub struct StructuralIterator<'a> {
     counters: ClassifierCounters,
 }
 
-impl<'a> StructuralIterator<'a> {
+impl<'a, B: Backend> StructuralIterator<'a, B> {
     /// Creates an iterator at the start of `input` with commas and colons
     /// disabled.
+    #[inline(always)]
     #[must_use]
-    pub fn new(input: &'a [u8], simd: Simd) -> Self {
+    pub fn new(input: &'a [u8], backend: B) -> Self {
         StructuralIterator {
-            cursor: BlockCursor::new(input, simd),
+            cursor: BlockCursor::new(input, backend),
             tables: StructuralTables::new(),
             current: None,
             peeked: None,
@@ -308,10 +355,11 @@ impl<'a> StructuralIterator<'a> {
     /// # Panics
     ///
     /// Panics if `resume.block_start` lies after `start_pos`.
+    #[inline(always)]
     #[must_use]
-    pub fn resume(input: &'a [u8], simd: Simd, resume: ResumeState, start_pos: usize) -> Self {
+    pub fn resume(input: &'a [u8], backend: B, resume: ResumeState, start_pos: usize) -> Self {
         assert!(resume.block_start <= start_pos, "resume point after start");
-        let mut cursor = BlockCursor::from_resume(input, simd, resume);
+        let mut cursor = BlockCursor::from_resume(input, backend, resume);
         // Advance the quote classifier over blocks wholly before start_pos.
         // These blocks get quote classification only (no structural
         // tables), so they count as quote-classifier work.
@@ -337,12 +385,14 @@ impl<'a> StructuralIterator<'a> {
     }
 
     /// The underlying input.
+    #[inline(always)]
     #[must_use]
     pub fn input(&self) -> &'a [u8] {
         self.cursor.input
     }
 
     /// The position after the last consumed character.
+    #[inline(always)]
     #[must_use]
     pub fn position(&self) -> usize {
         self.consumed_upto
@@ -352,6 +402,7 @@ impl<'a> StructuralIterator<'a> {
     /// observability): each 64-byte block the iterator classified,
     /// attributed to the classifier — structural, depth, seek, or
     /// quote-only — that consumed it.
+    #[inline(always)]
     #[must_use]
     pub fn counters(&self) -> ClassifierCounters {
         self.counters
@@ -359,6 +410,7 @@ impl<'a> StructuralIterator<'a> {
 
     /// A [`ResumeState`] describing the current classification frontier,
     /// for handing off to another classifier or a [`crate::QuoteScanner`].
+    #[inline(always)]
     #[must_use]
     pub fn resume_state(&self) -> ResumeState {
         match &self.current {
@@ -371,6 +423,7 @@ impl<'a> StructuralIterator<'a> {
     }
 
     /// Yields the next enabled structural character.
+    #[inline(always)]
     #[allow(clippy::should_implement_trait)] // not an Iterator: lending-style cursor with peek
     pub fn next(&mut self) -> Option<Structural> {
         let item = match self.peeked.take() {
@@ -384,6 +437,7 @@ impl<'a> StructuralIterator<'a> {
     }
 
     /// Looks at the next structural character without consuming it.
+    #[inline(always)]
     pub fn peek(&mut self) -> Option<Structural> {
         if self.peeked.is_none() {
             let item = self.advance();
@@ -393,6 +447,7 @@ impl<'a> StructuralIterator<'a> {
         self.peeked.expect("just filled")
     }
 
+    #[inline(always)]
     fn advance(&mut self) -> Option<Structural> {
         loop {
             if let Some(cur) = &mut self.current {
@@ -404,21 +459,48 @@ impl<'a> StructuralIterator<'a> {
                     return Some(to_structural(byte, pos));
                 }
             }
-            let (start, within_quotes, state_before) = self.cursor.next()?;
+            self.current = Some(CurrentBlock::loaded(self.cursor.next()?));
             self.counters.blocks_structural = self.counters.blocks_structural.saturating_add(1);
-            let mut mask =
-                self.tables
-                    .classify(self.cursor.simd, self.cursor.bytes_at(start), within_quotes);
             // Drop bits before a mid-block start position (resume case).
-            if self.consumed_upto > start {
-                mask &= !low_bits((self.consumed_upto - start) as u32);
-            }
-            self.current = Some(CurrentBlock {
-                start,
-                within_quotes,
-                state_before,
-                mask,
-            });
+            self.pend_from_position();
+        }
+    }
+
+    /// The current block's `bracket` openings and closings outside
+    /// strings.
+    #[inline(always)]
+    pub(crate) fn pair_in_current(&self, bracket: BracketType) -> Option<(u64, u64)> {
+        let cur = self.current.as_ref()?;
+        Some(pair_masks(
+            self.cursor.backend,
+            self.cursor.bytes_at(cur.start),
+            cur.within_quotes,
+            bracket,
+        ))
+    }
+
+    /// Makes the current block's structural characters from bit `from` on
+    /// the pending ones: one kernel pass per block and toggle setting, the
+    /// mask read back after that.
+    #[inline(always)]
+    fn pend_from(&mut self, from: u32) {
+        let Some(cur) = &mut self.current else { return };
+        let structural = *cur.structural.get_or_insert_with(|| {
+            self.tables.classify(
+                self.cursor.backend,
+                self.cursor.bytes_at(cur.start),
+                cur.within_quotes,
+            )
+        });
+        cur.mask = structural & !low_bits(from);
+    }
+
+    /// [`pend_from`](Self::pend_from) the iterator's position (the start
+    /// of the block when the position lies before it).
+    #[inline(always)]
+    fn pend_from_position(&mut self) {
+        if let Some(cur) = &self.current {
+            self.pend_from(self.consumed_upto.saturating_sub(cur.start) as u32);
         }
     }
 
@@ -428,6 +510,7 @@ impl<'a> StructuralIterator<'a> {
     /// Discards an outstanding peek: callers must toggle before peeking
     /// (the engine's main loop does — toggles happen directly after a
     /// `next` that returned an opening or closing character).
+    #[inline(always)]
     pub fn set_toggles(&mut self, commas: bool, colons: bool) {
         debug_assert!(
             self.peeked.is_none(),
@@ -439,26 +522,21 @@ impl<'a> StructuralIterator<'a> {
         }
         self.counters.toggle_flips = self.counters.toggle_flips.saturating_add(1);
         self.peeked = None;
-        if let Some(cur) = self.current {
-            let mut mask = self.tables.classify(
-                self.cursor.simd,
-                self.cursor.bytes_at(cur.start),
-                cur.within_quotes,
-            );
-            if self.consumed_upto > cur.start {
-                mask &= !low_bits((self.consumed_upto - cur.start) as u32);
-            }
-            self.current = Some(CurrentBlock { mask, ..cur });
+        if let Some(cur) = &mut self.current {
+            cur.structural = None;
         }
+        self.pend_from_position();
     }
 
     /// Whether commas are currently classified.
+    #[inline(always)]
     #[must_use]
     pub fn commas_enabled(&self) -> bool {
         self.tables.commas_enabled()
     }
 
     /// Whether colons are currently classified.
+    #[inline(always)]
     #[must_use]
     pub fn colons_enabled(&self) -> bool {
         self.tables.colons_enabled()
@@ -470,6 +548,7 @@ impl<'a> StructuralIterator<'a> {
     ///
     /// Returns the position of the closing character, or `None` if the
     /// document ends first (malformed input).
+    #[inline(always)]
     pub fn skip_past_close(&mut self, bracket: BracketType) -> Option<usize> {
         self.depth_skip(bracket, true)
     }
@@ -480,26 +559,32 @@ impl<'a> StructuralIterator<'a> {
     ///
     /// Returns the position of the closing character, or `None` if the
     /// document ends first (malformed input).
+    #[inline(always)]
     pub fn fast_forward_to_close(&mut self, bracket: BracketType) -> Option<usize> {
         self.depth_skip(bracket, false)
     }
 
+    /// The depth classifier's loop, one function per backend
+    /// ([`Backend::enter`]) however many call sites a pass has.
+    #[inline(always)]
     fn depth_skip(&mut self, bracket: BracketType, consume_close: bool) -> Option<usize> {
+        self.cursor.backend.enter(
+            #[inline(always)]
+            || self.depth_skip_in_place(bracket, consume_close),
+        )
+    }
+
+    #[inline(always)]
+    fn depth_skip_in_place(&mut self, bracket: BracketType, consume_close: bool) -> Option<usize> {
         self.peeked = None;
-        let open = bracket.opening();
-        let close = bracket.closing();
-        let simd = self.cursor.simd;
+        let backend = self.cursor.backend;
         let mut depth = 1usize;
 
         // Phase 1: the unconsumed remainder of the current block.
-        if let Some(cur) = self.current {
-            let rel_from = cur.start.max(self.consumed_upto) - cur.start;
-            let keep = !low_bits(rel_from as u32);
-            let (opens, closes) = simd.eq_mask2(self.cursor.bytes_at(cur.start), open, close);
-            let opens = opens & !cur.within_quotes & keep;
-            let closes = closes & !cur.within_quotes & keep;
-            if let Some(rel) = scan_block(opens, closes, &mut depth) {
-                return Some(self.finish_skip(cur, rel, consume_close));
+        if let Some((opens, closes)) = self.pair_in_current(bracket) {
+            let keep = !low_bits(self.position_in_current());
+            if let Some(rel) = scan_block(opens & keep, closes & keep, &mut depth) {
+                return Some(self.finish_skip(rel, consume_close));
             }
         }
 
@@ -512,20 +597,13 @@ impl<'a> StructuralIterator<'a> {
         // Phase 2: subsequent blocks via the shared cursor (the structural
         // classifier is stopped; the depth classifier drives the quote
         // classifier forward).
-        while let Some((start, within_quotes, state_before)) = self.cursor.next() {
+        while let Some(block) = self.cursor.next() {
             self.counters.blocks_depth = self.counters.blocks_depth.saturating_add(1);
-            let (opens, closes) = simd.eq_mask2(self.cursor.bytes_at(start), open, close);
-            let opens = opens & !within_quotes;
-            let closes = closes & !within_quotes;
-            let cur = CurrentBlock {
-                start,
-                within_quotes,
-                state_before,
-                mask: 0,
-            };
-            self.current = Some(cur);
-            if let Some(rel) = scan_block(opens, closes, &mut depth) {
-                return Some(self.finish_skip(cur, rel, consume_close));
+            let (start, within_quotes, _) = block;
+            let pair = pair_masks(backend, self.cursor.bytes_at(start), within_quotes, bracket);
+            self.current = Some(CurrentBlock::loaded(block));
+            if let Some(rel) = scan_block(pair.0, pair.1, &mut depth) {
+                return Some(self.finish_skip(rel, consume_close));
             }
         }
         self.consumed_upto = self.cursor.input.len();
@@ -533,21 +611,29 @@ impl<'a> StructuralIterator<'a> {
     }
 
     /// Resumes structural classification after a successful depth skip that
-    /// located the target closing character at bit `rel` of block `cur`.
-    fn finish_skip(&mut self, cur: CurrentBlock, rel: u32, consume_close: bool) -> usize {
-        let pos = cur.start + rel as usize;
-        self.consumed_upto = if consume_close { pos + 1 } else { pos };
-        let mask = self.tables.classify(
-            self.cursor.simd,
-            self.cursor.bytes_at(cur.start),
-            cur.within_quotes,
-        ) & !low_bits(rel + u32::from(consume_close));
-        self.current = Some(CurrentBlock { mask, ..cur });
+    /// located the target closing character at bit `rel` of the current
+    /// block.
+    #[inline(always)]
+    fn finish_skip(&mut self, rel: u32, consume_close: bool) -> usize {
+        let start = self.current.map_or(0, |cur| cur.start);
+        let pos = start + rel as usize;
+        self.consumed_upto = pos + usize::from(consume_close);
+        self.pend_from(rel + u32::from(consume_close));
         pos
+    }
+
+    /// The iterator's position as a bit of the current block: 0 when it
+    /// lies before the block, 64 when past it.
+    #[inline(always)]
+    pub(crate) fn position_in_current(&self) -> u32 {
+        self.current.map_or(0, |cur| {
+            self.consumed_upto.saturating_sub(cur.start).min(BLOCK_SIZE) as u32
+        })
     }
 
     /// Clears any outstanding peek (internal helper for classifiers that
     /// take over the stream).
+    #[inline(always)]
     pub(crate) fn clear_peeked(&mut self) {
         self.peeked = None;
     }
@@ -559,44 +645,36 @@ impl<'a> StructuralIterator<'a> {
     /// is loaded (left unconsumed for the caller's partial scan), or the
     /// input ends. The caller must have fully scanned the current block
     /// already.
+    #[inline(always)]
     pub(crate) fn seek_gap_scan(&mut self, until: usize, sim: &mut usize) -> GapScan {
-        let simd = self.cursor.simd;
         loop {
-            let Some((start, within_quotes, state_before)) = self.cursor.next() else {
-                if let Some(cur) = &mut self.current {
-                    cur.mask = 0;
-                }
-                self.consumed_upto = self.cursor.input.len();
+            if !self.seek_advance_block() {
                 return GapScan::End;
-            };
-            self.counters.blocks_seek = self.counters.blocks_seek.saturating_add(1);
-            self.current = Some(CurrentBlock {
-                start,
-                within_quotes,
-                state_before,
-                mask: 0,
-            });
-            if self.consumed_upto < start {
-                self.consumed_upto = start;
             }
+            let start = self.current.map_or(0, |cur| cur.start);
             if until < start + BLOCK_SIZE {
                 return GapScan::Reached;
             }
-            let (opens, closes) = simd.eq_mask2(self.cursor.bytes_at(start), b'{', b'}');
-            if let Some(rel) = scan_block(opens & !within_quotes, closes & !within_quotes, sim) {
+            let Some((opens, closes)) = self.pair_in_current(BracketType::Brace) else {
+                return GapScan::End;
+            };
+            if let Some(rel) = scan_block(opens, closes, sim) {
                 self.reposition_within_current(start + rel as usize, false);
                 return GapScan::Boundary;
             }
         }
     }
 
-    /// The SIMD backend handle.
-    pub(crate) fn simd(&self) -> Simd {
-        self.cursor.simd
+    /// The backend the iterator's kernels come from.
+    #[inline(always)]
+    #[must_use]
+    pub fn backend(&self) -> B {
+        self.cursor.backend
     }
 
     /// Ensures a current block covering `position()` is loaded and returns
     /// its `(start, within_quotes)`, advancing over exhausted blocks.
+    #[inline(always)]
     pub(crate) fn seek_current_block(&mut self) -> Option<(usize, u64)> {
         loop {
             if let Some(cur) = &self.current {
@@ -612,18 +690,14 @@ impl<'a> StructuralIterator<'a> {
 
     /// Loads the next block as the current one with an empty structural
     /// mask (its events are being absorbed by a seek).
+    #[inline(always)]
     pub(crate) fn seek_advance_block(&mut self) -> bool {
         match self.cursor.next() {
-            Some((start, within_quotes, state_before)) => {
+            Some(block) => {
                 self.counters.blocks_seek = self.counters.blocks_seek.saturating_add(1);
-                self.current = Some(CurrentBlock {
-                    start,
-                    within_quotes,
-                    state_before,
-                    mask: 0,
-                });
-                if self.consumed_upto < start {
-                    self.consumed_upto = start;
+                self.current = Some(CurrentBlock::loaded(block));
+                if self.consumed_upto < block.0 {
+                    self.consumed_upto = block.0;
                 }
                 true
             }
@@ -637,30 +711,20 @@ impl<'a> StructuralIterator<'a> {
         }
     }
 
-    /// Raw bytes of the block starting at `start` (which must be the
-    /// current block or a fully in-bounds block).
-    pub(crate) fn seek_block_bytes(&self, start: usize) -> &Block {
-        self.cursor.bytes_at(start)
-    }
-
     /// Restores structural classification of the current block from `pos`
     /// (exclusive when `consume` is set), leaving earlier bits consumed.
+    #[inline(always)]
     pub(crate) fn reposition_within_current(&mut self, pos: usize, consume: bool) {
         let Some(cur) = self.current else { return };
         debug_assert!(pos >= cur.start && pos < cur.start + BLOCK_SIZE);
         self.consumed_upto = pos + usize::from(consume);
-        let rel = (pos - cur.start) as u32;
-        let mask = self.tables.classify(
-            self.cursor.simd,
-            self.cursor.bytes_at(cur.start),
-            cur.within_quotes,
-        ) & !low_bits(rel + u32::from(consume));
-        self.current = Some(CurrentBlock { mask, ..cur });
+        self.pend_from((pos - cur.start) as u32 + u32::from(consume));
     }
 
     /// Marks the remainder of the current block consumed (used by seeks
     /// absorbing regions known to hold no structural characters). Returns
     /// `false` at EOF.
+    #[inline(always)]
     pub(crate) fn consume_rest_of_block(&mut self) -> bool {
         if let Some(cur) = &mut self.current {
             cur.mask = 0;
@@ -674,6 +738,7 @@ impl<'a> StructuralIterator<'a> {
     /// Fast-forwards so that the next yielded event is at or after
     /// `target`, which must not precede the current position. Returns
     /// `false` at EOF.
+    #[inline(always)]
     pub(crate) fn advance_to(&mut self, target: usize) -> bool {
         loop {
             if let Some(cur) = self.current {
@@ -727,7 +792,19 @@ fn last_nonws_before(input: &[u8], pos: usize) -> Option<usize> {
         .rposition(|&b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
 }
 
-#[inline]
+/// The `bracket` openings and closings of one block outside strings.
+#[inline(always)]
+fn pair_masks<B: Backend>(
+    backend: B,
+    block: &Block,
+    within_quotes: u64,
+    bracket: BracketType,
+) -> (u64, u64) {
+    let (opens, closes) = backend.eq_mask2(block, bracket.opening(), bracket.closing());
+    (opens & !within_quotes, closes & !within_quotes)
+}
+
+#[inline(always)]
 fn to_structural(byte: u8, pos: usize) -> Structural {
     match byte {
         b'{' => Structural::Opening(BracketType::Brace, pos),

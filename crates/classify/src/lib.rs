@@ -21,6 +21,14 @@
 //!   per-block mask of newlines outside strings that the NDJSON drivers
 //!   split and frame documents with.
 //!
+//! Every classifier is generic over the [`rsq_simd::Backend`] its kernels
+//! come from. With the run-time [`rsq_simd::Simd`] handle (the default
+//! type parameter) each primitive is a `match` and a kernel call; inside a
+//! dispatched pass ([`rsq_simd::Simd::dispatch`] — the engine makes one
+//! per run, [`StructuralValidator::feed`] and [`LineScanner::scan_lines`]
+//! one per chunk) the backend is static and the classifiers, all
+//! `#[inline(always)]`, compile into the pass with its instruction set.
+//!
 //! See the [`StructuralIterator`] example for typical usage.
 
 #![warn(missing_docs)]
@@ -34,7 +42,7 @@ mod structural;
 mod validate;
 
 pub use iterator::{BracketType, Structural, StructuralIterator};
-pub use pipeline::{LineScanner, QuoteScanner, ResumeState};
+pub use pipeline::{LineScanner, QuoteScan, QuoteScanner, ResumeState};
 // The per-classifier block counters live in `rsq-obs` (the dependency-free
 // observability layer); re-exported so classifier consumers need not name
 // that crate.

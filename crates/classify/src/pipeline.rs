@@ -12,10 +12,12 @@
 //! monotonically increasing positions. The engine's skip-to-label uses it
 //! to validate `memmem` candidates without paying for full structural
 //! classification. [`LineScanner`] is its sibling for the NDJSON drivers:
-//! the quote classifier plus one newline mask, block by block.
+//! the quote classifier plus one newline mask, block by block, with the
+//! byte-at-a-time [`QuoteScan`] it is specified against for what the
+//! block kernel cannot take.
 
 use crate::quotes::QuoteState;
-use rsq_simd::{Block, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_SIZE};
+use rsq_simd::{Backend, Block, Simd, Superblock, Task, BLOCK_SIZE, SUPERBLOCK_SIZE};
 
 /// A point in the input where classification can be resumed: a 64-byte
 /// block boundary and the quote state entering it.
@@ -54,9 +56,9 @@ impl Default for ResumeState {
 /// assert!(!scanner.in_string_at(24)); // closing '}'
 /// ```
 #[derive(Clone, Debug)]
-pub struct QuoteScanner<'a> {
+pub struct QuoteScanner<'a, B: Backend = Simd> {
     input: &'a [u8],
-    simd: Simd,
+    backend: B,
     /// Start of the current (not yet committed) block.
     block_start: usize,
     /// Quote state entering `block_start`.
@@ -66,13 +68,13 @@ pub struct QuoteScanner<'a> {
     blocks: u64,
 }
 
-impl<'a> QuoteScanner<'a> {
+impl<'a, B: Backend> QuoteScanner<'a, B> {
     /// Creates a scanner at the start of the input.
     #[must_use]
-    pub fn new(input: &'a [u8], simd: Simd) -> Self {
+    pub fn new(input: &'a [u8], backend: B) -> Self {
         QuoteScanner {
             input,
-            simd,
+            backend,
             block_start: 0,
             state_before: QuoteState::default(),
             blocks: 0,
@@ -86,6 +88,7 @@ impl<'a> QuoteScanner<'a> {
     ///
     /// Panics if `pos` is out of bounds or *before* the scanner's current
     /// block — the scanner only moves forward.
+    #[inline(always)]
     #[must_use]
     pub fn in_string_at(&mut self, pos: usize) -> bool {
         assert!(pos < self.input.len(), "position out of bounds");
@@ -101,7 +104,7 @@ impl<'a> QuoteScanner<'a> {
                 .try_into()
                 // PANIC-OK: the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail
                 .expect("superblock sized");
-            let _ = self.simd.classify_quotes4(chunk, &mut self.state_before);
+            let _ = self.backend.classify_quotes4(chunk, &mut self.state_before);
             self.block_start += SUPERBLOCK_SIZE;
             self.blocks = self
                 .blocks
@@ -109,7 +112,7 @@ impl<'a> QuoteScanner<'a> {
         }
         while self.block_start + BLOCK_SIZE <= pos {
             let block = self.load(self.block_start);
-            let _ = self.simd.classify_quotes(&block, &mut self.state_before);
+            let _ = self.backend.classify_quotes(&block, &mut self.state_before);
             self.block_start += BLOCK_SIZE;
             self.blocks = self.blocks.saturating_add(1);
         }
@@ -117,7 +120,7 @@ impl<'a> QuoteScanner<'a> {
         // later queries within the same block recompute consistently.
         let block = self.load(self.block_start);
         let mut state = self.state_before;
-        let within = self.simd.classify_quotes(&block, &mut state);
+        let within = self.backend.classify_quotes(&block, &mut state);
         self.blocks = self.blocks.saturating_add(1);
         within >> (pos - self.block_start) & 1 == 1
     }
@@ -149,6 +152,7 @@ impl<'a> QuoteScanner<'a> {
         }
     }
 
+    #[inline(always)]
     fn load(&self, start: usize) -> [u8; BLOCK_SIZE] {
         let mut block = [0u8; BLOCK_SIZE];
         let end = (start + BLOCK_SIZE).min(self.input.len());
@@ -157,24 +161,69 @@ impl<'a> QuoteScanner<'a> {
     }
 }
 
+/// The quote/escape automaton the NDJSON drivers are specified against:
+/// tracks whether the scan is inside a JSON string, honoring backslash
+/// escapes (a `"` preceded by an odd run of backslashes does not close
+/// the string). [`LineScanner::scan_lines`] runs it directly only where
+/// the block kernel cannot: a scan's sub-block tail, and a block with a
+/// backslash outside a string.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct QuoteScan {
+    in_string: bool,
+    escaped: bool,
+}
+
+impl QuoteScan {
+    /// Advances over one byte. Returns `true` exactly when `b` is a
+    /// document boundary: a newline outside any string.
+    #[inline]
+    pub fn boundary(&mut self, b: u8) -> bool {
+        if self.in_string {
+            if self.escaped {
+                self.escaped = false;
+            } else if b == b'\\' {
+                self.escaped = true;
+            } else if b == b'"' {
+                self.in_string = false;
+            }
+            return false;
+        }
+        match b {
+            b'"' => {
+                self.in_string = true;
+                false
+            }
+            b'\n' => true,
+            _ => false,
+        }
+    }
+
+    /// True while the scan is inside an (unterminated) string.
+    #[must_use]
+    pub fn in_string(&self) -> bool {
+        self.in_string
+    }
+}
+
 /// The line-boundary kernel of the NDJSON drivers: per 64-byte block,
 /// the newlines that lie outside every string.
 ///
 /// A boundary mask is `eq_mask('\n') & !within_quotes` — the quote
-/// classifier (§4.2) does the work 64 bytes per step that a byte-at-a-time
-/// quote/escape automaton does one byte per step. The two differ in one
-/// place: the classifier's add-carry escapes *through* any odd backslash
-/// run, while the scalar automaton the drivers are specified against
-/// honors backslashes only inside strings. A block holding a backslash
-/// outside a string (`eq_mask('\\') & !within_quotes != 0`) is therefore
-/// refused — [`boundaries`](Self::boundaries) returns `None` with the
-/// state untouched — and the caller runs its scalar automaton over those
-/// 64 bytes instead. Up to the first such backslash both automata agree
-/// (escape marks depend only on lower positions), so a block that is not
-/// refused is classified exactly as the scalar automaton would.
+/// classifier (§4.2) does the work 64 bytes per step that the
+/// byte-at-a-time [`QuoteScan`] does one byte per step. The two differ in
+/// one place: the classifier's add-carry escapes *through* any odd
+/// backslash run, while the scalar automaton the drivers are specified
+/// against honors backslashes only inside strings. A block holding a
+/// backslash outside a string (`eq_mask('\\') & !within_quotes != 0`) is
+/// therefore refused — [`boundaries`](Self::boundaries) returns `None`
+/// with the state untouched — and goes through [`QuoteScan`] instead. Up
+/// to the first such backslash both automata agree (escape marks depend
+/// only on lower positions), so a block that is not refused is classified
+/// exactly as the scalar automaton would.
 ///
-/// The carried state is the scalar automaton's own two bits, so callers
-/// move between the kernel and their scalar tail loop freely.
+/// The carried state is the scalar automaton's own two bits, so
+/// [`scan_lines`](Self::scan_lines) moves between the kernel and
+/// [`QuoteScan`] freely.
 ///
 /// # Examples
 ///
@@ -190,26 +239,81 @@ impl<'a> QuoteScanner<'a> {
 /// assert!(!lines.in_string());
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct LineScanner {
-    simd: Simd,
+pub struct LineScanner<B: Backend = Simd> {
+    backend: B,
     state: QuoteState,
 }
 
 impl LineScanner {
-    /// A scanner at a line start: outside strings, nothing escaped.
-    #[must_use]
-    pub fn new(simd: Simd) -> Self {
-        LineScanner {
-            simd,
-            state: QuoteState::default(),
-        }
-    }
-
     /// [`new`](Self::new) on the backend [`Simd::detect`] selects — for
     /// callers that do not otherwise name the SIMD crate.
     #[must_use]
     pub fn detect() -> Self {
         Self::new(Simd::detect())
+    }
+
+    /// Advances over `bytes`, calling `boundary` with the offset of every
+    /// document boundary in it, in ascending order, and returns the
+    /// advanced scanner: one backend dispatch for the whole of `bytes`.
+    /// Whole 64-byte blocks go through the block kernel; the blocks it
+    /// refuses and the tail go through [`QuoteScan`]. (The scanner travels
+    /// by value so its state stays in registers across the blocks.)
+    #[inline]
+    #[must_use]
+    pub fn scan_lines(self, bytes: &[u8], boundary: impl FnMut(usize)) -> Self {
+        let state = self.backend.dispatch(ScanLines {
+            state: self.state,
+            bytes,
+            boundary,
+        });
+        LineScanner { state, ..self }
+    }
+}
+
+/// [`LineScanner::scan_lines`] as the [`Task`] it dispatches.
+struct ScanLines<'a, F> {
+    state: QuoteState,
+    bytes: &'a [u8],
+    boundary: F,
+}
+
+impl<F: FnMut(usize)> Task for ScanLines<'_, F> {
+    type Output = QuoteState;
+
+    #[inline(always)]
+    fn run<B: Backend>(mut self, backend: B) -> QuoteState {
+        let mut kernel = LineScanner {
+            backend,
+            state: self.state,
+        };
+        let mut blocks = self.bytes.chunks_exact(BLOCK_SIZE);
+        let mut base = 0usize;
+        for chunk in blocks.by_ref() {
+            // PANIC-OK: chunks_exact yields exactly BLOCK_SIZE bytes, so try_into cannot fail
+            let block: &Block = chunk.try_into().expect("block sized");
+            if let Some(mut mask) = kernel.boundaries(block) {
+                while mask != 0 {
+                    (self.boundary)(base + mask.trailing_zeros() as usize);
+                    mask &= mask - 1;
+                }
+            } else {
+                kernel.scan_scalar(chunk, base, &mut self.boundary);
+            }
+            base += BLOCK_SIZE;
+        }
+        kernel.scan_scalar(blocks.remainder(), base, &mut self.boundary);
+        kernel.state
+    }
+}
+
+impl<B: Backend> LineScanner<B> {
+    /// A scanner at a line start: outside strings, nothing escaped.
+    #[must_use]
+    pub fn new(backend: B) -> Self {
+        LineScanner {
+            backend,
+            state: QuoteState::default(),
+        }
     }
 
     /// True when the scan stands inside an (unterminated) string.
@@ -224,8 +328,7 @@ impl LineScanner {
         self.state.next_escaped
     }
 
-    /// Repositions the scan, e.g. after the caller's scalar loop ran.
-    /// `escaped` is only meaningful inside a string.
+    /// Repositions the scan. `escaped` is only meaningful inside a string.
     pub fn set_state(&mut self, in_string: bool, escaped: bool) {
         self.state = QuoteState {
             in_string,
@@ -236,17 +339,33 @@ impl LineScanner {
     /// Classifies one block: the mask of newlines outside strings, with
     /// the state advanced past the block — or `None`, state untouched,
     /// when the block holds a backslash outside a string and must go
-    /// through the caller's scalar automaton.
-    #[inline]
+    /// through [`QuoteScan`].
+    #[inline(always)]
     #[must_use]
     pub fn boundaries(&mut self, block: &Block) -> Option<u64> {
         let mut state = self.state;
-        let within = self.simd.classify_quotes(block, &mut state);
-        if self.simd.eq_mask(block, b'\\') & !within != 0 {
+        let within = self.backend.classify_quotes(block, &mut state);
+        if self.backend.eq_mask(block, b'\\') & !within != 0 {
             return None;
         }
         self.state = state;
-        Some(self.simd.eq_mask(block, b'\n') & !within)
+        Some(self.backend.eq_mask(block, b'\n') & !within)
+    }
+
+    /// [`QuoteScan`] over `run` (which starts at offset `base`), entered
+    /// from and leaving to the kernel's two bits of state.
+    #[inline(always)]
+    fn scan_scalar(&mut self, run: &[u8], base: usize, boundary: &mut impl FnMut(usize)) {
+        let mut scan = QuoteScan {
+            in_string: self.in_string(),
+            escaped: self.escaped(),
+        };
+        for (i, &b) in run.iter().enumerate() {
+            if scan.boundary(b) {
+                boundary(base + i);
+            }
+        }
+        self.set_state(scan.in_string, scan.escaped);
     }
 }
 

@@ -11,7 +11,7 @@
 //! in [`rsq_simd`]; this module re-exports the state type and provides the
 //! single-block convenience form used by the classifiers in this crate.
 
-use rsq_simd::{Block, Simd};
+use rsq_simd::{Backend, Block};
 
 pub use rsq_simd::QuoteState;
 
@@ -24,18 +24,22 @@ pub struct QuoteClassification {
 }
 
 /// Classifies one block, advancing `state` to the end of the block.
-#[inline]
+#[inline(always)]
 #[must_use]
-pub fn classify_quotes(simd: Simd, block: &Block, state: &mut QuoteState) -> QuoteClassification {
+pub fn classify_quotes<B: Backend>(
+    backend: B,
+    block: &Block,
+    state: &mut QuoteState,
+) -> QuoteClassification {
     QuoteClassification {
-        within_quotes: simd.classify_quotes(block, state),
+        within_quotes: backend.classify_quotes(block, state),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsq_simd::{BLOCK_SIZE, SUPERBLOCK_SIZE};
+    use rsq_simd::{Simd, BLOCK_SIZE, SUPERBLOCK_SIZE};
 
     /// Scalar reference: byte `i` is escaped iff it is directly preceded by
     /// an odd-length maximal backslash run.

@@ -17,9 +17,9 @@
 //! state an atomic value can never match.
 
 use crate::depth::{low_bits, scan_block};
-use crate::iterator::{GapScan, StructuralIterator};
+use crate::iterator::{BracketType, GapScan, StructuralIterator};
 use rsq_memmem::Finder;
-use rsq_simd::BLOCK_SIZE;
+use rsq_simd::{Backend, BLOCK_SIZE};
 
 /// Outcome of [`StructuralIterator::seek_label`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +64,13 @@ pub struct CandidateMemo {
 impl CandidateMemo {
     /// The first occurrence of `finder`'s needle at or after `pos`,
     /// searching only when the memo does not already cover `pos`.
-    pub fn find_from(&mut self, finder: &Finder, input: &[u8], pos: usize) -> Option<usize> {
+    #[inline(always)]
+    pub fn find_from<B: Backend>(
+        &mut self,
+        finder: &Finder<'_, B>,
+        input: &[u8],
+        pos: usize,
+    ) -> Option<usize> {
         if let Some((covered_from, next)) = self.state {
             if pos >= covered_from {
                 match next {
@@ -105,7 +111,7 @@ pub enum DirectSeek {
     End,
 }
 
-impl<'a> StructuralIterator<'a> {
+impl<'a, B: Backend> StructuralIterator<'a, B> {
     /// Fast-forwards to the next *direct* member of the current container
     /// named by `needle` (a `"label"` byte string searched by `finder`),
     /// or to the container's closing character — whichever comes first.
@@ -137,9 +143,26 @@ impl<'a> StructuralIterator<'a> {
     /// run instead of once per seek. `memo` must likewise persist across
     /// the seeks of one run (one per needle) — it is what keeps repeated
     /// seeks over label-free sibling containers linear.
+    #[inline(always)]
     pub fn seek_direct_member(
         &mut self,
-        finder: &Finder,
+        finder: &Finder<'_, B>,
+        needle: &[u8],
+        memo: &mut CandidateMemo,
+        accept_atomic: bool,
+        declined: &mut u64,
+    ) -> DirectSeek {
+        // One function per backend, whatever the number of call sites.
+        self.backend().enter(
+            #[inline(always)]
+            || self.seek_direct_member_in_place(finder, needle, memo, accept_atomic, declined),
+        )
+    }
+
+    #[inline(always)]
+    fn seek_direct_member_in_place(
+        &mut self,
+        finder: &Finder<'_, B>,
         needle: &[u8],
         memo: &mut CandidateMemo,
         accept_atomic: bool,
@@ -147,7 +170,6 @@ impl<'a> StructuralIterator<'a> {
     ) -> DirectSeek {
         self.clear_peeked();
         let input = self.input();
-        let simd = self.simd();
         debug_assert!(
             needle.len() >= 2 && needle[0] == b'"' && needle[needle.len() - 1] == b'"',
             "needle must be a quoted label"
@@ -193,11 +215,9 @@ impl<'a> StructuralIterator<'a> {
                 }
             }
 
-            let from_bit = self.position().saturating_sub(start).min(64) as u32;
-            let keep = !low_bits(from_bit);
-            let (opens, closes) = {
-                let (o, c) = simd.eq_mask2(self.seek_block_bytes(start), b'{', b'}');
-                (o & !within, c & !within)
+            let keep = !low_bits(self.position_in_current());
+            let Some((opens, closes)) = self.pair_in_current(BracketType::Brace) else {
+                return DirectSeek::End;
             };
 
             match cand {
@@ -259,6 +279,7 @@ impl<'a> StructuralIterator<'a> {
     /// Validates the direct-member candidate at `c` whose closing quote
     /// lies in the current block (`start`/`within`). Returns the outcome
     /// for a valid member, or `None` to decline and continue seeking.
+    #[inline(always)]
     fn direct_validate(
         &mut self,
         c: usize,
@@ -312,24 +333,36 @@ impl<'a> StructuralIterator<'a> {
         }
     }
 
-    /// Fast-forwards to the next member named `label` (with a composite
-    /// value) within the current element and its subtree, or to the
-    /// closing character that would drop the depth more than `levels`
-    /// levels below the current one — whichever comes first.
+    /// Fast-forwards to the next member whose quoted label `"label"` is
+    /// `finder`'s needle (with a composite value) within the current
+    /// element and its subtree, or to the closing character that would
+    /// drop the depth more than `levels` levels below the current one —
+    /// whichever comes first.
     ///
     /// Callers must ensure the automaton state cannot change on any event
     /// the seek absorbs: in the engine this means a *waiting, internal*
     /// state (fallback loops; no transition accepts in one step), with
-    /// the boundary set to the topmost depth-stack frame.
-    pub fn seek_label(&mut self, label: &[u8], levels: u32) -> LabelSeek {
+    /// the boundary set to the topmost depth-stack frame. A waiting
+    /// state's label is fixed when the query is compiled, so the engine
+    /// builds each finder once per run, not once per seek.
+    #[inline(always)]
+    pub fn seek_label(&mut self, finder: &Finder<'_, B>, levels: u32) -> LabelSeek {
+        // One function per backend, whatever the number of call sites.
+        self.backend().enter(
+            #[inline(always)]
+            || self.seek_label_in_place(finder, levels),
+        )
+    }
+
+    #[inline(always)]
+    fn seek_label_in_place(&mut self, finder: &Finder<'_, B>, levels: u32) -> LabelSeek {
         self.clear_peeked();
         let input = self.input();
-        let simd = self.simd();
-        let mut needle = Vec::with_capacity(label.len() + 2);
-        needle.push(b'"');
-        needle.extend_from_slice(label);
-        needle.push(b'"');
-        let finder = Finder::with_simd(&needle, simd);
+        let needle = finder.needle();
+        debug_assert!(
+            needle.len() >= 2 && needle[0] == b'"' && needle[needle.len() - 1] == b'"',
+            "needle must be a quoted label"
+        );
 
         // `sim` is the simulated depth with the boundary at zero: it
         // starts at `levels + 1`; the closing that would take it to 0 is
@@ -359,7 +392,7 @@ impl<'a> StructuralIterator<'a> {
                     continue;
                 }
                 deferred = None;
-                match self.seek_validate(c, &needle, within, start, sim, levels) {
+                match self.seek_validate(c, needle, within, start, sim, levels) {
                     Some(outcome) => return outcome,
                     None => {
                         self.reposition_within_current(closing_quote, true);
@@ -369,14 +402,14 @@ impl<'a> StructuralIterator<'a> {
                 }
             }
 
-            let from_bit = self.position().saturating_sub(start).min(64) as u32;
-            let keep = !low_bits(from_bit);
-            let (opens, closes) = {
-                let bytes = self.seek_block_bytes(start);
-                let (ob, cb) = simd.eq_mask2(bytes, b'{', b'[');
-                let (oe, ce) = simd.eq_mask2(bytes, b'}', b']');
-                ((ob | cb) & !within, (oe | ce) & !within)
+            let keep = !low_bits(self.position_in_current());
+            let (Some(braces), Some(brackets)) = (
+                self.pair_in_current(BracketType::Brace),
+                self.pair_in_current(BracketType::Bracket),
+            ) else {
+                return LabelSeek::End;
             };
+            let (opens, closes) = (braces.0 | brackets.0, braces.1 | brackets.1);
 
             match cand {
                 Some(c) if c < block_end => {
@@ -400,7 +433,7 @@ impl<'a> StructuralIterator<'a> {
                         }
                         continue;
                     }
-                    match self.seek_validate(c, &needle, within, start, sim, levels) {
+                    match self.seek_validate(c, needle, within, start, sim, levels) {
                         Some(outcome) => return outcome,
                         None => {
                             cand = finder.find_from(input, c + 1);
@@ -425,6 +458,7 @@ impl<'a> StructuralIterator<'a> {
     /// Validates the candidate at `c` whose closing quote lies in the
     /// current block (`start`/`within`). Returns the outcome for a valid
     /// composite-valued member, or `None` to continue seeking.
+    #[inline(always)]
     fn seek_validate(
         &mut self,
         c: usize,

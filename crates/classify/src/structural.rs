@@ -7,7 +7,7 @@
 //! table with a precomputed mask, zeroing its group id (the lower table
 //! contains only non-zero ids, so a zeroed entry can never compare equal).
 
-use rsq_simd::{Block, Simd, TablePair};
+use rsq_simd::{Backend, Block, TablePair};
 
 /// The paper's upper-nibble table: group 1 = braces/brackets (uppers 5, 7),
 /// group 2 = comma (upper 2), group 3 = colon (upper 3).
@@ -111,17 +111,17 @@ impl StructuralTables {
 
     /// Classifies a block: the bitmask of enabled structural characters
     /// outside strings.
-    #[inline]
+    #[inline(always)]
     #[must_use]
-    pub fn classify(&self, simd: Simd, block: &Block, within_quotes: u64) -> u64 {
-        simd.lookup_eq_mask(block, &self.tables) & !within_quotes
+    pub fn classify<B: Backend>(&self, backend: B, block: &Block, within_quotes: u64) -> u64 {
+        backend.lookup_eq_mask(block, &self.tables) & !within_quotes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsq_simd::BLOCK_SIZE;
+    use rsq_simd::{Simd, BLOCK_SIZE};
 
     fn block_of(text: &[u8]) -> Block {
         let mut b = [b' '; BLOCK_SIZE];

@@ -26,7 +26,8 @@
 
 use crate::quotes::QuoteState;
 use rsq_simd::{
-    BitIter, Block, ByteClassifier, ByteSet, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_SIZE,
+    Backend, BitIter, Block, ByteClassifier, ByteSet, Simd, Superblock, Task, BLOCK_SIZE,
+    SUPERBLOCK_SIZE,
 };
 use std::fmt;
 
@@ -190,10 +191,20 @@ impl StructuralValidator {
     /// Returns the first structural defect detected so far (possibly from
     /// an earlier chunk; detection is at block granularity, so an error may
     /// also surface one call late).
-    pub fn feed(&mut self, mut bytes: &[u8]) -> Result<(), ValidationError> {
+    pub fn feed(&mut self, bytes: &[u8]) -> Result<(), ValidationError> {
         if let Some(err) = self.error {
             return Err(err);
         }
+        // One backend dispatch per chunk; the block loop runs inlined
+        // under it.
+        self.simd.dispatch(Feed {
+            validator: self,
+            bytes,
+        })
+    }
+
+    #[inline(always)]
+    fn feed_on<B: Backend>(&mut self, backend: B, mut bytes: &[u8]) -> Result<(), ValidationError> {
         // Top up the staging block first. If the chunk doesn't fill it,
         // the input is exhausted and the bytes stay staged.
         if self.staged > 0 {
@@ -205,22 +216,22 @@ impl StructuralValidator {
                 return Ok(());
             }
             let block = self.staging;
-            let within = self.simd.classify_quotes(&block, &mut self.quote_state);
+            let within = backend.classify_quotes(&block, &mut self.quote_state);
             self.staged = 0;
-            self.settle_block(&block, within, BLOCK_SIZE)?;
+            self.settle_block(backend, &block, within, BLOCK_SIZE)?;
         }
         // Superblocks straight from the input: one quote-classifier
-        // dispatch per 256 bytes (as `BlockCursor` does), then the four
+        // kernel per 256 bytes (as `BlockCursor` does), then the four
         // blocks' brackets.
         let mut superblocks = bytes.chunks_exact(SUPERBLOCK_SIZE);
         for chunk in superblocks.by_ref() {
             // PANIC-OK: chunks_exact yields exactly SUPERBLOCK_SIZE-byte chunks
             let chunk: &Superblock = chunk.try_into().expect("exact chunk");
-            let (within, _) = self.simd.classify_quotes4(chunk, &mut self.quote_state);
+            let (within, _) = backend.classify_quotes4(chunk, &mut self.quote_state);
             for (block, within) in chunk.chunks_exact(BLOCK_SIZE).zip(within) {
                 // PANIC-OK: chunks_exact yields exactly BLOCK_SIZE-byte chunks
                 let block: &Block = block.try_into().expect("exact chunk");
-                self.settle_block(block, within, BLOCK_SIZE)?;
+                self.settle_block(backend, block, within, BLOCK_SIZE)?;
             }
         }
         // The up to three whole blocks left, one at a time.
@@ -228,8 +239,8 @@ impl StructuralValidator {
         for block in blocks.by_ref() {
             // PANIC-OK: chunks_exact yields exactly BLOCK_SIZE-byte chunks
             let block: &Block = block.try_into().expect("exact chunk");
-            let within = self.simd.classify_quotes(block, &mut self.quote_state);
-            self.settle_block(block, within, BLOCK_SIZE)?;
+            let within = backend.classify_quotes(block, &mut self.quote_state);
+            self.settle_block(backend, block, within, BLOCK_SIZE)?;
         }
         // Stage the remainder.
         let rest = blocks.remainder();
@@ -252,7 +263,7 @@ impl StructuralValidator {
             block[len..].fill(0);
             let within = self.simd.classify_quotes(&block, &mut self.quote_state);
             self.staged = 0;
-            self.settle_block(&block, within, len)?;
+            self.settle_block(self.simd, &block, within, len)?;
         }
         if let Some(err) = self.error {
             return Err(err);
@@ -286,8 +297,10 @@ impl StructuralValidator {
     /// Accounts for the brackets of one block, `within` being its
     /// inside-string mask and `len` its valid prefix (whole but for the
     /// final block). An error is recorded as well as returned.
-    fn settle_block(
+    #[inline(always)]
+    fn settle_block<B: Backend>(
         &mut self,
+        backend: B,
         block: &Block,
         within: u64,
         len: usize,
@@ -298,8 +311,8 @@ impl StructuralValidator {
             (1u64 << len) - 1
         };
         let outside = !within & valid;
-        let (open_brace, close_brace) = self.simd.eq_mask2(block, b'{', b'}');
-        let (open_bracket, close_bracket) = self.simd.eq_mask2(block, b'[', b']');
+        let (open_brace, close_brace) = backend.eq_mask2(block, b'{', b'}');
+        let (open_bracket, close_bracket) = backend.eq_mask2(block, b'[', b']');
         let opens = (open_brace | open_bracket) & outside;
         let closes = (close_brace | close_bracket) & outside;
 
@@ -375,7 +388,7 @@ impl StructuralValidator {
                 // content — including string bytes, so use `valid`, not
                 // `outside`.
                 let after = if from >= 64 { 0 } else { !0u64 << from };
-                let nonws = !self.whitespace.classify_block(self.simd, block) & valid;
+                let nonws = !self.whitespace.classify_block(backend, block) & valid;
                 let trailing = nonws & after;
                 if trailing != 0 {
                     let pos = self.consumed + trailing.trailing_zeros() as usize;
@@ -386,6 +399,21 @@ impl StructuralValidator {
 
         self.consumed += len;
         Ok(())
+    }
+}
+
+/// [`StructuralValidator::feed`] as the [`Task`] it dispatches.
+struct Feed<'v, 'b> {
+    validator: &'v mut StructuralValidator,
+    bytes: &'b [u8],
+}
+
+impl Task for Feed<'_, '_> {
+    type Output = Result<(), ValidationError>;
+
+    #[inline(always)]
+    fn run<B: Backend>(self, backend: B) -> Self::Output {
+        self.validator.feed_on(backend, self.bytes)
     }
 }
 

@@ -25,21 +25,9 @@ use rsq_simd::{BackendKind, Simd};
 
 const NEEDLE: &[u8] = b"\"target\"";
 
-/// Every backend this CPU can run, portable fallback first.
+/// Every backend this CPU can run.
 fn backends() -> Vec<Simd> {
-    let mut out = vec![Simd::with_kind(BackendKind::Swar)];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            out.push(Simd::with_kind(BackendKind::Avx2));
-        }
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-        {
-            out.push(Simd::with_kind(BackendKind::Avx512));
-        }
-    }
-    out
+    BackendKind::supported().map(Simd::with_kind).collect()
 }
 
 // ---------------------------------------------------------------------

@@ -2,10 +2,17 @@
 //! extension): candidates, boundaries, string lookalikes, straddles.
 
 use rsq_classify::{BracketType, LabelSeek, Structural, StructuralIterator};
+use rsq_memmem::Finder;
 use rsq_simd::Simd;
 
 fn iter(input: &[u8]) -> StructuralIterator<'_> {
     StructuralIterator::new(input, Simd::detect())
+}
+
+/// The finder `seek_label` takes, over the label between its quotes.
+fn seeker(needle: &'static str) -> Finder<'static> {
+    assert!(needle.starts_with('"') && needle.ends_with('"'));
+    Finder::with_simd(needle.as_bytes(), Simd::detect())
 }
 
 #[test]
@@ -13,7 +20,7 @@ fn finds_composite_member_at_depth() {
     let input = br#"{"x": {"y": 1}, "target": {"z": 2}}"#;
     let mut it = iter(input);
     it.next(); // consume root {
-    match it.seek_label(b"target", 0) {
+    match it.seek_label(&seeker("\"target\""), 0) {
         LabelSeek::Candidate { depth_delta } => {
             // x's subtree was absorbed; the candidate's parent is the root
             // element itself, so no net depth change.
@@ -32,7 +39,7 @@ fn finds_nested_candidate_with_positive_delta() {
     let input = br#"{"a": {"b": {"target": [1]}}}"#;
     let mut it = iter(input);
     it.next(); // root {
-    match it.seek_label(b"target", 0) {
+    match it.seek_label(&seeker("\"target\""), 0) {
         LabelSeek::Candidate { depth_delta } => assert_eq!(depth_delta, 2),
         other => panic!("{other:?}"),
     }
@@ -45,7 +52,7 @@ fn boundary_when_label_absent() {
     let input = br#"{"a": {"b": 1}, "c": [2, 3]} tail"#;
     let mut it = iter(input);
     it.next(); // root {
-    assert_eq!(it.seek_label(b"nope", 0), LabelSeek::Boundary);
+    assert_eq!(it.seek_label(&seeker("\"nope\""), 0), LabelSeek::Boundary);
     // The pending event is the root's closing brace.
     let next = it.next().unwrap();
     assert_eq!(next, Structural::Closing(BracketType::Brace, 27));
@@ -60,7 +67,7 @@ fn boundary_respects_levels() {
     it.next(); // o's {
     it.next(); // i's {
                // From inside i, allow climbing out of i (one level) but not out of o.
-    match it.seek_label(b"target", 1) {
+    match it.seek_label(&seeker("\"target\""), 1) {
         LabelSeek::Boundary => {}
         other => panic!("{other:?}"),
     }
@@ -74,7 +81,7 @@ fn atomic_valued_candidates_are_skipped() {
     let input = br#"{"target": 1, "target": "s", "target": {"hit": 2}}"#;
     let mut it = iter(input);
     it.next();
-    match it.seek_label(b"target", 0) {
+    match it.seek_label(&seeker("\"target\""), 0) {
         LabelSeek::Candidate { depth_delta } => assert_eq!(depth_delta, 0),
         other => panic!("{other:?}"),
     }
@@ -88,7 +95,7 @@ fn lookalikes_inside_strings_are_rejected() {
     let input = br#"{"s": "fake \"target\": {1}", "target": {"k": 1}}"#;
     let mut it = iter(input);
     it.next();
-    match it.seek_label(b"target", 0) {
+    match it.seek_label(&seeker("\"target\""), 0) {
         LabelSeek::Candidate { depth_delta } => assert_eq!(depth_delta, 0),
         other => panic!("{other:?}"),
     }
@@ -107,7 +114,7 @@ fn string_value_of_label_is_not_a_member() {
     let mut it = iter(input);
     it.next();
     assert!(matches!(
-        it.seek_label(b"target", 0),
+        it.seek_label(&seeker("\"target\""), 0),
         LabelSeek::Candidate { .. }
     ));
     let next = it.next().unwrap();
@@ -124,7 +131,7 @@ fn needle_straddling_block_boundary() {
         let bytes = doc.as_bytes();
         let mut it = iter(bytes);
         it.next();
-        match it.seek_label(b"target", 0) {
+        match it.seek_label(&seeker("\"target\""), 0) {
             LabelSeek::Candidate { depth_delta } => assert_eq!(depth_delta, 0, "pad {pad}"),
             other => panic!("pad {pad}: {other:?}"),
         }
@@ -138,7 +145,7 @@ fn end_on_truncated_input() {
     let input = br#"{"a": {"b": "#;
     let mut it = iter(input);
     it.next();
-    assert_eq!(it.seek_label(b"nope", 0), LabelSeek::End);
+    assert_eq!(it.seek_label(&seeker("\"nope\""), 0), LabelSeek::End);
 }
 
 #[test]
@@ -154,7 +161,7 @@ fn seek_across_many_blocks() {
     let bytes = doc.as_bytes();
     let mut it = iter(bytes);
     it.next();
-    match it.seek_label(b"target", 0) {
+    match it.seek_label(&seeker("\"target\""), 0) {
         LabelSeek::Candidate { depth_delta } => assert_eq!(depth_delta, 0),
         other => panic!("{other:?}"),
     }
@@ -169,7 +176,7 @@ fn candidate_labels_inside_absorbed_subtrees_are_found() {
     let input = br#"[[{"target": {"v": 1}}]]"#;
     let mut it = iter(input);
     it.next(); // outer [
-    match it.seek_label(b"target", 0) {
+    match it.seek_label(&seeker("\"target\""), 0) {
         LabelSeek::Candidate { depth_delta } => assert_eq!(depth_delta, 2),
         other => panic!("{other:?}"),
     }

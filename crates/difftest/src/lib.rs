@@ -137,29 +137,12 @@ impl Target {
 #[must_use]
 pub fn backends() -> Vec<Simd> {
     let mut out = vec![Simd::detect()];
-    for kind in [BackendKind::Avx512, BackendKind::Avx2, BackendKind::Swar] {
-        if supported(kind) && out.iter().all(|s| s.kind() != kind) {
+    for kind in BackendKind::supported() {
+        if out.iter().all(|s| s.kind() != kind) {
             out.push(Simd::with_kind(kind));
         }
     }
     out
-}
-
-/// Whether a backend can run on this CPU.
-#[must_use]
-pub fn supported(kind: BackendKind) -> bool {
-    match kind {
-        BackendKind::Swar => true,
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx512 => {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512bw")
-        }
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
-    }
 }
 
 /// Pads `input` with spaces to a whole number of 256-byte superblocks

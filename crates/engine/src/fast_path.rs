@@ -31,14 +31,14 @@
 //! the matched value rather than the document root.
 
 use crate::error::{Interrupt, LimitKind};
-use crate::main_loop::run_element;
+use crate::main_loop::{run_element, LabelSeekers};
 use crate::sink::Sink;
 use crate::EngineOptions;
 use rsq_classify::{BracketType, CandidateMemo, DirectSeek, Structural, StructuralIterator};
 use rsq_memmem::Finder;
 use rsq_obs::{ProfileStage, Recorder, SkipTechnique};
 use rsq_query::{Automaton, PlanStep, RoutePlan};
-use rsq_simd::Simd;
+use rsq_simd::Backend;
 
 /// What the frame at a given plan step is currently doing. The frame's
 /// index in the walker stack *is* its step index, so the variants carry
@@ -67,22 +67,25 @@ impl Frame {
 /// `plan.is_fast()` and that the options keep every skipping technique
 /// the plan's parity argument relies on enabled (see
 /// `Engine::fast_path_eligible`).
-pub(crate) fn run_fast_path(
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // internal: mirrors the other drivers' shape
+pub(crate) fn run_fast_path<B: Backend>(
     automaton: &Automaton,
     plan: &RoutePlan,
     options: &EngineOptions,
-    simd: Simd,
+    seekers: &LabelSeekers<'_, B>,
+    backend: B,
     input: &[u8],
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
     // One finder per label step, built once per run (they borrow the
     // plan's needles).
-    let finders: Vec<Option<Finder<'_>>> = plan
+    let finders: Vec<Option<Finder<'_, B>>> = plan
         .steps
         .iter()
         .map(|s| match s {
-            PlanStep::Label { needle, .. } => Some(Finder::with_simd(needle, simd)),
+            PlanStep::Label { needle, .. } => Some(Finder::with_backend(needle, backend)),
             PlanStep::Wild { .. } => None,
         })
         .collect();
@@ -92,25 +95,27 @@ pub(crate) fn run_fast_path(
     // the next far-away occurrence (see `CandidateMemo`).
     let mut memos: Vec<CandidateMemo> = vec![CandidateMemo::default(); plan.steps.len()];
 
-    let mut it = StructuralIterator::new(input, simd);
+    let mut it = StructuralIterator::new(input, backend);
     // Fold the iterator's classifier counters before propagating an
     // interrupt: an early sink stop maps to `Ok` upstream and must keep
     // its stats.
     let result = walk(
-        automaton, plan, &finders, &mut memos, options, &mut it, sink, rec,
+        automaton, plan, &finders, &mut memos, options, seekers, &mut it, sink, rec,
     );
     rec.classifier(&it.counters());
     result
 }
 
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal: mirrors the other drivers' shape
-fn walk(
+fn walk<B: Backend>(
     automaton: &Automaton,
     plan: &RoutePlan,
-    finders: &[Option<Finder<'_>>],
+    finders: &[Option<Finder<'_, B>>],
     memos: &mut [CandidateMemo],
     options: &EngineOptions,
-    it: &mut StructuralIterator<'_>,
+    seekers: &LabelSeekers<'_, B>,
+    it: &mut StructuralIterator<'_, B>,
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
@@ -186,7 +191,9 @@ fn walk(
                         // PANIC-OK: the enclosing while-let just matched stack.last() as Some, and nothing pops between there and here
                         *stack.last_mut().expect("frame present") = Frame::AwaitExit;
                         if last {
-                            enter_tail(automaton, plan, options, it, bracket, pos, sink, rec)?;
+                            enter_tail(
+                                automaton, plan, options, seekers, it, bracket, pos, sink, rec,
+                            )?;
                         } else {
                             descend(plan, options, it, &mut stack, bracket, pos, rec)?;
                         }
@@ -219,7 +226,9 @@ fn walk(
                 match ev {
                     Structural::Opening(bracket, pos) => {
                         if last {
-                            enter_tail(automaton, plan, options, it, bracket, pos, sink, rec)?;
+                            enter_tail(
+                                automaton, plan, options, seekers, it, bracket, pos, sink, rec,
+                            )?;
                         } else {
                             descend(plan, options, it, &mut stack, bracket, pos, rec)?;
                         }
@@ -269,11 +278,12 @@ fn walk(
 /// container being an object). The walker's own nesting is checked
 /// against `max_depth` exactly like the general loop checks examined
 /// openings.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal: mirrors the other drivers' shape
-fn descend(
+fn descend<B: Backend>(
     plan: &RoutePlan,
     options: &EngineOptions,
-    it: &mut StructuralIterator<'_>,
+    it: &mut StructuralIterator<'_, B>,
     stack: &mut Vec<Frame>,
     bracket: BracketType,
     pos: usize,
@@ -305,12 +315,14 @@ fn descend(
 /// tail accepts, then either run the general loop over the subtree (when
 /// matches below are still possible) or skip it outright. The value's
 /// opening character has already been consumed.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn enter_tail(
+fn enter_tail<B: Backend>(
     automaton: &Automaton,
     plan: &RoutePlan,
     options: &EngineOptions,
-    it: &mut StructuralIterator<'_>,
+    seekers: &LabelSeekers<'_, B>,
+    it: &mut StructuralIterator<'_, B>,
     bracket: BracketType,
     pos: usize,
     sink: &mut impl Sink,
@@ -325,6 +337,7 @@ fn enter_tail(
             it,
             automaton,
             options,
+            seekers,
             plan.tail_state,
             bracket,
             pos,

@@ -21,7 +21,7 @@
 //! twice.
 
 use crate::error::Interrupt;
-use crate::main_loop::run_element;
+use crate::main_loop::{run_element, LabelSeekers};
 use crate::sink::Sink;
 use crate::util::first_nonws_at;
 use crate::EngineOptions;
@@ -29,38 +29,37 @@ use rsq_classify::{BracketType, QuoteScanner, ResumeState, StructuralIterator};
 use rsq_memmem::Finder;
 use rsq_obs::{ProfileStage, Recorder, SkipTechnique};
 use rsq_query::{Automaton, StateId};
-use rsq_simd::Simd;
+use rsq_simd::Backend;
 
 /// Runs a query whose initial state is *waiting* (single label transition,
 /// looping fallback) using memmem-based skip-to-label. The caller resolves
-/// the waiting state's sole transition and passes it as `(label, target)`
-/// — so an automaton violating the waiting-state invariant is handled at
-/// the dispatch site (by falling back to the main loop) instead of
-/// panicking here.
-#[allow(clippy::too_many_arguments)] // internal: one slot over, a context struct would obscure the hot path
-pub(crate) fn run_head_start(
+/// the waiting state's sole transition and passes it as `(needle, target)`
+/// — the label between its quotes — so an automaton violating the
+/// waiting-state invariant is handled at the dispatch site (by falling
+/// back to the main loop) instead of panicking here.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // internal: a context struct would obscure the hot path
+pub(crate) fn run_head_start<B: Backend>(
     automaton: &Automaton,
     options: &EngineOptions,
-    simd: Simd,
+    seekers: &LabelSeekers<'_, B>,
+    backend: B,
     input: &[u8],
-    label: &[u8],
+    needle: &[u8],
     target: StateId,
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
-    let mut needle = Vec::with_capacity(label.len() + 2);
-    needle.push(b'"');
-    needle.extend_from_slice(label);
-    needle.push(b'"');
-    let finder = Finder::with_simd(&needle, simd);
-    let mut scanner = QuoteScanner::new(input, simd);
+    let finder = Finder::with_backend(needle, backend);
+    let mut scanner = QuoteScanner::new(input, backend);
 
     // Quote-classification work must be folded into the recorder on every
     // exit path, early unwinds (sink stop, tripped limit) included.
     let result = scan_candidates(
         automaton,
         options,
-        simd,
+        seekers,
+        backend,
         input,
         &finder,
         needle.len(),
@@ -75,16 +74,18 @@ pub(crate) fn run_head_start(
 
 /// The candidate loop proper, split out so the caller can fold the quote
 /// scanner's block counter regardless of how this returns.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn scan_candidates(
+fn scan_candidates<B: Backend>(
     automaton: &Automaton,
     options: &EngineOptions,
-    simd: Simd,
+    seekers: &LabelSeekers<'_, B>,
+    backend: B,
     input: &[u8],
-    finder: &Finder<'_>,
+    finder: &Finder<'_, B>,
     needle_len: usize,
     target: StateId,
-    scanner: &mut QuoteScanner<'_>,
+    scanner: &mut QuoteScanner<'_, B>,
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
@@ -143,7 +144,7 @@ fn scan_candidates(
                         quote_state: Default::default(),
                     }
                 };
-                let mut it = StructuralIterator::resume(input, simd, resume, v);
+                let mut it = StructuralIterator::resume(input, backend, resume, v);
                 rec.resume_handoff();
                 let Some(first) = it.next() else {
                     rec.classifier(&it.counters());
@@ -159,7 +160,7 @@ fn scan_candidates(
                 // propagating an interrupt: an early sink stop maps to a
                 // clean `Ok` upstream and must keep its stats.
                 let sub = run_element(
-                    &mut it, automaton, options, target, bracket, v, sink, &mut *rec,
+                    &mut it, automaton, options, seekers, target, bracket, v, sink, &mut *rec,
                 );
                 rec.classifier(&it.counters());
                 sub?;

@@ -82,9 +82,9 @@ pub use rsq_mmap::Landing;
 pub use rsq_classify::{ValidationError, ValidationErrorKind};
 
 // The line-boundary kernel of the NDJSON drivers (`rsq-batch`, and through
-// it `rsq-serve`), which depend on this crate and not on the classifier
-// crates.
-pub use rsq_classify::LineScanner;
+// it `rsq-serve`) and the scalar automaton it is specified against; the
+// drivers depend on this crate and not on the classifier crates.
+pub use rsq_classify::{LineScanner, QuoteScan};
 
 // Tier A observability: run statistics and the recorder abstraction, from
 // the dependency-free `rsq-obs` crate (see `try_run_with_stats`).
@@ -104,7 +104,7 @@ pub use rsq_obs::{
 use error::Interrupt;
 use rsq_classify::{StructuralIterator, StructuralValidator};
 use rsq_query::{Automaton, CompileError, Query, QueryParseError};
-use rsq_simd::Simd;
+use rsq_simd::{Backend, Simd, Task};
 use std::fmt;
 use std::io::Read;
 
@@ -619,33 +619,38 @@ impl Engine {
         Ok(sink.into_positions())
     }
 
-    /// Runs the matching loops over an already-validated document,
-    /// translating interrupts into the public error vocabulary and
-    /// enforcing `max_matches`.
+    /// Runs the matching loops over an already-validated document.
     fn run_limited<S: Sink>(
         &self,
         input: &[u8],
         sink: &mut S,
         rec: &mut impl Recorder,
     ) -> Result<(), RunError> {
-        let result = match self.options.max_matches {
-            Some(max) => {
-                let mut limited = LimitSink {
-                    inner: sink,
-                    left: max,
-                    tripped: false,
-                };
-                let r = self.dispatch(input, &mut limited, rec);
-                if limited.tripped {
-                    return Err(RunError::LimitExceeded {
-                        kind: LimitKind::Matches,
-                        limit: max,
-                    });
-                }
-                r
-            }
-            None => self.dispatch(input, sink, rec),
+        self.limited(sink, |sink| self.dispatch(input, sink, rec))
+    }
+
+    /// Runs `matching` into `sink`, enforcing `max_matches` and
+    /// translating interrupts into the public error vocabulary. The sink
+    /// is wrapped whether or not a limit is set (none is `u64::MAX`
+    /// matches), so that the matching loops are compiled for one sink
+    /// type per caller, not two.
+    fn limited<S: Sink>(
+        &self,
+        sink: &mut S,
+        matching: impl FnOnce(&mut LimitSink<'_, S>) -> Result<(), Interrupt>,
+    ) -> Result<(), RunError> {
+        let mut limited = LimitSink {
+            inner: sink,
+            left: self.options.max_matches.unwrap_or(u64::MAX),
+            tripped: false,
         };
+        let result = matching(&mut limited);
+        if limited.tripped {
+            return Err(RunError::LimitExceeded {
+                kind: LimitKind::Matches,
+                limit: self.limit_value(LimitKind::Matches),
+            });
+        }
         match result {
             // A sink-initiated stop is a voluntary early exit.
             Ok(()) | Err(Interrupt::SinkStop) => Ok(()),
@@ -684,13 +689,54 @@ impl Engine {
         result
     }
 
+    /// The single backend dispatch of a run: everything below here —
+    /// finders, classifiers, the walker and the main loop — is compiled
+    /// once per instruction set and inlined into that backend's entry.
     fn dispatch_inner<S: Sink>(
         &self,
         input: &[u8],
         sink: &mut S,
         rec: &mut impl Recorder,
     ) -> Result<(), Interrupt> {
+        self.simd.dispatch(Run {
+            engine: self,
+            input,
+            sink,
+            rec,
+        })
+    }
+
+    /// Runs the matching loops on `backend` directly. With the run-time
+    /// [`Simd`] handle itself as the backend there is no dispatch: every
+    /// block primitive is a `match` and a kernel call, which is how every
+    /// run went before the pipeline became generic. The backend-parity
+    /// tests compare that against the dispatched runs.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_run`](Self::try_run), except that `strict` and
+    /// `max_document_bytes` are not applied.
+    #[doc(hidden)]
+    pub fn try_run_on<B: Backend, S: Sink>(
+        &self,
+        backend: B,
+        input: &[u8],
+        sink: &mut S,
+    ) -> Result<(), RunError> {
+        self.limited(sink, |sink| self.run_on(backend, input, sink, &mut NoStats))
+    }
+
+    /// Picks the evaluation strategy and runs it on `backend`.
+    #[inline(always)]
+    fn run_on<B: Backend, S: Sink>(
+        &self,
+        backend: B,
+        input: &[u8],
+        sink: &mut S,
+        rec: &mut impl Recorder,
+    ) -> Result<(), Interrupt> {
         let initial = self.automaton.initial_state();
+        let seekers = main_loop::LabelSeekers::new(&self.automaton, &self.options, backend);
         if self.fast_path_eligible() {
             // Compile-time routing (DESIGN.md §15): the query shape is a
             // field chain or selective path — drive it with memmem-led
@@ -702,7 +748,8 @@ impl Engine {
                 &self.automaton,
                 &self.plan,
                 &self.options,
-                self.simd,
+                &seekers,
+                backend,
                 input,
                 sink,
                 rec,
@@ -713,26 +760,45 @@ impl Engine {
             // here so `run_head_start` needs no panicking lookup. If the
             // invariant is ever violated, the main loop below handles the
             // query correctly, just without the memmem head start.
-            if let Some((label, target)) = self.automaton.single_explicit_transition(initial) {
+            if let Some((needle, target)) = self.automaton.single_explicit_needle(initial) {
                 return head_start::run_head_start(
                     &self.automaton,
                     &self.options,
-                    self.simd,
+                    &seekers,
+                    backend,
                     input,
-                    label,
+                    needle,
                     target,
                     sink,
                     rec,
                 );
             }
         }
-        let mut it = StructuralIterator::new(input, self.simd);
+        let mut it = StructuralIterator::new(input, backend);
         // Fold the iterator's classifier counters before propagating an
         // interrupt: an early sink stop maps to `Ok` upstream and must keep
         // its stats.
-        let result = main_loop::run_document(&mut it, &self.automaton, &self.options, sink, rec);
+        let result =
+            main_loop::run_document(&mut it, &self.automaton, &self.options, &seekers, sink, rec);
         rec.classifier(&it.counters());
         result
+    }
+}
+
+/// One engine run as the [`Task`] [`Engine::dispatch_inner`] dispatches.
+struct Run<'r, S, R> {
+    engine: &'r Engine,
+    input: &'r [u8],
+    sink: &'r mut S,
+    rec: &'r mut R,
+}
+
+impl<S: Sink, R: Recorder> Task for Run<'_, S, R> {
+    type Output = Result<(), Interrupt>;
+
+    #[inline(always)]
+    fn run<B: Backend>(self, backend: B) -> Self::Output {
+        self.engine.run_on(backend, self.input, self.sink, self.rec)
     }
 }
 

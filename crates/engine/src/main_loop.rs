@@ -7,9 +7,47 @@ use crate::sink::Sink;
 use crate::util::{first_nonws_at, value_start_after};
 use crate::EngineOptions;
 use rsq_classify::{BracketType, LabelSeek, Structural, StructuralIterator};
+use rsq_memmem::Finder;
 use rsq_obs::{ProfileStage, Recorder, SkipTechnique};
 use rsq_query::{Automaton, PathSymbol, StateId};
+use rsq_simd::Backend;
 use rsq_stackvec::StackVec;
+
+/// The label finders of one run: one per state [`run_element`] seeks a
+/// label in — waiting (one label transition, looping fallback) and
+/// internal (cannot accept in one step) — indexed by state. Such a
+/// state's label is fixed when the query is compiled, so the finders are
+/// built once per run and not once per seek. Empty, and not allocated,
+/// when the query has no such state or `label_seek` is off.
+pub(crate) struct LabelSeekers<'q, B: Backend>(Vec<Option<Finder<'q, B>>>);
+
+impl<'q, B: Backend> LabelSeekers<'q, B> {
+    #[inline(always)]
+    pub(crate) fn new(automaton: &'q Automaton, options: &EngineOptions, backend: B) -> Self {
+        let mut finders = Vec::new();
+        if options.label_seek {
+            for state in automaton.states() {
+                if !(automaton.is_waiting(state) && automaton.is_internal(state)) {
+                    continue;
+                }
+                // A waiting state has exactly one label transition by
+                // construction; if the automaton violates that invariant
+                // the state simply gets no seek and stays on the ordinary
+                // event loop.
+                if let Some((needle, _)) = automaton.single_explicit_needle(state) {
+                    finders.resize_with(state.index(), || None);
+                    finders.push(Some(Finder::with_backend(needle, backend)));
+                }
+            }
+        }
+        LabelSeekers(finders)
+    }
+
+    #[inline(always)]
+    fn get(&self, state: StateId) -> Option<&Finder<'q, B>> {
+        self.0.get(state.index()).and_then(Option::as_ref)
+    }
+}
 
 /// A 1-bit-per-level record of container types along the current path.
 ///
@@ -105,9 +143,9 @@ enum CommaMode {
 /// leaf skipping is active in the current container (used by Tier C
 /// byte-span accounting: while active, inter-event gaps are bytes the
 /// technique crossed without event delivery).
-#[inline]
-fn apply_toggles(
-    it: &mut StructuralIterator<'_>,
+#[inline(always)]
+fn apply_toggles<B: Backend>(
+    it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
     options: &EngineOptions,
     state: StateId,
@@ -123,39 +161,36 @@ fn apply_toggles(
     } else {
         CommaMode::Off
     };
-    if !options.skip_leaves {
+    // One `set_toggles` call for every case: it holds a block
+    // reclassification, inlined where it is called.
+    let (commas, colons) = if !options.skip_leaves {
         // Leaf skipping disabled: classify every comma and colon, always.
-        it.set_toggles(true, true);
-        return (mode, false);
-    }
-    let leaf_active = match container {
-        BracketType::Bracket => {
-            let commas = mode != CommaMode::Off;
-            it.set_toggles(commas, false);
-            if !commas {
-                // Atomic array entries at this level are skipped over.
-                rec.leaf_skip();
-            }
-            !commas
-        }
-        BracketType::Brace => {
-            let colons = automaton.is_object_accepting(state);
-            it.set_toggles(false, colons);
-            if !colons {
-                // Atomic member values at this level are skipped over.
-                rec.leaf_skip();
-            }
-            !colons
+        (true, true)
+    } else {
+        match container {
+            BracketType::Bracket => (mode != CommaMode::Off, false),
+            BracketType::Brace => (false, automaton.is_object_accepting(state)),
         }
     };
+    it.set_toggles(commas, colons);
+    // Leaf skipping is active when the container's own separator is off:
+    // its atomic entries (member values) are skipped over.
+    let leaf_active = options.skip_leaves
+        && match container {
+            BracketType::Bracket => !commas,
+            BracketType::Brace => !colons,
+        };
+    if leaf_active {
+        rec.leaf_skip();
+    }
     (mode, leaf_active)
 }
 
 /// The corner case of §3.4: the first entry of an array is not preceded by
 /// a comma, so an atomic first entry must be matched when the array opens.
-#[inline]
-fn try_match_first_item(
-    it: &mut StructuralIterator<'_>,
+#[inline(always)]
+fn try_match_first_item<B: Backend>(
+    it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
     state: StateId,
     open_pos: usize,
@@ -203,11 +238,48 @@ fn check_label(options: &EngineOptions, label: Option<&[u8]>) -> Result<(), Inte
 /// root — exact for whole-document runs; for skip-to-label sub-runs it
 /// bounds nesting below the matched value (the `memmem` jump does not
 /// track the candidate's absolute depth).
-#[allow(clippy::too_many_arguments)] // internal: one slot over, a context struct would obscure the hot path
-pub(crate) fn run_element(
-    it: &mut StructuralIterator<'_>,
+///
+/// The loop is one function per backend ([`Backend::enter`]), shared by
+/// its three callers: the general route, the head start's sub-runs and
+/// the routed walker's tail.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // internal: a context struct would obscure the hot path
+pub(crate) fn run_element<B: Backend>(
+    it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
     options: &EngineOptions,
+    seekers: &LabelSeekers<'_, B>,
+    state0: StateId,
+    root_bracket: BracketType,
+    root_pos: usize,
+    sink: &mut impl Sink,
+    rec: &mut impl Recorder,
+) -> Result<(), Interrupt> {
+    it.backend().enter(
+        #[inline(always)]
+        || {
+            element_loop(
+                it,
+                automaton,
+                options,
+                seekers,
+                state0,
+                root_bracket,
+                root_pos,
+                sink,
+                rec,
+            )
+        },
+    )
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // internal: a context struct would obscure the hot path
+fn element_loop<B: Backend>(
+    it: &mut StructuralIterator<'_, B>,
+    automaton: &Automaton,
+    options: &EngineOptions,
+    seekers: &LabelSeekers<'_, B>,
     state0: StateId,
     root_bracket: BracketType,
     root_pos: usize,
@@ -244,22 +316,14 @@ pub(crate) fn run_element(
         // waiting state that cannot accept in one step, every event the
         // seek absorbs is a no-op for the automaton, so fast-forward to
         // the next candidate label or to the depth-stack pop boundary.
-        if options.label_seek
-            && waiting_streak >= SEEK_AFTER_STALE_OPENINGS
-            && automaton.is_waiting(state)
-            && automaton.is_internal(state)
-        {
-            // A waiting state has exactly one label transition by
-            // construction; if the automaton violates that invariant, fall
-            // back to the ordinary event loop instead of panicking, and
-            // reset the streak so the seek is not retried every event.
-            if let Some((needle, _)) = automaton.single_explicit_transition(state) {
+        if waiting_streak >= SEEK_AFTER_STALE_OPENINGS {
+            if let Some(finder) = seekers.get(state) {
                 let boundary = stack.top_depth().map_or(1, |d| d + 1);
                 let levels = depth.saturating_sub(boundary);
                 rec.label_seek();
                 let seek_from = it.position();
                 let t = rec.clock();
-                let outcome = it.seek_label(needle, levels);
+                let outcome = it.seek_label(finder, levels);
                 rec.stage_ns(ProfileStage::Classify, t);
                 rec.skip_span(SkipTechnique::Label, seek_from, it.position());
                 match outcome {
@@ -277,8 +341,6 @@ pub(crate) fn run_element(
                     }
                     LabelSeek::End => break,
                 }
-            } else {
-                waiting_streak = 0;
             }
         }
 
@@ -436,10 +498,12 @@ pub(crate) fn run_element(
 }
 
 /// Runs a query over a whole document (without skip-to-label).
-pub(crate) fn run_document(
-    it: &mut StructuralIterator<'_>,
+#[inline(always)]
+pub(crate) fn run_document<B: Backend>(
+    it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
     options: &EngineOptions,
+    seekers: &LabelSeekers<'_, B>,
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
@@ -451,7 +515,9 @@ pub(crate) fn run_document(
                 sink.record(pos)?; // query `$` on a composite document
                 rec.matched();
             }
-            run_element(it, automaton, options, initial, bracket, pos, sink, rec)?;
+            run_element(
+                it, automaton, options, seekers, initial, bracket, pos, sink, rec,
+            )?;
         }
         Some(other) => {
             // Malformed document (starts with a closer/comma/colon).

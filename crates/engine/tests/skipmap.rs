@@ -15,17 +15,9 @@ use rsq_simd::BackendKind;
 
 /// Backends the host CPU can run (SWAR always; vector ISAs when present).
 fn supported() -> Vec<Option<BackendKind>> {
-    let mut kinds = vec![None, Some(BackendKind::Swar)];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            kinds.push(Some(BackendKind::Avx2));
-        }
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw") {
-            kinds.push(Some(BackendKind::Avx512));
-        }
-    }
-    kinds
+    std::iter::once(None)
+        .chain(BackendKind::supported().map(Some))
+        .collect()
 }
 
 /// Deterministic xorshift64* generator — the test must reproduce

@@ -27,7 +27,7 @@
 
 #![warn(missing_docs)]
 
-use rsq_simd::Simd;
+use rsq_simd::{Backend, Simd};
 
 /// Approximate commonness rank of each byte in JSON-ish text (higher =
 /// more common). Used to pick the two *rarest* needle bytes as the vector
@@ -54,10 +54,15 @@ fn byte_rank(b: u8) -> u8 {
 /// two rarest as the vector prefilter); reuse a `Finder` when searching
 /// for the same needle repeatedly, as the engine's skip-to-label loop
 /// does.
+///
+/// Generic over the [`Backend`] whose `find_pair` kernel it scans with:
+/// by default the run-time [`Simd`] handle (one out-of-line kernel call
+/// per search), inside a dispatched pass the static backend, kernel
+/// inlined.
 #[derive(Clone, Debug)]
-pub struct Finder<'n> {
+pub struct Finder<'n, B: Backend = Simd> {
     needle: &'n [u8],
-    simd: Simd,
+    backend: B,
     /// Offsets of the two prefilter bytes, `filter.0 < filter.1` (equal
     /// for single-byte needles).
     filter: (usize, usize),
@@ -74,9 +79,18 @@ impl<'n> Finder<'n> {
     /// benchmarks).
     #[must_use]
     pub fn with_simd(needle: &'n [u8], simd: Simd) -> Self {
+        Self::with_backend(needle, simd)
+    }
+}
+
+impl<'n, B: Backend> Finder<'n, B> {
+    /// Creates a finder scanning with `backend`'s kernel.
+    #[inline]
+    #[must_use]
+    pub fn with_backend(needle: &'n [u8], backend: B) -> Self {
         Finder {
             needle,
-            simd,
+            backend,
             filter: pick_filter(needle),
         }
     }
@@ -91,6 +105,7 @@ impl<'n> Finder<'n> {
     /// `haystack`, or `None`.
     ///
     /// An empty needle matches at index 0.
+    #[inline(always)]
     #[must_use]
     pub fn find(&self, haystack: &[u8]) -> Option<usize> {
         self.find_from(haystack, 0)
@@ -101,6 +116,7 @@ impl<'n> Finder<'n> {
     ///
     /// `start` past the end of the haystack yields `None` (except for the
     /// empty needle with `start == haystack.len()`, which matches there).
+    #[inline(always)]
     #[must_use]
     pub fn find_from(&self, haystack: &[u8], start: usize) -> Option<usize> {
         let n = self.needle;
@@ -123,7 +139,7 @@ impl<'n> Finder<'n> {
         // *first filter byte's* position, i.e. match position + off_a.
         loop {
             match self
-                .simd
+                .backend
                 .find_pair(haystack, at + off_a, byte_a, byte_b, gap)
             {
                 Ok(hit) => {
@@ -161,7 +177,7 @@ impl<'n> Finder<'n> {
     /// let hits: Vec<usize> = finder.find_iter(b"aaaa").collect();
     /// assert_eq!(hits, [0, 1, 2]);
     /// ```
-    pub fn find_iter<'f, 'h>(&'f self, haystack: &'h [u8]) -> FindIter<'f, 'n, 'h> {
+    pub fn find_iter<'f, 'h>(&'f self, haystack: &'h [u8]) -> FindIter<'f, 'n, 'h, B> {
         FindIter {
             finder: self,
             haystack,
@@ -173,14 +189,14 @@ impl<'n> Finder<'n> {
 
 /// Iterator returned by [`Finder::find_iter`].
 #[derive(Debug)]
-pub struct FindIter<'f, 'n, 'h> {
-    finder: &'f Finder<'n>,
+pub struct FindIter<'f, 'n, 'h, B: Backend = Simd> {
+    finder: &'f Finder<'n, B>,
     haystack: &'h [u8],
     at: usize,
     done: bool,
 }
 
-impl Iterator for FindIter<'_, '_, '_> {
+impl<B: Backend> Iterator for FindIter<'_, '_, '_, B> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {

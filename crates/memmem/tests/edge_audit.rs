@@ -12,27 +12,8 @@
 use rsq_memmem::Finder;
 use rsq_simd::{BackendKind, Simd};
 
-fn supported(kind: BackendKind) -> bool {
-    match kind {
-        BackendKind::Swar => true,
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx512 => {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512bw")
-        }
-        #[cfg(target_arch = "x86_64")]
-        BackendKind::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
-    }
-}
-
 fn backends() -> Vec<Simd> {
-    [BackendKind::Avx512, BackendKind::Avx2, BackendKind::Swar]
-        .into_iter()
-        .filter(|&k| supported(k))
-        .map(Simd::with_kind)
-        .collect()
+    BackendKind::supported().map(Simd::with_kind).collect()
 }
 
 fn naive_find(haystack: &[u8], needle: &[u8], start: usize) -> Option<usize> {

@@ -99,6 +99,9 @@ pub enum PathSymbol<'a> {
 #[derive(Clone, Debug)]
 pub struct Automaton {
     labels: Vec<Vec<u8>>,
+    /// `labels`, each between double quotes: what a substring search for
+    /// a member of that name looks for.
+    needles: Vec<Vec<u8>>,
     states: Vec<State>,
     initial: StateId,
 }
@@ -284,15 +287,23 @@ impl Automaton {
         !self.is_internal(state)
     }
 
-    /// For states with exactly one explicit transition, the label bytes and
-    /// target. Used by skip-to-label to extract the needle of the initial
-    /// waiting state.
+    /// For states with exactly one explicit transition, its label as a
+    /// substring-search needle — the label bytes between double quotes —
+    /// and its target. The label seeks (skip-to-label from the initial
+    /// waiting state, the in-element seek of every other waiting state,
+    /// the routed walker's label steps) all search for it; it is built
+    /// once, when the query is compiled.
     #[must_use]
-    pub fn single_explicit_transition(&self, state: StateId) -> Option<(&[u8], StateId)> {
+    pub fn single_explicit_needle(&self, state: StateId) -> Option<(&[u8], StateId)> {
         match self.states[state.index()].explicit.as_slice() {
-            [(l, t)] => Some((self.labels[*l as usize].as_slice(), *t)),
+            [(l, t)] => Some((self.needles[*l as usize].as_slice(), *t)),
             _ => None,
         }
+    }
+
+    /// Every state, in index order.
+    pub fn states(&self) -> impl Iterator<Item = StateId> {
+        (0..self.states.len()).map(|s| StateId(s as u16))
     }
 
     /// Renders the automaton in Graphviz DOT format (for debugging and
@@ -536,6 +547,11 @@ fn build(
 
     Automaton {
         labels: nfa.labels.clone(),
+        needles: nfa
+            .labels
+            .iter()
+            .map(|label| [b"\"", label.as_slice(), b"\""].concat())
+            .collect(),
         states,
         initial: StateId(initial as u16),
     }
@@ -644,8 +660,8 @@ mod tests {
         assert!(a.is_waiting(s0));
         assert!(!a.is_unitary(s0));
         assert!(!a.is_internal(s0));
-        let (label, target) = a.single_explicit_transition(s0).unwrap();
-        assert_eq!(label, b"a");
+        let (needle, target) = a.single_explicit_needle(s0).unwrap();
+        assert_eq!(needle, b"\"a\"");
         assert!(a.is_accepting(target));
         // The accepting state still waits for nested a's.
         assert!(a.is_waiting(target) || a.transition(target, PathSymbol::Label(b"a")) == target);

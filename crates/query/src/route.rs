@@ -120,17 +120,16 @@ impl RoutePlan {
                 // Single concrete label, rejecting label fallback. The
                 // index fallback must also reject: otherwise array entries
                 // could advance the state without any label present.
-                let Some((label, target)) = a.single_explicit_transition(state) else {
+                let Some((needle, target)) = a.single_explicit_needle(state) else {
                     break;
                 };
                 if !a.is_rejecting(a.fallback_index(state)) || a.is_rejecting(target) {
                     break;
                 }
-                let mut needle = Vec::with_capacity(label.len() + 2);
-                needle.push(b'"');
-                needle.extend_from_slice(label);
-                needle.push(b'"');
-                steps.push(PlanStep::Label { needle, target });
+                steps.push(PlanStep::Label {
+                    needle: needle.to_vec(),
+                    target,
+                });
                 state = target;
             } else if a.explicit_transitions(state).next().is_none() {
                 // Pure wildcard: label and index fallbacks agree, the

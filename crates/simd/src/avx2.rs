@@ -2,10 +2,14 @@
 //!
 //! Every function in this module is compiled with `target_feature(avx2)`
 //! (plus `pclmulqdq` where needed) and must only be called after runtime
-//! feature detection — [`crate::Simd`] guarantees this. Functions are
-//! `#[inline]` so they fuse into the superblock kernels below, which exist
-//! to amortize the (uninlinable) dispatch call from feature-agnostic code
-//! over 256 bytes instead of 64.
+//! feature detection —
+//! [`BackendKind::is_supported`](crate::BackendKind::is_supported)
+//! guarantees it before a backend token exists. Functions are `#[inline]`
+//! so that they fuse into [`enter`], the backend's entry: the function
+//! the generic pipeline is inlined into and the only one built with these
+//! features that baseline code calls (see [`crate::Backend`]). Called
+//! through [`crate::Simd`]'s per-call `match` instead, each is an
+//! out-of-line call.
 //!
 //! Unsafety discipline (DESIGN.md §9): `unsafe_op_in_unsafe_fn` is denied,
 //! so every intrinsic call and pointer offset sits in its own `unsafe`
@@ -15,8 +19,7 @@
 #![cfg(target_arch = "x86_64")]
 
 use crate::groups::TablePair;
-use crate::quotes::{quotes_from_masks, QuoteState};
-use crate::{Block, Superblock, BLOCK_SIZE, SUPERBLOCK_BLOCKS};
+use crate::{Block, BLOCK_SIZE};
 use core::arch::x86_64::*;
 
 /// Positions in `block` equal to `byte`, as a 64-bit mask.
@@ -178,76 +181,6 @@ pub(crate) unsafe fn prefix_xor_clmul(m: u64) -> u64 {
     _mm_cvtsi128_si64(product) as u64
 }
 
-/// Quote-classifies a 256-byte superblock: per 64-byte block, the
-/// inside-string mask and the quote state *after* it.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and PCLMULQDQ.
-#[inline]
-#[target_feature(enable = "avx2", enable = "pclmulqdq")]
-pub(crate) unsafe fn quotes4_clmul(
-    chunk: &Superblock,
-    state: &mut QuoteState,
-) -> ([u64; SUPERBLOCK_BLOCKS], [QuoteState; SUPERBLOCK_BLOCKS]) {
-    let slash = _mm256_set1_epi8(b'\\' as i8);
-    let quote = _mm256_set1_epi8(b'"' as i8);
-    let mut within = [0u64; SUPERBLOCK_BLOCKS];
-    let mut after = [QuoteState::default(); SUPERBLOCK_BLOCKS];
-    for i in 0..SUPERBLOCK_BLOCKS {
-        debug_assert!(
-            (i + 1) * BLOCK_SIZE <= chunk.len(),
-            "block stays inside the superblock"
-        );
-        // SAFETY: `chunk` is a 256-byte array and `i < 4`, so the 64
-        // bytes at offset `i * 64` are inside it; avx2/pclmulqdq are this
-        // fn's own contract.
-        unsafe {
-            let ptr = chunk.as_ptr().add(i * BLOCK_SIZE);
-            let backslash = eq_mask_ptr(ptr, slash);
-            let quotes = eq_mask_ptr(ptr, quote);
-            within[i] = quotes_from_masks(backslash, quotes, |m| prefix_xor_clmul(m), state);
-        }
-        after[i] = *state;
-    }
-    (within, after)
-}
-
-/// As [`quotes4_clmul`] but with the shift-XOR prefix (CPUs without
-/// PCLMULQDQ).
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[inline]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn quotes4_noclmul(
-    chunk: &Superblock,
-    state: &mut QuoteState,
-) -> ([u64; SUPERBLOCK_BLOCKS], [QuoteState; SUPERBLOCK_BLOCKS]) {
-    let slash = _mm256_set1_epi8(b'\\' as i8);
-    let quote = _mm256_set1_epi8(b'"' as i8);
-    let mut within = [0u64; SUPERBLOCK_BLOCKS];
-    let mut after = [QuoteState::default(); SUPERBLOCK_BLOCKS];
-    for i in 0..SUPERBLOCK_BLOCKS {
-        debug_assert!(
-            (i + 1) * BLOCK_SIZE <= chunk.len(),
-            "block stays inside the superblock"
-        );
-        // SAFETY: `chunk` is a 256-byte array and `i < 4`, so the 64
-        // bytes at offset `i * 64` are inside it; avx2 is this fn's own
-        // contract. The prefix fold is the safe scalar shift-XOR.
-        unsafe {
-            let ptr = chunk.as_ptr().add(i * BLOCK_SIZE);
-            let backslash = eq_mask_ptr(ptr, slash);
-            let quotes = eq_mask_ptr(ptr, quote);
-            within[i] = quotes_from_masks(backslash, quotes, crate::swar::prefix_xor, state);
-        }
-        after[i] = *state;
-    }
-    (within, after)
-}
-
 /// Finds the first position `p >= start` with `hay[p] == first` and
 /// `hay[p + gap] == last`, scanning only the region where a full 64-byte
 /// window fits. On success returns `Ok(candidate)` — an *unverified*
@@ -258,6 +191,7 @@ pub(crate) unsafe fn quotes4_noclmul(
 /// # Safety
 ///
 /// The CPU must support AVX2.
+#[inline]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn find_pair(
     hay: &[u8],
@@ -286,4 +220,17 @@ pub(crate) unsafe fn find_pair(
         at += BLOCK_SIZE;
     }
     Err(at)
+}
+
+/// The AVX2 entry: runs `f` compiled with the vector features and the
+/// scalar extensions (POPCNT for `count_ones`, BMI/LZCNT for the bit
+/// scans) the classifiers live on. Everything `f` inlines is built with
+/// them; see [`crate::Backend`].
+///
+/// # Safety
+///
+/// The CPU must support every feature listed in the attribute.
+#[target_feature(enable = "avx2,pclmulqdq,popcnt,bmi1,bmi2,lzcnt")]
+pub(crate) unsafe fn enter<R>(f: impl FnOnce() -> R) -> R {
+    f()
 }

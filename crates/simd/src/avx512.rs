@@ -9,7 +9,12 @@
 //! paper counts for 16.
 //!
 //! Functions here require runtime detection of `avx512f` + `avx512bw`
-//! (plus `pclmulqdq` for the prefix XOR); [`crate::Simd`] guarantees it.
+//! (plus `pclmulqdq` for the prefix XOR);
+//! [`BackendKind::is_supported`](crate::BackendKind::is_supported)
+//! guarantees it before a backend token exists. They are `#[inline]` so
+//! that they fuse into [`enter`], the backend's entry: the function the
+//! generic pipeline is inlined into and the only one built with these
+//! features that baseline code calls (see [`crate::Backend`]).
 //!
 //! Unsafety discipline (DESIGN.md §9): `unsafe_op_in_unsafe_fn` is denied,
 //! so every memory-touching intrinsic and pointer offset sits in its own
@@ -19,8 +24,7 @@
 #![cfg(target_arch = "x86_64")]
 
 use crate::groups::TablePair;
-use crate::quotes::{quotes_from_masks, QuoteState};
-use crate::{Block, Superblock, BLOCK_SIZE, SUPERBLOCK_BLOCKS};
+use crate::{Block, BLOCK_SIZE};
 use core::arch::x86_64::*;
 
 /// Positions in `block` equal to `byte`.
@@ -116,84 +120,12 @@ pub(crate) unsafe fn lookup_or_mask(block: &Block, tables: &TablePair) -> u64 {
     _mm512_cmpeq_epi8_mask(lookup, _mm512_set1_epi8(-1))
 }
 
-/// Quote-classifies a 256-byte superblock (CLMUL prefix XOR).
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F, AVX-512BW, and PCLMULQDQ.
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx512bw", enable = "pclmulqdq")]
-pub(crate) unsafe fn quotes4_clmul(
-    chunk: &Superblock,
-    state: &mut QuoteState,
-) -> ([u64; SUPERBLOCK_BLOCKS], [QuoteState; SUPERBLOCK_BLOCKS]) {
-    let slash = _mm512_set1_epi8(b'\\' as i8);
-    let quote = _mm512_set1_epi8(b'"' as i8);
-    let mut within = [0u64; SUPERBLOCK_BLOCKS];
-    let mut after = [QuoteState::default(); SUPERBLOCK_BLOCKS];
-    for i in 0..SUPERBLOCK_BLOCKS {
-        debug_assert!(
-            (i + 1) * BLOCK_SIZE <= chunk.len(),
-            "block stays inside the superblock"
-        );
-        // SAFETY: `chunk` is a 256-byte array and `i < 4`, so the 64
-        // bytes at offset `i * 64` are inside it; pclmulqdq (required by
-        // `prefix_xor_clmul`) is this fn's own contract.
-        unsafe {
-            let src = _mm512_loadu_si512(chunk.as_ptr().add(i * BLOCK_SIZE).cast());
-            let backslash = _mm512_cmpeq_epi8_mask(src, slash);
-            let quotes = _mm512_cmpeq_epi8_mask(src, quote);
-            within[i] = quotes_from_masks(
-                backslash,
-                quotes,
-                |m| crate::avx2::prefix_xor_clmul(m),
-                state,
-            );
-        }
-        after[i] = *state;
-    }
-    (within, after)
-}
-
-/// As [`quotes4_clmul`] with the shift-XOR prefix fallback.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F and AVX-512BW.
-#[inline]
-#[target_feature(enable = "avx512f", enable = "avx512bw")]
-pub(crate) unsafe fn quotes4_noclmul(
-    chunk: &Superblock,
-    state: &mut QuoteState,
-) -> ([u64; SUPERBLOCK_BLOCKS], [QuoteState; SUPERBLOCK_BLOCKS]) {
-    let slash = _mm512_set1_epi8(b'\\' as i8);
-    let quote = _mm512_set1_epi8(b'"' as i8);
-    let mut within = [0u64; SUPERBLOCK_BLOCKS];
-    let mut after = [QuoteState::default(); SUPERBLOCK_BLOCKS];
-    for i in 0..SUPERBLOCK_BLOCKS {
-        debug_assert!(
-            (i + 1) * BLOCK_SIZE <= chunk.len(),
-            "block stays inside the superblock"
-        );
-        // SAFETY: `chunk` is a 256-byte array and `i < 4`, so the 64
-        // bytes at offset `i * 64` are inside it. The prefix fold is the
-        // safe scalar shift-XOR.
-        unsafe {
-            let src = _mm512_loadu_si512(chunk.as_ptr().add(i * BLOCK_SIZE).cast());
-            let backslash = _mm512_cmpeq_epi8_mask(src, slash);
-            let quotes = _mm512_cmpeq_epi8_mask(src, quote);
-            within[i] = quotes_from_masks(backslash, quotes, crate::swar::prefix_xor, state);
-        }
-        after[i] = *state;
-    }
-    (within, after)
-}
-
 /// Two-byte candidate scan (see the AVX2 counterpart for the contract).
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512BW.
+#[inline]
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
 pub(crate) unsafe fn find_pair(
     hay: &[u8],
@@ -222,4 +154,17 @@ pub(crate) unsafe fn find_pair(
         at += BLOCK_SIZE;
     }
     Err(at)
+}
+
+/// The AVX-512 entry: runs `f` compiled with the vector features and the
+/// scalar extensions (POPCNT for `count_ones`, BMI/LZCNT for the bit
+/// scans) the classifiers live on. Everything `f` inlines is built with
+/// them; see [`crate::Backend`].
+///
+/// # Safety
+///
+/// The CPU must support every feature listed in the attribute.
+#[target_feature(enable = "avx512f,avx512bw,pclmulqdq,popcnt,bmi1,bmi2,lzcnt")]
+pub(crate) unsafe fn enter<R>(f: impl FnOnce() -> R) -> R {
+    f()
 }

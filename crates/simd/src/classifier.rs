@@ -8,7 +8,7 @@
 //! handled with supplemental equality comparisons.
 
 use crate::groups::{AcceptanceGroups, ByteSet, TablePair};
-use crate::{Block, Simd};
+use crate::{Backend, Block};
 
 /// How a [`ByteClassifier`] classifies a block.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -149,23 +149,23 @@ impl ByteClassifier {
     }
 
     /// Classifies a 64-byte block, returning the acceptance bitmask.
-    #[inline]
+    #[inline(always)]
     #[must_use]
-    pub fn classify_block(&self, simd: Simd, block: &Block) -> u64 {
+    pub fn classify_block<B: Backend>(&self, backend: B, block: &Block) -> u64 {
         let mut mask = match &self.plan {
             Plan::Naive => 0,
-            Plan::NonOverlapping(t) => simd.lookup_eq_mask(block, t),
-            Plan::FewGroups(t) => simd.lookup_or_mask(block, t),
+            Plan::NonOverlapping(t) => backend.lookup_eq_mask(block, t),
+            Plan::FewGroups(t) => backend.lookup_or_mask(block, t),
             Plan::General(parts) => {
                 let mut m = 0u64;
                 for t in parts {
-                    m |= simd.lookup_or_mask(block, t);
+                    m |= backend.lookup_or_mask(block, t);
                 }
                 m
             }
         };
         for &b in &self.cmpeq_bytes {
-            mask |= simd.eq_mask(block, b);
+            mask |= backend.eq_mask(block, b);
         }
         mask
     }
@@ -174,15 +174,10 @@ impl ByteClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BackendKind;
+    use crate::{BackendKind, Simd};
 
     fn exhaustive_check(set: &ByteSet, classifier: &ByteClassifier) {
-        let mut backends = vec![Simd::detect(), Simd::with_kind(BackendKind::Swar)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            backends.push(Simd::with_kind(BackendKind::Avx2));
-        }
-        for simd in backends {
+        for simd in BackendKind::supported().map(Simd::with_kind) {
             // Lay all 256 byte values out over four blocks.
             for blk in 0..4u16 {
                 let mut block = [0u8; 64];

@@ -196,8 +196,8 @@ impl AcceptanceGroups {
 ///
 /// `ltab` is indexed by the lower nibble of an input byte, `utab` by its
 /// upper nibble. How the two lookups combine depends on the strategy:
-/// equality for [`crate::Simd::lookup_eq_mask`], OR-to-all-ones for
-/// [`crate::Simd::lookup_or_mask`].
+/// equality for [`crate::Backend::lookup_eq_mask`], OR-to-all-ones for
+/// [`crate::Backend::lookup_or_mask`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TablePair {
     /// Lower-nibble lookup table.

@@ -1,8 +1,8 @@
 //! Portable scalar/SWAR fallback implementations of the block primitives.
 //!
-//! These are the reference semantics for the AVX2 implementations in
-//! [`crate::avx2`]; the two backends are differentially tested against each
-//! other. The simple per-byte loops below are written so that LLVM can
+//! These are the reference semantics for the vector implementations in
+//! [`crate::avx2`] and [`crate::avx512`]; the backends are differentially
+//! tested against each other. The simple per-byte loops below are written so that LLVM can
 //! autovectorize them on targets with any vector ISA, but correctness never
 //! depends on that.
 
@@ -10,6 +10,7 @@ use crate::groups::TablePair;
 use crate::Block;
 
 /// Positions in `block` equal to `byte`, as a 64-bit mask.
+#[inline(never)]
 pub(crate) fn eq_mask(block: &Block, byte: u8) -> u64 {
     let mut mask = 0u64;
     for (i, &b) in block.iter().enumerate() {
@@ -22,6 +23,7 @@ pub(crate) fn eq_mask(block: &Block, byte: u8) -> u64 {
 ///
 /// Matches the AVX2 `shuffle` semantics: bytes with the high bit set are
 /// never accepted.
+#[inline(never)]
 pub(crate) fn lookup_eq_mask(block: &Block, tables: &TablePair) -> u64 {
     let mut mask = 0u64;
     for (i, &b) in block.iter().enumerate() {
@@ -37,6 +39,7 @@ pub(crate) fn lookup_eq_mask(block: &Block, tables: &TablePair) -> u64 {
 ///
 /// Matches the AVX2 `shuffle` semantics: bytes with the high bit set are
 /// never accepted.
+#[inline(never)]
 pub(crate) fn lookup_or_mask(block: &Block, tables: &TablePair) -> u64 {
     let mut mask = 0u64;
     for (i, &b) in block.iter().enumerate() {
@@ -53,31 +56,9 @@ pub(crate) fn eq_mask2(block: &Block, a: u8, b: u8) -> (u64, u64) {
     (eq_mask(block, a), eq_mask(block, b))
 }
 
-/// Quote-classifies a 256-byte superblock (see the AVX2 counterpart).
-pub(crate) fn quotes4(
-    chunk: &crate::Superblock,
-    state: &mut crate::QuoteState,
-) -> (
-    [u64; crate::SUPERBLOCK_BLOCKS],
-    [crate::QuoteState; crate::SUPERBLOCK_BLOCKS],
-) {
-    let mut within = [0u64; crate::SUPERBLOCK_BLOCKS];
-    let mut after = [crate::QuoteState::default(); crate::SUPERBLOCK_BLOCKS];
-    for i in 0..crate::SUPERBLOCK_BLOCKS {
-        let block: &Block = chunk[i * crate::BLOCK_SIZE..(i + 1) * crate::BLOCK_SIZE]
-            .try_into()
-            // PANIC-OK: the slice is exactly BLOCK_SIZE bytes, so try_into cannot fail
-            .expect("superblock slice is block-sized");
-        let backslash = eq_mask(block, b'\\');
-        let quotes = eq_mask(block, b'"');
-        within[i] = crate::quotes::quotes_from_masks(backslash, quotes, prefix_xor, state);
-        after[i] = *state;
-    }
-    (within, after)
-}
-
 /// Scalar candidate scan matching the AVX2 `find_pair` contract:
 /// `Ok(candidate)` or `Err(first unchecked position)`.
+#[inline(never)]
 pub(crate) fn find_pair(
     hay: &[u8],
     start: usize,
@@ -106,6 +87,14 @@ pub(crate) fn prefix_xor(m: u64) -> u64 {
     x ^= x << 16;
     x ^= x << 32;
     x
+}
+
+/// The portable entry. There is no instruction set to switch to; it
+/// exists so that a routine wrapped in [`crate::Backend::enter`] is one
+/// function here as well, not a copy per call site.
+#[inline(never)]
+pub(crate) fn enter<R>(f: impl FnOnce() -> R) -> R {
+    f()
 }
 
 #[cfg(test)]

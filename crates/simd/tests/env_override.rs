@@ -17,17 +17,7 @@ fn rsq_backend_swar_forces_portable_backend_with_identical_output() {
 
     // `with_kind` bypasses the env var — these are the backends the host
     // would otherwise pick, for the output comparison.
-    #[allow(unused_mut)]
-    let mut natives: Vec<BackendKind> = Vec::new();
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            natives.push(BackendKind::Avx2);
-        }
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw") {
-            natives.push(BackendKind::Avx512);
-        }
-    }
+    let natives = BackendKind::supported().filter(|&kind| kind != BackendKind::Swar);
 
     let mut chunk = [0u8; SUPERBLOCK_SIZE];
     for (i, b) in chunk.iter_mut().enumerate() {

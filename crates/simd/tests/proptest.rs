@@ -5,19 +5,7 @@ use proptest::prelude::*;
 use rsq_simd::{BackendKind, ByteClassifier, ByteSet, Simd, BLOCK_SIZE};
 
 fn backends() -> Vec<Simd> {
-    let mut v = vec![Simd::with_kind(BackendKind::Swar)];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            v.push(Simd::with_kind(BackendKind::Avx2));
-        }
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-        {
-            v.push(Simd::with_kind(BackendKind::Avx512));
-        }
-    }
-    v
+    BackendKind::supported().map(Simd::with_kind).collect()
 }
 
 proptest! {

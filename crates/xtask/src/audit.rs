@@ -632,14 +632,15 @@ fn resolve_required_features(
         if safe_defs.is_some_and(|files| files.iter().any(|f| file_matches_hint(f, hint))) {
             return None;
         }
-    } else {
-        let local: Vec<&FeatureFn> = defs.iter().filter(|d| d.file == unit.path).collect();
-        if !local.is_empty() {
-            return pick(local);
-        }
-        if safe_defs.is_some_and(|files| files.contains(&unit.path)) {
-            return None;
-        }
+    }
+    // No qualifier, or one that names no defining file — a type or a
+    // trait (`Simd::eq_mask`), whose method lives where the call does.
+    let local: Vec<&FeatureFn> = defs.iter().filter(|d| d.file == unit.path).collect();
+    if !local.is_empty() {
+        return pick(local);
+    }
+    if safe_defs.is_some_and(|files| files.contains(&unit.path)) {
+        return None;
     }
     pick(defs.iter().collect())
 }
@@ -934,6 +935,32 @@ pub fn dispatch(x: u64) -> u64 {
             ("crates/simd/src/lib.rs".to_owned(), caller_good.to_owned()),
         ]);
         assert!(diags.is_empty());
+    }
+
+    #[test]
+    fn type_qualified_call_resolves_to_the_method_beside_it() {
+        // `Simd::kernel` names no file: it is the safe inherent method in
+        // the calling file, not the featured free fn of the same name.
+        let kernel = r#"
+/// # Safety
+///
+/// `avx2` must be available.
+#[target_feature(enable = "avx2")]
+pub unsafe fn kernel(x: u64) -> u64 { x }
+"#;
+        let caller = r#"
+impl Simd {
+    pub fn kernel(self, x: u64) -> u64 { x }
+}
+impl Backend for Simd {
+    fn kernel(self, x: u64) -> u64 { Simd::kernel(self, x) }
+}
+"#;
+        let diags = audit_sources(&[
+            ("crates/simd/src/avx2.rs".to_owned(), kernel.to_owned()),
+            ("crates/simd/src/lib.rs".to_owned(), caller.to_owned()),
+        ]);
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

@@ -77,9 +77,11 @@ if [ -s "$SERVE_TMP/serve.err" ]; then
 fi
 
 echo "==> fast-path parity gate (routed walker vs RSQ_ROUTE=general, full catalog)"
-# Every catalog query on both the detected backend and the portable
-# SWAR override: forcing the general engine must not change a single
-# emitted position. dump-corpus materializes the datasets plus a query
+# Every catalog query on the detected backend, the portable SWAR
+# override and — where the host has it and it is not what was detected
+# anyway — AVX2, so that each instantiation of the pipeline this machine
+# can run does run end to end: forcing the general engine must not change
+# a single emitted position. dump-corpus materializes the datasets plus a query
 # manifest; the gate also requires that the shape analyzer routed a
 # healthy share of the catalog off the general path, so parity can't
 # pass vacuously because everything fell back.
@@ -87,6 +89,10 @@ RSQ_DATASET_MB=2 cargo run --quiet --release -p rsq-bench --bin experiments -- \
   dump-corpus "$SERVE_TMP/corpus"
 FAST_ROUTED=0
 QUERIES=0
+PARITY_BACKENDS=("" swar)
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+  PARITY_BACKENDS+=(avx2)
+fi
 while IFS=$'\t' read -r id file query; do
   doc="$SERVE_TMP/corpus/$file"
   QUERIES=$((QUERIES + 1))
@@ -95,7 +101,7 @@ while IFS=$'\t' read -r id file query; do
   case "$route" in
     field_chain|selective) FAST_ROUTED=$((FAST_ROUTED + 1)) ;;
   esac
-  for backend in "" swar; do
+  for backend in "${PARITY_BACKENDS[@]}"; do
     RSQ_BACKEND="$backend" ./target/release/rsq --positions "$query" "$doc" \
       > "$SERVE_TMP/parity-fast.txt"
     RSQ_BACKEND="$backend" RSQ_ROUTE=general ./target/release/rsq \
@@ -111,7 +117,8 @@ if [ "$FAST_ROUTED" -lt 8 ]; then
   echo "parity gate: only $FAST_ROUTED of $QUERIES queries routed fast (expected >= 8)"
   exit 1
 fi
-echo "parity gate: $QUERIES queries x 2 backends agree; $FAST_ROUTED routed fast"
+echo "parity gate: $QUERIES queries x ${#PARITY_BACKENDS[@]} backends" \
+  "(auto ${PARITY_BACKENDS[*]:1}) agree; $FAST_ROUTED routed fast"
 
 echo "==> mmap smoke gate (--mmap on vs off over a multi-MB batch dir)"
 # Multi-MiB documents through --batch-dir under both ingest policies:
@@ -418,7 +425,22 @@ else
   echo "==> ThreadSanitizer lane skipped (needs nightly + rust-src on x86_64 Linux)"
 fi
 
-echo "==> size series (non-test lines, engine instantiations, text bytes)"
-scripts/loc.sh
+echo "==> size series (non-test lines, dispatch entries, text bytes, popcnt)"
+# Two rows are gates. Three instantiations of the pipeline must not grow
+# the binary without bound (1.05 MB before per-run dispatch), and on
+# x86-64 a binary without a single `popcnt` means the pipeline is no
+# longer being inlined into the backends' entries — every `count_ones`
+# has silently gone back to shifts and masks (DESIGN.md §9).
+scripts/loc.sh | tee "$SERVE_TMP/loc.txt"
+TEXT_BYTES="$(awk '/^text bytes/{print $NF}' "$SERVE_TMP/loc.txt")"
+POPCNT="$(awk '/^popcnt instructions/{print $NF}' "$SERVE_TMP/loc.txt")"
+if [ "$TEXT_BYTES" -gt 1500000 ]; then
+  echo "size gate: text is $TEXT_BYTES bytes (limit 1500000)"
+  exit 1
+fi
+if [ "$(uname -m)" = "x86_64" ] && [ "$POPCNT" -eq 0 ]; then
+  echo "size gate: no popcnt instruction in target/release/rsq"
+  exit 1
+fi
 
 echo "CI OK"
