@@ -81,12 +81,21 @@ impl Structural {
     }
 }
 
-/// Outcome of [`StructuralIterator::seek_gap_scan`].
+/// Which bracket pairs a depth scan counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum GapScan {
-    /// The brace depth dropped to zero; the closing brace is left
-    /// pending and will be yielded by the next `next` call.
-    Boundary,
+pub(crate) enum Pairs {
+    /// One pair: every element is delimited by its own kind of bracket,
+    /// so the other kind cannot move the depth to zero (§4.4).
+    One(BracketType),
+    /// Both pairs — the depth is the container depth itself.
+    Both,
+}
+
+/// Outcome of [`StructuralIterator::scan_blocks`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BlockScan {
+    /// The depth dropped to zero at this position, in the current block.
+    Closed(usize),
     /// The block containing `until` is loaded and unconsumed.
     Reached,
     /// The input ended.
@@ -466,19 +475,6 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
         }
     }
 
-    /// The current block's `bracket` openings and closings outside
-    /// strings.
-    #[inline(always)]
-    pub(crate) fn pair_in_current(&self, bracket: BracketType) -> Option<(u64, u64)> {
-        let cur = self.current.as_ref()?;
-        Some(pair_masks(
-            self.cursor.backend,
-            self.cursor.bytes_at(cur.start),
-            cur.within_quotes,
-            bracket,
-        ))
-    }
-
     /// Makes the current block's structural characters from bit `from` on
     /// the pending ones: one kernel pass per block and toggle setting, the
     /// mask read back after that.
@@ -577,55 +573,83 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
     #[inline(always)]
     fn depth_skip_in_place(&mut self, bracket: BracketType, consume_close: bool) -> Option<usize> {
         self.peeked = None;
-        let backend = self.cursor.backend;
+        let pairs = Pairs::One(bracket);
         let mut depth = 1usize;
+        // The structural classifier is stopped; the depth classifier drives
+        // the quote classifier forward via the shared cursor.
+        let BlockScan::Closed(close) =
+            self.scan_blocks(pairs, usize::MAX, &mut depth, |c| &mut c.blocks_depth)
+        else {
+            return None;
+        };
+        // Resume structural classification at the closing character.
+        self.reposition_within_current(close, consume_close);
+        Some(close)
+    }
 
-        // Phase 1: the unconsumed remainder of the current block.
-        if let Some((opens, closes)) = self.pair_in_current(bracket) {
-            let keep = !low_bits(self.position_in_current());
-            if let Some(rel) = scan_block(opens & keep, closes & keep, &mut depth) {
-                return Some(self.finish_skip(rel, consume_close));
-            }
+    /// Depth-scans the unconsumed part of the current block below bit
+    /// `end`; returns the position where `depth` dropped to zero.
+    #[inline(always)]
+    pub(crate) fn scan_current(&self, pairs: Pairs, end: u32, depth: &mut usize) -> Option<usize> {
+        let cur = self.current.as_ref()?;
+        let (opens, closes) = pair_masks(
+            self.cursor.backend,
+            self.cursor.bytes_at(cur.start),
+            cur.within_quotes,
+            pairs,
+        );
+        let window = low_bits(end) & !low_bits(self.position_in_current());
+        scan_block(opens & window, closes & window, depth).map(|rel| cur.start + rel as usize)
+    }
+
+    /// The depth classifier's block loop (§4.4): a depth skip, and a
+    /// seek's gap between `memmem` candidates. Scans what is left of the
+    /// current block, then advances block by block, counting `pairs`
+    /// outside strings until `depth` drops to zero, the block containing
+    /// `until` (which must lie past the current one) is loaded and left
+    /// unconsumed for the caller's partial scan, or the input ends.
+    /// `counter` names the classifier the blocks are attributed to.
+    #[inline(always)]
+    pub(crate) fn scan_blocks(
+        &mut self,
+        pairs: Pairs,
+        until: usize,
+        depth: &mut usize,
+        counter: impl Fn(&mut ClassifierCounters) -> &mut u64,
+    ) -> BlockScan {
+        if let Some(pos) = self.scan_current(pairs, BLOCK_SIZE as u32, depth) {
+            return BlockScan::Closed(pos);
         }
-
-        // The rest of the current block lies inside the skipped region;
-        // drop its pending structural bits before moving on.
         if let Some(cur) = &mut self.current {
             cur.mask = 0;
         }
-
-        // Phase 2: subsequent blocks via the shared cursor (the structural
-        // classifier is stopped; the depth classifier drives the quote
-        // classifier forward).
         while let Some(block) = self.cursor.next() {
-            self.counters.blocks_depth = self.counters.blocks_depth.saturating_add(1);
-            let (start, within_quotes, _) = block;
-            let pair = pair_masks(backend, self.cursor.bytes_at(start), within_quotes, bracket);
+            let blocks = counter(&mut self.counters);
+            *blocks = blocks.saturating_add(1);
             self.current = Some(CurrentBlock::loaded(block));
-            if let Some(rel) = scan_block(pair.0, pair.1, &mut depth) {
-                return Some(self.finish_skip(rel, consume_close));
+            let (start, within_quotes, _) = block;
+            if until < start + BLOCK_SIZE {
+                self.consumed_upto = self.consumed_upto.max(start);
+                return BlockScan::Reached;
+            }
+            let (opens, closes) = pair_masks(
+                self.cursor.backend,
+                self.cursor.bytes_at(start),
+                within_quotes,
+                pairs,
+            );
+            if let Some(rel) = scan_block(opens, closes, depth) {
+                return BlockScan::Closed(start + rel as usize);
             }
         }
         self.consumed_upto = self.cursor.input.len();
-        None
-    }
-
-    /// Resumes structural classification after a successful depth skip that
-    /// located the target closing character at bit `rel` of the current
-    /// block.
-    #[inline(always)]
-    fn finish_skip(&mut self, rel: u32, consume_close: bool) -> usize {
-        let start = self.current.map_or(0, |cur| cur.start);
-        let pos = start + rel as usize;
-        self.consumed_upto = pos + usize::from(consume_close);
-        self.pend_from(rel + u32::from(consume_close));
-        pos
+        BlockScan::End
     }
 
     /// The iterator's position as a bit of the current block: 0 when it
     /// lies before the block, 64 when past it.
     #[inline(always)]
-    pub(crate) fn position_in_current(&self) -> u32 {
+    fn position_in_current(&self) -> u32 {
         self.current.map_or(0, |cur| {
             self.consumed_upto.saturating_sub(cur.start).min(BLOCK_SIZE) as u32
         })
@@ -636,33 +660,6 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
     #[inline(always)]
     pub(crate) fn clear_peeked(&mut self) {
         self.peeked = None;
-    }
-
-    /// Tight brace-depth scan over whole blocks — the seek classifier's
-    /// gap loop, mirroring `depth_skip`'s phase 2. Advances block by
-    /// block counting `{`/`}` outside strings, until the depth drops to
-    /// zero (closing brace left pending), the block containing `until`
-    /// is loaded (left unconsumed for the caller's partial scan), or the
-    /// input ends. The caller must have fully scanned the current block
-    /// already.
-    #[inline(always)]
-    pub(crate) fn seek_gap_scan(&mut self, until: usize, sim: &mut usize) -> GapScan {
-        loop {
-            if !self.seek_advance_block() {
-                return GapScan::End;
-            }
-            let start = self.current.map_or(0, |cur| cur.start);
-            if until < start + BLOCK_SIZE {
-                return GapScan::Reached;
-            }
-            let Some((opens, closes)) = self.pair_in_current(BracketType::Brace) else {
-                return GapScan::End;
-            };
-            if let Some(rel) = scan_block(opens, closes, sim) {
-                self.reposition_within_current(start + rel as usize, false);
-                return GapScan::Boundary;
-            }
-        }
     }
 
     /// The backend the iterator's kernels come from.
@@ -792,15 +789,22 @@ fn last_nonws_before(input: &[u8], pos: usize) -> Option<usize> {
         .rposition(|&b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
 }
 
-/// The `bracket` openings and closings of one block outside strings.
+/// The openings and closings of `pairs` in one block outside strings.
 #[inline(always)]
 fn pair_masks<B: Backend>(
     backend: B,
     block: &Block,
     within_quotes: u64,
-    bracket: BracketType,
+    pairs: Pairs,
 ) -> (u64, u64) {
-    let (opens, closes) = backend.eq_mask2(block, bracket.opening(), bracket.closing());
+    let (opens, closes) = match pairs {
+        Pairs::One(bracket) => backend.eq_mask2(block, bracket.opening(), bracket.closing()),
+        Pairs::Both => {
+            let braces = backend.eq_mask2(block, b'{', b'}');
+            let brackets = backend.eq_mask2(block, b'[', b']');
+            (braces.0 | brackets.0, braces.1 | brackets.1)
+        }
+    };
     (opens & !within_quotes, closes & !within_quotes)
 }
 

@@ -13,6 +13,9 @@
 //!   only one bracket pair and fast-forwards to the end of the current
 //!   element, skipping whole blocks whenever a block holds fewer closers
 //!   than the current relative depth (§4.4);
+//! * the [label seek](StructuralIterator::seek) pairs SIMD substring search
+//!   with that depth scan to fast-forward to a member by name, within the
+//!   current object or subtree (§3.3, §4.5);
 //! * the [`StructuralIterator`] stitches these into the `next`/`peek`/
 //!   `label_before`/`toggle`/`skip` interface consumed by the engine's
 //!   main algorithm (§3.4), and [`ResumeState`]/[`QuoteScanner`] provide
@@ -48,6 +51,6 @@ pub use pipeline::{LineScanner, QuoteScan, QuoteScanner, ResumeState};
 // that crate.
 pub use quotes::{classify_quotes, QuoteClassification, QuoteState};
 pub use rsq_obs::ClassifierCounters;
-pub use seek::{CandidateMemo, DirectSeek, LabelSeek};
+pub use seek::{first_nonws, member_after, LabelSeeker, Member, Seek, SeekScope};
 pub use structural::StructuralTables;
 pub use validate::{StructuralValidator, ValidationError, ValidationErrorKind};

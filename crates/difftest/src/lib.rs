@@ -532,6 +532,10 @@ pub fn engine_queries() -> &'static [&'static str] {
         "$[0]",
         "$..a[1]",
         "$.a..b[0]",
+        // Non-initial waiting states that cannot accept in one step: the
+        // within-element label seek, under the head start and the walker.
+        "$..a..b.c",
+        "$.a..b.c",
     ]
 }
 

@@ -7,13 +7,12 @@
 //! frame corresponds to one container on the current match path, entered
 //! with its opening character already consumed:
 //!
-//! * a **label step** issues [`StructuralIterator::seek_direct_member`]:
-//!   SIMD substring search jumps between candidate occurrences of
-//!   `"label"` while a two-bracket depth scan tracks the container
-//!   boundary; quote/escape-aware validation declines lookalikes inside
-//!   string values (the closing quote of a genuine label reads *outside*
-//!   any string under the prefix-XOR convention — an escaped-quote
-//!   lookalike reads as inside). After the single possible match, the
+//! * a **label step** issues [`StructuralIterator::seek`] — the seek the
+//!   general loop makes in its waiting states — under
+//!   [`SeekScope::member`]: SIMD substring search jumps between candidate
+//!   occurrences of `"label"` while a brace-depth scan tracks the
+//!   container boundary, and nested occurrences and lookalikes inside
+//!   string values are declined. After the single possible match, the
 //!   frame fast-forwards to the container's end — the same move the
 //!   general loop's sibling skip makes for unitary states;
 //! * a **wildcard step** iterates the container's children by structural
@@ -31,22 +30,21 @@
 //! the matched value rather than the document root.
 
 use crate::error::{Interrupt, LimitKind};
-use crate::main_loop::{run_element, LabelSeekers};
+use crate::main_loop::{run_element, Seekers};
 use crate::sink::Sink;
 use crate::EngineOptions;
-use rsq_classify::{BracketType, CandidateMemo, DirectSeek, Structural, StructuralIterator};
-use rsq_memmem::Finder;
+use rsq_classify::{BracketType, Seek, SeekScope, Structural, StructuralIterator};
 use rsq_obs::{ProfileStage, Recorder, SkipTechnique};
-use rsq_query::{Automaton, PlanStep, RoutePlan};
+use rsq_query::{Automaton, PlanStep, RoutePlan, StateId};
 use rsq_simd::Backend;
 
 /// What the frame at a given plan step is currently doing. The frame's
-/// index in the walker stack *is* its step index, so the variants carry
-/// no data.
+/// index in the walker stack *is* its step index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Frame {
-    /// Label step: seeking the container's single relevant member.
-    Seek,
+    /// Label step: seeking the container's single relevant member, the
+    /// one this (unitary) state has a transition for.
+    Seek(StateId),
     /// Wildcard step: iterating the container's composite children.
     Iter,
     /// The label step's member was found and handled; fast-forward to
@@ -56,8 +54,8 @@ enum Frame {
 
 impl Frame {
     fn for_step(step: &PlanStep) -> Frame {
-        match step {
-            PlanStep::Label { .. } => Frame::Seek,
+        match *step {
+            PlanStep::Label { state, .. } => Frame::Seek(state),
             PlanStep::Wild { .. } => Frame::Iter,
         }
     }
@@ -73,48 +71,27 @@ pub(crate) fn run_fast_path<B: Backend>(
     automaton: &Automaton,
     plan: &RoutePlan,
     options: &EngineOptions,
-    seekers: &LabelSeekers<'_, B>,
+    seekers: &mut Seekers<'_, B>,
     backend: B,
     input: &[u8],
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
-    // One finder per label step, built once per run (they borrow the
-    // plan's needles).
-    let finders: Vec<Option<Finder<'_, B>>> = plan
-        .steps
-        .iter()
-        .map(|s| match s {
-            PlanStep::Label { needle, .. } => Some(Finder::with_backend(needle, backend)),
-            PlanStep::Wild { .. } => None,
-        })
-        .collect();
-
-    // One memmem frontier memo per label step: repeated seeks over
-    // sibling containers that lack the label must not re-scan the gap to
-    // the next far-away occurrence (see `CandidateMemo`).
-    let mut memos: Vec<CandidateMemo> = vec![CandidateMemo::default(); plan.steps.len()];
-
     let mut it = StructuralIterator::new(input, backend);
     // Fold the iterator's classifier counters before propagating an
     // interrupt: an early sink stop maps to `Ok` upstream and must keep
     // its stats.
-    let result = walk(
-        automaton, plan, &finders, &mut memos, options, seekers, &mut it, sink, rec,
-    );
+    let result = walk(automaton, plan, options, seekers, &mut it, sink, rec);
     rec.classifier(&it.counters());
     result
 }
 
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal: mirrors the other drivers' shape
 fn walk<B: Backend>(
     automaton: &Automaton,
     plan: &RoutePlan,
-    finders: &[Option<Finder<'_, B>>],
-    memos: &mut [CandidateMemo],
     options: &EngineOptions,
-    seekers: &LabelSeekers<'_, B>,
+    seekers: &mut Seekers<'_, B>,
     it: &mut StructuralIterator<'_, B>,
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
@@ -151,39 +128,29 @@ fn walk<B: Backend>(
         let step = stack.len() - 1;
         let last = step + 1 == plan.steps.len();
         match frame {
-            Frame::Seek => {
-                let PlanStep::Label { needle, .. } = &plan.steps[step] else {
-                    // PANIC-OK: Frame::for_step builds Seek only from PlanStep::Label, so the step kind cannot disagree with the frame
-                    unreachable!("Seek frames only exist for label steps");
+            Frame::Seek(state) => {
+                // A label step's state is unitary, and the walker runs
+                // only with `label_seek` on: the seeker exists.
+                let Some(seeker) = seekers.get(state) else {
+                    break;
                 };
-                // PANIC-OK: run_fast_path builds one Some(finder) per Label step, indexed in lockstep with plan.steps
-                let finder = finders[step].as_ref().expect("finder per label step");
                 // An atomic member value can only match when this is the
                 // final step and finding the member is itself the match.
                 let accept_atomic = last && plan.tail_accepting;
                 rec.label_seek();
                 let seek_from = it.position();
                 let t = rec.clock();
-                let mut declined = 0u64;
-                let outcome = it.seek_direct_member(
-                    finder,
-                    needle,
-                    &mut memos[step],
-                    accept_atomic,
-                    &mut declined,
-                );
+                let (outcome, declined) = it.seek(SeekScope::member(accept_atomic), seeker);
                 rec.stage_ns(ProfileStage::Classify, t);
                 rec.skip_span(SkipTechnique::Label, seek_from, it.position());
-                for _ in 0..declined {
-                    rec.memmem_decline();
-                }
+                rec.memmem_declines(declined);
                 match outcome {
-                    DirectSeek::Composite { pos } => {
+                    Seek::Composite { depth_delta } => {
+                        debug_assert_eq!(depth_delta, 0, "a direct member");
                         rec.memmem_jump();
                         let Some(ev) = it.next() else { break };
                         rec.event(ev.position());
-                        debug_assert_eq!(ev.position(), pos);
-                        let Structural::Opening(bracket, _) = ev else {
+                        let Structural::Opening(bracket, pos) = ev else {
                             break; // defensive: the seek left an opening pending
                         };
                         // The single possible member of this container is
@@ -198,7 +165,7 @@ fn walk<B: Backend>(
                             descend(plan, options, it, &mut stack, bracket, pos, rec)?;
                         }
                     }
-                    DirectSeek::Atomic { pos } => {
+                    Seek::Atomic { pos } => {
                         rec.memmem_jump();
                         debug_assert!(accept_atomic);
                         sink.record(pos)?;
@@ -206,14 +173,14 @@ fn walk<B: Backend>(
                         // PANIC-OK: the enclosing while-let just matched stack.last() as Some, and nothing pops between there and here
                         *stack.last_mut().expect("frame present") = Frame::AwaitExit;
                     }
-                    DirectSeek::Boundary => {
+                    Seek::Boundary => {
                         // The container closed; consume the pending
                         // closing character and return to the parent.
                         let Some(ev) = it.next() else { break };
                         rec.event(ev.position());
                         stack.pop();
                     }
-                    DirectSeek::End => break, // malformed: ran off the input
+                    Seek::End => break, // malformed: ran off the input
                 }
             }
             Frame::Iter => {
@@ -274,7 +241,7 @@ fn walk<B: Backend>(
 /// pushes its frame, except that a label step entered on an *array* is
 /// skipped whole — arrays hold no labelled members, so nothing below can
 /// match (the general loop child-skips each element to the same effect,
-/// and the single-pair depth scan of `seek_direct_member` relies on the
+/// and the brace-only depth scan of [`SeekScope::member`] relies on the
 /// container being an object). The walker's own nesting is checked
 /// against `max_depth` exactly like the general loop checks examined
 /// openings.
@@ -321,7 +288,7 @@ fn enter_tail<B: Backend>(
     automaton: &Automaton,
     plan: &RoutePlan,
     options: &EngineOptions,
-    seekers: &LabelSeekers<'_, B>,
+    seekers: &mut Seekers<'_, B>,
     it: &mut StructuralIterator<'_, B>,
     bracket: BracketType,
     pos: usize,

@@ -3,16 +3,15 @@
 //! `"ℓ"` located by SIMD substring search, running the main algorithm only
 //! on the subdocuments associated with them.
 //!
-//! Each candidate found by `memmem` is validated before use:
-//!
-//! * it must lie outside any string — checked with the [`QuoteScanner`]
-//!   (cheap: quote classification only). This check makes skip-to-label
-//!   sound even on documents whose string *values* contain text like
-//!   `"label":`; it can be turned off (`checked_head_start = false`) to
-//!   mimic the paper's rawer variant;
-//! * the next non-whitespace character after the closing quote must be a
-//!   colon — otherwise the occurrence is a string value, not a member
-//!   label.
+//! Each candidate found by `memmem` is validated before use, by the
+//! function the within-element seeks use ([`member_after`]): a colon must
+//! follow it — otherwise the occurrence is a string value, not a member
+//! label — and it must lie outside any string. There being no classified
+//! block under a document-level candidate, that is asked of the
+//! [`QuoteScanner`] (cheap: quote classification only). The check makes
+//! skip-to-label sound even on documents whose string *values* contain
+//! text like `"label":`; it can be turned off (`checked_head_start =
+//! false`) to mimic the paper's rawer variant.
 //!
 //! After processing a composite subdocument the search resumes *after* it,
 //! so nested occurrences of `ℓ` (already handled by the automaton during
@@ -21,11 +20,12 @@
 //! twice.
 
 use crate::error::Interrupt;
-use crate::main_loop::{run_element, LabelSeekers};
+use crate::main_loop::{run_element, Seekers};
 use crate::sink::Sink;
-use crate::util::first_nonws_at;
 use crate::EngineOptions;
-use rsq_classify::{BracketType, QuoteScanner, ResumeState, StructuralIterator};
+use rsq_classify::{
+    member_after, BracketType, Member, QuoteScanner, ResumeState, StructuralIterator,
+};
 use rsq_memmem::Finder;
 use rsq_obs::{ProfileStage, Recorder, SkipTechnique};
 use rsq_query::{Automaton, StateId};
@@ -42,7 +42,7 @@ use rsq_simd::Backend;
 pub(crate) fn run_head_start<B: Backend>(
     automaton: &Automaton,
     options: &EngineOptions,
-    seekers: &LabelSeekers<'_, B>,
+    seekers: &mut Seekers<'_, B>,
     backend: B,
     input: &[u8],
     needle: &[u8],
@@ -79,7 +79,7 @@ pub(crate) fn run_head_start<B: Backend>(
 fn scan_candidates<B: Backend>(
     automaton: &Automaton,
     options: &EngineOptions,
-    seekers: &LabelSeekers<'_, B>,
+    seekers: &mut Seekers<'_, B>,
     backend: B,
     input: &[u8],
     finder: &Finder<'_, B>,
@@ -101,31 +101,15 @@ fn scan_candidates<B: Backend>(
         let found = finder.find_from(input, at);
         rec.stage_ns(ProfileStage::Classify, t);
         let Some(p) = found else { break };
-        // A genuine label's closing quote lies *outside* the string (the
-        // prefix-XOR convention marks opening quotes inside and closing
-        // quotes outside); a lookalike inside a string has escaped quotes,
-        // which the quote classifier does not treat as quotes at all, so
-        // its final position reads as inside.
-        if options.checked_head_start && scanner.in_string_at(p + needle_len - 1) {
-            rec.memmem_decline();
-            at = p + 1;
-            continue;
-        }
         let after = p + needle_len;
-        let Some(colon) = first_nonws_at(input, after) else {
-            break;
-        };
-        if input[colon] != b':' {
-            rec.memmem_decline();
-            at = p + 1;
-            continue;
-        }
-        let Some(v) = first_nonws_at(input, colon + 1) else {
-            break;
-        };
-        match input[v] {
-            open @ (b'{' | b'[') => {
-                let bracket = if open == b'{' {
+        let in_string = options.checked_head_start && scanner.in_string_at(after - 1);
+        match member_after(input, after, in_string) {
+            Member::NotAMember => {
+                rec.memmem_declines(1);
+                at = p + 1;
+            }
+            Member::Composite(v) => {
+                let bracket = if input[v] == b'{' {
                     BracketType::Brace
                 } else {
                     BracketType::Bracket
@@ -172,13 +156,7 @@ fn scan_candidates<B: Backend>(
                 frontier = it.position();
                 at = it.position().max(p + 1);
             }
-            b'}' | b']' | b',' | b':' => {
-                // Malformed construct; step over the candidate.
-                rec.memmem_decline();
-                at = p + 1;
-            }
-            _ => {
-                // Atomic value.
+            Member::Atomic(v) => {
                 rec.memmem_jump();
                 if automaton.is_accepting(target) {
                     sink.record(v)?;

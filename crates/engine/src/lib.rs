@@ -398,9 +398,8 @@ impl Engine {
 
     /// Like [`try_run`](Self::try_run), but additionally returns Tier A
     /// [`RunStats`] for the run: bytes and blocks processed per classifier,
-    /// structural events delivered, skip events by kind, `memmem`
-    /// head-start jumps taken and declined, maximum depth reached, and
-    /// matches reported.
+    /// structural events delivered, skip events by kind, `memmem` jumps
+    /// taken and declined, maximum depth reached, and matches reported.
     ///
     /// The match output is byte-identical to [`try_run`](Self::try_run) on
     /// the same document: the statistics are gathered by monomorphising the
@@ -736,7 +735,7 @@ impl Engine {
         rec: &mut impl Recorder,
     ) -> Result<(), Interrupt> {
         let initial = self.automaton.initial_state();
-        let seekers = main_loop::LabelSeekers::new(&self.automaton, &self.options, backend);
+        let mut seekers = main_loop::Seekers::new(&self.automaton, &self.options, backend);
         if self.fast_path_eligible() {
             // Compile-time routing (DESIGN.md §15): the query shape is a
             // field chain or selective path — drive it with memmem-led
@@ -748,7 +747,7 @@ impl Engine {
                 &self.automaton,
                 &self.plan,
                 &self.options,
-                &seekers,
+                &mut seekers,
                 backend,
                 input,
                 sink,
@@ -764,7 +763,7 @@ impl Engine {
                 return head_start::run_head_start(
                     &self.automaton,
                     &self.options,
-                    &seekers,
+                    &mut seekers,
                     backend,
                     input,
                     needle,
@@ -778,8 +777,14 @@ impl Engine {
         // Fold the iterator's classifier counters before propagating an
         // interrupt: an early sink stop maps to `Ok` upstream and must keep
         // its stats.
-        let result =
-            main_loop::run_document(&mut it, &self.automaton, &self.options, &seekers, sink, rec);
+        let result = main_loop::run_document(
+            &mut it,
+            &self.automaton,
+            &self.options,
+            &mut seekers,
+            sink,
+            rec,
+        );
         rec.classifier(&it.counters());
         result
     }

@@ -4,48 +4,54 @@
 use crate::depth_stack::DepthStack;
 use crate::error::{Interrupt, LimitKind};
 use crate::sink::Sink;
-use crate::util::{first_nonws_at, value_start_after};
+use crate::util::value_start_after;
 use crate::EngineOptions;
-use rsq_classify::{BracketType, LabelSeek, Structural, StructuralIterator};
-use rsq_memmem::Finder;
+use rsq_classify::{
+    first_nonws, BracketType, LabelSeeker, Seek, SeekScope, Structural, StructuralIterator,
+};
 use rsq_obs::{ProfileStage, Recorder, SkipTechnique};
 use rsq_query::{Automaton, PathSymbol, StateId};
 use rsq_simd::Backend;
 use rsq_stackvec::StackVec;
 
-/// The label finders of one run: one per state [`run_element`] seeks a
-/// label in — waiting (one label transition, looping fallback) and
-/// internal (cannot accept in one step) — indexed by state. Such a
-/// state's label is fixed when the query is compiled, so the finders are
-/// built once per run and not once per seek. Empty, and not allocated,
-/// when the query has no such state or `label_seek` is off.
-pub(crate) struct LabelSeekers<'q, B: Backend>(Vec<Option<Finder<'q, B>>>);
+/// The label seekers of one run, by state: one for every state whose
+/// only way forward is a single label — *unitary* states, which the routed
+/// walker seeks a direct member in, and *waiting, internal* ones, which
+/// [`run_element`] seeks a subtree in. Such a state's label is fixed when
+/// the query is compiled, so its finder is built once per run, and its
+/// `memmem` frontier is kept across the run's seeks. Empty, and not
+/// allocated, when the query has no such state or `label_seek` is off.
+pub(crate) struct Seekers<'q, B: Backend>(Vec<Option<LabelSeeker<'q, B>>>);
 
-impl<'q, B: Backend> LabelSeekers<'q, B> {
+impl<'q, B: Backend> Seekers<'q, B> {
     #[inline(always)]
     pub(crate) fn new(automaton: &'q Automaton, options: &EngineOptions, backend: B) -> Self {
-        let mut finders = Vec::new();
+        let mut seekers = Vec::new();
         if options.label_seek {
             for state in automaton.states() {
-                if !(automaton.is_waiting(state) && automaton.is_internal(state)) {
+                if !(automaton.is_unitary(state)
+                    || automaton.is_waiting(state) && automaton.is_internal(state))
+                {
                     continue;
                 }
-                // A waiting state has exactly one label transition by
+                // Both kinds of state have exactly one label transition by
                 // construction; if the automaton violates that invariant
-                // the state simply gets no seek and stays on the ordinary
-                // event loop.
+                // the state simply gets no seeker.
                 if let Some((needle, _)) = automaton.single_explicit_needle(state) {
-                    finders.resize_with(state.index(), || None);
-                    finders.push(Some(Finder::with_backend(needle, backend)));
+                    // One allocation per run, and none for a query without
+                    // such a state.
+                    seekers.reserve_exact(automaton.state_count() - seekers.len());
+                    seekers.resize_with(state.index(), || None);
+                    seekers.push(Some(LabelSeeker::new(needle, backend)));
                 }
             }
         }
-        LabelSeekers(finders)
+        Seekers(seekers)
     }
 
     #[inline(always)]
-    fn get(&self, state: StateId) -> Option<&Finder<'q, B>> {
-        self.0.get(state.index()).and_then(Option::as_ref)
+    pub(crate) fn get(&mut self, state: StateId) -> Option<&mut LabelSeeker<'q, B>> {
+        self.0.get_mut(state.index()).and_then(Option::as_mut)
     }
 }
 
@@ -248,7 +254,7 @@ pub(crate) fn run_element<B: Backend>(
     it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
     options: &EngineOptions,
-    seekers: &LabelSeekers<'_, B>,
+    seekers: &mut Seekers<'_, B>,
     state0: StateId,
     root_bracket: BracketType,
     root_pos: usize,
@@ -279,7 +285,7 @@ fn element_loop<B: Backend>(
     it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
     options: &EngineOptions,
-    seekers: &LabelSeekers<'_, B>,
+    seekers: &mut Seekers<'_, B>,
     state0: StateId,
     root_bracket: BracketType,
     root_pos: usize,
@@ -316,18 +322,20 @@ fn element_loop<B: Backend>(
         // waiting state that cannot accept in one step, every event the
         // seek absorbs is a no-op for the automaton, so fast-forward to
         // the next candidate label or to the depth-stack pop boundary.
-        if waiting_streak >= SEEK_AFTER_STALE_OPENINGS {
-            if let Some(finder) = seekers.get(state) {
+        if waiting_streak >= SEEK_AFTER_STALE_OPENINGS && automaton.is_waiting(state) {
+            if let Some(seeker) = seekers.get(state) {
                 let boundary = stack.top_depth().map_or(1, |d| d + 1);
                 let levels = depth.saturating_sub(boundary);
                 rec.label_seek();
                 let seek_from = it.position();
                 let t = rec.clock();
-                let outcome = it.seek_label(finder, levels);
+                // What the seek declines is not reported: the memmem
+                // counters follow the head start and the walker.
+                let (outcome, _) = it.seek(SeekScope::subtree(levels), seeker);
                 rec.stage_ns(ProfileStage::Classify, t);
                 rec.skip_span(SkipTechnique::Label, seek_from, it.position());
                 match outcome {
-                    LabelSeek::Candidate { depth_delta } => {
+                    Seek::Composite { depth_delta } => {
                         depth = (i64::from(depth) + i64::from(depth_delta)) as u32;
                         if depth > options.max_depth {
                             return Err(Interrupt::Limit(LimitKind::Depth));
@@ -336,10 +344,11 @@ fn element_loop<B: Backend>(
                         // The candidate's parent is necessarily an object.
                         types.set(depth, BracketType::Brace);
                     }
-                    LabelSeek::Boundary => {
+                    Seek::Boundary => {
                         depth -= levels;
                     }
-                    LabelSeek::End => break,
+                    // A subtree scope reports no atomic member.
+                    Seek::Atomic { .. } | Seek::End => break,
                 }
             }
         }
@@ -503,7 +512,7 @@ pub(crate) fn run_document<B: Backend>(
     it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
     options: &EngineOptions,
-    seekers: &LabelSeekers<'_, B>,
+    seekers: &mut Seekers<'_, B>,
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
@@ -526,7 +535,7 @@ pub(crate) fn run_document<B: Backend>(
         None => {
             // Atomic document: only `$` can match it.
             if automaton.is_accepting(initial) {
-                if let Some(v) = first_nonws_at(it.input(), 0) {
+                if let Some(v) = first_nonws(it.input(), 0) {
                     sink.record(v)?;
                     rec.matched();
                 }

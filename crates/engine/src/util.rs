@@ -1,19 +1,12 @@
 //! Small scalar helpers shared by the main loop and skip-to-label.
 
-/// Index of the first non-whitespace byte at or after `pos`.
-#[inline]
-pub(crate) fn first_nonws_at(input: &[u8], pos: usize) -> Option<usize> {
-    input[pos.min(input.len())..]
-        .iter()
-        .position(|&b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        .map(|off| pos + off)
-}
+use rsq_classify::first_nonws;
 
 /// The start of the atomic value following a `:` or `,` at `pos`, or
 /// `None` when what follows is structural (malformed or empty construct).
 #[inline]
 pub(crate) fn value_start_after(input: &[u8], pos: usize) -> Option<usize> {
-    let v = first_nonws_at(input, pos + 1)?;
+    let v = first_nonws(input, pos + 1)?;
     match input[v] {
         b'{' | b'[' | b'}' | b']' | b',' | b':' => None,
         _ => Some(v),
@@ -23,14 +16,6 @@ pub(crate) fn value_start_after(input: &[u8], pos: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_nonws_skips_whitespace() {
-        assert_eq!(first_nonws_at(b"  \t\nx", 0), Some(4));
-        assert_eq!(first_nonws_at(b"x", 0), Some(0));
-        assert_eq!(first_nonws_at(b"   ", 0), None);
-        assert_eq!(first_nonws_at(b"ab", 5), None);
-    }
 
     #[test]
     fn value_start_finds_atoms_only() {

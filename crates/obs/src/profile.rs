@@ -405,8 +405,8 @@ impl Recorder for ProfileStats {
     }
 
     #[inline]
-    fn memmem_decline(&mut self) {
-        self.stats.memmem_decline();
+    fn memmem_declines(&mut self, n: u64) {
+        self.stats.memmem_declines(n);
     }
 
     #[inline]

@@ -170,10 +170,14 @@ pub struct RunStats {
     pub toggle_flips: u64,
     /// Skip events by technique.
     pub skips: SkipStats,
-    /// `memmem` head-start jumps taken (candidate accepted and processed).
+    /// `memmem` jumps taken — candidates accepted and processed — by the
+    /// head start and by the routed walker's member seeks. (The general
+    /// loop's within-element seeks count as `skips.label` only.)
     pub memmem_jumps: u64,
-    /// `memmem` head-start candidates declined (in-string lookalike, no
-    /// following colon, or malformed construct).
+    /// `memmem` candidates the head start and the routed walker declined:
+    /// a lookalike inside a string, no following colon, a malformed
+    /// construct and, in the walker, an occurrence nested below the
+    /// container being searched or a value kind that cannot match.
     pub memmem_declined: u64,
     /// Classifier resume-state handoffs (§4.5): sub-runs resumed
     /// mid-document with a threaded quote state.
@@ -333,13 +337,14 @@ pub trait Recorder {
     #[inline]
     fn label_seek(&mut self) {}
 
-    /// One `memmem` head-start jump taken.
+    /// One `memmem` jump taken (head start, routed walker).
     #[inline]
     fn memmem_jump(&mut self) {}
 
-    /// One `memmem` head-start candidate declined.
+    /// `n` `memmem` candidates declined (by the head start, one at a
+    /// time; by a routed walker's seek, however many it passed over).
     #[inline]
-    fn memmem_decline(&mut self) {}
+    fn memmem_declines(&mut self, _n: u64) {}
 
     /// The engine committed to an evaluation route for this run (called
     /// at most once per run, at dispatch; runs that never call it report
@@ -446,8 +451,8 @@ impl Recorder for RunStats {
     }
 
     #[inline]
-    fn memmem_decline(&mut self) {
-        bump(&mut self.memmem_declined);
+    fn memmem_declines(&mut self, n: u64) {
+        self.memmem_declined = self.memmem_declined.saturating_add(n);
     }
 
     #[inline]

@@ -35,7 +35,7 @@ fn counters_saturate_instead_of_overflowing() {
     stats.sibling_skip();
     stats.label_seek();
     stats.memmem_jump();
-    stats.memmem_decline();
+    stats.memmem_declines(u64::MAX);
     stats.resume_handoff();
     stats.matched();
     stats.depth(u32::MAX);

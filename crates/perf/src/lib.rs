@@ -774,8 +774,8 @@ impl<R: Recorder, C: ReadCounters> Recorder for PerfRecorder<'_, R, C> {
     }
 
     #[inline]
-    fn memmem_decline(&mut self) {
-        self.inner.memmem_decline();
+    fn memmem_declines(&mut self, n: u64) {
+        self.inner.memmem_declines(n);
     }
 
     #[inline]
@@ -1228,7 +1228,7 @@ mod tests {
             rec.sibling_skip();
             rec.label_seek();
             rec.memmem_jump();
-            rec.memmem_decline();
+            rec.memmem_declines(1);
             rec.resume_handoff();
             rec.depth(7);
             rec.route(rsq_obs::Route::FieldChain);

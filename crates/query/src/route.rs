@@ -37,14 +37,14 @@ pub use rsq_obs::Route;
 const MAX_PLAN_LEN: usize = 64;
 
 /// One step of a [`RoutePlan`] prefix.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanStep {
-    /// Seek the member named by `needle` (the label bytes *including*
-    /// the surrounding quotes) directly within the current container;
-    /// on success the automaton moves to `target`.
+    /// Seek the one member `state` has a transition for (its
+    /// [`Automaton::single_explicit_needle`]) directly within the current
+    /// container; on success the automaton moves to `target`.
     Label {
-        /// The quoted label bytes, `"label"`, ready for `memmem`.
-        needle: Vec<u8>,
+        /// The unitary state the step seeks in.
+        state: StateId,
         /// State after taking the label transition.
         target: StateId,
     },
@@ -120,16 +120,13 @@ impl RoutePlan {
                 // Single concrete label, rejecting label fallback. The
                 // index fallback must also reject: otherwise array entries
                 // could advance the state without any label present.
-                let Some((needle, target)) = a.single_explicit_needle(state) else {
+                let Some((_, target)) = a.single_explicit_needle(state) else {
                     break;
                 };
                 if !a.is_rejecting(a.fallback_index(state)) || a.is_rejecting(target) {
                     break;
                 }
-                steps.push(PlanStep::Label {
-                    needle: needle.to_vec(),
-                    target,
-                });
+                steps.push(PlanStep::Label { state, target });
                 state = target;
             } else if a.explicit_transitions(state).next().is_none() {
                 // Pure wildcard: label and index fallbacks agree, the
@@ -194,17 +191,24 @@ mod tests {
     use super::*;
     use crate::parser::Query;
 
-    fn plan(query: &str) -> RoutePlan {
+    fn compile(query: &str) -> Automaton {
         let q = Query::parse(query).expect("parse");
-        let a = Automaton::compile(&q).expect("compile");
-        RoutePlan::analyze(&a)
+        Automaton::compile(&q).expect("compile")
     }
 
-    fn shape(p: &RoutePlan) -> String {
-        p.steps
+    fn plan(query: &str) -> RoutePlan {
+        RoutePlan::analyze(&compile(query))
+    }
+
+    /// The plan's steps, each label step by the needle its state seeks.
+    fn shape(query: &str) -> String {
+        let a = compile(query);
+        RoutePlan::analyze(&a)
+            .steps
             .iter()
-            .map(|s| match s {
-                PlanStep::Label { needle, .. } => {
+            .map(|s| match *s {
+                PlanStep::Label { state, .. } => {
+                    let (needle, _) = a.single_explicit_needle(state).expect("unitary");
                     format!("L({})", String::from_utf8_lossy(needle))
                 }
                 PlanStep::Wild { .. } => "W".to_string(),
@@ -217,7 +221,7 @@ mod tests {
     fn pure_chain_is_field_chain() {
         let p = plan("$.a.b.c");
         assert_eq!(p.route, Route::FieldChain);
-        assert_eq!(shape(&p), r#"L("a") L("b") L("c")"#);
+        assert_eq!(shape("$.a.b.c"), r#"L("a") L("b") L("c")"#);
         assert!(p.tail_accepting, "final value is the match");
         assert!(!p.tail_run, "nothing below the match can match");
     }
@@ -227,14 +231,17 @@ mod tests {
         // B1: labels mixed with wildcards — selective.
         let p = plan("$.products.*.categoryPath.*.id");
         assert_eq!(p.route, Route::Selective);
-        assert_eq!(shape(&p), r#"L("products") W L("categoryPath") W L("id")"#);
+        assert_eq!(
+            shape("$.products.*.categoryPath.*.id"),
+            r#"L("products") W L("categoryPath") W L("id")"#
+        );
         assert!(p.tail_accepting && !p.tail_run);
 
         // G1: leading wildcard, long chain — selective.
         let p = plan("$.*.routes.*.legs.*.steps.*.distance.text");
         assert_eq!(p.route, Route::Selective);
         assert_eq!(
-            shape(&p),
+            shape("$.*.routes.*.legs.*.steps.*.distance.text"),
             r#"W L("routes") W L("legs") W L("steps") W L("distance") L("text")"#
         );
         assert!(p.tail_accepting && !p.tail_run);
@@ -242,7 +249,10 @@ mod tests {
         // N1: chain, one wildcard, chain.
         let p = plan("$.meta.view.columns.*.name");
         assert_eq!(p.route, Route::Selective);
-        assert_eq!(shape(&p), r#"L("meta") L("view") L("columns") W L("name")"#);
+        assert_eq!(
+            shape("$.meta.view.columns.*.name"),
+            r#"L("meta") L("view") L("columns") W L("name")"#
+        );
     }
 
     #[test]
@@ -252,7 +262,7 @@ mod tests {
         // atomic children of that container do match.
         let p = plan("$.data.*.*.*");
         assert_eq!(p.route, Route::Selective);
-        assert_eq!(shape(&p), r#"L("data") W W"#);
+        assert_eq!(shape("$.data.*.*.*"), r#"L("data") W W"#);
         assert!(!p.tail_accepting);
         assert!(p.tail_run, "matches exist below the tail");
     }
@@ -272,7 +282,7 @@ mod tests {
         // at the descendant state and `tail_run` hands it to main_loop.
         let p = plan("$.a.b..c");
         assert_eq!(p.route, Route::FieldChain);
-        assert_eq!(shape(&p), r#"L("a") L("b")"#);
+        assert_eq!(shape("$.a.b..c"), r#"L("a") L("b")"#);
         assert!(!p.tail_accepting);
         assert!(p.tail_run);
     }
@@ -282,7 +292,7 @@ mod tests {
         // `[0]` distinguishes indices: the walker never counts commas, so
         // the state cannot be a step.
         let p = plan("$.a[0].b");
-        assert_eq!(shape(&p), r#"L("a")"#);
+        assert_eq!(shape("$.a[0].b"), r#"L("a")"#);
         assert_eq!(p.route, Route::FieldChain);
         assert!(p.tail_run);
     }

@@ -2,11 +2,11 @@
 # Local CI gate: formatting, lints, the static-analysis driver (unsafe
 # audit + concurrency/panic-surface/consistency passes), tier-1 tests,
 # an overflow-checked test pass, the fast-path parity gate (routed
-# walker vs the general engine over the full query catalog), the mmap
-# ingest smoke, the input-path parity gate, the hardware-counter and
-# timeline-trace smokes, the profile-overhead gate, differential fuzz
-# smoke, and (when the host toolchain provides them) Miri,
-# AddressSanitizer, and ThreadSanitizer lanes.
+# walker vs the general engine over the full query catalog), the seek
+# linearity gate, the mmap ingest smoke, the input-path parity gate, the
+# hardware-counter and timeline-trace smokes, the profile-overhead gate,
+# differential fuzz smoke, and (when the host toolchain provides them)
+# Miri, AddressSanitizer, and ThreadSanitizer lanes.
 # Run from anywhere; operates on the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -119,6 +119,40 @@ if [ "$FAST_ROUTED" -lt 8 ]; then
 fi
 echo "parity gate: $QUERIES queries x ${#PARITY_BACKENDS[@]} backends" \
   "(auto ${PARITY_BACKENDS[*]:1}) agree; $FAST_ROUTED routed fast"
+
+echo "==> seek linearity gate (label-free siblings, both routes, 5 s each)"
+# 100 000 sibling containers that lack the sought label, whose only other
+# occurrence is at the far end of the document (general route: `$..a..b.c`)
+# or nowhere (routed walker: `$.r.*.a.b`). Every seek must stop at its own
+# container's end without searching the rest of the document again: a
+# linear run takes ~25 ms, a quadratic one ~10 s, so `timeout 5` tells
+# them apart (the DOM oracle's own half second included). --verify checks
+# the matches against that oracle.
+python3 - "$SERVE_TMP" <<'PYEOF'
+import sys
+sibling = '{"a":{"x":{"y":{"z":{"w":{"v":1}}}}}}'
+siblings = ",".join([sibling] * 100_000)
+with open(sys.argv[1] + "/seek-descendant.json", "w") as f:
+    f.write("[" + siblings + ',{"a":{"x":{"b":{"c":7}}}}]')
+with open(sys.argv[1] + "/seek-routed.json", "w") as f:
+    f.write('{"r":[' + siblings + "]}")
+PYEOF
+while read -r file query want; do
+  for env in "" RSQ_BACKEND=swar RSQ_ROUTE=general; do
+    status=0
+    verdict="$(env $env timeout 5 ./target/release/rsq --verify "$query" \
+      "$SERVE_TMP/$file")" || status=$?
+    if [ "$status" -ne 0 ] || [[ "$verdict" != "ok: $want matches,"* ]]; then
+      echo "seek linearity gate: $query on $file under '${env:-auto}':" \
+        "exit $status (124 = timed out), '$verdict', expected $want matches"
+      exit 1
+    fi
+  done
+done <<'CASES'
+seek-descendant.json $..a..b.c 1
+seek-routed.json $.r.*.a.b 0
+CASES
+echo "seek linearity gate: 2 documents x 3 configurations linear and verified"
 
 echo "==> mmap smoke gate (--mmap on vs off over a multi-MB batch dir)"
 # Multi-MiB documents through --batch-dir under both ingest policies:

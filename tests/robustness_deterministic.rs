@@ -294,3 +294,39 @@ fn label_seek_and_head_start_paths_stay_correct() {
         assert_eq!(engine.try_count(doc.as_bytes()).unwrap(), 1, "{options:?}");
     }
 }
+
+/// Hang detector for the label seeks: containers that lack the sought
+/// label, each of which ends its seek at its own closing character, with
+/// the label's next occurrence at the far end of the document or nowhere.
+/// A seek that searches for that occurrence afresh every time makes the
+/// run quadratic (minutes in this build); one `memmem` frontier per label
+/// keeps it linear (well under a second). The bound is generous — it tells
+/// those apart, it is not a benchmark.
+#[test]
+fn label_seeks_over_label_free_siblings_stay_linear() {
+    const SIBLINGS: usize = 50_000;
+    let sibling = r#"{"a":{"x":{"y":{"z":{"w":{"v":1}}}}}}"#;
+    let siblings = vec![sibling; SIBLINGS].join(",");
+    for (query, doc) in [
+        // General route: the head start on `a`, a subtree seek for `b`.
+        (
+            "$..a..b.c",
+            format!(r#"[{siblings},{{"a":{{"x":{{"b":{{"c":7}}}}}}}}]"#),
+        ),
+        // Routed walker: a member seek for `b` in every `a`.
+        ("$.r.*.a.b", format!(r#"{{"r":[{siblings}]}}"#)),
+    ] {
+        let query = Query::parse(query).unwrap();
+        let dom = rsq::json::parse(doc.as_bytes()).unwrap();
+        let expected = rsq::baselines::positions(&query, &dom);
+        let engine = Engine::from_query(&query).unwrap();
+        let started = std::time::Instant::now();
+        let got = engine.try_positions(doc.as_bytes()).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(got, expected, "{query:?}");
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "{query:?} took {elapsed:?} over {SIBLINGS} label-free siblings"
+        );
+    }
+}
