@@ -12,11 +12,13 @@
 use rsq_batch::{BatchEngine, BatchOptions, DocError, DocErrorKind, DocRunner, DocSink, Record};
 use rsq_engine::{Engine, EngineOptions, ProfileStage, ProfileStats, RunError, RunStats};
 use rsq_mmap::{MapPolicy, MmapInput, Region};
+use rsq_obs::expo::Exposition;
+use rsq_obs::series::{JsonObject, Value};
 use rsq_obs::{
-    chrome_trace_json, prometheus, prometheus_serve, BatchCounters, BatchProfile, Histogram,
-    ServeCounters, SpanRecord, STATS_SCHEMA_VERSION,
+    chrome_trace_json, BatchCounters, BatchProfile, Histogram, ServeCounters, SkipBytes,
+    SpanRecord, StageTimes, STATS_SCHEMA_VERSION,
 };
-use rsq_perf::{prometheus_perf_into, PerfMode, PerfStats};
+use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use rsq_serve::{
     render, serve_connection_with, serve_telemetry_listener, serve_unix_with, ResponseMode,
@@ -730,41 +732,30 @@ impl Report<'_> {
     /// objects — or a single document's counters as top-level fields —
     /// then the `profile`, `perf` and `telemetry` objects that exist.
     fn json(&self) -> String {
-        fn member(s: &mut String, key: &str, json: &str) {
-            s.push_str(",\"");
-            s.push_str(key);
-            s.push_str("\":");
-            s.push_str(json);
-        }
-        let mut s = format!("{{\"schema_version\":{STATS_SCHEMA_VERSION}");
-        let stats = self.stats.map(RunStats::to_json);
+        let mut object = JsonObject::new();
+        object.value("schema_version", Value::U64(STATS_SCHEMA_VERSION));
         if let Some(batch) = self.batch {
-            member(&mut s, "batch", &batch.to_json());
-            if let Some(stats) = &stats {
-                member(&mut s, "stats", stats);
+            object.value("batch", Value::Json(batch.to_json()));
+            if let Some(stats) = self.stats {
+                object.value("stats", Value::Json(stats.to_json()));
             }
-        } else if let Some(stats) = &stats {
-            // The stats members join the top-level object: exactly the
-            // one outer brace pair comes off.
-            let members = stats.strip_prefix('{').and_then(|m| m.strip_suffix('}'));
-            s.push(',');
-            s.push_str(members.unwrap_or(stats));
+        } else if let Some(stats) = self.stats {
+            object.rows(RunStats::ROWS, stats);
         }
         if let Some((serve, _)) = self.serve {
-            member(&mut s, "serve", &serve.to_json());
+            object.value("serve", Value::Json(serve.to_json()));
         }
         let profile = self.profile.map(ProfileStats::to_json);
         if let Some(profile) = profile.or_else(|| self.batch_profile.map(BatchProfile::to_json)) {
-            member(&mut s, "profile", &profile);
+            object.value("profile", Value::Json(profile));
         }
         if let Some(perf) = self.perf {
-            member(&mut s, "perf", &perf.to_json());
+            object.value("perf", Value::Json(perf.to_json()));
         }
         if let Some(hub) = self.telemetry {
-            member(&mut s, "telemetry", &hub.to_json());
+            object.value("telemetry", Value::Json(hub.to_json()));
         }
-        s.push_str("}\n");
-        s
+        object.finish() + "\n"
     }
 
     /// The human block: the counter tables when `--stats` asked for them,
@@ -810,18 +801,28 @@ impl Report<'_> {
         if let Some(hub) = self.telemetry {
             return hub.render_metrics();
         }
-        let mut text = match self.serve {
-            Some((counters, latency)) => prometheus_serve(counters, Some(latency)),
-            None => prometheus(
-                self.stats.unwrap_or(&RunStats::default()),
-                self.profile,
-                self.batch.map(|batch| (batch, self.batch_profile)),
-            ),
-        };
-        if let Some(perf) = self.perf {
-            prometheus_perf_into(&mut text, perf);
+        let mut expo = Exposition::new();
+        if let Some((counters, latency)) = self.serve {
+            expo.rows(ServeCounters::ROWS, counters, "");
+            expo.rows(ServeCounters::LATENCY, latency, "");
+        } else {
+            let stats = self.stats.copied().unwrap_or_default();
+            expo.rows(RunStats::ROWS, &stats, "");
+            if let Some(profile) = self.profile {
+                expo.rows(SkipBytes::ROWS, &profile.bytes_skipped, "");
+                expo.rows(StageTimes::ROWS, &profile.stages, "");
+            }
+            if let Some(batch) = self.batch {
+                expo.rows(BatchCounters::ROWS, batch, "");
+                if let Some(profile) = self.batch_profile {
+                    profile.expose(&mut expo);
+                }
+            }
         }
-        text
+        if let Some(perf) = self.perf {
+            expo.rows(PerfStats::ROWS, perf, "");
+        }
+        expo.finish()
     }
 
     /// Writes the files and the stderr block the invocation asked for.

@@ -9,9 +9,8 @@
 //!
 //! [`RunStats`]: crate::RunStats
 
+use crate::series::Value;
 use std::fmt;
-use std::fmt::Write as _;
-use std::ops::{Add, AddAssign};
 
 /// Counters describing one batch run over many documents.
 ///
@@ -36,6 +35,21 @@ pub struct BatchCounters {
     pub cache_misses: u64,
     /// Compiled-query cache evictions: entries dropped to make room.
     pub cache_evictions: u64,
+}
+
+crate::series_rows! {
+    /// Every field, once, plus the two derived cache ratios.
+    impl BatchCounters, merged {
+        "documents" sum(|c| c.documents) => counter rsq_batch_documents_total "Documents processed by batch runs.";
+        "failed_documents" sum(|c| c.failed_documents) => counter rsq_batch_failed_documents_total "Documents that ended in a per-document error.";
+        "shards" sum(|c| c.shards);
+        "queue_claims" sum(|c| c.queue_claims);
+        "cache_hits" sum(|c| c.cache_hits) => counter rsq_batch_cache_hits_total "Compiled-query cache hits.";
+        "cache_misses" sum(|c| c.cache_misses) => counter rsq_batch_cache_misses_total "Compiled-query cache misses.";
+        "cache_evictions" sum(|c| c.cache_evictions) => counter rsq_batch_cache_evictions_total "Compiled-query cache evictions.";
+        "cache_hit_ratio" calc(|c| Value::F64(c.cache_hit_ratio(), 4, 4));
+        "cache_miss_ratio" calc(|c| Value::F64(c.cache_miss_ratio(), 4, 4));
+    }
 }
 
 impl BatchCounters {
@@ -74,30 +88,6 @@ impl BatchCounters {
             }
         }
     }
-
-    /// Serializes the counters as single-line JSON (no trailing newline).
-    ///
-    /// Keys are stable: `documents`, `failed_documents`, `shards`,
-    /// `queue_claims`, `cache_hits`, `cache_misses`, `cache_evictions`,
-    /// `cache_hit_ratio`, `cache_miss_ratio`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(192);
-        let _ = write!(
-            s,
-            "{{\"documents\":{},\"failed_documents\":{},\"shards\":{},\"queue_claims\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\"cache_hit_ratio\":{:.4},\"cache_miss_ratio\":{:.4}}}",
-            self.documents,
-            self.failed_documents,
-            self.shards,
-            self.queue_claims,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_hit_ratio(),
-            self.cache_miss_ratio(),
-        );
-        s
-    }
 }
 
 impl fmt::Display for BatchCounters {
@@ -121,51 +111,9 @@ impl fmt::Display for BatchCounters {
     }
 }
 
-impl AddAssign for BatchCounters {
-    fn add_assign(&mut self, rhs: Self) {
-        self.documents = self.documents.saturating_add(rhs.documents);
-        self.failed_documents = self.failed_documents.saturating_add(rhs.failed_documents);
-        self.shards = self.shards.saturating_add(rhs.shards);
-        self.queue_claims = self.queue_claims.saturating_add(rhs.queue_claims);
-        self.cache_hits = self.cache_hits.saturating_add(rhs.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(rhs.cache_misses);
-        self.cache_evictions = self.cache_evictions.saturating_add(rhs.cache_evictions);
-    }
-}
-
-impl Add for BatchCounters {
-    type Output = BatchCounters;
-
-    fn add(mut self, rhs: Self) -> Self {
-        self += rhs;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_adds_every_counter() {
-        let a = BatchCounters {
-            documents: 10,
-            failed_documents: 1,
-            shards: 4,
-            queue_claims: 7,
-            cache_hits: 2,
-            cache_misses: 1,
-            cache_evictions: 0,
-        };
-        let b = BatchCounters {
-            documents: u64::MAX,
-            ..BatchCounters::new()
-        };
-        let sum = a + b;
-        assert_eq!(sum.documents, u64::MAX, "saturating, not wrapping");
-        assert_eq!(sum.shards, 4);
-        assert_eq!(sum.cache_hits, 2);
-    }
 
     #[test]
     fn json_has_stable_keys() {
@@ -205,86 +153,5 @@ mod tests {
         assert!(json.contains("\"cache_hit_ratio\":0.7500"), "{json}");
         assert!(json.contains("\"cache_miss_ratio\":0.2500"), "{json}");
         assert!(json.contains("\"cache_evictions\":0"), "{json}");
-    }
-
-    #[test]
-    fn merge_is_associative_and_saturates_at_max() {
-        // Three counter sets whose pairwise sums overflow several fields:
-        // (a + b) + c must equal a + (b + c), with every counter pinned
-        // at u64::MAX rather than wrapping.
-        let a = BatchCounters {
-            documents: u64::MAX - 5,
-            failed_documents: 1,
-            shards: 2,
-            queue_claims: u64::MAX,
-            cache_hits: 10,
-            cache_misses: 20,
-            cache_evictions: u64::MAX - 1,
-        };
-        let b = BatchCounters {
-            documents: 10,
-            failed_documents: u64::MAX,
-            shards: 3,
-            queue_claims: 1,
-            cache_hits: u64::MAX,
-            cache_misses: 5,
-            cache_evictions: 7,
-        };
-        let c = BatchCounters {
-            documents: 1,
-            failed_documents: 1,
-            shards: u64::MAX,
-            queue_claims: 2,
-            cache_hits: 4,
-            cache_misses: u64::MAX,
-            cache_evictions: 9,
-        };
-        let left = (a + b) + c;
-        let right = a + (b + c);
-        assert_eq!(left, right, "merge must be associative");
-        assert_eq!(left.documents, u64::MAX);
-        assert_eq!(left.failed_documents, u64::MAX);
-        assert_eq!(left.shards, u64::MAX);
-        assert_eq!(left.queue_claims, u64::MAX);
-        assert_eq!(left.cache_hits, u64::MAX);
-        assert_eq!(left.cache_misses, u64::MAX);
-        assert_eq!(left.cache_evictions, u64::MAX);
-    }
-
-    #[test]
-    fn run_stats_merge_is_associative_and_saturates_at_max() {
-        use crate::RunStats;
-        let mut a = RunStats {
-            bytes: u64::MAX - 1,
-            events: 5,
-            max_depth: 3,
-            matches: u64::MAX,
-            ..RunStats::new()
-        };
-        a.skips.leaf = u64::MAX - 2;
-        let mut b = RunStats {
-            bytes: 10,
-            events: u64::MAX,
-            max_depth: 9,
-            matches: 1,
-            ..RunStats::new()
-        };
-        b.skips.leaf = 1;
-        let mut c = RunStats {
-            bytes: 3,
-            events: 2,
-            max_depth: 1,
-            matches: 4,
-            ..RunStats::new()
-        };
-        c.skips.leaf = u64::MAX;
-        let left = (a + b) + c;
-        let right = a + (b + c);
-        assert_eq!(left, right, "merge must be associative");
-        assert_eq!(left.bytes, u64::MAX);
-        assert_eq!(left.events, u64::MAX);
-        assert_eq!(left.skips.leaf, u64::MAX);
-        assert_eq!(left.matches, u64::MAX);
-        assert_eq!(left.max_depth, 9, "max_depth takes the maximum");
     }
 }

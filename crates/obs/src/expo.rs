@@ -1,39 +1,86 @@
-//! Shared Prometheus text-exposition formatting.
+//! The Prometheus text exposition of the series registry.
 //!
-//! Every renderer in the workspace (`prometheus`, `prometheus_serve`,
-//! `prometheus_telemetry`) builds its output through [`metric`], which
-//! emits the `# HELP`/`# TYPE` header pair exactly once per metric name
-//! and one sample line per call. Centralizing the formatter keeps the
-//! `--metrics-out` file writer and the live `/metrics` endpoint
-//! byte-compatible by construction, and gives `cargo xtask metrics-lint`
-//! one choke point to validate: [`check`] asserts the conventions
-//! (snake_case `rsq_*` names, headers before samples) that scrapers
-//! assume.
+//! [`Exposition`] renders [`crate::series`] rows as `--metrics-out` /
+//! `/metrics` text: the `# HELP`/`# TYPE` header pair before the first
+//! sample of a name, then one sample line per row (one per quantile for
+//! a histogram). The file writer and the live endpoint go through it, so
+//! they are byte-compatible by construction; [`check`] asserts the
+//! conventions scrapers assume (snake_case `rsq_*` names, headers before
+//! samples) on any rendered text.
 
+use crate::series::{Row, Series, Value};
 use std::fmt;
 use std::fmt::Write as _;
 
-/// Appends one sample line for `name` to `out`, preceded by its
-/// `# HELP`/`# TYPE` header pair if this is the first sample of that
-/// name in `out`. `labels` is the raw label body (no braces), empty for
-/// an unlabelled series; `kind` is the Prometheus type (`counter` or
-/// `gauge`).
-pub fn metric(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    labels: &str,
-    value: impl fmt::Display,
-    kind: &str,
-) {
-    if !out.contains(&format!("# TYPE {name} ")) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
+/// One text exposition being written.
+#[derive(Debug, Default)]
+pub struct Exposition {
+    out: String,
+    /// Names whose header pair is out. Samples of one name are not always
+    /// adjacent in the pinned output (per-stage cycles alternate with
+    /// instructions, per-worker busy with wait, and the second window
+    /// repeats the first one's names), so the previous name is not enough.
+    declared: Vec<&'static str>,
+}
+
+impl Exposition {
+    /// An empty exposition.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
     }
-    if labels.is_empty() {
-        let _ = writeln!(out, "{name} {value}");
-    } else {
-        let _ = writeln!(out, "{name}{{{labels}}} {value}");
+
+    /// Appends the series of `rows`, read from `source`; `labels`
+    /// (`window="10s"`, `worker="0"`, or empty) goes on every sample.
+    pub fn rows<T>(&mut self, rows: &[Row<T>], source: &T, labels: &str) {
+        for late in [false, true] {
+            for row in rows {
+                if let Some(series) = row.series.as_ref().filter(|s| s.late == late) {
+                    self.samples(series, labels, row.value(source));
+                }
+            }
+        }
+    }
+
+    /// The sample lines of one value: one, or one per quantile.
+    fn samples(&mut self, series: &Series, labels: &str, value: Value<'_>) {
+        let own = [labels, series.labels, ""];
+        match value {
+            Value::U64(v) => self.sample(series, own, format_args!("{v}")),
+            Value::F64(v, _, decimals) => self.sample(series, own, format_args!("{v:.decimals$}")),
+            Value::Histogram(h) => {
+                for (quantile, v) in h.quantiles() {
+                    let labels = [labels, series.labels, quantile];
+                    self.sample(series, labels, format_args!("{v}"));
+                }
+            }
+            // The rest are JSON members only.
+            _ => {}
+        }
+    }
+
+    fn sample(&mut self, series: &Series, labels: [&str; 3], value: fmt::Arguments<'_>) {
+        let Series {
+            name, help, kind, ..
+        } = *series;
+        // Writing into a `String` cannot fail.
+        if !self.declared.contains(&name) {
+            self.declared.push(name);
+            let _ = writeln!(self.out, "# HELP {name} {help}");
+            let _ = writeln!(self.out, "# TYPE {name} {kind}");
+        }
+        let labels: Vec<&str> = labels.into_iter().filter(|l| !l.is_empty()).collect();
+        let _ = if labels.is_empty() {
+            writeln!(self.out, "{name} {value}")
+        } else {
+            writeln!(self.out, "{name}{{{}}} {value}", labels.join(","))
+        };
+    }
+
+    /// The finished text.
+    #[must_use]
+    pub fn finish(self) -> String {
+        self.out
     }
 }
 
@@ -110,29 +157,38 @@ pub fn check(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    struct Things {
+        a: u64,
+        b: u64,
+        rate: f64,
+    }
+
+    const ROWS: &[Row<Things>] = crate::series_rows! {
+        "a" sum(|t| t.a) => counter rsq_things_total "Things seen.";
+        "b" sum(|t| t.b) => counter rsq_things_total {kind="b"} "Things seen.";
+        "rate" calc(|t| Value::F64(t.rate, 2, 3))
+            => gauge rsq_things_per_sec "Things per second." late;
+        "hidden" get(|t| t.a + t.b);
+    };
+
     #[test]
-    fn metric_emits_header_pair_once() {
-        let mut out = String::new();
-        metric(
-            &mut out,
-            "rsq_things_total",
-            "Things seen.",
-            "",
-            3u64,
-            "counter",
-        );
-        metric(
-            &mut out,
-            "rsq_things_total",
-            "Things seen.",
-            "kind=\"a\"",
-            4u64,
-            "counter",
-        );
+    fn header_pair_is_emitted_once_per_name() {
+        let things = Things {
+            a: 3,
+            b: 4,
+            rate: 1.25,
+        };
+        let mut expo = Exposition::new();
+        expo.rows(ROWS, &things, "");
+        expo.rows(ROWS, &things, "window=\"10s\"");
+        let out = expo.finish();
         assert_eq!(out.matches("# HELP rsq_things_total").count(), 1);
         assert_eq!(out.matches("# TYPE rsq_things_total counter").count(), 1);
         assert!(out.contains("rsq_things_total 3\n"));
-        assert!(out.contains("rsq_things_total{kind=\"a\"} 4\n"));
+        assert!(out.contains("rsq_things_total{kind=\"b\"} 4\n"));
+        assert!(out.contains("rsq_things_total{window=\"10s\",kind=\"b\"} 4\n"));
+        assert!(out.contains("rsq_things_per_sec{window=\"10s\"} 1.250\n"));
+        assert!(!out.contains("hidden"));
         check(&out).expect("well-formed exposition");
     }
 
@@ -157,19 +213,5 @@ mod tests {
         assert!(check(bad_name).is_err());
         let empty_help = "# HELP rsq_x_total \n# TYPE rsq_x_total counter\nrsq_x_total 1\n";
         assert!(check(empty_help).is_err());
-    }
-
-    #[test]
-    fn check_accepts_float_values_and_labels() {
-        let mut out = String::new();
-        metric(
-            &mut out,
-            "rsq_window_docs_per_sec",
-            "Documents per second over the window.",
-            "window=\"10s\"",
-            1.25f64,
-            "gauge",
-        );
-        check(&out).expect("floats and labels are fine");
     }
 }

@@ -15,9 +15,9 @@
 //! parse it back to check the timeline telescopes to the recorded
 //! latency.
 
+use crate::series::{self, JsonObject, Value};
 use crate::span::SpanRecord;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// Default ring capacity per worker: enough history to see a pattern
 /// (one slow client, one poisoned corpus) without unbounded growth.
@@ -75,23 +75,15 @@ impl FlightRecorder {
     /// `doc`, `recent`.
     #[must_use]
     pub fn postmortem_json(&self, worker: usize, doc: &SpanRecord) -> String {
-        let mut s = String::with_capacity(512);
-        let _ = write!(
-            s,
-            "{{\"schema_version\":{},\"worker\":{worker},\"code\":\"{}\",\"latency_ns\":{},\"doc\":{},\"recent\":[",
-            crate::STATS_SCHEMA_VERSION,
-            doc.code.unwrap_or("unknown"),
-            doc.total_ns(),
-            doc.to_json(),
-        );
-        for (i, r) in self.ring.iter().rev().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.to_json());
-        }
-        s.push_str("]}");
-        s
+        let mut object = JsonObject::new();
+        object.value("schema_version", Value::U64(crate::STATS_SCHEMA_VERSION));
+        object.value("worker", Value::U64(worker as u64));
+        object.value("code", Value::Str(doc.code.unwrap_or("unknown")));
+        object.value("latency_ns", Value::U64(doc.total_ns()));
+        object.value("doc", Value::Json(doc.to_json()));
+        let recent = series::to_json_array(SpanRecord::ROWS, self.ring.iter().rev());
+        object.value("recent", Value::Json(recent));
+        object.finish()
     }
 }
 

@@ -14,8 +14,8 @@
 //! merging per-worker histograms yields the same result for any thread
 //! count and any partition of the samples.
 
+use crate::series::Value;
 use std::fmt;
-use std::fmt::Write as _;
 use std::ops::{Add, AddAssign};
 
 /// Number of buckets: one per possible `ilog2` of a `u64` sample.
@@ -53,6 +53,25 @@ fn bucket_upper(b: usize) -> u64 {
         u64::MAX
     } else {
         (2u64 << b) - 1
+    }
+}
+
+crate::series_rows! {
+    /// The members of the histogram's JSON object: summary fields plus a
+    /// sparse `buckets` array of `[log2_lower_bound, count]` pairs.
+    impl Histogram {
+        "count" get(|h| h.count);
+        "sum" get(|h| h.sum);
+        "mean" get(|h| h.mean());
+        "max" get(|h| h.max);
+        "p50" get(|h| h.p50());
+        "p90" get(|h| h.p90());
+        "p99" get(|h| h.p99());
+        "buckets" calc(|h| {
+            let filled = h.buckets.iter().enumerate().filter(|(_, &n)| n > 0);
+            let pairs: Vec<String> = filled.map(|(b, n)| format!("[{b},{n}]")).collect();
+            Value::Json(format!("[{}]", pairs.join(",")))
+        });
     }
 }
 
@@ -154,34 +173,16 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// Serializes the histogram as single-line JSON: summary fields plus
-    /// a sparse `buckets` array of `[log2_lower_bound, count]` pairs.
+    /// The quantiles an exposition samples, each under its `quantile`
+    /// label.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        let _ = write!(
-            s,
-            "{{\"count\":{},\"sum\":{},\"mean\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-            self.count,
-            self.sum,
-            self.mean(),
-            self.max,
-            self.p50(),
-            self.p90(),
-            self.p99(),
-        );
-        let mut first = true;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                if !first {
-                    s.push(',');
-                }
-                let _ = write!(s, "[{b},{n}]");
-                first = false;
-            }
-        }
-        s.push_str("]}");
-        s
+    pub fn quantiles(&self) -> [(&'static str, u64); 4] {
+        [
+            ("quantile=\"0.5\"", self.p50()),
+            ("quantile=\"0.9\"", self.p90()),
+            ("quantile=\"0.99\"", self.p99()),
+            ("quantile=\"1.0\"", self.max),
+        ]
     }
 }
 

@@ -25,10 +25,14 @@
 //! On top of the tiers sits the **live-telemetry layer** consumed by
 //! serve mode's scrape endpoint: rolling-window aggregation
 //! ([`WindowRing`]), per-document pipeline spans ([`DocSpan`] /
-//! [`SpanRecord`]), the per-worker fault flight recorder
-//! ([`FlightRecorder`]), and the shared Prometheus text-exposition
-//! formatter ([`expo`]). All of it follows the same discipline: no
+//! [`SpanRecord`]), and the per-worker fault flight recorder
+//! ([`FlightRecorder`]). All of it follows the same discipline: no
 //! clock reads and no ring writes unless telemetry is enabled.
+//!
+//! Every reported value of every counter set is declared once, as a row
+//! of the **series registry** ([`series`]); `--stats-json`, the
+//! Prometheus text exposition ([`expo`]) and `+=` are rendered from the
+//! rows.
 //!
 //! This crate is dependency-free by design: every crate in the workspace
 //! (including `rsq-classify`, which sits below the engine) can depend on
@@ -41,6 +45,7 @@ pub mod expo;
 mod flightrec;
 mod hist;
 mod profile;
+pub mod series;
 mod serve;
 mod skipmap;
 mod span;
@@ -52,12 +57,12 @@ pub use batch::BatchCounters;
 pub use flightrec::{FlightRecorder, DEFAULT_FLIGHT_WINDOW};
 pub use hist::Histogram;
 pub use profile::{
-    prometheus, BatchProfile, ProfileStage, ProfileStats, SkipBytes, StageTimes, WorkerProfile,
+    BatchProfile, ProfileStage, ProfileStats, SkipBytes, StageTimes, WorkerProfile,
     STATS_SCHEMA_VERSION,
 };
-pub use serve::{prometheus_serve, ServeCounters};
+pub use serve::ServeCounters;
 pub use skipmap::{SkipMap, SkipTechnique};
 pub use span::{DocSpan, SpanRecord, Stopwatch};
 pub use stats::{BlockStats, ClassifierCounters, NoStats, Recorder, Route, RunStats, SkipStats};
 pub use timeline::chrome_trace_json;
-pub use window::{prometheus_telemetry, TelemetryGauges, WindowRing, WindowSnapshot};
+pub use window::{TelemetryGauges, WindowRing, WindowSnapshot};

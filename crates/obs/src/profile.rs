@@ -26,12 +26,12 @@
 //! * `ingest` / `sink` — input acquisition and output writing, recorded
 //!   by the CLI driver (disjoint).
 
+use crate::expo::Exposition;
 use crate::hist::Histogram;
+use crate::series::{self, Value};
 use crate::skipmap::{SkipMap, SkipTechnique};
 use crate::stats::{ClassifierCounters, Recorder, RunStats};
 use std::fmt;
-use std::fmt::Write as _;
-use std::ops::{Add, AddAssign};
 use std::time::Instant;
 
 /// Version of the machine-readable stats/report JSON schema emitted by
@@ -111,6 +111,18 @@ pub struct StageTimes {
     ns: [u64; 5],
 }
 
+crate::series_rows! {
+    /// One row per stage: `<stage>_ns` in JSON, `rsq_stage_ns_total` by
+    /// `stage` label.
+    impl StageTimes, merged {
+        "ingest_ns" sum_at(|s| s.ns, ProfileStage::Ingest) => counter rsq_stage_ns_total {stage="ingest"} "Wall-clock nanoseconds per pipeline stage.";
+        "validate_ns" sum_at(|s| s.ns, ProfileStage::Validate) => counter rsq_stage_ns_total {stage="validate"} "Wall-clock nanoseconds per pipeline stage.";
+        "classify_ns" sum_at(|s| s.ns, ProfileStage::Classify) => counter rsq_stage_ns_total {stage="classify"} "Wall-clock nanoseconds per pipeline stage.";
+        "automaton_ns" sum_at(|s| s.ns, ProfileStage::Automaton) => counter rsq_stage_ns_total {stage="automaton"} "Wall-clock nanoseconds per pipeline stage.";
+        "sink_ns" sum_at(|s| s.ns, ProfileStage::Sink) => counter rsq_stage_ns_total {stage="sink"} "Wall-clock nanoseconds per pipeline stage.";
+    }
+}
+
 impl StageTimes {
     /// Adds `ns` nanoseconds to `stage`.
     #[inline]
@@ -125,38 +137,6 @@ impl StageTimes {
     pub fn get(&self, stage: ProfileStage) -> u64 {
         // PANIC-OK: ProfileStage::index is < the per-stage array length (one slot per stage)
         self.ns[stage.index()]
-    }
-
-    /// Serializes as a single-line JSON object keyed by stage name.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push('{');
-        for (i, stage) in ProfileStage::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}_ns\":{}", stage.name(), self.get(*stage));
-        }
-        s.push('}');
-        s
-    }
-}
-
-impl AddAssign for StageTimes {
-    fn add_assign(&mut self, rhs: Self) {
-        for (a, b) in self.ns.iter_mut().zip(rhs.ns.iter()) {
-            *a = a.saturating_add(*b);
-        }
-    }
-}
-
-impl Add for StageTimes {
-    type Output = StageTimes;
-
-    fn add(mut self, rhs: Self) -> Self {
-        self += rhs;
-        self
     }
 }
 
@@ -177,6 +157,20 @@ pub struct SkipBytes {
     /// Bytes after a fast-path route exhaustion, never classified
     /// (DESIGN.md §15).
     pub exit: u64,
+}
+
+crate::series_rows! {
+    /// One row per technique (`rsq_bytes_skipped_total` by `technique`
+    /// label), plus the JSON-only `total`.
+    impl SkipBytes, merged {
+        "leaf" sum(|s| s.leaf) => counter rsq_bytes_skipped_total {technique="leaf"} "Bytes elided without event delivery, by technique.";
+        "child" sum(|s| s.child) => counter rsq_bytes_skipped_total {technique="child"} "Bytes elided without event delivery, by technique.";
+        "sibling" sum(|s| s.sibling) => counter rsq_bytes_skipped_total {technique="sibling"} "Bytes elided without event delivery, by technique.";
+        "label" sum(|s| s.label) => counter rsq_bytes_skipped_total {technique="label"} "Bytes elided without event delivery, by technique.";
+        "memmem" sum(|s| s.memmem) => counter rsq_bytes_skipped_total {technique="memmem"} "Bytes elided without event delivery, by technique.";
+        "exit" sum(|s| s.exit) => counter rsq_bytes_skipped_total {technique="exit"} "Bytes elided without event delivery, by technique.";
+        "total" get(|s| s.total());
+    }
 }
 
 impl SkipBytes {
@@ -203,39 +197,6 @@ impl SkipBytes {
             .saturating_add(self.memmem)
             .saturating_add(self.exit)
     }
-
-    /// Serializes as a single-line JSON object keyed by technique name,
-    /// plus `total`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push('{');
-        for t in SkipTechnique::ALL {
-            let _ = write!(s, "\"{}\":{},", t.name(), self.get(t));
-        }
-        let _ = write!(s, "\"total\":{}}}", self.total());
-        s
-    }
-}
-
-impl AddAssign for SkipBytes {
-    fn add_assign(&mut self, rhs: Self) {
-        self.leaf = self.leaf.saturating_add(rhs.leaf);
-        self.child = self.child.saturating_add(rhs.child);
-        self.sibling = self.sibling.saturating_add(rhs.sibling);
-        self.label = self.label.saturating_add(rhs.label);
-        self.memmem = self.memmem.saturating_add(rhs.memmem);
-        self.exit = self.exit.saturating_add(rhs.exit);
-    }
-}
-
-impl Add for SkipBytes {
-    type Output = SkipBytes;
-
-    fn add(mut self, rhs: Self) -> Self {
-        self += rhs;
-        self
-    }
 }
 
 /// The Tier C profiling recorder: Tier A counters plus byte-span
@@ -253,6 +214,17 @@ pub struct ProfileStats {
     /// Monotonic clock epoch, established lazily on first
     /// [`Recorder::clock`] call.
     epoch: Option<Instant>,
+}
+
+crate::series_rows! {
+    /// The profile extension (everything beyond the Tier A stats);
+    /// `skip_map` only when the profile was built with one.
+    impl ProfileStats {
+        "bytes_skipped" calc(|p| Value::Json(p.bytes_skipped.to_json()));
+        "skip_rate_pct" calc(|p| Value::F64(p.skip_rate_pct(), 2, 2));
+        "stages" calc(|p| Value::Json(p.stages.to_json()));
+        "skip_map" calc(|p| p.map.as_ref().map_or(Value::Absent, |map| Value::Json(map.to_json())));
+    }
 }
 
 impl ProfileStats {
@@ -303,26 +275,6 @@ impl ProfileStats {
                 self.bytes_skipped.total() as f64 / self.stats.bytes as f64 * 100.0
             }
         }
-    }
-
-    /// Serializes the profile extension (everything beyond the Tier A
-    /// stats) as a single-line JSON object: `bytes_skipped`,
-    /// `skip_rate_pct`, `stages`, and (when present) `skip_map`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"bytes_skipped\":{},\"skip_rate_pct\":{:.2},\"stages\":{}",
-            self.bytes_skipped.to_json(),
-            self.skip_rate_pct(),
-            self.stages.to_json(),
-        );
-        if let Some(map) = &self.map {
-            let _ = write!(s, ",\"skip_map\":{}", map.to_json());
-        }
-        s.push('}');
-        s
     }
 }
 
@@ -485,14 +437,13 @@ pub struct WorkerProfile {
     pub claims: u64,
 }
 
-impl WorkerProfile {
-    /// Serializes as a single-line JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"busy_ns\":{},\"queue_wait_ns\":{},\"documents\":{},\"claims\":{}}}",
-            self.busy_ns, self.queue_wait_ns, self.documents, self.claims
-        )
+crate::series_rows! {
+    /// The per-worker rows; the exposition labels them `worker="<index>"`.
+    impl WorkerProfile {
+        "busy_ns" sum(|w| w.busy_ns) => counter rsq_batch_worker_busy_ns_total "Nanoseconds each worker spent running documents.";
+        "queue_wait_ns" sum(|w| w.queue_wait_ns) => counter rsq_batch_worker_queue_wait_ns_total "Nanoseconds each worker spent waiting on the queue.";
+        "documents" sum(|w| w.documents);
+        "claims" sum(|w| w.claims);
     }
 }
 
@@ -510,27 +461,25 @@ pub struct BatchProfile {
     pub workers: Vec<WorkerProfile>,
 }
 
+crate::series_rows! {
+    /// The members of the `profile` object of a batch report; the latency
+    /// histogram is the one with a series.
+    impl BatchProfile {
+        "bytes_skipped" calc(|p| Value::Json(p.bytes_skipped.to_json()));
+        "stages" calc(|p| Value::Json(p.stages.to_json()));
+        "latency" calc(|p| Value::Histogram(&p.latency)) => gauge rsq_batch_document_latency_ns "Per-document latency quantiles (log2-bucket resolution).";
+        "workers" calc(|p| Value::Json(series::to_json_array(WorkerProfile::ROWS, &p.workers)));
+    }
+}
+
 impl BatchProfile {
-    /// Serializes as a single-line JSON object: `bytes_skipped`,
-    /// `stages`, `latency`, `workers`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"bytes_skipped\":{},\"stages\":{},\"latency\":{},\"workers\":[",
-            self.bytes_skipped.to_json(),
-            self.stages.to_json(),
-            self.latency.to_json(),
-        );
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&w.to_json());
+    /// Appends the batch-profile series: the latency quantiles, then each
+    /// worker's rows under its `worker` label.
+    pub fn expose(&self, expo: &mut Exposition) {
+        expo.rows(Self::ROWS, self, "");
+        for (i, worker) in self.workers.iter().enumerate() {
+            expo.rows(WorkerProfile::ROWS, worker, &format!("worker=\"{i}\""));
         }
-        s.push_str("]}");
-        s
     }
 }
 
@@ -571,197 +520,6 @@ impl fmt::Display for BatchProfile {
         }
         Ok(())
     }
-}
-
-/// Renders a run's statistics and profile as Prometheus-style text
-/// exposition (counters and gauges, `rsq_` prefix). `batch` adds the
-/// batch-level series when present.
-#[must_use]
-pub fn prometheus(
-    stats: &RunStats,
-    profile: Option<&ProfileStats>,
-    batch: Option<(&crate::BatchCounters, Option<&BatchProfile>)>,
-) -> String {
-    use crate::expo::metric;
-    let mut out = String::with_capacity(2048);
-    metric(
-        &mut out,
-        "rsq_input_bytes_total",
-        "Input bytes processed.",
-        "",
-        stats.bytes,
-        "counter",
-    );
-    for (kind, v) in [
-        ("structural", stats.blocks.structural),
-        ("depth", stats.blocks.depth),
-        ("seek", stats.blocks.seek),
-        ("quote", stats.blocks.quote),
-    ] {
-        metric(
-            &mut out,
-            "rsq_blocks_classified_total",
-            "SIMD blocks classified, by classifier.",
-            &format!("classifier=\"{kind}\""),
-            v,
-            "counter",
-        );
-    }
-    metric(
-        &mut out,
-        "rsq_events_total",
-        "Structural events delivered to the automaton.",
-        "",
-        stats.events,
-        "counter",
-    );
-    for (t, v) in [
-        ("leaf", stats.skips.leaf),
-        ("child", stats.skips.child),
-        ("sibling", stats.skips.sibling),
-        ("label", stats.skips.label),
-    ] {
-        metric(
-            &mut out,
-            "rsq_skips_total",
-            "Skip decisions taken, by technique.",
-            &format!("technique=\"{t}\""),
-            v,
-            "counter",
-        );
-    }
-    metric(
-        &mut out,
-        "rsq_memmem_jumps_total",
-        "Head-start memmem jumps taken.",
-        "",
-        stats.memmem_jumps,
-        "counter",
-    );
-    metric(
-        &mut out,
-        "rsq_memmem_declined_total",
-        "Head-start memmem opportunities declined.",
-        "",
-        stats.memmem_declined,
-        "counter",
-    );
-    metric(
-        &mut out,
-        "rsq_matches_total",
-        "Query matches reported.",
-        "",
-        stats.matches,
-        "counter",
-    );
-    metric(
-        &mut out,
-        "rsq_max_depth",
-        "Deepest nesting level observed.",
-        "",
-        stats.max_depth,
-        "gauge",
-    );
-    if let Some(p) = profile {
-        for t in SkipTechnique::ALL {
-            metric(
-                &mut out,
-                "rsq_bytes_skipped_total",
-                "Bytes elided without event delivery, by technique.",
-                &format!("technique=\"{}\"", t.name()),
-                p.bytes_skipped.get(t),
-                "counter",
-            );
-        }
-        for stage in ProfileStage::ALL {
-            metric(
-                &mut out,
-                "rsq_stage_ns_total",
-                "Wall-clock nanoseconds per pipeline stage.",
-                &format!("stage=\"{}\"", stage.name()),
-                p.stages.get(stage),
-                "counter",
-            );
-        }
-    }
-    if let Some((counters, batch_profile)) = batch {
-        metric(
-            &mut out,
-            "rsq_batch_documents_total",
-            "Documents processed by batch runs.",
-            "",
-            counters.documents,
-            "counter",
-        );
-        metric(
-            &mut out,
-            "rsq_batch_failed_documents_total",
-            "Documents that ended in a per-document error.",
-            "",
-            counters.failed_documents,
-            "counter",
-        );
-        metric(
-            &mut out,
-            "rsq_batch_cache_hits_total",
-            "Compiled-query cache hits.",
-            "",
-            counters.cache_hits,
-            "counter",
-        );
-        metric(
-            &mut out,
-            "rsq_batch_cache_misses_total",
-            "Compiled-query cache misses.",
-            "",
-            counters.cache_misses,
-            "counter",
-        );
-        metric(
-            &mut out,
-            "rsq_batch_cache_evictions_total",
-            "Compiled-query cache evictions.",
-            "",
-            counters.cache_evictions,
-            "counter",
-        );
-        if let Some(bp) = batch_profile {
-            for (q, v) in [
-                ("0.5", bp.latency.p50()),
-                ("0.9", bp.latency.p90()),
-                ("0.99", bp.latency.p99()),
-                ("1.0", bp.latency.max()),
-            ] {
-                metric(
-                    &mut out,
-                    "rsq_batch_document_latency_ns",
-                    "Per-document latency quantiles (log2-bucket resolution).",
-                    &format!("quantile=\"{q}\""),
-                    v,
-                    "gauge",
-                );
-            }
-            for (i, w) in bp.workers.iter().enumerate() {
-                metric(
-                    &mut out,
-                    "rsq_batch_worker_busy_ns_total",
-                    "Nanoseconds each worker spent running documents.",
-                    &format!("worker=\"{i}\""),
-                    w.busy_ns,
-                    "counter",
-                );
-                metric(
-                    &mut out,
-                    "rsq_batch_worker_queue_wait_ns_total",
-                    "Nanoseconds each worker spent waiting on the queue.",
-                    &format!("worker=\"{i}\""),
-                    w.queue_wait_ns,
-                    "counter",
-                );
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -823,35 +581,6 @@ mod tests {
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
-    }
-
-    #[test]
-    fn prometheus_exposition_has_types_and_series() {
-        let mut p = ProfileStats::for_document(64);
-        p.skip_span(SkipTechnique::Sibling, 0, 64);
-        let text = prometheus(&p.stats, Some(&p), None);
-        assert!(text.contains("# TYPE rsq_bytes_skipped_total counter"));
-        assert!(text.contains("rsq_bytes_skipped_total{technique=\"sibling\"} 64"));
-        assert!(text.contains("rsq_stage_ns_total{stage=\"automaton\"}"));
-        // Each TYPE line appears exactly once.
-        assert_eq!(text.matches("# TYPE rsq_skips_total counter").count(), 1);
-    }
-
-    #[test]
-    fn prometheus_exposition_passes_the_expo_lint() {
-        let mut p = ProfileStats::for_document(64);
-        p.skip_span(SkipTechnique::Child, 0, 32);
-        let counters = crate::BatchCounters {
-            documents: 3,
-            ..crate::BatchCounters::default()
-        };
-        let bp = BatchProfile {
-            workers: vec![WorkerProfile::default()],
-            ..BatchProfile::default()
-        };
-        let text = prometheus(&p.stats, Some(&p), Some((&counters, Some(&bp))));
-        crate::expo::check(&text).expect("every series has HELP/TYPE and a snake_case name");
-        assert!(text.contains("# HELP rsq_input_bytes_total "));
     }
 
     #[test]

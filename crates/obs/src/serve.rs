@@ -9,9 +9,10 @@
 //! (oversize rejections, backpressure waits). `rsq-serve` fills one in
 //! per connection; reports from many connections merge with `+`/`+=`.
 
+use crate::hist::Histogram;
+use crate::series::{Row, Value};
+use crate::Route;
 use std::fmt;
-use std::fmt::Write as _;
-use std::ops::{Add, AddAssign};
 
 /// Counters describing streaming service over one or more connections.
 ///
@@ -59,6 +60,29 @@ pub struct ServeCounters {
     pub route_docs: [u64; 3],
 }
 
+crate::series_rows! {
+    /// Every field, once. `max_inflight` merges with `max`; the I/O
+    /// series come after the per-route ones in the exposition.
+    /// `route_docs` is an object keyed by route name.
+    impl ServeCounters, merged {
+        "connections" sum(|c| c.connections) => counter rsq_serve_connections_total "Connections (or pipe sessions) served.";
+        "documents" sum(|c| c.documents) => counter rsq_serve_documents_total "Documents framed out of the chunk streams.";
+        "bytes_in" sum(|c| c.bytes_in) => counter rsq_serve_bytes_in_total "Raw bytes read off the wire.";
+        "responses_ok" sum(|c| c.responses_ok) => counter rsq_serve_responses_ok_total "Documents answered with a successful result line.";
+        "timeouts" sum(|c| c.timeouts) => counter rsq_serve_rejections_total {class="timeout"} "Failed documents, by failure class.";
+        "oversize_rejections" sum(|c| c.oversize_rejections) => counter rsq_serve_rejections_total {class="oversize"} "Failed documents, by failure class.";
+        "limit_errors" sum(|c| c.limit_errors) => counter rsq_serve_rejections_total {class="limit"} "Failed documents, by failure class.";
+        "malformed_errors" sum(|c| c.malformed_errors) => counter rsq_serve_rejections_total {class="malformed"} "Failed documents, by failure class.";
+        "panics" sum(|c| c.panics) => counter rsq_serve_rejections_total {class="panic"} "Failed documents, by failure class.";
+        "io_errors" sum(|c| c.io_errors) => counter rsq_serve_io_errors_total "Connections ended by a non-transient read error." late;
+        "backpressure_waits" sum(|c| c.backpressure_waits) => counter rsq_serve_backpressure_waits_total "Reader pauses forced by a full in-flight queue." late;
+        "max_inflight" max(|c| c.max_inflight) => gauge rsq_serve_max_inflight "High-water mark of documents in flight at once." late;
+        "route_docs.field_chain" sum_at(|c| c.route_docs, Route::FieldChain) => counter rsq_route_docs_total {route="field_chain"} "Documents answered, by engine route.";
+        "route_docs.selective" sum_at(|c| c.route_docs, Route::Selective) => counter rsq_route_docs_total {route="selective"} "Documents answered, by engine route.";
+        "route_docs.general" sum_at(|c| c.route_docs, Route::General) => counter rsq_route_docs_total {route="general"} "Documents answered, by engine route.";
+    }
+}
+
 impl ServeCounters {
     /// A zeroed report.
     #[must_use]
@@ -90,40 +114,11 @@ impl ServeCounters {
             .saturating_add(self.panics)
     }
 
-    /// Serializes the counters as single-line JSON (no trailing newline).
-    ///
-    /// Keys are stable: `connections`, `documents`, `bytes_in`,
-    /// `responses_ok`, `timeouts`, `oversize_rejections`, `limit_errors`,
-    /// `malformed_errors`, `panics`, `io_errors`, `backpressure_waits`,
-    /// `max_inflight`, `route_docs` (an object keyed by route name).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(320);
-        let _ = write!(
-            s,
-            "{{\"connections\":{},\"documents\":{},\"bytes_in\":{},\"responses_ok\":{},\"timeouts\":{},\"oversize_rejections\":{},\"limit_errors\":{},\"malformed_errors\":{},\"panics\":{},\"io_errors\":{},\"backpressure_waits\":{},\"max_inflight\":{},\"route_docs\":{{",
-            self.connections,
-            self.documents,
-            self.bytes_in,
-            self.responses_ok,
-            self.timeouts,
-            self.oversize_rejections,
-            self.limit_errors,
-            self.malformed_errors,
-            self.panics,
-            self.io_errors,
-            self.backpressure_waits,
-            self.max_inflight,
-        );
-        for (i, route) in crate::Route::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", route.as_str(), self.route_docs(*route));
-        }
-        s.push_str("}}");
-        s
-    }
+    /// The lifetime document-latency histogram a serve report carries
+    /// beside the counters: exposition only.
+    pub const LATENCY: &'static [Row<Histogram>] = crate::series_rows! {
+        "" calc(|h| Value::Histogram(h)) => gauge rsq_serve_document_latency_ns "Lifetime document latency quantiles (log2-bucket resolution).";
+    };
 }
 
 impl fmt::Display for ServeCounters {
@@ -166,177 +161,9 @@ impl fmt::Display for ServeCounters {
     }
 }
 
-impl AddAssign for ServeCounters {
-    fn add_assign(&mut self, rhs: Self) {
-        self.connections = self.connections.saturating_add(rhs.connections);
-        self.documents = self.documents.saturating_add(rhs.documents);
-        self.bytes_in = self.bytes_in.saturating_add(rhs.bytes_in);
-        self.responses_ok = self.responses_ok.saturating_add(rhs.responses_ok);
-        self.timeouts = self.timeouts.saturating_add(rhs.timeouts);
-        self.oversize_rejections = self
-            .oversize_rejections
-            .saturating_add(rhs.oversize_rejections);
-        self.limit_errors = self.limit_errors.saturating_add(rhs.limit_errors);
-        self.malformed_errors = self.malformed_errors.saturating_add(rhs.malformed_errors);
-        self.panics = self.panics.saturating_add(rhs.panics);
-        self.io_errors = self.io_errors.saturating_add(rhs.io_errors);
-        self.backpressure_waits = self
-            .backpressure_waits
-            .saturating_add(rhs.backpressure_waits);
-        self.max_inflight = self.max_inflight.max(rhs.max_inflight);
-        for (a, b) in self.route_docs.iter_mut().zip(rhs.route_docs.iter()) {
-            *a = a.saturating_add(*b);
-        }
-    }
-}
-
-impl Add for ServeCounters {
-    type Output = ServeCounters;
-
-    fn add(mut self, rhs: Self) -> Self {
-        self += rhs;
-        self
-    }
-}
-
-/// Renders serve-mode counters (and, when present, the per-document
-/// latency histogram) as Prometheus-style text exposition, to be
-/// appended to [`prometheus`](crate::prometheus)'s output by the CLI's
-/// `--metrics-out`.
-#[must_use]
-pub fn prometheus_serve(counters: &ServeCounters, latency: Option<&crate::Histogram>) -> String {
-    use crate::expo::metric;
-    let mut out = String::with_capacity(1024);
-    metric(
-        &mut out,
-        "rsq_serve_connections_total",
-        "Connections (or pipe sessions) served.",
-        "",
-        counters.connections,
-        "counter",
-    );
-    metric(
-        &mut out,
-        "rsq_serve_documents_total",
-        "Documents framed out of the chunk streams.",
-        "",
-        counters.documents,
-        "counter",
-    );
-    metric(
-        &mut out,
-        "rsq_serve_bytes_in_total",
-        "Raw bytes read off the wire.",
-        "",
-        counters.bytes_in,
-        "counter",
-    );
-    metric(
-        &mut out,
-        "rsq_serve_responses_ok_total",
-        "Documents answered with a successful result line.",
-        "",
-        counters.responses_ok,
-        "counter",
-    );
-    for (class, v) in [
-        ("timeout", counters.timeouts),
-        ("oversize", counters.oversize_rejections),
-        ("limit", counters.limit_errors),
-        ("malformed", counters.malformed_errors),
-        ("panic", counters.panics),
-    ] {
-        metric(
-            &mut out,
-            "rsq_serve_rejections_total",
-            "Failed documents, by failure class.",
-            &format!("class=\"{class}\""),
-            v,
-            "counter",
-        );
-    }
-    for route in crate::Route::ALL {
-        metric(
-            &mut out,
-            "rsq_route_docs_total",
-            "Documents answered, by engine route.",
-            &format!("route=\"{}\"", route.as_str()),
-            counters.route_docs(route),
-            "counter",
-        );
-    }
-    metric(
-        &mut out,
-        "rsq_serve_io_errors_total",
-        "Connections ended by a non-transient read error.",
-        "",
-        counters.io_errors,
-        "counter",
-    );
-    metric(
-        &mut out,
-        "rsq_serve_backpressure_waits_total",
-        "Reader pauses forced by a full in-flight queue.",
-        "",
-        counters.backpressure_waits,
-        "counter",
-    );
-    metric(
-        &mut out,
-        "rsq_serve_max_inflight",
-        "High-water mark of documents in flight at once.",
-        "",
-        counters.max_inflight,
-        "gauge",
-    );
-    if let Some(latency) = latency {
-        for (q, v) in [
-            ("0.5", latency.p50()),
-            ("0.9", latency.p90()),
-            ("0.99", latency.p99()),
-            ("1.0", latency.max()),
-        ] {
-            metric(
-                &mut out,
-                "rsq_serve_document_latency_ns",
-                "Lifetime document latency quantiles (log2-bucket resolution).",
-                &format!("quantile=\"{q}\""),
-                v,
-                "gauge",
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_saturates_and_maxes_inflight() {
-        let a = ServeCounters {
-            connections: 1,
-            documents: u64::MAX - 1,
-            bytes_in: 100,
-            responses_ok: 5,
-            max_inflight: 7,
-            ..ServeCounters::new()
-        };
-        let b = ServeCounters {
-            connections: 2,
-            documents: 10,
-            bytes_in: 50,
-            responses_ok: 1,
-            max_inflight: 3,
-            ..ServeCounters::new()
-        };
-        let sum = a + b;
-        assert_eq!(sum.connections, 3);
-        assert_eq!(sum.documents, u64::MAX, "saturating, not wrapping");
-        assert_eq!(sum.bytes_in, 150);
-        assert_eq!(sum.max_inflight, 7, "high-water mark merges with max");
-    }
 
     #[test]
     fn json_has_stable_keys() {
@@ -381,37 +208,6 @@ mod tests {
             json.contains("\"route_docs\":{\"field_chain\":2,\"selective\":1,\"general\":1}"),
             "{json}"
         );
-        let text = prometheus_serve(&sum, None);
-        assert!(
-            text.contains("rsq_route_docs_total{route=\"field_chain\"} 2"),
-            "{text}"
-        );
-        crate::expo::check(&text).expect("route series pass the lint");
-    }
-
-    #[test]
-    fn prometheus_serve_exposition_has_series() {
-        let c = ServeCounters {
-            connections: 2,
-            documents: 9,
-            timeouts: 1,
-            max_inflight: 4,
-            ..ServeCounters::new()
-        };
-        let mut latency = crate::Histogram::new();
-        latency.record(1000);
-        let text = prometheus_serve(&c, Some(&latency));
-        assert!(text.contains("# TYPE rsq_serve_connections_total counter"));
-        assert!(text.contains("rsq_serve_documents_total 9"));
-        assert!(text.contains("rsq_serve_rejections_total{class=\"timeout\"} 1"));
-        assert!(text.contains("rsq_serve_max_inflight 4"));
-        assert!(text.contains("rsq_serve_document_latency_ns{quantile=\"0.99\"}"));
-        assert_eq!(
-            text.matches("# TYPE rsq_serve_rejections_total counter")
-                .count(),
-            1
-        );
-        crate::expo::check(&text).expect("serve exposition passes the lint");
     }
 
     #[test]

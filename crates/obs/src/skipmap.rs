@@ -17,7 +17,6 @@
 //! index.
 
 use std::fmt;
-use std::fmt::Write as _;
 
 /// The classifier block size the cell granularity is aligned to.
 pub const BLOCK_SIZE: usize = 64;
@@ -130,6 +129,22 @@ pub struct SkipMap {
     events: Vec<u8>,
     /// Document length in bytes.
     doc_bytes: usize,
+}
+
+crate::series_rows! {
+    /// The map summary: granularity, cell counts, and per-technique
+    /// covered bytes.
+    impl SkipMap {
+        "granularity" get(|m| m.granularity as u64);
+        "cells" get(|m| m.cells.len() as u64);
+        "covered_cells" get(|m| m.covered_cells() as u64);
+        "covered_bytes.leaf" get(|m| m.covered_bytes(SkipTechnique::Leaf));
+        "covered_bytes.child" get(|m| m.covered_bytes(SkipTechnique::Child));
+        "covered_bytes.sibling" get(|m| m.covered_bytes(SkipTechnique::Sibling));
+        "covered_bytes.label" get(|m| m.covered_bytes(SkipTechnique::Label));
+        "covered_bytes.memmem" get(|m| m.covered_bytes(SkipTechnique::Memmem));
+        "covered_bytes.exit" get(|m| m.covered_bytes(SkipTechnique::Exit));
+    }
 }
 
 impl SkipMap {
@@ -280,28 +295,6 @@ impl SkipMap {
             out.push(glyph);
         }
         out
-    }
-
-    /// Serializes the map summary as single-line JSON: granularity,
-    /// cell counts, and per-technique covered bytes.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        let _ = write!(
-            s,
-            "{{\"granularity\":{},\"cells\":{},\"covered_cells\":{},\"covered_bytes\":{{",
-            self.granularity,
-            self.cells.len(),
-            self.covered_cells(),
-        );
-        for (i, t) in SkipTechnique::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", t.name(), self.covered_bytes(*t));
-        }
-        s.push_str("}}");
-        s
     }
 }
 

@@ -16,7 +16,7 @@
 //! asked discipline.
 
 use crate::profile::StageTimes;
-use std::fmt::Write as _;
+use crate::series::Value;
 use std::time::Instant;
 
 /// A lap timer: the clock primitive behind [`DocSpan`], shared with the
@@ -82,6 +82,24 @@ pub struct SpanRecord {
     pub code: Option<&'static str>,
 }
 
+crate::series_rows! {
+    /// The members of a span's JSON object (slow log, postmortems).
+    impl SpanRecord {
+        "seq" get(|r| r.seq);
+        "bytes" get(|r| r.bytes);
+        "start_ns" get(|r| r.start_ns);
+        "worker" get(|r| u64::from(r.worker));
+        "route" calc(|r| r.route.map_or(Value::Null, |route| Value::Str(route.as_str())));
+        "code" calc(|r| r.code.map_or(Value::Null, Value::Str));
+        "queue_wait_ns" get(|r| r.queue_wait_ns);
+        "run_ns" get(|r| r.run_ns);
+        "reorder_wait_ns" get(|r| r.reorder_wait_ns);
+        "emit_ns" get(|r| r.emit_ns);
+        "total_ns" get(|r| r.total_ns());
+        "stages" calc(|r| Value::Json(r.stages.to_json()));
+    }
+}
+
 impl SpanRecord {
     /// Sum of the four phase durations — by telescoping construction,
     /// the admit-to-last-mark elapsed time.
@@ -97,43 +115,6 @@ impl SpanRecord {
     #[must_use]
     pub fn failed(&self) -> bool {
         self.code.is_some()
-    }
-
-    /// Serializes as a single-line JSON object with stable keys: `seq`,
-    /// `bytes`, `start_ns`, `worker`, `route`, `code`, `queue_wait_ns`,
-    /// `run_ns`, `reorder_wait_ns`, `emit_ns`, `total_ns`, `stages`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"seq\":{},\"bytes\":{},\"start_ns\":{},\"worker\":{},\"route\":",
-            self.seq, self.bytes, self.start_ns, self.worker
-        );
-        match self.route {
-            Some(route) => {
-                let _ = write!(s, "\"{route}\"");
-            }
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"code\":");
-        match self.code {
-            Some(code) => {
-                let _ = write!(s, "\"{code}\"");
-            }
-            None => s.push_str("null"),
-        }
-        let _ = write!(
-            s,
-            ",\"queue_wait_ns\":{},\"run_ns\":{},\"reorder_wait_ns\":{},\"emit_ns\":{},\"total_ns\":{},\"stages\":{}}}",
-            self.queue_wait_ns,
-            self.run_ns,
-            self.reorder_wait_ns,
-            self.emit_ns,
-            self.total_ns(),
-            self.stages.to_json(),
-        );
-        s
     }
 }
 

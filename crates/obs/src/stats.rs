@@ -7,9 +7,8 @@
 //! code it would be without instrumentation; [`RunStats`] implements the
 //! same trait with saturating `u64` increments.
 
+use crate::series::Value;
 use std::fmt;
-use std::fmt::Write as _;
-use std::ops::{Add, AddAssign};
 
 #[inline]
 fn bump(counter: &mut u64) {
@@ -189,45 +188,38 @@ pub struct RunStats {
     pub matches: u64,
 }
 
+crate::series_rows! {
+    /// Every field, once: its `--stats-json` key, its merge rule and its
+    /// series. Merged runs share one engine, so routes agree; the route
+    /// rule only matters when folding into a default-initialized
+    /// accumulator, which must not mask a fast-path route.
+    impl RunStats, merged {
+        "route" keep(|s| Value::Str(s.route.as_str()), |into, from| if into.route == Route::General { into.route = from.route });
+        "bytes" sum(|s| s.bytes) => counter rsq_input_bytes_total "Input bytes processed.";
+        "blocks_classified.structural" sum(|s| s.blocks.structural) => counter rsq_blocks_classified_total {classifier="structural"} "SIMD blocks classified, by classifier.";
+        "blocks_classified.depth" sum(|s| s.blocks.depth) => counter rsq_blocks_classified_total {classifier="depth"} "SIMD blocks classified, by classifier.";
+        "blocks_classified.seek" sum(|s| s.blocks.seek) => counter rsq_blocks_classified_total {classifier="seek"} "SIMD blocks classified, by classifier.";
+        "blocks_classified.quote" sum(|s| s.blocks.quote) => counter rsq_blocks_classified_total {classifier="quote"} "SIMD blocks classified, by classifier.";
+        "blocks_classified.total" get(|s| s.blocks.total());
+        "events" sum(|s| s.events) => counter rsq_events_total "Structural events delivered to the automaton.";
+        "toggle_flips" sum(|s| s.toggle_flips);
+        "skips.leaf" sum(|s| s.skips.leaf) => counter rsq_skips_total {technique="leaf"} "Skip decisions taken, by technique.";
+        "skips.child" sum(|s| s.skips.child) => counter rsq_skips_total {technique="child"} "Skip decisions taken, by technique.";
+        "skips.sibling" sum(|s| s.skips.sibling) => counter rsq_skips_total {technique="sibling"} "Skip decisions taken, by technique.";
+        "skips.label" sum(|s| s.skips.label) => counter rsq_skips_total {technique="label"} "Skip decisions taken, by technique.";
+        "memmem_jumps" sum(|s| s.memmem_jumps) => counter rsq_memmem_jumps_total "Head-start memmem jumps taken.";
+        "memmem_declined" sum(|s| s.memmem_declined) => counter rsq_memmem_declined_total "Head-start memmem opportunities declined.";
+        "resume_handoffs" sum(|s| s.resume_handoffs);
+        "max_depth" max(|s| s.max_depth) => gauge rsq_max_depth "Deepest nesting level observed." late;
+        "matches" sum(|s| s.matches) => counter rsq_matches_total "Query matches reported.";
+    }
+}
+
 impl RunStats {
     /// A zeroed report.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Serializes the report as single-line JSON (no trailing newline).
-    ///
-    /// Keys are stable: `route`, `bytes`, `blocks_classified{structural,
-    /// depth, seek, quote, total}`, `events`, `toggle_flips`, `skips{leaf,
-    /// child, sibling, label}`, `memmem_jumps`, `memmem_declined`,
-    /// `resume_handoffs`, `max_depth`, `matches`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"route\":\"{}\",\"bytes\":{},\"blocks_classified\":{{\"structural\":{},\"depth\":{},\"seek\":{},\"quote\":{},\"total\":{}}},\"events\":{},\"toggle_flips\":{},\"skips\":{{\"leaf\":{},\"child\":{},\"sibling\":{},\"label\":{}}},\"memmem_jumps\":{},\"memmem_declined\":{},\"resume_handoffs\":{},\"max_depth\":{},\"matches\":{}}}",
-            self.route,
-            self.bytes,
-            self.blocks.structural,
-            self.blocks.depth,
-            self.blocks.seek,
-            self.blocks.quote,
-            self.blocks.total(),
-            self.events,
-            self.toggle_flips,
-            self.skips.leaf,
-            self.skips.child,
-            self.skips.sibling,
-            self.skips.label,
-            self.memmem_jumps,
-            self.memmem_declined,
-            self.resume_handoffs,
-            self.max_depth,
-            self.matches,
-        );
-        s
     }
 }
 
@@ -260,42 +252,6 @@ impl fmt::Display for RunStats {
         writeln!(f, "resume handoffs    {}", self.resume_handoffs)?;
         writeln!(f, "max depth          {}", self.max_depth)?;
         write!(f, "matches            {}", self.matches)
-    }
-}
-
-impl AddAssign for RunStats {
-    fn add_assign(&mut self, rhs: Self) {
-        // Merged runs share one engine, so routes agree; the rule below
-        // only matters when folding into a default-initialized
-        // accumulator, which must not mask a fast-path route.
-        if self.route == Route::General {
-            self.route = rhs.route;
-        }
-        self.bytes = self.bytes.saturating_add(rhs.bytes);
-        self.blocks.structural = self.blocks.structural.saturating_add(rhs.blocks.structural);
-        self.blocks.depth = self.blocks.depth.saturating_add(rhs.blocks.depth);
-        self.blocks.seek = self.blocks.seek.saturating_add(rhs.blocks.seek);
-        self.blocks.quote = self.blocks.quote.saturating_add(rhs.blocks.quote);
-        self.events = self.events.saturating_add(rhs.events);
-        self.toggle_flips = self.toggle_flips.saturating_add(rhs.toggle_flips);
-        self.skips.leaf = self.skips.leaf.saturating_add(rhs.skips.leaf);
-        self.skips.child = self.skips.child.saturating_add(rhs.skips.child);
-        self.skips.sibling = self.skips.sibling.saturating_add(rhs.skips.sibling);
-        self.skips.label = self.skips.label.saturating_add(rhs.skips.label);
-        self.memmem_jumps = self.memmem_jumps.saturating_add(rhs.memmem_jumps);
-        self.memmem_declined = self.memmem_declined.saturating_add(rhs.memmem_declined);
-        self.resume_handoffs = self.resume_handoffs.saturating_add(rhs.resume_handoffs);
-        self.max_depth = self.max_depth.max(rhs.max_depth);
-        self.matches = self.matches.saturating_add(rhs.matches);
-    }
-}
-
-impl Add for RunStats {
-    type Output = RunStats;
-
-    fn add(mut self, rhs: Self) -> Self {
-        self += rhs;
-        self
     }
 }
 

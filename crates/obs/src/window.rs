@@ -17,9 +17,9 @@
 //! which keeps this module deterministic under test and keeps clock
 //! reads out of paths where telemetry is disabled.
 
-use crate::expo::metric;
 use crate::hist::Histogram;
-use std::fmt::Write as _;
+use crate::series::{self, Row, Value};
+use crate::Route;
 
 /// Ring capacity in one-second slots. 64 covers the 60-second window
 /// with slack for the tick in progress.
@@ -31,24 +31,8 @@ struct Slot {
     /// Absolute tick this slot currently holds (0 is valid: slot 0
     /// starts live at process start, the rest start stale-but-empty).
     tick: u64,
-    latency: Histogram,
-    docs: u64,
-    bytes: u64,
-    errors: u64,
-    busy_ns: u64,
-    route_docs: [u64; 3],
-}
-
-impl Slot {
-    fn clear(&mut self, tick: u64) {
-        self.tick = tick;
-        self.latency.clear();
-        self.docs = 0;
-        self.bytes = 0;
-        self.errors = 0;
-        self.busy_ns = 0;
-        self.route_docs = [0; 3];
-    }
+    /// What that second accumulated (`secs` and `workers` stay 0).
+    totals: WindowSnapshot,
 }
 
 /// A fixed ring of per-second accumulation slots (see module docs).
@@ -77,7 +61,10 @@ impl WindowRing {
         // PANIC-OK: idx is tick mod SLOTS and slots has exactly SLOTS entries
         let slot = &mut self.slots[idx];
         if slot.tick != tick {
-            slot.clear(tick);
+            *slot = Slot {
+                tick,
+                totals: WindowSnapshot::default(),
+            };
         }
         slot
     }
@@ -94,15 +81,15 @@ impl WindowRing {
         busy_ns: u64,
         route: Option<crate::Route>,
     ) {
-        let slot = self.slot_mut(tick);
-        slot.latency.record(latency_ns);
-        slot.docs = slot.docs.saturating_add(1);
-        slot.bytes = slot.bytes.saturating_add(bytes);
-        slot.errors = slot.errors.saturating_add(u64::from(failed));
-        slot.busy_ns = slot.busy_ns.saturating_add(busy_ns);
+        let totals = &mut self.slot_mut(tick).totals;
+        totals.latency.record(latency_ns);
+        totals.docs = totals.docs.saturating_add(1);
+        totals.bytes = totals.bytes.saturating_add(bytes);
+        totals.errors = totals.errors.saturating_add(u64::from(failed));
+        totals.busy_ns = totals.busy_ns.saturating_add(busy_ns);
         if let Some(route) = route {
             // PANIC-OK: Route::index is < the per-route array length (one slot per route)
-            let r = &mut slot.route_docs[route.index()];
+            let r = &mut totals.route_docs[route.index()];
             *r = r.saturating_add(1);
         }
     }
@@ -122,14 +109,7 @@ impl WindowRing {
         };
         for slot in self.slots.iter() {
             if slot.tick >= oldest && slot.tick <= now_tick {
-                snap.latency += &slot.latency;
-                snap.docs = snap.docs.saturating_add(slot.docs);
-                snap.bytes = snap.bytes.saturating_add(slot.bytes);
-                snap.errors = snap.errors.saturating_add(slot.errors);
-                snap.busy_ns = snap.busy_ns.saturating_add(slot.busy_ns);
-                for (a, b) in snap.route_docs.iter_mut().zip(slot.route_docs.iter()) {
-                    *a = a.saturating_add(*b);
-                }
+                series::merge(WindowSnapshot::ROWS, &mut snap, &slot.totals);
             }
         }
         snap
@@ -155,6 +135,29 @@ pub struct WindowSnapshot {
     /// Documents by engine route, indexed by
     /// [`Route::index`](crate::Route::index).
     pub route_docs: [u64; 3],
+    /// Worker threads `rsq_window_worker_busy_fraction` is taken over:
+    /// the hub fills it in before rendering (0 reads as one worker).
+    pub workers: u64,
+}
+
+crate::series_rows! {
+    /// Every value of a window, once; the exposition labels the series
+    /// `window="<secs>s"`. `busy_ns` is the JSON side and the busy
+    /// fraction the exposition side of the same measurement.
+    impl WindowSnapshot {
+        "secs" get(|w| w.secs);
+        "docs" sum(|w| w.docs) => gauge rsq_window_documents "Documents finished inside the rolling window.";
+        "bytes" sum(|w| w.bytes);
+        "errors" sum(|w| w.errors) => gauge rsq_window_errors "Failed documents inside the rolling window.";
+        "docs_per_sec" calc(|w| Value::F64(w.docs_per_sec(), 2, 3)) => gauge rsq_window_docs_per_sec "Document completion rate over the rolling window.";
+        "bytes_per_sec" calc(|w| Value::F64(w.bytes_per_sec(), 2, 1)) => gauge rsq_window_bytes_per_sec "Input byte rate over the rolling window.";
+        "busy_ns" sum(|w| w.busy_ns);
+        "" calc(|w| Value::F64(w.busy_fraction(w.workers.max(1)), 4, 4)) => gauge rsq_window_worker_busy_fraction "Fraction of worker-seconds spent running documents over the rolling window.";
+        "route_docs.field_chain" sum_at(|w| w.route_docs, Route::FieldChain) => gauge rsq_window_route_docs {route="field_chain"} "Documents by engine route inside the rolling window.";
+        "route_docs.selective" sum_at(|w| w.route_docs, Route::Selective) => gauge rsq_window_route_docs {route="selective"} "Documents by engine route inside the rolling window.";
+        "route_docs.general" sum_at(|w| w.route_docs, Route::General) => gauge rsq_window_route_docs {route="general"} "Documents by engine route inside the rolling window.";
+        "latency" keep(|w| Value::Histogram(&w.latency), |into, from| into.latency += &from.latency) => gauge rsq_window_latency_ns "Document latency quantiles over the rolling window (log2-bucket resolution).";
+    }
 }
 
 impl WindowSnapshot {
@@ -194,35 +197,6 @@ impl WindowSnapshot {
             (self.busy_ns as f64 / capacity_ns as f64).clamp(0.0, 1.0)
         }
     }
-
-    /// Serializes as a single-line JSON object with stable keys:
-    /// `secs`, `docs`, `bytes`, `errors`, `docs_per_sec`,
-    /// `bytes_per_sec`, `busy_ns`, `route_docs`, `latency`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(320);
-        let _ = write!(
-            s,
-            "{{\"secs\":{},\"docs\":{},\"bytes\":{},\"errors\":{},\"docs_per_sec\":{:.2},\"bytes_per_sec\":{:.2},\"busy_ns\":{},\"route_docs\":{{",
-            self.secs,
-            self.docs,
-            self.bytes,
-            self.errors,
-            self.docs_per_sec(),
-            self.bytes_per_sec(),
-            self.busy_ns,
-        );
-        for (i, route) in crate::Route::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            // PANIC-OK: Route::index is < the per-route array length (one slot per route)
-            let docs = self.route_docs[route.index()];
-            let _ = write!(s, "\"{}\":{docs}", route.as_str());
-        }
-        let _ = write!(s, "}},\"latency\":{}}}", self.latency.to_json());
-        s
-    }
 }
 
 /// Live point-in-time gauges accompanying the windows in the telemetry
@@ -241,123 +215,16 @@ pub struct TelemetryGauges {
     pub postmortems: u64,
 }
 
-/// Renders the rolling windows and live gauges as Prometheus text
-/// exposition — the telemetry-specific tail appended to
-/// [`prometheus_serve`](crate::prometheus_serve) by the `/metrics`
-/// endpoint and the `--metrics-out` writer.
-#[must_use]
-pub fn prometheus_telemetry(windows: &[&WindowSnapshot], gauges: &TelemetryGauges) -> String {
-    let mut out = String::with_capacity(2048);
-    for snap in windows {
-        let w = format!("window=\"{}s\"", snap.secs);
-        metric(
-            &mut out,
-            "rsq_window_documents",
-            "Documents finished inside the rolling window.",
-            &w,
-            snap.docs,
-            "gauge",
-        );
-        metric(
-            &mut out,
-            "rsq_window_errors",
-            "Failed documents inside the rolling window.",
-            &w,
-            snap.errors,
-            "gauge",
-        );
-        metric(
-            &mut out,
-            "rsq_window_docs_per_sec",
-            "Document completion rate over the rolling window.",
-            &w,
-            format!("{:.3}", snap.docs_per_sec()),
-            "gauge",
-        );
-        metric(
-            &mut out,
-            "rsq_window_bytes_per_sec",
-            "Input byte rate over the rolling window.",
-            &w,
-            format!("{:.1}", snap.bytes_per_sec()),
-            "gauge",
-        );
-        metric(
-            &mut out,
-            "rsq_window_worker_busy_fraction",
-            "Fraction of worker-seconds spent running documents over the rolling window.",
-            &w,
-            format!("{:.4}", snap.busy_fraction(gauges.workers.max(1))),
-            "gauge",
-        );
-        for route in crate::Route::ALL {
-            metric(
-                &mut out,
-                "rsq_window_route_docs",
-                "Documents by engine route inside the rolling window.",
-                &format!("{w},route=\"{}\"", route.as_str()),
-                // PANIC-OK: Route::index is < the per-route array length (one slot per route)
-                snap.route_docs[route.index()],
-                "gauge",
-            );
-        }
-        for (q, v) in [
-            ("0.5", snap.latency.p50()),
-            ("0.9", snap.latency.p90()),
-            ("0.99", snap.latency.p99()),
-            ("1.0", snap.latency.max()),
-        ] {
-            metric(
-                &mut out,
-                "rsq_window_latency_ns",
-                "Document latency quantiles over the rolling window (log2-bucket resolution).",
-                &format!("{w},quantile=\"{q}\""),
-                v,
-                "gauge",
-            );
-        }
-    }
-    metric(
-        &mut out,
-        "rsq_queue_depth",
-        "Framed documents waiting for a worker.",
-        "",
-        gauges.queue_depth,
-        "gauge",
-    );
-    metric(
-        &mut out,
-        "rsq_in_flight",
-        "Documents admitted but not yet emitted.",
-        "",
-        gauges.in_flight,
-        "gauge",
-    );
-    metric(
-        &mut out,
-        "rsq_workers",
-        "Worker threads serving the connection.",
-        "",
-        gauges.workers,
-        "gauge",
-    );
-    metric(
-        &mut out,
-        "rsq_slow_documents_total",
-        "Documents that exceeded the slow-log threshold.",
-        "",
-        gauges.slow_documents,
-        "counter",
-    );
-    metric(
-        &mut out,
-        "rsq_postmortems_total",
-        "Postmortem artifacts written by the flight recorder.",
-        "",
-        gauges.postmortems,
-        "counter",
-    );
-    out
+impl TelemetryGauges {
+    /// The gauges, once; only the two lifetime counters have a member in
+    /// the `telemetry` JSON object.
+    pub const ROWS: &'static [Row<TelemetryGauges>] = crate::series_rows! {
+        "" get(|g| g.queue_depth) => gauge rsq_queue_depth "Framed documents waiting for a worker.";
+        "" get(|g| g.in_flight) => gauge rsq_in_flight "Documents admitted but not yet emitted.";
+        "" get(|g| g.workers) => gauge rsq_workers "Worker threads serving the connection.";
+        "slow_documents" get(|g| g.slow_documents) => counter rsq_slow_documents_total "Documents that exceeded the slow-log threshold.";
+        "postmortems" get(|g| g.postmortems) => counter rsq_postmortems_total "Postmortem artifacts written by the flight recorder.";
+    };
 }
 
 #[cfg(test)]
@@ -441,35 +308,5 @@ mod tests {
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
-    }
-
-    #[test]
-    fn telemetry_exposition_is_well_formed() {
-        let mut ring = WindowRing::new();
-        ring.record(0, 500, 64, false, 100, Some(crate::Route::Selective));
-        let w10 = ring.window(0, 10);
-        let w60 = ring.window(0, 60);
-        let gauges = TelemetryGauges {
-            queue_depth: 2,
-            in_flight: 3,
-            workers: 4,
-            slow_documents: 1,
-            postmortems: 0,
-        };
-        let text = prometheus_telemetry(&[&w10, &w60], &gauges);
-        crate::expo::check(&text).expect("exposition passes the lint");
-        assert!(text.contains("rsq_window_latency_ns{window=\"10s\",quantile=\"0.99\"}"));
-        assert!(text.contains("rsq_window_docs_per_sec{window=\"60s\"}"));
-        assert!(
-            text.contains("rsq_window_route_docs{window=\"10s\",route=\"selective\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("rsq_queue_depth 2"));
-        assert!(text.contains("rsq_in_flight 3"));
-        assert_eq!(
-            text.matches("# TYPE rsq_window_latency_ns gauge").count(),
-            1,
-            "header once across both windows"
-        );
     }
 }

@@ -30,9 +30,9 @@
 
 #![warn(missing_docs)]
 
+use rsq_obs::series::Value;
 use rsq_obs::{ProfileStage, Recorder};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Number of pipeline stages perf deltas are attributed to (one slot
 /// per [`ProfileStage`]).
@@ -177,18 +177,6 @@ impl CounterValues {
             time_enabled: self.time_enabled.saturating_sub(earlier.time_enabled),
             time_running: self.time_running.saturating_sub(earlier.time_running),
         }
-    }
-
-    /// Element-wise saturating accumulation.
-    pub fn accumulate(&mut self, rhs: &CounterValues) {
-        self.cycles = self.cycles.saturating_add(rhs.cycles);
-        self.instructions = self.instructions.saturating_add(rhs.instructions);
-        self.cache_references = self.cache_references.saturating_add(rhs.cache_references);
-        self.cache_misses = self.cache_misses.saturating_add(rhs.cache_misses);
-        self.branches = self.branches.saturating_add(rhs.branches);
-        self.branch_misses = self.branch_misses.saturating_add(rhs.branch_misses);
-        self.time_enabled = self.time_enabled.saturating_add(rhs.time_enabled);
-        self.time_running = self.time_running.saturating_add(rhs.time_running);
     }
 }
 
@@ -454,6 +442,39 @@ pub struct PerfStats {
     pub core_only: bool,
 }
 
+rsq_obs::series_rows! {
+    /// Every value of the `"perf"` JSON object and the `rsq_perf_*`
+    /// series, once. Any degraded contribution taints a merged report
+    /// (`core_only`): a branch or cache field of zero may then be
+    /// absence, not measurement. The exposition leads with the six event
+    /// totals.
+    impl PerfStats, merged {
+        "core_only" keep(|s| Value::Bool(s.core_only), |into, from| into.core_only |= from.core_only);
+        "bytes" sum(|s| s.bytes) => counter rsq_perf_bytes_total "Input bytes covered by the perf counter totals." late;
+        "docs" sum(|s| s.docs) => counter rsq_perf_docs_total "Documents sampled into the perf counter totals." late;
+        "counters.cycles" sum(|s| s.total.cycles) => counter rsq_perf_cycles_total "CPU cycles measured by the perf counter group.";
+        "counters.instructions" sum(|s| s.total.instructions) => counter rsq_perf_instructions_total "Instructions retired, measured by the perf counter group.";
+        "counters.branches" sum(|s| s.total.branches) => counter rsq_perf_branches_total "Branch instructions retired.";
+        "counters.branch_misses" sum(|s| s.total.branch_misses) => counter rsq_perf_branch_misses_total "Branches mispredicted.";
+        "counters.cache_references" sum(|s| s.total.cache_references) => counter rsq_perf_cache_references_total "Cache references.";
+        "counters.cache_misses" sum(|s| s.total.cache_misses) => counter rsq_perf_cache_misses_total "Cache misses.";
+        "counters.time_enabled_ns" sum(|s| s.total.time_enabled) => counter rsq_perf_time_enabled_ns_total "Nanoseconds the counter group was enabled." late;
+        "counters.time_running_ns" sum(|s| s.total.time_running) => counter rsq_perf_time_running_ns_total "Nanoseconds the counter group was scheduled on the PMU." late;
+        "cycles_per_byte" calc(|s| Value::F64(s.cycles_per_byte(), 4, 4)) => gauge rsq_perf_cycles_per_byte "Multiplex-corrected CPU cycles per input byte." late;
+        "instructions_per_byte" calc(|s| Value::F64(s.instructions_per_byte(), 4, 4)) => gauge rsq_perf_instructions_per_byte "Multiplex-corrected instructions per input byte." late;
+        "stages.ingest.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Ingest) => counter rsq_perf_stage_cycles_total {stage="ingest"} "CPU cycles attributed per pipeline stage." late;
+        "stages.ingest.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Ingest) => counter rsq_perf_stage_instructions_total {stage="ingest"} "Instructions attributed per pipeline stage." late;
+        "stages.validate.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Validate) => counter rsq_perf_stage_cycles_total {stage="validate"} "CPU cycles attributed per pipeline stage." late;
+        "stages.validate.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Validate) => counter rsq_perf_stage_instructions_total {stage="validate"} "Instructions attributed per pipeline stage." late;
+        "stages.classify.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Classify) => counter rsq_perf_stage_cycles_total {stage="classify"} "CPU cycles attributed per pipeline stage." late;
+        "stages.classify.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Classify) => counter rsq_perf_stage_instructions_total {stage="classify"} "Instructions attributed per pipeline stage." late;
+        "stages.automaton.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Automaton) => counter rsq_perf_stage_cycles_total {stage="automaton"} "CPU cycles attributed per pipeline stage." late;
+        "stages.automaton.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Automaton) => counter rsq_perf_stage_instructions_total {stage="automaton"} "Instructions attributed per pipeline stage." late;
+        "stages.sink.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Sink) => counter rsq_perf_stage_cycles_total {stage="sink"} "CPU cycles attributed per pipeline stage." late;
+        "stages.sink.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Sink) => counter rsq_perf_stage_instructions_total {stage="sink"} "Instructions attributed per pipeline stage." late;
+    }
+}
+
 impl PerfStats {
     /// Multiplex-corrected cycles per input byte (0.0 when no bytes).
     #[must_use]
@@ -481,9 +502,12 @@ impl PerfStats {
     /// Adds one run's whole-run delta (and its byte count) to the
     /// totals.
     pub fn add_run(&mut self, bytes: u64, delta: &CounterValues) {
-        self.bytes = self.bytes.saturating_add(bytes);
-        self.docs = self.docs.saturating_add(1);
-        self.total.accumulate(delta);
+        *self += PerfStats {
+            bytes,
+            docs: 1,
+            total: *delta,
+            ..PerfStats::default()
+        };
     }
 
     /// Attributes a bracketed delta to `stage` (cycles and instructions
@@ -495,66 +519,6 @@ impl PerfStats {
         // PANIC-OK: ProfileStage::index is < the per-stage array length (one slot per stage)
         let i = &mut self.stage_instructions[stage.index()];
         *i = i.saturating_add(delta.instructions);
-    }
-
-    /// Serializes as the single-line `"perf"` JSON object: `core_only`,
-    /// `bytes`, `docs`, raw `counters`, the per-byte rates, and the
-    /// per-stage attribution.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        let _ = write!(
-            s,
-            "{{\"core_only\":{},\"bytes\":{},\"docs\":{},\"counters\":{{\"cycles\":{},\"instructions\":{},\"branches\":{},\"branch_misses\":{},\"cache_references\":{},\"cache_misses\":{},\"time_enabled_ns\":{},\"time_running_ns\":{}}},\"cycles_per_byte\":{:.4},\"instructions_per_byte\":{:.4},\"stages\":{{",
-            self.core_only,
-            self.bytes,
-            self.docs,
-            self.total.cycles,
-            self.total.instructions,
-            self.total.branches,
-            self.total.branch_misses,
-            self.total.cache_references,
-            self.total.cache_misses,
-            self.total.time_enabled,
-            self.total.time_running,
-            self.cycles_per_byte(),
-            self.instructions_per_byte(),
-        );
-        for (i, stage) in ProfileStage::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\"{}\":{{\"cycles\":{},\"instructions\":{}}}",
-                stage.name(),
-                self.stage_cycles[stage.index()],
-                self.stage_instructions[stage.index()],
-            );
-        }
-        s.push_str("}}");
-        s
-    }
-}
-
-impl std::ops::AddAssign for PerfStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.bytes = self.bytes.saturating_add(rhs.bytes);
-        self.docs = self.docs.saturating_add(rhs.docs);
-        self.total.accumulate(&rhs.total);
-        for (a, b) in self.stage_cycles.iter_mut().zip(rhs.stage_cycles.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        for (a, b) in self
-            .stage_instructions
-            .iter_mut()
-            .zip(rhs.stage_instructions.iter())
-        {
-            *a = a.saturating_add(*b);
-        }
-        // Any degraded contribution taints the merged report: a branch
-        // or cache field of zero may then be absence, not measurement.
-        self.core_only = self.core_only || rhs.core_only;
     }
 }
 
@@ -606,108 +570,6 @@ impl fmt::Display for PerfStats {
         }
         Ok(())
     }
-}
-
-/// Appends the `rsq_perf_*` series for `stats` to a Prometheus text
-/// exposition (shared `rsq_obs::expo::metric` formatting contract).
-pub fn prometheus_perf_into(out: &mut String, stats: &PerfStats) {
-    use rsq_obs::expo::metric;
-    for (name, help, v) in [
-        (
-            "rsq_perf_cycles_total",
-            "CPU cycles measured by the perf counter group.",
-            stats.total.cycles,
-        ),
-        (
-            "rsq_perf_instructions_total",
-            "Instructions retired, measured by the perf counter group.",
-            stats.total.instructions,
-        ),
-        (
-            "rsq_perf_branches_total",
-            "Branch instructions retired.",
-            stats.total.branches,
-        ),
-        (
-            "rsq_perf_branch_misses_total",
-            "Branches mispredicted.",
-            stats.total.branch_misses,
-        ),
-        (
-            "rsq_perf_cache_references_total",
-            "Cache references.",
-            stats.total.cache_references,
-        ),
-        (
-            "rsq_perf_cache_misses_total",
-            "Cache misses.",
-            stats.total.cache_misses,
-        ),
-        (
-            "rsq_perf_bytes_total",
-            "Input bytes covered by the perf counter totals.",
-            stats.bytes,
-        ),
-        (
-            "rsq_perf_docs_total",
-            "Documents sampled into the perf counter totals.",
-            stats.docs,
-        ),
-        (
-            "rsq_perf_time_enabled_ns_total",
-            "Nanoseconds the counter group was enabled.",
-            stats.total.time_enabled,
-        ),
-        (
-            "rsq_perf_time_running_ns_total",
-            "Nanoseconds the counter group was scheduled on the PMU.",
-            stats.total.time_running,
-        ),
-    ] {
-        metric(out, name, help, "", v, "counter");
-    }
-    metric(
-        out,
-        "rsq_perf_cycles_per_byte",
-        "Multiplex-corrected CPU cycles per input byte.",
-        "",
-        format!("{:.4}", stats.cycles_per_byte()),
-        "gauge",
-    );
-    metric(
-        out,
-        "rsq_perf_instructions_per_byte",
-        "Multiplex-corrected instructions per input byte.",
-        "",
-        format!("{:.4}", stats.instructions_per_byte()),
-        "gauge",
-    );
-    for stage in ProfileStage::ALL {
-        metric(
-            out,
-            "rsq_perf_stage_cycles_total",
-            "CPU cycles attributed per pipeline stage.",
-            &format!("stage=\"{}\"", stage.name()),
-            stats.stage_cycles[stage.index()],
-            "counter",
-        );
-        metric(
-            out,
-            "rsq_perf_stage_instructions_total",
-            "Instructions attributed per pipeline stage.",
-            &format!("stage=\"{}\"", stage.name()),
-            stats.stage_instructions[stage.index()],
-            "counter",
-        );
-    }
-}
-
-/// The `rsq_perf_*` series as a standalone exposition.
-#[must_use]
-pub fn prometheus_perf(stats: &PerfStats) -> String {
-    let mut out = String::with_capacity(2048);
-    prometheus_perf_into(&mut out, stats);
-    out
 }
 
 /// A [`Recorder`] adapter that rides the engine's existing stage-timer
@@ -1123,7 +985,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_and_accumulate_are_saturating_inverses() {
+    fn delta_and_add_run_are_saturating_inverses() {
         let a = CounterValues {
             cycles: 1000,
             instructions: 3000,
@@ -1144,10 +1006,13 @@ mod tests {
         // Reversed order saturates to zero instead of wrapping.
         let z = a.delta_since(&b);
         assert_eq!(z.cycles, 0);
-        let mut acc = a;
-        acc.accumulate(&d);
-        assert_eq!(acc.cycles, b.cycles);
-        assert_eq!(acc.instructions, b.instructions);
+        let mut acc = PerfStats {
+            total: a,
+            ..PerfStats::default()
+        };
+        acc.add_run(64, &d);
+        assert_eq!(acc.total, b);
+        assert_eq!((acc.bytes, acc.docs), (64, 1));
     }
 
     #[test]
@@ -1323,7 +1188,9 @@ mod tests {
                 ..CounterValues::default()
             },
         );
-        let text = prometheus_perf(&stats);
+        let mut expo = rsq_obs::expo::Exposition::new();
+        expo.rows(PerfStats::ROWS, &stats, "");
+        let text = expo.finish();
         rsq_obs::expo::check(&text).expect("rsq_perf_* series are well-formed");
         assert!(text.contains("rsq_perf_cycles_total 128"));
         assert!(text.contains("rsq_perf_cycles_per_byte 2.0000"));

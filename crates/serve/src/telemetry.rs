@@ -25,11 +25,13 @@
 //! [`DocSpan`](rsq_obs::DocSpan) (four `Instant::now` laps), one mutex
 //! acquisition at emit time, and a handful of relaxed atomics.
 
+use rsq_obs::expo::Exposition;
+use rsq_obs::series::{JsonObject, Value};
 use rsq_obs::{
-    prometheus_serve, prometheus_telemetry, FlightRecorder, Histogram, ServeCounters, SpanRecord,
-    TelemetryGauges, WindowRing,
+    FlightRecorder, Histogram, ServeCounters, SpanRecord, TelemetryGauges, WindowRing,
+    WindowSnapshot,
 };
-use rsq_perf::{prometheus_perf_into, PerfStats};
+use rsq_perf::PerfStats;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,7 +66,7 @@ impl TelemetryOptions {
 }
 
 /// Live mutable state behind the hub's mutex: touched once per emitted
-/// document and once per scrape.
+/// document and copied out once per scrape.
 struct HubState {
     counters: ServeCounters,
     latency: Histogram,
@@ -251,14 +253,14 @@ impl Telemetry {
     pub(crate) fn record_connection(&self, counters: &ServeCounters) {
         // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
         let mut state = self.state.lock().unwrap();
-        let c = &mut state.counters;
-        c.connections = c.connections.saturating_add(counters.connections);
-        c.bytes_in = c.bytes_in.saturating_add(counters.bytes_in);
-        c.io_errors = c.io_errors.saturating_add(counters.io_errors);
-        c.backpressure_waits = c
-            .backpressure_waits
-            .saturating_add(counters.backpressure_waits);
-        c.max_inflight = c.max_inflight.max(counters.max_inflight);
+        state.counters += ServeCounters {
+            connections: counters.connections,
+            bytes_in: counters.bytes_in,
+            io_errors: counters.io_errors,
+            backpressure_waits: counters.backpressure_waits,
+            max_inflight: counters.max_inflight,
+            ..ServeCounters::new()
+        };
     }
 
     /// Folds a connection's sampled hardware-counter totals into the
@@ -310,22 +312,40 @@ impl Telemetry {
         }
     }
 
+    /// The last-10s and last-60s windows, merged under the hub's mutex
+    /// and rendered by the callers after it is released: every emitted
+    /// document takes that mutex in `record_doc`.
+    fn windows(&self, state: &HubState) -> [WindowSnapshot; 2] {
+        let tick = self.tick();
+        [10, 60].map(|secs| WindowSnapshot {
+            workers: self.workers.load(Ordering::Relaxed),
+            ..state.ring.window(tick, secs)
+        })
+    }
+
     /// Renders the full live exposition: lifetime serve series, rolling
     /// windows (10s/60s), and gauges. This is the `/metrics` body, and
     /// the CLI appends the same text to `--metrics-out`.
     #[must_use]
     pub fn render_metrics(&self) -> String {
-        let tick = self.tick();
-        // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
-        let state = self.state.lock().unwrap();
-        let w10 = state.ring.window(tick, 10);
-        let w60 = state.ring.window(tick, 60);
-        let mut out = prometheus_serve(&state.counters, Some(&state.latency));
-        out.push_str(&prometheus_telemetry(&[&w10, &w60], &self.gauges()));
-        if state.perf.docs > 0 {
-            prometheus_perf_into(&mut out, &state.perf);
+        let (counters, latency, windows, perf) = {
+            // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
+            let state = self.state.lock().unwrap();
+            let windows = self.windows(&state);
+            (state.counters, state.latency.clone(), windows, state.perf)
+        };
+        let mut expo = Exposition::new();
+        expo.rows(ServeCounters::ROWS, &counters, "");
+        expo.rows(ServeCounters::LATENCY, &latency, "");
+        for window in &windows {
+            let label = format!("window=\"{}s\"", window.secs);
+            expo.rows(WindowSnapshot::ROWS, window, &label);
         }
-        out
+        expo.rows(TelemetryGauges::ROWS, &self.gauges(), "");
+        if perf.docs > 0 {
+            expo.rows(PerfStats::ROWS, &perf, "");
+        }
+        expo.finish()
     }
 
     /// Serializes the live telemetry summary for `--stats-json`:
@@ -334,16 +354,13 @@ impl Telemetry {
     /// `postmortems`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let tick = self.tick();
         // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
-        let state = self.state.lock().unwrap();
-        format!(
-            "{{\"window_10s\":{},\"window_60s\":{},\"slow_documents\":{},\"postmortems\":{}}}",
-            state.ring.window(tick, 10).to_json(),
-            state.ring.window(tick, 60).to_json(),
-            self.slow_documents.load(Ordering::Relaxed),
-            self.postmortems.load(Ordering::Relaxed),
-        )
+        let [w10, w60] = self.windows(&self.state.lock().unwrap());
+        let mut object = JsonObject::new();
+        object.value("window_10s", Value::Json(w10.to_json()));
+        object.value("window_60s", Value::Json(w60.to_json()));
+        object.rows(TelemetryGauges::ROWS, &self.gauges());
+        object.finish()
     }
 }
 

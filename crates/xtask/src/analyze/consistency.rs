@@ -11,8 +11,10 @@
 //! * the `DocErrorKind::code()` strings in `crates/batch` vs. the fault
 //!   table in DESIGN.md (anchored by `<!-- doc-error-codes:begin/end -->`);
 //! * every `rsq_*` metric name mentioned in DESIGN.md/README vs. the
-//!   sample names the dummy expositions actually emit (the same
-//!   renderings `metrics-lint` checks).
+//!   series registry (`rsq_obs::series`), in both directions: a name in
+//!   the docs must be a registered series (or a family prefix of some),
+//!   and every registered series must have its row in the README's
+//!   metric reference (anchored by `<!-- metric-reference:begin/end -->`).
 //!
 //! Anchors make the doc side machine-readable without a markdown
 //! parser: the pass reads only what sits between the HTML comments, so
@@ -175,20 +177,20 @@ fn doc_metric_names(doc: &str) -> Vec<(String, u32)> {
     out
 }
 
-/// Does `name` (possibly a family prefix) match a real sample name?
-fn metric_matches(name: &str, samples: &[String]) -> bool {
-    samples
+/// Does `name` (possibly a family prefix) match a registered series?
+fn metric_matches(name: &str, series: &[&str]) -> bool {
+    series
         .iter()
         .any(|s| s.starts_with(name) && (s.len() == name.len() || s.as_bytes()[name.len()] == b'_'))
 }
 
 /// Runs the consistency checks. `docs` are `(path, content)` pairs for
-/// DESIGN.md/README.md; `samples` are the sample names the Prometheus
-/// expositions emit (empty slice skips the metric-name check).
+/// DESIGN.md/README.md; `series` are the registered series names (empty
+/// slice skips the metric-name checks).
 pub(crate) fn check(
     files: &[SourceFile],
     docs: &[(String, String)],
-    samples: &[String],
+    series: &[&str],
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     let design = docs.iter().find(|(p, _)| p.ends_with("DESIGN.md"));
@@ -309,20 +311,37 @@ pub(crate) fn check(
     }
 
     // --- Metric names ----------------------------------------------------
-    if !samples.is_empty() {
-        for (path, text) in docs {
-            for (name, line) in doc_metric_names(text) {
-                if !metric_matches(&name, samples) {
-                    out.push(Finding {
-                        pass: "consistency",
-                        lint: "unknown-metric-name",
-                        file: path.clone(),
-                        line,
-                        message: format!(
-                            "`{name}` is not a series (or series family) any exposition emits; fix the name or update the renderer"
-                        ),
-                    });
-                }
+    if series.is_empty() {
+        return out;
+    }
+    for (path, text) in docs {
+        for (name, line) in doc_metric_names(text) {
+            if !metric_matches(&name, series) {
+                out.push(Finding {
+                    pass: "consistency",
+                    lint: "unknown-metric-name",
+                    file: path.clone(),
+                    line,
+                    message: format!(
+                        "`{name}` is not a series (or series family) in the registry; fix the name or add the row"
+                    ),
+                });
+            }
+        }
+    }
+    if let Some((readme_path, readme_text)) = readme {
+        let reference = anchored_region(readme_text, "metric-reference").unwrap_or("");
+        for name in series {
+            if !reference.contains(&format!("`{name}`")) {
+                out.push(Finding {
+                    pass: "consistency",
+                    lint: "undocumented-series",
+                    file: readme_path.clone(),
+                    line: 1,
+                    message: format!(
+                        "series `{name}` has no row between the README's `<!-- metric-reference:begin/end -->` anchors"
+                    ),
+                });
             }
         }
     }
@@ -419,10 +438,7 @@ mod tests {
 
     #[test]
     fn metric_names_match_families_on_underscore_boundaries() {
-        let samples = vec![
-            "rsq_docs_total".to_owned(),
-            "rsq_window_doc_rate".to_owned(),
-        ];
+        let samples = ["rsq_docs_total", "rsq_window_doc_rate"];
         assert!(metric_matches("rsq_docs_total", &samples));
         assert!(metric_matches("rsq_window", &samples));
         assert!(!metric_matches("rsq_doc", &samples));
@@ -440,13 +456,24 @@ mod tests {
     #[test]
     fn unknown_metric_name_in_docs_is_flagged() {
         let design = format!("{GOOD_DESIGN}\nThe `rsq_bogus_series` gauge.\n");
-        let samples = vec!["rsq_docs_total".to_owned()];
-        let findings = check(&sources(), &docs(&design, GOOD_README), &samples);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.lint == "unknown-metric-name" && f.message.contains("rsq_bogus_series")),
-            "{findings:?}"
+        let readme = format!(
+            "{GOOD_README}<!-- metric-reference:begin -->\n| `rsq_docs_total` |\n<!-- metric-reference:end -->\n"
         );
+        let findings = check(&sources(), &docs(&design, &readme), &["rsq_docs_total"]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].lint, "unknown-metric-name");
+        assert!(findings[0].message.contains("rsq_bogus_series"));
+    }
+
+    #[test]
+    fn series_without_a_reference_row_is_flagged() {
+        let series = ["rsq_docs_total", "rsq_new_total"];
+        let readme = format!(
+            "{GOOD_README}`rsq_new_total` in prose does not count.\n<!-- metric-reference:begin -->\n| `rsq_docs_total` |\n<!-- metric-reference:end -->\n"
+        );
+        let findings = check(&sources(), &docs(GOOD_DESIGN, &readme), &series);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].lint, "undocumented-series");
+        assert!(findings[0].message.contains("rsq_new_total"));
     }
 }

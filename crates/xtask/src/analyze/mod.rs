@@ -1,7 +1,7 @@
 //! The `cargo xtask analyze` multi-pass static-analysis driver
 //! (DESIGN.md §14).
 //!
-//! One walk of the workspace tree feeds six passes over a shared lexed
+//! One walk of the workspace tree feeds five passes over a shared lexed
 //! view of every source file:
 //!
 //! | pass          | what it enforces                                        |
@@ -11,7 +11,6 @@
 //! | `locks`       | acyclic lock order, no blocking calls under a lock      |
 //! | `atomics`     | the `Ordering::` policy table                            |
 //! | `consistency` | exit codes / fault codes / metric names match the docs   |
-//! | `metrics`     | the Prometheus exposition contract (`metrics-lint`)     |
 //!
 //! The workspace baseline is **zero findings**: ci.sh runs the driver
 //! as a hard gate, so a new `unwrap()` in serve or a renamed metric
@@ -34,14 +33,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Every pass the driver knows, in execution order.
-pub(crate) const ALL_PASSES: &[&str] = &[
-    "audit",
-    "panic",
-    "locks",
-    "atomics",
-    "consistency",
-    "metrics",
-];
+pub(crate) const ALL_PASSES: &[&str] = &["audit", "panic", "locks", "atomics", "consistency"];
 
 /// One analyzer finding.
 #[derive(Clone, Debug)]
@@ -123,19 +115,7 @@ pub(crate) fn analyze_sources(files: &[(String, String)], passes: &[&'static str
             "locks" => findings.extend(lock_order::check(&sources)),
             "atomics" => findings.extend(atomics::check(&sources)),
             "consistency" => {
-                let samples = exposition_samples();
-                findings.extend(consistency::check(&sources, &docs, &samples));
-            }
-            "metrics" => {
-                if let Err(failures) = crate::metrics_lint::run() {
-                    findings.extend(failures.into_iter().map(|msg| Finding {
-                        pass: "metrics",
-                        lint: "exposition",
-                        file: "crates/obs/src/expo.rs".to_owned(),
-                        line: 0,
-                        message: msg,
-                    }));
-                }
+                findings.extend(consistency::check(&sources, &docs, &series_names()));
             }
             other => unreachable!("unknown pass `{other}` got past the CLI"),
         }
@@ -159,22 +139,16 @@ pub(crate) fn analyze_workspace(root: &Path, passes: &[&'static str]) -> std::io
     Ok(analyze_sources(&files, passes))
 }
 
-/// Sample names emitted by the dummy Prometheus expositions — the
-/// ground truth for the consistency pass's metric-name check.
-fn exposition_samples() -> Vec<String> {
-    let mut names: Vec<String> = crate::metrics_lint::renderings()
-        .iter()
-        .flat_map(|(_, text)| {
-            text.lines()
-                .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-                .map(|l| l.split(['{', ' ']).next().unwrap_or("").to_owned())
-                .collect::<Vec<_>>()
-        })
-        .filter(|n| !n.is_empty())
+/// Every series name in the registry (`rsq-obs`'s sets plus
+/// `rsq-perf`'s) — the ground truth for the consistency pass's
+/// metric-name checks.
+fn series_names() -> Vec<&'static str> {
+    let perf = rsq_obs::series::entries("perf", rsq_perf::PerfStats::ROWS);
+    let entries = rsq_obs::series::catalog().into_iter().chain(perf);
+    let names: std::collections::BTreeSet<&str> = entries
+        .filter_map(|entry| entry.series.map(|series| series.name))
         .collect();
-    names.sort();
-    names.dedup();
-    names
+    names.into_iter().collect()
 }
 
 /// Renders the machine-readable report.
@@ -281,10 +255,10 @@ mod tests {
     }
 
     #[test]
-    fn exposition_samples_are_rsq_series() {
-        let samples = exposition_samples();
-        assert!(!samples.is_empty());
-        assert!(samples.iter().all(|s| s.starts_with("rsq_")), "{samples:?}");
+    fn series_names_are_rsq_series() {
+        let names = series_names();
+        assert!(names.contains(&"rsq_matches_total") && names.contains(&"rsq_perf_cycles_total"));
+        assert!(names.iter().all(|s| s.starts_with("rsq_")), "{names:?}");
     }
 
     /// Loads a seeded-violation fixture under an exterior-tier pseudo

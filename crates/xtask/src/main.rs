@@ -11,10 +11,6 @@
 //!   increases, latency-p99 rises, or hardware-counter cycles-per-byte
 //!   rises beyond a threshold (latency and cycles-per-byte each have
 //!   their own).
-//! * `cargo xtask metrics-lint` — renders every Prometheus exposition
-//!   the workspace emits with dummy data and checks the scrape
-//!   contract: snake_case `rsq_*` names, each preceded by `# HELP` and
-//!   `# TYPE`.
 //!
 //! Exit codes: `0` success, `1` findings/mismatches/regressions, `2`
 //! usage or environment error.
@@ -24,7 +20,6 @@ mod audit;
 mod bench_diff;
 mod fuzz_smoke;
 mod lexer;
-mod metrics_lint;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -35,7 +30,7 @@ usage: cargo xtask <command> [options]
 commands:
   analyze     [--root PATH] [--json] [--pass NAME]...
               run the multi-pass workspace analyzer (passes: audit,
-              panic, locks, atomics, consistency, metrics; default all);
+              panic, locks, atomics, consistency; default all);
               exits non-zero on any finding
   audit       [--root PATH]
               run the unsafe-audit static-analysis pass over the workspace
@@ -54,11 +49,6 @@ commands:
               rises beyond the cpb threshold (default 20, only when both
               reports measured it), or rows falling off a fast route;
               reports must carry schema_version 4
-  metrics-lint
-              render every Prometheus exposition with dummy data and fail
-              unless each sample is an rsq_* snake_case series preceded
-              by # HELP and # TYPE comments (alias for
-              `analyze --pass metrics` with the classic output)
 ";
 
 fn main() -> ExitCode {
@@ -68,7 +58,6 @@ fn main() -> ExitCode {
         Some("audit") => cmd_audit(&args[1..]),
         Some("fuzz-smoke") => cmd_fuzz_smoke(&args[1..]),
         Some("bench-diff") => cmd_bench_diff(&args[1..]),
-        Some("metrics-lint") => cmd_metrics_lint(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -363,29 +352,6 @@ fn cmd_bench_diff(args: &[String]) -> ExitCode {
         }
         eprintln!("bench-diff: {} regression(s)", report.regressions.len());
         ExitCode::FAILURE
-    }
-}
-
-fn cmd_metrics_lint(args: &[String]) -> ExitCode {
-    if !args.is_empty() {
-        eprintln!("xtask metrics-lint: takes no options\n\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    match metrics_lint::run() {
-        Ok(count) => {
-            println!("metrics-lint: {count} expositions checked, all conform");
-            ExitCode::SUCCESS
-        }
-        Err(failures) => {
-            for f in &failures {
-                eprintln!("metrics-lint FAILURE [{f}]");
-            }
-            eprintln!(
-                "metrics-lint: {} nonconforming exposition(s)",
-                failures.len()
-            );
-            ExitCode::FAILURE
-        }
     }
 }
 

@@ -7,19 +7,22 @@
 //! histogram, or a batch profile with more than one worker. The texts
 //! under `tests/renderings/` were recorded from the hand-written
 //! renderers (four `prometheus*` functions, eleven positional `to_json`
-//! bodies) at the commit before the series registry replaced them, and
-//! they have to keep matching.
+//! bodies) at the commit before the series registry (`rsq_obs::series`)
+//! replaced them, and they have to keep matching; the expositions are
+//! composed here the way `rsq-cli`'s report writer and `rsq-serve`'s
+//! telemetry hub compose them.
 //!
 //! When a rendering is changed on purpose, the failing run leaves the new
 //! text in `CARGO_TARGET_TMPDIR` and names the file to copy over the
 //! fixture.
 
+use rsq_obs::expo::Exposition;
 use rsq_obs::{
-    prometheus, prometheus_serve, prometheus_telemetry, BatchCounters, BatchProfile,
-    FlightRecorder, Histogram, ProfileStage, ProfileStats, Recorder, Route, RunStats,
-    ServeCounters, SkipTechnique, SpanRecord, TelemetryGauges, WindowRing, WorkerProfile,
+    BatchCounters, BatchProfile, FlightRecorder, Histogram, ProfileStage, ProfileStats, Recorder,
+    Route, RunStats, ServeCounters, SkipBytes, SkipTechnique, SpanRecord, StageTimes,
+    TelemetryGauges, WindowRing, WindowSnapshot, WorkerProfile,
 };
-use rsq_perf::{prometheus_perf, prometheus_perf_into, PerfStats};
+use rsq_perf::PerfStats;
 use std::path::Path;
 
 fn stats() -> RunStats {
@@ -184,6 +187,57 @@ fn span(seq: u64, route: Option<Route>, code: Option<&'static str>) -> SpanRecor
     }
 }
 
+/// The `--metrics-out` text of a single-document or batch run.
+fn prometheus(
+    stats: &RunStats,
+    profile: Option<&ProfileStats>,
+    batch: Option<(&BatchCounters, Option<&BatchProfile>)>,
+    perf: Option<&PerfStats>,
+) -> String {
+    let mut expo = Exposition::new();
+    expo.rows(RunStats::ROWS, stats, "");
+    if let Some(profile) = profile {
+        expo.rows(SkipBytes::ROWS, &profile.bytes_skipped, "");
+        expo.rows(StageTimes::ROWS, &profile.stages, "");
+    }
+    if let Some((counters, profile)) = batch {
+        expo.rows(BatchCounters::ROWS, counters, "");
+        if let Some(profile) = profile {
+            profile.expose(&mut expo);
+        }
+    }
+    if let Some(perf) = perf {
+        expo.rows(PerfStats::ROWS, perf, "");
+    }
+    expo.finish()
+}
+
+/// A scrape, or the parts of one that are given.
+fn scrape(
+    serve: Option<(&ServeCounters, Option<&Histogram>)>,
+    telemetry: Option<(&[WindowSnapshot], &TelemetryGauges)>,
+    perf: Option<&PerfStats>,
+) -> String {
+    let mut expo = Exposition::new();
+    if let Some((counters, latency)) = serve {
+        expo.rows(ServeCounters::ROWS, counters, "");
+        if let Some(latency) = latency {
+            expo.rows(ServeCounters::LATENCY, latency, "");
+        }
+    }
+    if let Some((windows, gauges)) = telemetry {
+        for window in windows {
+            let label = format!("window=\"{}s\"", window.secs);
+            expo.rows(WindowSnapshot::ROWS, window, &label);
+        }
+        expo.rows(TelemetryGauges::ROWS, gauges, "");
+    }
+    if let Some(perf) = perf {
+        expo.rows(PerfStats::ROWS, perf, "");
+    }
+    expo.finish()
+}
+
 /// Every rendering, as `(fixture file name, text)`.
 fn renderings() -> Vec<(&'static str, String)> {
     let stats = stats();
@@ -193,20 +247,16 @@ fn renderings() -> Vec<(&'static str, String)> {
     let serve = serve_counters();
     let latency = histogram();
     let (ring, gauges) = telemetry();
-    let w10 = ring.window(70, 10);
-    let w60 = ring.window(70, 60);
+    let windows = [10, 60].map(|secs| WindowSnapshot {
+        workers: gauges.workers,
+        ..ring.window(70, secs)
+    });
+    let [w10, w60] = &windows;
     let perf = perf_stats(false);
     let core_only = perf_stats(true);
     let mut no_map = profile.clone();
     no_map.map = None;
-
-    // What a scrape of a serving process with armed counters returns.
-    let mut scrape = prometheus_serve(&serve, Some(&latency));
-    scrape.push_str(&prometheus_telemetry(&[&w10, &w60], &gauges));
-    prometheus_perf_into(&mut scrape, &perf);
-    // What `--metrics-out` holds after a profiled batch with counters.
-    let mut batch_perf = prometheus(&stats, None, Some((&batch_counters, Some(&batch_profile))));
-    prometheus_perf_into(&mut batch_perf, &perf);
+    let batch = Some((&batch_counters, Some(&batch_profile)));
 
     let mut recorder = FlightRecorder::new(4);
     recorder.push(span(0, Some(Route::General), None));
@@ -214,35 +264,43 @@ fn renderings() -> Vec<(&'static str, String)> {
     let faulted = span(2, Some(Route::FieldChain), Some("timeout"));
 
     vec![
-        ("engine-run.prom", prometheus(&stats, None, None)),
+        ("engine-run.prom", prometheus(&stats, None, None, None)),
         (
             "engine-profile.prom",
-            prometheus(&stats, Some(&profile), None),
+            prometheus(&stats, Some(&profile), None, None),
         ),
         (
             "batch-counters.prom",
-            prometheus(&stats, None, Some((&batch_counters, None))),
+            prometheus(&stats, None, Some((&batch_counters, None)), None),
         ),
         (
             "batch-profile.prom",
-            prometheus(
-                &stats,
-                Some(&profile),
-                Some((&batch_counters, Some(&batch_profile))),
-            ),
+            prometheus(&stats, Some(&profile), batch, None),
         ),
-        ("batch-perf.prom", batch_perf),
-        ("serve.prom", prometheus_serve(&serve, None)),
+        // `--metrics-out` after a profiled batch with armed counters.
+        (
+            "batch-perf.prom",
+            prometheus(&stats, None, batch, Some(&perf)),
+        ),
+        ("serve.prom", scrape(Some((&serve, None)), None, None)),
         (
             "serve-latency.prom",
-            prometheus_serve(&serve, Some(&latency)),
+            scrape(Some((&serve, Some(&latency))), None, None),
         ),
         (
             "telemetry.prom",
-            prometheus_telemetry(&[&w10, &w60], &gauges),
+            scrape(None, Some((&windows, &gauges)), None),
         ),
-        ("perf.prom", prometheus_perf(&perf)),
-        ("scrape.prom", scrape),
+        ("perf.prom", scrape(None, None, Some(&perf))),
+        // A scrape of a serving process with armed counters.
+        (
+            "scrape.prom",
+            scrape(
+                Some((&serve, Some(&latency))),
+                Some((&windows, &gauges)),
+                Some(&perf),
+            ),
+        ),
         ("run-stats.json", stats.to_json()),
         ("run-stats.txt", stats.to_string()),
         ("run-stats-default.json", RunStats::new().to_json()),

@@ -6,36 +6,65 @@
 # linearity gate, the mmap ingest smoke, the input-path parity gate, the
 # hardware-counter and timeline-trace smokes, the profile-overhead gate,
 # differential fuzz smoke, and (when the host toolchain provides them)
-# Miri, AddressSanitizer, and ThreadSanitizer lanes.
+# Miri, AddressSanitizer, and ThreadSanitizer lanes. It ends with the
+# size series (two rows and the line-count ratchet are gates) and a lane
+# summary: every lane, whether it ran, and why not when it was skipped.
 # Run from anywhere; operates on the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+# `lane NAME` opens a lane that runs; `skip NAME WHY` records one this
+# host cannot run. Both feed the summary printed last.
+LANES=()
+lane() {
+  echo "==> $1"
+  LANES+=("ran      $1")
+}
+skip() {
+  echo "==> $1 SKIPPED ($2)"
+  LANES+=("skipped  $1 — $2")
+}
+# A name-filtered `cargo test` whose filter matches nothing passes
+# vacuously; a rename must not turn a lane into a no-op.
+filtered_tests() {
+  local out
+  out="$(cargo test "$@" 2>&1)" || {
+    echo "$out"
+    return 1
+  }
+  echo "$out"
+  if [ "$(awk '/^test result:/{n+=$4} END{print n+0}' <<<"$out")" -eq 0 ]; then
+    echo "filtered lane: 'cargo test $*' matched no test"
+    return 1
+  fi
+}
+
+lane "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo xtask analyze (static-analysis gate, zero findings)"
-# All six passes (DESIGN.md §14): the unsafe audit, panic-surface
-# justification, lock order, atomic-ordering policy, doc consistency,
-# and the Prometheus exposition contract. The JSON rendering is part of
-# the contract, so sanity-check it too.
+lane "cargo xtask analyze (static-analysis gate, zero findings)"
+# All five passes (DESIGN.md §14): the unsafe audit, panic-surface
+# justification, lock order, atomic-ordering policy, and consistency of
+# the docs with the source and the series registry. The JSON rendering is
+# part of the contract, so sanity-check it too.
 cargo run --quiet --package xtask -- analyze
 cargo run --quiet --package xtask -- analyze --json \
   | python3 -c 'import json,sys
 r = json.load(sys.stdin)
-assert r["schema_version"] == 1 and not r["findings"], r'
+assert r["schema_version"] == 1 and not r["findings"], r
+assert len(r["passes"]) == 5, r["passes"]'
 
-echo "==> cargo clippy (deny warnings, undocumented unsafe blocks)"
+lane "cargo clippy (deny warnings, undocumented unsafe blocks)"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::undocumented-unsafe-blocks
 
-echo "==> tier-1: release build + tests"
+lane "tier-1: release build + tests (the whole workspace: default-members)"
 cargo build --release
 cargo test -q
 
-echo "==> workspace tests with overflow checks"
+lane "workspace tests with overflow checks"
 RUSTFLAGS="-C overflow-checks=on" cargo test --workspace -q
 
-echo "==> batch determinism gate (multi-threaded merge, SWAR override)"
+lane "batch determinism gate (multi-threaded merge, SWAR override)"
 # The rsq-batch suites sweep worker counts {1, 2, 3, 8, 64} and assert the
 # merged outcomes are identical to a sequential run; the second pass
 # repeats that under the portable backend override.
@@ -47,12 +76,13 @@ RSQ_BACKEND=swar cargo test -p rsq-batch -q
 # themselves follow the override — so the suite above has covered the
 # default and SWAR; repeat those tests under AVX2 where the host has it.
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
-  RSQ_BACKEND=avx2 cargo test -p rsq-batch -q --lib ndjson::
+  lane "NDJSON differential under RSQ_BACKEND=avx2"
+  RSQ_BACKEND=avx2 filtered_tests -p rsq-batch -q --lib ndjson::
 else
-  echo "SKIP: NDJSON differential under RSQ_BACKEND=avx2 (no AVX2 on this host)"
+  skip "NDJSON differential under RSQ_BACKEND=avx2" "no AVX2 on this host"
 fi
 
-echo "==> serve smoke gate (pipe protocol vs --batch-ndjson oracle)"
+lane "serve smoke gate (pipe protocol vs --batch-ndjson oracle)"
 # Stream a corpus with CRLF lines, a blank line, an in-string newline,
 # and no trailing newline through `rsq --serve`, fragmented into 3-byte
 # writes so the incremental framer crosses escape/CRLF boundaries, and
@@ -76,7 +106,7 @@ if [ -s "$SERVE_TMP/serve.err" ]; then
   exit 1
 fi
 
-echo "==> fast-path parity gate (routed walker vs RSQ_ROUTE=general, full catalog)"
+lane "fast-path parity gate (routed walker vs RSQ_ROUTE=general, full catalog)"
 # Every catalog query on the detected backend, the portable SWAR
 # override and — where the host has it and it is not what was detected
 # anyway — AVX2, so that each instantiation of the pipeline this machine
@@ -120,7 +150,7 @@ fi
 echo "parity gate: $QUERIES queries x ${#PARITY_BACKENDS[@]} backends" \
   "(auto ${PARITY_BACKENDS[*]:1}) agree; $FAST_ROUTED routed fast"
 
-echo "==> seek linearity gate (label-free siblings, both routes, 5 s each)"
+lane "seek linearity gate (label-free siblings, both routes, 5 s each)"
 # 100 000 sibling containers that lack the sought label, whose only other
 # occurrence is at the far end of the document (general route: `$..a..b.c`)
 # or nowhere (routed walker: `$.r.*.a.b`). Every seek must stop at its own
@@ -154,7 +184,7 @@ seek-routed.json $.r.*.a.b 0
 CASES
 echo "seek linearity gate: 2 documents x 3 configurations linear and verified"
 
-echo "==> mmap smoke gate (--mmap on vs off over a multi-MB batch dir)"
+lane "mmap smoke gate (--mmap on vs off over a multi-MB batch dir)"
 # Multi-MiB documents through --batch-dir under both ingest policies:
 # mapped and buffered reads must produce byte-identical output. The
 # corpus files are above the 1 MiB threshold, so `auto` maps too.
@@ -171,7 +201,7 @@ cp "$SERVE_TMP/corpus/B.json" "$SERVE_TMP/corpus/G.json" \
 diff -u "$SERVE_TMP/mmap-on.out" "$SERVE_TMP/mmap-off.out"
 diff -u "$SERVE_TMP/mmap-auto.out" "$SERVE_TMP/mmap-off.out"
 
-echo "==> input-path parity gate (FILE, < FILE, cat FILE |, --mmap off|on FILE)"
+lane "input-path parity gate (FILE, < FILE, cat FILE |, --mmap off|on FILE)"
 # Every single-document golden case, through each way a document can reach
 # the engine — the file as named (copied: the fixtures are far below the
 # 1 MiB mapping threshold), redirected, through a pipe, with mapping off,
@@ -226,7 +256,7 @@ if [ "$PARITY_CASES" -lt 12 ]; then
 fi
 echo "parity gate: $PARITY_CASES cases x 5 input paths agree"
 
-echo "==> hardware-counter smoke gate (forced denial + armed path)"
+lane "hardware-counter smoke gate (forced denial + armed path)"
 # Counters must never change results. The forced-denial half runs
 # everywhere: RSQ_PERF=deny (open fails with a simulated EPERM) must
 # leave stdout AND the stats JSON byte-identical to RSQ_PERF=off, with
@@ -257,13 +287,13 @@ assert perf["docs"] == 1 and perf["bytes"] > 0, perf
 assert perf["counters"]["cycles"] > 0, perf
 assert perf["cycles_per_byte"] > 0.0, perf
 PYEOF
-  echo "perf smoke gate: counters armed, nonzero cycles recorded"
+  lane "hardware-counter armed path (nonzero cycles recorded)"
 else
-  echo "perf smoke gate: kernel denied counters on this host;" \
-    "armed-path assertions SKIPPED (denial path verified above)"
+  skip "hardware-counter armed path" \
+    "the kernel denies perf_event_open here; the denial path is verified above"
 fi
 
-echo "==> timeline trace smoke gate (--trace-out well-formedness)"
+lane "timeline trace smoke gate (--trace-out well-formedness)"
 # A batch run over the serve corpus must leave a Perfetto-loadable
 # Chrome trace: valid JSON, thread_name metadata, one doc slice plus
 # exactly four phase slices (queue-wait/run/reorder-wait/emit) per
@@ -287,12 +317,11 @@ assert docs, xs
 assert len(phases) == 4 * len(docs), (len(phases), len(docs))
 PYEOF
 
-echo "==> serve live-telemetry smoke gate (scrape under load + postmortem)"
+lane "serve live-telemetry smoke gate (scrape under load + postmortem)"
 # Part 1: a socket server with the scrape endpoint armed. A client
 # streams fragmented NDJSON while curl scrapes /metrics through the
-# second socket: the exposition must pass the formatter contract already
-# linted above, carry rolling-window series, and show nonzero
-# worker/document gauges; /healthz must answer ok; POST /shutdown must
+# second socket: the exposition must carry rolling-window series with
+# their headers and show nonzero worker/document gauges; /healthz must answer ok; POST /shutdown must
 # drain the server to a clean exit.
 TELEMETRY_PIDS=""
 trap 'kill $TELEMETRY_PIDS 2>/dev/null || true; rm -rf "$SERVE_TMP"' EXIT
@@ -400,12 +429,12 @@ assert pms[1]["recent"], "flight recorder history present in second dump"
 assert pms[1]["recent"][0]["seq"] == pms[0]["doc"]["seq"], pms[1]["recent"]
 PYEOF
 
-echo "==> serve robustness chaos sweep (slow-tests)"
+lane "serve robustness chaos sweep (slow-tests)"
 # 200 seeded fragmentation/stall/truncation/disconnect plans, each
 # checked for output parity with the batch oracle.
 cargo test -p rsq-serve --release --features slow-tests -q
 
-echo "==> profile-overhead gate (Tier C compiles out of unprofiled runs)"
+lane "profile-overhead gate (Tier C compiles out of unprofiled runs)"
 # Tier C profiling is always-compiled (no cargo feature): the Recorder
 # hooks default to empty #[inline] bodies, so NoStats/RunStats runs must
 # stay byte-identical in matches and Tier A counters to a profiled run,
@@ -416,39 +445,39 @@ cargo test -p rsq --release --features slow-tests --test obs_overhead -q
 cargo test -p rsq-engine --release --test skipmap -q
 RSQ_BACKEND=swar cargo test -p rsq-engine --release --test skipmap -q
 
-echo "==> profiling lanes (batch profile merge, CLI --profile surface)"
-cargo test -p rsq-batch --release -q profile
-cargo test -p rsq-cli -q profile
-cargo test -p rsq-cli -q metrics
+lane "profiling lanes (batch profile merge, CLI --profile surface)"
+filtered_tests -p rsq-batch --release -q profile
+filtered_tests -p rsq-cli -q profile
+filtered_tests -p rsq-cli -q metrics
 
-echo "==> differential fuzz smoke (30s budget across all targets)"
+lane "differential fuzz smoke (30s budget across all targets)"
 cargo run --quiet --package xtask -- fuzz-smoke --max-seconds 30
 
 # Optional lanes: both need components the offline stable image may not
 # ship. Each is gated on a probe so the gate stays green everywhere but
 # runs the deeper check wherever the toolchain allows it.
 if cargo +nightly miri --version >/dev/null 2>&1; then
-  echo "==> Miri lane (kernel + stackvec crates, SWAR fallback)"
+  lane "Miri lane (kernel + stackvec crates, SWAR fallback)"
   # Miri interprets Rust, not vendor intrinsics: Simd::detect falls back
   # to the portable SWAR backend under cfg(miri) (DESIGN.md §9).
   cargo +nightly miri test -p rsq-stackvec -p rsq-simd -q
   cargo +nightly miri test -p rsq-difftest -q
 else
-  echo "==> Miri lane skipped (nightly miri not installed)"
+  skip "Miri lane" "nightly miri not installed"
 fi
 
 if [ "$(uname -sm)" = "Linux x86_64" ] && rustc +nightly --version >/dev/null 2>&1; then
-  echo "==> AddressSanitizer lane (kernel + stackvec crates)"
+  lane "AddressSanitizer lane (kernel + stackvec crates)"
   # --tests only: doctest binaries don't link the ASan runtime.
   RUSTFLAGS="-Zsanitizer=address" cargo +nightly test \
     -p rsq-stackvec -p rsq-simd -q --tests --target x86_64-unknown-linux-gnu
 else
-  echo "==> AddressSanitizer lane skipped (needs nightly on x86_64 Linux)"
+  skip "AddressSanitizer lane" "needs nightly on x86_64 Linux"
 fi
 
 if [ "$(uname -sm)" = "Linux x86_64" ] && rustc +nightly --version >/dev/null 2>&1 \
   && rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
-  echo "==> ThreadSanitizer lane (batch determinism + serve robustness)"
+  lane "ThreadSanitizer lane (batch determinism + serve robustness)"
   # TSan needs std rebuilt with instrumentation (-Zbuild-std, hence the
   # rust-src probe) or it reports false races inside precompiled std.
   # The lock-order pass above is static; this lane is the dynamic check
@@ -456,18 +485,27 @@ if [ "$(uname -sm)" = "Linux x86_64" ] && rustc +nightly --version >/dev/null 2>
   RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -Zbuild-std \
     -p rsq-batch -p rsq-serve -q --tests --target x86_64-unknown-linux-gnu
 else
-  echo "==> ThreadSanitizer lane skipped (needs nightly + rust-src on x86_64 Linux)"
+  skip "ThreadSanitizer lane" "needs nightly + rust-src on x86_64 Linux"
 fi
 
-echo "==> size series (non-test lines, dispatch entries, text bytes, popcnt)"
-# Two rows are gates. Three instantiations of the pipeline must not grow
+lane "size series (non-test lines, dispatch entries, text bytes, popcnt)"
+# Three rows are gates. Three instantiations of the pipeline must not grow
 # the binary without bound (1.05 MB before per-run dispatch), and on
 # x86-64 a binary without a single `popcnt` means the pipeline is no
 # longer being inlined into the backends' entries — every `count_ones`
-# has silently gone back to shifts and masks (DESIGN.md §9).
+# has silently gone back to shifts and masks (DESIGN.md §9). The
+# non-test line count is a ratchet (ROADMAP item 4): MAX_LINES is what
+# the last simplicity PR landed at, each one lowers it, and a PR that
+# has to raise it says in its description what the lines bought.
+MAX_LINES=28695
 scripts/loc.sh | tee "$SERVE_TMP/loc.txt"
+LINES="$(awk '/^total non-test lines/{print $NF}' "$SERVE_TMP/loc.txt")"
 TEXT_BYTES="$(awk '/^text bytes/{print $NF}' "$SERVE_TMP/loc.txt")"
 POPCNT="$(awk '/^popcnt instructions/{print $NF}' "$SERVE_TMP/loc.txt")"
+if [ "$LINES" -gt "$MAX_LINES" ]; then
+  echo "size gate: $LINES non-test lines (ratchet $MAX_LINES)"
+  exit 1
+fi
 if [ "$TEXT_BYTES" -gt 1500000 ]; then
   echo "size gate: text is $TEXT_BYTES bytes (limit 1500000)"
   exit 1
@@ -477,4 +515,6 @@ if [ "$(uname -m)" = "x86_64" ] && [ "$POPCNT" -eq 0 ]; then
   exit 1
 fi
 
+echo "==> lane summary"
+printf '  %s\n' "${LANES[@]}"
 echo "CI OK"
