@@ -13,10 +13,11 @@
 //! * a compiled-query LRU cache ([`QueryCache`]) keyed by normalized
 //!   query text, so a working set of queries compiles once, not once
 //!   per document;
-//! * an atomic chunk-claiming work queue (one `fetch_add` per claim)
-//!   feeding a fixed pool of [`std::thread::scope`] workers, each with
-//!   its own [`DocRunner`] and reusable [`DocSink`] so steady-state
-//!   workers allocate nothing per document beyond the output they keep;
+//! * a document feed (windows of documents published while the run is
+//!   under way, claimed a chunk at a time) feeding a fixed pool of
+//!   [`std::thread::scope`] workers, each with its own [`DocRunner`] and
+//!   reusable [`DocSink`] so steady-state workers allocate nothing per
+//!   document beyond the output they keep;
 //! * a deterministic merge: workers tag every result with its document
 //!   index, the merge orders by index, and [`RunStats`] merge with the
 //!   existing commutative `+` — so per-document outputs *and* aggregate
@@ -48,8 +49,11 @@ pub use cache::QueryCache;
 pub use ndjson::{split_ndjson, DocBuffers, Frame, NdjsonFramer, QuoteScan};
 pub use runner::{DocRunner, DocSink, Matches, Record};
 
-use queue::WorkQueue;
-use rsq_engine::{Engine, EngineError, EngineOptions, LimitKind, ProfileStats, RunError};
+use ndjson::Windows;
+use queue::Feed;
+use rsq_engine::{
+    Engine, EngineError, EngineOptions, LimitKind, LineScanner, ProfileStats, RunError,
+};
 use rsq_obs::{
     BatchCounters, BatchProfile, DocSpan, Histogram, RunStats, SpanRecord, Stopwatch, WorkerProfile,
 };
@@ -59,7 +63,6 @@ use std::io;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
@@ -294,21 +297,19 @@ impl BatchEngine {
     /// Returns [`EngineError`] only when the *query* fails to compile;
     /// per-document failures land in [`BatchResult::outcomes`].
     pub fn run_slices(&self, query: &str, docs: &[&[u8]]) -> Result<BatchResult, EngineError> {
-        let hits_before = self.cache.hits();
-        let misses_before = self.cache.misses();
-        let evictions_before = self.cache.evictions();
-        let engine = self.cache.get_or_compile(query, &self.options.engine)?;
-        let mut result = self.run_compiled(&engine, docs);
-        result.counters.cache_hits = self.cache.hits() - hits_before;
-        result.counters.cache_misses = self.cache.misses() - misses_before;
-        result.counters.cache_evictions = self.cache.evictions() - evictions_before;
-        Ok(result)
+        self.run_query(query, |engine| {
+            self.run_windows(engine, std::iter::once(docs))
+        })
     }
 
     /// Runs `query` over an NDJSON buffer (one JSON document per line,
     /// split with the quote-aware [`split_ndjson`] scan). Returns the
     /// byte range of each document alongside the batch result, so
     /// callers can map outcome `i` back to its line.
+    ///
+    /// The buffer is split a window at a time on the calling thread while
+    /// the spawned workers already run the windows before it; the calling
+    /// thread joins them as a worker once the last line is found.
     ///
     /// # Errors
     ///
@@ -318,18 +319,62 @@ impl BatchEngine {
         query: &str,
         input: &[u8],
     ) -> Result<(Vec<Range<usize>>, BatchResult), EngineError> {
-        let ranges = split_ndjson(input);
-        // PANIC-OK: split_ndjson ranges are derived from input and lie in bounds
-        let docs: Vec<&[u8]> = ranges.iter().map(|r| &input[r.clone()]).collect();
-        let result = self.run_slices(query, &docs)?;
+        let mut ranges = Vec::new();
+        let windows = Windows::new(LineScanner::detect(), input, ndjson::WINDOW_BYTES);
+        let result = self.run_query(query, |engine| {
+            self.run_windows(
+                engine,
+                windows.map(|window| {
+                    // PANIC-OK: the splitter's ranges are derived from input and lie in bounds
+                    let docs: Vec<&[u8]> = window.iter().map(|r| &input[r.clone()]).collect();
+                    ranges.extend(window);
+                    docs
+                }),
+            )
+        })?;
         Ok((ranges, result))
     }
 
-    /// Runs a compiled engine over the documents, sharded. This is the
-    /// core worker-pool loop shared by every entry point.
-    fn run_compiled(&self, engine: &Arc<Engine>, docs: &[&[u8]]) -> BatchResult {
-        let threads = self.effective_threads().min(docs.len()).max(1);
-        let queue = WorkQueue::new(docs.len(), WorkQueue::auto_chunk(docs.len(), threads));
+    /// Compiles `query` (through the cache) and hands the engine to `run`,
+    /// then books what the cache did for it on the result.
+    fn run_query(
+        &self,
+        query: &str,
+        run: impl FnOnce(&Engine) -> BatchResult,
+    ) -> Result<BatchResult, EngineError> {
+        let hits_before = self.cache.hits();
+        let misses_before = self.cache.misses();
+        let evictions_before = self.cache.evictions();
+        let engine = self.cache.get_or_compile(query, &self.options.engine)?;
+        let mut result = run(&engine);
+        result.counters.cache_hits = self.cache.hits() - hits_before;
+        result.counters.cache_misses = self.cache.misses() - misses_before;
+        result.counters.cache_evictions = self.cache.evictions() - evictions_before;
+        Ok(result)
+    }
+
+    /// Runs a compiled engine over the documents of `windows`, sharded.
+    /// This is the core worker-pool loop shared by every entry point: a
+    /// slice of documents is one window; the windows of an NDJSON buffer
+    /// are pulled — split — on the calling thread while the spawned
+    /// workers run the ones already published.
+    fn run_windows<'d, W: AsRef<[&'d [u8]]>>(
+        &self,
+        engine: &Engine,
+        windows: impl Iterator<Item = W>,
+    ) -> BatchResult {
+        // Two windows are pulled before anything is spawned: an input
+        // that ends within the first is sharded by its document count, as
+        // a slice is.
+        let mut windows = windows.peekable();
+        let first = windows.next();
+        let first: &[&[u8]] = first.as_ref().map_or(&[], AsRef::as_ref);
+        let threads = match windows.peek() {
+            Some(_) => self.effective_threads(),
+            None => self.effective_threads().min(first.len()).max(1),
+        };
+        let feed = Feed::default();
+        feed.publish(first, Feed::auto_chunk(first.len(), threads));
         let collect_stats = self.options.collect_stats;
         let profile = self.options.profile;
         let perf_mode = self.options.perf;
@@ -356,6 +401,7 @@ impl BatchEngine {
             let mut sink = DocSink::new(true, None);
             let mut runner = DocRunner::open(perf_mode);
             let mut spans: Vec<SpanRecord> = Vec::new();
+            let mut docs: Vec<&[u8]> = Vec::new();
             // Lap timer shared with the serve pipeline's spans: the lap
             // taken after `claim` returns is queue wait, the lap after
             // each document is busy time, and consecutive laps telescope
@@ -367,14 +413,14 @@ impl BatchEngine {
                 if let Some((_, watch)) = prof.as_mut() {
                     watch.lap();
                 }
-                let Some(range) = queue.claim() else { break };
+                let Some(claimed) = feed.claim(&mut docs) else {
+                    break;
+                };
                 if let Some((p, watch)) = prof.as_mut() {
                     p.worker.queue_wait_ns = p.worker.queue_wait_ns.saturating_add(watch.lap());
                     p.worker.claims += 1;
                 }
-                for i in range {
-                    // PANIC-OK: doc indices come from the shared claim queue, all < docs.len()
-                    let doc = docs[i];
+                for (i, &doc) in (claimed..).zip(&docs) {
                     let mut span = collect_spans.then(|| {
                         let mut s = DocSpan::begin_at(
                             i as u64,
@@ -399,6 +445,8 @@ impl BatchEngine {
                         None => Record::Nothing,
                     };
                     sink.clear();
+                    #[cfg(test)]
+                    tests::worker_fault(worker, doc);
                     let outcome = runner
                         .run_doc(engine, doc, &mut sink, record, true)
                         .map(|()| DocOutput {
@@ -427,10 +475,11 @@ impl BatchEngine {
             (local, stats, prof.map(|(p, _)| p), runner.perf(), spans)
         };
 
-        // The calling thread is worker 0; only `threads - 1` more are
-        // spawned. Were it to sleep in `join` instead, every worker would
-        // be a new thread looking for a CPU while the caller's falls idle,
-        // and where the scheduler puts them differs from run to run: on a
+        // The calling thread publishes the remaining windows, then is
+        // worker 0; only `threads - 1` more are spawned. Were it to sleep
+        // in `join` instead, every worker would be a new thread looking
+        // for a CPU while the caller's falls idle, and where the
+        // scheduler puts them differs from run to run: on a
         // quiet 2-CPU host that widened the spread of `--threads 2` wall
         // times by a third (DESIGN.md §10). One thread is the same path,
         // no spawn.
@@ -439,6 +488,14 @@ impl BatchEngine {
             let handles: Vec<_> = (1..threads)
                 .map(|w| scope.spawn(move || shard(w)))
                 .collect();
+            // Whatever ends the publishing — an unwinding splitter too —
+            // closes the feed: a worker waits for a window or for this.
+            let closing = CloseOnDrop(&feed);
+            for window in windows {
+                let window = window.as_ref();
+                feed.publish(window, Feed::auto_chunk(window.len(), threads));
+            }
+            drop(closing);
             let mut shards = vec![shard(0)];
             // Per-document panics are contained inside the shard loop; a
             // join failure means the worker died outside it (e.g. an
@@ -449,21 +506,13 @@ impl BatchEngine {
             shards
         });
 
+        let (documents, queue_claims) = feed.totals();
         let mut result = BatchResult {
-            outcomes: Vec::with_capacity(docs.len()),
             profile: profile.then(BatchProfile::default),
             ..BatchResult::default()
         };
-        // Default every slot to a lost-worker error: any document whose
-        // shard never reported back (worker died outside the contained
-        // region) surfaces as a per-document failure, not silence.
-        result.outcomes.resize(
-            docs.len(),
-            Err(DocError {
-                kind: DocErrorKind::Panic,
-                message: "worker thread lost".to_owned(),
-            }),
-        );
+        let mut outcomes: Vec<Option<Result<DocOutput, DocError>>> = Vec::new();
+        outcomes.resize_with(documents, || None);
         // Shards come back in worker-index order (spawn order), so the
         // merged `workers` vec is stable across runs of the same shape.
         for (local, stats, shard_profile, shard_perf, shard_spans) in shards.drain(..) {
@@ -480,18 +529,29 @@ impl BatchEngine {
                 merged.workers.push(sp.worker);
             }
             for (i, outcome) in local {
-                // PANIC-OK: outcomes was pre-sized to docs.len(); queue indices stay in range
-                result.outcomes[i] = outcome;
+                // PANIC-OK: outcomes was sized to the documents published; the feed hands out no other index
+                outcomes[i] = Some(outcome);
             }
         }
+        // A slot nobody filled belongs to a shard that never reported back
+        // (its worker died outside the contained region): that surfaces as
+        // a per-document failure, not silence.
+        let lost = || DocError {
+            kind: DocErrorKind::Panic,
+            message: "worker thread lost".to_owned(),
+        };
+        result.outcomes = outcomes
+            .into_iter()
+            .map(|outcome| outcome.unwrap_or_else(|| Err(lost())))
+            .collect();
         // Shards interleave document ranges; order the merged timeline
         // by document index so trace output is deterministic.
         result.spans.sort_by_key(|s| s.seq);
         result.counters.failed_documents =
             result.outcomes.iter().filter(|o| o.is_err()).count() as u64;
-        result.counters.documents = docs.len() as u64;
+        result.counters.documents = documents as u64;
         result.counters.shards = threads as u64;
-        result.counters.queue_claims = queue.claims();
+        result.counters.queue_claims = queue_claims;
         result
     }
 
@@ -533,6 +593,15 @@ impl BatchEngine {
     }
 }
 
+/// Closes the feed when dropped.
+struct CloseOnDrop<'f, 'd>(&'f Feed<'d>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// One worker's accumulated Tier C profile: an engine-side profile shared
 /// across the shard's documents (no per-document skip map), the
 /// per-document latency histogram, and the worker's own busy/queue-wait
@@ -547,6 +616,7 @@ struct ShardProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn single_doc_matches_engine() {
@@ -767,6 +837,157 @@ mod tests {
         assert_eq!(result.outcomes[1].as_ref().unwrap().count, 2);
         assert_eq!(result.outcomes[2].as_ref().unwrap().count, 0);
         assert_eq!(&input[ranges[2].clone()], b"[3]");
+    }
+
+    /// A document that panics inside the contained region of whichever
+    /// worker runs it ([`DocRunner::run`] calls [`contained_fault`]).
+    const PANICS: &[u8] = br#"{"rsq-test": "this document panics"}"#;
+    /// A document that takes the *spawned* worker claiming it down, outside
+    /// the contained region (the shard loop calls [`worker_fault`]).
+    const KILLS: &[u8] = br#"{"rsq-test": "this document kills its worker"}"#;
+    /// Set just before a worker dies of [`KILLS`].
+    static WORKER_KILLED: AtomicBool = AtomicBool::new(false);
+
+    pub(crate) fn contained_fault(doc: &[u8]) {
+        assert!(doc != PANICS, "document exploded");
+    }
+
+    pub(crate) fn worker_fault(worker: usize, doc: &[u8]) {
+        if worker != 0 && doc == KILLS {
+            WORKER_KILLED.store(true, Ordering::Release);
+            panic!("worker {worker} exploded");
+        }
+    }
+
+    /// Lines of a few shapes, a blank one among them, enough of them that
+    /// small windows hold several chunks' worth.
+    fn many_lines(n: usize) -> Vec<u8> {
+        let mut input = Vec::new();
+        for i in 0..n {
+            match i % 4 {
+                0 => input.extend_from_slice(br#"{"a": 1, "b": {"a": [2, 3]}}"#),
+                1 => input.extend_from_slice(format!(r#"{{"k{i}": {{"a": {i}}}}}"#).as_bytes()),
+                2 => input.extend_from_slice(b"[1, 2, 3]\r"),
+                _ => {}
+            }
+            input.push(b'\n');
+        }
+        input
+    }
+
+    /// `run_windows` over `input` split at `window` bytes.
+    fn windowed(batch: &BatchEngine, query: &str, input: &[u8], window: usize) -> BatchResult {
+        let windows = Windows::new(LineScanner::detect(), input, window)
+            .map(|w| w.into_iter().map(|r| &input[r]).collect::<Vec<&[u8]>>());
+        batch
+            .run_query(query, |engine| batch.run_windows(engine, windows))
+            .unwrap()
+    }
+
+    #[test]
+    fn many_windows_equal_one() {
+        let input = many_lines(400);
+        let docs: Vec<&[u8]> = split_ndjson(&input)
+            .into_iter()
+            .map(|r| &input[r])
+            .collect();
+        for threads in [1, 2, 4] {
+            let batch = BatchEngine::new(BatchOptions {
+                threads,
+                collect_stats: true,
+                ..BatchOptions::default()
+            });
+            let whole = batch.run_slices("$..a", &docs).unwrap();
+            assert_eq!(whole.outcomes.len(), 300);
+            for window in [1, 64, 100, 4096] {
+                let result = windowed(&batch, "$..a", &input, window);
+                assert_eq!(
+                    result.outcomes, whole.outcomes,
+                    "{threads} threads, {window}"
+                );
+                assert_eq!(result.stats, whole.stats, "{threads} threads, {window}");
+                assert_eq!(result.counters.documents, 300);
+            }
+            // The public entry point cuts at `WINDOW_BYTES`: one window here.
+            let (ranges, result) = batch.run_ndjson("$..a", &input).unwrap();
+            assert_eq!(ranges, split_ndjson(&input));
+            assert_eq!(result.outcomes, whole.outcomes);
+            assert_eq!(result.counters.queue_claims, whole.counters.queue_claims);
+            assert_eq!(result.counters.shards, whole.counters.shards);
+        }
+    }
+
+    #[test]
+    fn claims_depend_on_the_windows_not_on_timing() {
+        let input = many_lines(400);
+        let batch = BatchEngine::new(BatchOptions {
+            threads: 4,
+            ..BatchOptions::default()
+        });
+        let claims = windowed(&batch, "$..a", &input, 512).counters.queue_claims;
+        for _ in 0..20 {
+            let again = windowed(&batch, "$..a", &input, 512).counters.queue_claims;
+            assert_eq!(again, claims);
+        }
+    }
+
+    #[test]
+    fn a_panicking_document_fails_alone() {
+        let mut input = many_lines(40);
+        input.extend_from_slice(PANICS);
+        input.push(b'\n');
+        input.extend_from_slice(&many_lines(40));
+        for threads in [1, 2, 4] {
+            let batch = BatchEngine::new(BatchOptions {
+                threads,
+                ..BatchOptions::default()
+            });
+            let result = windowed(&batch, "$..a", &input, 256);
+            assert_eq!(result.outcomes.len(), 61);
+            assert_eq!(result.counters.failed_documents, 1);
+            let failure = result.outcomes[30].as_ref().unwrap_err();
+            assert_eq!(failure.kind, DocErrorKind::Panic);
+            assert_eq!(failure.message, "worker panicked: document exploded");
+        }
+    }
+
+    /// A worker that dies outside the contained region loses the chunk it
+    /// held and nothing else: the feed is not left locked, the other
+    /// workers drain it, the lost documents say so. The interleaving is
+    /// forced: the first window — the doomed document alone, so a chunk of
+    /// one — is published before the workers are spawned, and the calling
+    /// thread does not get past splitting until one of them has died of it.
+    #[test]
+    fn a_lost_worker_loses_only_its_chunk() {
+        let rest = many_lines(40);
+        let rest: Vec<&[u8]> = split_ndjson(&rest).into_iter().map(|r| &rest[r]).collect();
+        for threads in [2, 4] {
+            WORKER_KILLED.store(false, Ordering::Release);
+            let windows = [vec![KILLS], rest[..10].to_vec(), rest[10..].to_vec()]
+                .into_iter()
+                .enumerate()
+                .inspect(|(k, _)| {
+                    // The third window is the first pulled after the spawn.
+                    while *k == 2 && !WORKER_KILLED.load(Ordering::Acquire) {
+                        thread::yield_now();
+                    }
+                })
+                .map(|(_, window)| window);
+            let batch = BatchEngine::new(BatchOptions {
+                threads,
+                ..BatchOptions::default()
+            });
+            let result = batch
+                .run_query("$..a", |engine| batch.run_windows(engine, windows))
+                .unwrap();
+            assert_eq!(result.outcomes.len(), 31);
+            let lost = result.outcomes[0].as_ref().unwrap_err();
+            assert_eq!(lost.kind, DocErrorKind::Panic);
+            assert_eq!(lost.message, "worker thread lost");
+            assert_eq!(result.counters.failed_documents, 1);
+            let expected = batch.run_slices("$..a", &rest).unwrap();
+            assert_eq!(result.outcomes[1..], expected.outcomes[..]);
+        }
     }
 
     #[test]

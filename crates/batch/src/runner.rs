@@ -206,16 +206,20 @@ impl DocRunner {
             g.start();
         }
         let perf = &mut self.perf;
-        let run = std::panic::AssertUnwindSafe(move || match record {
-            Record::Nothing => engine.try_run(doc, sink),
-            Record::Stats(total) => engine.try_run_with_stats(doc, sink).map(|s| *total += s),
-            Record::Profile(profile) => match group {
-                Some(g) => {
-                    let mut rec = PerfRecorder::new(profile, g, perf);
-                    engine.try_run_with_recorder(doc, sink, &mut rec)
-                }
-                None => engine.try_run_with_recorder(doc, sink, profile),
-            },
+        let run = std::panic::AssertUnwindSafe(move || {
+            #[cfg(test)]
+            crate::tests::contained_fault(doc);
+            match record {
+                Record::Nothing => engine.try_run(doc, sink),
+                Record::Stats(total) => engine.try_run_with_stats(doc, sink).map(|s| *total += s),
+                Record::Profile(profile) => match group {
+                    Some(g) => {
+                        let mut rec = PerfRecorder::new(profile, g, perf);
+                        engine.try_run_with_recorder(doc, sink, &mut rec)
+                    }
+                    None => engine.try_run_with_recorder(doc, sink, profile),
+                },
+            }
         });
         let outcome = match std::panic::catch_unwind(run) {
             Ok(run) => run.map_err(|e| DocError::from_run(&e)),

@@ -83,8 +83,8 @@ pub fn member_after(input: &[u8], label_end: usize, in_string: bool) -> Member {
 
 /// One sought label over **one input**: the `memmem` finder for its
 /// quoted bytes and the memoized search frontier (see the module
-/// documentation). A label is fixed when the query is compiled, so the
-/// engine builds each seeker once per run.
+/// documentation). A label is fixed when the query is compiled, and so
+/// is its finder's prefilter; the memo is what makes a seeker per-run.
 #[derive(Clone, Debug)]
 pub struct LabelSeeker<'n, B: Backend = Simd> {
     finder: Finder<'n, B>,
@@ -95,18 +95,17 @@ pub struct LabelSeeker<'n, B: Backend = Simd> {
 }
 
 impl<'n, B: Backend> LabelSeeker<'n, B> {
-    /// A seeker for `needle`, the label *including* its quotes.
+    /// A seeker driving `finder`, whose needle is the label *including*
+    /// its quotes.
     #[inline]
     #[must_use]
-    pub fn new(needle: &'n [u8], backend: B) -> Self {
+    pub fn new(finder: Finder<'n, B>) -> Self {
+        let needle = finder.needle();
         debug_assert!(
             needle.len() >= 2 && needle[0] == b'"' && needle[needle.len() - 1] == b'"',
             "needle must be a quoted label"
         );
-        LabelSeeker {
-            finder: Finder::with_backend(needle, backend),
-            memo: None,
-        }
+        LabelSeeker { finder, memo: None }
     }
 
     /// The first occurrence of the needle at or after `pos`, searching

@@ -22,6 +22,7 @@
 
 use proptest::prelude::*;
 use rsq_classify::{LabelSeeker, Seek, SeekScope, Structural, StructuralIterator};
+use rsq_memmem::Finder;
 use rsq_simd::{BackendKind, Simd};
 
 // ---------------------------------------------------------------------
@@ -160,7 +161,7 @@ fn check(doc: &[u8], label: &str, openings: usize) -> Result<(), TestCaseError> 
     for scope in scopes {
         for simd in BackendKind::supported().map(Simd::with_kind) {
             for prewarm in [false, true] {
-                let mut seeker = LabelSeeker::new(needle, simd);
+                let mut seeker = LabelSeeker::new(Finder::with_backend(needle, simd));
                 if prewarm {
                     seeker.candidate_from(doc, 0);
                 }
@@ -395,7 +396,7 @@ fn sibling_seeks_stop_at_their_own_end() {
     let bytes = doc.as_bytes();
     for simd in BackendKind::supported().map(Simd::with_kind) {
         for scope in [SeekScope::member(false), SeekScope::subtree(0)] {
-            let mut seeker = LabelSeeker::new(b"\"target\"", simd);
+            let mut seeker = LabelSeeker::new(Finder::with_backend(b"\"target\"", simd));
             let mut it = StructuralIterator::new(bytes, simd);
             it.next(); // the array
             for _ in 0..200 {

@@ -69,11 +69,11 @@ options:
                       Perfetto (ui.perfetto.dev) or chrome://tracing
                       for one track per worker with nested
                       queue-wait/run/reorder-wait/emit slices
-  --mmap auto|on|off  zero-copy input: map FILE (and --batch-dir files)
-                      into memory instead of copying through a read
-                      loop; auto (the default) maps files of at least
-                      1 MiB, off always buffers (stdin and NDJSON
-                      always buffer; results are identical either way)
+  --mmap auto|on|off  zero-copy input: map FILE (and the --batch-ndjson
+                      file and --batch-dir files) into memory instead of
+                      copying through a read loop; auto (the default)
+                      maps files of at least 1 MiB, off always buffers
+                      (as stdin does; results are identical either way)
 
 batch mode (many documents, sharded across threads; output is printed
 in input order, byte-identical to looping rsq over each document):
@@ -663,8 +663,8 @@ fn read_input(engine: &Engine, invocation: &Invocation) -> Result<MmapInput, Cli
 }
 
 /// Copies a file or stdin whole, with no engine to check it against:
-/// `--stats` has no query, and the lines of an NDJSON file are the
-/// documents, not the file.
+/// `--stats` has no query, and the lines of NDJSON input are the
+/// documents, not the input.
 fn read_unchecked(file: Option<&str>) -> Result<Region, CliError> {
     match file {
         Some(path) => std::fs::File::open(path).and_then(rsq_engine::read_to_end),
@@ -1163,24 +1163,37 @@ fn run_batch(
     });
 
     // Load the corpus: ingest is sequential (one disk), compute parallel.
-    // Directory files honor the `--mmap` policy (large documents are
-    // mapped, not copied); NDJSON lines are borrowed from the one region
-    // the file or stdin was copied into.
-    let ndjson: Region;
+    // Both sources honor the `--mmap` policy: directory files and the
+    // NDJSON file are mapped when it allows and copied into a region
+    // otherwise (as stdin always is); NDJSON lines are borrowed from
+    // whichever of the two holds the file.
+    let ndjson: MmapInput;
     let mut files: Vec<(String, MmapInput)> = Vec::new();
-    let docs: Vec<&[u8]> = match source {
+    let query_error =
+        |e: rsq_engine::EngineError| CliError::new(CliErrorKind::Query, e.to_string());
+    let (docs, result): (Vec<&[u8]>, _) = match source {
         BatchSource::Ndjson(path) => {
-            ndjson = read_unchecked((path != "-").then_some(path.as_str()))?;
-            rsq_batch::split_ndjson(&ndjson)
-                .into_iter()
-                // PANIC-OK: split_ndjson ranges are derived from the buffer and lie in bounds
-                .map(|range| &ndjson[range])
-                .collect()
+            let file = (path != "-").then_some(path.as_str());
+            let mapped = file.and_then(|p| rsq_mmap::map(std::path::Path::new(p), invocation.mmap));
+            ndjson = match mapped {
+                Some(mapped) => mapped,
+                None => read_unchecked(file)?.into(),
+            };
+            let (ranges, result) = engine
+                .run_ndjson(&invocation.query, &ndjson)
+                .map_err(query_error)?;
+            // PANIC-OK: run_ndjson's ranges are derived from the buffer and lie in bounds
+            let docs = ranges.into_iter().map(|range| &ndjson[range]).collect();
+            (docs, result)
         }
         BatchSource::Dir(path) => {
             files = BatchEngine::load_dir_mapped(std::path::Path::new(path), invocation.mmap)
                 .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot read {path}: {e}")))?;
-            files.iter().map(|(_, input)| input.as_bytes()).collect()
+            let docs: Vec<&[u8]> = files.iter().map(|(_, input)| input.as_bytes()).collect();
+            let result = engine
+                .run_slices(&invocation.query, &docs)
+                .map_err(query_error)?;
+            (docs, result)
         }
     };
     // Names a document in stderr diagnostics: its line's ordinal among
@@ -1189,10 +1202,6 @@ fn run_batch(
         Some((name, _)) => name.clone(),
         None => format!("document {}", i + 1),
     };
-
-    let result = engine
-        .run_slices(&invocation.query, &docs)
-        .map_err(|e| CliError::new(CliErrorKind::Query, e.to_string()))?;
 
     let mode = invocation.response_mode();
     let mut first_failure: Option<CliErrorKind> = None;

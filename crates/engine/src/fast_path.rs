@@ -30,13 +30,14 @@
 //! the matched value rather than the document root.
 
 use crate::error::{Interrupt, LimitKind};
-use crate::main_loop::{run_element, Seekers};
+use crate::main_loop::{run_element, seeker, Seekers};
 use crate::sink::Sink;
-use crate::EngineOptions;
+use crate::{EngineOptions, RUN_TABLES_INLINE};
 use rsq_classify::{BracketType, Seek, SeekScope, Structural, StructuralIterator};
 use rsq_obs::{ProfileStage, Recorder, SkipTechnique};
 use rsq_query::{Automaton, PlanStep, RoutePlan, StateId};
 use rsq_simd::Backend;
+use rsq_stackvec::StackVec;
 
 /// What the frame at a given plan step is currently doing. The frame's
 /// index in the walker stack *is* its step index.
@@ -58,6 +59,42 @@ impl Frame {
             PlanStep::Label { state, .. } => Frame::Seek(state),
             PlanStep::Wild { .. } => Frame::Iter,
         }
+    }
+}
+
+/// The walker's stack: `frames[k]` is the frame of plan step `k`, the
+/// first `height` of them are on the stack. One slot per step, made when
+/// the walk starts — inline, like the run's [`Seekers`], up to
+/// [`RUN_TABLES_INLINE`] steps — and taken as a slice once, so that no
+/// push or pop asks where the slots live.
+struct Frames<'w> {
+    frames: &'w mut [Frame],
+    height: usize,
+}
+
+impl Frames<'_> {
+    #[inline(always)]
+    fn top(&self) -> Option<Frame> {
+        // `height <= frames.len()`: `descend` pushes only below the last step.
+        self.height.checked_sub(1).map(|top| self.frames[top])
+    }
+
+    #[inline(always)]
+    fn set_top(&mut self, frame: Frame) {
+        if let Some(top) = self.height.checked_sub(1) {
+            self.frames[top] = frame;
+        }
+    }
+
+    #[inline(always)]
+    fn push(&mut self, frame: Frame) {
+        self.frames[self.height] = frame;
+        self.height += 1;
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) {
+        self.height = self.height.saturating_sub(1);
     }
 }
 
@@ -115,23 +152,27 @@ fn walk<B: Backend>(
         return Ok(());
     }
 
-    // `stack[k]` is the frame for plan step `k`; its container's opening
-    // has been consumed and the iterator sits inside it.
-    let mut stack: Vec<Frame> = Vec::with_capacity(plan.steps.len());
-    stack.push(Frame::for_step(&plan.steps[0]));
+    // `stack.frames[k]` is the frame for plan step `k`; its container's
+    // opening has been consumed and the iterator sits inside it.
+    let mut slots: StackVec<Frame, RUN_TABLES_INLINE> =
+        plan.steps.iter().map(Frame::for_step).collect();
+    let mut stack = Frames {
+        frames: slots.as_mut_slice(),
+        height: 1,
+    };
     rec.depth(1);
-    if stack[0] == Frame::Iter {
+    if stack.top() == Some(Frame::Iter) {
         rec.leaf_skip();
     }
 
-    while let Some(&frame) = stack.last() {
-        let step = stack.len() - 1;
+    while let Some(frame) = stack.top() {
+        let step = stack.height - 1;
         let last = step + 1 == plan.steps.len();
         match frame {
             Frame::Seek(state) => {
                 // A label step's state is unitary, and the walker runs
                 // only with `label_seek` on: the seeker exists.
-                let Some(seeker) = seekers.get(state) else {
+                let Some(seeker) = seeker(seekers, state) else {
                     break;
                 };
                 // An atomic member value can only match when this is the
@@ -155,8 +196,7 @@ fn walk<B: Backend>(
                         };
                         // The single possible member of this container is
                         // handled; on return, skip its remaining siblings.
-                        // PANIC-OK: the enclosing while-let just matched stack.last() as Some, and nothing pops between there and here
-                        *stack.last_mut().expect("frame present") = Frame::AwaitExit;
+                        stack.set_top(Frame::AwaitExit);
                         if last {
                             enter_tail(
                                 automaton, plan, options, seekers, it, bracket, pos, sink, rec,
@@ -170,8 +210,7 @@ fn walk<B: Backend>(
                         debug_assert!(accept_atomic);
                         sink.record(pos)?;
                         rec.matched();
-                        // PANIC-OK: the enclosing while-let just matched stack.last() as Some, and nothing pops between there and here
-                        *stack.last_mut().expect("frame present") = Frame::AwaitExit;
+                        stack.set_top(Frame::AwaitExit);
                     }
                     Seek::Boundary => {
                         // The container closed; consume the pending
@@ -213,7 +252,10 @@ fn walk<B: Backend>(
                 // container, nothing anywhere in the rest of the
                 // document can match: stop without scanning it (the
                 // remainder is attributed to the `exit` elision bucket).
-                if stack.iter().all(|f| *f == Frame::AwaitExit) {
+                if stack.frames[..stack.height]
+                    .iter()
+                    .all(|f| *f == Frame::AwaitExit)
+                {
                     rec.skip_span(SkipTechnique::Exit, it.position(), it.input().len());
                     break;
                 }
@@ -251,12 +293,12 @@ fn descend<B: Backend>(
     plan: &RoutePlan,
     options: &EngineOptions,
     it: &mut StructuralIterator<'_, B>,
-    stack: &mut Vec<Frame>,
+    stack: &mut Frames<'_>,
     bracket: BracketType,
     pos: usize,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
-    if matches!(plan.steps[stack.len()], PlanStep::Label { .. }) && bracket == BracketType::Bracket
+    if matches!(plan.steps[stack.height], PlanStep::Label { .. }) && bracket == BracketType::Bracket
     {
         rec.child_skip();
         let t = rec.clock();
@@ -266,12 +308,12 @@ fn descend<B: Backend>(
         rec.skip_span(SkipTechnique::Child, pos + 1, end);
         return Ok(());
     }
-    if stack.len() as u32 >= options.max_depth {
+    if stack.height as u32 >= options.max_depth {
         return Err(Interrupt::Limit(LimitKind::Depth));
     }
-    let frame = Frame::for_step(&plan.steps[stack.len()]);
+    let frame = Frame::for_step(&plan.steps[stack.height]);
     stack.push(frame);
-    rec.depth(stack.len() as u32);
+    rec.depth(stack.height as u32);
     if frame == Frame::Iter {
         rec.leaf_skip();
     }

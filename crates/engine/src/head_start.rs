@@ -33,10 +33,10 @@ use rsq_simd::Backend;
 
 /// Runs a query whose initial state is *waiting* (single label transition,
 /// looping fallback) using memmem-based skip-to-label. The caller resolves
-/// the waiting state's sole transition and passes it as `(needle, target)`
-/// — the label between its quotes — so an automaton violating the
-/// waiting-state invariant is handled at the dispatch site (by falling
-/// back to the main loop) instead of panicking here.
+/// the waiting state's sole transition and passes it as `(finder, target)`
+/// — the searcher for the label between its quotes — so an automaton
+/// violating the waiting-state invariant is handled at the dispatch site
+/// (by falling back to the main loop) instead of panicking here.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal: a context struct would obscure the hot path
 pub(crate) fn run_head_start<B: Backend>(
@@ -45,12 +45,11 @@ pub(crate) fn run_head_start<B: Backend>(
     seekers: &mut Seekers<'_, B>,
     backend: B,
     input: &[u8],
-    needle: &[u8],
+    finder: &Finder<'_, B>,
     target: StateId,
     sink: &mut impl Sink,
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
-    let finder = Finder::with_backend(needle, backend);
     let mut scanner = QuoteScanner::new(input, backend);
 
     // Quote-classification work must be folded into the recorder on every
@@ -61,8 +60,7 @@ pub(crate) fn run_head_start<B: Backend>(
         seekers,
         backend,
         input,
-        &finder,
-        needle.len(),
+        finder,
         target,
         &mut scanner,
         sink,
@@ -83,7 +81,6 @@ fn scan_candidates<B: Backend>(
     backend: B,
     input: &[u8],
     finder: &Finder<'_, B>,
-    needle_len: usize,
     target: StateId,
     scanner: &mut QuoteScanner<'_, B>,
     sink: &mut impl Sink,
@@ -101,7 +98,7 @@ fn scan_candidates<B: Backend>(
         let found = finder.find_from(input, at);
         rec.stage_ns(ProfileStage::Classify, t);
         let Some(p) = found else { break };
-        let after = p + needle_len;
+        let after = p + finder.needle().len();
         let in_string = options.checked_head_start && scanner.in_string_at(after - 1);
         match member_after(input, after, in_string) {
             Member::NotAMember => {

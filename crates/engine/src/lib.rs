@@ -103,10 +103,20 @@ pub use rsq_obs::{
 
 use error::Interrupt;
 use rsq_classify::{StructuralIterator, StructuralValidator};
-use rsq_query::{Automaton, CompileError, Query, QueryParseError};
+use rsq_memmem::{Finder, Prefilter};
+use rsq_query::{Automaton, CompileError, Query, QueryParseError, StateId};
 use rsq_simd::{Backend, Simd, Task};
 use std::fmt;
 use std::io::Read;
+
+/// States (and so routed-walker steps) whose per-run tables live on the
+/// stack: a run of a query within it allocates nothing in the engine —
+/// the seeker table and the walker's frames are inline up to here, the
+/// depth, type and index stacks up to 128, 512 and 32 levels of nesting. A
+/// query of `n` selectors compiles to about `n + 2` states; every query
+/// of the catalog fits (`tests/public_api.rs` holds it to that).
+#[doc(hidden)]
+pub const RUN_TABLES_INLINE: usize = 16;
 
 /// How the engine picks its evaluation strategy for a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -278,6 +288,10 @@ impl From<CompileError> for EngineError {
 pub struct Engine {
     automaton: Automaton,
     plan: RoutePlan,
+    /// By state: the prefilter of the state's single label transition
+    /// ([`Automaton::single_explicit_needle`]), chosen here so that no
+    /// run ranks a needle's bytes again.
+    prefilters: Vec<Option<Prefilter>>,
     options: EngineOptions,
     simd: Simd,
 }
@@ -312,6 +326,10 @@ impl Engine {
     pub fn with_options(query: &Query, options: EngineOptions) -> Result<Self, CompileError> {
         let automaton = Automaton::compile(query)?;
         let plan = RoutePlan::analyze(&automaton);
+        let prefilters = automaton
+            .states()
+            .map(|state| Some(Prefilter::of(automaton.single_explicit_needle(state)?.0)))
+            .collect();
         let simd = match options.backend {
             Some(kind) => Simd::with_kind(kind),
             None => Simd::detect(),
@@ -319,9 +337,28 @@ impl Engine {
         Ok(Engine {
             automaton,
             plan,
+            prefilters,
             options,
             simd,
         })
+    }
+
+    /// The ready-made prefilter of `state`'s single label transition, if it
+    /// has exactly one (a test hook: the runs go through `finder`).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn prefilter(&self, state: StateId) -> Option<Prefilter> {
+        *self.prefilters.get(state.index())?
+    }
+
+    /// The searcher for the label of `state`'s single label transition —
+    /// the label between its quotes — and that transition's target; `None`
+    /// for a state with any other number of label transitions.
+    #[inline(always)]
+    fn finder<B: Backend>(&self, state: StateId, backend: B) -> Option<(Finder<'_, B>, StateId)> {
+        let (needle, target) = self.automaton.single_explicit_needle(state)?;
+        let finder = Finder::with_prefilter(needle, self.prefilter(state)?, backend);
+        Some((finder, target))
     }
 
     /// The compiled query automaton.
@@ -735,7 +772,8 @@ impl Engine {
         rec: &mut impl Recorder,
     ) -> Result<(), Interrupt> {
         let initial = self.automaton.initial_state();
-        let mut seekers = main_loop::Seekers::new(&self.automaton, &self.options, backend);
+        let mut seekers = main_loop::seekers(self, backend);
+        let seekers = seekers.as_mut_slice();
         if self.fast_path_eligible() {
             // Compile-time routing (DESIGN.md §15): the query shape is a
             // field chain or selective path — drive it with memmem-led
@@ -747,7 +785,7 @@ impl Engine {
                 &self.automaton,
                 &self.plan,
                 &self.options,
-                &mut seekers,
+                seekers,
                 backend,
                 input,
                 sink,
@@ -759,14 +797,14 @@ impl Engine {
             // here so `run_head_start` needs no panicking lookup. If the
             // invariant is ever violated, the main loop below handles the
             // query correctly, just without the memmem head start.
-            if let Some((needle, target)) = self.automaton.single_explicit_needle(initial) {
+            if let Some((finder, target)) = self.finder(initial, backend) {
                 return head_start::run_head_start(
                     &self.automaton,
                     &self.options,
-                    &mut seekers,
+                    seekers,
                     backend,
                     input,
-                    needle,
+                    &finder,
                     target,
                     sink,
                     rec,
@@ -777,14 +815,8 @@ impl Engine {
         // Fold the iterator's classifier counters before propagating an
         // interrupt: an early sink stop maps to `Ok` upstream and must keep
         // its stats.
-        let result = main_loop::run_document(
-            &mut it,
-            &self.automaton,
-            &self.options,
-            &mut seekers,
-            sink,
-            rec,
-        );
+        let result =
+            main_loop::run_document(&mut it, &self.automaton, &self.options, seekers, sink, rec);
         rec.classifier(&it.counters());
         result
     }

@@ -5,7 +5,7 @@ use crate::depth_stack::DepthStack;
 use crate::error::{Interrupt, LimitKind};
 use crate::sink::Sink;
 use crate::util::value_start_after;
-use crate::EngineOptions;
+use crate::{Engine, EngineOptions, RUN_TABLES_INLINE};
 use rsq_classify::{
     first_nonws, BracketType, LabelSeeker, Seek, SeekScope, Structural, StructuralIterator,
 };
@@ -18,41 +18,43 @@ use rsq_stackvec::StackVec;
 /// only way forward is a single label — *unitary* states, which the routed
 /// walker seeks a direct member in, and *waiting, internal* ones, which
 /// [`run_element`] seeks a subtree in. Such a state's label is fixed when
-/// the query is compiled, so its finder is built once per run, and its
-/// `memmem` frontier is kept across the run's seeks. Empty, and not
-/// allocated, when the query has no such state or `label_seek` is off.
-pub(crate) struct Seekers<'q, B: Backend>(Vec<Option<LabelSeeker<'q, B>>>);
+/// the query is compiled, and so is its finder's prefilter
+/// ([`Engine::finder`]); what a run adds is each seeker's `memmem`
+/// frontier, kept across the run's seeks.
+pub(crate) type Seekers<'q, B> = [Option<LabelSeeker<'q, B>>];
 
-impl<'q, B: Backend> Seekers<'q, B> {
-    #[inline(always)]
-    pub(crate) fn new(automaton: &'q Automaton, options: &EngineOptions, backend: B) -> Self {
-        let mut seekers = Vec::new();
-        if options.label_seek {
-            for state in automaton.states() {
-                if !(automaton.is_unitary(state)
-                    || automaton.is_waiting(state) && automaton.is_internal(state))
-                {
-                    continue;
-                }
-                // Both kinds of state have exactly one label transition by
-                // construction; if the automaton violates that invariant
-                // the state simply gets no seeker.
-                if let Some((needle, _)) = automaton.single_explicit_needle(state) {
-                    // One allocation per run, and none for a query without
-                    // such a state.
-                    seekers.reserve_exact(automaton.state_count() - seekers.len());
-                    seekers.resize_with(state.index(), || None);
-                    seekers.push(Some(LabelSeeker::new(needle, backend)));
-                }
-            }
+/// Builds a run's [`Seekers`] — on the stack: only a query of more than
+/// [`RUN_TABLES_INLINE`] states allocates. The run takes the slice once,
+/// so that no seek asks where the table lives. Empty when `label_seek` is
+/// off.
+#[inline(always)]
+pub(crate) fn seekers<B: Backend>(
+    engine: &Engine,
+    backend: B,
+) -> StackVec<Option<LabelSeeker<'_, B>>, RUN_TABLES_INLINE> {
+    let automaton = &engine.automaton;
+    let mut seekers = StackVec::new();
+    if engine.options.label_seek {
+        for state in automaton.states() {
+            let seeks = automaton.is_unitary(state)
+                || automaton.is_waiting(state) && automaton.is_internal(state);
+            // Both kinds of state have exactly one label transition by
+            // construction; if the automaton violates that invariant
+            // the state simply gets no seeker.
+            let finder = engine.finder(state, backend).filter(|_| seeks);
+            seekers.push(finder.map(|(finder, _)| LabelSeeker::new(finder)));
         }
-        Seekers(seekers)
     }
+    seekers
+}
 
-    #[inline(always)]
-    pub(crate) fn get(&mut self, state: StateId) -> Option<&mut LabelSeeker<'q, B>> {
-        self.0.get_mut(state.index()).and_then(Option::as_mut)
-    }
+/// The seeker of `state`, if it has one.
+#[inline(always)]
+pub(crate) fn seeker<'s, 'q, B: Backend>(
+    seekers: &'s mut Seekers<'q, B>,
+    state: StateId,
+) -> Option<&'s mut LabelSeeker<'q, B>> {
+    seekers.get_mut(state.index()).and_then(Option::as_mut)
 }
 
 /// A 1-bit-per-level record of container types along the current path.
@@ -323,7 +325,7 @@ fn element_loop<B: Backend>(
         // seek absorbs is a no-op for the automaton, so fast-forward to
         // the next candidate label or to the depth-stack pop boundary.
         if waiting_streak >= SEEK_AFTER_STALE_OPENINGS && automaton.is_waiting(state) {
-            if let Some(seeker) = seekers.get(state) {
+            if let Some(seeker) = seeker(seekers, state) {
                 let boundary = stack.top_depth().map_or(1, |d| d + 1);
                 let levels = depth.saturating_sub(boundary);
                 rec.label_seek();
@@ -543,4 +545,41 @@ pub(crate) fn run_document<B: Backend>(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RouteChoice;
+    use rsq_query::Query;
+    use rsq_simd::Simd;
+
+    /// The run tables are inline up to the documented bound — the repo
+    /// benchmark's batch query is well within it — and a query beyond it
+    /// spills, on both routes, without changing what it finds.
+    #[test]
+    fn run_tables_spill_only_beyond_the_documented_bound() {
+        let within = Engine::from_text("$.*.entities.urls.*.url").unwrap();
+        assert!(!seekers(&within, Simd::detect()).spilled());
+
+        let chain = ".b".repeat(RUN_TABLES_INLINE);
+        let query = Query::parse(&format!("$.a{chain}")).unwrap();
+        let doc = format!(
+            r#"{{"b": 0, "a": {}7{}}}"#,
+            r#"{"x": [], "b": "#.repeat(RUN_TABLES_INLINE),
+            "}".repeat(RUN_TABLES_INLINE)
+        );
+        for route in [RouteChoice::Auto, RouteChoice::General] {
+            let options = EngineOptions {
+                route,
+                ..EngineOptions::default()
+            };
+            let beyond = Engine::with_options(&query, options).unwrap();
+            assert!(beyond.automaton.state_count() > RUN_TABLES_INLINE);
+            assert_eq!(beyond.plan.steps.len(), RUN_TABLES_INLINE + 1);
+            assert!(seekers(&beyond, Simd::detect()).spilled());
+            let found = beyond.try_positions(doc.as_bytes()).unwrap();
+            assert_eq!(found, [doc.find('7').unwrap()], "{route:?}");
+        }
+    }
 }

@@ -48,12 +48,46 @@ fn byte_rank(b: u8) -> u8 {
     }
 }
 
+/// The offsets of a needle's two prefilter bytes: its two rarest, first
+/// offset below the second (equal for a single-byte needle). Ranking the
+/// bytes is the whole cost of building a [`Finder`], so a caller that
+/// searches many haystacks for one needle ranks once ([`Prefilter::of`])
+/// and hands the result to every [`Finder::with_prefilter`] — the engine
+/// does so when it compiles a query.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Prefilter(usize, usize);
+
+impl Prefilter {
+    /// Ranks `needle`'s bytes and picks the two rarest (at distinct
+    /// offsets whenever the needle has two).
+    #[must_use]
+    pub fn of(needle: &[u8]) -> Self {
+        if needle.len() <= 1 {
+            return Prefilter(0, 0);
+        }
+        let mut best = 0usize;
+        let mut second = 1usize;
+        if byte_rank(needle[second]) < byte_rank(needle[best]) {
+            core::mem::swap(&mut best, &mut second);
+        }
+        for (i, &b) in needle.iter().enumerate().skip(2) {
+            if byte_rank(b) < byte_rank(needle[best]) {
+                second = best;
+                best = i;
+            } else if byte_rank(b) < byte_rank(needle[second]) {
+                second = i;
+            }
+        }
+        Prefilter(best.min(second), best.max(second))
+    }
+}
+
 /// A compiled searcher for a fixed needle.
 ///
-/// Construction is cheap (it only ranks the needle's bytes to pick the
-/// two rarest as the vector prefilter); reuse a `Finder` when searching
-/// for the same needle repeatedly, as the engine's skip-to-label loop
-/// does.
+/// Construction ranks the needle's bytes to pick the two rarest as the
+/// vector prefilter; reuse a `Finder` when searching one haystack for the
+/// same needle repeatedly, as the engine's skip-to-label loop does, and a
+/// [`Prefilter`] across haystacks.
 ///
 /// Generic over the [`Backend`] whose `find_pair` kernel it scans with:
 /// by default the run-time [`Simd`] handle (one out-of-line kernel call
@@ -63,9 +97,7 @@ fn byte_rank(b: u8) -> u8 {
 pub struct Finder<'n, B: Backend = Simd> {
     needle: &'n [u8],
     backend: B,
-    /// Offsets of the two prefilter bytes, `filter.0 < filter.1` (equal
-    /// for single-byte needles).
-    filter: (usize, usize),
+    filter: Prefilter,
 }
 
 impl<'n> Finder<'n> {
@@ -88,10 +120,26 @@ impl<'n, B: Backend> Finder<'n, B> {
     #[inline]
     #[must_use]
     pub fn with_backend(needle: &'n [u8], backend: B) -> Self {
+        Self::with_prefilter(needle, Prefilter::of(needle), backend)
+    }
+
+    /// Creates a finder from a prefilter chosen earlier for this needle.
+    ///
+    /// # Panics
+    ///
+    /// If `filter` was not made [of](Prefilter::of) a needle this long.
+    #[inline]
+    #[must_use]
+    pub fn with_prefilter(needle: &'n [u8], filter: Prefilter, backend: B) -> Self {
+        // A caller bug, caught here so that `find_from` indexes the needle in bounds.
+        assert!(
+            filter.0 <= filter.1 && filter.1 < needle.len().max(1),
+            "prefilter of another needle"
+        );
         Finder {
             needle,
             backend,
-            filter: pick_filter(needle),
+            filter,
         }
     }
 
@@ -127,7 +175,7 @@ impl<'n, B: Backend> Finder<'n, B> {
             return None;
         }
 
-        let (off_a, off_b) = self.filter;
+        let Prefilter(off_a, off_b) = self.filter;
         let byte_a = n[off_a];
         let byte_b = n[off_b];
         let gap = off_b - off_a;
@@ -218,28 +266,6 @@ impl<B: Backend> Iterator for FindIter<'_, '_, '_, B> {
             }
         }
     }
-}
-
-/// Picks the offsets of the two rarest bytes of the needle (distinct
-/// positions; equal only for single-byte needles), ordered ascending.
-fn pick_filter(needle: &[u8]) -> (usize, usize) {
-    if needle.len() <= 1 {
-        return (0, 0);
-    }
-    let mut best = 0usize;
-    let mut second = 1usize;
-    if byte_rank(needle[second]) < byte_rank(needle[best]) {
-        core::mem::swap(&mut best, &mut second);
-    }
-    for (i, &b) in needle.iter().enumerate().skip(2) {
-        if byte_rank(b) < byte_rank(needle[best]) {
-            second = best;
-            best = i;
-        } else if byte_rank(b) < byte_rank(needle[second]) {
-            second = i;
-        }
-    }
-    (best.min(second), best.max(second))
 }
 
 /// Convenience one-shot search: index of the first occurrence of `needle`
@@ -351,6 +377,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn prefilter_picks_the_two_rarest_bytes() {
+        assert_eq!(Prefilter::of(b""), Prefilter(0, 0));
+        assert_eq!(Prefilter::of(b"x"), Prefilter(0, 0));
+        assert_eq!(Prefilter::of(b"ab"), Prefilter(0, 1));
+        assert_eq!(Prefilter::of(b"\"\""), Prefilter(0, 1));
+        // All bytes alike: the first two, never one offset twice.
+        assert_eq!(Prefilter::of(b"aaaaaa"), Prefilter(0, 1));
+        // The quotes and vowels are common, `q` and `Z` rare.
+        assert_eq!(Prefilter::of(b"\"eqaZ\""), Prefilter(2, 4));
+        // Non-ASCII bytes rank rarest of all.
+        assert_eq!(Prefilter::of("\"aé\"".as_bytes()), Prefilter(2, 3));
+    }
+
+    #[test]
+    fn ready_made_prefilter_finds_what_a_fresh_finder_finds() {
+        let hay: Vec<u8> = (0..2000).map(|i| b"\"url\":{}a\xc3\xa9 "[i % 11]).collect();
+        for needle in [&b"\"url\""[..], b"l", b"\":", b"    ", "aé".as_bytes()] {
+            let filter = Prefilter::of(needle);
+            let ready = Finder::with_prefilter(needle, filter, Simd::detect());
+            let fresh = Finder::new(needle);
+            assert_eq!(
+                ready.find_iter(&hay).collect::<Vec<_>>(),
+                fresh.find_iter(&hay).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prefilter of another needle")]
+    fn a_prefilter_of_a_longer_needle_is_refused() {
+        let _ = Finder::with_prefilter(b"ab", Prefilter::of(b"\"label\""), Simd::detect());
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! multi-hundred-megabyte runs and makes `--batch-dir` ingestion
 //! allocation-free.
 //!
-//! Input that cannot be mapped — a pipe, `--mmap off`, an NDJSON file
-//! whose lines are borrowed — has to be copied, and then the cost is
-//! where the bytes land: a fresh heap buffer takes one page fault per
-//! 4 KiB. [`Region`] is the landing place for those copies: one growable
+//! Input that cannot be mapped — a pipe, `--mmap off`, a file below the
+//! threshold — has to be copied, and then the cost is where the bytes
+//! land: a fresh heap buffer takes one page fault per 4 KiB. [`Region`] is the landing place for those copies: one growable
 //! anonymous mapping, backed by huge pages once it is large enough to
 //! fill them, which the read loop (`rsq-engine`'s ingest, generic over
 //! [`Landing`]) fills in place.

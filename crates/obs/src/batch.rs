@@ -26,7 +26,7 @@ pub struct BatchCounters {
     pub failed_documents: u64,
     /// Worker shards the batch actually ran on.
     pub shards: u64,
-    /// Chunks claimed from the atomic work queue (load-balance grain).
+    /// Chunks claimed from the document feed (load-balance grain).
     pub queue_claims: u64,
     /// Compiled-query cache hits: runs that skipped parser + NFA +
     /// minimization entirely.

@@ -429,7 +429,8 @@ impl Recorder for ProfileStats {
 pub struct WorkerProfile {
     /// Nanoseconds spent executing documents.
     pub busy_ns: u64,
-    /// Nanoseconds spent blocked on `WorkQueue::claim`.
+    /// Nanoseconds spent in `Feed::claim`: taking the lock, and waiting
+    /// for a window that is still being split.
     pub queue_wait_ns: u64,
     /// Documents this worker executed.
     pub documents: u64,

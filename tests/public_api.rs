@@ -106,3 +106,38 @@ fn simd_and_memmem_are_usable_directly() {
     let stats = rsq::json::document_stats(br#"{"a": [1, 2]}"#);
     assert_eq!(stats.node_count, 4);
 }
+
+/// What a compiled query fixes is paid when it is compiled: each state
+/// with a single label transition carries the prefilter `memmem` would
+/// pick for that label — so a run's searches find exactly what a freshly
+/// built finder would — and the per-run tables of every catalog query
+/// (and of the repo benchmark's batch query) fit their inline storage, so
+/// a steady-state run allocates nothing in the engine (DESIGN.md §10).
+#[test]
+fn query_fixed_setup_is_ready_made_and_inline() {
+    use rsq::memmem::Prefilter;
+    let catalog = rsq::datagen::catalog::catalog();
+    // 1-byte, non-ASCII, all-identical-byte and 2-byte labels.
+    let labels = ["$.x", "$..é.ü", "$.aaaaaa..aaaaaa", "$..ab.*.a"];
+    let queries = catalog.iter().map(|entry| entry.query);
+    let mut seeking_states = 0;
+    for text in queries.chain(labels).chain(["$.*.entities.urls.*.url"]) {
+        let engine = Engine::from_text(text).unwrap();
+        let automaton = engine.automaton();
+        for state in automaton.states() {
+            let needle = automaton
+                .single_explicit_needle(state)
+                .map(|(needle, _)| needle);
+            assert_eq!(
+                engine.prefilter(state),
+                needle.map(Prefilter::of),
+                "{text}, state {state}"
+            );
+            seeking_states += usize::from(needle.is_some());
+        }
+        let inline = rsq::engine::RUN_TABLES_INLINE;
+        assert!(automaton.state_count() <= inline, "{text}: seekers spill");
+        assert!(engine.plan().steps.len() <= inline, "{text}: frames spill");
+    }
+    assert!(seeking_states > catalog.len(), "the check is not vacuous");
+}
