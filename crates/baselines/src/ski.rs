@@ -22,7 +22,7 @@
 use rsq_classify::{BracketType, Structural, StructuralIterator};
 use rsq_engine::Sink;
 use rsq_query::{Query, Selector};
-use rsq_simd::Simd;
+use rsq_simd::{Backend, Simd, Task};
 use std::fmt;
 
 /// Error: the query uses features JSONSki does not support.
@@ -108,26 +108,15 @@ impl SkiEngine {
         })
     }
 
-    /// Streams `input`, reporting matches to `sink`.
+    /// Streams `input`, reporting matches to `sink`: one backend
+    /// dispatch per run, as [`rsq_engine::Engine`] does, so the whole
+    /// descent is compiled once per instruction set.
     pub fn run<S: Sink>(&self, input: &[u8], sink: &mut S) {
-        let mut it = StructuralIterator::new(input, self.simd);
-        match it.next() {
-            Some(Structural::Opening(bracket, pos)) => {
-                if self.selectors.is_empty() {
-                    sink.report(pos);
-                    return;
-                }
-                self.process(&mut it, 0, bracket, sink);
-            }
-            Some(_) => {}
-            None => {
-                if self.selectors.is_empty() {
-                    if let Some(v) = input.iter().position(|b| !b.is_ascii_whitespace()) {
-                        sink.report(v);
-                    }
-                }
-            }
-        }
+        self.simd.dispatch(SkiRun {
+            engine: self,
+            input,
+            sink,
+        });
     }
 
     /// Counts matches in `input`.
@@ -138,16 +127,78 @@ impl SkiEngine {
         sink.count()
     }
 
-    /// Processes the element whose opening character has just been
-    /// consumed, looking for `selectors[idx]` among its children; consumes
-    /// through the element's closing character.
-    fn process<S: Sink>(
+    /// The recursive descent over the selectors, on `backend`. Frame
+    /// `idx` searches the element just opened for `selectors[idx]`, and
+    /// the frames under it wait for their child to close; the descent is
+    /// a loop over `idx` so that all of it inlines into the backend's
+    /// entry.
+    #[inline(always)]
+    fn run_on<B: Backend, S: Sink>(&self, backend: B, input: &[u8], sink: &mut S) {
+        let mut it = StructuralIterator::new(input, backend);
+        let bracket = match it.next() {
+            Some(Structural::Opening(bracket, pos)) => {
+                if self.selectors.is_empty() {
+                    sink.report(pos);
+                    return;
+                }
+                bracket
+            }
+            Some(_) => return,
+            None => {
+                if self.selectors.is_empty() {
+                    if let Some(v) = input.iter().position(|b| !b.is_ascii_whitespace()) {
+                        sink.report(v);
+                    }
+                }
+                return;
+            }
+        };
+        let mut idx = 0;
+        let mut scan = self.enter(&mut it, idx, bracket, sink);
+        loop {
+            scan = match scan {
+                Scan::Descend(bracket) => {
+                    idx += 1;
+                    self.enter(&mut it, idx, bracket, sink)
+                }
+                Scan::Done => {
+                    let Some(parent) = idx.checked_sub(1) else {
+                        return;
+                    };
+                    idx = parent;
+                    match self.selectors[idx] {
+                        // Sibling skipping: keys do not repeat, and an
+                        // index names one entry.
+                        SkiSelector::Label(_) => {
+                            skip_element(&mut it, BracketType::Brace);
+                            Scan::Done
+                        }
+                        SkiSelector::Index(_) => {
+                            skip_element(&mut it, BracketType::Bracket);
+                            Scan::Done
+                        }
+                        SkiSelector::Wildcard => {
+                            it.set_toggles(false, false);
+                            wildcard_entries(&mut it, false, sink)
+                        }
+                    }
+                }
+            };
+        }
+    }
+
+    /// Opens frame `idx` on the element whose opening character has just
+    /// been consumed and scans it for `selectors[idx]`, until a child to
+    /// descend into opens or the element has been consumed through its
+    /// closing character.
+    #[inline(always)]
+    fn enter<B: Backend, S: Sink>(
         &self,
-        it: &mut StructuralIterator<'_>,
+        it: &mut StructuralIterator<'_, B>,
         idx: usize,
         bracket: BracketType,
         sink: &mut S,
-    ) {
+    ) -> Scan {
         let last = idx + 1 == self.selectors.len();
         match (&self.selectors[idx], bracket) {
             // JSONSki's array-only wildcard: objects under a wildcard or an
@@ -156,7 +207,8 @@ impl SkiEngine {
             (SkiSelector::Wildcard, BracketType::Brace)
             | (SkiSelector::Index(_), BracketType::Brace)
             | (SkiSelector::Label(_), BracketType::Bracket) => {
-                self.skip_element(it, bracket);
+                skip_element(it, bracket);
+                Scan::Done
             }
             (SkiSelector::Label(label), BracketType::Brace) => {
                 it.set_toggles(false, last);
@@ -164,15 +216,13 @@ impl SkiEngine {
                     match event {
                         Structural::Opening(b, pos) => {
                             if it.label_before(pos) == Some(label.as_slice()) {
-                                if last {
-                                    sink.report(pos);
-                                    it.skip_past_close(b);
-                                } else {
-                                    self.process(it, idx + 1, b, sink);
+                                if !last {
+                                    return Scan::Descend(b);
                                 }
-                                // Sibling skipping: keys do not repeat.
-                                self.skip_element(it, BracketType::Brace);
-                                return;
+                                sink.report(pos);
+                                it.skip_past_close(b);
+                                skip_element(it, BracketType::Brace);
+                                return Scan::Done;
                             }
                             it.skip_past_close(b);
                         }
@@ -185,14 +235,15 @@ impl SkiEngine {
                             };
                             if it.label_before(pos) == Some(label.as_slice()) {
                                 sink.report(v);
-                                self.skip_element(it, BracketType::Brace);
-                                return;
+                                skip_element(it, BracketType::Brace);
+                                return Scan::Done;
                             }
                         }
-                        Structural::Closing(..) => return,
+                        Structural::Closing(..) => return Scan::Done,
                         Structural::Comma(_) => {}
                     }
                 }
+                Scan::Done
             }
             (SkiSelector::Index(n), BracketType::Bracket) => {
                 let n = *n;
@@ -203,22 +254,21 @@ impl SkiEngine {
                     // An atomic first entry is not preceded by a comma.
                     if let Some(v) = value_start(it.input(), it.position() - 1) {
                         sink.report(v);
-                        self.skip_element(it, BracketType::Bracket);
-                        return;
+                        skip_element(it, BracketType::Bracket);
+                        return Scan::Done;
                     }
                 }
                 while let Some(event) = it.next() {
                     match event {
                         Structural::Opening(b, pos) => {
                             if entry == n {
-                                if last {
-                                    sink.report(pos);
-                                    it.skip_past_close(b);
-                                } else {
-                                    self.process(it, idx + 1, b, sink);
+                                if !last {
+                                    return Scan::Descend(b);
                                 }
-                                self.skip_element(it, BracketType::Bracket);
-                                return;
+                                sink.report(pos);
+                                it.skip_past_close(b);
+                                skip_element(it, BracketType::Bracket);
+                                return Scan::Done;
                             }
                             it.skip_past_close(b);
                         }
@@ -227,65 +277,98 @@ impl SkiEngine {
                             if entry == n && last {
                                 if let Some(v) = value_start(it.input(), pos) {
                                     sink.report(v);
-                                    self.skip_element(it, BracketType::Bracket);
-                                    return;
+                                    skip_element(it, BracketType::Bracket);
+                                    return Scan::Done;
                                 }
                             } else if entry > n {
                                 // The target entry was atomic and a deeper
                                 // selector remains: it cannot match.
-                                self.skip_element(it, BracketType::Bracket);
-                                return;
+                                skip_element(it, BracketType::Bracket);
+                                return Scan::Done;
                             }
                         }
-                        Structural::Closing(..) => return,
+                        Structural::Closing(..) => return Scan::Done,
                         Structural::Colon(_) => {}
                     }
                 }
+                Scan::Done
             }
             (SkiSelector::Wildcard, BracketType::Bracket) => {
                 it.set_toggles(last, false);
                 if last {
-                    self.try_first_item(it, sink);
-                }
-                while let Some(event) = it.next() {
-                    match event {
-                        Structural::Opening(b, pos) => {
-                            if last {
-                                sink.report(pos);
-                                it.skip_past_close(b);
-                            } else {
-                                self.process(it, idx + 1, b, sink);
-                                it.set_toggles(last, false);
-                            }
-                        }
-                        Structural::Comma(pos) => {
-                            if last {
-                                if let Some(v) = value_start(it.input(), pos) {
-                                    sink.report(v);
-                                }
-                            }
-                        }
-                        Structural::Closing(..) => return,
-                        Structural::Colon(_) => {}
+                    // The first entry is not preceded by a comma; match it
+                    // here if atomic.
+                    if let Some(v) = value_start(it.input(), it.position() - 1) {
+                        sink.report(v);
                     }
                 }
+                wildcard_entries(it, last, sink)
             }
         }
     }
+}
 
-    /// Consumes the rest of the current element, including its closer.
-    fn skip_element(&self, it: &mut StructuralIterator<'_>, bracket: BracketType) {
-        if it.fast_forward_to_close(bracket).is_some() {
-            let _ = it.next();
+/// How a frame's scan ended.
+enum Scan {
+    /// A child matching a non-final selector opened: descend into it.
+    Descend(BracketType),
+    /// The frame's element was consumed through its closing character.
+    Done,
+}
+
+/// One [`SkiEngine`] run as the [`Task`] [`SkiEngine::run`] dispatches.
+struct SkiRun<'r, S> {
+    engine: &'r SkiEngine,
+    input: &'r [u8],
+    sink: &'r mut S,
+}
+
+impl<S: Sink> Task for SkiRun<'_, S> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<B: Backend>(self, backend: B) {
+        self.engine.run_on(backend, self.input, self.sink);
+    }
+}
+
+/// Scans an array's entries under a wildcard: every entry matches when
+/// the wildcard is the last selector, and an opening child is descended
+/// into otherwise.
+#[inline(always)]
+fn wildcard_entries<B: Backend, S: Sink>(
+    it: &mut StructuralIterator<'_, B>,
+    last: bool,
+    sink: &mut S,
+) -> Scan {
+    while let Some(event) = it.next() {
+        match event {
+            Structural::Opening(b, pos) => {
+                if !last {
+                    return Scan::Descend(b);
+                }
+                sink.report(pos);
+                it.skip_past_close(b);
+            }
+            Structural::Comma(pos) => {
+                if last {
+                    if let Some(v) = value_start(it.input(), pos) {
+                        sink.report(v);
+                    }
+                }
+            }
+            Structural::Closing(..) => return Scan::Done,
+            Structural::Colon(_) => {}
         }
     }
+    Scan::Done
+}
 
-    /// The first entry of an array is not preceded by a comma; match it
-    /// here if atomic.
-    fn try_first_item<S: Sink>(&self, it: &mut StructuralIterator<'_>, sink: &mut S) {
-        if let Some(v) = value_start(it.input(), it.position() - 1) {
-            sink.report(v);
-        }
+/// Consumes the rest of the current element, including its closer.
+#[inline(always)]
+fn skip_element<B: Backend>(it: &mut StructuralIterator<'_, B>, bracket: BracketType) {
+    if it.fast_forward_to_close(bracket).is_some() {
+        let _ = it.next();
     }
 }
 

@@ -34,10 +34,10 @@ use crate::stats::{ClassifierCounters, Recorder, RunStats};
 use std::fmt;
 use std::time::Instant;
 
-/// Version of the machine-readable stats/report JSON schema emitted by
-/// the CLI (`--stats-json`) and `experiments --json`. Bumped when fields
-/// change meaning or required fields are added; consumers such as
-/// `xtask bench-diff` reject reports with a different version.
+/// Version of the machine-readable stats JSON schema emitted by the CLI
+/// (`--stats-json`, serve postmortems). Bumped when fields change meaning
+/// or required fields are added; consumers should reject reports with a
+/// different version.
 ///
 /// Version 3 added the `route` field to [`RunStats`] (the query-shape
 /// route chosen at compile time, DESIGN.md §15). Version 4 added the

@@ -5,23 +5,16 @@
 //! * `cargo xtask fuzz-smoke` — the bounded differential-fuzz driver:
 //!   runs the `fuzz/corpus/` seeds plus a time-boxed randomized phase
 //!   through `rsq-difftest` without needing nightly or cargo-fuzz.
-//! * `cargo xtask bench-diff OLD NEW` — the performance regression gate:
-//!   compares two `experiments --json` reports and fails on throughput
-//!   drops, skip-count drops, skipped-byte drops, classified-block
-//!   increases, latency-p99 rises, or hardware-counter cycles-per-byte
-//!   rises beyond a threshold (latency and cycles-per-byte each have
-//!   their own).
 //!
-//! Exit codes: `0` success, `1` findings/mismatches/regressions, `2`
+//! Exit codes: `0` success, `1` findings or mismatches, `2`
 //! usage or environment error.
 
 mod analyze;
 mod audit;
-mod bench_diff;
 mod fuzz_smoke;
 mod lexer;
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -39,16 +32,6 @@ commands:
               run the differential fuzz corpus + a bounded random phase
               (targets: classifier_diff, quotes_diff, depth_diff,
               engine_diff, reader_diff, framer_diff, fast_path_diff)
-  bench-diff  OLD.json NEW.json [--threshold PCT] [--latency-threshold PCT]
-              [--fast-threshold PCT] [--cpb-threshold PCT]
-              compare two `experiments --json` reports; fail on throughput,
-              skip-count, or skipped-byte regressions beyond PCT percent
-              (default 10), latency-p99 rises beyond the latency threshold
-              (default 25), fast-path-routed rows dropping beyond the fast
-              threshold (default 20), hardware-counter cycles-per-byte
-              rises beyond the cpb threshold (default 20, only when both
-              reports measured it), or rows falling off a fast route;
-              reports must carry schema_version 4
 ";
 
 fn main() -> ExitCode {
@@ -57,7 +40,6 @@ fn main() -> ExitCode {
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("audit") => cmd_audit(&args[1..]),
         Some("fuzz-smoke") => cmd_fuzz_smoke(&args[1..]),
-        Some("bench-diff") => cmd_bench_diff(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -270,87 +252,6 @@ fn cmd_fuzz_smoke(args: &[String]) -> ExitCode {
             eprintln!("fuzz-smoke FAILURE [{}]: {}", m.check, m.detail);
             eprintln!("  input ({} bytes): {:?}", m.input.len(), preview(&m.input));
         }
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_bench_diff(args: &[String]) -> ExitCode {
-    // Two positionals (OLD NEW) followed by optional flag-value pairs.
-    let positionals: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
-    let [old_path, new_path] = positionals.as_slice() else {
-        eprintln!("xtask bench-diff: expected OLD.json NEW.json\n\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    let flags = match parse_flags(
-        &args[2..],
-        &[
-            "--threshold",
-            "--latency-threshold",
-            "--fast-threshold",
-            "--cpb-threshold",
-        ],
-    ) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("xtask bench-diff: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut threshold = 10.0f64;
-    let mut latency_threshold = 25.0f64;
-    let mut fast_threshold = 20.0f64;
-    let mut cpb_threshold = 20.0f64;
-    for (flag, value) in &flags {
-        let slot = match flag.as_str() {
-            "--threshold" => &mut threshold,
-            "--latency-threshold" => &mut latency_threshold,
-            "--fast-threshold" => &mut fast_threshold,
-            "--cpb-threshold" => &mut cpb_threshold,
-            _ => unreachable!("parse_flags rejected unknown options"),
-        };
-        match value.parse::<f64>() {
-            Ok(pct) if pct >= 0.0 && pct.is_finite() => *slot = pct,
-            _ => {
-                eprintln!("xtask bench-diff: `{flag}` needs a non-negative percentage");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let (old, new) = match (
-        bench_diff::load_report(Path::new(old_path)),
-        bench_diff::load_report(Path::new(new_path)),
-    ) {
-        (Ok(old), Ok(new)) => (old, new),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("xtask bench-diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = bench_diff::diff(
-        &old,
-        &new,
-        threshold,
-        latency_threshold,
-        fast_threshold,
-        cpb_threshold,
-    );
-    println!(
-        "bench-diff: {} rows compared (threshold {threshold}%, latency {latency_threshold}%, \
-         fast routes {fast_threshold}%, cycles/byte {cpb_threshold}%)",
-        report.compared
-    );
-    for added in &report.added {
-        println!("bench-diff: new row {added} (not in old report)");
-    }
-    if report.regressions.is_empty() {
-        println!("bench-diff: no regressions");
-        ExitCode::SUCCESS
-    } else {
-        for r in &report.regressions {
-            eprintln!("bench-diff REGRESSION {r}");
-        }
-        eprintln!("bench-diff: {} regression(s)", report.regressions.len());
         ExitCode::FAILURE
     }
 }
