@@ -15,11 +15,13 @@
 //!   than the current relative depth (§4.4);
 //! * the [label seek](StructuralIterator::seek) pairs SIMD substring search
 //!   with that depth scan to fast-forward to a member by name, within the
-//!   current object or subtree (§3.3, §4.5);
+//!   current object or subtree or anywhere in the rest of the document
+//!   (§3.3, §4.5);
 //! * the [`StructuralIterator`] stitches these into the `next`/`peek`/
-//!   `label_before`/`toggle`/`skip` interface consumed by the engine's
-//!   main algorithm (§3.4), and [`ResumeState`]/[`QuoteScanner`] provide
-//!   the stop/resume handoff of the multi-classifier pipeline (§4.5);
+//!   `label_before`/`toggle`/`skip`/`seek` interface consumed by the
+//!   engine (§3.4). All of them move one block cursor, so a run
+//!   quote-classifies each block once, whichever classifier the stream is
+//!   stopped and resumed in (the multi-classifier pipeline, §4.5);
 //! * [`LineScanner`] reuses the quote classifier outside the engine: the
 //!   per-block mask of newlines outside strings that the NDJSON drivers
 //!   split and frame documents with.
@@ -45,7 +47,7 @@ mod structural;
 mod validate;
 
 pub use iterator::{BracketType, Structural, StructuralIterator};
-pub use pipeline::{LineScanner, QuoteScan, QuoteScanner, ResumeState};
+pub use pipeline::{LineScanner, QuoteScan};
 // The per-classifier block counters live in `rsq-obs` (the dependency-free
 // observability layer); re-exported so classifier consumers need not name
 // that crate.

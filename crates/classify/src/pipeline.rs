@@ -1,165 +1,16 @@
-//! Multi-classifier pipeline handoff (§4.5).
+//! The quote classifier outside the engine (§4.2): [`LineScanner`], the
+//! line-boundary kernel of the NDJSON drivers — the quote classifier plus
+//! one newline mask, block by block — with the byte-at-a-time
+//! [`QuoteScan`] it is specified against for what the block kernel cannot
+//! take.
 //!
-//! Every classifier in the pipeline sits on top of the quote classifier,
-//! whose state must be threaded through whenever one classifier stops and
-//! another resumes. [`ResumeState`] is that handoff token: a block
-//! boundary plus the quote state at it. Rust's ownership makes the
-//! handoff zero-copy and statically ensures a single writer — the point
-//! the paper makes about implementing the pipeline in Rust.
-//!
-//! [`QuoteScanner`] is the cheapest member of the pipeline: it runs *only*
-//! the quote classifier, answering "is this position inside a string?" for
-//! monotonically increasing positions. The engine's skip-to-label uses it
-//! to validate `memmem` candidates without paying for full structural
-//! classification. [`LineScanner`] is its sibling for the NDJSON drivers:
-//! the quote classifier plus one newline mask, block by block, with the
-//! byte-at-a-time [`QuoteScan`] it is specified against for what the
-//! block kernel cannot take.
+//! Inside the engine the quote classifier has one user, the
+//! [`StructuralIterator`](crate::StructuralIterator)'s block cursor, which
+//! every other classifier of the run (structural, depth, seek) consumes
+//! in turn, so no quote state is ever handed from one to another.
 
 use crate::quotes::QuoteState;
-use rsq_simd::{Backend, Block, Simd, Superblock, Task, BLOCK_SIZE, SUPERBLOCK_SIZE};
-
-/// A point in the input where classification can be resumed: a 64-byte
-/// block boundary and the quote state entering it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResumeState {
-    /// Block-aligned offset of the first unclassified block.
-    pub block_start: usize,
-    /// Quote classifier state at `block_start`.
-    pub quote_state: QuoteState,
-}
-
-impl Default for ResumeState {
-    /// The start of the document.
-    fn default() -> Self {
-        ResumeState {
-            block_start: 0,
-            quote_state: QuoteState::default(),
-        }
-    }
-}
-
-/// A forward-only scanner answering in-string queries at increasing
-/// positions.
-///
-/// # Examples
-///
-/// ```
-/// use rsq_classify::QuoteScanner;
-/// use rsq_simd::Simd;
-///
-/// let input = br#"{"key": "a {fake} brace"}"#;
-/// let mut scanner = QuoteScanner::new(input, Simd::detect());
-/// assert!(!scanner.in_string_at(0));  // '{'
-/// assert!(scanner.in_string_at(2));   // 'k'
-/// assert!(scanner.in_string_at(12));  // '{' inside the string
-/// assert!(!scanner.in_string_at(24)); // closing '}'
-/// ```
-#[derive(Clone, Debug)]
-pub struct QuoteScanner<'a, B: Backend = Simd> {
-    input: &'a [u8],
-    backend: B,
-    /// Start of the current (not yet committed) block.
-    block_start: usize,
-    /// Quote state entering `block_start`.
-    state_before: QuoteState,
-    /// Blocks quote-classified so far, recomputations of the uncommitted
-    /// trailing block included (Tier A observability).
-    blocks: u64,
-}
-
-impl<'a, B: Backend> QuoteScanner<'a, B> {
-    /// Creates a scanner at the start of the input.
-    #[must_use]
-    pub fn new(input: &'a [u8], backend: B) -> Self {
-        QuoteScanner {
-            input,
-            backend,
-            block_start: 0,
-            state_before: QuoteState::default(),
-            blocks: 0,
-        }
-    }
-
-    /// Returns `true` if byte `pos` lies inside a string (opening quote
-    /// inclusive, closing quote exclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is out of bounds or *before* the scanner's current
-    /// block — the scanner only moves forward.
-    #[inline(always)]
-    #[must_use]
-    pub fn in_string_at(&mut self, pos: usize) -> bool {
-        assert!(pos < self.input.len(), "position out of bounds");
-        assert!(pos >= self.block_start, "scanner cannot move backwards");
-        // Commit whole blocks before the one containing `pos`, superblock
-        // kernel first, block by block for the remainder.
-        let pos_block = pos - pos % BLOCK_SIZE;
-        while self.block_start + SUPERBLOCK_SIZE <= pos_block
-            && self.block_start + SUPERBLOCK_SIZE <= self.input.len()
-        {
-            let chunk: &Superblock = self.input
-                [self.block_start..self.block_start + SUPERBLOCK_SIZE]
-                .try_into()
-                // PANIC-OK: the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail
-                .expect("superblock sized");
-            let _ = self.backend.classify_quotes4(chunk, &mut self.state_before);
-            self.block_start += SUPERBLOCK_SIZE;
-            self.blocks = self
-                .blocks
-                .saturating_add((SUPERBLOCK_SIZE / BLOCK_SIZE) as u64);
-        }
-        while self.block_start + BLOCK_SIZE <= pos {
-            let block = self.load(self.block_start);
-            let _ = self.backend.classify_quotes(&block, &mut self.state_before);
-            self.block_start += BLOCK_SIZE;
-            self.blocks = self.blocks.saturating_add(1);
-        }
-        // Classify the containing block without committing its state, so
-        // later queries within the same block recompute consistently.
-        let block = self.load(self.block_start);
-        let mut state = self.state_before;
-        let within = self.backend.classify_quotes(&block, &mut state);
-        self.blocks = self.blocks.saturating_add(1);
-        within >> (pos - self.block_start) & 1 == 1
-    }
-
-    /// Number of 64-byte blocks quote-classified so far. Repeated queries
-    /// within one uncommitted trailing block re-classify it and count each
-    /// time — the counter measures work performed, not bytes covered.
-    #[must_use]
-    pub fn blocks_classified(&self) -> u64 {
-        self.blocks
-    }
-
-    /// The scanner's frontier as a [`ResumeState`].
-    #[must_use]
-    pub fn resume_state(&self) -> ResumeState {
-        ResumeState {
-            block_start: self.block_start,
-            quote_state: self.state_before,
-        }
-    }
-
-    /// Fast-forwards the scanner to a later frontier (obtained from a
-    /// structural iterator that already classified the region in between).
-    /// A frontier at or before the current one is ignored.
-    pub fn catch_up(&mut self, resume: ResumeState) {
-        if resume.block_start > self.block_start {
-            self.block_start = resume.block_start;
-            self.state_before = resume.quote_state;
-        }
-    }
-
-    #[inline(always)]
-    fn load(&self, start: usize) -> [u8; BLOCK_SIZE] {
-        let mut block = [0u8; BLOCK_SIZE];
-        let end = (start + BLOCK_SIZE).min(self.input.len());
-        block[..end - start].copy_from_slice(&self.input[start..end]);
-        block
-    }
-}
+use rsq_simd::{Backend, Block, Simd, Task, BLOCK_SIZE};
 
 /// The quote/escape automaton the NDJSON drivers are specified against:
 /// tracks whether the scan is inside a JSON string, honoring backslash
@@ -403,45 +254,24 @@ mod tests {
 
     #[test]
     fn matches_scalar_reference_across_blocks() {
-        let mut input = br#"{"a": "x", "long": ""#.to_vec();
-        input.extend(std::iter::repeat_n(b'y', 100));
-        input.extend_from_slice(br#"", "z": [1, "q\"w"]}"#);
-        let expected = scalar_in_string(&input);
-        let mut scanner = QuoteScanner::new(&input, Simd::detect());
-        for (i, &want) in expected.iter().enumerate() {
-            assert_eq!(scanner.in_string_at(i), want, "pos {i}");
-        }
-    }
-
-    #[test]
-    fn sparse_queries_skip_blocks() {
-        let mut input = vec![b' '; 300];
-        input[0] = b'{';
-        input[150] = b'"';
-        input[200] = b'"';
-        input[299] = b'}';
-        let mut scanner = QuoteScanner::new(&input, Simd::detect());
-        assert!(!scanner.in_string_at(10));
-        assert!(scanner.in_string_at(160));
-        assert!(!scanner.in_string_at(250));
-        assert!(!scanner.in_string_at(299));
-    }
-
-    #[test]
-    fn catch_up_moves_forward_only() {
-        let input = vec![b'x'; 256];
-        let mut scanner = QuoteScanner::new(&input, Simd::detect());
-        let early = scanner.resume_state();
-        let _ = scanner.in_string_at(130);
-        let mid = scanner.resume_state();
-        assert_eq!(mid.block_start, 128);
-        scanner.catch_up(early); // ignored
-        assert_eq!(scanner.resume_state().block_start, 128);
-        scanner.catch_up(ResumeState {
-            block_start: 192,
-            quote_state: QuoteState::default(),
-        });
-        assert_eq!(scanner.resume_state().block_start, 192);
+        // A newline after every byte but a backslash of a document whose
+        // strings cross block edges: each is a boundary exactly where the
+        // scalar reference stands outside a string.
+        let mut doc = br#"{"a": "x", "long": ""#.to_vec();
+        doc.extend(std::iter::repeat_n(b'y', 100));
+        doc.extend_from_slice(br#"", "z": [1, "q\"w"]}"#);
+        let input: Vec<u8> = doc
+            .iter()
+            .flat_map(|&b| if b == b'\\' { vec![b] } else { vec![b, b'\n'] })
+            .collect();
+        let inside = scalar_in_string(&input);
+        let expected: Vec<usize> = (0..input.len())
+            .filter(|&i| input[i] == b'\n' && !inside[i])
+            .collect();
+        let mut found = Vec::new();
+        let lines = LineScanner::detect().scan_lines(&input, |i| found.push(i));
+        assert_eq!(found, expected);
+        assert!(!lines.in_string());
     }
 
     #[test]
@@ -460,14 +290,5 @@ mod tests {
         lines.set_state(false, false);
         assert_eq!(lines.boundaries(&block), Some(0));
         assert!(lines.in_string() && !lines.escaped());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot move backwards")]
-    fn backwards_query_panics() {
-        let input = vec![b'x'; 256];
-        let mut scanner = QuoteScanner::new(&input, Simd::detect());
-        let _ = scanner.in_string_at(200);
-        let _ = scanner.in_string_at(10);
     }
 }

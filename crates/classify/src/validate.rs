@@ -6,8 +6,8 @@
 //! chunked-reader path it enforces a nesting-depth limit while bytes
 //! arrive. Both are powered by [`StructuralValidator`]: an incremental,
 //! SIMD-backed checker that consumes arbitrary-sized chunks, carries the
-//! quote-classifier state across block boundaries (the same stop/resume
-//! handoff as [`ResumeState`](crate::ResumeState), §4.5), and tracks one
+//! quote-classifier state across chunk boundaries (§4.5's stop/resume
+//! handoff, between chunks instead of classifiers), and tracks one
 //! bracket-type bit per nesting level.
 //!
 //! The validator checks *structure*, not full JSON grammar:

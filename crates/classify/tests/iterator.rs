@@ -241,13 +241,20 @@ fn block_boundary_structurals() {
 
 #[test]
 fn resume_starts_mid_document() {
-    use rsq_classify::ResumeState;
+    use rsq_classify::{LabelSeeker, Seek, SeekScope};
+    use rsq_memmem::Finder;
+    // The unchecked head start trusts the hit and restarts classification
+    // at the { of "from"'s value (position 26), as if the input began
+    // there: no block before it is classified.
     let input = br#"{"skip": [1,2,3], "from": {"x": [42]}}"#;
-    // Start at the { of "from"'s value (position 26).
     let pos = 26;
     assert_eq!(input[pos], b'{');
-    let it0 = StructuralIterator::resume(input, Simd::detect(), ResumeState::default(), pos);
-    let mut it = it0;
+    let simd = Simd::detect();
+    let mut seeker = LabelSeeker::new(Finder::with_backend(b"\"from\"", simd));
+    let mut it = StructuralIterator::new(input, simd);
+    let outcome = it.seek(SeekScope::document(false), &mut seeker);
+    assert_eq!(outcome, (Seek::Composite { depth_delta: 0 }, 0));
+    assert_eq!(it.counters(), rsq_classify::ClassifierCounters::default());
     let first = it.next().unwrap();
     assert_eq!(first, Structural::Opening(BracketType::Brace, pos));
     let chars: String = std::iter::once(first)
@@ -268,15 +275,23 @@ fn empty_and_tiny_inputs() {
 
 #[test]
 fn resume_state_round_trips_through_iterator() {
-    let mut input = br#"{"a": "#.to_vec();
+    use rsq_classify::{LabelSeeker, Seek, SeekScope};
+    use rsq_memmem::Finder;
+    // A document seek hands the cursor over at a value in mid-document —
+    // checked, with the quote state it carried there; unchecked, restarted
+    // with a fresh one — and either way the continuation is the one a walk
+    // from the start sees.
+    let mut input = br#"{"s": "}{", "a": "#.to_vec();
     input.extend(std::iter::repeat_n(b' ', 100));
-    input.extend_from_slice(br#"[1], "b": {}}"#);
-    let mut it = iter(&input);
-    it.next(); // {
-    it.next(); // [
-    let rs = it.resume_state();
-    // A fresh iterator resumed from this state sees the same continuation.
-    let mut it2 = StructuralIterator::resume(&input, Simd::detect(), rs, it.position());
-    assert_eq!(it.next(), it2.next());
-    assert_eq!(it.next(), it2.next());
+    input.extend_from_slice(br#"[1, "]"], "b": {}}"#);
+    let mut walked = iter(&input);
+    walked.next(); // {
+    let continuation = drain(&mut walked);
+    for checked in [true, false] {
+        let mut seeker = LabelSeeker::new(Finder::with_backend(b"\"a\"", Simd::detect()));
+        let mut it = iter(&input);
+        let (outcome, _) = it.seek(SeekScope::document(checked), &mut seeker);
+        assert_eq!(outcome, Seek::Composite { depth_delta: 0 });
+        assert_eq!(drain(&mut it), continuation, "checked: {checked}");
+    }
 }

@@ -1,8 +1,9 @@
 //! Differential test of the label seek ([`StructuralIterator::seek`]):
-//! under both scopes — the direct members of an object, and a subtree with
-//! the boundary 0…3 levels up — it must agree with a scalar oracle that
-//! walks the document token by token, on every supported backend, with a
-//! cold seeker and with one whose memo an earlier search has warmed.
+//! under every scope — the direct members of an object, a subtree with
+//! the boundary 0…3 levels up, and the rest of the document (the checked
+//! head start) — it must agree with a scalar oracle that walks the
+//! document token by token, on every supported backend, with a cold
+//! seeker and with one whose memo an earlier search has warmed.
 //!
 //! The generator is adversarial where the memmem-led candidate search is
 //! weakest: `"target"` lookalikes inside string values, escaped-quote
@@ -36,7 +37,8 @@ struct Scope {
     seek: SeekScope,
     /// Both bracket pairs count towards the depth, not braces alone.
     both_pairs: bool,
-    levels: u32,
+    /// `None`: no boundary, and no depth change is reported.
+    levels: Option<u32>,
     direct_only: bool,
     atomic: bool,
 }
@@ -46,7 +48,7 @@ impl Scope {
         Scope {
             seek: SeekScope::member(atomic),
             both_pairs: false,
-            levels: 0,
+            levels: Some(0),
             direct_only: true,
             atomic,
         }
@@ -56,9 +58,19 @@ impl Scope {
         Scope {
             seek: SeekScope::subtree(levels),
             both_pairs: true,
-            levels,
+            levels: Some(levels),
             direct_only: false,
             atomic: false,
+        }
+    }
+
+    fn document() -> Scope {
+        Scope {
+            seek: SeekScope::document(true),
+            both_pairs: true,
+            levels: None,
+            direct_only: false,
+            atomic: true,
         }
     }
 }
@@ -81,15 +93,17 @@ fn skip_ws(doc: &[u8], mut i: usize) -> usize {
 }
 
 /// `i` sits on the opening quote; returns the raw (still-escaped) string
-/// contents and the index just past the closing quote.
+/// contents and the index just past the closing quote (the end of the
+/// input for a string that never closes).
 fn scan_string(doc: &[u8], i: usize) -> (&[u8], usize) {
     let start = i + 1;
     let mut j = start;
     loop {
-        match doc[j] {
-            b'\\' => j += 2,
-            b'"' => return (&doc[start..j], j + 1),
-            _ => j += 1,
+        match doc.get(j) {
+            Some(b'\\') => j += 2,
+            Some(b'"') => return (&doc[start..j], j + 1),
+            Some(_) => j += 1,
+            None => return (&doc[start..], doc.len()),
         }
     }
 }
@@ -109,7 +123,9 @@ fn oracle(doc: &[u8], label: &[u8], from: usize, scope: Scope) -> Expected {
                         // Truncated after the colon: not a member.
                     } else if matches!(doc[v], b'{' | b'[') {
                         return Expected {
-                            outcome: Seek::Composite { depth_delta: depth },
+                            outcome: Seek::Composite {
+                                depth_delta: if scope.levels.is_some() { depth } else { 0 },
+                            },
                             stop: i,
                             pending: Some(v),
                         };
@@ -130,7 +146,7 @@ fn oracle(doc: &[u8], label: &[u8], from: usize, scope: Scope) -> Expected {
             b']' if scope.both_pairs => depth -= 1,
             _ => {}
         }
-        if depth < -(scope.levels as i32) {
+        if scope.levels.is_some_and(|levels| depth < -(levels as i32)) {
             return Expected {
                 outcome: Seek::Boundary,
                 stop: i,
@@ -156,7 +172,7 @@ fn oracle(doc: &[u8], label: &[u8], from: usize, scope: Scope) -> Expected {
 fn check(doc: &[u8], label: &str, openings: usize) -> Result<(), TestCaseError> {
     let needle = format!("\"{label}\"");
     let needle = needle.as_bytes();
-    let mut scopes = vec![Scope::member(false), Scope::member(true)];
+    let mut scopes = vec![Scope::member(false), Scope::member(true), Scope::document()];
     scopes.extend((0..openings.min(4) as u32).map(Scope::subtree));
     for scope in scopes {
         for simd in BackendKind::supported().map(Simd::with_kind) {

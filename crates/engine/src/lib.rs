@@ -63,7 +63,6 @@
 mod depth_stack;
 mod error;
 mod fast_path;
-mod head_start;
 mod input;
 mod main_loop;
 mod sink;
@@ -102,7 +101,7 @@ pub use rsq_obs::{
 };
 
 use error::Interrupt;
-use rsq_classify::{StructuralIterator, StructuralValidator};
+use rsq_classify::{LabelSeeker, StructuralIterator, StructuralValidator};
 use rsq_memmem::{Finder, Prefilter};
 use rsq_query::{Automaton, CompileError, Query, QueryParseError, StateId};
 use rsq_simd::{Backend, Simd, Task};
@@ -792,31 +791,32 @@ impl Engine {
                 rec,
             );
         }
-        if self.options.head_start && self.automaton.is_waiting(initial) {
-            // A waiting state has exactly one label transition; resolve it
-            // here so `run_head_start` needs no panicking lookup. If the
-            // invariant is ever violated, the main loop below handles the
-            // query correctly, just without the memmem head start.
-            if let Some((finder, target)) = self.finder(initial, backend) {
-                return head_start::run_head_start(
-                    &self.automaton,
-                    &self.options,
-                    seekers,
-                    backend,
-                    input,
-                    &finder,
-                    target,
-                    sink,
-                    rec,
-                );
-            }
-        }
+        // The head start (§3.3 skipping to a label): a waiting initial
+        // state has exactly one label transition; resolve it here so the
+        // run needs no panicking lookup. If the invariant is ever
+        // violated, the main loop handles the query correctly, just
+        // without the head start. The seeker stays out of the by-state
+        // table: the initial state is not internal, so the main loop must
+        // not subtree-seek in it (that scope reports no atomic member).
+        let head_start = if self.options.head_start && self.automaton.is_waiting(initial) {
+            let seeker = self.finder(initial, backend);
+            seeker.map(|(finder, target)| (LabelSeeker::new(finder), target))
+        } else {
+            None
+        };
         let mut it = StructuralIterator::new(input, backend);
         // Fold the iterator's classifier counters before propagating an
         // interrupt: an early sink stop maps to `Ok` upstream and must keep
         // its stats.
-        let result =
-            main_loop::run_document(&mut it, &self.automaton, &self.options, seekers, sink, rec);
+        let result = main_loop::run_document(
+            &mut it,
+            &self.automaton,
+            &self.options,
+            seekers,
+            head_start,
+            sink,
+            rec,
+        );
         rec.classifier(&it.counters());
         result
     }

@@ -200,6 +200,163 @@ fn head_start_label_value_is_string_not_key() {
     assert_count("$..label", doc, 1);
 }
 
+/// `$..first.rest…` evaluated on the DOM: the values of every member
+/// labelled `first` at any depth, then of each further label as a direct
+/// member, as sorted, deduplicated start offsets (node semantics).
+fn dom_positions(doc: &[u8], first: &str, rest: &[&str]) -> Vec<usize> {
+    use rsq_json::{ValueKind, ValueNode};
+    fn members<'n>(node: &'n ValueNode, label: &str, out: &mut Vec<&'n ValueNode>) {
+        if let ValueKind::Object(members) = &node.kind {
+            out.extend(
+                members
+                    .iter()
+                    .filter(|(k, _)| k.text == label)
+                    .map(|(_, v)| v),
+            );
+        }
+    }
+    fn descendants<'n>(node: &'n ValueNode, label: &str, out: &mut Vec<&'n ValueNode>) {
+        members(node, label, out);
+        for child in node.children() {
+            descendants(child, label, out);
+        }
+    }
+    let root = rsq_json::parse(doc).expect("oracle input parses");
+    let mut nodes = Vec::new();
+    descendants(&root, first, &mut nodes);
+    for label in rest {
+        let mut next = Vec::new();
+        for node in nodes {
+            members(node, label, &mut next);
+        }
+        nodes = next;
+    }
+    let mut positions: Vec<usize> = nodes.iter().map(|n| n.span.start).collect();
+    positions.sort_unstable();
+    positions.dedup();
+    positions
+}
+
+/// `doc` with the closers its open containers still owe appended, so that
+/// a document truncated inside a value can be handed to the DOM oracle.
+fn completed(doc: &str) -> String {
+    let (mut open, mut in_string, mut escaped) = (Vec::new(), false, false);
+    for b in doc.bytes() {
+        match (in_string, b) {
+            (true, _) if escaped => escaped = false,
+            (true, b'\\') => escaped = true,
+            (true, b'"') | (false, b'"') => in_string = !in_string,
+            (false, b'{') => open.push('}'),
+            (false, b'[') => open.push(']'),
+            (false, b'}' | b']') => {
+                open.pop();
+            }
+            _ => {}
+        }
+    }
+    doc.chars().chain(open.into_iter().rev()).collect()
+}
+
+#[test]
+fn head_start_edges_agree_with_the_dom_oracle() {
+    use rsq_simd::BackendKind;
+    let d = EngineOptions::default();
+    let variants = [
+        ("checked", d),
+        (
+            "off",
+            EngineOptions {
+                head_start: false,
+                ..d
+            },
+        ),
+        (
+            "unchecked",
+            EngineOptions {
+                checked_head_start: false,
+                ..d
+            },
+        ),
+    ];
+    let runs_of_a_values = format!(
+        r#"{{"k": [{}], "m": "a", "a": {{"b": "a"}}, "n": "a"}}"#,
+        vec![r#""a""#; 40].join(", ")
+    );
+    let split_member = format!(
+        r#"{{"p": 0, "a"{}:{}{{"b": 1}}}}"#,
+        " ".repeat(70),
+        " ".repeat(70)
+    );
+    // (document, holds a lookalike inside a string, is truncated)
+    let cases: [(&str, bool, bool); 9] = [
+        // A hit in the first block, with nested occurrences.
+        (r#"{"a": {"a": 1, "b": [2]}, "b": 3}"#, false, false),
+        // An atomic hit as the document's last value.
+        (r#"{"x": {"b": 0}, "a": 7}"#, false, false),
+        // Composite hits truncated at EOF.
+        (r#"{"x": 1, "a": {"b": [1, {"a": 2"#, false, true),
+        (r#"{"x": 1, "a": ["#, false, true),
+        // The next hit inside the block where the previous sub-run ended.
+        (
+            r#"[{"a": {"b": 1}}, {"a": {"b": 2}}, {"a": 3}, {"a": [{"b": 4}]}]"#,
+            false,
+            false,
+        ),
+        // Runs of `"a"` string values, none followed by a colon.
+        (&runs_of_a_values, false, false),
+        // Label, colon and value in three different blocks.
+        (&split_member, false, false),
+        // Lookalikes inside strings: only the checked head start is sound.
+        (
+            r#"{"s": "fake \"a\": {\"b\": 1} end", "a": {"b": 2}}"#,
+            true,
+            false,
+        ),
+        (
+            r#"{"s": "x{,}[1] \\", "t": "\"a\"", "a": {"a": true}}"#,
+            true,
+            false,
+        ),
+    ];
+    // Leading whitespace slides every needle, colon and value across a
+    // 64-byte block edge and a 256-byte superblock edge.
+    let pads = (0..=72).chain(184..=264);
+    for pad in pads {
+        for &(body, lookalikes, truncated) in &cases {
+            let doc = format!("{}{body}", " ".repeat(pad));
+            let oracle_doc = if truncated {
+                completed(&doc)
+            } else {
+                doc.clone()
+            };
+            for (query, first, rest) in [("$..a", "a", &[][..]), ("$..a.b", "a", &["b"][..])] {
+                let expected: Vec<usize> = dom_positions(oracle_doc.as_bytes(), first, rest)
+                    .into_iter()
+                    .filter(|&p| p < doc.len())
+                    .collect();
+                let parsed = Query::parse(query).unwrap();
+                for backend in BackendKind::supported() {
+                    for (name, options) in variants {
+                        if lookalikes && name == "unchecked" {
+                            continue;
+                        }
+                        let options = EngineOptions {
+                            backend: Some(backend),
+                            ..options
+                        };
+                        let engine = Engine::with_options(&parsed, options).unwrap();
+                        assert_eq!(
+                            engine.positions(doc.as_bytes()),
+                            expected,
+                            "{query} head start {name} on {backend:?}, pad {pad}: {body}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn descendant_then_child() {
     // $..a.b — the depth-register-insufficient case (§3.2): children of

@@ -50,10 +50,43 @@ fn head_start_stats_count_jumps_declines_and_handoffs() {
     // …one lookalike — `"price"` as a string value, declined because no
     // colon follows it…
     assert_eq!(stats.memmem_declined, 1);
-    // …and one classifier resume for the composite value's sub-run.
+    // …and one handoff to the structural classifier for the composite
+    // value's sub-run.
     assert_eq!(stats.resume_handoffs, 1);
-    assert!(stats.blocks.quote > 0, "quote scanner did work");
+    assert!(stats.blocks.quote > 0, "the seek quote-classified the gaps");
     assert!(stats.blocks.total() > 0);
+}
+
+#[test]
+fn head_start_classifies_each_block_once() {
+    // One cursor walks the document: the gaps the head start crosses are
+    // quote-classified, the sub-runs structurally, and no block twice.
+    let sub = r#"{"price": {"amount": 20, "tags": ["a", "price"]}, "x": [1, 2]}"#;
+    let doc = format!(
+        r#"{{"note": "price", "items": [{}], "price": 3}}"#,
+        vec![sub; 40].join(", ")
+    );
+    for options in [
+        EngineOptions::default(),
+        EngineOptions {
+            label_seek: false,
+            ..EngineOptions::default()
+        },
+    ] {
+        for doc in [RICH, doc.as_bytes()] {
+            let (positions, stats) = positions_with_stats(&engine("$..price", options), doc);
+            assert!(!positions.is_empty());
+            assert!(stats.resume_handoffs > 0);
+            assert!(
+                stats.blocks.total() <= (doc.len() as u64).div_ceil(64),
+                "{} blocks classified over {} bytes: {:?}",
+                stats.blocks.total(),
+                doc.len(),
+                stats.blocks
+            );
+            assert_eq!(stats.blocks.seek, 0, "the head start is not a subtree seek");
+        }
+    }
 }
 
 #[test]

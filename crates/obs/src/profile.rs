@@ -387,11 +387,6 @@ impl Recorder for ProfileStats {
     }
 
     #[inline]
-    fn quote_blocks(&mut self, blocks: u64) {
-        self.stats.quote_blocks(blocks);
-    }
-
-    #[inline]
     fn skip_span(&mut self, technique: SkipTechnique, from: usize, to: usize) {
         if to > from {
             let bytes = (to - from) as u64;

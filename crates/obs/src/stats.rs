@@ -32,8 +32,8 @@ pub struct ClassifierCounters {
     pub blocks_depth: u64,
     /// Blocks consumed by the label-seek classifier.
     pub blocks_seek: u64,
-    /// Blocks quote-classified only (resume catch-up over already-skipped
-    /// regions).
+    /// Blocks quote-classified only: the head start's gaps between
+    /// candidates, crossed by a document-scoped seek.
     pub blocks_quote: u64,
     /// Structural-table reconfigurations (comma/colon toggle flips that
     /// actually changed the tables and reclassified the current block).
@@ -49,8 +49,8 @@ pub struct BlockStats {
     pub depth: u64,
     /// Label-seek classifier (§4.5 extension).
     pub seek: u64,
-    /// Quote classifier alone (head-start candidate validation and resume
-    /// catch-up).
+    /// Quote classifier alone (the head start's gaps, where candidates
+    /// are validated).
     pub quote: u64,
 }
 
@@ -161,7 +161,11 @@ pub struct RunStats {
     pub route: Route,
     /// Input bytes processed (document length).
     pub bytes: u64,
-    /// 64-byte blocks classified, by classifier kind.
+    /// 64-byte blocks classified, by classifier kind. A run moves one
+    /// cursor over the document, so each block counts once, under the
+    /// classifier that pulled it, and the total is at most the number of
+    /// 64-byte blocks in the document — except under the unchecked head
+    /// start, which restarts the cursor at each composite hit's value.
     pub blocks: BlockStats,
     /// Structural events consumed by the automaton loop.
     pub events: u64,
@@ -178,8 +182,9 @@ pub struct RunStats {
     /// construct and, in the walker, an occurrence nested below the
     /// container being searched or a value kind that cannot match.
     pub memmem_declined: u64,
-    /// Classifier resume-state handoffs (§4.5): sub-runs resumed
-    /// mid-document with a threaded quote state.
+    /// Head-start handoffs (§4.5): composite hits whose value the cursor
+    /// hands from the quote classifier (or, unchecked, a restart) to the
+    /// structural classifier for a sub-run.
     pub resume_handoffs: u64,
     /// Maximum nesting depth reached by the automaton loop (relative to
     /// the element root for head-start sub-runs).
@@ -310,7 +315,7 @@ pub trait Recorder {
         let _ = route;
     }
 
-    /// One classifier resume-state handoff.
+    /// One head-start handoff: a sub-run starts at a composite hit.
     #[inline]
     fn resume_handoff(&mut self) {}
 
@@ -329,12 +334,6 @@ pub trait Recorder {
     #[inline]
     fn classifier(&mut self, counters: &ClassifierCounters) {
         let _ = counters;
-    }
-
-    /// Folds `blocks` quote-classifier-only blocks into the report.
-    #[inline]
-    fn quote_blocks(&mut self, blocks: u64) {
-        let _ = blocks;
     }
 
     /// Tier C: a skip fast-forward elided the byte range `[from, to)`
@@ -441,10 +440,5 @@ impl Recorder for RunStats {
         self.blocks.seek = self.blocks.seek.saturating_add(counters.blocks_seek);
         self.blocks.quote = self.blocks.quote.saturating_add(counters.blocks_quote);
         self.toggle_flips = self.toggle_flips.saturating_add(counters.toggle_flips);
-    }
-
-    #[inline]
-    fn quote_blocks(&mut self, blocks: u64) {
-        self.blocks.quote = self.blocks.quote.saturating_add(blocks);
     }
 }

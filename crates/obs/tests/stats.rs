@@ -46,7 +46,6 @@ fn counters_saturate_instead_of_overflowing() {
         blocks_quote: u64::MAX,
         toggle_flips: u64::MAX,
     });
-    stats.quote_blocks(u64::MAX);
 
     assert_eq!(stats.events, u64::MAX);
     assert_eq!(stats.skips.child, u64::MAX);

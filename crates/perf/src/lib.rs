@@ -666,11 +666,6 @@ impl<R: Recorder, C: ReadCounters> Recorder for PerfRecorder<'_, R, C> {
     }
 
     #[inline]
-    fn quote_blocks(&mut self, blocks: u64) {
-        self.inner.quote_blocks(blocks);
-    }
-
-    #[inline]
     fn skip_span(&mut self, technique: rsq_obs::SkipTechnique, from: usize, to: usize) {
         self.inner.skip_span(technique, from, to);
     }
@@ -1097,7 +1092,10 @@ mod tests {
             rec.resume_handoff();
             rec.depth(7);
             rec.route(rsq_obs::Route::FieldChain);
-            rec.quote_blocks(3);
+            rec.classifier(&rsq_obs::ClassifierCounters {
+                blocks_quote: 3,
+                ..rsq_obs::ClassifierCounters::default()
+            });
         }
         assert_eq!(inner.bytes, 40);
         assert_eq!(inner.matches, 1);

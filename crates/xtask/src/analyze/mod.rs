@@ -77,11 +77,6 @@ pub(crate) struct Report {
 /// `DESIGN.md`/`README.md` (consistency). Pure, so tests can feed
 /// synthetic workspaces.
 pub(crate) fn analyze_sources(files: &[(String, String)], passes: &[&'static str]) -> Report {
-    let rs_files: Vec<(String, String)> = files
-        .iter()
-        .filter(|(p, _)| p.ends_with(".rs"))
-        .cloned()
-        .collect();
     let manifests: Vec<(String, String)> = files
         .iter()
         .filter(|(p, _)| p.ends_with("Cargo.toml"))
@@ -92,8 +87,9 @@ pub(crate) fn analyze_sources(files: &[(String, String)], passes: &[&'static str
         .filter(|(p, _)| p.ends_with(".md"))
         .cloned()
         .collect();
-    let sources: Vec<SourceFile> = rs_files
+    let sources: Vec<SourceFile> = files
         .iter()
+        .filter(|(p, _)| p.ends_with(".rs"))
         .map(|(p, c)| SourceFile::new(p, c))
         .collect();
 
@@ -101,7 +97,7 @@ pub(crate) fn analyze_sources(files: &[(String, String)], passes: &[&'static str
     for &pass in passes {
         match pass {
             "audit" => {
-                let mut diags = crate::audit::audit_sources(&rs_files);
+                let mut diags = crate::audit::audit_sources(&sources);
                 crate::audit::check_lint_config(&manifests, &mut diags);
                 findings.extend(diags.into_iter().map(|d| Finding {
                     pass: "audit",
@@ -124,7 +120,7 @@ pub(crate) fn analyze_sources(files: &[(String, String)], passes: &[&'static str
         .sort_by(|a, b| (&a.file, a.line, a.pass, a.lint).cmp(&(&b.file, b.line, b.pass, b.lint)));
     Report {
         findings,
-        files_scanned: rs_files.len(),
+        files_scanned: sources.len(),
         passes: passes.to_vec(),
     }
 }

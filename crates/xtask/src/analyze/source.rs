@@ -83,6 +83,8 @@ pub(crate) struct SourceFile {
     pub path: String,
     /// Lexed token stream and comments.
     pub lexed: Lexed,
+    /// `#[target_feature]` fns: name token index and sorted features.
+    pub feature_fns: Vec<(usize, Vec<String>)>,
     /// Brace scopes (function bodies, unsafe blocks, other braces).
     pub scopes: Vec<Scope>,
     /// Token-index ranges `[start, end)` that belong to test code.
@@ -95,12 +97,13 @@ impl SourceFile {
     /// Prepares one file for analysis.
     pub fn new(path: &str, content: &str) -> Self {
         let lexed = lex(content);
-        let tf = collect_target_feature_fns(&lexed);
-        let scopes = build_scopes(&lexed, &tf);
+        let feature_fns = collect_target_feature_fns(&lexed);
+        let scopes = build_scopes(&lexed, &feature_fns);
         let test_spans = find_test_spans(&lexed);
         SourceFile {
             path: path.to_owned(),
             lexed,
+            feature_fns,
             scopes,
             test_spans,
             tier: tier_of(path),

@@ -32,7 +32,8 @@
 //! make the *default* path — plainly written kernels — carry their proof
 //! obligations next to the code.
 
-use crate::lexer::{lex, Comment, Lexed, Tok, TokKind};
+use crate::analyze::source::SourceFile;
+use crate::lexer::{Comment, Lexed, Tok, TokKind};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -102,42 +103,22 @@ pub(crate) struct Scope {
     pub(crate) end: usize,
 }
 
-/// A parsed source file queued for the cross-file passes.
-struct FileUnit {
-    path: String,
-    lexed: Lexed,
-    scopes: Vec<Scope>,
-}
-
-/// Runs the token-level lints over a set of in-memory files; pure so tests
-/// can feed synthetic sources. `files` maps workspace-relative paths to
-/// file contents. (The manifest-level `lint-config` check lives in
-/// [`audit_workspace`], which has disk access.)
+/// Runs the token-level lints over a set of prepared files (the same
+/// [`SourceFile`]s the `analyze` passes read, so the workspace is lexed
+/// once); pure so tests can feed synthetic sources. (The manifest-level
+/// `lint-config` check lives in [`audit_workspace`], which has disk
+/// access.)
 #[must_use]
-pub fn audit_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
-    let units: Vec<FileUnit> = files
-        .iter()
-        .map(|(path, content)| {
-            let lexed = lex(content);
-            let tf = collect_target_feature_fns(&lexed);
-            let scopes = build_scopes(&lexed, &tf);
-            FileUnit {
-                path: path.clone(),
-                lexed,
-                scopes,
-            }
-        })
-        .collect();
-
+pub(crate) fn audit_sources(units: &[SourceFile]) -> Vec<Diagnostic> {
     // Cross-file tables: every #[target_feature] fn by name, and every
     // plain fn definition (so a safe fn sharing a kernel's name — e.g.
     // the scalar `swar::eq_mask` next to the AVX kernels — resolves to
     // its own safe definition instead of the union of feature sets).
     let mut feature_fns: HashMap<String, Vec<FeatureFn>> = HashMap::new();
     let mut plain_fns: HashMap<String, Vec<String>> = HashMap::new();
-    for unit in &units {
-        let featured = collect_target_feature_fns(&unit.lexed);
-        for (name_idx, features) in &featured {
+    for unit in units {
+        let featured = &unit.feature_fns;
+        for (name_idx, features) in featured {
             let name = unit.lexed.tokens[*name_idx].text.clone();
             feature_fns.entry(name).or_default().push(FeatureFn {
                 file: unit.path.clone(),
@@ -161,7 +142,7 @@ pub fn audit_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
     }
 
     let mut diags = Vec::new();
-    for unit in &units {
+    for unit in units {
         check_unsafe_allowlist(unit, &mut diags);
         check_undocumented_unsafe(unit, &mut diags);
         check_feature_gating(unit, &feature_fns, &plain_fns, &mut diags);
@@ -190,7 +171,7 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)>
     let mut manifests = Vec::new();
     for (path, content) in all {
         if path.ends_with(".rs") {
-            files.push((path, content));
+            files.push(SourceFile::new(&path, &content));
         } else if path.ends_with("Cargo.toml") {
             manifests.push((path, content));
         }
@@ -433,7 +414,7 @@ fn doc_run_contains(lexed: &Lexed, line: u32, needles: &[&str]) -> bool {
 // The lints.
 // ---------------------------------------------------------------------------
 
-fn check_unsafe_allowlist(unit: &FileUnit, diags: &mut Vec<Diagnostic>) {
+fn check_unsafe_allowlist(unit: &SourceFile, diags: &mut Vec<Diagnostic>) {
     if in_allowlist(&unit.path) {
         return;
     }
@@ -452,7 +433,7 @@ fn check_unsafe_allowlist(unit: &FileUnit, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-fn check_undocumented_unsafe(unit: &FileUnit, diags: &mut Vec<Diagnostic>) {
+fn check_undocumented_unsafe(unit: &SourceFile, diags: &mut Vec<Diagnostic>) {
     let toks = &unit.lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
         if !t.is_ident("unsafe") {
@@ -507,7 +488,7 @@ fn first_line_of_decl(lexed: &Lexed, unsafe_idx: usize) -> u32 {
 }
 
 fn check_feature_gating(
-    unit: &FileUnit,
+    unit: &SourceFile,
     feature_fns: &HashMap<String, Vec<FeatureFn>>,
     plain_fns: &HashMap<String, Vec<String>>,
     diags: &mut Vec<Diagnostic>,
@@ -604,7 +585,7 @@ fn module_hint(toks: &[Tok], call_idx: usize) -> Option<&str> {
 fn resolve_required_features(
     defs: &[FeatureFn],
     safe_defs: Option<&Vec<String>>,
-    unit: &FileUnit,
+    unit: &SourceFile,
     hint: Option<&str>,
 ) -> Option<Vec<String>> {
     let pick = |candidates: Vec<&FeatureFn>| -> Option<Vec<String>> {
@@ -647,7 +628,7 @@ fn resolve_required_features(
 
 /// Raw-pointer arithmetic and slice-from-raw sites that must carry either
 /// an adjacent SAFETY comment or a `debug_assert!` bound in their function.
-fn check_pointer_arith(unit: &FileUnit, diags: &mut Vec<Diagnostic>) {
+fn check_pointer_arith(unit: &SourceFile, diags: &mut Vec<Diagnostic>) {
     const METHODS: &[&str] = &[
         "add",
         "sub",
@@ -754,7 +735,15 @@ mod tests {
     use super::*;
 
     fn audit_one(path: &str, src: &str) -> Vec<Diagnostic> {
-        audit_sources(&[(path.to_owned(), src.to_owned())])
+        audit(&[(path, src)])
+    }
+
+    fn audit(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+        let units: Vec<SourceFile> = files
+            .iter()
+            .map(|(path, src)| SourceFile::new(path, src))
+            .collect();
+        audit_sources(&units)
     }
 
     fn lints(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -925,14 +914,14 @@ pub fn dispatch(x: u64) -> u64 {
     unsafe { avx2::kernel(x) }
 }
 "#;
-        let diags = audit_sources(&[
-            ("crates/simd/src/avx2.rs".to_owned(), kernel.to_owned()),
-            ("crates/simd/src/lib.rs".to_owned(), caller_bad.to_owned()),
+        let diags = audit(&[
+            ("crates/simd/src/avx2.rs", kernel),
+            ("crates/simd/src/lib.rs", caller_bad),
         ]);
         assert_eq!(lints(&diags), ["target-feature-gating"]);
-        let diags = audit_sources(&[
-            ("crates/simd/src/avx2.rs".to_owned(), kernel.to_owned()),
-            ("crates/simd/src/lib.rs".to_owned(), caller_good.to_owned()),
+        let diags = audit(&[
+            ("crates/simd/src/avx2.rs", kernel),
+            ("crates/simd/src/lib.rs", caller_good),
         ]);
         assert!(diags.is_empty());
     }
@@ -956,9 +945,9 @@ impl Backend for Simd {
     fn kernel(self, x: u64) -> u64 { Simd::kernel(self, x) }
 }
 "#;
-        let diags = audit_sources(&[
-            ("crates/simd/src/avx2.rs".to_owned(), kernel.to_owned()),
-            ("crates/simd/src/lib.rs".to_owned(), caller.to_owned()),
+        let diags = audit(&[
+            ("crates/simd/src/avx2.rs", kernel),
+            ("crates/simd/src/lib.rs", caller),
         ]);
         assert!(diags.is_empty(), "{diags:?}");
     }
