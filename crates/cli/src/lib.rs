@@ -97,8 +97,9 @@ response per document streams back, in input order, byte-identical to
                       the server stops reading, pushing backpressure
                       to the client
 a failing document is answered with a per-document error and the
-connection keeps serving; --threads sets the per-connection worker
-pool, and the --max-* limits double as per-connection caps
+connection keeps serving; --threads N runs documents on the
+connection's thread plus N-1 helpers, which take one only when idle;
+the --max-* limits double as per-connection caps
 
   --deadline-ms N     per-document processing budget; in serve mode
                       expiry answers that document with a timeout

@@ -31,12 +31,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Unlocked handles: serve mode hands the writers to an emitter
-    // thread, and the lock guards are not `Send`. `Stdout` is
+    // Unlocked handles: in serve mode the writers go to whichever thread
+    // emits, and the lock guards are not `Send`. `Stdout` is
     // line-buffered — one `write(2)` per match or per document — so the
     // lines are gathered into 64 KiB blocks and flushed on every way out:
     // a batch with failed documents returns `Err` after printing the good
-    // ones. Serve mode flushes after each response itself, so a response
+    // ones. Serve mode flushes after each write itself, so a response
     // still leaves when its document is answered.
     let mut out = BufWriter::with_capacity(STDOUT_BLOCK, std::io::stdout());
     let result = run(&invocation, &mut out, &mut std::io::stderr());

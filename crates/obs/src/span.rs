@@ -1,8 +1,8 @@
 //! Per-document pipeline spans.
 //!
 //! A serve-mode document passes through five hands: the producer admits
-//! it, a worker claims it off the queue, the engine runs it, the reorder
-//! buffer holds it until its turn, and the emitter writes the response.
+//! it, a worker claims it, the engine runs it, the reorder buffer holds
+//! it until its turn, and the emitter role writes the response.
 //! [`DocSpan`] timestamps those hand-offs *telescopically*: each mark
 //! records the delta since the previous mark ([`DocSpan::lap`]), so the
 //! phase durations sum to exactly the admit-to-emit elapsed time — no

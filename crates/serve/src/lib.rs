@@ -48,7 +48,7 @@ pub use chaos::{ChaosFault, ChaosPlan, ChaosStream};
 pub use telemetry::serve_telemetry_listener;
 pub use telemetry::{Telemetry, TelemetryOptions};
 
-use pool::Pool;
+use pool::{Admission, Pool};
 use rsq_batch::{DocError, DocErrorKind, DocRunner, Frame, NdjsonFramer, Record};
 use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
 use rsq_obs::{FlightRecorder, Histogram, ProfileStats, ServeCounters, SpanRecord};
@@ -56,7 +56,7 @@ use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use std::io::{self, Read, Write};
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -93,7 +93,10 @@ pub struct ServeOptions {
     pub engine: EngineOptions,
     /// Response format (see [`ResponseMode`]).
     pub mode: ResponseMode,
-    /// Worker threads per connection (0 = one per available CPU).
+    /// Threads that run a connection's documents (0 = one per available
+    /// CPU): the connection's own thread plus `threads - 1` helpers. A
+    /// document goes to a helper only if one is idle; otherwise the
+    /// connection's thread runs it before reading more.
     pub threads: usize,
     /// Ceiling on documents admitted but not yet answered: the length
     /// of the job queue plus the reorder buffer. It does not bound
@@ -124,7 +127,7 @@ impl ServeOptions {
     pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
     /// Options for `query` with engine defaults, count responses, one
-    /// worker per CPU, the default in-flight bound, and no deadline.
+    /// thread per CPU, the default in-flight bound, and no deadline.
     #[must_use]
     pub fn new(query: &str) -> Self {
         ServeOptions {
@@ -139,7 +142,7 @@ impl ServeOptions {
         }
     }
 
-    /// Worker count a connection will actually use.
+    /// Thread count a connection will actually use, its own included.
     #[must_use]
     pub fn effective_threads(&self) -> usize {
         if self.threads > 0 {
@@ -252,129 +255,183 @@ pub fn render(
     }
 }
 
-/// The emitter thread's accumulated accounting.
-struct EmitTally {
-    ok: u64,
-    timeouts: u64,
-    oversize: u64,
-    limits: u64,
-    malformed: u64,
-    panics: u64,
-    io_docs: u64,
-    first_failure: Option<DocErrorKind>,
-    write_failed: bool,
-    latency: Histogram,
-    /// Finished spans in emission order (only filled when the session
-    /// collects spans for trace export).
-    spans: Vec<SpanRecord>,
-}
-
-impl EmitTally {
-    fn new() -> Self {
-        EmitTally {
-            ok: 0,
-            timeouts: 0,
-            oversize: 0,
-            limits: 0,
-            malformed: 0,
-            panics: 0,
-            io_docs: 0,
-            first_failure: None,
-            write_failed: false,
-            latency: Histogram::new(),
-            spans: Vec::new(),
-        }
-    }
-}
-
-/// Drains responses in admission order, writing result lines to `out`
-/// and error lines (`document N: message [code]`) to `err`. A write
-/// failure aborts the pool: the connection is gone, so draining further
-/// work would be wasted.
-///
-/// With telemetry on, each document's span is finished here — the final
-/// lap is the emit phase — and fed to the hub (windows, live counters,
-/// slow log). Framer-rejected lines have no span; they count into the
-/// hub's live counters without polluting the latency windows.
-fn emit_loop<W: Write, E: Write>(
-    pool: &Pool,
+/// The emitter role (see `pool`): result lines go to `out`, error lines
+/// (`document N: message [code]`) to `err`, one write per run of lines
+/// bound for the same stream, and each into the connection's report. With
+/// telemetry on, each span is finished here — the final lap is the emit
+/// phase — and fed to the hub; framer-rejected lines have no span and
+/// count into the hub's live counters only.
+struct Emitter<W, E> {
+    out: W,
+    err: E,
     mode: ResponseMode,
-    telemetry: Option<&Telemetry>,
+    telemetry: Option<Arc<Telemetry>>,
     collect_spans: bool,
-    out: &mut W,
-    err: &mut E,
-) -> EmitTally {
-    let mut tally = EmitTally::new();
-    let mut body = Vec::new();
-    while let Some((seq, mut resp)) = pool.take_next_response() {
-        if !resp.framer_rejected {
-            tally.latency.record(resp.latency_ns);
-        }
-        let wrote = match &resp.result {
-            Ok(matches) => {
-                tally.ok += 1;
-                body.clear();
-                render(
-                    &mut body,
-                    mode,
-                    &resp.doc,
-                    matches.count(),
-                    matches.positions(),
-                )
-                .and_then(|()| out.write_all(&body))
-                .and_then(|()| out.flush())
-            }
-            Err(e) => {
-                match e.kind {
-                    DocErrorKind::Timeout => tally.timeouts += 1,
-                    DocErrorKind::Limit(_) if resp.framer_rejected => tally.oversize += 1,
-                    DocErrorKind::Limit(_) => tally.limits += 1,
-                    DocErrorKind::Malformed => tally.malformed += 1,
-                    DocErrorKind::Panic => tally.panics += 1,
-                    DocErrorKind::Io => tally.io_docs += 1,
-                }
-                if tally.first_failure.is_none() {
-                    tally.first_failure = Some(e.kind);
-                }
-                let line = format!("document {}: {} [{}]\n", seq + 1, e.message, e.code());
-                err.write_all(line.as_bytes()).and_then(|()| err.flush())
-            }
-        };
-        pool.recycle(std::mem::take(&mut resp.doc));
-        if resp.framer_rejected {
-            if let Some(t) = telemetry {
-                t.record_reject();
-            }
-        } else if let Some(span) = resp.span.take() {
-            let record = span.finish();
-            if let Some(t) = telemetry {
-                t.record_doc(&record, resp.latency_ns);
-            }
-            if collect_spans {
-                tally.spans.push(record);
-            }
-        }
-        if wrote.is_err() {
-            tally.write_failed = true;
-            pool.abort();
-            break;
-        }
-    }
-    tally
+    /// The lines rendered but not yet written, all bound for one stream.
+    lines: Vec<u8>,
+    report: ServeReport,
 }
 
-/// Admits one framed line: documents go to the worker queue; oversize
-/// rejections resolve immediately with the *same* error the engine's
-/// own `max_document_bytes` check produces, so the response is
-/// indistinguishable from batch mode rejecting the same line.
-fn admit_frame(pool: &Pool, frame: Frame) -> bool {
+impl<W: Write, E: Write> Emitter<W, E> {
+    /// Writes the pending lines to `err` or `out`.
+    fn write_lines(&mut self, to_err: bool) -> io::Result<()> {
+        let stream: &mut dyn Write = if to_err { &mut self.err } else { &mut self.out };
+        stream.write_all(&self.lines)?;
+        self.lines.clear();
+        stream.flush()
+    }
+
+    /// Renders and writes `batch` in order; a run of lines for the same
+    /// stream goes out in one write.
+    fn write_batch(&mut self, batch: &[(u64, pool::Response)]) -> io::Result<()> {
+        let mut to_err = false;
+        for (seq, resp) in batch {
+            if resp.result.is_err() != to_err {
+                self.write_lines(to_err)?;
+                to_err = !to_err;
+            }
+            if !resp.framer_rejected {
+                self.report.latency.record(resp.latency_ns);
+            }
+            match &resp.result {
+                Ok(matches) => {
+                    self.report.counters.responses_ok += 1;
+                    render(
+                        &mut self.lines,
+                        self.mode,
+                        &resp.doc,
+                        matches.count(),
+                        matches.positions(),
+                    )?;
+                }
+                Err(e) => {
+                    let c = &mut self.report.counters;
+                    *match e.kind {
+                        DocErrorKind::Timeout => &mut c.timeouts,
+                        DocErrorKind::Limit(_) if resp.framer_rejected => {
+                            &mut c.oversize_rejections
+                        }
+                        DocErrorKind::Limit(_) => &mut c.limit_errors,
+                        DocErrorKind::Malformed => &mut c.malformed_errors,
+                        DocErrorKind::Panic => &mut c.panics,
+                        DocErrorKind::Io => &mut c.io_errors,
+                    } += 1;
+                    self.report.first_failure.get_or_insert(e.kind);
+                    let (doc_no, message, code) = (seq + 1, &e.message, e.code());
+                    writeln!(self.lines, "document {doc_no}: {message} [{code}]")?;
+                }
+            }
+        }
+        self.write_lines(to_err)
+    }
+}
+
+impl<W: Write, E: Write> pool::Emit for Emitter<W, E> {
+    fn emit(&mut self, batch: &mut [(u64, pool::Response)]) -> bool {
+        let wrote = self.write_batch(batch);
+        for (_, resp) in batch.iter_mut() {
+            if resp.framer_rejected {
+                if let Some(t) = &self.telemetry {
+                    t.record_reject();
+                }
+            } else if let Some(span) = resp.span.take() {
+                let record = span.finish();
+                if let Some(t) = &self.telemetry {
+                    t.record_doc(&record, resp.latency_ns);
+                }
+                if self.collect_spans {
+                    self.report.spans.push(record);
+                }
+            }
+        }
+        self.report.clean &= wrote.is_ok();
+        self.report.clean
+    }
+}
+
+/// One thread's kit for running documents: the connection's thread is
+/// worker 0, each helper one more. Perf events count the opening thread,
+/// so each worker arms its own counter set; its flight recorder (only with
+/// telemetry on) is thread-local, with no locking.
+struct Worker<'a, T> {
+    idx: usize,
+    pool: &'a Pool<T>,
+    engine: &'a Engine,
+    options: &'a ServeOptions,
+    hub: Option<&'a Telemetry>,
+    runner: DocRunner,
+    flight: Option<FlightRecorder>,
+    doc_index: usize,
+}
+
+impl<T: pool::Emit> Worker<'_, T> {
+    /// Runs `job` and completes it, which may write responses.
+    fn run(&mut self, mut job: pool::Job) {
+        // Stage timers and counters are sampled, each with a fresh
+        // recorder; phase laps cover every document.
+        let sampled = self.doc_index.is_multiple_of(STAGE_SAMPLE_INTERVAL);
+        self.doc_index = self.doc_index.wrapping_add(1);
+        let mut profile = job
+            .span
+            .as_ref()
+            .filter(|_| sampled)
+            .map(|_| ProfileStats::new());
+        let record = profile.as_mut().map_or(Record::Nothing, Record::Profile);
+        let mut resp = pool::process(
+            &mut self.runner,
+            self.engine,
+            self.options.mode,
+            self.options.deadline,
+            &job,
+            record,
+            sampled,
+        );
+        if let Some(mut span) = job.span.take() {
+            span.worker(self.idx as u32);
+            span.route(self.engine.route());
+            span.ran();
+            if let Some(p) = &profile {
+                span.stages(p.stages);
+            }
+            if let Err(e) = &resp.result {
+                span.fault(e.code());
+            }
+            let snap = span.snapshot();
+            if snap.failed() {
+                if let (Some(t), Some(f)) = (self.hub, self.flight.as_ref()) {
+                    t.dump_postmortem(self.idx, f, &snap);
+                }
+            }
+            if let Some(f) = self.flight.as_mut() {
+                f.push(snap);
+            }
+            resp.span = Some(span);
+        }
+        self.pool.complete(job.seq, resp, job.doc);
+    }
+}
+
+/// Admits one framed line: a document is queued for a parked helper or
+/// run right here by the connection's `worker`; an oversize line resolves
+/// at once with the error the engine's own `max_document_bytes` check
+/// gives, as batch mode would. Returns `false` once the pool has aborted.
+fn admit_frame<T: pool::Emit>(worker: &mut Worker<'_, T>, frame: Frame) -> bool {
     match frame {
-        Frame::Doc(doc) => pool.admit(doc),
+        Frame::Doc(doc) => match worker.pool.admit(doc) {
+            Admission::Queued => true,
+            Admission::Run(job) => {
+                worker.run(job);
+                true
+            }
+            Admission::Aborted => false,
+        },
         Frame::Oversize { limit, .. } => {
-            pool.reject(DocError::from_run(&RunError::LimitExceeded {
-                kind: LimitKind::DocumentBytes,
-                limit: limit as u64,
-            }))
+            worker
+                .pool
+                .reject(DocError::from_run(&RunError::LimitExceeded {
+                    kind: LimitKind::DocumentBytes,
+                    limit: limit as u64,
+                }))
         }
     }
 }
@@ -383,9 +440,11 @@ fn admit_frame(pool: &Pool, frame: Frame) -> bool {
 /// or a hard read error, answering each document on `out` (errors on
 /// `err`) in input order.
 ///
-/// The calling thread is the producer; workers and the emitter run on
-/// scoped threads. On return every admitted document has been answered
-/// (or the connection was lost), and all threads have exited.
+/// The calling thread reads, frames and runs documents, helped by
+/// [`ServeOptions::threads`] − 1 scoped threads when one is idle; the
+/// thread that completes the next response in input order writes it. On
+/// return every admitted document has been answered (or the connection
+/// was lost), and all helpers have exited.
 ///
 /// # Errors
 ///
@@ -442,110 +501,58 @@ where
     if let Some(t) = hub {
         t.set_workers(threads as u64);
     }
-    let mode = options.mode;
+    let emitter = Emitter {
+        out,
+        err,
+        mode: options.mode,
+        telemetry: telemetry.cloned(),
+        collect_spans: options.collect_spans,
+        lines: Vec::new(),
+        report: ServeReport::default(),
+    };
     let pool = Pool::new(
         options.max_inflight,
         threads,
-        mode,
+        options.mode,
         telemetry.cloned(),
         options.collect_spans,
+        emitter,
     );
     let mut framer = NdjsonFramer::new(options.engine.max_document_bytes).recycling(pool.buffers());
-    let deadline = options.deadline;
-    let collect_spans = options.collect_spans;
-    let perf_mode = options.perf;
-    // Sampled per-worker hardware-counter deltas fold in here — one
-    // lock per worker at drain time, never on the per-document path.
-    let perf_total: Mutex<PerfStats> = Mutex::new(PerfStats::default());
     let mut bytes_in: u64 = 0;
     let mut disconnected = false;
 
-    let tally = thread::scope(|scope| {
-        let emitter = scope.spawn({
-            let pool = &pool;
-            let mut out = out;
-            let mut err = err;
-            move || emit_loop(pool, mode, hub, collect_spans, &mut out, &mut err)
-        });
-        let workers: Vec<_> = (0..threads)
-            .map(|worker_idx| {
-                let pool = &pool;
-                let engine = &engine;
-                let perf_total = &perf_total;
+    // Sampled hardware-counter deltas are folded in per worker at drain.
+    let perf = thread::scope(|scope| {
+        let worker = |idx| Worker {
+            idx,
+            pool: &pool,
+            engine: &engine,
+            options,
+            hub,
+            runner: DocRunner::open(options.perf),
+            flight: hub.map(|t| FlightRecorder::new(t.flight_window())),
+            doc_index: 0,
+        };
+        let helpers: Vec<_> = (1..threads)
+            .map(|idx| {
+                let mut helper = worker(idx);
                 scope.spawn(move || {
-                    // Per-worker flight recorder: local to the thread,
-                    // no locking; only exists with telemetry on.
-                    let mut flight = hub.map(|t| FlightRecorder::new(t.flight_window()));
-                    // Per-worker runner: perf events count the opening
-                    // thread, so each worker arms its own counter set.
-                    let mut runner = DocRunner::open(perf_mode);
-                    let mut doc_index = 0usize;
-                    while let Some(mut job) = pool.take_job() {
-                        // Stage-timer detail is *sampled*: the Tier C
-                        // recorder reads the clock around every
-                        // fast-forward, which costs double-digit
-                        // percent on skip-heavy queries, so only every
-                        // `STAGE_SAMPLE_INTERVAL`-th document per
-                        // worker runs profiled (a fresh recorder per
-                        // document, so the span carries this document's
-                        // breakdown, not a running total). Phase laps —
-                        // queue/run/reorder/emit — still cover every
-                        // document: they are a handful of clock reads.
-                        // Hardware counters ride the same cadence.
-                        let sampled = doc_index.is_multiple_of(STAGE_SAMPLE_INTERVAL);
-                        doc_index = doc_index.wrapping_add(1);
-                        let mut profile = job
-                            .span
-                            .as_ref()
-                            .filter(|_| sampled)
-                            .map(|_| ProfileStats::new());
-                        let record = profile.as_mut().map_or(Record::Nothing, Record::Profile);
-                        let mut resp = pool::process(
-                            &mut runner,
-                            engine,
-                            mode,
-                            deadline,
-                            &job,
-                            record,
-                            sampled,
-                        );
-                        if let Some(mut span) = job.span.take() {
-                            span.worker(worker_idx as u32);
-                            span.route(engine.route());
-                            span.ran();
-                            if let Some(p) = &profile {
-                                span.stages(p.stages);
-                            }
-                            if let Err(e) = &resp.result {
-                                span.fault(e.code());
-                            }
-                            let snap = span.snapshot();
-                            if snap.failed() {
-                                if let (Some(t), Some(f)) = (hub, flight.as_ref()) {
-                                    t.dump_postmortem(worker_idx, f, &snap);
-                                }
-                            }
-                            if let Some(f) = flight.as_mut() {
-                                f.push(snap);
-                            }
-                            resp.span = Some(span);
-                        }
-                        pool.complete(job.seq, resp, job.doc);
+                    while let Some(job) = helper.pool.take_job() {
+                        helper.run(job);
                     }
-                    if let Some(perf) = runner.perf() {
-                        // PANIC-OK: poisoned only if a panic escaped per-document containment
-                        *perf_total.lock().unwrap() += perf;
-                    }
+                    helper.runner.perf()
                 })
             })
             .collect();
+        let mut worker = worker(0);
 
         let mut chunk = [0u8; 8192];
         loop {
             match reader.read(&mut chunk) {
                 Ok(0) => {
                     if let Some(frame) = framer.finish() {
-                        admit_frame(&pool, frame);
+                        admit_frame(&mut worker, frame);
                     }
                     break;
                 }
@@ -555,7 +562,7 @@ where
                     // PANIC-OK: n <= chunk.len() by the Read contract
                     framer.push(&chunk[..n], &mut |frame| {
                         if alive {
-                            alive = admit_frame(&pool, frame);
+                            alive = admit_frame(&mut worker, frame);
                         }
                     });
                     if !alive {
@@ -581,60 +588,49 @@ where
         }
         pool.close();
 
-        let mut worker_lost = false;
-        for h in workers {
-            worker_lost |= h.join().is_err();
+        // Helpers drain the queue; the last completion empties the reorder
+        // buffer.
+        let mut perf = worker.runner.perf().unwrap_or_default();
+        for h in helpers {
+            match h.join() {
+                Ok(p) => perf += p.unwrap_or_default(),
+                // Only if pool bookkeeping itself panicked (the document
+                // run is contained).
+                Err(_) => pool.abort(),
+            }
         }
-        if worker_lost {
-            // Can only happen if pool bookkeeping itself panicked (the
-            // document run is contained); unblock the emitter rather
-            // than deadlock on a response that will never arrive.
-            pool.abort();
-        }
-        emitter.join().unwrap_or_else(|_| {
-            let mut t = EmitTally::new();
-            t.write_failed = true;
-            t
-        })
+        perf
     });
 
     let (documents, backpressure_waits, max_inflight) = pool.accounting();
-    let perf = perf_total.into_inner().unwrap_or_default();
-    let mut counters = ServeCounters::new();
+    // A thread that panicked while writing took the writers with it.
+    let (mut report, lost) = match pool.into_emitter() {
+        Some(emitter) => (emitter.report, false),
+        None => (ServeReport::default(), true),
+    };
+    let counters = &mut report.counters;
     counters.connections = 1;
     counters.documents = documents;
     counters.bytes_in = bytes_in;
-    counters.responses_ok = tally.ok;
     // The route is a static property of the compiled query, so every
     // successfully answered document took the same one.
     // PANIC-OK: Route::index is < the per-route array length (one slot per route)
-    counters.route_docs[engine.route().index()] = tally.ok;
-    counters.timeouts = tally.timeouts;
-    counters.oversize_rejections = tally.oversize;
-    counters.limit_errors = tally.limits;
-    counters.malformed_errors = tally.malformed;
-    counters.panics = tally.panics;
-    counters.io_errors = u64::from(disconnected) + tally.io_docs;
+    counters.route_docs[engine.route().index()] = counters.responses_ok;
+    counters.io_errors += u64::from(disconnected);
     counters.backpressure_waits = backpressure_waits;
     counters.max_inflight = max_inflight;
+    report.clean &= !disconnected && !lost;
+    report.perf = (perf.docs > 0).then_some(perf);
 
     if let Some(t) = hub {
         // Per-document facts already streamed into the hub at emit time;
         // this folds in the connection-scoped remainder (connections,
         // bytes_in, io_errors, backpressure, high-water mark) and the
         // sampled hardware-counter totals.
-        t.record_connection(&counters);
+        t.record_connection(&report.counters);
         t.record_perf(&perf);
     }
-
-    Ok(ServeReport {
-        counters,
-        latency: tally.latency,
-        first_failure: tally.first_failure,
-        clean: !disconnected && !tally.write_failed,
-        spans: tally.spans,
-        perf: (perf.docs > 0).then_some(perf),
-    })
+    Ok(report)
 }
 
 /// Accepts connections on a Unix socket, serving each to completion
@@ -698,6 +694,7 @@ pub fn serve_unix_with(
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::sync::Mutex;
 
     fn opts(query: &str) -> ServeOptions {
         let mut o = ServeOptions::new(query);
@@ -729,13 +726,146 @@ mod tests {
 
     #[test]
     fn positions_and_values_modes_render_batch_formats() {
+        for threads in 1..=3 {
+            let mut o = opts("$..b");
+            o.threads = threads;
+            o.mode = ResponseMode::Positions;
+            let (out, _, _) = serve_bytes(&o, INPUT);
+            assert_eq!(out, b"12\n6\n", "{threads} threads");
+            o.mode = ResponseMode::Values;
+            let (out, _, _) = serve_bytes(&o, INPUT);
+            assert_eq!(out, b"1\n[1, 2]\n", "{threads} threads");
+        }
+    }
+
+    /// Every call a [`Read`] or [`Write`] gets, in order: the calling
+    /// thread, which stream, and the bytes written.
+    type CallLog = Arc<Mutex<Vec<(thread::ThreadId, &'static str, Vec<u8>)>>>;
+
+    struct Recorder<T> {
+        inner: T,
+        stream: &'static str,
+        log: CallLog,
+    }
+
+    impl<T> Recorder<T> {
+        fn new(inner: T, stream: &'static str, log: &CallLog) -> Self {
+            Recorder {
+                inner,
+                stream,
+                log: Arc::clone(log),
+            }
+        }
+
+        fn note(&self, bytes: &[u8]) {
+            let call = (thread::current().id(), self.stream, bytes.to_vec());
+            self.log.lock().unwrap().push(call);
+        }
+    }
+
+    impl<T: Read> Read for Recorder<T> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.note(&[]);
+            self.inner.read(buf)
+        }
+    }
+
+    impl Write for Recorder<()> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.note(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_thread_reads_runs_and_writes_on_the_callers_thread() {
+        let log = CallLog::default();
         let mut o = opts("$..b");
-        o.mode = ResponseMode::Positions;
-        let (out, _, _) = serve_bytes(&o, INPUT);
-        assert_eq!(out, b"12\n6\n");
-        o.mode = ResponseMode::Values;
-        let (out, _, _) = serve_bytes(&o, INPUT);
-        assert_eq!(out, b"1\n[1, 2]\n");
+        o.threads = 1;
+        o.engine.max_matches = Some(1);
+        let input = b"{\"b\": 1}\n{\"b\": {\"b\": 2}}\n{\"b\": [1, 2]}\n";
+        let report = serve_connection(
+            &o,
+            Recorder::new(Cursor::new(&input[..]), "in", &log),
+            Recorder::new((), "out", &log),
+            Recorder::new((), "err", &log),
+        )
+        .expect("serve");
+        assert_eq!(report.counters.documents, 3);
+        let log = log.lock().unwrap();
+        let me = thread::current().id();
+        assert!(log.iter().all(|(id, ..)| *id == me), "{log:?}");
+        let writes: Vec<_> = log
+            .iter()
+            .filter(|(_, stream, _)| *stream != "in")
+            .map(|(_, stream, bytes)| (*stream, String::from_utf8_lossy(bytes)))
+            .collect();
+        assert_eq!(writes.len(), 3, "one write per response: {writes:?}");
+        assert_eq!(writes[0], ("out", "1\n".into()));
+        assert_eq!(writes[2], ("out", "1\n".into()));
+        assert_eq!(writes[1].0, "err");
+    }
+
+    #[test]
+    fn a_ready_batch_goes_out_in_one_write_per_run_of_lines() {
+        let log = CallLog::default();
+        let mut emitter = Emitter {
+            out: Recorder::new((), "out", &log),
+            err: Recorder::new((), "err", &log),
+            mode: ResponseMode::Count,
+            telemetry: None,
+            collect_spans: false,
+            lines: Vec::new(),
+            report: ServeReport::default(),
+        };
+        let response = |result| pool::Response {
+            doc: Vec::new(),
+            result,
+            latency_ns: 0,
+            framer_rejected: false,
+            span: None,
+        };
+        let too_many = || {
+            Err(DocError::from_run(&RunError::LimitExceeded {
+                kind: LimitKind::Matches,
+                limit: 1,
+            }))
+        };
+        let mut batch: Vec<_> = [
+            Ok(rsq_batch::Matches::Count(1)),
+            Ok(rsq_batch::Matches::Count(2)),
+            too_many(),
+            Ok(rsq_batch::Matches::Count(4)),
+        ]
+        .into_iter()
+        .map(response)
+        .enumerate()
+        .map(|(seq, r)| (seq as u64, r))
+        .collect();
+        assert!(pool::Emit::emit(&mut emitter, &mut batch));
+        let writes: Vec<_> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(_, stream, bytes)| (*stream, String::from_utf8_lossy(bytes).into_owned()))
+            .collect();
+        assert_eq!(
+            writes,
+            [
+                ("out", "1\n2\n".to_owned()),
+                (
+                    "err",
+                    "document 3: match count limit exceeded (limit: 1) [limit:matches]\n"
+                        .to_owned()
+                ),
+                ("out", "4\n".to_owned()),
+            ]
+        );
+        let counters = emitter.report.counters;
+        assert_eq!((counters.responses_ok, counters.limit_errors), (3, 1));
     }
 
     #[test]
@@ -770,11 +900,10 @@ mod tests {
         o.max_inflight = 1;
         let (out, _, report) = serve_bytes(&o, INPUT);
         assert_eq!(out, b"1\n1\n0\n");
-        assert!(
-            report.counters.backpressure_waits >= 1,
-            "admitting doc 2 must wait for doc 1's slot: {:?}",
-            report.counters
-        );
+        // Whether admitting document 2 waits is the scheduler's doing: the
+        // connection's thread runs document 1 itself unless the helper is
+        // parked. The wait is pinned where the interleaving can be forced,
+        // in `pool::tests::admission_waits_while_a_helper_holds_the_only_slot`.
         assert_eq!(report.counters.max_inflight, 1);
     }
 
@@ -824,9 +953,13 @@ mod tests {
                 Ok(())
             }
         }
-        let report =
-            serve_connection(&opts("$..b"), Cursor::new(INPUT), Broken, Vec::new()).expect("serve");
-        assert!(!report.clean);
+        for threads in 1..=3 {
+            let mut o = opts("$..b");
+            o.threads = threads;
+            let report =
+                serve_connection(&o, Cursor::new(INPUT), Broken, Vec::new()).expect("serve");
+            assert!(!report.clean, "{threads} threads");
+        }
     }
 
     #[test]

@@ -1,40 +1,27 @@
-//! The serve-side worker pool: a bounded in-flight queue with
-//! backpressure, deadline-aware document processing, and an in-order
-//! response emitter.
-//!
-//! Three roles share one [`Pool`]:
-//!
-//! * the **producer** (the connection's read loop) admits framed
-//!   documents with [`Pool::admit`] — blocking while the number of
-//!   unanswered documents is at the configured cap, which stops the
-//!   socket from being read and pushes backpressure to the client;
-//! * **workers** claim documents with [`Pool::take_job`], run the
-//!   engine with panic containment and an optional per-document
-//!   deadline, and post the outcome with [`Pool::complete`];
-//! * the **emitter** drains outcomes in admission order with
-//!   [`Pool::take_next_response`] — a `BTreeMap` reorder buffer keyed
-//!   by sequence number makes the response stream independent of
-//!   worker scheduling, so serve output is byte-identical to a
-//!   sequential batch run by construction.
+//! The serve-side worker pool: a bounded in-flight window with
+//! backpressure, deadline-aware document processing, and in-order
+//! emission, with no thread of its own. The **producer** (the
+//! connection's read loop) admits framed documents with [`Pool::admit`],
+//! blocking while the window is full, which stops the socket from being
+//! read. A document goes to a helper only if one is parked in
+//! [`Pool::take_job`]; otherwise the connection's thread runs it before it
+//! reads more. Whoever ran it posts the outcome with [`Pool::complete`].
+//! The **emitter** role is the response writers ([`Emit`]), kept in the
+//! pool: the thread that completes the response at the head of the order
+//! takes them, writes every consecutive ready response outside the lock,
+//! and puts them back. The `BTreeMap` reorder buffer makes the output
+//! byte-identical to a sequential batch run, whatever the scheduling.
 //!
 //! Admission is bounded twice. The *document ceiling* (`--max-inflight`)
-//! counts unanswered documents (queued, running, or waiting in the
-//! reorder buffer), so the reorder buffer cannot grow without bound when
-//! one slow document holds back emission. The *byte budget* —
-//! [`INFLIGHT_BYTES_PER_WORKER`] per worker — counts the document bytes
-//! the pool is holding: the producer is admitted while the held bytes are
-//! under the budget, or when nothing at all is in flight (so a single
-//! document larger than the whole budget still gets through, alone). The
-//! budget, not the ceiling, is what bounds memory once framing outruns
-//! the engine: it is sized to keep each worker's next document ready, not
-//! to absorb a flood.
-//!
-//! A document's bytes stop counting when the pool lets go of the buffer:
-//! at [`Pool::complete`] when responses do not render from the document
-//! (counts, positions), at [`Pool::take_next_response`] when they do
-//! (values). Either way the buffer goes back to the connection's
-//! [`DocBuffers`] free list, where the framer picks it up for a later
-//! line instead of growing a fresh vector per document.
+//! counts unanswered documents: queued, running, or in the reorder
+//! buffer. The *byte budget* ([`INFLIGHT_BYTES_PER_WORKER`] per worker)
+//! counts the document bytes the pool holds; the producer is admitted
+//! under it, or when nothing at all is in flight, so a lone larger
+//! document still runs. The budget is what bounds memory once framing
+//! outruns the engine (DESIGN.md §12). A document's bytes stop counting
+//! when its buffer goes back to the [`DocBuffers`] free list for the
+//! framer: at [`Pool::complete`] for counts and positions, at emission
+//! for values.
 
 use crate::telemetry::Telemetry;
 use crate::ResponseMode;
@@ -42,7 +29,7 @@ use rsq_batch::{DocBuffers, DocError, DocRunner, DocSink, Matches, Record};
 use rsq_engine::Engine;
 use rsq_obs::DocSpan;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Document bytes a connection holds in flight per worker before it stops
@@ -57,92 +44,108 @@ pub(crate) struct Job {
     pub(crate) seq: u64,
     pub(crate) doc: Vec<u8>,
     pub(crate) admitted: Instant,
-    /// The document's live pipeline span — present iff telemetry is
-    /// enabled (the untelemetered path never reads the clock).
+    /// The live pipeline span: only with telemetry (else no clock reads).
     pub(crate) span: Option<DocSpan>,
 }
 
 /// One finished document awaiting emission.
 pub(crate) struct Response {
-    /// The document bytes when the response renders from them (value
-    /// output); empty otherwise — the worker already gave the buffer back.
+    /// The document, if the response renders from it (values); else empty.
     pub(crate) doc: Vec<u8>,
     /// The matches, or the per-document failure.
     pub(crate) result: Result<Matches, DocError>,
     /// Admission-to-completion latency.
     pub(crate) latency_ns: u64,
-    /// True when the framer rejected the line before any worker saw it
-    /// (oversize): counted separately from engine limit errors.
+    /// The framer rejected the line (oversize) before any worker saw it.
     pub(crate) framer_rejected: bool,
-    /// The span handed on from the [`Job`], carried through the reorder
-    /// buffer so the emitter can mark release and emission.
+    /// The [`Job`]'s span, for the emitter to mark release and emission.
     pub(crate) span: Option<DocSpan>,
 }
 
-struct State {
+/// The emitter role: the connection's response writers.
+pub(crate) trait Emit {
+    /// Writes consecutive responses in admission order; `false` when a
+    /// write failed.
+    fn emit(&mut self, batch: &mut [(u64, Response)]) -> bool;
+}
+
+/// What admission did with a document.
+pub(crate) enum Admission {
+    /// Queued for a parked helper.
+    Queued,
+    /// No helper was free: the caller runs and completes it.
+    Run(Job),
+    /// The pool has aborted: stop reading.
+    Aborted,
+}
+
+struct State<T> {
     jobs: VecDeque<Job>,
     done: BTreeMap<u64, Response>,
+    /// The response writers, while no thread is writing with them.
+    emitter: Option<T>,
+    /// Helpers parked in `take_job`.
+    idle: usize,
+    /// The producer waits on `slot_free` (a `notify` is a syscall).
+    blocked: bool,
     /// Next sequence number to assign at admission.
     next_seq: u64,
-    /// Next sequence number the emitter will release.
+    /// Next sequence number to emit.
     next_emit: u64,
     /// Admitted but not yet emitted (bounded by the pool capacity).
     outstanding: usize,
-    /// Bytes of the admitted documents whose buffers the pool still
-    /// holds (bounded by the byte budget, see `admit_slot`).
+    /// Bytes of admitted documents the pool holds (see `admit_slot`).
     outstanding_bytes: usize,
     /// Producer finished: no further admissions.
     closed: bool,
-    /// Emitter hit a write error: everyone winds down.
+    /// A response write failed: everyone winds down.
     aborted: bool,
     backpressure_waits: u64,
     max_inflight_hwm: u64,
 }
 
 /// The shared coordination hub (see module docs).
-pub(crate) struct Pool {
-    state: Mutex<State>,
-    /// Workers wait here for jobs.
+pub(crate) struct Pool<T> {
+    state: Mutex<State<T>>,
+    /// Helpers wait here for jobs.
     job_ready: Condvar,
     /// The producer waits here for in-flight capacity.
     slot_free: Condvar,
-    /// The emitter waits here for the next in-order response.
-    done_ready: Condvar,
     capacity: usize,
     /// The byte budget: [`INFLIGHT_BYTES_PER_WORKER`] per worker.
     byte_budget: usize,
-    /// Responses render from the document (value output), so its buffer
-    /// stays with the response until the emitter has written it.
+    /// Value responses render from the document: it stays until written.
     keep_docs: bool,
     /// Finished document buffers, on their way back to the framer.
     buffers: Arc<DocBuffers>,
-    /// The session's telemetry hub. `None` keeps every pool operation
-    /// exactly as cheap as before telemetry existed: no spans, no
-    /// gauge atomics, no clock reads beyond the latency `Instant`.
+    /// The session's telemetry hub. `None` costs no spans, gauge atomics
+    /// or clock reads beyond the latency `Instant`.
     telemetry: Option<Arc<Telemetry>>,
-    /// Create pipeline spans even without a hub — set when the session
-    /// exports a timeline trace (`--trace-out`), which needs finished
-    /// span records but no live scrape endpoint.
+    /// Create pipeline spans even without a hub, for a timeline trace
+    /// (`--trace-out`).
     collect_spans: bool,
     /// The connection's clock zero: spans are stamped with their
-    /// admission offset from here, giving the timeline trace absolute
-    /// placement.
+    /// admission offset from here, for the timeline trace.
     epoch: Instant,
 }
 
-impl Pool {
+impl<T: Emit> Pool<T> {
     pub(crate) fn new(
         capacity: usize,
         workers: usize,
         mode: ResponseMode,
         telemetry: Option<Arc<Telemetry>>,
         collect_spans: bool,
+        emitter: T,
     ) -> Self {
         let byte_budget = INFLIGHT_BYTES_PER_WORKER.saturating_mul(workers.max(1));
         Pool {
             state: Mutex::new(State {
                 jobs: VecDeque::new(),
                 done: BTreeMap::new(),
+                emitter: Some(emitter),
+                idle: 0,
+                blocked: false,
                 next_seq: 0,
                 next_emit: 0,
                 outstanding: 0,
@@ -154,7 +157,6 @@ impl Pool {
             }),
             job_ready: Condvar::new(),
             slot_free: Condvar::new(),
-            done_ready: Condvar::new(),
             capacity: capacity.max(1),
             byte_budget,
             keep_docs: mode == ResponseMode::Values,
@@ -166,6 +168,11 @@ impl Pool {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
+        self.state.lock().unwrap()
+    }
+
     /// The connection's document-buffer free list, for the framer to take
     /// from.
     pub(crate) fn buffers(&self) -> Arc<DocBuffers> {
@@ -173,20 +180,22 @@ impl Pool {
     }
 
     /// Blocks until there is room in flight for a `bytes`-long document
-    /// (backpressure), then runs `f` on the locked state with the
-    /// assigned sequence number. There is room when nothing is in flight,
-    /// or when both the document ceiling and the byte budget have some
-    /// left. Returns `None` without admitting when the pool has aborted.
-    fn admit_slot<T>(&self, bytes: usize, f: impl FnOnce(&mut State, u64) -> T) -> Option<T> {
-        // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-        let mut state = self.state.lock().unwrap();
+    /// (backpressure), then takes a slot and returns the locked state with
+    /// the assigned sequence number. There is room when nothing is in
+    /// flight, or when both the document ceiling and the byte budget have
+    /// some left. Returns `None` without admitting when the pool has
+    /// aborted.
+    fn admit_slot(&self, bytes: usize) -> Option<(MutexGuard<'_, State<T>>, u64)> {
+        let mut state = self.lock();
         while state.outstanding > 0
             && (state.outstanding >= self.capacity || state.outstanding_bytes >= self.byte_budget)
             && !state.aborted
         {
             state.backpressure_waits += 1;
+            state.blocked = true;
             // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
             state = self.slot_free.wait(state).unwrap();
+            state.blocked = false;
         }
         if state.aborted {
             return None;
@@ -196,36 +205,41 @@ impl Pool {
         state.outstanding += 1;
         state.outstanding_bytes += bytes;
         state.max_inflight_hwm = state.max_inflight_hwm.max(state.outstanding as u64);
-        Some(f(&mut state, seq))
+        Some((state, seq))
     }
 
-    /// Admits a document for processing. Returns `false` when the pool
-    /// has aborted (the producer should stop reading).
-    pub(crate) fn admit(&self, doc: Vec<u8>) -> bool {
-        let telemetry = self.telemetry.as_deref();
-        let spans = telemetry.is_some() || self.collect_spans;
-        let admitted = self
-            .admit_slot(doc.len(), |state, seq| {
-                let span = spans.then(|| {
-                    let since_epoch =
-                        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    DocSpan::begin_at(seq, doc.len() as u64, since_epoch)
-                });
-                state.jobs.push_back(Job {
-                    seq,
-                    doc,
-                    admitted: Instant::now(),
-                    span,
-                });
-            })
-            .is_some();
-        if admitted {
-            if let Some(t) = telemetry {
-                t.gauge_admitted(true);
-            }
-            self.job_ready.notify_one();
+    /// Admits a document: queued when a parked helper can take it,
+    /// otherwise handed back for the caller to run.
+    pub(crate) fn admit(&self, doc: Vec<u8>) -> Admission {
+        let Some((mut state, seq)) = self.admit_slot(doc.len()) else {
+            return Admission::Aborted;
+        };
+        let span = (self.telemetry.is_some() || self.collect_spans).then(|| {
+            let since_epoch = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            DocSpan::begin_at(seq, doc.len() as u64, since_epoch)
+        });
+        let mut job = Job {
+            seq,
+            doc,
+            admitted: Instant::now(),
+            span,
+        };
+        // Every queued job has its own parked helper.
+        let queued = state.idle > state.jobs.len();
+        if let Some(t) = self.telemetry.as_deref() {
+            t.gauge_admitted(queued);
         }
-        admitted
+        if queued {
+            state.jobs.push_back(job);
+            drop(state);
+            self.job_ready.notify_one();
+            return Admission::Queued;
+        }
+        drop(state);
+        if let Some(span) = job.span.as_mut() {
+            span.claimed();
+        }
+        Admission::Run(job)
     }
 
     /// Admits a pre-resolved failure (e.g. the framer's oversize
@@ -233,65 +247,51 @@ impl Pool {
     /// in document order, but never visits a worker. Returns `false`
     /// when the pool has aborted.
     pub(crate) fn reject(&self, err: DocError) -> bool {
-        let admitted = self
-            .admit_slot(0, |state, seq| {
-                state.done.insert(
-                    seq,
-                    Response {
-                        doc: Vec::new(),
-                        result: Err(err),
-                        latency_ns: 0,
-                        framer_rejected: true,
-                        span: None,
-                    },
-                );
-            })
-            .is_some();
-        if admitted {
-            if let Some(t) = self.telemetry.as_deref() {
-                // In flight (it occupies a slot) but never queued.
-                t.gauge_admitted(false);
-            }
-            self.done_ready.notify_one();
+        let Some((mut state, seq)) = self.admit_slot(0) else {
+            return false;
+        };
+        let response = Response {
+            doc: Vec::new(),
+            result: Err(err),
+            latency_ns: 0,
+            framer_rejected: true,
+            span: None,
+        };
+        state.done.insert(seq, response);
+        if let Some(t) = self.telemetry.as_deref() {
+            // In flight (it occupies a slot) but never queued.
+            t.gauge_admitted(false);
         }
-        admitted
+        self.emit_ready(state);
+        true
     }
 
-    /// Marks the stream complete: no further admissions. Workers and the
-    /// emitter drain what is already in flight and exit.
+    /// Marks the stream complete: no further admissions. Helpers drain
+    /// what is already queued and exit.
     pub(crate) fn close(&self) {
-        // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-        let mut state = self.state.lock().unwrap();
-        state.closed = true;
-        drop(state);
+        self.lock().closed = true;
         self.job_ready.notify_all();
-        self.done_ready.notify_all();
     }
 
-    /// Emitter-side: a response line could not be written, so the
-    /// connection is dead. Everyone winds down without draining.
+    /// Something went wrong that ends the connection: everyone winds down
+    /// without draining.
     pub(crate) fn abort(&self) {
-        // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-        let mut state = self.state.lock().unwrap();
-        state.aborted = true;
-        drop(state);
+        self.lock().aborted = true;
         self.job_ready.notify_all();
-        self.done_ready.notify_all();
         self.slot_free.notify_all();
     }
 
-    /// Worker-side: blocks for the next job; `None` means drain-and-exit
+    /// Helper-side: blocks for the next job; `None` means drain-and-exit
     /// (stream closed and queue empty, or pool aborted).
     pub(crate) fn take_job(&self) -> Option<Job> {
-        // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.lock();
         loop {
             if state.aborted {
                 return None;
             }
             if let Some(mut job) = state.jobs.pop_front() {
                 if let Some(span) = job.span.as_mut() {
-                    // Queue wait ends the moment a worker claims it.
+                    // Queue wait ends the moment a helper claims it.
                     span.claimed();
                 }
                 drop(state);
@@ -303,15 +303,18 @@ impl Pool {
             if state.closed {
                 return None;
             }
+            state.idle += 1;
             // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
             state = self.job_ready.wait(state).unwrap();
+            state.idle -= 1;
         }
     }
 
-    /// Worker-side: posts a finished document's response and disposes of
-    /// the document itself — attached to the response when the emitter
-    /// renders from it, otherwise straight back to the free list, its
-    /// bytes no longer in flight.
+    /// Posts a finished document's response and disposes of the document
+    /// itself — attached to the response when emission renders from it,
+    /// otherwise straight back to the free list, its bytes no longer in
+    /// flight. Then emits whatever has become ready, if no other thread
+    /// is writing.
     pub(crate) fn complete(&self, seq: u64, mut response: Response, doc: Vec<u8>) {
         let mut released = 0;
         if self.keep_docs {
@@ -320,38 +323,39 @@ impl Pool {
             released = doc.len();
             self.buffers.put(doc);
         }
-        // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.lock();
         state.done.insert(seq, response);
         state.outstanding_bytes -= released;
-        drop(state);
-        self.done_ready.notify_one();
-        if released > 0 {
+        if released > 0 && state.blocked {
             self.slot_free.notify_one();
         }
+        self.emit_ready(state);
     }
 
-    /// Emitter-side: the response that carried `doc` has been written.
-    pub(crate) fn recycle(&self, doc: Vec<u8>) {
-        self.buffers.put(doc);
-    }
-
-    /// Emitter-side: blocks for the next response **in admission
-    /// order**; `None` means all admitted documents have been emitted
-    /// (or the pool aborted). Frees the in-flight slot.
-    pub(crate) fn take_next_response(&self) -> Option<(u64, Response)> {
-        // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-        let mut state = self.state.lock().unwrap();
+    /// Takes the emitter role if the response at `next_emit` is ready and
+    /// the role is free, and writes it and every consecutive ready one, in
+    /// one batch outside the lock. Whoever holds the role looks again
+    /// before it puts the writers back. A failed write aborts the pool.
+    fn emit_ready<'p>(&'p self, mut state: MutexGuard<'p, State<T>>) {
+        let mut batch = Vec::new();
         loop {
-            if state.aborted {
-                return None;
+            let ready = !state.aborted && state.done.contains_key(&state.next_emit);
+            let Some(mut emitter) = state.emitter.take_if(|_| ready) else {
+                return;
+            };
+            let st = &mut *state;
+            while let Some(response) = st.done.remove(&st.next_emit) {
+                st.outstanding -= 1;
+                st.outstanding_bytes -= response.doc.len();
+                batch.push((st.next_emit, response));
+                st.next_emit += 1;
             }
-            let seq = state.next_emit;
-            if let Some(mut response) = state.done.remove(&seq) {
-                state.next_emit += 1;
-                state.outstanding -= 1;
-                state.outstanding_bytes -= response.doc.len();
-                drop(state);
+            let wake = st.blocked;
+            drop(state);
+            if wake {
+                self.slot_free.notify_one();
+            }
+            for (_, response) in &mut batch {
                 if let Some(span) = response.span.as_mut() {
                     // Reorder wait ends when the emitter receives it.
                     span.released();
@@ -359,27 +363,32 @@ impl Pool {
                 if let Some(t) = self.telemetry.as_deref() {
                     t.gauge_emitted();
                 }
-                self.slot_free.notify_one();
-                return Some((seq, response));
             }
-            if state.closed && state.next_emit == state.next_seq {
-                return None;
+            if !emitter.emit(&mut batch) {
+                self.abort();
             }
-            // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-            state = self.done_ready.wait(state).unwrap();
+            for (_, response) in batch.drain(..) {
+                self.buffers.put(response.doc);
+            }
+            state = self.lock();
+            state.emitter = Some(emitter);
         }
     }
 
     /// Post-run accounting: (documents admitted, backpressure waits,
     /// in-flight high-water mark).
     pub(crate) fn accounting(&self) -> (u64, u64, u64) {
-        // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-        let state = self.state.lock().unwrap();
+        let state = self.lock();
         (
             state.next_seq,
             state.backpressure_waits,
             state.max_inflight_hwm,
         )
+    }
+
+    /// The response writers, unless a thread panicked holding them.
+    pub(crate) fn into_emitter(self) -> Option<T> {
+        self.state.into_inner().ok().and_then(|state| state.emitter)
     }
 }
 
@@ -414,20 +423,58 @@ pub(crate) fn process(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+    use std::thread::{self, ThreadId};
 
-    impl Pool {
+    /// Records each emission: the thread that wrote it, and each
+    /// response's sequence number and document length.
+    #[derive(Default)]
+    struct Log(Vec<(ThreadId, Vec<(u64, usize)>)>);
+
+    impl Emit for Log {
+        fn emit(&mut self, batch: &mut [(u64, Response)]) -> bool {
+            let seqs = batch.iter().map(|(seq, r)| (*seq, r.doc.len())).collect();
+            self.0.push((thread::current().id(), seqs));
+            true
+        }
+    }
+
+    impl Pool<Log> {
         fn in_flight_bytes(&self) -> usize {
-            self.state.lock().unwrap().outstanding_bytes
+            self.lock().outstanding_bytes
         }
 
         fn waits(&self) -> u64 {
             self.accounting().1
         }
+
+        fn idle(&self) -> usize {
+            self.lock().idle
+        }
+
+        /// Each emission so far: (sequence number, document bytes) per
+        /// response.
+        fn emitted(&self) -> Vec<Vec<(u64, usize)>> {
+            let state = self.lock();
+            let log = state.emitter.as_ref().expect("no thread holds the writers");
+            log.0.iter().map(|(_, batch)| batch.clone()).collect()
+        }
+
+        /// Holds the emitter role, as a thread busy writing would.
+        fn seize_emitter(&self) -> Log {
+            self.lock().emitter.take().expect("the writers are free")
+        }
+
+        /// Hands the role back, and emits what became ready meanwhile —
+        /// what a writing thread does when its write returns.
+        fn release_emitter(&self, log: Log) {
+            let mut state = self.lock();
+            state.emitter = Some(log);
+            self.emit_ready(state);
+        }
     }
 
-    fn pool(mode: ResponseMode) -> Pool {
-        Pool::new(64, 1, mode, None, false)
+    fn pool(mode: ResponseMode) -> Pool<Log> {
+        Pool::new(64, 1, mode, None, false, Log::default())
     }
 
     fn done() -> Response {
@@ -440,16 +487,43 @@ mod tests {
         }
     }
 
+    /// The job admission hands back for the caller to run.
+    fn run(admission: Admission) -> Job {
+        match admission {
+            Admission::Run(job) => job,
+            Admission::Queued => panic!("queued for a helper"),
+            Admission::Aborted => panic!("aborted"),
+        }
+    }
+
+    fn complete(pool: &Pool<Log>, job: Job) {
+        pool.complete(job.seq, done(), job.doc);
+    }
+
     /// Admits `doc` on another thread and returns once that thread is
     /// provably parked in the backpressure wait.
     fn admit_blocked<'s>(
         scope: &'s thread::Scope<'s, '_>,
-        pool: &'s Pool,
+        pool: &'s Pool<Log>,
         doc: Vec<u8>,
-    ) -> thread::ScopedJoinHandle<'s, bool> {
+    ) -> thread::ScopedJoinHandle<'s, Admission> {
         let before = pool.waits();
         let handle = scope.spawn(move || pool.admit(doc));
         while pool.waits() == before {
+            thread::yield_now();
+        }
+        handle
+    }
+
+    /// Starts a helper on another thread and returns once it is provably
+    /// parked in `take_job`; it hands back the job it claims.
+    fn helper_parked<'s>(
+        scope: &'s thread::Scope<'s, '_>,
+        pool: &'s Pool<Log>,
+    ) -> thread::ScopedJoinHandle<'s, Option<Job>> {
+        let before = pool.idle();
+        let handle = scope.spawn(move || pool.take_job());
+        while pool.idle() == before {
             thread::yield_now();
         }
         handle
@@ -462,8 +536,8 @@ mod tests {
         thread::scope(|scope| {
             // 0 and then 100 KiB in flight are both under the 128 KiB
             // budget: two documents go straight in.
-            assert!(pool.admit(vec![b'1'; DOC]));
-            assert!(pool.admit(vec![b'2'; DOC]));
+            let first = run(pool.admit(vec![b'1'; DOC]));
+            let _second = run(pool.admit(vec![b'2'; DOC]));
             assert_eq!((pool.waits(), pool.in_flight_bytes()), (0, 2 * DOC));
             // 200 KiB is not: the third waits, far below the ceiling of 64.
             let third = admit_blocked(scope, &pool, vec![b'3'; DOC]);
@@ -473,12 +547,14 @@ mod tests {
                 "nothing admitted past the budget"
             );
             // A count response does not need the document: finishing one
-            // releases its bytes before the emitter has even seen it.
-            let job = pool.take_job().expect("a queued job");
-            pool.complete(job.seq, done(), job.doc);
-            assert!(third.join().expect("producer thread"));
+            // releases its bytes while another thread is still writing.
+            let writing = pool.seize_emitter();
+            complete(&pool, first);
+            run(third.join().expect("producer thread"));
             assert_eq!(pool.in_flight_bytes(), 2 * DOC);
             assert_eq!(pool.accounting().2, 3, "three documents unanswered");
+            pool.release_emitter(writing);
+            assert_eq!(pool.emitted(), [[(0, 0)]]);
         });
         assert!(
             pool.buffers().take().is_some_and(|b| b.capacity() >= DOC),
@@ -491,19 +567,23 @@ mod tests {
         const DOC: usize = 100 * 1024;
         let pool = pool(ResponseMode::Values);
         thread::scope(|scope| {
-            assert!(pool.admit(vec![b'1'; DOC]));
-            assert!(pool.admit(vec![b'2'; DOC]));
-            let job = pool.take_job().expect("a queued job");
-            pool.complete(job.seq, done(), job.doc);
+            let first = run(pool.admit(vec![b'1'; DOC]));
+            let _second = run(pool.admit(vec![b'2'; DOC]));
+            let writing = pool.seize_emitter();
+            complete(&pool, first);
             assert_eq!(
                 pool.in_flight_bytes(),
                 2 * DOC,
                 "the reorder buffer holds it"
             );
             let third = admit_blocked(scope, &pool, vec![b'3'; DOC]);
-            let (seq, response) = pool.take_next_response().expect("response 0");
-            assert_eq!((seq, response.doc.len()), (0, DOC));
-            assert!(third.join().expect("producer thread"));
+            pool.release_emitter(writing);
+            assert_eq!(
+                pool.emitted(),
+                [[(0, DOC)]],
+                "response 0 carried its document"
+            );
+            run(third.join().expect("producer thread"));
             assert_eq!(pool.in_flight_bytes(), 2 * DOC);
         });
     }
@@ -513,16 +593,13 @@ mod tests {
         let big = 4 * INFLIGHT_BYTES_PER_WORKER;
         let pool = pool(ResponseMode::Count);
         thread::scope(|scope| {
-            assert!(
-                pool.admit(vec![b'x'; big]),
-                "an empty window admits anything"
-            );
+            // An empty window admits anything…
+            let job = run(pool.admit(vec![b'x'; big]));
             assert_eq!((pool.waits(), pool.in_flight_bytes()), (0, big));
             // …and nothing joins it, however small.
             let next = admit_blocked(scope, &pool, b"[1]".to_vec());
-            let job = pool.take_job().expect("a queued job");
-            pool.complete(job.seq, done(), job.doc);
-            assert!(next.join().expect("producer thread"));
+            complete(&pool, job);
+            run(next.join().expect("producer thread"));
             assert_eq!(pool.in_flight_bytes(), 3);
         });
         assert!(
@@ -531,25 +608,27 @@ mod tests {
         );
     }
 
-    /// Count documents that are each several budgets large, with an emitter
-    /// that keeps up: every one waits until the one before it has finished
-    /// (its bytes fill the window), is admitted while that response still
-    /// awaits emission, and so at most two are ever unanswered.
+    /// Count documents that are each several budgets large, finishing
+    /// while another thread writes: every one waits until the one before
+    /// it has finished (its bytes fill the window), is admitted while that
+    /// response still awaits emission, and so at most two are ever
+    /// unanswered.
     #[test]
     fn oversize_counts_keep_at_most_two_documents_unanswered() {
         let big = 3 * INFLIGHT_BYTES_PER_WORKER;
         let pool = pool(ResponseMode::Count);
         thread::scope(|scope| {
-            assert!(pool.admit(vec![b'0'; big]));
+            let mut job = run(pool.admit(vec![b'0'; big]));
             for seq in 0..3 {
                 let next = admit_blocked(scope, &pool, vec![b'x'; big]);
                 assert_eq!(pool.in_flight_bytes(), big, "one document's bytes");
-                let job = pool.take_job().expect("a queued job");
                 assert_eq!(job.seq, seq);
-                pool.complete(job.seq, done(), job.doc);
-                assert!(next.join().expect("producer thread"));
+                let writing = pool.seize_emitter();
+                complete(&pool, job);
+                job = run(next.join().expect("producer thread"));
                 assert_eq!(pool.in_flight_bytes(), big, "the next one's, alone");
-                assert_eq!(pool.take_next_response().map(|(seq, _)| seq), Some(seq));
+                pool.release_emitter(writing);
+                assert_eq!(pool.emitted().last(), Some(&vec![(seq, 0)]));
             }
         });
         assert_eq!(pool.accounting().2, 2, "the running one and the one before");
@@ -557,18 +636,85 @@ mod tests {
 
     #[test]
     fn small_documents_fill_the_document_ceiling_not_the_budget() {
-        let pool = Pool::new(2, 1, ResponseMode::Count, None, false);
+        let pool = Pool::new(2, 1, ResponseMode::Count, None, false, Log::default());
         thread::scope(|scope| {
-            assert!(pool.admit(b"[1]".to_vec()));
-            assert!(pool.admit(b"[2]".to_vec()));
+            let first = run(pool.admit(b"[1]".to_vec()));
+            let _second = run(pool.admit(b"[2]".to_vec()));
             let third = admit_blocked(scope, &pool, b"[3]".to_vec());
             // Finishing a count document frees bytes, not the slot: only
             // emission does.
-            let job = pool.take_job().expect("a queued job");
-            pool.complete(job.seq, done(), job.doc);
+            let writing = pool.seize_emitter();
+            complete(&pool, first);
             assert_eq!(pool.accounting().2, 2);
-            assert!(pool.take_next_response().is_some());
-            assert!(third.join().expect("producer thread"));
+            pool.release_emitter(writing);
+            assert_eq!(pool.emitted(), [[(0, 0)]]);
+            run(third.join().expect("producer thread"));
         });
+    }
+
+    /// Caller runs: a document goes to a helper only when one is parked
+    /// with no job already promised to it.
+    #[test]
+    fn documents_go_to_parked_helpers_and_otherwise_back_to_the_caller() {
+        let pool = Pool::new(64, 2, ResponseMode::Count, None, false, Log::default());
+        thread::scope(|scope| {
+            let mine = run(pool.admit(b"[0]".to_vec()));
+            let helper = helper_parked(scope, &pool);
+            assert!(matches!(pool.admit(b"[1]".to_vec()), Admission::Queued));
+            // The helper may not have woken yet; the job is promised to it
+            // either way.
+            let _also_mine = run(pool.admit(b"[2]".to_vec()));
+            let claimed = helper.join().expect("helper thread").expect("a job");
+            assert_eq!((mine.seq, claimed.seq), (0, 1));
+        });
+    }
+
+    /// The backpressure wait, forced: a helper is running the only
+    /// document the window allows, so the caller has nothing to run and
+    /// the next admission must wait for that document's answer.
+    #[test]
+    fn admission_waits_while_a_helper_holds_the_only_slot() {
+        let pool = Pool::new(1, 2, ResponseMode::Count, None, false, Log::default());
+        thread::scope(|scope| {
+            let helper = helper_parked(scope, &pool);
+            assert!(matches!(pool.admit(b"[0]".to_vec()), Admission::Queued));
+            let running = helper.join().expect("helper thread").expect("a job");
+            let next = admit_blocked(scope, &pool, b"[1]".to_vec());
+            assert_eq!(pool.accounting(), (1, 1, 1), "document 1 is not admitted");
+            complete(&pool, running);
+            assert_eq!(run(next.join().expect("producer thread")).seq, 1);
+        });
+        assert_eq!(pool.emitted(), [[(0, 0)]]);
+        assert_eq!((pool.waits(), pool.accounting().2), (1, 1));
+    }
+
+    /// A helper finishes document 1 while the caller still runs document
+    /// 0: nothing is written until 0 completes, and then the thread that
+    /// completed it writes both, in order, in one emission.
+    #[test]
+    fn an_out_of_order_finish_waits_for_the_head_and_goes_out_with_it() {
+        let pool = Pool::new(64, 2, ResponseMode::Count, None, false, Log::default());
+        thread::scope(|scope| {
+            let head = run(pool.admit(b"[0]".to_vec()));
+            let helper = scope.spawn(|| {
+                let job = pool.take_job().expect("a job");
+                complete(&pool, job);
+            });
+            while pool.idle() == 0 {
+                thread::yield_now();
+            }
+            assert!(matches!(pool.admit(b"[1]".to_vec()), Admission::Queued));
+            helper.join().expect("helper thread");
+            assert!(pool.emitted().is_empty(), "document 1 waits for document 0");
+            complete(&pool, head);
+        });
+        let log = pool.seize_emitter();
+        assert_eq!(log.0.len(), 1, "one emission");
+        assert_eq!(
+            log.0[0].0,
+            thread::current().id(),
+            "by the completing thread"
+        );
+        assert_eq!(log.0[0].1, [(0, 0), (1, 0)]);
     }
 }

@@ -294,12 +294,6 @@ impl Telemetry {
         let _ = std::fs::write(path, body);
     }
 
-    /// True when postmortem dumping is configured.
-    #[must_use]
-    pub fn postmortems_enabled(&self) -> bool {
-        self.postmortem_dir.is_some()
-    }
-
     /// Current point-in-time gauges.
     #[must_use]
     pub fn gauges(&self) -> TelemetryGauges {

@@ -89,31 +89,36 @@ fn serve_chaos(
 
 #[test]
 fn output_is_byte_identical_to_batch_under_fragmentation() {
-    for query in ["$..b", "$..b..c", "$.x"] {
-        for mode in [
-            ResponseMode::Count,
-            ResponseMode::Positions,
-            ResponseMode::Values,
-        ] {
-            let mut o = serve_opts(query);
-            o.mode = mode;
-            let (expected, expected_errs) = batch_oracle(query, o.engine, CORPUS, mode);
-            assert!(expected_errs.is_empty());
-            for max_chunk in [1, 2, 3, 7, usize::MAX] {
-                let plan = ChaosPlan {
-                    seed: 0xC0FFEE ^ max_chunk as u64,
-                    max_chunk,
-                    stall_octile: 3,
-                    fault: ChaosFault::None,
-                };
-                let (out, err, report) = serve_chaos(&o, CORPUS, plan);
-                assert_eq!(
-                    out, expected,
-                    "query {query}, mode {mode:?}, max_chunk {max_chunk}"
-                );
-                assert!(err.is_empty());
-                assert!(report.clean);
-                assert_eq!(report.counters.responses_ok, 5);
+    // One thread runs every document on the connection's thread; two and
+    // three add helpers, so responses finish out of order.
+    for threads in 1..=3 {
+        for query in ["$..b", "$..b..c", "$.x"] {
+            for mode in [
+                ResponseMode::Count,
+                ResponseMode::Positions,
+                ResponseMode::Values,
+            ] {
+                let mut o = serve_opts(query);
+                o.threads = threads;
+                o.mode = mode;
+                let (expected, expected_errs) = batch_oracle(query, o.engine, CORPUS, mode);
+                assert!(expected_errs.is_empty());
+                for max_chunk in [1, 2, 3, 7, usize::MAX] {
+                    let plan = ChaosPlan {
+                        seed: 0xC0FFEE ^ max_chunk as u64,
+                        max_chunk,
+                        stall_octile: 3,
+                        fault: ChaosFault::None,
+                    };
+                    let (out, err, report) = serve_chaos(&o, CORPUS, plan);
+                    assert_eq!(
+                        out, expected,
+                        "threads {threads}, query {query}, mode {mode:?}, max_chunk {max_chunk}"
+                    );
+                    assert!(err.is_empty());
+                    assert!(report.clean);
+                    assert_eq!(report.counters.responses_ok, 5);
+                }
             }
         }
     }

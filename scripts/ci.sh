@@ -83,13 +83,15 @@ else
   skip "NDJSON differential under RSQ_BACKEND=avx2" "no AVX2 on this host"
 fi
 
-lane "serve smoke gate (pipe protocol vs --batch-ndjson oracle)"
+lane "serve smoke gate (pipe protocol vs --batch-ndjson oracle, 1/3/default threads)"
 # Stream a corpus with CRLF lines, a blank line, an in-string newline,
 # and no trailing newline through `rsq --serve`, fragmented into 3-byte
 # writes so the incremental framer crosses escape/CRLF boundaries, and
 # require byte-identical stdout to the batch run plus a clean drain
-# (exit 0, silent stderr). The deeper fragmentation/fault matrix lives
-# in the rsq-serve robustness suite below.
+# (exit 0, silent stderr). `--threads 1` runs every document on the
+# connection's thread with no helper; `--threads 3` adds two helpers, so
+# responses finish out of order. The deeper fragmentation/fault matrix
+# lives in the rsq-serve robustness suite below.
 cargo build --release -p rsq-cli
 SERVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$SERVE_TMP"' EXIT
@@ -97,15 +99,17 @@ printf '{"a": {"b": 1}}\n{"b": [1, 2, 3]}\r\n\n{"b": "x\\ny"}\n{"c": 0}' \
   > "$SERVE_TMP/corpus.ndjson"
 ./target/release/rsq --count '$..b' --batch-ndjson "$SERVE_TMP/corpus.ndjson" \
   > "$SERVE_TMP/batch.out"
-dd if="$SERVE_TMP/corpus.ndjson" bs=3 2>/dev/null \
-  | ./target/release/rsq --serve --count '$..b' \
-  > "$SERVE_TMP/serve.out" 2> "$SERVE_TMP/serve.err"
-diff -u "$SERVE_TMP/batch.out" "$SERVE_TMP/serve.out"
-if [ -s "$SERVE_TMP/serve.err" ]; then
-  echo "serve smoke gate: unexpected diagnostics on stderr:"
-  cat "$SERVE_TMP/serve.err"
-  exit 1
-fi
+for threads in "" 1 3; do
+  dd if="$SERVE_TMP/corpus.ndjson" bs=3 2>/dev/null \
+    | ./target/release/rsq --serve ${threads:+--threads "$threads"} --count '$..b' \
+    > "$SERVE_TMP/serve.out" 2> "$SERVE_TMP/serve.err"
+  diff -u "$SERVE_TMP/batch.out" "$SERVE_TMP/serve.out"
+  if [ -s "$SERVE_TMP/serve.err" ]; then
+    echo "serve smoke gate (threads ${threads:-default}): unexpected diagnostics on stderr:"
+    cat "$SERVE_TMP/serve.err"
+    exit 1
+  fi
+done
 
 lane "fast-path parity gate (routed walker vs RSQ_ROUTE=general, full catalog)"
 # Every catalog query on the detected backend, the portable SWAR
