@@ -11,6 +11,7 @@
 use crate::{DocError, DocErrorKind};
 use rsq_engine::{Engine, ProfileStats, RunError, RunStats, Sink, SinkFull};
 use rsq_perf::{CounterGroup, CounterSet, PerfMode, PerfRecorder, PerfStats};
+use std::marker::PhantomData;
 use std::time::Instant;
 
 /// What one run records besides its matches.
@@ -142,11 +143,18 @@ impl Sink for DocSink {
 
 /// Runs documents on the thread that opened it: it owns that thread's
 /// hardware-counter group (perf events count the opening thread) and the
-/// [`PerfStats`] the bracketed runs accumulate into.
+/// [`PerfStats`] the bracketed runs accumulate into. It is not `Send`, so
+/// a runner opened on one thread cannot count runs made on another:
+///
+/// ```compile_fail
+/// fn send(_: impl Send) {}
+/// send(rsq_batch::DocRunner::open(rsq_perf::PerfMode::Off));
+/// ```
 #[derive(Debug)]
 pub struct DocRunner {
     counters: CounterSet,
     perf: PerfStats,
+    on_thread: PhantomData<*const ()>,
 }
 
 impl DocRunner {
@@ -160,7 +168,11 @@ impl DocRunner {
             core_only: counters.group().is_some_and(CounterGroup::is_core_only),
             ..PerfStats::default()
         };
-        DocRunner { counters, perf }
+        DocRunner {
+            counters,
+            perf,
+            on_thread: PhantomData,
+        }
     }
 
     /// Hardware-counter totals of the bracketed runs so far; `None` when

@@ -48,8 +48,8 @@ pub use chaos::{ChaosFault, ChaosPlan, ChaosStream};
 pub use telemetry::serve_telemetry_listener;
 pub use telemetry::{Telemetry, TelemetryOptions};
 
-use pool::{Admission, Pool};
-use rsq_batch::{DocError, DocErrorKind, DocRunner, Frame, NdjsonFramer, Record};
+use pool::Pool;
+use rsq_batch::{DocError, DocErrorKind, DocRunner, DocSink, Frame, NdjsonFramer, Record};
 use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
 use rsq_obs::{FlightRecorder, Histogram, ProfileStats, ServeCounters, SpanRecord};
 use rsq_perf::{PerfMode, PerfStats};
@@ -257,10 +257,12 @@ pub fn render(
 
 /// The emitter role (see `pool`): result lines go to `out`, error lines
 /// (`document N: message [code]`) to `err`, one write per run of lines
-/// bound for the same stream, and each into the connection's report. With
-/// telemetry on, each span is finished here — the final lap is the emit
-/// phase — and fed to the hub; framer-rejected lines have no span and
-/// count into the hub's live counters only.
+/// bound for the same stream, and each into the connection's report. A
+/// write failure aborts the pool: the connection is gone, so draining
+/// further work would be wasted. With telemetry on, each span is finished
+/// here — the final lap is the emit phase — and fed to the hub;
+/// framer-rejected lines have no span and count into the hub's live
+/// counters only, without polluting the latency windows.
 struct Emitter<W, E> {
     out: W,
     err: E,
@@ -350,9 +352,10 @@ impl<W: Write, E: Write> pool::Emit for Emitter<W, E> {
 }
 
 /// One thread's kit for running documents: the connection's thread is
-/// worker 0, each helper one more. Perf events count the opening thread,
-/// so each worker arms its own counter set; its flight recorder (only with
-/// telemetry on) is thread-local, with no locking.
+/// worker 0, each helper one more, and each builds its own on the thread
+/// it runs on. Perf events count the opening thread, so each worker arms
+/// its own counter set (a `DocRunner` is not `Send`); its flight recorder
+/// (only with telemetry on) is thread-local, with no locking.
 struct Worker<'a, T> {
     idx: usize,
     pool: &'a Pool<T>,
@@ -377,15 +380,22 @@ impl<T: pool::Emit> Worker<'_, T> {
             .filter(|_| sampled)
             .map(|_| ProfileStats::new());
         let record = profile.as_mut().map_or(Record::Nothing, Record::Profile);
-        let mut resp = pool::process(
-            &mut self.runner,
-            self.engine,
-            self.options.mode,
-            self.options.deadline,
-            &job,
-            record,
-            sampled,
+        // The deadline runs from admission (see `DocRunner::run_doc` for
+        // where it is checked); a count never builds the positions vector.
+        let mut sink = DocSink::new(
+            self.options.mode != ResponseMode::Count,
+            self.options.deadline.map(|d| job.admitted + d),
         );
+        let run = self
+            .runner
+            .run_doc(self.engine, &job.doc, &mut sink, record, sampled);
+        let mut resp = pool::Response {
+            doc: Vec::new(),
+            result: run.map(|()| sink.into_matches()),
+            latency_ns: u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            framer_rejected: false,
+            span: None,
+        };
         if let Some(mut span) = job.span.take() {
             span.worker(self.idx as u32);
             span.route(self.engine.route());
@@ -416,22 +426,14 @@ impl<T: pool::Emit> Worker<'_, T> {
 /// at once with the error the engine's own `max_document_bytes` check
 /// gives, as batch mode would. Returns `false` once the pool has aborted.
 fn admit_frame<T: pool::Emit>(worker: &mut Worker<'_, T>, frame: Frame) -> bool {
+    let pool = worker.pool;
     match frame {
-        Frame::Doc(doc) => match worker.pool.admit(doc) {
-            Admission::Queued => true,
-            Admission::Run(job) => {
-                worker.run(job);
-                true
-            }
-            Admission::Aborted => false,
-        },
+        Frame::Doc(doc) => pool.admit(doc, |job| worker.run(job)),
         Frame::Oversize { limit, .. } => {
-            worker
-                .pool
-                .reject(DocError::from_run(&RunError::LimitExceeded {
-                    kind: LimitKind::DocumentBytes,
-                    limit: limit as u64,
-                }))
+            pool.reject(DocError::from_run(&RunError::LimitExceeded {
+                kind: LimitKind::DocumentBytes,
+                limit: limit as u64,
+            }))
         }
     }
 }
@@ -522,7 +524,8 @@ where
     let mut bytes_in: u64 = 0;
     let mut disconnected = false;
 
-    // Sampled hardware-counter deltas are folded in per worker at drain.
+    // Sampled hardware-counter deltas are folded in per worker at drain,
+    // never on the per-document path.
     let perf = thread::scope(|scope| {
         let worker = |idx| Worker {
             idx,
@@ -536,8 +539,8 @@ where
         };
         let helpers: Vec<_> = (1..threads)
             .map(|idx| {
-                let mut helper = worker(idx);
                 scope.spawn(move || {
+                    let mut helper = worker(idx);
                     while let Some(job) = helper.pool.take_job() {
                         helper.run(job);
                     }
@@ -595,7 +598,8 @@ where
             match h.join() {
                 Ok(p) => perf += p.unwrap_or_default(),
                 // Only if pool bookkeeping itself panicked (the document
-                // run is contained).
+                // run is contained): the response it held never arrives,
+                // so stop the others rather than drain behind it.
                 Err(_) => pool.abort(),
             }
         }

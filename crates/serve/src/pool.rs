@@ -1,11 +1,11 @@
 //! The serve-side worker pool: a bounded in-flight window with
-//! backpressure, deadline-aware document processing, and in-order
-//! emission, with no thread of its own. The **producer** (the
+//! backpressure and in-order emission, with no thread of its own. The **producer** (the
 //! connection's read loop) admits framed documents with [`Pool::admit`],
 //! blocking while the window is full, which stops the socket from being
-//! read. A document goes to a helper only if one is parked in
-//! [`Pool::take_job`]; otherwise the connection's thread runs it before it
-//! reads more. Whoever ran it posts the outcome with [`Pool::complete`].
+//! read and pushes backpressure to the client. A document goes to a helper
+//! only if one is parked in [`Pool::take_job`]; otherwise the connection's
+//! thread runs the oldest unclaimed one before it reads more. Whoever ran
+//! it posts the outcome with [`Pool::complete`].
 //! The **emitter** role is the response writers ([`Emit`]), kept in the
 //! pool: the thread that completes the response at the head of the order
 //! takes them, writes every consecutive ready response outside the lock,
@@ -14,23 +14,24 @@
 //!
 //! Admission is bounded twice. The *document ceiling* (`--max-inflight`)
 //! counts unanswered documents: queued, running, or in the reorder
-//! buffer. The *byte budget* ([`INFLIGHT_BYTES_PER_WORKER`] per worker)
-//! counts the document bytes the pool holds; the producer is admitted
-//! under it, or when nothing at all is in flight, so a lone larger
-//! document still runs. The budget is what bounds memory once framing
-//! outruns the engine (DESIGN.md §12). A document's bytes stop counting
-//! when its buffer goes back to the [`DocBuffers`] free list for the
-//! framer: at [`Pool::complete`] for counts and positions, at emission
-//! for values.
+//! buffer, so the reorder buffer cannot grow without bound when one slow
+//! document holds back emission. The *byte budget*
+//! ([`INFLIGHT_BYTES_PER_WORKER`] per worker) counts the document bytes
+//! the pool holds; the producer is admitted under it, or when nothing at
+//! all is in flight, so a lone larger document still runs. The budget is
+//! what bounds memory once framing outruns the engine (DESIGN.md §12): it
+//! is sized to keep each worker's next document ready, not to absorb a
+//! flood. A document's bytes stop counting when its buffer goes back to
+//! the [`DocBuffers`] free list for the framer: at [`Pool::complete`] for
+//! counts and positions, at emission for values.
 
 use crate::telemetry::Telemetry;
 use crate::ResponseMode;
-use rsq_batch::{DocBuffers, DocError, DocRunner, DocSink, Matches, Record};
-use rsq_engine::Engine;
+use rsq_batch::{DocBuffers, DocError, Matches};
 use rsq_obs::DocSpan;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Document bytes a connection holds in flight per worker before it stops
 /// reading: room for the document a worker is running plus the next one
@@ -50,13 +51,15 @@ pub(crate) struct Job {
 
 /// One finished document awaiting emission.
 pub(crate) struct Response {
-    /// The document, if the response renders from it (values); else empty.
+    /// The document, if the response renders from it (values); else
+    /// empty: the worker already gave the buffer back.
     pub(crate) doc: Vec<u8>,
     /// The matches, or the per-document failure.
     pub(crate) result: Result<Matches, DocError>,
     /// Admission-to-completion latency.
     pub(crate) latency_ns: u64,
-    /// The framer rejected the line (oversize) before any worker saw it.
+    /// The framer rejected the line (oversize) before any worker saw it:
+    /// counted separately from engine limit errors.
     pub(crate) framer_rejected: bool,
     /// The [`Job`]'s span, for the emitter to mark release and emission.
     pub(crate) span: Option<DocSpan>,
@@ -67,16 +70,6 @@ pub(crate) trait Emit {
     /// Writes consecutive responses in admission order; `false` when a
     /// write failed.
     fn emit(&mut self, batch: &mut [(u64, Response)]) -> bool;
-}
-
-/// What admission did with a document.
-pub(crate) enum Admission {
-    /// Queued for a parked helper.
-    Queued,
-    /// No helper was free: the caller runs and completes it.
-    Run(Job),
-    /// The pool has aborted: stop reading.
-    Aborted,
 }
 
 struct State<T> {
@@ -94,7 +87,8 @@ struct State<T> {
     next_emit: u64,
     /// Admitted but not yet emitted (bounded by the pool capacity).
     outstanding: usize,
-    /// Bytes of admitted documents the pool holds (see `admit_slot`).
+    /// Bytes of admitted documents the pool holds (bounded by the byte
+    /// budget, see `admit_slot`).
     outstanding_bytes: usize,
     /// Producer finished: no further admissions.
     closed: bool,
@@ -122,10 +116,12 @@ pub(crate) struct Pool<T> {
     /// or clock reads beyond the latency `Instant`.
     telemetry: Option<Arc<Telemetry>>,
     /// Create pipeline spans even without a hub, for a timeline trace
-    /// (`--trace-out`).
+    /// (`--trace-out`), which needs finished span records but no live
+    /// scrape endpoint.
     collect_spans: bool,
     /// The connection's clock zero: spans are stamped with their
-    /// admission offset from here, for the timeline trace.
+    /// admission offset from here, giving the timeline trace absolute
+    /// placement.
     epoch: Instant,
 }
 
@@ -209,10 +205,11 @@ impl<T: Emit> Pool<T> {
     }
 
     /// Admits a document: queued when a parked helper can take it,
-    /// otherwise handed back for the caller to run.
-    pub(crate) fn admit(&self, doc: Vec<u8>) -> Admission {
+    /// otherwise run here with `run`, which completes it. Returns `false`
+    /// when the pool has aborted (the producer should stop reading).
+    pub(crate) fn admit(&self, doc: Vec<u8>, run: impl FnOnce(Job)) -> bool {
         let Some((mut state, seq)) = self.admit_slot(doc.len()) else {
-            return Admission::Aborted;
+            return false;
         };
         let span = (self.telemetry.is_some() || self.collect_spans).then(|| {
             let since_epoch = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -233,13 +230,21 @@ impl<T: Emit> Pool<T> {
             state.jobs.push_back(job);
             drop(state);
             self.job_ready.notify_one();
-            return Admission::Queued;
+            return true;
+        }
+        // The caller runs the oldest job: one queued for a helper that has
+        // not woken yet waits for one run of the caller's at most, not for
+        // the scheduler. The new one takes its place in the queue.
+        if let Some(oldest) = state.jobs.pop_front() {
+            state.jobs.push_back(job);
+            job = oldest;
         }
         drop(state);
         if let Some(span) = job.span.as_mut() {
             span.claimed();
         }
-        Admission::Run(job)
+        run(job);
+        true
     }
 
     /// Admits a pre-resolved failure (e.g. the framer's oversize
@@ -392,34 +397,6 @@ impl<T: Emit> Pool<T> {
     }
 }
 
-/// Runs one admitted document on `runner` with the optional deadline
-/// (measured from admission; see [`DocRunner::run_doc`] for where it is
-/// checked), gathering only what `mode` renders: a count never builds the
-/// positions vector. `record` and `sample` are the runner's: what the run
-/// records, and whether the hardware counters bracket it.
-pub(crate) fn process(
-    runner: &mut DocRunner,
-    engine: &Engine,
-    mode: ResponseMode,
-    deadline: Option<Duration>,
-    job: &Job,
-    record: Record<'_>,
-    sample: bool,
-) -> Response {
-    let mut sink = DocSink::new(
-        mode != ResponseMode::Count,
-        deadline.map(|d| job.admitted + d),
-    );
-    let run = runner.run_doc(engine, &job.doc, &mut sink, record, sample);
-    Response {
-        doc: Vec::new(),
-        result: run.map(|()| sink.into_matches()),
-        latency_ns: u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        framer_rejected: false,
-        span: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,13 +464,17 @@ mod tests {
         }
     }
 
-    /// The job admission hands back for the caller to run.
-    fn run(admission: Admission) -> Job {
-        match admission {
-            Admission::Run(job) => job,
-            Admission::Queued => panic!("queued for a helper"),
-            Admission::Aborted => panic!("aborted"),
-        }
+    /// Admits `doc`: the job the caller is to run, or `None` when it was
+    /// queued for a helper.
+    fn admit(pool: &Pool<Log>, doc: Vec<u8>) -> Option<Job> {
+        let mut mine = None;
+        assert!(pool.admit(doc, |job| mine = Some(job)), "aborted");
+        mine
+    }
+
+    /// Admits `doc` and returns the job the caller is to run.
+    fn run(pool: &Pool<Log>, doc: Vec<u8>) -> Job {
+        admit(pool, doc).expect("queued for a helper")
     }
 
     fn complete(pool: &Pool<Log>, job: Job) {
@@ -506,9 +487,9 @@ mod tests {
         scope: &'s thread::Scope<'s, '_>,
         pool: &'s Pool<Log>,
         doc: Vec<u8>,
-    ) -> thread::ScopedJoinHandle<'s, Admission> {
+    ) -> thread::ScopedJoinHandle<'s, Job> {
         let before = pool.waits();
-        let handle = scope.spawn(move || pool.admit(doc));
+        let handle = scope.spawn(move || run(pool, doc));
         while pool.waits() == before {
             thread::yield_now();
         }
@@ -536,8 +517,8 @@ mod tests {
         thread::scope(|scope| {
             // 0 and then 100 KiB in flight are both under the 128 KiB
             // budget: two documents go straight in.
-            let first = run(pool.admit(vec![b'1'; DOC]));
-            let _second = run(pool.admit(vec![b'2'; DOC]));
+            let first = run(&pool, vec![b'1'; DOC]);
+            let _second = run(&pool, vec![b'2'; DOC]);
             assert_eq!((pool.waits(), pool.in_flight_bytes()), (0, 2 * DOC));
             // 200 KiB is not: the third waits, far below the ceiling of 64.
             let third = admit_blocked(scope, &pool, vec![b'3'; DOC]);
@@ -550,7 +531,7 @@ mod tests {
             // releases its bytes while another thread is still writing.
             let writing = pool.seize_emitter();
             complete(&pool, first);
-            run(third.join().expect("producer thread"));
+            third.join().expect("producer thread");
             assert_eq!(pool.in_flight_bytes(), 2 * DOC);
             assert_eq!(pool.accounting().2, 3, "three documents unanswered");
             pool.release_emitter(writing);
@@ -567,8 +548,8 @@ mod tests {
         const DOC: usize = 100 * 1024;
         let pool = pool(ResponseMode::Values);
         thread::scope(|scope| {
-            let first = run(pool.admit(vec![b'1'; DOC]));
-            let _second = run(pool.admit(vec![b'2'; DOC]));
+            let first = run(&pool, vec![b'1'; DOC]);
+            let _second = run(&pool, vec![b'2'; DOC]);
             let writing = pool.seize_emitter();
             complete(&pool, first);
             assert_eq!(
@@ -583,7 +564,7 @@ mod tests {
                 [[(0, DOC)]],
                 "response 0 carried its document"
             );
-            run(third.join().expect("producer thread"));
+            third.join().expect("producer thread");
             assert_eq!(pool.in_flight_bytes(), 2 * DOC);
         });
     }
@@ -594,12 +575,12 @@ mod tests {
         let pool = pool(ResponseMode::Count);
         thread::scope(|scope| {
             // An empty window admits anything…
-            let job = run(pool.admit(vec![b'x'; big]));
+            let job = run(&pool, vec![b'x'; big]);
             assert_eq!((pool.waits(), pool.in_flight_bytes()), (0, big));
             // …and nothing joins it, however small.
             let next = admit_blocked(scope, &pool, b"[1]".to_vec());
             complete(&pool, job);
-            run(next.join().expect("producer thread"));
+            next.join().expect("producer thread");
             assert_eq!(pool.in_flight_bytes(), 3);
         });
         assert!(
@@ -618,14 +599,14 @@ mod tests {
         let big = 3 * INFLIGHT_BYTES_PER_WORKER;
         let pool = pool(ResponseMode::Count);
         thread::scope(|scope| {
-            let mut job = run(pool.admit(vec![b'0'; big]));
+            let mut job = run(&pool, vec![b'0'; big]);
             for seq in 0..3 {
                 let next = admit_blocked(scope, &pool, vec![b'x'; big]);
                 assert_eq!(pool.in_flight_bytes(), big, "one document's bytes");
                 assert_eq!(job.seq, seq);
                 let writing = pool.seize_emitter();
                 complete(&pool, job);
-                job = run(next.join().expect("producer thread"));
+                job = next.join().expect("producer thread");
                 assert_eq!(pool.in_flight_bytes(), big, "the next one's, alone");
                 pool.release_emitter(writing);
                 assert_eq!(pool.emitted().last(), Some(&vec![(seq, 0)]));
@@ -638,8 +619,8 @@ mod tests {
     fn small_documents_fill_the_document_ceiling_not_the_budget() {
         let pool = Pool::new(2, 1, ResponseMode::Count, None, false, Log::default());
         thread::scope(|scope| {
-            let first = run(pool.admit(b"[1]".to_vec()));
-            let _second = run(pool.admit(b"[2]".to_vec()));
+            let first = run(&pool, b"[1]".to_vec());
+            let _second = run(&pool, b"[2]".to_vec());
             let third = admit_blocked(scope, &pool, b"[3]".to_vec());
             // Finishing a count document frees bytes, not the slot: only
             // emission does.
@@ -648,7 +629,7 @@ mod tests {
             assert_eq!(pool.accounting().2, 2);
             pool.release_emitter(writing);
             assert_eq!(pool.emitted(), [[(0, 0)]]);
-            run(third.join().expect("producer thread"));
+            third.join().expect("producer thread");
         });
     }
 
@@ -658,15 +639,31 @@ mod tests {
     fn documents_go_to_parked_helpers_and_otherwise_back_to_the_caller() {
         let pool = Pool::new(64, 2, ResponseMode::Count, None, false, Log::default());
         thread::scope(|scope| {
-            let mine = run(pool.admit(b"[0]".to_vec()));
+            let mine = run(&pool, b"[0]".to_vec());
             let helper = helper_parked(scope, &pool);
-            assert!(matches!(pool.admit(b"[1]".to_vec()), Admission::Queued));
-            // The helper may not have woken yet; the job is promised to it
-            // either way.
-            let _also_mine = run(pool.admit(b"[2]".to_vec()));
+            assert!(admit(&pool, b"[1]".to_vec()).is_none(), "queued");
+            // The job is promised to the helper, so the caller runs the next
+            // one: document 2, or document 1 if the helper has not woken
+            // yet, leaving it document 2.
+            let also_mine = run(&pool, b"[2]".to_vec());
             let claimed = helper.join().expect("helper thread").expect("a job");
-            assert_eq!((mine.seq, claimed.seq), (0, 1));
+            let mut theirs_and_mine = [claimed.seq, also_mine.seq];
+            theirs_and_mine.sort_unstable();
+            assert_eq!((mine.seq, theirs_and_mine), (0, [1, 2]));
         });
+    }
+
+    /// A helper was woken for document 0 but has not claimed it when
+    /// document 1 arrives: the caller runs document 0, the older, and
+    /// document 1 waits for the helper in its place.
+    #[test]
+    fn the_caller_runs_the_job_a_helper_has_not_claimed_yet() {
+        let pool = Pool::new(64, 2, ResponseMode::Count, None, false, Log::default());
+        // A helper parked in `take_job`, and not yet woken.
+        pool.lock().idle = 1;
+        assert!(admit(&pool, b"[0]".to_vec()).is_none(), "queued");
+        assert_eq!(run(&pool, b"[1]".to_vec()).seq, 0);
+        assert_eq!(pool.take_job().map(|job| job.seq), Some(1));
     }
 
     /// The backpressure wait, forced: a helper is running the only
@@ -677,12 +674,12 @@ mod tests {
         let pool = Pool::new(1, 2, ResponseMode::Count, None, false, Log::default());
         thread::scope(|scope| {
             let helper = helper_parked(scope, &pool);
-            assert!(matches!(pool.admit(b"[0]".to_vec()), Admission::Queued));
+            assert!(admit(&pool, b"[0]".to_vec()).is_none(), "queued");
             let running = helper.join().expect("helper thread").expect("a job");
             let next = admit_blocked(scope, &pool, b"[1]".to_vec());
             assert_eq!(pool.accounting(), (1, 1, 1), "document 1 is not admitted");
             complete(&pool, running);
-            assert_eq!(run(next.join().expect("producer thread")).seq, 1);
+            assert_eq!(next.join().expect("producer thread").seq, 1);
         });
         assert_eq!(pool.emitted(), [[(0, 0)]]);
         assert_eq!((pool.waits(), pool.accounting().2), (1, 1));
@@ -695,7 +692,7 @@ mod tests {
     fn an_out_of_order_finish_waits_for_the_head_and_goes_out_with_it() {
         let pool = Pool::new(64, 2, ResponseMode::Count, None, false, Log::default());
         thread::scope(|scope| {
-            let head = run(pool.admit(b"[0]".to_vec()));
+            let head = run(&pool, b"[0]".to_vec());
             let helper = scope.spawn(|| {
                 let job = pool.take_job().expect("a job");
                 complete(&pool, job);
@@ -703,7 +700,7 @@ mod tests {
             while pool.idle() == 0 {
                 thread::yield_now();
             }
-            assert!(matches!(pool.admit(b"[1]".to_vec()), Admission::Queued));
+            assert!(admit(&pool, b"[1]".to_vec()).is_none(), "queued");
             helper.join().expect("helper thread");
             assert!(pool.emitted().is_empty(), "document 1 waits for document 0");
             complete(&pool, head);

@@ -556,7 +556,7 @@ lane "size series (non-test lines, dispatch entries, text bytes, popcnt)"
 # non-test line count is a ratchet (ROADMAP item 4): MAX_LINES is what
 # the last simplicity PR landed at, each one lowers it, and a PR that
 # has to raise it says in its description what the lines bought.
-MAX_LINES=28131
+MAX_LINES=28124
 scripts/loc.sh | tee "$SERVE_TMP/loc.txt"
 LINES="$(awk '/^total non-test lines/{print $NF}' "$SERVE_TMP/loc.txt")"
 TEXT_BYTES="$(awk '/^text bytes/{print $NF}' "$SERVE_TMP/loc.txt")"
