@@ -91,7 +91,7 @@ impl SurferEngine {
 /// One fully materialized stream event (JsonSurfer materializes tokens
 /// before dispatching them to listeners). The payloads exist to model the
 /// materialization cost; the matcher only needs positions and keys.
-#[allow(dead_code)]
+#[allow(dead_code, reason = "the payloads are built, never read")]
 enum StreamEvent {
     ObjectStart(usize),
     ObjectEnd,

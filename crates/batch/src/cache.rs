@@ -83,7 +83,10 @@ impl QueryCache {
         // the Query for compilation on a miss.
         let parsed = Query::parse(query)?;
         let key = parsed.to_string();
-        // PANIC-OK: cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve
+        #[expect(
+            clippy::expect_used,
+            reason = "cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve"
+        )]
         let mut inner = self.inner.lock().expect("query cache poisoned");
         inner.clock += 1;
         let now = inner.clock;
@@ -97,13 +100,16 @@ impl QueryCache {
         inner.misses += 1;
         if inner.slots.len() == self.capacity {
             // Evict the least recently used slot.
+            #[expect(
+                clippy::expect_used,
+                reason = "capacity >= 1, so a full cache has a slot to evict"
+            )]
             let lru = inner
                 .slots
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, s)| s.stamp)
                 .map(|(i, _)| i)
-                // PANIC-OK: cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve
                 .expect("capacity >= 1, so a full cache has slots");
             inner.slots.swap_remove(lru);
             inner.evictions += 1;
@@ -119,28 +125,40 @@ impl QueryCache {
     /// Cache hits so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        // PANIC-OK: cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve
+        #[expect(
+            clippy::expect_used,
+            reason = "cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve"
+        )]
         self.inner.lock().expect("query cache poisoned").hits
     }
 
     /// Cache misses (compilations performed) so far.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        // PANIC-OK: cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve
+        #[expect(
+            clippy::expect_used,
+            reason = "cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve"
+        )]
         self.inner.lock().expect("query cache poisoned").misses
     }
 
     /// Entries evicted to make room so far.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        // PANIC-OK: cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve
+        #[expect(
+            clippy::expect_used,
+            reason = "cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve"
+        )]
         self.inner.lock().expect("query cache poisoned").evictions
     }
 
     /// Number of compiled queries currently resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        // PANIC-OK: cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve
+        #[expect(
+            clippy::expect_used,
+            reason = "cache mutex poisoned only if a panic escaped per-document containment; a torn cache must not serve"
+        )]
         self.inner.lock().expect("query cache poisoned").slots.len()
     }
 

@@ -40,6 +40,20 @@
 //! assert_eq!(result.counters.documents, 2);
 //! ```
 
+// Exterior tier (DESIGN.md §14.2): outside the `catch_unwind` boundary,
+// a panic or an unchecked index is a crash; every site says why it
+// cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason,
+    clippy::indexing_slicing
+)]
+
 mod cache;
 mod ndjson;
 mod queue;
@@ -325,7 +339,10 @@ impl BatchEngine {
             self.run_windows(
                 engine,
                 windows.map(|window| {
-                    // PANIC-OK: the splitter's ranges are derived from input and lie in bounds
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "the splitter's ranges are derived from input and lie in bounds"
+                    )]
                     let docs: Vec<&[u8]> = window.iter().map(|r| &input[r.clone()]).collect();
                     ranges.extend(window);
                     docs
@@ -528,8 +545,11 @@ impl BatchEngine {
                 merged.latency += &sp.latency;
                 merged.workers.push(sp.worker);
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "outcomes was sized to the documents published; the feed hands out no other index"
+            )]
             for (i, outcome) in local {
-                // PANIC-OK: outcomes was sized to the documents published; the feed hands out no other index
                 outcomes[i] = Some(outcome);
             }
         }

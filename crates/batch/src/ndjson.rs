@@ -122,8 +122,12 @@ impl Iterator for Windows<'_> {
         let to = from.saturating_add(self.window).min(input.len());
         let mut docs = Vec::new();
         let mut start = self.line_start;
-        // PANIC-OK: from <= to <= input.len(): `at` only ever holds an earlier `to`
-        self.scan = self.scan.scan_lines(&input[from..to], |i| {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "from <= to <= input.len(): `at` only ever holds an earlier `to`"
+        )]
+        let window = &input[from..to];
+        self.scan = self.scan.scan_lines(window, |i| {
             push_line(input, start, from + i, &mut docs);
             start = from + i + 1;
         });
@@ -139,11 +143,17 @@ impl Iterator for Windows<'_> {
 /// Appends `input[start..end]` (trailing `\r` trimmed) unless the line is
 /// blank.
 fn push_line(input: &[u8], start: usize, mut end: usize, docs: &mut Vec<Range<usize>>) {
-    // PANIC-OK: end > start on the same line guards end - 1; end <= input.len() is the scanner's invariant
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "end > start on the same line guards end - 1; end <= input.len() is the scanner's invariant"
+    )]
     if end > start && input[end - 1] == b'\r' {
         end -= 1;
     }
-    // PANIC-OK: start <= end <= input.len() by the scanner's invariant
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "start <= end <= input.len() by the scanner's invariant"
+    )]
     if input[start..end].iter().any(|b| !b.is_ascii_whitespace()) {
         docs.push(start..end);
     }
@@ -183,7 +193,10 @@ impl DocBuffers {
             return;
         }
         buf.clear();
-        // PANIC-OK: no code panics while holding this lock, so it cannot be poisoned
+        #[expect(
+            clippy::expect_used,
+            reason = "no code panics while holding this lock, so it cannot be poisoned"
+        )]
         let mut free = self.free.lock().expect("doc buffer list");
         // The list is a handful of buffers (a connection's window).
         let parked: usize = free.iter().map(Vec::capacity).sum();
@@ -196,7 +209,10 @@ impl DocBuffers {
     /// any is parked.
     #[must_use]
     pub fn take(&self) -> Option<Vec<u8>> {
-        // PANIC-OK: no code panics while holding this lock, so it cannot be poisoned
+        #[expect(
+            clippy::expect_used,
+            reason = "no code panics while holding this lock, so it cannot be poisoned"
+        )]
         self.free.lock().expect("doc buffer list").pop()
     }
 }
@@ -298,12 +314,18 @@ impl NdjsonFramer {
     pub fn push(&mut self, chunk: &[u8], emit: &mut impl FnMut(Frame)) {
         let mut start = 0usize;
         self.scan = self.scan.scan_lines(chunk, |i| {
-            // PANIC-OK: boundaries ascend within the chunk, so start <= i < chunk.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "boundaries ascend within the chunk, so start <= i < chunk.len()"
+            )]
             self.append(&chunk[start..i]);
             self.close_line(emit);
             start = i + 1;
         });
-        // PANIC-OK: start is at most one past the last boundary, so start <= chunk.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "start is at most one past the last boundary, so start <= chunk.len()"
+        )]
         self.append(&chunk[start..]);
     }
 

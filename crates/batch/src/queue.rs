@@ -52,7 +52,10 @@ impl<'d> Feed<'d> {
     }
 
     fn lock(&self) -> MutexGuard<'_, Published<'d>> {
-        // PANIC-OK: no code panics while holding this lock, so it cannot be poisoned
+        #[expect(
+            clippy::expect_used,
+            reason = "no code panics while holding this lock, so it cannot be poisoned"
+        )]
         self.state.lock().expect("document feed")
     }
 
@@ -89,14 +92,20 @@ impl<'d> Feed<'d> {
                     state.next = (first + chunk).min(end);
                     state.claims += 1;
                     into.clear();
-                    // PANIC-OK: first < next <= end <= docs.len(): a window's end is the length of `docs` when it was published
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "first < next <= end <= docs.len(): a window's end is the length of `docs` when it was published"
+                    )]
                     into.extend_from_slice(&state.docs[first..state.next]);
                     return Some(first);
                 }
                 Some(_) => state.window += 1,
                 None if state.closed => return None,
+                #[expect(
+                    clippy::expect_used,
+                    reason = "as in `lock`: nothing panics under this mutex"
+                )]
                 None => {
-                    // PANIC-OK: as in `lock`: nothing panics under this mutex
                     state = self.more.wait(state).expect("document feed");
                 }
             }

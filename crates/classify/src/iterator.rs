@@ -209,9 +209,12 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
         let mut skipped = 0;
         while self.buf_pos == self.buf_len && self.next_block + SUPERBLOCK_SIZE <= until {
             let start = self.next_block;
+            #[expect(
+                clippy::expect_used,
+                reason = "the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail"
+            )]
             let chunk: &Superblock = self.input[start..start + SUPERBLOCK_SIZE]
                 .try_into()
-                // PANIC-OK: the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail
                 .expect("superblock sized");
             let _ = self.backend.classify_quotes4(chunk, &mut self.quote_state);
             self.next_block += SUPERBLOCK_SIZE;
@@ -237,9 +240,12 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
             return;
         }
         if start + SUPERBLOCK_SIZE <= self.input.len() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail"
+            )]
             let chunk: &Superblock = self.input[start..start + SUPERBLOCK_SIZE]
                 .try_into()
-                // PANIC-OK: the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail
                 .expect("superblock sized");
             let (within, _) = self.backend.classify_quotes4(chunk, &mut self.quote_state);
             for (i, (slot, within)) in self.buf.iter_mut().zip(within).enumerate() {
@@ -271,9 +277,12 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
     #[inline(always)]
     fn bytes_at(&self, start: usize) -> &Block {
         if start + BLOCK_SIZE <= self.input.len() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the slice is exactly BLOCK_SIZE bytes, so try_into cannot fail"
+            )]
             self.input[start..start + BLOCK_SIZE]
                 .try_into()
-                // PANIC-OK: the slice is exactly BLOCK_SIZE bytes, so try_into cannot fail
                 .expect("full block in bounds")
         } else {
             debug_assert_eq!(self.tail_start, start, "tail block not synthesized");
@@ -374,7 +383,10 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
 
     /// Yields the next enabled structural character.
     #[inline(always)]
-    #[allow(clippy::should_implement_trait)] // not an Iterator: lending-style cursor with peek
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "not an Iterator: lending-style cursor with peek"
+    )]
     pub fn next(&mut self) -> Option<Structural> {
         let item = match self.peeked.take() {
             Some(p) => p,
@@ -393,7 +405,7 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
             let item = self.advance();
             self.peeked = Some(item);
         }
-        // PANIC-OK: peeked was filled on the line above
+        #[expect(clippy::expect_used, reason = "peeked was filled on the line above")]
         self.peeked.expect("just filled")
     }
 
@@ -797,7 +809,10 @@ fn to_structural(byte: u8, pos: usize) -> Structural {
         b']' => Structural::Closing(BracketType::Bracket, pos),
         b':' => Structural::Colon(pos),
         b',' => Structural::Comma(pos),
-        // PANIC-OK: the classifier only emits the six structural bytes; anything else is a solver bug worth a loud, contained crash
+        #[expect(
+            clippy::unreachable,
+            reason = "the classifier only emits the six structural bytes; anything else is a solver bug worth a loud, contained crash"
+        )]
         other => unreachable!("classifier yielded non-structural byte {other:#04x}"),
     }
 }

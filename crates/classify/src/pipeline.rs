@@ -140,7 +140,10 @@ impl<F: FnMut(usize)> Task for ScanLines<'_, F> {
         let mut blocks = self.bytes.chunks_exact(BLOCK_SIZE);
         let mut base = 0usize;
         for chunk in blocks.by_ref() {
-            // PANIC-OK: chunks_exact yields exactly BLOCK_SIZE bytes, so try_into cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "chunks_exact yields exactly BLOCK_SIZE bytes, so try_into cannot fail"
+            )]
             let block: &Block = chunk.try_into().expect("block sized");
             if let Some(mut mask) = kernel.boundaries(block) {
                 while mask != 0 {

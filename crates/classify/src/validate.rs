@@ -225,11 +225,17 @@ impl StructuralValidator {
         // blocks' brackets.
         let mut superblocks = bytes.chunks_exact(SUPERBLOCK_SIZE);
         for chunk in superblocks.by_ref() {
-            // PANIC-OK: chunks_exact yields exactly SUPERBLOCK_SIZE-byte chunks
+            #[expect(
+                clippy::expect_used,
+                reason = "chunks_exact yields exactly SUPERBLOCK_SIZE-byte chunks"
+            )]
             let chunk: &Superblock = chunk.try_into().expect("exact chunk");
             let (within, _) = backend.classify_quotes4(chunk, &mut self.quote_state);
             for (block, within) in chunk.chunks_exact(BLOCK_SIZE).zip(within) {
-                // PANIC-OK: chunks_exact yields exactly BLOCK_SIZE-byte chunks
+                #[expect(
+                    clippy::expect_used,
+                    reason = "chunks_exact yields exactly BLOCK_SIZE-byte chunks"
+                )]
                 let block: &Block = block.try_into().expect("exact chunk");
                 self.settle_block(backend, block, within, BLOCK_SIZE)?;
             }
@@ -237,7 +243,10 @@ impl StructuralValidator {
         // The up to three whole blocks left, one at a time.
         let mut blocks = superblocks.remainder().chunks_exact(BLOCK_SIZE);
         for block in blocks.by_ref() {
-            // PANIC-OK: chunks_exact yields exactly BLOCK_SIZE-byte chunks
+            #[expect(
+                clippy::expect_used,
+                reason = "chunks_exact yields exactly BLOCK_SIZE-byte chunks"
+            )]
             let block: &Block = block.try_into().expect("exact chunk");
             let within = backend.classify_quotes(block, &mut self.quote_state);
             self.settle_block(backend, block, within, BLOCK_SIZE)?;

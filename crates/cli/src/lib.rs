@@ -8,6 +8,19 @@
 //! to stderr; stdout carries results only.
 
 #![warn(missing_docs)]
+// Exterior tier (DESIGN.md §14.2): outside the `catch_unwind` boundary,
+// a panic or an unchecked index is a crash; every site says why it
+// cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason,
+    clippy::indexing_slicing
+)]
 
 use rsq_batch::{BatchEngine, BatchOptions, DocError, DocErrorKind, DocRunner, DocSink, Record};
 use rsq_engine::{Engine, EngineOptions, ProfileStage, ProfileStats, RunError, RunStats};
@@ -1183,7 +1196,10 @@ fn run_batch(
             let (ranges, result) = engine
                 .run_ndjson(&invocation.query, &ndjson)
                 .map_err(query_error)?;
-            // PANIC-OK: run_ndjson's ranges are derived from the buffer and lie in bounds
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "run_ndjson's ranges are derived from the buffer and lie in bounds"
+            )]
             let docs = ranges.into_iter().map(|range| &ndjson[range]).collect();
             (docs, result)
         }

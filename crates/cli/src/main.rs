@@ -14,6 +14,20 @@
 //! while bytes arrive. Diagnostics go to stderr only; the exit code
 //! identifies the failure class (see `--help`).
 
+// Exterior tier (DESIGN.md §14.2): outside the `catch_unwind` boundary,
+// a panic or an unchecked index is a crash; every site says why it
+// cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason,
+    clippy::indexing_slicing
+)]
+
 use rsq_cli::{run, CliError, CliErrorKind, Invocation};
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;

@@ -40,6 +40,10 @@ pub(crate) fn generate(out: &mut String, rng: &mut StdRng, target_bytes: usize) 
 
     while !stack.is_empty() {
         let budget_left = out.len() < target_bytes;
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop runs while the stack is non-empty"
+        )]
         let remaining = *stack.last().expect("loop guard");
         if remaining == 0 || (!budget_left && stack.len() == 1) {
             // Close this inner array and its node.
@@ -49,7 +53,12 @@ pub(crate) fn generate(out: &mut String, rng: &mut StdRng, target_bytes: usize) 
             first_at_level = false;
             continue;
         }
-        *stack.last_mut().expect("loop guard") -= 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop runs while the stack is non-empty"
+        )]
+        let left = stack.last_mut().expect("loop guard");
+        *left -= 1;
         if !first_at_level {
             out.push(',');
         }

@@ -103,7 +103,10 @@ impl Frames<'_> {
 /// the plan's parity argument relies on enabled (see
 /// `Engine::fast_path_eligible`).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal: mirrors the other drivers' shape
+#[expect(
+    clippy::too_many_arguments,
+    reason = "internal: mirrors the other drivers' shape"
+)]
 pub(crate) fn run_fast_path<B: Backend>(
     automaton: &Automaton,
     plan: &RoutePlan,
@@ -288,7 +291,6 @@ fn walk<B: Backend>(
 /// against `max_depth` exactly like the general loop checks examined
 /// openings.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal: mirrors the other drivers' shape
 fn descend<B: Backend>(
     plan: &RoutePlan,
     options: &EngineOptions,
@@ -325,7 +327,10 @@ fn descend<B: Backend>(
 /// matches below are still possible) or skip it outright. The value's
 /// opening character has already been consumed.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "internal: mirrors the other drivers' shape"
+)]
 fn enter_tail<B: Backend>(
     automaton: &Automaton,
     plan: &RoutePlan,

@@ -251,7 +251,10 @@ fn check_label(options: &EngineOptions, label: Option<&[u8]>) -> Result<(), Inte
 /// its three callers: the general route, the head start's sub-runs and
 /// the routed walker's tail.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal: a context struct would obscure the hot path
+#[expect(
+    clippy::too_many_arguments,
+    reason = "internal: a context struct would obscure the hot path"
+)]
 pub(crate) fn run_element<B: Backend>(
     it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
@@ -282,7 +285,10 @@ pub(crate) fn run_element<B: Backend>(
 }
 
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal: a context struct would obscure the hot path
+#[expect(
+    clippy::too_many_arguments,
+    reason = "internal: a context struct would obscure the hot path"
+)]
 fn element_loop<B: Backend>(
     it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
@@ -565,7 +571,10 @@ pub(crate) fn run_document<B: Backend>(
 /// there: nested occurrences, which the automaton already handled, are
 /// never counted twice, and no block is classified twice.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal: a context struct would obscure the hot path
+#[expect(
+    clippy::too_many_arguments,
+    reason = "internal: a context struct would obscure the hot path"
+)]
 fn leapfrog<B: Backend>(
     it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,

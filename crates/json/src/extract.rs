@@ -89,7 +89,7 @@ pub fn node_span(document: &[u8], pos: usize) -> Option<Range<usize>> {
 #[must_use]
 pub fn node_text(document: &[u8], pos: usize) -> Option<&str> {
     let span = node_span(document, pos)?;
-    // PANIC-OK: node_span ranges are in bounds of `document` by construction
+    // node_span ranges are in bounds of `document` by construction.
     std::str::from_utf8(&document[span]).ok()
 }
 

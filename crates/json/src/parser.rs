@@ -158,9 +158,12 @@ impl<'a> Parser<'a> {
                 },
             })
         } else {
+            #[expect(
+                clippy::expect_used,
+                reason = "JSON literal names (true/false/null) are ASCII"
+            )]
             Err(self.error(format!(
                 "invalid literal (expected {})",
-                // PANIC-OK: JSON literal names (true/false/null) are ASCII
                 std::str::from_utf8(text).expect("literal is ASCII")
             )))
         }
@@ -244,8 +247,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "every byte was range-checked as an ASCII digit/sign/dot/exponent"
+        )]
         let raw = std::str::from_utf8(&self.input[start..self.pos])
-            // PANIC-OK: every byte was range-checked as an ASCII digit/sign/dot/exponent
             .expect("number text is ASCII")
             .to_owned();
         Ok(ValueNode {

@@ -82,7 +82,10 @@ pub fn unescape(raw: &str) -> Result<String, UnescapeError> {
                         });
                     }
                     let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                    // PANIC-OK: surrogate-pair arithmetic lands in the supplementary planes, always a valid char
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "surrogate-pair arithmetic lands in the supplementary planes, always a valid char"
+                    )]
                     out.push(char::from_u32(c).expect("valid supplementary code point"));
                     i += 12;
                     continue;
@@ -92,7 +95,10 @@ pub fn unescape(raw: &str) -> Result<String, UnescapeError> {
                         message: "unpaired low surrogate",
                     });
                 } else {
-                    // PANIC-OK: hi was checked not to be a surrogate, so from_u32 succeeds
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "hi was checked not to be a surrogate, so from_u32 succeeds"
+                    )]
                     out.push(char::from_u32(hi).expect("valid BMP code point"));
                     i += 6;
                     continue;

@@ -15,10 +15,11 @@
 //! fill them, which the read loop (`rsq-engine`'s ingest, generic over
 //! [`Landing`]) fills in place.
 //!
-//! This is one of the audited kernel crates (with `rsq-simd` and
-//! `rsq-stackvec`): the workspace-wide `unsafe_code = "forbid"` is lifted
-//! here and every unsafe block carries its proof obligation next to the
-//! code, checked by `cargo xtask audit`. The unsafe surface is
+//! This is one of the audited kernel crates (with `rsq-simd`,
+//! `rsq-stackvec` and `rsq-perf`): the workspace-wide
+//! `unsafe_code = "forbid"` is lifted here and every unsafe block carries
+//! its proof obligation next to the code, which the crate's `[lints]`
+//! table makes clippy check. The unsafe surface is
 //! deliberately tiny: four raw syscalls (`mmap`, `munmap`, `mremap`,
 //! `madvise` — issued via `asm!` so the workspace keeps its
 //! no-external-dependency rule; there is no libc) and the
@@ -39,6 +40,20 @@
 //! below covers memory safety of the mapping itself — pointer validity,
 //! length, lifetime — not concurrent-truncation signals, which are a
 //! process-level liveness hazard, not UB.
+
+// Exterior tier (DESIGN.md §14.2): outside the `catch_unwind` boundary,
+// a panic or an unchecked index is a crash; every site says why it
+// cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason,
+    clippy::indexing_slicing
+)]
 
 use std::fs::File;
 use std::io;
@@ -209,6 +224,10 @@ impl Landing for Vec<u8> {
         if self.len() < need {
             self.resize(need, 0);
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the resize above keeps len >= need >= filled"
+        )]
         &mut self[filled..]
     }
 
@@ -261,6 +280,7 @@ impl Region {
             }
             RegionRepr::Mapped { map, .. } if map.cap < need => {
                 if !map.grow(grown_capacity(map.cap, need)) {
+                    #[expect(clippy::indexing_slicing, reason = "as_slice is `cap` bytes long")]
                     let kept = map.as_slice()[..filled.min(map.cap)].to_vec();
                     self.repr = RegionRepr::Heap(kept);
                 }
@@ -276,6 +296,10 @@ impl Landing for Region {
         self.make_room(filled, min);
         match &mut self.repr {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "make_room left a mapping of cap >= filled + min, or moved to the heap"
+            )]
             RegionRepr::Mapped { map, .. } => &mut map.as_mut_slice()[filled..],
             RegionRepr::Heap(bytes) => bytes.tail(filled, min),
         }
@@ -302,6 +326,10 @@ impl Deref for Region {
     fn deref(&self) -> &[u8] {
         match &self.repr {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`finish` never sets len past the mapping's cap"
+            )]
             RegionRepr::Mapped { map, len } => &map.as_slice()[..*len],
             RegionRepr::Heap(bytes) => bytes,
         }

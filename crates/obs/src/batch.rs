@@ -67,10 +67,7 @@ impl BatchCounters {
         if lookups == 0 {
             0.0
         } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cache_hits as f64 / lookups as f64
-            }
+            self.cache_hits as f64 / lookups as f64
         }
     }
 
@@ -82,10 +79,7 @@ impl BatchCounters {
         if lookups == 0 {
             0.0
         } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cache_misses as f64 / lookups as f64
-            }
+            self.cache_misses as f64 / lookups as f64
         }
     }
 }

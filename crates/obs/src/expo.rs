@@ -138,7 +138,7 @@ pub fn check(text: &str) -> Result<(), String> {
         let name_end = line
             .find(['{', ' '])
             .ok_or_else(|| format!("unparsable sample line: {line:?}"))?;
-        // PANIC-OK: name_end is an index returned by find on this very line
+        // `name_end` is an index `find` returned on this very line.
         let name = &line[..name_end];
         if !valid_name(name) {
             return Err(format!("metric name not snake_case rsq_*: {name:?}"));

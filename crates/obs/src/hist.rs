@@ -101,8 +101,12 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        // PANIC-OK: bucket_of returns < BUCKETS by construction
-        self.buckets[bucket_of(value)] = self.buckets[bucket_of(value)].saturating_add(1);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket_of returns < BUCKETS by construction"
+        )]
+        let bucket = &mut self.buckets[bucket_of(value)];
+        *bucket = bucket.saturating_add(1);
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
@@ -143,7 +147,6 @@ impl Histogram {
         }
         let q = q.clamp(0.0, 1.0);
         // ceil(q * count) as a rank in [1, count].
-        #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (b, &n) in self.buckets.iter().enumerate() {

@@ -39,6 +39,19 @@
 //! it without cycles.
 
 #![warn(missing_docs)]
+// Exterior tier (DESIGN.md §14.2): outside the `catch_unwind` boundary,
+// a panic or an unchecked index is a crash; every site says why it
+// cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason,
+    clippy::indexing_slicing
+)]
 
 mod batch;
 pub mod expo;

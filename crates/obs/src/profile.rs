@@ -114,6 +114,10 @@ pub struct StageTimes {
 crate::series_rows! {
     /// One row per stage: `<stage>_ns` in JSON, `rsq_stage_ns_total` by
     /// `stage` label.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`sum_at` indexes an array by the `index()` of the enum it is sized by"
+    )]
     impl StageTimes, merged {
         "ingest_ns" sum_at(|s| s.ns, ProfileStage::Ingest) => counter rsq_stage_ns_total {stage="ingest"} "Wall-clock nanoseconds per pipeline stage.";
         "validate_ns" sum_at(|s| s.ns, ProfileStage::Validate) => counter rsq_stage_ns_total {stage="validate"} "Wall-clock nanoseconds per pipeline stage.";
@@ -127,15 +131,21 @@ impl StageTimes {
     /// Adds `ns` nanoseconds to `stage`.
     #[inline]
     pub fn add_ns(&mut self, stage: ProfileStage, ns: u64) {
-        // PANIC-OK: ProfileStage::index is < the per-stage array length (one slot per stage)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ProfileStage::index is < the per-stage array length (one slot per stage)"
+        )]
         let slot = &mut self.ns[stage.index()];
         *slot = slot.saturating_add(ns);
     }
 
     /// Nanoseconds accumulated in `stage`.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ProfileStage::index is < the per-stage array length (one slot per stage)"
+    )]
     pub fn get(&self, stage: ProfileStage) -> u64 {
-        // PANIC-OK: ProfileStage::index is < the per-stage array length (one slot per stage)
         self.ns[stage.index()]
     }
 }
@@ -270,10 +280,7 @@ impl ProfileStats {
         if self.stats.bytes == 0 {
             0.0
         } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.bytes_skipped.total() as f64 / self.stats.bytes as f64 * 100.0
-            }
+            self.bytes_skipped.total() as f64 / self.stats.bytes as f64 * 100.0
         }
     }
 }
@@ -293,10 +300,7 @@ impl fmt::Display for ProfileStats {
             let pct = if self.stats.bytes == 0 {
                 0.0
             } else {
-                #[allow(clippy::cast_precision_loss)]
-                {
-                    bytes as f64 / self.stats.bytes as f64 * 100.0
-                }
+                bytes as f64 / self.stats.bytes as f64 * 100.0
             };
             writeln!(f, "  {:<16} {bytes} ({pct:.2}%)", t.name())?;
         }

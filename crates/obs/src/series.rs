@@ -172,7 +172,9 @@ macro_rules! series_rows {
     };
     (@sum |$s:ident| $place:expr) => { $crate::series_rows!(@stored Sum |$s| $place) };
     (@max |$s:ident| $place:expr) => { $crate::series_rows!(@stored Max |$s| $place) };
-    // PANIC-OK: `index()` of the enum an array is sized by is < its length (one slot per variant)
+    // Indexes an array by the `index()` of the enum it is sized by; an
+    // invocation that uses it expects `clippy::indexing_slicing` on its
+    // `impl` line (see `StageTimes`).
     (@sum_at |$s:ident| $array:expr, $at:expr) => { $crate::series_rows!(@stored Sum |$s| $array[$at.index()]) };
     (@stored $merge:ident |$s:ident| $place:expr) => {
         $crate::series::Field::Counter {

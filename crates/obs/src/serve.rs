@@ -64,6 +64,10 @@ crate::series_rows! {
     /// Every field, once. `max_inflight` merges with `max`; the I/O
     /// series come after the per-route ones in the exposition.
     /// `route_docs` is an object keyed by route name.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`sum_at` indexes an array by the `index()` of the enum it is sized by"
+    )]
     impl ServeCounters, merged {
         "connections" sum(|c| c.connections) => counter rsq_serve_connections_total "Connections (or pipe sessions) served.";
         "documents" sum(|c| c.documents) => counter rsq_serve_documents_total "Documents framed out of the chunk streams.";
@@ -92,15 +96,21 @@ impl ServeCounters {
 
     /// Counts one answered document against `route`.
     pub fn record_route(&mut self, route: crate::Route) {
-        // PANIC-OK: Route::index is < the per-route array length (one slot per route)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "Route::index is < the per-route array length (one slot per route)"
+        )]
         let slot = &mut self.route_docs[route.index()];
         *slot = slot.saturating_add(1);
     }
 
     /// Documents answered via `route`.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Route::index is < the per-route array length (one slot per route)"
+    )]
     pub fn route_docs(&self, route: crate::Route) -> u64 {
-        // PANIC-OK: Route::index is < the per-route array length (one slot per route)
         self.route_docs[route.index()]
     }
 

@@ -212,8 +212,12 @@ impl SkipMap {
         if first >= last {
             return;
         }
-        // PANIC-OK: first..last was clamped to cells.len() by the guards above
-        for cell in &mut self.cells[first..last] {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "first..last was clamped to cells.len() by the guards above"
+        )]
+        let cells = &mut self.cells[first..last];
+        for cell in cells {
             if *cell == 0 {
                 *cell = tag;
             }
@@ -275,10 +279,18 @@ impl SkipMap {
             let lo = col * self.cells.len() / width;
             let hi = (((col + 1) * self.cells.len()) / width).max(lo + 1);
             let mut counts = [0usize; 6];
-            // PANIC-OK: hi <= cells.len() because col < width
-            for &c in &self.cells[lo..hi] {
-                // PANIC-OK: counts has 6 slots and the index is clamped with min(5)
-                counts[usize::from(c.min(5))] += 1;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "hi <= cells.len() because col < width"
+            )]
+            let cells = &self.cells[lo..hi];
+            for &c in cells {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "counts has 6 slots and the index is clamped with min(5)"
+                )]
+                let count = &mut counts[usize::from(c.min(5))];
+                *count += 1;
             }
             let (best_tag, best_n) = counts
                 .iter()
@@ -289,7 +301,6 @@ impl SkipMap {
             let glyph = if best_n == 0 {
                 '.'
             } else {
-                #[allow(clippy::cast_possible_truncation)]
                 SkipTechnique::from_tag(best_tag as u8).map_or('.', SkipTechnique::glyph)
             };
             out.push(glyph);

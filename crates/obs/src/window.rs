@@ -58,7 +58,10 @@ impl WindowRing {
 
     fn slot_mut(&mut self, tick: u64) -> &mut Slot {
         let idx = (tick % SLOTS as u64) as usize;
-        // PANIC-OK: idx is tick mod SLOTS and slots has exactly SLOTS entries
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "idx is tick mod SLOTS and slots has exactly SLOTS entries"
+        )]
         let slot = &mut self.slots[idx];
         if slot.tick != tick {
             *slot = Slot {
@@ -88,7 +91,10 @@ impl WindowRing {
         totals.errors = totals.errors.saturating_add(u64::from(failed));
         totals.busy_ns = totals.busy_ns.saturating_add(busy_ns);
         if let Some(route) = route {
-            // PANIC-OK: Route::index is < the per-route array length (one slot per route)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "Route::index is < the per-route array length (one slot per route)"
+            )]
             let r = &mut totals.route_docs[route.index()];
             *r = r.saturating_add(1);
         }
@@ -144,6 +150,10 @@ crate::series_rows! {
     /// Every value of a window, once; the exposition labels the series
     /// `window="<secs>s"`. `busy_ns` is the JSON side and the busy
     /// fraction the exposition side of the same measurement.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`sum_at` indexes an array by the `index()` of the enum it is sized by"
+    )]
     impl WindowSnapshot {
         "secs" get(|w| w.secs);
         "docs" sum(|w| w.docs) => gauge rsq_window_documents "Documents finished inside the rolling window.";
@@ -161,7 +171,6 @@ crate::series_rows! {
 }
 
 impl WindowSnapshot {
-    #[allow(clippy::cast_precision_loss)]
     fn per_sec(&self, total: u64) -> f64 {
         if self.secs == 0 {
             0.0
@@ -185,7 +194,6 @@ impl WindowSnapshot {
     /// Fraction of `workers` worker-seconds spent running documents
     /// over the window, clamped to `[0, 1]`.
     #[must_use]
-    #[allow(clippy::cast_precision_loss)]
     pub fn busy_fraction(&self, workers: u64) -> f64 {
         let capacity_ns = self
             .secs

@@ -29,6 +29,19 @@
 //! every batch/serve worker opens its own group. See DESIGN.md §16.
 
 #![warn(missing_docs)]
+// Exterior tier (DESIGN.md §14.2): outside the `catch_unwind` boundary,
+// a panic or an unchecked index is a crash; every site says why it
+// cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason,
+    clippy::indexing_slicing
+)]
 
 use rsq_obs::series::Value;
 use rsq_obs::{ProfileStage, Recorder};
@@ -154,10 +167,7 @@ impl CounterValues {
         if self.time_running == 0 || self.time_running >= self.time_enabled {
             1.0
         } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.time_enabled as f64 / self.time_running as f64
-            }
+            self.time_enabled as f64 / self.time_running as f64
         }
     }
 
@@ -210,7 +220,10 @@ impl CounterGroup {
                 let leader = if i == 0 {
                     -1
                 } else {
-                    // PANIC-OK: i > 0, so the leader fd was pushed on the previous iterations
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i > 0, so the leader fd was pushed on the previous iterations"
+                    )]
                     fds[0]
                 };
                 match sys::perf_event_open(event.config(), leader, i == 0) {
@@ -295,7 +308,10 @@ impl ReadCounters for CounterGroup {
             ..CounterValues::default()
         };
         for (i, event) in self.events.iter().enumerate() {
-            // PANIC-OK: i < events.len() ≤ FULL.len(), and the buffer holds 3 + FULL.len() words
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i < events.len() ≤ FULL.len(), and the buffer holds 3 + FULL.len() words"
+            )]
             let v = buf[3 + i];
             match event {
                 HwEvent::Cycles => values.cycles = v,
@@ -492,10 +508,7 @@ impl PerfStats {
         if self.bytes == 0 {
             0.0
         } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                value as f64 * self.total.scale() / self.bytes as f64
-            }
+            value as f64 * self.total.scale() / self.bytes as f64
         }
     }
 
@@ -513,10 +526,16 @@ impl PerfStats {
     /// Attributes a bracketed delta to `stage` (cycles and instructions
     /// only — the per-stage story is the efficiency story).
     pub fn add_stage(&mut self, stage: ProfileStage, delta: &CounterValues) {
-        // PANIC-OK: ProfileStage::index is < the per-stage array length (one slot per stage)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ProfileStage::index is < the per-stage array length (one slot per stage)"
+        )]
         let c = &mut self.stage_cycles[stage.index()];
         *c = c.saturating_add(delta.cycles);
-        // PANIC-OK: ProfileStage::index is < the per-stage array length (one slot per stage)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ProfileStage::index is < the per-stage array length (one slot per stage)"
+        )]
         let i = &mut self.stage_instructions[stage.index()];
         *i = i.saturating_add(delta.instructions);
     }
@@ -546,10 +565,7 @@ impl fmt::Display for PerfStats {
             if self.total.cycles == 0 {
                 0.0
             } else {
-                #[allow(clippy::cast_precision_loss)]
-                {
-                    self.total.instructions as f64 / self.total.cycles as f64
-                }
+                self.total.instructions as f64 / self.total.cycles as f64
             }
         )?;
         if !self.core_only {
@@ -566,6 +582,10 @@ impl fmt::Display for PerfStats {
         }
         write!(f, "  stage cycles    ")?;
         for stage in ProfileStage::ALL {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "ProfileStage::index is < the per-stage array length (one slot per stage)"
+            )]
             write!(f, " {} {}", stage.name(), self.stage_cycles[stage.index()])?;
         }
         Ok(())

@@ -43,6 +43,17 @@
 //! ```
 
 #![warn(missing_docs)]
+// Contained tier (DESIGN.md §14.2): a panic here is caught as one
+// document's `panic` fault, but every site still says why it cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 mod automaton;
 mod nfa;

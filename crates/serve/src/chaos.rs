@@ -131,7 +131,10 @@ impl Read for ChaosStream<'_> {
         self.stalled_here = false;
         let cap = self.plan.max_chunk.max(1).min(buf.len()).min(end - self.at);
         let n = 1 + (self.next_u64() as usize) % cap;
-        // PANIC-OK: n <= cap, and cap was clamped to both buf.len() and end - at on the line above
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "n <= cap, and cap was clamped to both buf.len() and end - at on the line above"
+        )]
         buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
         self.at += n;
         Ok(n)

@@ -38,6 +38,19 @@
 //! mid-stream disconnects, replayable from a [`ChaosPlan`].
 
 #![warn(missing_docs)]
+// Exterior tier (DESIGN.md §14.2): outside the `catch_unwind` boundary,
+// a panic or an unchecked index is a crash; every site says why it
+// cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason,
+    clippy::indexing_slicing
+)]
 
 mod chaos;
 mod pool;
@@ -246,7 +259,10 @@ pub fn render(
         // render as `<malformed>`.
         ResponseMode::Values => positions.iter().try_for_each(|&p| {
             match rsq_json::node_span(doc, p) {
-                // PANIC-OK: node_span ranges are in bounds of `doc` by construction
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "node_span ranges are in bounds of `doc` by construction"
+                )]
                 Some(span) => out.write_all(&doc[span])?,
                 None => out.write_all(b"<malformed>")?,
             }
@@ -562,8 +578,12 @@ where
                 Ok(n) => {
                     bytes_in += n as u64;
                     let mut alive = true;
-                    // PANIC-OK: n <= chunk.len() by the Read contract
-                    framer.push(&chunk[..n], &mut |frame| {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "n <= chunk.len() by the Read contract"
+                    )]
+                    let read = &chunk[..n];
+                    framer.push(read, &mut |frame| {
                         if alive {
                             alive = admit_frame(&mut worker, frame);
                         }
@@ -618,8 +638,12 @@ where
     counters.bytes_in = bytes_in;
     // The route is a static property of the compiled query, so every
     // successfully answered document took the same one.
-    // PANIC-OK: Route::index is < the per-route array length (one slot per route)
-    counters.route_docs[engine.route().index()] = counters.responses_ok;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Route::index is < the per-route array length (one slot per route)"
+    )]
+    let route_docs = &mut counters.route_docs[engine.route().index()];
+    *route_docs = counters.responses_ok;
     counters.io_errors += u64::from(disconnected);
     counters.backpressure_waits = backpressure_waits;
     counters.max_inflight = max_inflight;

@@ -164,9 +164,21 @@ impl<T: Emit> Pool<T> {
         }
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down"
+    )]
     fn lock(&self) -> MutexGuard<'_, State<T>> {
-        // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
         self.state.lock().unwrap()
+    }
+
+    /// Parks on `cv`, giving the lock up until it is notified.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down"
+    )]
+    fn wait<'a>(&self, cv: &Condvar, state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        cv.wait(state).unwrap()
     }
 
     /// The connection's document-buffer free list, for the framer to take
@@ -189,8 +201,7 @@ impl<T: Emit> Pool<T> {
         {
             state.backpressure_waits += 1;
             state.blocked = true;
-            // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-            state = self.slot_free.wait(state).unwrap();
+            state = self.wait(&self.slot_free, state);
             state.blocked = false;
         }
         if state.aborted {
@@ -309,8 +320,7 @@ impl<T: Emit> Pool<T> {
                 return None;
             }
             state.idle += 1;
-            // PANIC-OK: poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down
-            state = self.job_ready.wait(state).unwrap();
+            state = self.wait(&self.job_ready, state);
             state.idle -= 1;
         }
     }

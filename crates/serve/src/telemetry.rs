@@ -195,7 +195,10 @@ impl Telemetry {
     pub(crate) fn record_doc(&self, record: &SpanRecord, latency_ns: u64) {
         let tick = self.tick();
         {
-            // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
+            #[expect(
+                clippy::unwrap_used,
+                reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
+            )]
             let mut state = self.state.lock().unwrap();
             state.ring.record(
                 tick,
@@ -242,7 +245,10 @@ impl Telemetry {
     /// counters. It never visited a worker, so it has no span and no
     /// place in the latency windows.
     pub(crate) fn record_reject(&self) {
-        // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
+        #[expect(
+            clippy::unwrap_used,
+            reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
+        )]
         let mut state = self.state.lock().unwrap();
         state.counters.documents = state.counters.documents.saturating_add(1);
         state.counters.oversize_rejections = state.counters.oversize_rejections.saturating_add(1);
@@ -251,7 +257,10 @@ impl Telemetry {
     /// Folds connection-scoped accounting (fields the per-document path
     /// cannot see) into the live counters when a connection ends.
     pub(crate) fn record_connection(&self, counters: &ServeCounters) {
-        // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
+        #[expect(
+            clippy::unwrap_used,
+            reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
+        )]
         let mut state = self.state.lock().unwrap();
         state.counters += ServeCounters {
             connections: counters.connections,
@@ -270,7 +279,10 @@ impl Telemetry {
         if perf.docs == 0 {
             return;
         }
-        // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
+        #[expect(
+            clippy::unwrap_used,
+            reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
+        )]
         let mut state = self.state.lock().unwrap();
         state.perf += *perf;
     }
@@ -323,7 +335,10 @@ impl Telemetry {
     #[must_use]
     pub fn render_metrics(&self) -> String {
         let (counters, latency, windows, perf) = {
-            // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
+            #[expect(
+                clippy::unwrap_used,
+                reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
+            )]
             let state = self.state.lock().unwrap();
             let windows = self.windows(&state);
             (state.counters, state.latency.clone(), windows, state.perf)
@@ -348,7 +363,10 @@ impl Telemetry {
     /// `postmortems`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        // PANIC-OK: telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters
+        #[expect(
+            clippy::unwrap_used,
+            reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
+        )]
         let [w10, w60] = self.windows(&self.state.lock().unwrap());
         let mut object = JsonObject::new();
         object.value("window_10s", Value::Json(w10.to_json()));
@@ -381,7 +399,10 @@ fn read_request(stream: &mut impl Read) -> Option<(String, String)> {
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
-                // PANIC-OK: n <= chunk.len() by the Read contract
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "n <= chunk.len() by the Read contract"
+                )]
                 buf.extend_from_slice(&chunk[..n]);
                 if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() >= 4096 {
                     break;

@@ -11,10 +11,13 @@
 //! through [`crate::Simd`]'s per-call `match` instead, each is an
 //! out-of-line call.
 //!
-//! Unsafety discipline (DESIGN.md §9): `unsafe_op_in_unsafe_fn` is denied,
-//! so every intrinsic call and pointer offset sits in its own `unsafe`
-//! block with a `SAFETY:` comment, and pointer arithmetic is paired with
-//! `debug_assert!`s stating the bound it relies on.
+//! Unsafety discipline (DESIGN.md §9): a kernel that takes only references
+//! and values is a safe `#[target_feature]` fn, so the compiler rejects a
+//! call from code built without its features unless the call sits in an
+//! `unsafe` block (whose `SAFETY:` comment cites the detection); its
+//! `# Safety` section is that caller's obligation. Inside, register-only
+//! intrinsics are safe, and every load and pointer offset sits in its own
+//! `unsafe` block with a `SAFETY:` comment.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -29,9 +32,9 @@ use core::arch::x86_64::*;
 /// The CPU must support AVX2.
 #[inline]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn eq_mask(block: &Block, byte: u8) -> u64 {
+pub(crate) fn eq_mask(block: &Block, byte: u8) -> u64 {
     // SAFETY: `block` is a 64-byte array, so 64 bytes are readable from
-    // its base pointer; avx2 is required by this fn's own contract.
+    // its base pointer; this fn enables avx2 itself.
     unsafe { eq_mask_ptr(block.as_ptr(), _mm256_set1_epi8(byte as i8)) }
 }
 
@@ -60,7 +63,7 @@ unsafe fn eq_mask_ptr(ptr: *const u8, needle: __m256i) -> u64 {
 /// The CPU must support AVX2.
 #[inline]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn eq_mask2(block: &Block, a: u8, b: u8) -> (u64, u64) {
+pub(crate) fn eq_mask2(block: &Block, a: u8, b: u8) -> (u64, u64) {
     let na = _mm256_set1_epi8(a as i8);
     let nb = _mm256_set1_epi8(b as i8);
     // SAFETY: `block` is a 64-byte array — both reads stay inside it.
@@ -79,7 +82,7 @@ pub(crate) unsafe fn eq_mask2(block: &Block, a: u8, b: u8) -> (u64, u64) {
 /// The CPU must support AVX2.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn broadcast_table(table: &[u8; 16]) -> __m256i {
+fn broadcast_table(table: &[u8; 16]) -> __m256i {
     // SAFETY: `table` is a 16-byte array, exactly one unaligned 128-bit
     // load.
     let t = unsafe { _mm_loadu_si128(table.as_ptr().cast()) };
@@ -95,7 +98,7 @@ unsafe fn broadcast_table(table: &[u8; 16]) -> __m256i {
 /// The CPU must support AVX2. Pure register arithmetic — no memory access.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn lookup_eq_vec(src: __m256i, ltab: __m256i, utab: __m256i) -> __m256i {
+fn lookup_eq_vec(src: __m256i, ltab: __m256i, utab: __m256i) -> __m256i {
     let usrc = _mm256_and_si256(_mm256_srli_epi16::<4>(src), _mm256_set1_epi8(0x0F));
     // Bytes with the high bit set zero their lane in `llookup`; since group
     // ids are >= 1 and the utab filler is 0xFE, such bytes never compare
@@ -112,7 +115,7 @@ unsafe fn lookup_eq_vec(src: __m256i, ltab: __m256i, utab: __m256i) -> __m256i {
 /// The CPU must support AVX2. Pure register arithmetic — no memory access.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn lookup_or_vec(src: __m256i, ltab: __m256i, utab: __m256i) -> __m256i {
+fn lookup_or_vec(src: __m256i, ltab: __m256i, utab: __m256i) -> __m256i {
     let usrc = _mm256_and_si256(_mm256_srli_epi16::<4>(src), _mm256_set1_epi8(0x0F));
     let llookup = _mm256_shuffle_epi8(ltab, src);
     let ulookup = _mm256_shuffle_epi8(utab, usrc);
@@ -127,20 +130,20 @@ unsafe fn lookup_or_vec(src: __m256i, ltab: __m256i, utab: __m256i) -> __m256i {
 /// The CPU must support AVX2.
 #[inline]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn lookup_eq_mask(block: &Block, tables: &TablePair) -> u64 {
-    // SAFETY: `tables.ltab`/`utab` are 16-byte arrays; `block` is a
-    // 64-byte array, so the loads at offsets 0 and 32 stay inside it.
-    // `lookup_eq_vec` is register-only; avx2 is this fn's own contract.
-    unsafe {
-        let ltab = broadcast_table(&tables.ltab);
-        let utab = broadcast_table(&tables.utab);
-        let lo = _mm256_loadu_si256(block.as_ptr().cast());
-        // SAFETY: offset 32 keeps the second half inside the 64-byte block.
-        let hi = _mm256_loadu_si256(block.as_ptr().add(32).cast());
-        let lo_mask = _mm256_movemask_epi8(lookup_eq_vec(lo, ltab, utab)) as u32;
-        let hi_mask = _mm256_movemask_epi8(lookup_eq_vec(hi, ltab, utab)) as u32;
-        u64::from(lo_mask) | (u64::from(hi_mask) << 32)
-    }
+pub(crate) fn lookup_eq_mask(block: &Block, tables: &TablePair) -> u64 {
+    let ltab = broadcast_table(&tables.ltab);
+    let utab = broadcast_table(&tables.utab);
+    // SAFETY: `block` is a 64-byte array, so the loads at offsets 0 and
+    // 32 stay inside it.
+    let (lo, hi) = unsafe {
+        (
+            _mm256_loadu_si256(block.as_ptr().cast()),
+            _mm256_loadu_si256(block.as_ptr().add(32).cast()),
+        )
+    };
+    let lo_mask = _mm256_movemask_epi8(lookup_eq_vec(lo, ltab, utab)) as u32;
+    let hi_mask = _mm256_movemask_epi8(lookup_eq_vec(hi, ltab, utab)) as u32;
+    u64::from(lo_mask) | (u64::from(hi_mask) << 32)
 }
 
 /// Few-groups classification of a 64-byte block.
@@ -150,19 +153,20 @@ pub(crate) unsafe fn lookup_eq_mask(block: &Block, tables: &TablePair) -> u64 {
 /// The CPU must support AVX2.
 #[inline]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn lookup_or_mask(block: &Block, tables: &TablePair) -> u64 {
-    // SAFETY: same bounds as `lookup_eq_mask` — 16-byte tables, 64-byte
-    // block, register-only combine; avx2 is this fn's own contract.
-    unsafe {
-        let ltab = broadcast_table(&tables.ltab);
-        let utab = broadcast_table(&tables.utab);
-        let lo = _mm256_loadu_si256(block.as_ptr().cast());
-        // SAFETY: offset 32 keeps the second half inside the 64-byte block.
-        let hi = _mm256_loadu_si256(block.as_ptr().add(32).cast());
-        let lo_mask = _mm256_movemask_epi8(lookup_or_vec(lo, ltab, utab)) as u32;
-        let hi_mask = _mm256_movemask_epi8(lookup_or_vec(hi, ltab, utab)) as u32;
-        u64::from(lo_mask) | (u64::from(hi_mask) << 32)
-    }
+pub(crate) fn lookup_or_mask(block: &Block, tables: &TablePair) -> u64 {
+    let ltab = broadcast_table(&tables.ltab);
+    let utab = broadcast_table(&tables.utab);
+    // SAFETY: as in `lookup_eq_mask`, both loads stay inside the 64-byte
+    // block.
+    let (lo, hi) = unsafe {
+        (
+            _mm256_loadu_si256(block.as_ptr().cast()),
+            _mm256_loadu_si256(block.as_ptr().add(32).cast()),
+        )
+    };
+    let lo_mask = _mm256_movemask_epi8(lookup_or_vec(lo, ltab, utab)) as u32;
+    let hi_mask = _mm256_movemask_epi8(lookup_or_vec(hi, ltab, utab)) as u32;
+    u64::from(lo_mask) | (u64::from(hi_mask) << 32)
 }
 
 /// Prefix XOR via carry-less multiplication by all-ones (§4.2).
@@ -172,11 +176,9 @@ pub(crate) unsafe fn lookup_or_mask(block: &Block, tables: &TablePair) -> u64 {
 /// The CPU must support PCLMULQDQ (and SSE2, which is baseline on x86-64).
 #[inline]
 #[target_feature(enable = "pclmulqdq")]
-pub(crate) unsafe fn prefix_xor_clmul(m: u64) -> u64 {
+pub(crate) fn prefix_xor_clmul(m: u64) -> u64 {
     let v = _mm_set_epi64x(0, m as i64);
     let ones = _mm_set1_epi8(-1);
-    // Register-only carry-less multiply — a safe intrinsic here because
-    // this fn itself enables pclmulqdq (target_feature 1.1).
     let product = _mm_clmulepi64_si128::<0>(v, ones);
     _mm_cvtsi128_si64(product) as u64
 }
@@ -193,7 +195,7 @@ pub(crate) unsafe fn prefix_xor_clmul(m: u64) -> u64 {
 /// The CPU must support AVX2.
 #[inline]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn find_pair(
+pub(crate) fn find_pair(
     hay: &[u8],
     start: usize,
     first: u8,

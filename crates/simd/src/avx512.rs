@@ -16,10 +16,10 @@
 //! generic pipeline is inlined into and the only one built with these
 //! features that baseline code calls (see [`crate::Backend`]).
 //!
-//! Unsafety discipline (DESIGN.md §9): `unsafe_op_in_unsafe_fn` is denied,
-//! so every memory-touching intrinsic and pointer offset sits in its own
-//! `unsafe` block with a `SAFETY:` comment, and pointer arithmetic is
-//! paired with `debug_assert!`s stating the bound it relies on.
+//! Unsafety discipline (DESIGN.md §9), as in the AVX2 module: the kernels
+//! that take only references and values are safe `#[target_feature]` fns,
+//! and every memory-touching intrinsic and pointer offset sits in its own
+//! `unsafe` block with a `SAFETY:` comment.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -34,7 +34,7 @@ use core::arch::x86_64::*;
 /// The CPU must support AVX-512F and AVX-512BW.
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
-pub(crate) unsafe fn eq_mask(block: &Block, byte: u8) -> u64 {
+pub(crate) fn eq_mask(block: &Block, byte: u8) -> u64 {
     // SAFETY: `block` is a 64-byte array, exactly one unaligned 512-bit
     // load from its base pointer.
     let src = unsafe { _mm512_loadu_si512(block.as_ptr().cast()) };
@@ -48,7 +48,7 @@ pub(crate) unsafe fn eq_mask(block: &Block, byte: u8) -> u64 {
 /// The CPU must support AVX-512F and AVX-512BW.
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
-pub(crate) unsafe fn eq_mask2(block: &Block, a: u8, b: u8) -> (u64, u64) {
+pub(crate) fn eq_mask2(block: &Block, a: u8, b: u8) -> (u64, u64) {
     // SAFETY: `block` is a 64-byte array, exactly one unaligned 512-bit
     // load from its base pointer.
     let src = unsafe { _mm512_loadu_si512(block.as_ptr().cast()) };
@@ -65,7 +65,7 @@ pub(crate) unsafe fn eq_mask2(block: &Block, a: u8, b: u8) -> (u64, u64) {
 /// The CPU must support AVX-512F.
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn broadcast_table(table: &[u8; 16]) -> __m512i {
+fn broadcast_table(table: &[u8; 16]) -> __m512i {
     // SAFETY: `table` is a 16-byte array, exactly one unaligned 128-bit
     // load.
     let t = unsafe { _mm_loadu_si128(table.as_ptr().cast()) };
@@ -79,17 +79,12 @@ unsafe fn broadcast_table(table: &[u8; 16]) -> __m512i {
 /// The CPU must support AVX-512F and AVX-512BW.
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
-pub(crate) unsafe fn lookup_eq_mask(block: &Block, tables: &TablePair) -> u64 {
-    // SAFETY: `tables.ltab`/`utab` are 16-byte arrays and `block` is a
-    // 64-byte array — all three loads stay inside their sources; avx512f
-    // is this fn's own contract.
-    let (ltab, utab, src) = unsafe {
-        (
-            broadcast_table(&tables.ltab),
-            broadcast_table(&tables.utab),
-            _mm512_loadu_si512(block.as_ptr().cast()),
-        )
-    };
+pub(crate) fn lookup_eq_mask(block: &Block, tables: &TablePair) -> u64 {
+    let ltab = broadcast_table(&tables.ltab);
+    let utab = broadcast_table(&tables.utab);
+    // SAFETY: `block` is a 64-byte array, exactly one unaligned 512-bit
+    // load from its base pointer.
+    let src = unsafe { _mm512_loadu_si512(block.as_ptr().cast()) };
     let usrc = _mm512_and_si512(_mm512_srli_epi16::<4>(src), _mm512_set1_epi8(0x0F));
     let llookup = _mm512_shuffle_epi8(ltab, src);
     let ulookup = _mm512_shuffle_epi8(utab, usrc);
@@ -103,16 +98,11 @@ pub(crate) unsafe fn lookup_eq_mask(block: &Block, tables: &TablePair) -> u64 {
 /// The CPU must support AVX-512F and AVX-512BW.
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
-pub(crate) unsafe fn lookup_or_mask(block: &Block, tables: &TablePair) -> u64 {
-    // SAFETY: same bounds as `lookup_eq_mask` — 16-byte tables, 64-byte
-    // block; avx512f is this fn's own contract.
-    let (ltab, utab, src) = unsafe {
-        (
-            broadcast_table(&tables.ltab),
-            broadcast_table(&tables.utab),
-            _mm512_loadu_si512(block.as_ptr().cast()),
-        )
-    };
+pub(crate) fn lookup_or_mask(block: &Block, tables: &TablePair) -> u64 {
+    let ltab = broadcast_table(&tables.ltab);
+    let utab = broadcast_table(&tables.utab);
+    // SAFETY: as in `lookup_eq_mask`, one load inside the 64-byte block.
+    let src = unsafe { _mm512_loadu_si512(block.as_ptr().cast()) };
     let usrc = _mm512_and_si512(_mm512_srli_epi16::<4>(src), _mm512_set1_epi8(0x0F));
     let llookup = _mm512_shuffle_epi8(ltab, src);
     let ulookup = _mm512_shuffle_epi8(utab, usrc);
@@ -127,7 +117,7 @@ pub(crate) unsafe fn lookup_or_mask(block: &Block, tables: &TablePair) -> u64 {
 /// The CPU must support AVX-512F and AVX-512BW.
 #[inline]
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
-pub(crate) unsafe fn find_pair(
+pub(crate) fn find_pair(
     hay: &[u8],
     start: usize,
     first: u8,

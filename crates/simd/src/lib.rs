@@ -45,6 +45,17 @@
 //! ```
 
 #![warn(missing_docs)]
+// Contained tier (DESIGN.md §14.2): a panic here is caught as one
+// document's `panic` fault, but every site still says why it cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 mod avx2;
 mod avx512;
@@ -125,8 +136,11 @@ impl std::str::FromStr for BackendKind {
 fn env_override() -> Option<BackendKind> {
     static OVERRIDE: std::sync::OnceLock<Option<BackendKind>> = std::sync::OnceLock::new();
     *OVERRIDE.get_or_init(|| match std::env::var("RSQ_BACKEND") {
+        #[expect(
+            clippy::panic,
+            reason = "an explicit RSQ_BACKEND override with a typo should fail fast, not silently auto-detect"
+        )]
         Ok(value) if !value.is_empty() => {
-            // PANIC-OK: an explicit RSQ_BACKEND override with a typo should fail fast, not silently auto-detect
             Some(value.parse().unwrap_or_else(|e| panic!("RSQ_BACKEND: {e}")))
         }
         _ => None,
@@ -195,6 +209,44 @@ fn scalar_extensions_detected() -> bool {
 /// nothing fails, but every kernel below it silently becomes a call again
 /// and every `count_ones` a shift-and-mask sequence. `scripts/loc.sh`
 /// counts both in the release binary.
+///
+/// # Calling a kernel
+///
+/// A vector kernel that takes only references and values is a safe
+/// `#[target_feature]` fn, so the compiler checks each call: from code
+/// built without the kernel's features, the call is rejected unless it
+/// sits in `unsafe` (E0133). The kernels are private to this crate; the
+/// examples declare one exactly as `avx2::eq_mask` is declared.
+///
+/// ```compile_fail,E0133
+/// #[target_feature(enable = "avx2")]
+/// fn eq_mask(block: &[u8; 64], byte: u8) -> u64 {
+///     block.iter().rev().fold(0, |mask, &b| mask << 1 | u64::from(b == byte))
+/// }
+///
+/// fn ungated(block: &[u8; 64]) -> u64 {
+///     eq_mask(block, b'"')
+/// }
+/// ```
+///
+/// Inside `unsafe`, the `SAFETY:` comment cites the detection that makes
+/// the call sound, as [`Simd`] does for the token it built:
+///
+/// ```
+/// # #[cfg(target_arch = "x86_64")] {
+/// #[target_feature(enable = "avx2")]
+/// fn eq_mask(block: &[u8; 64], byte: u8) -> u64 {
+///     block.iter().rev().fold(0, |mask, &b| mask << 1 | u64::from(b == byte))
+/// }
+///
+/// let mut block = [b'x'; 64];
+/// block[3] = b'"';
+/// if is_x86_feature_detected!("avx2") {
+///     // SAFETY: the detection above found avx2 on this CPU.
+///     assert_eq!(unsafe { eq_mask(&block, b'"') }, 1 << 3);
+/// }
+/// # }
+/// ```
 pub trait Backend: Copy + std::fmt::Debug {
     /// Which instruction set this is.
     fn kind(self) -> BackendKind;
@@ -239,7 +291,10 @@ pub trait Backend: Copy + std::fmt::Debug {
         let mut within = [0u64; SUPERBLOCK_BLOCKS];
         let mut after = [QuoteState::default(); SUPERBLOCK_BLOCKS];
         for (i, block) in chunk.chunks_exact(BLOCK_SIZE).enumerate() {
-            // PANIC-OK: chunks_exact yields exactly BLOCK_SIZE bytes, so try_into cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "chunks_exact yields exactly BLOCK_SIZE bytes, so try_into cannot fail"
+            )]
             let block: &Block = block.try_into().expect("block sized");
             within[i] = self.classify_quotes(block, state);
             after[i] = *state;
@@ -477,7 +532,10 @@ macro_rules! with_backend {
                 $body
             }
             #[cfg(not(target_arch = "x86_64"))]
-            // PANIC-OK: no constructor yields a vector backend kind on this arch (`is_supported` is false)
+            #[expect(
+                clippy::unreachable,
+                reason = "no constructor yields a vector backend kind on this arch (`is_supported` is false)"
+            )]
             BackendKind::Avx512 | BackendKind::Avx2 => unreachable!("vector backend off x86-64"),
             BackendKind::Swar => {
                 let $backend = Swar;
@@ -507,7 +565,10 @@ impl Simd {
         if let Some(kind) = env_override() {
             return Simd::with_kind(kind);
         }
-        // PANIC-OK: the list always ends with the portable backend
+        #[expect(
+            clippy::expect_used,
+            reason = "the list always ends with the portable backend"
+        )]
         let kind = BackendKind::supported().next().expect("swar is supported");
         Simd { kind }
     }

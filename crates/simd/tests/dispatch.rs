@@ -99,7 +99,7 @@ impl Task for &Probe<'_> {
 
     #[inline(always)]
     fn run<B: Backend>(self, backend: B) -> Answers {
-        // PANIC-OK: the first BLOCK_SIZE bytes of a superblock are a block
+        // The first BLOCK_SIZE bytes of a superblock are a block.
         let block: &Block = self.chunk[..BLOCK_SIZE].try_into().expect("block sized");
         let (a, b) = self.needles;
         let mut state_after_superblock = self.entering;
@@ -167,7 +167,7 @@ fn every_backend_method_agrees_across_implementors_on_random_blocks() {
         }
         let r = next();
         let probe = Probe {
-            // PANIC-OK: `hay` is three superblocks long
+            // `hay` is three superblocks long.
             chunk: hay[..SUPERBLOCK_SIZE].try_into().expect("superblock sized"),
             needles: (
                 ALPHABET[r as usize % ALPHABET.len()],

@@ -28,6 +28,18 @@
 //! assert_eq!(&v[..], &[1, 2, 3, 4]);
 //! ```
 
+// Contained tier (DESIGN.md §14.2): a panic here is caught as one
+// document's `panic` fault, but every site still says why it cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 use core::fmt;
 use core::mem::MaybeUninit;
 use core::ops::{Deref, DerefMut};

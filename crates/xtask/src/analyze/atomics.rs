@@ -20,7 +20,7 @@
 //!   `Acquire`/`Release` pair; a flag that genuinely carries no payload
 //!   can say so with `// ORDERING: <reason>`.
 
-use super::source::{annotation_at, collect_typed_decls, Annotation, SourceFile, Tier};
+use super::source::{annotation_at, collect_typed_decls, Annotation, SourceFile};
 use super::Finding;
 use crate::lexer::{Tok, TokKind};
 use std::collections::BTreeSet;
@@ -35,14 +35,14 @@ const FLAG_METHODS: &[&str] = &["load", "store", "swap"];
 pub(crate) fn check(files: &[SourceFile]) -> Vec<Finding> {
     // Global flag-declaration table (AtomicBool fields/bindings).
     let mut flags: BTreeSet<String> = BTreeSet::new();
-    for file in files.iter().filter(|f| f.tier != Tier::Dev) {
+    for file in files.iter().filter(|f| !f.test_target) {
         for d in collect_typed_decls(file, &["AtomicBool"]) {
             flags.insert(d.name);
         }
     }
 
     let mut out = Vec::new();
-    for file in files.iter().filter(|f| f.tier != Tier::Dev) {
+    for file in files.iter().filter(|f| !f.test_target) {
         let toks = &file.lexed.tokens;
         for (i, t) in toks.iter().enumerate() {
             if !t.is_ident("Ordering") {

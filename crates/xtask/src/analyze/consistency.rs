@@ -19,6 +19,11 @@
 //! Anchors make the doc side machine-readable without a markdown
 //! parser: the pass reads only what sits between the HTML comments, so
 //! prose elsewhere can mention codes freely.
+//!
+//! The lint configuration is a contract too (`lint-config`): which crates
+//! may hold `unsafe`, and that every crate shipped in a build declares its
+//! panic-surface tier, so that rustc and clippy enforce both (DESIGN.md §9,
+//! §14.2).
 
 use super::source::SourceFile;
 use super::Finding;
@@ -348,6 +353,142 @@ pub(crate) fn check(
     out
 }
 
+/// The audited kernel crates: the only ones that may leave the
+/// workspace's `unsafe_code = "forbid"` out of their `[lints]` table.
+const KERNEL_CRATES: &[&str] = &[
+    "crates/simd/",
+    "crates/stackvec/",
+    "crates/mmap/",
+    "crates/perf/",
+];
+
+/// What a kernel crate's own `[lints]` table denies instead.
+const KERNEL_LINTS: &[&str] = &[
+    "unsafe_op_in_unsafe_fn",
+    "undocumented_unsafe_blocks",
+    "missing_safety_doc",
+];
+
+/// The contained tier, which every root of a production crate denies in
+/// `#![deny(clippy::…)]` attributes (the exterior tier adds
+/// `indexing_slicing`).
+const TIER_LINTS: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "allow_attributes_without_reason",
+];
+
+/// Manifest and crate-root policy. A kernel crate denies
+/// [`KERNEL_LINTS`]; every other crate inherits the workspace `[lints]`
+/// table, which forbids `unsafe_code`. A crate not marked
+/// `publish = false` is production: each of its crate roots declares a
+/// panic-surface tier, so that a new crate cannot land untiered.
+pub(crate) fn lint_config(files: &[SourceFile], manifests: &[(String, String)]) -> Vec<Finding> {
+    let mut out = Vec::new();
+    let mut flag = |file: &str, message: String| {
+        out.push(Finding {
+            pass: "consistency",
+            lint: "lint-config",
+            file: file.to_owned(),
+            line: 1,
+            message,
+        });
+    };
+    for (path, content) in manifests {
+        if !content.contains("[package]") {
+            continue; // a virtual manifest
+        }
+        let dir = path.trim_end_matches("Cargo.toml");
+        if KERNEL_CRATES.contains(&dir) {
+            for lint in KERNEL_LINTS {
+                if !content.contains(&format!("{lint} = \"deny\"")) {
+                    flag(
+                        path,
+                        format!("kernel crate must set `{lint} = \"deny\"` in its [lints] table"),
+                    );
+                }
+            }
+        } else if !has_workspace_lints(content) {
+            flag(
+                path,
+                "crate must inherit workspace lints: add `[lints]` with `workspace = true`"
+                    .to_owned(),
+            );
+        }
+        if content
+            .lines()
+            .any(|l| l.replace(' ', "") == "publish=false")
+        {
+            continue;
+        }
+        for root in ["src/lib.rs", "src/main.rs"] {
+            let root = format!("{dir}{root}");
+            let Some(file) = files.iter().find(|f| f.path == root) else {
+                continue;
+            };
+            let denied = crate_denies(file);
+            let missing: Vec<&str> = TIER_LINTS
+                .iter()
+                .copied()
+                .filter(|lint| !denied.contains(lint))
+                .collect();
+            if !missing.is_empty() {
+                flag(
+                    &root,
+                    format!(
+                        "production crate root declares no panic-surface tier (DESIGN.md §14.2): its `#![deny(clippy::…)]` lacks {}",
+                        missing.join(", ")
+                    ),
+                );
+            }
+        }
+    }
+    out
+}
+
+/// Does the manifest contain a `[lints]` table whose first key is
+/// `workspace = true`?
+fn has_workspace_lints(content: &str) -> bool {
+    let mut in_lints = false;
+    for line in content.lines() {
+        let line = line.trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && !line.is_empty() && !line.starts_with('#') {
+            return line.replace(' ', "") == "workspace=true";
+        }
+    }
+    false
+}
+
+/// The lints a crate root's `#![deny(…)]` attributes name, without their
+/// `clippy::` prefix.
+fn crate_denies(file: &SourceFile) -> Vec<&str> {
+    let toks = &file.lexed.tokens;
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let next = |k: usize| toks.get(i + k);
+        if t.is_punct('#')
+            && next(1).is_some_and(|t| t.is_punct('!'))
+            && next(2).is_some_and(|t| t.is_punct('['))
+            && next(3).is_some_and(|t| t.is_ident("deny"))
+        {
+            out.extend(
+                toks[i + 4..]
+                    .iter()
+                    .take_while(|t| !t.is_punct(']'))
+                    .filter(|t| t.kind == TokKind::Ident && t.text != "clippy")
+                    .map(|t| t.text.as_str()),
+            );
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,6 +604,64 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].lint, "unknown-metric-name");
         assert!(findings[0].message.contains("rsq_bogus_series"));
+    }
+
+    #[test]
+    fn lint_config_checks_manifests() {
+        let manifests = [
+            ("crates/engine/Cargo.toml", "[package]\nname = \"rsq-engine\"\n"),
+            (
+                "crates/json/Cargo.toml",
+                "[package]\nname = \"rsq-json\"\n\n[lints]\nworkspace = true\n",
+            ),
+            ("crates/simd/Cargo.toml", "[package]\nname = \"rsq-simd\"\n"),
+            (
+                "crates/stackvec/Cargo.toml",
+                "[package]\n\n[lints.rust]\nunsafe_op_in_unsafe_fn = \"deny\"\n\n[lints.clippy]\nundocumented_unsafe_blocks = \"deny\"\nmissing_safety_doc = \"deny\"\n",
+            ),
+        ]
+        .map(|(p, c)| (p.to_owned(), c.to_owned()));
+        let findings = lint_config(&[], &manifests);
+        let files: Vec<&str> = findings.iter().map(|f| f.file.as_str()).collect();
+        // The engine does not inherit the forbid; simd lacks all three
+        // kernel lints.
+        assert_eq!(
+            files,
+            [
+                "crates/engine/Cargo.toml",
+                "crates/simd/Cargo.toml",
+                "crates/simd/Cargo.toml",
+                "crates/simd/Cargo.toml"
+            ]
+        );
+        assert!(findings.iter().all(|f| f.lint == "lint-config"));
+    }
+
+    #[test]
+    fn production_crate_root_without_a_tier_is_flagged() {
+        let manifests = [
+            (
+                "crates/new/Cargo.toml",
+                "[package]\n\n[lints]\nworkspace = true\n",
+            ),
+            (
+                "crates/tool/Cargo.toml",
+                "[package]\npublish = false\n\n[lints]\nworkspace = true\n",
+            ),
+        ]
+        .map(|(p, c)| (p.to_owned(), c.to_owned()));
+        let contained = "//! Docs.\n#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]\n#![deny(clippy::todo, clippy::unimplemented, clippy::allow_attributes_without_reason)]\n";
+        let untiered = "#![deny(clippy::unwrap_used)]\npub fn f() {}\n";
+        let files = [
+            SourceFile::new("crates/new/src/lib.rs", contained),
+            SourceFile::new("crates/new/src/main.rs", untiered),
+            SourceFile::new("crates/tool/src/lib.rs", untiered),
+        ];
+        let findings = lint_config(&files, &manifests);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].file, "crates/new/src/main.rs");
+        assert!(findings[0].message.contains("expect_used"));
+        assert!(!findings[0].message.contains("unwrap_used"));
     }
 
     #[test]

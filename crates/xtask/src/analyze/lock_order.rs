@@ -27,9 +27,8 @@
 //!
 //! A blocking-op finding is suppressed by `// LOCK-OK: <reason>`.
 
-use super::source::{annotation_at, collect_typed_decls, Annotation, SourceFile, Tier};
+use super::source::{annotation_at, collect_typed_decls, innermost, Annotation, SourceFile};
 use super::Finding;
-use crate::audit::{innermost, ScopeKind};
 use crate::lexer::{Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -84,7 +83,7 @@ struct Edge {
 }
 
 pub(crate) fn check(files: &[SourceFile]) -> Vec<Finding> {
-    let prod: Vec<&SourceFile> = files.iter().filter(|f| f.tier != Tier::Dev).collect();
+    let prod: Vec<&SourceFile> = files.iter().filter(|f| !f.test_target).collect();
 
     // Global lock-declaration table: name -> declaring files.
     let mut decls: BTreeMap<String, Vec<(&'static str, String)>> = BTreeMap::new();
@@ -314,8 +313,7 @@ fn guard_extent(file: &SourceFile, acq_idx: usize) -> usize {
         Some(guard) => {
             // Bound guard: lives to the end of the innermost brace
             // scope, unless an explicit `drop(guard)` releases earlier.
-            let scope_end =
-                innermost(&file.scopes, acq_idx, |_| true).map_or(toks.len(), |s| s.end);
+            let scope_end = innermost(&file.scopes, acq_idx, false).map_or(toks.len(), |s| s.end);
             for k in acq_idx + 1..scope_end.min(toks.len().saturating_sub(3)) {
                 if toks[k].is_ident("drop")
                     && toks[k + 1].is_punct('(')
@@ -383,7 +381,7 @@ fn guard_binding(toks: &[Tok], acq_idx: usize) -> Option<String> {
 
 /// Recovers the name of the function whose body contains token `i`.
 fn enclosing_fn_name(file: &SourceFile, i: usize) -> Option<String> {
-    let scope = innermost(&file.scopes, i, |k| matches!(k, ScopeKind::Fn { .. }))?;
+    let scope = innermost(&file.scopes, i, true)?;
     let toks = &file.lexed.tokens;
     // Walk back from the `{` to the `fn` keyword of this item.
     let mut k = scope.start;

@@ -1,21 +1,22 @@
 //! The `cargo xtask analyze` multi-pass static-analysis driver
 //! (DESIGN.md §14).
 //!
-//! One walk of the workspace tree feeds five passes over a shared lexed
-//! view of every source file:
+//! One walk of the workspace tree feeds three passes over a shared lexed
+//! view of every source file. They hold the repo's own contracts; what
+//! rustc and clippy can check (the unsafe audit, the panic surface) is
+//! left to their lints (DESIGN.md §14.1).
 //!
 //! | pass          | what it enforces                                        |
 //! |---------------|---------------------------------------------------------|
-//! | `audit`       | the PR 3 unsafe-soundness lints (see `audit.rs`)        |
-//! | `panic`       | panic sites justified against the containment boundary  |
 //! | `locks`       | acyclic lock order, no blocking calls under a lock      |
 //! | `atomics`     | the `Ordering::` policy table                            |
-//! | `consistency` | exit codes / fault codes / metric names match the docs   |
+//! | `consistency` | exit codes / fault codes / metric names match the docs; |
+//! |               | the `[lints]` tables and panic-surface tiers             |
 //!
 //! The workspace baseline is **zero findings**: ci.sh runs the driver
-//! as a hard gate, so a new `unwrap()` in serve or a renamed metric
+//! as a hard gate, so a lock taken in a new order or a renamed metric
 //! fails CI until the code is fixed or the site carries an annotation
-//! with a real reason (`PANIC-OK:` / `ORDERING:` / `LOCK-OK:`).
+//! with a real reason (`ORDERING:` / `LOCK-OK:`).
 //!
 //! `render_json` emits the machine-readable report
 //! (`schema_version` 1): `{"schema_version":1,"passes":[…],
@@ -25,7 +26,6 @@
 pub(crate) mod atomics;
 pub(crate) mod consistency;
 pub(crate) mod lock_order;
-pub(crate) mod panic_surface;
 pub(crate) mod source;
 
 use source::SourceFile;
@@ -33,14 +33,14 @@ use std::fmt;
 use std::path::Path;
 
 /// Every pass the driver knows, in execution order.
-pub(crate) const ALL_PASSES: &[&str] = &["audit", "panic", "locks", "atomics", "consistency"];
+pub(crate) const ALL_PASSES: &[&str] = &["locks", "atomics", "consistency"];
 
 /// One analyzer finding.
 #[derive(Clone, Debug)]
 pub(crate) struct Finding {
-    /// The pass that produced it (`panic`, `locks`, …).
+    /// The pass that produced it (`locks`, `atomics`, …).
     pub pass: &'static str,
-    /// Lint name within the pass (`naked-unwrap`, `lock-cycle`, …).
+    /// Lint name within the pass (`lock-cycle`, `bare-seqcst`, …).
     pub lint: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -50,8 +50,8 @@ pub(crate) struct Finding {
     pub message: String,
 }
 
-// Rendered rustc-style, like the audit diagnostics, so editors and CI
-// logs link straight to the site.
+// Rendered rustc-style, so editors and CI logs link straight to the
+// site.
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -72,10 +72,9 @@ pub(crate) struct Report {
 }
 
 /// Runs the requested passes over in-memory files. `files` holds
-/// workspace-relative paths mapped to contents: `.rs` sources,
-/// `Cargo.toml` manifests (audit's lint-config check), and
-/// `DESIGN.md`/`README.md` (consistency). Pure, so tests can feed
-/// synthetic workspaces.
+/// workspace-relative paths mapped to contents: `.rs` sources, and the
+/// `Cargo.toml` manifests and `DESIGN.md`/`README.md` the consistency
+/// pass reads. Pure, so tests can feed synthetic workspaces.
 pub(crate) fn analyze_sources(files: &[(String, String)], passes: &[&'static str]) -> Report {
     let manifests: Vec<(String, String)> = files
         .iter()
@@ -96,22 +95,11 @@ pub(crate) fn analyze_sources(files: &[(String, String)], passes: &[&'static str
     let mut findings = Vec::new();
     for &pass in passes {
         match pass {
-            "audit" => {
-                let mut diags = crate::audit::audit_sources(&sources);
-                crate::audit::check_lint_config(&manifests, &mut diags);
-                findings.extend(diags.into_iter().map(|d| Finding {
-                    pass: "audit",
-                    lint: d.lint,
-                    file: d.file,
-                    line: d.line,
-                    message: d.message,
-                }));
-            }
-            "panic" => findings.extend(panic_surface::check(&sources)),
             "locks" => findings.extend(lock_order::check(&sources)),
             "atomics" => findings.extend(atomics::check(&sources)),
             "consistency" => {
                 findings.extend(consistency::check(&sources, &docs, &series_names()));
+                findings.extend(consistency::lint_config(&sources, &manifests));
             }
             other => unreachable!("unknown pass `{other}` got past the CLI"),
         }
@@ -203,14 +191,14 @@ mod tests {
     fn report_renders_valid_minimal_json() {
         let report = Report {
             findings: vec![Finding {
-                pass: "panic",
-                lint: "naked-unwrap",
+                pass: "locks",
+                lint: "lock-held-across-blocking",
                 file: "crates/serve/src/pool.rs".to_owned(),
                 line: 12,
-                message: "`.unwrap()` says \"boom\"".to_owned(),
+                message: "`write_all` says \"boom\"".to_owned(),
             }],
             files_scanned: 3,
-            passes: vec!["panic"],
+            passes: vec!["locks"],
         };
         let json = render_json(&report);
         assert!(json.starts_with("{\"schema_version\":1,"));
@@ -227,13 +215,13 @@ mod tests {
     fn driver_runs_selected_passes_only() {
         let files = vec![(
             "crates/serve/src/x.rs".to_owned(),
-            "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n".to_owned(),
+            "fn f() { FLAG.store(true, Ordering::SeqCst); }\n".to_owned(),
         )];
-        let report = analyze_sources(&files, &["panic"]);
-        assert_eq!(report.passes, ["panic"]);
+        let report = analyze_sources(&files, &["atomics"]);
+        assert_eq!(report.passes, ["atomics"]);
         assert_eq!(report.findings.len(), 1);
-        let report = analyze_sources(&files, &["locks", "atomics"]);
-        assert!(report.findings.is_empty(), "panic pass did not run");
+        let report = analyze_sources(&files, &["locks", "consistency"]);
+        assert!(report.findings.is_empty(), "atomics pass did not run");
     }
 
     #[test]
@@ -257,9 +245,9 @@ mod tests {
         assert!(names.iter().all(|s| s.starts_with("rsq_")), "{names:?}");
     }
 
-    /// Loads a seeded-violation fixture under an exterior-tier pseudo
-    /// path (the fixture directory itself is dev-tier and skipped by
-    /// the walker, so the seeds never pollute the workspace baseline).
+    /// Loads a seeded-violation fixture under a serve-crate pseudo path
+    /// (the walker skips the fixture directory itself, so the seeds never
+    /// pollute the workspace baseline).
     fn fixture(name: &str) -> (String, String) {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("fixtures/analyze")
@@ -309,24 +297,6 @@ mod tests {
             "{:?}",
             report.findings
         );
-    }
-
-    #[test]
-    fn seeded_panic_sites_are_detected() {
-        let report = analyze_sources(&[fixture("naked_unwrap.rs")], &["panic"]);
-        let lints: Vec<(&str, u32)> = report.findings.iter().map(|f| (f.lint, f.line)).collect();
-        assert_eq!(
-            lints,
-            [
-                ("naked-unwrap", 7),
-                ("direct-index", 8),
-                ("naked-expect", 8),
-            ],
-            "{:?}",
-            report.findings
-        );
-        // The `// PANIC-OK:` unwrap on line 13 must have been suppressed.
-        assert!(report.findings.iter().all(|f| f.line != 13));
     }
 
     #[test]

@@ -2,80 +2,12 @@
 //!
 //! Every pass consumes the same prepared view of a source file: the
 //! lexed token stream (comments and literals stripped out, see
-//! `lexer.rs`), the brace-scope tree recovered by the audit pass, the
-//! token spans that belong to test code (`#[cfg(test)]` modules,
-//! `#[test]` functions), and the file's **tier** — which policy set
-//! applies to it. The workspace walker lives here too, so `audit`,
-//! `analyze`, and any future pass traverse the tree identically.
+//! `lexer.rs`), its brace scopes, the token spans that belong to test
+//! code (`#[cfg(test)]` modules, `#[test]` functions), and whether the
+//! file is a test target at all. The workspace walker lives here too.
 
-use crate::audit::{build_scopes, collect_target_feature_fns, Scope};
 use crate::lexer::{lex, Comment, Lexed, TokKind};
 use std::path::{Path, PathBuf};
-
-/// Which policy set a file belongs to (DESIGN.md §14).
-///
-/// The split mirrors the `catch_unwind` containment boundary from the
-/// serve/batch worker pools: a panic inside the engine stack is a
-/// contained per-document fault; a panic in the pool machinery itself
-/// (or anything above it) escapes containment and can poison locks or
-/// kill a worker thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// Outside the containment boundary: `cli`, `serve`, `batch`,
-    /// `obs`. Panic sites *and* direct indexing must be justified.
-    Exterior,
-    /// Inside the containment boundary: the engine stack (`engine`,
-    /// `classify`, `query`, `json`, `memmem`, `simd`, `stackvec`, the
-    /// root facade). Panic sites must be justified; indexing is a
-    /// contained fault and is exempt.
-    Contained,
-    /// Development tooling, benches, test harnesses: exempt from the
-    /// panic-surface pass entirely.
-    Dev,
-}
-
-/// Crates outside the containment boundary (workspace-relative path
-/// prefixes).
-const EXTERIOR: &[&str] = &[
-    "crates/cli/",
-    "crates/serve/",
-    "crates/batch/",
-    "crates/obs/",
-];
-
-/// Crates inside the containment boundary, plus the root facade.
-const CONTAINED: &[&str] = &[
-    "crates/engine/",
-    "crates/classify/",
-    "crates/query/",
-    "crates/json/",
-    "crates/memmem/",
-    "crates/simd/",
-    "crates/stackvec/",
-    "src/",
-];
-
-/// Classifies a workspace-relative path into its policy tier.
-pub(crate) fn tier_of(path: &str) -> Tier {
-    // Integration tests, benches, and examples are test/dev code even
-    // inside production crates.
-    if path.contains("/tests/")
-        || path.contains("/benches/")
-        || path.contains("/examples/")
-        || path.starts_with("tests/")
-        || path.starts_with("examples/")
-        || path.ends_with("build.rs")
-    {
-        return Tier::Dev;
-    }
-    if EXTERIOR.iter().any(|p| path.starts_with(p)) {
-        return Tier::Exterior;
-    }
-    if CONTAINED.iter().any(|p| path.starts_with(p)) {
-        return Tier::Contained;
-    }
-    Tier::Dev
-}
 
 /// One prepared source file.
 pub(crate) struct SourceFile {
@@ -83,30 +15,31 @@ pub(crate) struct SourceFile {
     pub path: String,
     /// Lexed token stream and comments.
     pub lexed: Lexed,
-    /// `#[target_feature]` fns: name token index and sorted features.
-    pub feature_fns: Vec<(usize, Vec<String>)>,
-    /// Brace scopes (function bodies, unsafe blocks, other braces).
+    /// Brace scopes (function bodies and every other brace).
     pub scopes: Vec<Scope>,
     /// Token-index ranges `[start, end)` that belong to test code.
     pub test_spans: Vec<(usize, usize)>,
-    /// The file's policy tier.
-    pub tier: Tier,
+    /// An integration test, bench, example or build script: a target
+    /// the passes leave alone, like the test spans of a library.
+    pub test_target: bool,
 }
 
 impl SourceFile {
     /// Prepares one file for analysis.
     pub fn new(path: &str, content: &str) -> Self {
         let lexed = lex(content);
-        let feature_fns = collect_target_feature_fns(&lexed);
-        let scopes = build_scopes(&lexed, &feature_fns);
+        let scopes = build_scopes(&lexed);
         let test_spans = find_test_spans(&lexed);
+        let test_target = ["tests/", "benches/", "examples/"]
+            .iter()
+            .any(|dir| path.starts_with(dir) || path.contains(&format!("/{dir}")))
+            || path.ends_with("build.rs");
         SourceFile {
             path: path.to_owned(),
             lexed,
-            feature_fns,
             scopes,
             test_spans,
-            tier: tier_of(path),
+            test_target,
         }
     }
 
@@ -114,6 +47,65 @@ impl SourceFile {
     pub fn in_test(&self, i: usize) -> bool {
         self.test_spans.iter().any(|&(s, e)| s <= i && i < e)
     }
+}
+
+/// A brace-delimited scope as a token-index range (`start` is the `{`,
+/// `end` the matching `}` or one past the last token when unterminated).
+pub(crate) struct Scope {
+    /// A function body, rather than a block, match, struct literal, ….
+    pub is_fn: bool,
+    pub start: usize,
+    pub end: usize,
+}
+
+/// One pass over the token stream recovering the brace-scope tree as a
+/// flat list.
+fn build_scopes(lexed: &Lexed) -> Vec<Scope> {
+    let toks = &lexed.tokens;
+    let mut stack: Vec<(bool, usize)> = Vec::new();
+    let mut scopes = Vec::new();
+    let mut pending_fn = false;
+    // Parenthesis/bracket nesting, so the `;` inside `[u64; N]` or a
+    // default argument does not look like the end of a declaration.
+    let mut group_depth = 0i32;
+    for (i, t) in toks.iter().enumerate() {
+        match t.kind {
+            TokKind::Ident if t.text == "fn" => pending_fn = true,
+            TokKind::Punct('(') | TokKind::Punct('[') => group_depth += 1,
+            TokKind::Punct(')') | TokKind::Punct(']') => group_depth -= 1,
+            TokKind::Punct('{') => stack.push((std::mem::take(&mut pending_fn), i)),
+            TokKind::Punct('}') => {
+                if let Some((is_fn, start)) = stack.pop() {
+                    scopes.push(Scope {
+                        is_fn,
+                        start,
+                        end: i,
+                    });
+                }
+            }
+            // A trait method signature (`fn f(…);`) never gets a body —
+            // but only a top-level `;` ends the declaration.
+            TokKind::Punct(';') if group_depth == 0 => pending_fn = false,
+            _ => {}
+        }
+    }
+    while let Some((is_fn, start)) = stack.pop() {
+        scopes.push(Scope {
+            is_fn,
+            start,
+            end: toks.len(),
+        });
+    }
+    scopes
+}
+
+/// The innermost scope strictly containing token `i`; with `fn_only`,
+/// the innermost function body.
+pub(crate) fn innermost(scopes: &[Scope], i: usize, fn_only: bool) -> Option<&Scope> {
+    scopes
+        .iter()
+        .filter(|s| s.start < i && i < s.end && (s.is_fn || !fn_only))
+        .max_by_key(|s| s.start)
 }
 
 /// Finds token spans covered by `#[cfg(test)]` / `#[test]` items: the
@@ -235,7 +227,7 @@ pub(crate) enum Annotation {
 /// How many lines above a site an annotation comment may sit.
 const ANNOTATION_REACH: u32 = 3;
 
-/// Looks for an annotation marker (e.g. `PANIC-OK:`) in a comment on
+/// Looks for an annotation marker (e.g. `LOCK-OK:`) in a comment on
 /// the same line as the site or within [`ANNOTATION_REACH`] lines above
 /// it, and checks that a reason follows the marker.
 pub(crate) fn annotation_at(comments: &[Comment], line: u32, marker: &str) -> Annotation {
@@ -434,18 +426,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiers_follow_the_containment_boundary() {
-        assert_eq!(tier_of("crates/serve/src/pool.rs"), Tier::Exterior);
-        assert_eq!(tier_of("crates/obs/src/hist.rs"), Tier::Exterior);
-        assert_eq!(tier_of("crates/engine/src/main_loop.rs"), Tier::Contained);
-        assert_eq!(tier_of("src/lib.rs"), Tier::Contained);
-        assert_eq!(tier_of("crates/xtask/src/main.rs"), Tier::Dev);
-        assert_eq!(tier_of("crates/serve/tests/robustness.rs"), Tier::Dev);
-        assert_eq!(tier_of("crates/bench/src/lib.rs"), Tier::Dev);
-        assert_eq!(tier_of("tests/integration.rs"), Tier::Dev);
-    }
-
-    #[test]
     fn test_spans_cover_cfg_test_modules() {
         let src = "fn prod() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn t() { y.unwrap(); }\n}\nfn prod2() {}\n";
         let f = SourceFile::new("crates/serve/src/lib.rs", src);
@@ -494,34 +474,34 @@ mod tests {
 
     #[test]
     fn annotations_require_reasons() {
-        let src = "fn f() {\n    // PANIC-OK: capacity is clamped to >= 1 above.\n    x.unwrap();\n    // PANIC-OK:\n    y.unwrap();\n    z.unwrap();\n}\n";
+        let src = "fn f() {\n    // LOCK-OK: capacity is clamped to >= 1 above.\n    x.unwrap();\n    // LOCK-OK:\n    y.unwrap();\n    z.unwrap();\n}\n";
         let f = SourceFile::new("crates/serve/src/lib.rs", src);
         assert_eq!(
-            annotation_at(&f.lexed.comments, 3, "PANIC-OK:"),
+            annotation_at(&f.lexed.comments, 3, "LOCK-OK:"),
             Annotation::Justified
         );
         assert_eq!(
-            annotation_at(&f.lexed.comments, 5, "PANIC-OK:"),
+            annotation_at(&f.lexed.comments, 5, "LOCK-OK:"),
             Annotation::Empty
         );
         // Line 6 is covered by nothing: the merged comment run above is
-        // out of reach only if far enough — here the `// PANIC-OK:` on
+        // out of reach only if far enough — here the `// LOCK-OK:` on
         // line 4 still reaches line 6, so use a distant site instead.
         let far =
-            "fn f() {\n    // PANIC-OK: reason\n    a.unwrap();\n\n\n\n\n\n    b.unwrap();\n}\n";
+            "fn f() {\n    // LOCK-OK: reason\n    a.unwrap();\n\n\n\n\n\n    b.unwrap();\n}\n";
         let g = SourceFile::new("crates/serve/src/lib.rs", far);
         assert_eq!(
-            annotation_at(&g.lexed.comments, 9, "PANIC-OK:"),
+            annotation_at(&g.lexed.comments, 9, "LOCK-OK:"),
             Annotation::Missing
         );
     }
 
     #[test]
     fn trailing_same_line_annotation_counts() {
-        let src = "fn f() {\n    x.unwrap(); // PANIC-OK: checked non-empty above.\n}\n";
+        let src = "fn f() {\n    x.unwrap(); // LOCK-OK: checked non-empty above.\n}\n";
         let f = SourceFile::new("crates/serve/src/lib.rs", src);
         assert_eq!(
-            annotation_at(&f.lexed.comments, 2, "PANIC-OK:"),
+            annotation_at(&f.lexed.comments, 2, "LOCK-OK:"),
             Annotation::Justified
         );
     }

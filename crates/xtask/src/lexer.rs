@@ -1,13 +1,13 @@
-//! A minimal Rust lexer for the audit pass.
+//! A minimal Rust lexer for the `analyze` passes.
 //!
-//! The offline build environment has no `syn`, so the audit lints run on a
+//! The offline build environment has no `syn`, so the passes run on a
 //! hand-rolled token stream instead of a real AST. The lexer understands
-//! exactly as much Rust as it takes to make the lints sound on this
+//! exactly as much Rust as it takes to make them sound on this
 //! codebase: line/block comments (nested), string/char/byte/raw literals,
 //! lifetimes vs char literals, identifiers, and single-character
 //! punctuation. Everything inside comments and literals is *removed* from
-//! the token stream, so lints never fire on the word `unsafe` in a doc
-//! comment or a test fixture string.
+//! the token stream, so a pass never matches a `Mutex` or `SeqCst` in a
+//! doc comment or a test fixture string.
 
 /// What a token is.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,7 +73,7 @@ pub struct Lexed {
 }
 
 /// Lexes Rust source. Unterminated literals or comments are tolerated
-/// (the remainder of the file becomes one literal/comment): the audit must
+/// (the remainder of the file becomes one literal/comment): the analyzer must
 /// never panic on weird-but-compiling source, and rustc would reject truly
 /// broken files anyway.
 #[must_use]

@@ -1,7 +1,10 @@
 //! Workspace automation (`cargo xtask …`).
 //!
-//! * `cargo xtask audit` — soundness lints over every workspace source
-//!   file and manifest; exits non-zero on findings (see `audit.rs`).
+//! * `cargo xtask analyze` — the static-analysis gate over every workspace
+//!   source file, manifest and the docs: lock order, atomic orderings and
+//!   the doc/lint-config contracts; exits non-zero on findings (see
+//!   `analyze/mod.rs`). The unsafe audit and the panic surface are
+//!   rustc's and clippy's lints (DESIGN.md §14.1).
 //! * `cargo xtask fuzz-smoke` — the bounded differential-fuzz driver:
 //!   runs the `fuzz/corpus/` seeds plus a time-boxed randomized phase
 //!   through `rsq-difftest` without needing nightly or cargo-fuzz.
@@ -10,7 +13,6 @@
 //! usage or environment error.
 
 mod analyze;
-mod audit;
 mod fuzz_smoke;
 mod lexer;
 
@@ -22,12 +24,9 @@ usage: cargo xtask <command> [options]
 
 commands:
   analyze     [--root PATH] [--json] [--pass NAME]...
-              run the multi-pass workspace analyzer (passes: audit,
-              panic, locks, atomics, consistency; default all);
-              exits non-zero on any finding
-  audit       [--root PATH]
-              run the unsafe-audit static-analysis pass over the workspace
-              (alias for `analyze --pass audit` with the classic output)
+              run the multi-pass workspace analyzer (passes: locks,
+              atomics, consistency; default all); exits non-zero on any
+              finding
   fuzz-smoke  [--max-seconds N] [--target NAME] [--seed N]
               run the differential fuzz corpus + a bounded random phase
               (targets: classifier_diff, quotes_diff, depth_diff,
@@ -38,7 +37,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => cmd_analyze(&args[1..]),
-        Some("audit") => cmd_audit(&args[1..]),
         Some("fuzz-smoke") => cmd_fuzz_smoke(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
@@ -153,45 +151,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!(
                 "xtask analyze: cannot read workspace at {}: {e}",
-                root.display()
-            );
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn cmd_audit(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, &["--root"]) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("xtask audit: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let root = flags
-        .iter()
-        .find(|(f, _)| f == "--root")
-        .map_or_else(workspace_root, |(_, v)| PathBuf::from(v));
-
-    match audit::audit_workspace(&root) {
-        Ok((diags, scanned)) => {
-            for d in &diags {
-                eprintln!("{d}\n");
-            }
-            if diags.is_empty() {
-                println!("audit: {scanned} files scanned, no findings");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "audit: {} finding(s) across {scanned} scanned files",
-                    diags.len()
-                );
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!(
-                "xtask audit: cannot read workspace at {}: {e}",
                 root.display()
             );
             ExitCode::from(2)
