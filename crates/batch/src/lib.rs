@@ -68,9 +68,7 @@ use queue::Feed;
 use rsq_engine::{
     Engine, EngineError, EngineOptions, LimitKind, LineScanner, ProfileStats, RunError,
 };
-use rsq_obs::{
-    BatchCounters, BatchProfile, DocSpan, Histogram, RunStats, SpanRecord, Stopwatch, WorkerProfile,
-};
+use rsq_obs::{BatchCounters, BatchProfile, Histogram, RunStats, WorkerProfile};
 use rsq_perf::{PerfMode, PerfStats};
 use std::fs;
 use std::io;
@@ -104,11 +102,6 @@ pub struct BatchOptions {
     /// document run, accumulating into [`BatchResult::perf`]. Denied
     /// hosts degrade to no report with zero behavior change.
     pub perf: PerfMode,
-    /// Collect a per-document pipeline [`SpanRecord`] (worker, route,
-    /// epoch offset, run time) into [`BatchResult::spans`] for
-    /// timeline-trace export. Off by default: the plain path keeps its
-    /// no-clock-reads guarantee.
-    pub collect_spans: bool,
 }
 
 impl Default for BatchOptions {
@@ -119,7 +112,6 @@ impl Default for BatchOptions {
             collect_stats: false,
             profile: false,
             perf: PerfMode::Off,
-            collect_spans: false,
         }
     }
 }
@@ -235,9 +227,6 @@ pub struct BatchResult {
     /// Hardware-counter totals across all workers (`None` unless
     /// [`BatchOptions::perf`] armed counters the kernel granted).
     pub perf: Option<PerfStats>,
-    /// Per-document pipeline spans ordered by document index (empty
-    /// unless [`BatchOptions::collect_spans`] is set).
-    pub spans: Vec<SpanRecord>,
 }
 
 impl BatchResult {
@@ -395,11 +384,6 @@ impl BatchEngine {
         let collect_stats = self.options.collect_stats;
         let profile = self.options.profile;
         let perf_mode = self.options.perf;
-        let collect_spans = self.options.collect_spans;
-        // Clock zero for span placement; the route is a static property
-        // of the compiled query, shared by every document.
-        let epoch = Instant::now();
-        let route = engine.route();
 
         // Each worker collects (index, outcome) pairs privately and
         // returns them with its local stats merge — no shared mutable
@@ -410,21 +394,21 @@ impl BatchEngine {
             RunStats,
             Option<ShardProfile>,
             Option<PerfStats>,
-            Vec<SpanRecord>,
         );
         let shard = |worker: usize| -> ShardOutput {
+            // Only the test fault hook reads the worker's index.
+            #[cfg(not(test))]
+            let _ = worker;
             let mut local: Vec<(usize, Result<DocOutput, DocError>)> = Vec::new();
             let mut stats = RunStats::default();
             let mut sink = DocSink::new(true, None);
             let mut runner = DocRunner::open(perf_mode);
-            let mut spans: Vec<SpanRecord> = Vec::new();
             let mut docs: Vec<&[u8]> = Vec::new();
-            // Lap timer shared with the serve pipeline's spans: the lap
-            // taken after `claim` returns is queue wait, the lap after
-            // each document is busy time, and consecutive laps telescope
-            // — the worker's wall clock partitions exactly into waits
-            // and work. Only a profiled run starts the watch; the plain
-            // path keeps its no-clock-reads guarantee.
+            // The lap taken after `claim` returns is queue wait, the lap
+            // after each document is busy time, and consecutive laps
+            // telescope — the worker's wall clock partitions exactly into
+            // waits and work. Only a profiled run starts the watch; the
+            // plain path keeps its no-clock-reads guarantee.
             let mut prof = profile.then(|| (ShardProfile::default(), Stopwatch::start()));
             loop {
                 if let Some((_, watch)) = prof.as_mut() {
@@ -438,19 +422,6 @@ impl BatchEngine {
                     p.worker.claims += 1;
                 }
                 for (i, &doc) in (claimed..).zip(&docs) {
-                    let mut span = collect_spans.then(|| {
-                        let mut s = DocSpan::begin_at(
-                            i as u64,
-                            doc.len() as u64,
-                            u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                        s.worker(worker as u32);
-                        s.route(route);
-                        // Batch has no admission queue: the span starts
-                        // at claim, so queue wait is ~zero by design.
-                        s.claimed();
-                        s
-                    });
                     // A profile supersedes `collect_stats`: its recorder
                     // carries the Tier A counters.
                     let record = match prof.as_mut() {
@@ -478,18 +449,10 @@ impl BatchEngine {
                         p.worker.busy_ns = p.worker.busy_ns.saturating_add(ns);
                         p.worker.documents += 1;
                     }
-                    if let Some(mut s) = span.take() {
-                        s.ran();
-                        if let Err(e) = &outcome {
-                            s.fault(e.kind.code());
-                        }
-                        s.released();
-                        spans.push(s.finish());
-                    }
                     local.push((i, outcome));
                 }
             }
-            (local, stats, prof.map(|(p, _)| p), runner.perf(), spans)
+            (local, stats, prof.map(|(p, _)| p), runner.perf())
         };
 
         // The calling thread publishes the remaining windows, then is
@@ -532,12 +495,11 @@ impl BatchEngine {
         outcomes.resize_with(documents, || None);
         // Shards come back in worker-index order (spawn order), so the
         // merged `workers` vec is stable across runs of the same shape.
-        for (local, stats, shard_profile, shard_perf, shard_spans) in shards.drain(..) {
+        for (local, stats, shard_profile, shard_perf) in shards.drain(..) {
             result.stats += stats;
             if let Some(p) = shard_perf {
                 *result.perf.get_or_insert_with(PerfStats::default) += p;
             }
-            result.spans.extend(shard_spans);
             if let (Some(merged), Some(sp)) = (result.profile.as_mut(), shard_profile) {
                 result.stats += sp.profile.stats;
                 merged.bytes_skipped += sp.profile.bytes_skipped;
@@ -564,9 +526,6 @@ impl BatchEngine {
             .into_iter()
             .map(|outcome| outcome.unwrap_or_else(|| Err(lost())))
             .collect();
-        // Shards interleave document ranges; order the merged timeline
-        // by document index so trace output is deterministic.
-        result.spans.sort_by_key(|s| s.seq);
         result.counters.failed_documents =
             result.outcomes.iter().filter(|o| o.is_err()).count() as u64;
         result.counters.documents = documents as u64;
@@ -631,6 +590,30 @@ struct ShardProfile {
     profile: ProfileStats,
     latency: Histogram,
     worker: WorkerProfile,
+}
+
+/// A lap timer: each [`Stopwatch::lap`] returns the nanoseconds since the
+/// previous lap (or construction) and advances the mark, so consecutive
+/// laps partition elapsed time with no gaps or double counting.
+#[derive(Clone, Copy, Debug)]
+struct Stopwatch {
+    last: Instant,
+}
+
+impl Stopwatch {
+    fn start() -> Self {
+        Stopwatch {
+            last: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds since the previous lap; advances the mark.
+    fn lap(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = u64::try_from(now.duration_since(self.last).as_nanos()).unwrap_or(u64::MAX);
+        self.last = now;
+        ns
+    }
 }
 
 #[cfg(test)]
@@ -766,52 +749,6 @@ mod tests {
         let without = plain.run_slices("$..b", &[doc_a, doc_b]).unwrap();
         let with = profiled.run_slices("$..b", &[doc_a, doc_b]).unwrap();
         assert_eq!(without.outcomes, with.outcomes);
-    }
-
-    #[test]
-    fn collect_spans_stamps_worker_route_and_epoch() {
-        let options = BatchOptions {
-            threads: 2,
-            collect_spans: true,
-            ..BatchOptions::default()
-        };
-        let batch = BatchEngine::new(options);
-        let doc: &[u8] = br#"{"a": 1, "b": {"a": 2}}"#;
-        let docs: Vec<&[u8]> = vec![doc; 6];
-        let result = batch.run_slices("$..a", &docs).unwrap();
-        assert_eq!(result.spans.len(), 6, "one span per document");
-        for (i, span) in result.spans.iter().enumerate() {
-            assert_eq!(span.seq, i as u64, "spans sorted by document index");
-            assert_eq!(span.bytes, doc.len() as u64);
-            assert!(span.route.is_some());
-            assert!(span.start_ns > 0);
-            assert!(span.run_ns > 0);
-            assert!(span.code.is_none());
-        }
-        let json = rsq_obs::chrome_trace_json(&result.spans);
-        assert!(json.starts_with("{\"traceEvents\":["), "{json}");
-        // Span collection never changes outcomes.
-        let plain = BatchEngine::new(BatchOptions::default())
-            .run_slices("$..a", &docs)
-            .unwrap();
-        assert_eq!(result.outcomes, plain.outcomes);
-    }
-
-    #[test]
-    fn failed_documents_carry_codes_in_spans() {
-        let options = BatchOptions {
-            collect_spans: true,
-            engine: EngineOptions {
-                max_matches: Some(1),
-                ..EngineOptions::default()
-            },
-            ..BatchOptions::default()
-        };
-        let batch = BatchEngine::new(options);
-        let many: &[u8] = br#"{"a": 1, "b": {"a": 2}}"#;
-        let result = batch.run_slices("$..a", &[many]).unwrap();
-        assert!(result.outcomes[0].is_err());
-        assert_eq!(result.spans[0].code, Some("limit:matches"));
     }
 
     #[test]

@@ -839,11 +839,10 @@ fn batch_scaling() {
 
 /// Serve-mode latency under load (DESIGN.md §12): the same NDJSON corpus
 /// as `batch-scaling` streamed through the serving shell, per-document
-/// latency quantiles from the last rep's histogram. Three client
-/// profiles: a smooth pipe (whole-buffer reads), a pathologically
+/// latency quantiles from the last rep's histogram. Two client
+/// profiles: a smooth pipe (whole-buffer reads) and a pathologically
 /// fragmented one (17-byte chunks with transient stalls — the framer
-/// carries state across every boundary), and a single-slot in-flight cap
-/// (maximum backpressure: every admit waits for the previous answer).
+/// carries state across every boundary).
 fn serve_latency() {
     use rsq_serve::{serve_connection, ChaosPlan, ResponseMode, ServeOptions, ServeReport};
 
@@ -867,20 +866,15 @@ fn serve_latency() {
         stall_octile: 1,
         ..smooth
     };
-    let profiles: [(&str, ChaosPlan, usize); 3] = [
-        ("smooth", smooth, ServeOptions::DEFAULT_MAX_INFLIGHT),
-        ("fragmented", fragmented, ServeOptions::DEFAULT_MAX_INFLIGHT),
-        ("inflight-1", smooth, 1),
-    ];
-    let mut last: [Option<ServeReport>; 3] = [None, None, None];
-    // Responses must not depend on the client's fragmentation or the
-    // in-flight cap: every profile answers as many documents.
+    let profiles: [(&str, ChaosPlan); 2] = [("smooth", smooth), ("fragmented", fragmented)];
+    let mut last: [Option<ServeReport>; 2] = [None, None];
+    // Responses must not depend on the client's fragmentation: every
+    // profile answers as many documents.
     let mut runs: Vec<Run<'_>> = profiles
         .iter()
         .zip(last.iter_mut())
-        .map(|(&(name, plan, max_inflight), slot)| -> Run<'_> {
+        .map(|(&(name, plan), slot)| -> Run<'_> {
             let options = ServeOptions {
-                max_inflight,
                 mode: ResponseMode::Count,
                 ..ServeOptions::new(query)
             };
@@ -903,7 +897,7 @@ fn serve_latency() {
         .collect();
     let timed = time_row(corpus.len(), REPS, &mut runs);
     drop(runs);
-    for (((name, ..), outcome), cell) in profiles.iter().zip(&last).zip(&timed) {
+    for (((name, _), outcome), cell) in profiles.iter().zip(&last).zip(&timed) {
         let outcome = outcome.as_ref().expect("every profile ran");
         let latency = &outcome.latency;
         println!(
@@ -921,14 +915,11 @@ fn serve_latency() {
 
 /// Live-telemetry ablation (DESIGN.md §13): the same smooth NDJSON
 /// stream served through `serve_connection_with`, with no telemetry hub
-/// and with a fully armed hub — live windows, a slow-document threshold
-/// that never fires, a postmortem directory and flight recorder that
-/// never dump — interleaved. The telemetry tax is a handful of clock
-/// reads and one short mutex hold per document; the budget is 2 %.
+/// and with the live hub a `--telemetry-socket` server feeds,
+/// interleaved. The telemetry tax is two clock reads around each run and
+/// one short mutex hold per response; the budget is 2 %.
 fn telemetry_overhead() {
-    use rsq_serve::{
-        serve_connection_with, ChaosPlan, ResponseMode, ServeOptions, Telemetry, TelemetryOptions,
-    };
+    use rsq_serve::{serve_connection_with, ChaosPlan, ResponseMode, ServeOptions, Telemetry};
 
     heading("Telemetry overhead: serve_connection with and without a live hub (GB/s)");
     let total = rsq_datagen::default_target_bytes().min(8 * 1024 * 1024);
@@ -937,17 +928,7 @@ fn telemetry_overhead() {
         mode: ResponseMode::Count,
         ..ServeOptions::new(query)
     };
-    // Armed exactly as a production `--telemetry-socket --slow-log-ms
-    // --postmortem-dir` server would be; nothing fires on this corpus,
-    // so the measurement isolates the always-on recording cost.
-    let postmortem_dir = std::env::temp_dir().join("rsq-bench-telemetry-pm");
-    std::fs::create_dir_all(&postmortem_dir).expect("temp postmortem dir");
-    let hub = Telemetry::new(&TelemetryOptions {
-        slow_log_ms: Some(60_000),
-        postmortem_dir: Some(postmortem_dir),
-        flight_window: 8,
-        live: true,
-    });
+    let hub = Telemetry::new();
     let serve_pass = |hub: Option<&std::sync::Arc<Telemetry>>| -> u64 {
         let reader = rsq_serve::ChaosStream::new(&corpus, ChaosPlan::smooth(rsq_bench::BENCH_SEED));
         let outcome = serve_connection_with(&options, hub, reader, Vec::new(), std::io::sink())

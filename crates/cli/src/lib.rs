@@ -28,18 +28,17 @@ use rsq_mmap::{MapPolicy, MmapInput, Region};
 use rsq_obs::expo::Exposition;
 use rsq_obs::series::{JsonObject, Value};
 use rsq_obs::{
-    chrome_trace_json, BatchCounters, BatchProfile, Histogram, ServeCounters, SkipBytes,
-    SpanRecord, StageTimes, STATS_SCHEMA_VERSION,
+    BatchCounters, BatchProfile, Histogram, ServeCounters, SkipBytes, StageTimes,
+    STATS_SCHEMA_VERSION,
 };
 use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use rsq_serve::{
     render, serve_connection_with, serve_telemetry_listener, serve_unix_with, ResponseMode,
-    ServeOptions, ServeReport, Telemetry, TelemetryOptions,
+    ServeOptions, ServeReport, Telemetry,
 };
 use std::fmt;
 use std::io::{Read, Write};
-use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,11 +76,6 @@ options:
   --metrics-out PATH  write the run's counters (and profile, when
                       enabled) to PATH as Prometheus-style text
                       exposition
-  --trace-out PATH    (serve/batch) write the run's document timeline
-                      to PATH as Chrome trace-event JSON — open it in
-                      Perfetto (ui.perfetto.dev) or chrome://tracing
-                      for one track per worker with nested
-                      queue-wait/run/reorder-wait/emit slices
   --mmap auto|on|off  zero-copy input: map FILE (and the --batch-ndjson
                       file and --batch-dir files) into memory instead of
                       copying through a read loop; auto (the default)
@@ -104,11 +98,9 @@ response per document streams back, in input order, byte-identical to
                       (document N: message [code]) on stderr
   --serve-socket PATH accept connections on a Unix socket at PATH
                       (responses and error lines share the socket)
-  --max-inflight N    bound on admitted-but-unanswered documents
-                      (default 64; admission also stops while 128 KiB
-                      of documents per worker is held); at the bound
-                      the server stops reading, pushing backpressure
-                      to the client
+at most 64 documents are admitted but unanswered, and admission also
+stops while 128 KiB of documents per worker is held; at either bound
+the server stops reading, pushing backpressure to the client
 a failing document is answered with a per-document error and the
 connection keeps serving; --threads N runs documents on the
 connection's thread plus N-1 helpers, which take one only when idle;
@@ -125,17 +117,6 @@ live telemetry (serve mode only; costs nothing when unused):
                       gauges), GET /healthz, GET /readyz, and POST
                       /shutdown (graceful drain) over a second Unix
                       socket — curl-able while serving
-  --slow-log-ms N     log one JSON line ({\"slow_document\":...}) on the
-                      server's stderr, with the pipeline stage
-                      breakdown, for every document whose
-                      admit-to-emit time reaches N ms
-  --postmortem-dir DIR
-                      on any per-document fault (timeout, panic,
-                      limit, malformed), write a postmortem JSON with
-                      the document's timeline and the worker's recent
-                      history to DIR
-  --flight-window N   per-worker flight-recorder depth backing
-                      postmortems (default 16)
 
 hardware counters (Linux perf_event_open; never change results):
   runs that already gather statistics (--stats, --stats-json,
@@ -151,40 +132,6 @@ exit codes: 0 ok, 1 failure, 2 usage, 3 bad query, 4 I/O error,
 
 reads from stdin when FILE is omitted (chunked; limits apply while
 bytes arrive)";
-
-/// Live-telemetry flags (serve mode only). All default to off; with
-/// every field unset the serve path compiles no spans, reads no clocks,
-/// and writes no rings.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Scrape-endpoint Unix-socket path (`--telemetry-socket`).
-    pub socket: Option<String>,
-    /// Slow-document threshold in milliseconds (`--slow-log-ms`).
-    pub slow_log_ms: Option<u64>,
-    /// Postmortem artifact directory (`--postmortem-dir`).
-    pub postmortem_dir: Option<String>,
-    /// Per-worker flight-recorder depth (`--flight-window`).
-    pub flight_window: Option<usize>,
-}
-
-impl TelemetryConfig {
-    /// True when any flag that arms telemetry was given.
-    /// (`--flight-window` alone arms nothing: it only sizes the ring
-    /// that `--postmortem-dir` consumes.)
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.socket.is_some() || self.slow_log_ms.is_some() || self.postmortem_dir.is_some()
-    }
-
-    fn to_options(&self) -> TelemetryOptions {
-        TelemetryOptions {
-            slow_log_ms: self.slow_log_ms,
-            postmortem_dir: self.postmortem_dir.as_ref().map(PathBuf::from),
-            flight_window: self.flight_window.unwrap_or(0),
-            live: self.socket.is_some(),
-        }
-    }
-}
 
 /// How serve mode talks to its clients.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -350,11 +297,10 @@ pub struct Invocation {
     pub serve: Option<ServeTransport>,
     /// Per-document deadline in milliseconds (`--deadline-ms`).
     pub deadline_ms: Option<u64>,
-    /// Serve-mode in-flight bound (`--max-inflight`); `None` = default.
-    pub max_inflight: Option<usize>,
-    /// Live-telemetry flags (`--telemetry-socket`/`--slow-log-ms`/
-    /// `--postmortem-dir`/`--flight-window`).
-    pub telemetry: TelemetryConfig,
+    /// Live-telemetry scrape endpoint's Unix-socket path
+    /// (`--telemetry-socket`, serve mode only); `None` = no hub, and the
+    /// serve path reads no clocks and writes no rings for telemetry.
+    pub telemetry_socket: Option<String>,
     /// Zero-copy input policy (`--mmap auto|on|off`): whether file
     /// inputs are memory-mapped or buffered through the reader.
     pub mmap: MapPolicy,
@@ -362,9 +308,6 @@ pub struct Invocation {
     /// only arm on runs that already gather statistics; a denying kernel
     /// (or `off`/`deny`) degrades to no counters with identical output.
     pub perf: PerfMode,
-    /// Write the run's document timeline as Chrome trace-event JSON to
-    /// this path (`--trace-out`; serve and batch modes only).
-    pub trace_out: Option<String>,
 }
 
 impl Invocation {
@@ -378,7 +321,7 @@ impl Invocation {
     /// (`--stats*`, `--metrics-out`, `--profile`, live telemetry). The
     /// plain result-only path never opens a perf fd.
     fn perf_mode(&self) -> PerfMode {
-        if self.wants_stats() || self.profile || self.telemetry.enabled() {
+        if self.wants_stats() || self.profile || self.telemetry_socket.is_some() {
             self.perf
         } else {
             PerfMode::Off
@@ -412,10 +355,8 @@ impl Invocation {
         let mut metrics_out: Option<String> = None;
         let mut serve: Option<ServeTransport> = None;
         let mut deadline_ms: Option<u64> = None;
-        let mut max_inflight: Option<usize> = None;
-        let mut telemetry = TelemetryConfig::default();
+        let mut telemetry_socket: Option<String> = None;
         let mut mmap = MapPolicy::Auto;
-        let mut trace_out: Option<String> = None;
         let mut rest: Vec<&str> = Vec::new();
         let mut it = args.iter();
         // A valued flag accepts both `--flag N` and `--flag=N`.
@@ -458,22 +399,12 @@ impl Invocation {
                         threads = Some(parse_number("--threads", &v?)?);
                     } else if let Some(v) = value_of("--metrics-out", flag, &mut it) {
                         metrics_out = Some(v?);
-                    } else if let Some(v) = value_of("--trace-out", flag, &mut it) {
-                        trace_out = Some(v?);
                     } else if let Some(v) = value_of("--serve-socket", flag, &mut it) {
                         serve = Some(ServeTransport::Unix(v?));
                     } else if let Some(v) = value_of("--deadline-ms", flag, &mut it) {
                         deadline_ms = Some(parse_number("--deadline-ms", &v?)?);
-                    } else if let Some(v) = value_of("--max-inflight", flag, &mut it) {
-                        max_inflight = Some(parse_number("--max-inflight", &v?)?);
                     } else if let Some(v) = value_of("--telemetry-socket", flag, &mut it) {
-                        telemetry.socket = Some(v?);
-                    } else if let Some(v) = value_of("--slow-log-ms", flag, &mut it) {
-                        telemetry.slow_log_ms = Some(parse_number("--slow-log-ms", &v?)?);
-                    } else if let Some(v) = value_of("--postmortem-dir", flag, &mut it) {
-                        telemetry.postmortem_dir = Some(v?);
-                    } else if let Some(v) = value_of("--flight-window", flag, &mut it) {
-                        telemetry.flight_window = Some(parse_number("--flight-window", &v?)?);
+                        telemetry_socket = Some(v?);
                     } else if let Some(v) = value_of("--mmap", flag, &mut it) {
                         let v = v?;
                         mmap = MapPolicy::parse(&v)
@@ -548,27 +479,8 @@ impl Invocation {
                 return Err("--profile is not supported in serve mode".to_owned());
             }
         }
-        if max_inflight.is_some() && serve.is_none() {
-            return Err("--max-inflight requires --serve or --serve-socket".to_owned());
-        }
-        if trace_out.is_some() && serve.is_none() && batch.is_none() {
-            return Err("--trace-out requires a serve or batch mode".to_owned());
-        }
-        if (telemetry.enabled() || telemetry.flight_window.is_some()) && serve.is_none() {
-            return Err(
-                "--telemetry-socket/--slow-log-ms/--postmortem-dir/--flight-window require \
-                 --serve or --serve-socket"
-                    .to_owned(),
-            );
-        }
-        if telemetry.flight_window.is_some() && telemetry.postmortem_dir.is_none() {
-            return Err("--flight-window requires --postmortem-dir".to_owned());
-        }
-        if telemetry.flight_window == Some(0) {
-            return Err("--flight-window must be at least 1".to_owned());
-        }
-        if max_inflight == Some(0) {
-            return Err("--max-inflight must be at least 1".to_owned());
+        if telemetry_socket.is_some() && serve.is_none() {
+            return Err("--telemetry-socket requires --serve or --serve-socket".to_owned());
         }
         if deadline_ms.is_some() && (batch.is_some() || matches!(mode, Mode::Stats | Mode::Compile))
         {
@@ -587,11 +499,9 @@ impl Invocation {
             metrics_out: metrics_out.clone(),
             serve: serve.clone(),
             deadline_ms,
-            max_inflight,
-            telemetry: telemetry.clone(),
+            telemetry_socket: telemetry_socket.clone(),
             mmap,
             perf,
-            trace_out: trace_out.clone(),
         };
         if serve.is_some() {
             return match rest.as_slice() {
@@ -717,8 +627,8 @@ fn elapsed_ns(t0: Instant) -> u64 {
 
 /// What a finished run has to report, whichever driver ran it: the parts
 /// that are present are rendered, by the one writer below, to
-/// `--metrics-out`, `--trace-out` and the `--stats`/`--stats-json`/
-/// `--profile` block on stderr.
+/// `--metrics-out` and the `--stats`/`--stats-json`/`--profile` block on
+/// stderr.
 #[derive(Default)]
 struct Report<'a> {
     /// Batch-layer counters (batch runs).
@@ -737,8 +647,6 @@ struct Report<'a> {
     counters_unavailable: Option<&'a str>,
     /// The live-telemetry hub of a serve run.
     telemetry: Option<&'a Telemetry>,
-    /// The document timeline of a batch or serve run.
-    spans: &'a [SpanRecord],
 }
 
 impl Report<'_> {
@@ -843,9 +751,6 @@ impl Report<'_> {
     fn write(&self, invocation: &Invocation, err: &mut impl Write) -> Result<(), CliError> {
         if let Some(path) = &invocation.metrics_out {
             write_file(path, self.metrics())?;
-        }
-        if let Some(path) = &invocation.trace_out {
-            write_file(path, chrome_trace_json(self.spans))?;
         }
         let text = match invocation.stats {
             Some(StatsFormat::Json) => self.json(),
@@ -994,21 +899,14 @@ fn serve_options(invocation: &Invocation) -> ServeOptions {
         engine: invocation.options,
         mode: invocation.response_mode(),
         threads: invocation.threads,
-        max_inflight: invocation
-            .max_inflight
-            .unwrap_or(ServeOptions::DEFAULT_MAX_INFLIGHT),
         deadline: invocation.deadline_ms.map(Duration::from_millis),
-        collect_spans: invocation.trace_out.is_some(),
         perf: invocation.perf_mode(),
     }
 }
 
-/// Builds the live-telemetry hub when any telemetry flag armed it.
+/// Builds the live-telemetry hub when `--telemetry-socket` armed it.
 fn telemetry_hub(invocation: &Invocation) -> Option<Arc<Telemetry>> {
-    invocation
-        .telemetry
-        .enabled()
-        .then(|| Telemetry::new(&invocation.telemetry.to_options()))
+    invocation.telemetry_socket.is_some().then(Telemetry::new)
 }
 
 /// Binds the scrape socket (replacing a stale file) and answers it from
@@ -1049,7 +947,6 @@ fn serve_report<'a>(report: &'a ServeReport, hub: Option<&'a Arc<Telemetry>>) ->
         serve: Some((&report.counters, &report.latency)),
         perf: report.perf.as_ref(),
         telemetry: hub.map(Arc::as_ref),
-        spans: &report.spans,
         ..Report::default()
     }
 }
@@ -1093,7 +990,7 @@ pub fn run_serve_pipe(
 ) -> Result<(), CliError> {
     let options = serve_options(invocation);
     let hub = telemetry_hub(invocation);
-    let listener = match (&hub, &invocation.telemetry.socket) {
+    let listener = match (&hub, &invocation.telemetry_socket) {
         (Some(h), Some(path)) => Some(spawn_telemetry_listener(h, path)?),
         _ => None,
     };
@@ -1129,7 +1026,7 @@ fn run_serve_unix(
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)
         .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot bind {path}: {e}")))?;
-    let telemetry_thread = match (&hub, &invocation.telemetry.socket) {
+    let telemetry_thread = match (&hub, &invocation.telemetry_socket) {
         (Some(h), Some(sock)) => Some(spawn_telemetry_listener(h, sock)?),
         _ => None,
     };
@@ -1172,7 +1069,6 @@ fn run_batch(
         engine: invocation.options,
         collect_stats: invocation.wants_stats(),
         profile: invocation.profile,
-        collect_spans: invocation.trace_out.is_some(),
         perf: invocation.perf_mode(),
     });
 
@@ -1241,7 +1137,6 @@ fn run_batch(
         stats: Some(&result.stats),
         batch_profile: result.profile.as_ref(),
         perf: result.perf.as_ref(),
-        spans: &result.spans,
         ..Report::default()
     }
     .write(invocation, err)?;
@@ -1373,11 +1268,9 @@ mod tests {
                     metrics_out: None,
                     serve: None,
                     deadline_ms: None,
-                    max_inflight: None,
-                    telemetry: TelemetryConfig::default(),
+                    telemetry_socket: None,
                     mmap,
                     perf: PerfMode::Off,
-                    trace_out: None,
                 };
                 let mapped = run_to_string(&inv(MapPolicy::On)).unwrap();
                 let buffered = run_to_string(&inv(MapPolicy::Off)).unwrap();
@@ -1407,11 +1300,9 @@ mod tests {
                     metrics_out: None,
                     serve: None,
                     deadline_ms: None,
-                    max_inflight: None,
-                    telemetry: TelemetryConfig::default(),
+                    telemetry_socket: None,
                     mmap,
                     perf: PerfMode::Off,
-                    trace_out: None,
                 };
                 let err = run_to_string(&inv).unwrap_err();
                 assert_eq!(err.kind, CliErrorKind::Limit, "policy {mmap:?}");
@@ -1451,11 +1342,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             assert_eq!(run_to_string(&inv(Mode::Count)).unwrap(), "2\n");
             assert_eq!(run_to_string(&inv(Mode::Values)).unwrap(), "2\n3\n");
@@ -1480,11 +1369,9 @@ mod tests {
             metrics_out: None,
             serve: None,
             deadline_ms: None,
-            max_inflight: None,
-            telemetry: TelemetryConfig::default(),
+            telemetry_socket: None,
             mmap: MapPolicy::Auto,
             perf: PerfMode::Off,
-            trace_out: None,
         };
         assert_eq!(
             run(&bad_query, &mut Vec::new(), &mut Vec::new())
@@ -1505,11 +1392,9 @@ mod tests {
             metrics_out: None,
             serve: None,
             deadline_ms: None,
-            max_inflight: None,
-            telemetry: TelemetryConfig::default(),
+            telemetry_socket: None,
             mmap: MapPolicy::Auto,
             perf: PerfMode::Off,
-            trace_out: None,
         };
         assert_eq!(
             run(&missing_file, &mut Vec::new(), &mut Vec::new())
@@ -1534,11 +1419,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             assert_eq!(
                 run(&strict, &mut Vec::new(), &mut Vec::new())
@@ -1564,11 +1447,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             assert_eq!(
                 run(&limited, &mut Vec::new(), &mut Vec::new())
@@ -1594,11 +1475,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             let out = run_to_string(&inv).unwrap();
             assert!(out.contains("nodes     4"), "{out}");
@@ -1621,11 +1500,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -1693,11 +1570,9 @@ mod tests {
                     metrics_out: None,
                     serve: None,
                     deadline_ms: None,
-                    max_inflight: None,
-                    telemetry: TelemetryConfig::default(),
+                    telemetry_socket: None,
                     mmap: MapPolicy::Auto,
                     perf: PerfMode::Off,
-                    trace_out: None,
                 };
                 assert_eq!(run_to_string(&inv(Mode::Count)).unwrap(), "1\n1\n0\n");
                 assert_eq!(
@@ -1727,11 +1602,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -1759,11 +1632,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -1799,11 +1670,9 @@ mod tests {
             metrics_out: None,
             serve: None,
             deadline_ms: None,
-            max_inflight: None,
-            telemetry: TelemetryConfig::default(),
+            telemetry_socket: None,
             mmap: MapPolicy::Auto,
             perf: PerfMode::Off,
-            trace_out: None,
         };
         let mut out = Vec::new();
         let mut err = Vec::new();
@@ -1845,11 +1714,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             let mut err = Vec::new();
             run(&inv(false), &mut Vec::new(), &mut err).unwrap();
@@ -1898,11 +1765,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -1931,11 +1796,9 @@ mod tests {
                 metrics_out: Some(metrics_path.clone()),
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             let mut err = Vec::new();
             run(&inv, &mut Vec::new(), &mut err).unwrap();
@@ -1962,11 +1825,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Off,
-                trace_out: None,
             };
             let mut err = Vec::new();
             run(&inv(Some(StatsFormat::Json)), &mut Vec::new(), &mut err).unwrap();
@@ -2006,11 +1867,9 @@ mod tests {
             metrics_out: None,
             serve: None,
             deadline_ms: None,
-            max_inflight: None,
-            telemetry: TelemetryConfig::default(),
+            telemetry_socket: None,
             mmap: MapPolicy::Auto,
             perf: PerfMode::Off,
-            trace_out: None,
         };
         let out = run_to_string(&inv).unwrap();
         assert!(out.starts_with("digraph"));
@@ -2028,8 +1887,6 @@ mod tests {
             "--serve-socket=/tmp/rsq.sock",
             "--deadline-ms",
             "250",
-            "--max-inflight",
-            "8",
             "--threads",
             "2",
             "$..b",
@@ -2040,7 +1897,6 @@ mod tests {
             Some(ServeTransport::Unix("/tmp/rsq.sock".to_owned()))
         );
         assert_eq!(inv.deadline_ms, Some(250));
-        assert_eq!(inv.max_inflight, Some(8));
         assert_eq!(inv.threads, 2);
 
         // Serve reads from its transport: exactly one positional.
@@ -2051,8 +1907,6 @@ mod tests {
         assert!(parse(&["--serve", "--verify", "$..b"]).is_err());
         assert!(parse(&["--serve", "--profile", "$..b"]).is_err());
         // Flag dependencies and ranges.
-        assert!(parse(&["--max-inflight", "4", "$..b"]).is_err());
-        assert!(parse(&["--max-inflight", "0", "--serve", "$..b"]).is_err());
         assert!(parse(&["--deadline-ms", "5", "--batch-ndjson", "$..b"]).is_err());
         assert!(parse(&["--deadline-ms", "5", "--compile", "$.a"]).is_err());
         // Single-document runs may carry an ingest deadline.
@@ -2069,45 +1923,16 @@ mod tests {
         let inv = parse(&[
             "--serve-socket=/tmp/rsq.sock",
             "--telemetry-socket=/tmp/rsq-telemetry.sock",
-            "--slow-log-ms",
-            "250",
-            "--postmortem-dir",
-            "/tmp/postmortems",
-            "--flight-window",
-            "8",
             "$..b",
         ])
         .unwrap();
         assert_eq!(
-            inv.telemetry.socket.as_deref(),
+            inv.telemetry_socket.as_deref(),
             Some("/tmp/rsq-telemetry.sock")
         );
-        assert_eq!(inv.telemetry.slow_log_ms, Some(250));
-        assert_eq!(
-            inv.telemetry.postmortem_dir.as_deref(),
-            Some("/tmp/postmortems")
-        );
-        assert_eq!(inv.telemetry.flight_window, Some(8));
-        assert!(inv.telemetry.enabled());
-
-        let off = parse(&["--serve", "$..b"]).unwrap();
-        assert!(!off.telemetry.enabled());
-
+        assert_eq!(parse(&["--serve", "$..b"]).unwrap().telemetry_socket, None);
         // Telemetry rides on serve mode only.
         assert!(parse(&["--telemetry-socket", "/tmp/t.sock", "$..b"]).is_err());
-        assert!(parse(&["--slow-log-ms", "5", "$..b"]).is_err());
-        assert!(parse(&["--postmortem-dir", "/tmp/p", "--count", "$..b"]).is_err());
-        // The flight window sizes the postmortem ring: pointless alone.
-        assert!(parse(&["--serve", "--flight-window", "4", "$..b"]).is_err());
-        assert!(parse(&[
-            "--serve",
-            "--postmortem-dir",
-            "/tmp/p",
-            "--flight-window",
-            "0",
-            "$..b"
-        ])
-        .is_err());
     }
 
     fn serve_invocation(mode: Mode) -> Invocation {
@@ -2123,11 +1948,9 @@ mod tests {
             metrics_out: None,
             serve: Some(ServeTransport::Pipe),
             deadline_ms: None,
-            max_inflight: None,
-            telemetry: TelemetryConfig::default(),
+            telemetry_socket: None,
             mmap: MapPolicy::Auto,
             perf: PerfMode::Off,
-            trace_out: None,
         }
     }
 
@@ -2227,25 +2050,23 @@ mod tests {
     }
 
     #[test]
-    fn serve_pipe_telemetry_reports_postmortems_and_stats_json_object() {
-        let dir = temp_path("pm");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn serve_pipe_telemetry_reports_stats_json_object() {
+        let tele_sock = temp_path("pipe-tele.sock");
         let mut inv = serve_invocation(Mode::Count);
         inv.stats = Some(StatsFormat::Json);
         inv.deadline_ms = Some(0);
-        inv.telemetry.postmortem_dir = Some(dir.to_str().unwrap().to_owned());
-        inv.telemetry.flight_window = Some(4);
+        inv.telemetry_socket = Some(tele_sock.to_str().unwrap().to_owned());
         let mut out = Vec::new();
         let mut err = Vec::new();
         let error = run_serve_pipe(&inv, SERVE_INPUT, &mut out, &mut err).unwrap_err();
         assert_eq!(error.kind, CliErrorKind::Deadline);
         let stderr = String::from_utf8(err).unwrap();
-        assert!(stderr.contains("\"telemetry\":{"), "{stderr}");
-        assert!(stderr.contains("\"postmortems\":2"), "{stderr}");
-        assert!(stderr.contains("\"window_10s\":"), "{stderr}");
-        let dumped = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(dumped, 2, "one postmortem per timed-out document");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            stderr.contains("\"telemetry\":{\"window_10s\":{\"secs\":10,\"docs\":2,"),
+            "{stderr}"
+        );
+        assert!(stderr.contains("\"errors\":2,"), "{stderr}");
+        let _ = std::fs::remove_file(&tele_sock);
     }
 
     #[test]
@@ -2258,7 +2079,7 @@ mod tests {
             serve_sock.to_str().unwrap().to_owned(),
         ));
         inv.metrics_out = Some(metrics_path.to_str().unwrap().to_owned());
-        inv.telemetry.socket = Some(tele_sock.to_str().unwrap().to_owned());
+        inv.telemetry_socket = Some(tele_sock.to_str().unwrap().to_owned());
         let server = std::thread::spawn({
             let inv = inv.clone();
             let serve_sock = serve_sock.clone();
@@ -2310,23 +2131,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_trace_out_flag() {
-        let serve = parse(&["--serve", "--trace-out", "t.json", "$..b"]).unwrap();
-        assert_eq!(serve.trace_out.as_deref(), Some("t.json"));
-        let batch = parse(&["--batch-ndjson", "x", "--trace-out=t.json", "$..b"]).unwrap();
-        assert_eq!(batch.trace_out.as_deref(), Some("t.json"));
-        // The timeline exists only where a worker pipeline does.
-        assert!(parse(&["--trace-out", "t.json", "$..b"]).is_err());
-        assert!(parse(&["--trace-out", "t.json", "$..b", "f.json"]).is_err());
-        assert!(parse(&["--trace-out"]).is_err());
-    }
-
-    /// Forced denial (`RSQ_PERF=deny`) and `off` must be observably
-    /// identical to a kernel that refuses `perf_event_open`: same
-    /// stdout, same exit class, and a stats JSON without a `"perf"`
-    /// object. `Auto` may add the object on capable hosts but must
-    /// never change stdout.
-    #[test]
     fn perf_denial_changes_no_output() {
         with_temp_file(r#"{"a": [1, {"b": 2}], "b": 3}"#, |path| {
             let inv = |perf| Invocation {
@@ -2341,11 +2145,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf,
-                trace_out: None,
             };
             let capture = |perf| {
                 let mut out = Vec::new();
@@ -2394,11 +2196,9 @@ mod tests {
                 metrics_out: None,
                 serve: None,
                 deadline_ms: None,
-                max_inflight: None,
-                telemetry: TelemetryConfig::default(),
+                telemetry_socket: None,
                 mmap: MapPolicy::Auto,
                 perf: PerfMode::Deny,
-                trace_out: None,
             };
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -2409,66 +2209,6 @@ mod tests {
                 err.contains("hw counters        unavailable: RSQ_PERF=deny:"),
                 "{err}"
             );
-        });
-    }
-
-    #[test]
-    fn batch_trace_out_writes_a_complete_timeline() {
-        with_temp_file(
-            "{\"a\": 1}\n{\"b\": {\"a\": [2, 3]}}\n{\"c\": 0}\n",
-            |path| {
-                let trace_path = format!("{path}.trace.json");
-                let inv = Invocation {
-                    mode: Mode::Count,
-                    query: "$..a".to_owned(),
-                    file: None,
-                    options: EngineOptions::default(),
-                    stats: None,
-                    batch: Some(BatchSource::Ndjson(path.to_owned())),
-                    threads: 2,
-                    profile: false,
-                    metrics_out: None,
-                    serve: None,
-                    deadline_ms: None,
-                    max_inflight: None,
-                    telemetry: TelemetryConfig::default(),
-                    mmap: MapPolicy::Auto,
-                    perf: PerfMode::Off,
-                    trace_out: Some(trace_path.clone()),
-                };
-                let stdout = run_to_string(&inv).unwrap();
-                assert_eq!(stdout, "1\n1\n0\n", "stdout unchanged by --trace-out");
-                let trace = std::fs::read_to_string(&trace_path).unwrap();
-                let _ = std::fs::remove_file(&trace_path);
-                assert!(trace.starts_with("{\"traceEvents\":["), "{trace}");
-                assert!(trace.ends_with("]}"), "{trace}");
-                // One doc slice plus four phase slices per document, all
-                // complete events — Perfetto opens this directly.
-                assert_eq!(trace.matches("\"ph\":\"X\"").count(), 3 * 5, "{trace}");
-                assert!(trace.contains("\"thread_name\""), "{trace}");
-                assert!(trace.contains("\"name\":\"doc 0 ["), "{trace}");
-                assert_eq!(
-                    trace.matches('{').count(),
-                    trace.matches('}').count(),
-                    "balanced JSON: {trace}"
-                );
-            },
-        );
-    }
-
-    #[test]
-    fn serve_trace_out_writes_a_complete_timeline() {
-        with_temp_file("", |path| {
-            let mut inv = serve_invocation(Mode::Count);
-            inv.trace_out = Some(path.to_owned());
-            let mut out = Vec::new();
-            run_serve_pipe(&inv, SERVE_INPUT, &mut out, &mut Vec::new()).unwrap();
-            assert_eq!(out, b"1\n2\n");
-            let trace = std::fs::read_to_string(path).unwrap();
-            assert!(trace.starts_with("{\"traceEvents\":["), "{trace}");
-            assert_eq!(trace.matches("\"ph\":\"X\"").count(), 2 * 5, "{trace}");
-            assert!(trace.contains("\"queue-wait\""), "{trace}");
-            assert!(trace.contains("\"reorder-wait\""), "{trace}");
         });
     }
 }

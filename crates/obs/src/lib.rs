@@ -24,10 +24,10 @@
 //!
 //! On top of the tiers sits the **live-telemetry layer** consumed by
 //! serve mode's scrape endpoint: rolling-window aggregation
-//! ([`WindowRing`]), per-document pipeline spans ([`DocSpan`] /
-//! [`SpanRecord`]), and the per-worker fault flight recorder
-//! ([`FlightRecorder`]). All of it follows the same discipline: no
-//! clock reads and no ring writes unless telemetry is enabled.
+//! ([`WindowRing`]) and the point-in-time [`TelemetryGauges`], fed from
+//! the per-document classification serve's emitter already makes. It
+//! follows the same discipline: no clock reads and no ring writes unless
+//! telemetry is enabled.
 //!
 //! Every reported value of every counter set is declared once, as a row
 //! of the **series registry** ([`series`]); `--stats-json`, the
@@ -55,19 +55,15 @@
 
 mod batch;
 pub mod expo;
-mod flightrec;
 mod hist;
 mod profile;
 pub mod series;
 mod serve;
 mod skipmap;
-mod span;
 mod stats;
-mod timeline;
 mod window;
 
 pub use batch::BatchCounters;
-pub use flightrec::{FlightRecorder, DEFAULT_FLIGHT_WINDOW};
 pub use hist::Histogram;
 pub use profile::{
     BatchProfile, ProfileStage, ProfileStats, SkipBytes, StageTimes, WorkerProfile,
@@ -75,7 +71,5 @@ pub use profile::{
 };
 pub use serve::ServeCounters;
 pub use skipmap::{SkipMap, SkipTechnique};
-pub use span::{DocSpan, SpanRecord, Stopwatch};
 pub use stats::{BlockStats, ClassifierCounters, NoStats, Recorder, Route, RunStats, SkipStats};
-pub use timeline::chrome_trace_json;
 pub use window::{TelemetryGauges, WindowRing, WindowSnapshot};

@@ -35,7 +35,7 @@ use std::fmt;
 use std::time::Instant;
 
 /// Version of the machine-readable stats JSON schema emitted by the CLI
-/// (`--stats-json`, serve postmortems). Bumped when fields change meaning
+/// (`--stats-json`). Bumped when fields change meaning
 /// or required fields are added; consumers should reject reports with a
 /// different version.
 ///

@@ -72,9 +72,10 @@ impl WindowRing {
         slot
     }
 
-    /// Records one finished document into second `tick`: its end-to-end
-    /// latency, its size on the wire, whether it failed, the worker
-    /// time it consumed, and (when known) the engine route that ran it.
+    /// Records one finished document into second `tick`: its
+    /// admission-to-completion latency, its size on the wire, whether it
+    /// failed, the worker time it consumed, and (when known) the engine
+    /// route that ran it.
     pub fn record(
         &mut self,
         tick: u64,
@@ -217,21 +218,15 @@ pub struct TelemetryGauges {
     pub in_flight: u64,
     /// Worker threads per connection.
     pub workers: u64,
-    /// Slow-document log lines written so far (lifetime counter).
-    pub slow_documents: u64,
-    /// Postmortem artifacts written so far (lifetime counter).
-    pub postmortems: u64,
 }
 
 impl TelemetryGauges {
-    /// The gauges, once; only the two lifetime counters have a member in
-    /// the `telemetry` JSON object.
+    /// The gauges, once; they have no member in the `telemetry` JSON
+    /// object.
     pub const ROWS: &'static [Row<TelemetryGauges>] = crate::series_rows! {
         "" get(|g| g.queue_depth) => gauge rsq_queue_depth "Framed documents waiting for a worker.";
         "" get(|g| g.in_flight) => gauge rsq_in_flight "Documents admitted but not yet emitted.";
         "" get(|g| g.workers) => gauge rsq_workers "Worker threads serving the connection.";
-        "slow_documents" get(|g| g.slow_documents) => counter rsq_slow_documents_total "Documents that exceeded the slow-log threshold.";
-        "postmortems" get(|g| g.postmortems) => counter rsq_postmortems_total "Postmortem artifacts written by the flight recorder.";
     };
 }
 

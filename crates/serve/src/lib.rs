@@ -18,13 +18,14 @@
 //!   than the configured document byte cap.
 //! * **Backpressure** — a connection holds at most 128 KiB of admitted
 //!   document bytes per worker (or one document, if that is larger), and
-//!   at most [`ServeOptions::max_inflight`] unanswered documents. When
-//!   either bound is hit the server stops reading the connection, which
-//!   propagates to the client through the transport. Buffered memory per
-//!   connection is therefore a small multiple of `128 KiB × workers`
-//!   plus one `max_document_bytes` line in the framer — not
-//!   `max_inflight × max_document_bytes` — and finished document
-//!   buffers are recycled to the framer rather than reallocated.
+//!   at most [`ServeOptions::DEFAULT_MAX_INFLIGHT`] unanswered documents.
+//!   When either bound is hit the server stops reading the connection,
+//!   which propagates to the client through the transport. Buffered
+//!   memory per connection is therefore a small multiple of
+//!   `128 KiB × workers` plus one `max_document_bytes` line in the
+//!   framer — not `DEFAULT_MAX_INFLIGHT × max_document_bytes` — and
+//!   finished document buffers are recycled to the framer rather than
+//!   reallocated.
 //! * **Deadlines** — an optional per-document budget from admission;
 //!   expiry is a per-document `timeout` error, not a connection event.
 //! * **Fault isolation** — every per-document failure (resource limit,
@@ -59,28 +60,24 @@ mod telemetry;
 pub use chaos::{ChaosFault, ChaosPlan, ChaosStream};
 #[cfg(unix)]
 pub use telemetry::serve_telemetry_listener;
-pub use telemetry::{Telemetry, TelemetryOptions};
+pub use telemetry::Telemetry;
 
 use pool::Pool;
 use rsq_batch::{DocError, DocErrorKind, DocRunner, DocSink, Frame, NdjsonFramer, Record};
 use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
-use rsq_obs::{FlightRecorder, Histogram, ProfileStats, ServeCounters, SpanRecord};
+use rsq_obs::{Histogram, Route, ServeCounters};
 use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use std::io::{self, Read, Write};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// One in every this-many documents per worker runs with the Tier C
-/// stage-timer recorder when telemetry is on; the rest take the plain
-/// (clock-free) engine path. The profiled path reads the monotonic
-/// clock around every fast-forward, which costs double-digit percent on
-/// skip-heavy queries — sampling keeps the armed-telemetry tax under
-/// the 2% budget the `telemetry-overhead` bench asserts, while slow-log
-/// and postmortem records still get a periodic stage breakdown.
-const STAGE_SAMPLE_INTERVAL: usize = 32;
+/// One in every this-many documents per worker is bracketed by the
+/// hardware-counter group when counters are armed; the rest run without
+/// the group's start and stop syscalls.
+const PERF_SAMPLE_INTERVAL: usize = 32;
 
 /// What the server writes back for each successfully processed
 /// document. Mirrors the batch CLI's output modes byte-for-byte.
@@ -111,22 +108,10 @@ pub struct ServeOptions {
     /// document goes to a helper only if one is idle; otherwise the
     /// connection's thread runs it before reading more.
     pub threads: usize,
-    /// Ceiling on documents admitted but not yet answered: the length
-    /// of the job queue plus the reorder buffer. It does not bound
-    /// memory on its own — admission also stops once the admitted
-    /// documents hold 128 KiB per worker (a lone larger document is
-    /// still admitted when nothing else is in flight), so the window is
-    /// `min(max_inflight, however many documents fit the byte budget)`.
-    pub max_inflight: usize,
     /// Per-document processing budget, measured from admission.
     /// `None` = no deadline. `Some(Duration::ZERO)` deterministically
     /// times out every document (useful in tests).
     pub deadline: Option<Duration>,
-    /// Collect every document's finished pipeline span into
-    /// [`ServeReport::spans`] for timeline-trace export (`--trace-out`).
-    /// Off by default: the plain path keeps its no-clock-reads
-    /// guarantee.
-    pub collect_spans: bool,
     /// Hardware-counter mode for the per-worker sampled cycle
     /// accounting. [`PerfMode::Off`] by default — the CLI arms this
     /// only when a reporting sink (stats, metrics, telemetry) exists.
@@ -134,13 +119,17 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Default document ceiling: deep enough to keep a pool of workers
-    /// busy over a bursty pipe of small documents; for large ones the
-    /// byte budget closes the window first.
+    /// Ceiling on documents admitted but not yet answered: the length of
+    /// the job queue plus the reorder buffer. Deep enough to keep a pool
+    /// of workers busy over a bursty pipe of small documents. It does not
+    /// bound memory on its own: admission also stops once the admitted
+    /// documents hold 128 KiB per worker (a lone larger document is still
+    /// admitted when nothing else is in flight), so for large documents
+    /// the byte budget closes the window first.
     pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
     /// Options for `query` with engine defaults, count responses, one
-    /// thread per CPU, the default in-flight bound, and no deadline.
+    /// thread per CPU, and no deadline.
     #[must_use]
     pub fn new(query: &str) -> Self {
         ServeOptions {
@@ -148,9 +137,7 @@ impl ServeOptions {
             engine: EngineOptions::default(),
             mode: ResponseMode::Count,
             threads: 0,
-            max_inflight: Self::DEFAULT_MAX_INFLIGHT,
             deadline: None,
-            collect_spans: false,
             perf: PerfMode::Off,
         }
     }
@@ -198,9 +185,6 @@ pub struct ServeReport {
     /// written; `false` after a mid-stream disconnect or a failed
     /// response write.
     pub clean: bool,
-    /// Finished pipeline spans in emission order, for timeline-trace
-    /// export. Empty unless [`ServeOptions::collect_spans`] was set.
-    pub spans: Vec<SpanRecord>,
     /// Sampled hardware-counter totals across the session's workers.
     /// `None` when counters were off or unavailable (denied hosts).
     pub perf: Option<PerfStats>,
@@ -213,7 +197,6 @@ impl Default for ServeReport {
             latency: Histogram::new(),
             first_failure: None,
             clean: true,
-            spans: Vec::new(),
             perf: None,
         }
     }
@@ -228,7 +211,6 @@ impl ServeReport {
             self.first_failure = other.first_failure;
         }
         self.clean &= other.clean;
-        self.spans.extend_from_slice(&other.spans);
         if let Some(p) = other.perf {
             *self.perf.get_or_insert_with(PerfStats::default) += p;
         }
@@ -271,20 +253,39 @@ pub fn render(
     }
 }
 
+/// The [`ServeCounters`] field a response is counted in.
+type Tally = fn(&mut ServeCounters) -> &mut u64;
+
+impl pool::Response {
+    /// The one classification of a document's outcome: the emitter counts
+    /// the response into its report with it and passes it to the hub.
+    fn tally(&self) -> Tally {
+        let Err(e) = &self.result else {
+            return |c| &mut c.responses_ok;
+        };
+        match e.kind {
+            DocErrorKind::Timeout => |c| &mut c.timeouts,
+            DocErrorKind::Limit(_) if self.framer_rejected => |c| &mut c.oversize_rejections,
+            DocErrorKind::Limit(_) => |c| &mut c.limit_errors,
+            DocErrorKind::Malformed => |c| &mut c.malformed_errors,
+            DocErrorKind::Panic => |c| &mut c.panics,
+            DocErrorKind::Io => |c| &mut c.io_errors,
+        }
+    }
+}
+
 /// The emitter role (see `pool`): result lines go to `out`, error lines
 /// (`document N: message [code]`) to `err`, one write per run of lines
-/// bound for the same stream, and each into the connection's report. A
-/// write failure aborts the pool: the connection is gone, so draining
-/// further work would be wasted. With telemetry on, each span is finished
-/// here — the final lap is the emit phase — and fed to the hub;
-/// framer-rejected lines have no span and count into the hub's live
-/// counters only, without polluting the latency windows.
+/// bound for the same stream, and each into the connection's report and,
+/// with telemetry on, the hub. A write failure aborts the pool: the
+/// connection is gone, so draining further work would be wasted.
 struct Emitter<W, E> {
     out: W,
     err: E,
     mode: ResponseMode,
     telemetry: Option<Arc<Telemetry>>,
-    collect_spans: bool,
+    /// The compiled query's route, which ran every document.
+    route: Route,
     /// The lines rendered but not yet written, all bound for one stream.
     lines: Vec<u8>,
     report: ServeReport,
@@ -308,12 +309,16 @@ impl<W: Write, E: Write> Emitter<W, E> {
                 self.write_lines(to_err)?;
                 to_err = !to_err;
             }
+            let tally = resp.tally();
+            *tally(&mut self.report.counters) += 1;
             if !resp.framer_rejected {
                 self.report.latency.record(resp.latency_ns);
             }
+            if let Some(t) = &self.telemetry {
+                t.record_doc(tally, resp, self.route);
+            }
             match &resp.result {
                 Ok(matches) => {
-                    self.report.counters.responses_ok += 1;
                     render(
                         &mut self.lines,
                         self.mode,
@@ -323,17 +328,6 @@ impl<W: Write, E: Write> Emitter<W, E> {
                     )?;
                 }
                 Err(e) => {
-                    let c = &mut self.report.counters;
-                    *match e.kind {
-                        DocErrorKind::Timeout => &mut c.timeouts,
-                        DocErrorKind::Limit(_) if resp.framer_rejected => {
-                            &mut c.oversize_rejections
-                        }
-                        DocErrorKind::Limit(_) => &mut c.limit_errors,
-                        DocErrorKind::Malformed => &mut c.malformed_errors,
-                        DocErrorKind::Panic => &mut c.panics,
-                        DocErrorKind::Io => &mut c.io_errors,
-                    } += 1;
                     self.report.first_failure.get_or_insert(e.kind);
                     let (doc_no, message, code) = (seq + 1, &e.message, e.code());
                     writeln!(self.lines, "document {doc_no}: {message} [{code}]")?;
@@ -345,94 +339,55 @@ impl<W: Write, E: Write> Emitter<W, E> {
 }
 
 impl<W: Write, E: Write> pool::Emit for Emitter<W, E> {
-    fn emit(&mut self, batch: &mut [(u64, pool::Response)]) -> bool {
+    fn emit(&mut self, batch: &[(u64, pool::Response)]) -> bool {
         let wrote = self.write_batch(batch);
-        for (_, resp) in batch.iter_mut() {
-            if resp.framer_rejected {
-                if let Some(t) = &self.telemetry {
-                    t.record_reject();
-                }
-            } else if let Some(span) = resp.span.take() {
-                let record = span.finish();
-                if let Some(t) = &self.telemetry {
-                    t.record_doc(&record, resp.latency_ns);
-                }
-                if self.collect_spans {
-                    self.report.spans.push(record);
-                }
-            }
-        }
         self.report.clean &= wrote.is_ok();
         self.report.clean
     }
 }
 
-/// One thread's kit for running documents: the connection's thread is
-/// worker 0, each helper one more, and each builds its own on the thread
-/// it runs on. Perf events count the opening thread, so each worker arms
-/// its own counter set (a `DocRunner` is not `Send`); its flight recorder
-/// (only with telemetry on) is thread-local, with no locking.
+/// Nanoseconds since `t`, saturating.
+fn nanos_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// One thread's kit for running documents: the connection's thread and
+/// each helper build their own, on the thread they run on. Perf events
+/// count the opening thread, so each worker arms its own counter set (a
+/// `DocRunner` is not `Send`).
 struct Worker<'a, T> {
-    idx: usize,
     pool: &'a Pool<T>,
     engine: &'a Engine,
     options: &'a ServeOptions,
+    /// With a hub, each run is timed for the window's busy fraction.
     hub: Option<&'a Telemetry>,
     runner: DocRunner,
-    flight: Option<FlightRecorder>,
     doc_index: usize,
 }
 
 impl<T: pool::Emit> Worker<'_, T> {
     /// Runs `job` and completes it, which may write responses.
-    fn run(&mut self, mut job: pool::Job) {
-        // Stage timers and counters are sampled, each with a fresh
-        // recorder; phase laps cover every document.
-        let sampled = self.doc_index.is_multiple_of(STAGE_SAMPLE_INTERVAL);
+    fn run(&mut self, job: pool::Job) {
+        let sampled = self.doc_index.is_multiple_of(PERF_SAMPLE_INTERVAL);
         self.doc_index = self.doc_index.wrapping_add(1);
-        let mut profile = job
-            .span
-            .as_ref()
-            .filter(|_| sampled)
-            .map(|_| ProfileStats::new());
-        let record = profile.as_mut().map_or(Record::Nothing, Record::Profile);
         // The deadline runs from admission (see `DocRunner::run_doc` for
         // where it is checked); a count never builds the positions vector.
         let mut sink = DocSink::new(
             self.options.mode != ResponseMode::Count,
             self.options.deadline.map(|d| job.admitted + d),
         );
+        let started = self.hub.map(|_| Instant::now());
         let run = self
             .runner
-            .run_doc(self.engine, &job.doc, &mut sink, record, sampled);
-        let mut resp = pool::Response {
+            .run_doc(self.engine, &job.doc, &mut sink, Record::Nothing, sampled);
+        let resp = pool::Response {
             doc: Vec::new(),
             result: run.map(|()| sink.into_matches()),
-            latency_ns: u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            latency_ns: nanos_since(job.admitted),
             framer_rejected: false,
-            span: None,
+            bytes: job.doc.len() as u64,
+            busy_ns: started.map_or(0, nanos_since),
         };
-        if let Some(mut span) = job.span.take() {
-            span.worker(self.idx as u32);
-            span.route(self.engine.route());
-            span.ran();
-            if let Some(p) = &profile {
-                span.stages(p.stages);
-            }
-            if let Err(e) = &resp.result {
-                span.fault(e.code());
-            }
-            let snap = span.snapshot();
-            if snap.failed() {
-                if let (Some(t), Some(f)) = (self.hub, self.flight.as_ref()) {
-                    t.dump_postmortem(self.idx, f, &snap);
-                }
-            }
-            if let Some(f) = self.flight.as_mut() {
-                f.push(snap);
-            }
-            resp.span = Some(span);
-        }
         self.pool.complete(job.seq, resp, job.doc);
     }
 }
@@ -485,12 +440,11 @@ where
 
 /// [`serve_connection`] with an optional live-telemetry hub attached.
 ///
-/// With a hub, every document gets a pipeline span (admit → queue wait
-/// → run, with engine stage timers → reorder wait → emit) feeding the
-/// hub's rolling windows and slow-document log; each worker keeps a
-/// flight-recorder ring of recent spans and dumps a postmortem artifact
-/// when a document faults. With `None` this is byte-for-byte
-/// [`serve_connection`]: no clock reads, no ring writes.
+/// With a hub, the emitter counts every response into the hub as it
+/// counts it into the [`ServeReport`], and each document's latency, size
+/// and run time feed the hub's rolling windows. With `None` this is
+/// byte-for-byte [`serve_connection`]: no clock reads beyond the latency
+/// one, no ring writes.
 ///
 /// # Errors
 ///
@@ -524,16 +478,15 @@ where
         err,
         mode: options.mode,
         telemetry: telemetry.cloned(),
-        collect_spans: options.collect_spans,
+        route: engine.route(),
         lines: Vec::new(),
         report: ServeReport::default(),
     };
     let pool = Pool::new(
-        options.max_inflight,
+        ServeOptions::DEFAULT_MAX_INFLIGHT,
         threads,
         options.mode,
         telemetry.cloned(),
-        options.collect_spans,
         emitter,
     );
     let mut framer = NdjsonFramer::new(options.engine.max_document_bytes).recycling(pool.buffers());
@@ -543,20 +496,18 @@ where
     // Sampled hardware-counter deltas are folded in per worker at drain,
     // never on the per-document path.
     let perf = thread::scope(|scope| {
-        let worker = |idx| Worker {
-            idx,
+        let worker = || Worker {
             pool: &pool,
             engine: &engine,
             options,
             hub,
             runner: DocRunner::open(options.perf),
-            flight: hub.map(|t| FlightRecorder::new(t.flight_window())),
             doc_index: 0,
         };
         let helpers: Vec<_> = (1..threads)
-            .map(|idx| {
+            .map(|_| {
                 scope.spawn(move || {
-                    let mut helper = worker(idx);
+                    let mut helper = worker();
                     while let Some(job) = helper.pool.take_job() {
                         helper.run(job);
                     }
@@ -564,7 +515,7 @@ where
                 })
             })
             .collect();
-        let mut worker = worker(0);
+        let mut worker = worker();
 
         let mut chunk = [0u8; 8192];
         loop {
@@ -632,10 +583,18 @@ where
         Some(emitter) => (emitter.report, false),
         None => (ServeReport::default(), true),
     };
+    // What the per-response path cannot see; the emitter counted the rest.
+    let connection = ServeCounters {
+        connections: 1,
+        bytes_in,
+        io_errors: u64::from(disconnected),
+        backpressure_waits,
+        max_inflight,
+        ..ServeCounters::new()
+    };
     let counters = &mut report.counters;
-    counters.connections = 1;
+    *counters += connection;
     counters.documents = documents;
-    counters.bytes_in = bytes_in;
     // The route is a static property of the compiled query, so every
     // successfully answered document took the same one.
     #[expect(
@@ -644,18 +603,11 @@ where
     )]
     let route_docs = &mut counters.route_docs[engine.route().index()];
     *route_docs = counters.responses_ok;
-    counters.io_errors += u64::from(disconnected);
-    counters.backpressure_waits = backpressure_waits;
-    counters.max_inflight = max_inflight;
     report.clean &= !disconnected && !lost;
     report.perf = (perf.docs > 0).then_some(perf);
 
     if let Some(t) = hub {
-        // Per-document facts already streamed into the hub at emit time;
-        // this folds in the connection-scoped remainder (connections,
-        // bytes_in, io_errors, backpressure, high-water mark) and the
-        // sampled hardware-counter totals.
-        t.record_connection(&report.counters);
+        t.record_connection(&connection);
         t.record_perf(&perf);
     }
     Ok(report)
@@ -845,7 +797,7 @@ mod tests {
             err: Recorder::new((), "err", &log),
             mode: ResponseMode::Count,
             telemetry: None,
-            collect_spans: false,
+            route: Route::General,
             lines: Vec::new(),
             report: ServeReport::default(),
         };
@@ -854,7 +806,8 @@ mod tests {
             result,
             latency_ns: 0,
             framer_rejected: false,
-            span: None,
+            bytes: 0,
+            busy_ns: 0,
         };
         let too_many = || {
             Err(DocError::from_run(&RunError::LimitExceeded {
@@ -862,7 +815,7 @@ mod tests {
                 limit: 1,
             }))
         };
-        let mut batch: Vec<_> = [
+        let batch: Vec<_> = [
             Ok(rsq_batch::Matches::Count(1)),
             Ok(rsq_batch::Matches::Count(2)),
             too_many(),
@@ -873,7 +826,7 @@ mod tests {
         .enumerate()
         .map(|(seq, r)| (seq as u64, r))
         .collect();
-        assert!(pool::Emit::emit(&mut emitter, &mut batch));
+        assert!(pool::Emit::emit(&mut emitter, &batch));
         let writes: Vec<_> = log
             .lock()
             .unwrap()
@@ -920,19 +873,6 @@ mod tests {
         assert_eq!(report.counters.responses_ok, 0);
         assert_eq!(report.first_failure, Some(DocErrorKind::Timeout));
         assert!(report.clean, "timeouts are per-document, not transport");
-    }
-
-    #[test]
-    fn in_flight_bound_forces_backpressure_waits() {
-        let mut o = opts("$..b");
-        o.max_inflight = 1;
-        let (out, _, report) = serve_bytes(&o, INPUT);
-        assert_eq!(out, b"1\n1\n0\n");
-        // Whether admitting document 2 waits is the scheduler's doing: the
-        // connection's thread runs document 1 itself unless the helper is
-        // parked. The wait is pinned where the interleaving can be forced,
-        // in `pool::tests::admission_waits_while_a_helper_holds_the_only_slot`.
-        assert_eq!(report.counters.max_inflight, 1);
     }
 
     #[test]
@@ -1003,10 +943,7 @@ mod tests {
 
     #[test]
     fn telemetry_hub_observes_connection_and_scrapes_valid_exposition() {
-        let hub = Telemetry::new(&TelemetryOptions {
-            live: true,
-            ..TelemetryOptions::default()
-        });
+        let hub = Telemetry::new();
         let mut out = Vec::new();
         let mut err = Vec::new();
         serve_connection_with(
@@ -1034,67 +971,60 @@ mod tests {
         assert_eq!(g.workers, 2);
     }
 
+    /// One connection with a hub attached, over answered documents, a
+    /// malformed line, a match limit, an oversize line and (on a second
+    /// pass) a zero deadline: the hub's lifetime series are rendered from
+    /// what the emitter counted, so they equal the connection's report.
     #[test]
-    fn faulted_documents_produce_postmortems_with_consistent_timelines() {
-        let dir = std::env::temp_dir().join(format!(
-            "rsq-serve-pm-{}-{:?}",
-            std::process::id(),
-            thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let hub = Telemetry::new(&TelemetryOptions {
-            postmortem_dir: Some(dir.clone()),
-            ..TelemetryOptions::default()
-        });
+    fn hub_series_equal_the_connection_report() {
+        let mut input = b"{\"b\": 1}\n{\"b\": [1, 2]}\n{\"b\": \n".to_vec();
+        input.extend_from_slice(b"{\"a\": {\"b\": 1}, \"b\": {\"b\": 2}}\n");
+        input.extend_from_slice(format!("[\"{}\"]\n", "x".repeat(200)).as_bytes());
+        input.extend_from_slice(b"{\"x\": 0}\n");
         let mut o = opts("$..b");
-        o.deadline = Some(Duration::ZERO);
-        let mut out = Vec::new();
-        let mut err = Vec::new();
-        serve_connection_with(&o, Some(&hub), Cursor::new(INPUT), &mut out, &mut err)
-            .expect("serve");
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .expect("postmortem dir exists")
-            .map(|e| e.expect("entry").path())
-            .collect();
-        files.sort();
-        assert_eq!(files.len(), 3, "one postmortem per timed-out document");
-        for path in &files {
-            let name = path.file_name().unwrap().to_str().unwrap();
-            assert!(
-                name.starts_with("postmortem-") && name.contains("-timeout"),
-                "{name}"
+        o.engine.strict = true;
+        o.engine.max_matches = Some(2);
+        o.engine.max_document_bytes = Some(128);
+        // (answered, timeouts, malformed, over the match limit)
+        for (deadline, outcomes) in [(None, (3, 0, 1, 1)), (Some(Duration::ZERO), (0, 5, 0, 0))] {
+            o.deadline = deadline;
+            let hub = Telemetry::new();
+            let mut out = Vec::new();
+            let mut err = Vec::new();
+            let report =
+                serve_connection_with(&o, Some(&hub), Cursor::new(&input), &mut out, &mut err)
+                    .expect("serve");
+            let c = report.counters;
+            assert_eq!((c.documents, c.oversize_rejections), (6, 1));
+            assert_eq!(
+                (
+                    c.responses_ok,
+                    c.timeouts,
+                    c.malformed_errors,
+                    c.limit_errors
+                ),
+                outcomes,
+                "{deadline:?}"
             );
-            let body = std::fs::read_to_string(path).expect("read postmortem");
-            assert!(body.contains("\"code\":\"timeout\""), "{body}");
-            // The timeline is telescoping laps, so the phase sum IS the
-            // recorded latency: consistent by construction.
-            assert!(body.contains("\"latency_ns\":"), "{body}");
-            assert!(body.contains("\"queue_wait_ns\":"), "{body}");
+            let text = hub.render_metrics();
+            rsq_obs::expo::check(&text).expect("scrape passes the exposition lint");
+            let mut expo = rsq_obs::expo::Exposition::new();
+            expo.rows(ServeCounters::ROWS, &report.counters, "");
+            expo.rows(ServeCounters::LATENCY, &report.latency, "");
+            let lifetime = expo.finish();
+            assert!(
+                text.starts_with(&lifetime),
+                "{deadline:?}: the hub's lifetime series\n{text}\nare not the report's\n{lifetime}"
+            );
+            assert!(
+                text.contains(&format!(
+                    "rsq_window_documents{{window=\"10s\"}} {}\n",
+                    report.latency.count()
+                )),
+                "{deadline:?}: {text}"
+            );
+            assert_eq!(report.latency.count(), 5, "all but the oversize line ran");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn collect_spans_builds_a_timeline_trace() {
-        let mut o = opts("$..b");
-        o.collect_spans = true;
-        let (out, err, report) = serve_bytes(&o, INPUT);
-        assert_eq!(out, b"1\n1\n0\n", "span collection must not change output");
-        assert!(err.is_empty());
-        assert_eq!(report.spans.len(), 3, "one span per document");
-        for (i, span) in report.spans.iter().enumerate() {
-            assert_eq!(span.seq, i as u64, "spans come back in emission order");
-            assert!(span.route.is_some(), "worker stamped the engine route");
-            assert!(span.start_ns > 0, "admission stamped against the epoch");
-            assert!(span.total_ns() > 0);
-        }
-        let json = rsq_obs::chrome_trace_json(&report.spans);
-        assert!(json.starts_with("{\"traceEvents\":["), "{json}");
-        assert_eq!(
-            json.matches("\"ph\":\"X\"").count(),
-            3 * 5,
-            "doc + four phase slices per document: {json}"
-        );
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! and puts them back. The `BTreeMap` reorder buffer makes the output
 //! byte-identical to a sequential batch run, whatever the scheduling.
 //!
-//! Admission is bounded twice. The *document ceiling* (`--max-inflight`)
+//! Admission is bounded twice. The *document ceiling*
+//! ([`ServeOptions::DEFAULT_MAX_INFLIGHT`](crate::ServeOptions::DEFAULT_MAX_INFLIGHT))
 //! counts unanswered documents: queued, running, or in the reorder
 //! buffer, so the reorder buffer cannot grow without bound when one slow
 //! document holds back emission. The *byte budget*
@@ -28,7 +29,6 @@
 use crate::telemetry::Telemetry;
 use crate::ResponseMode;
 use rsq_batch::{DocBuffers, DocError, Matches};
-use rsq_obs::DocSpan;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -45,8 +45,6 @@ pub(crate) struct Job {
     pub(crate) seq: u64,
     pub(crate) doc: Vec<u8>,
     pub(crate) admitted: Instant,
-    /// The live pipeline span: only with telemetry (else no clock reads).
-    pub(crate) span: Option<DocSpan>,
 }
 
 /// One finished document awaiting emission.
@@ -61,15 +59,18 @@ pub(crate) struct Response {
     /// The framer rejected the line (oversize) before any worker saw it:
     /// counted separately from engine limit errors.
     pub(crate) framer_rejected: bool,
-    /// The [`Job`]'s span, for the emitter to mark release and emission.
-    pub(crate) span: Option<DocSpan>,
+    /// The document's length, for the telemetry window's byte rate.
+    pub(crate) bytes: u64,
+    /// The worker's run time: measured only with a telemetry hub, whose
+    /// window reports it as busy time; else 0.
+    pub(crate) busy_ns: u64,
 }
 
 /// The emitter role: the connection's response writers.
 pub(crate) trait Emit {
     /// Writes consecutive responses in admission order; `false` when a
     /// write failed.
-    fn emit(&mut self, batch: &mut [(u64, Response)]) -> bool;
+    fn emit(&mut self, batch: &[(u64, Response)]) -> bool;
 }
 
 struct State<T> {
@@ -112,17 +113,9 @@ pub(crate) struct Pool<T> {
     keep_docs: bool,
     /// Finished document buffers, on their way back to the framer.
     buffers: Arc<DocBuffers>,
-    /// The session's telemetry hub. `None` costs no spans, gauge atomics
-    /// or clock reads beyond the latency `Instant`.
+    /// The session's telemetry hub. `None` costs no gauge atomics or
+    /// clock reads beyond the latency `Instant`.
     telemetry: Option<Arc<Telemetry>>,
-    /// Create pipeline spans even without a hub, for a timeline trace
-    /// (`--trace-out`), which needs finished span records but no live
-    /// scrape endpoint.
-    collect_spans: bool,
-    /// The connection's clock zero: spans are stamped with their
-    /// admission offset from here, giving the timeline trace absolute
-    /// placement.
-    epoch: Instant,
 }
 
 impl<T: Emit> Pool<T> {
@@ -131,7 +124,6 @@ impl<T: Emit> Pool<T> {
         workers: usize,
         mode: ResponseMode,
         telemetry: Option<Arc<Telemetry>>,
-        collect_spans: bool,
         emitter: T,
     ) -> Self {
         let byte_budget = INFLIGHT_BYTES_PER_WORKER.saturating_mul(workers.max(1));
@@ -159,8 +151,6 @@ impl<T: Emit> Pool<T> {
             // Parking more than the budget could never be taken up again.
             buffers: Arc::new(DocBuffers::new(byte_budget)),
             telemetry,
-            collect_spans,
-            epoch: Instant::now(),
         }
     }
 
@@ -222,15 +212,10 @@ impl<T: Emit> Pool<T> {
         let Some((mut state, seq)) = self.admit_slot(doc.len()) else {
             return false;
         };
-        let span = (self.telemetry.is_some() || self.collect_spans).then(|| {
-            let since_epoch = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            DocSpan::begin_at(seq, doc.len() as u64, since_epoch)
-        });
         let mut job = Job {
             seq,
             doc,
             admitted: Instant::now(),
-            span,
         };
         // Every queued job has its own parked helper.
         let queued = state.idle > state.jobs.len();
@@ -251,9 +236,6 @@ impl<T: Emit> Pool<T> {
             job = oldest;
         }
         drop(state);
-        if let Some(span) = job.span.as_mut() {
-            span.claimed();
-        }
         run(job);
         true
     }
@@ -271,7 +253,8 @@ impl<T: Emit> Pool<T> {
             result: Err(err),
             latency_ns: 0,
             framer_rejected: true,
-            span: None,
+            bytes: 0,
+            busy_ns: 0,
         };
         state.done.insert(seq, response);
         if let Some(t) = self.telemetry.as_deref() {
@@ -305,11 +288,7 @@ impl<T: Emit> Pool<T> {
             if state.aborted {
                 return None;
             }
-            if let Some(mut job) = state.jobs.pop_front() {
-                if let Some(span) = job.span.as_mut() {
-                    // Queue wait ends the moment a helper claims it.
-                    span.claimed();
-                }
+            if let Some(job) = state.jobs.pop_front() {
                 drop(state);
                 if let Some(t) = self.telemetry.as_deref() {
                     t.gauge_claimed();
@@ -370,16 +349,10 @@ impl<T: Emit> Pool<T> {
             if wake {
                 self.slot_free.notify_one();
             }
-            for (_, response) in &mut batch {
-                if let Some(span) = response.span.as_mut() {
-                    // Reorder wait ends when the emitter receives it.
-                    span.released();
-                }
-                if let Some(t) = self.telemetry.as_deref() {
-                    t.gauge_emitted();
-                }
+            if let Some(t) = self.telemetry.as_deref() {
+                t.gauge_emitted(batch.len() as u64);
             }
-            if !emitter.emit(&mut batch) {
+            if !emitter.emit(&batch) {
                 self.abort();
             }
             for (_, response) in batch.drain(..) {
@@ -418,7 +391,7 @@ mod tests {
     struct Log(Vec<(ThreadId, Vec<(u64, usize)>)>);
 
     impl Emit for Log {
-        fn emit(&mut self, batch: &mut [(u64, Response)]) -> bool {
+        fn emit(&mut self, batch: &[(u64, Response)]) -> bool {
             let seqs = batch.iter().map(|(seq, r)| (*seq, r.doc.len())).collect();
             self.0.push((thread::current().id(), seqs));
             true
@@ -461,7 +434,7 @@ mod tests {
     }
 
     fn pool(mode: ResponseMode) -> Pool<Log> {
-        Pool::new(64, 1, mode, None, false, Log::default())
+        Pool::new(64, 1, mode, None, Log::default())
     }
 
     fn done() -> Response {
@@ -470,7 +443,8 @@ mod tests {
             result: Ok(Matches::Count(0)),
             latency_ns: 0,
             framer_rejected: false,
-            span: None,
+            bytes: 0,
+            busy_ns: 0,
         }
     }
 
@@ -627,7 +601,7 @@ mod tests {
 
     #[test]
     fn small_documents_fill_the_document_ceiling_not_the_budget() {
-        let pool = Pool::new(2, 1, ResponseMode::Count, None, false, Log::default());
+        let pool = Pool::new(2, 1, ResponseMode::Count, None, Log::default());
         thread::scope(|scope| {
             let first = run(&pool, b"[1]".to_vec());
             let _second = run(&pool, b"[2]".to_vec());
@@ -647,7 +621,7 @@ mod tests {
     /// with no job already promised to it.
     #[test]
     fn documents_go_to_parked_helpers_and_otherwise_back_to_the_caller() {
-        let pool = Pool::new(64, 2, ResponseMode::Count, None, false, Log::default());
+        let pool = Pool::new(64, 2, ResponseMode::Count, None, Log::default());
         thread::scope(|scope| {
             let mine = run(&pool, b"[0]".to_vec());
             let helper = helper_parked(scope, &pool);
@@ -668,7 +642,7 @@ mod tests {
     /// document 1 waits for the helper in its place.
     #[test]
     fn the_caller_runs_the_job_a_helper_has_not_claimed_yet() {
-        let pool = Pool::new(64, 2, ResponseMode::Count, None, false, Log::default());
+        let pool = Pool::new(64, 2, ResponseMode::Count, None, Log::default());
         // A helper parked in `take_job`, and not yet woken.
         pool.lock().idle = 1;
         assert!(admit(&pool, b"[0]".to_vec()).is_none(), "queued");
@@ -681,7 +655,7 @@ mod tests {
     /// the next admission must wait for that document's answer.
     #[test]
     fn admission_waits_while_a_helper_holds_the_only_slot() {
-        let pool = Pool::new(1, 2, ResponseMode::Count, None, false, Log::default());
+        let pool = Pool::new(1, 2, ResponseMode::Count, None, Log::default());
         thread::scope(|scope| {
             let helper = helper_parked(scope, &pool);
             assert!(admit(&pool, b"[0]".to_vec()).is_none(), "queued");
@@ -700,7 +674,7 @@ mod tests {
     /// completed it writes both, in order, in one emission.
     #[test]
     fn an_out_of_order_finish_waits_for_the_head_and_goes_out_with_it() {
-        let pool = Pool::new(64, 2, ResponseMode::Count, None, false, Log::default());
+        let pool = Pool::new(64, 2, ResponseMode::Count, None, Log::default());
         thread::scope(|scope| {
             let head = run(&pool, b"[0]".to_vec());
             let helper = scope.spawn(|| {

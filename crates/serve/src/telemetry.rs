@@ -1,5 +1,5 @@
-//! Live telemetry for serve mode: the shared hub, the scrape endpoint,
-//! the slow-document log, and postmortem dumping.
+//! Live telemetry for serve mode: the shared hub and the scrape
+//! endpoint.
 //!
 //! A serving process is a black box between start and exit unless it
 //! can answer questions *while running*. This module is the answer
@@ -18,52 +18,26 @@
 //!   stops taking connections, in-flight work drains, `/healthz` flips
 //!   to draining immediately.
 //!
-//! The hub is deliberately cheap and deliberately optional: when no
-//! telemetry flag is set, no hub exists, the pipeline takes no clock
-//! reads and no ring writes, and serve output is byte-identical to the
-//! untelemetered build. When enabled, per-document cost is one
-//! [`DocSpan`](rsq_obs::DocSpan) (four `Instant::now` laps), one mutex
-//! acquisition at emit time, and a handful of relaxed atomics.
+//! The hub is fed by the emitter: where it counts a response into the
+//! connection's report, it passes the same classification and
+//! admission-to-completion latency on, so the live `rsq_serve_*` series
+//! and the report cannot disagree. The hub is deliberately optional:
+//! without `--telemetry-socket` no hub exists, the pipeline takes no
+//! clock reads and no ring writes, and serve output is byte-identical.
+//! With one, per-document cost is two `Instant::now` reads around the
+//! run, one mutex acquisition at emit time, and a handful of relaxed
+//! atomics.
 
+use crate::pool::Response;
+use crate::Tally;
 use rsq_obs::expo::Exposition;
 use rsq_obs::series::{JsonObject, Value};
-use rsq_obs::{
-    FlightRecorder, Histogram, ServeCounters, SpanRecord, TelemetryGauges, WindowRing,
-    WindowSnapshot,
-};
+use rsq_obs::{Histogram, Route, ServeCounters, TelemetryGauges, WindowRing, WindowSnapshot};
 use rsq_perf::PerfStats;
 use std::io::{self, Read, Write};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Which telemetry features a serving session enables. All default to
-/// off; [`TelemetryOptions::enabled`] gates every hot-path hook.
-#[derive(Clone, Debug, Default)]
-pub struct TelemetryOptions {
-    /// Slow-document threshold: a document whose admit-to-emit time
-    /// reaches this many milliseconds gets one JSON line on the server
-    /// process's stderr.
-    pub slow_log_ms: Option<u64>,
-    /// Directory receiving postmortem JSON artifacts on per-document
-    /// faults. Created if missing.
-    pub postmortem_dir: Option<PathBuf>,
-    /// Per-worker flight-recorder ring capacity (0 = default).
-    pub flight_window: usize,
-    /// Force the hub on even without a slow log or postmortem dir —
-    /// set when `--telemetry-socket` alone is given, so the scrape
-    /// endpoint has windows and spans to report.
-    pub live: bool,
-}
-
-impl TelemetryOptions {
-    /// True when any telemetry feature is on (the hub should exist).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.live || self.slow_log_ms.is_some() || self.postmortem_dir.is_some()
-    }
-}
 
 /// Live mutable state behind the hub's mutex: touched once per emitted
 /// document and copied out once per scrape.
@@ -89,24 +63,17 @@ pub struct Telemetry {
     in_flight: AtomicU64,
     /// Worker threads per connection.
     workers: AtomicU64,
-    /// Slow-log lines written.
-    slow_documents: AtomicU64,
-    /// Postmortem artifacts written.
-    postmortems: AtomicU64,
     /// Shutdown requested: the accept loop stops taking connections.
     shutdown: AtomicBool,
     /// The telemetry listener thread's own stop flag (set when the
     /// serving session ends for any reason, not just via `/shutdown`).
     listener_stop: AtomicBool,
-    slow_log_ns: Option<u64>,
-    postmortem_dir: Option<PathBuf>,
-    flight_window: usize,
 }
 
 impl Telemetry {
     /// Builds the hub for one serving session.
     #[must_use]
-    pub fn new(options: &TelemetryOptions) -> Arc<Self> {
+    pub fn new() -> Arc<Self> {
         Arc::new(Telemetry {
             epoch: Instant::now(),
             state: Mutex::new(HubState {
@@ -118,29 +85,14 @@ impl Telemetry {
             queue_depth: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             workers: AtomicU64::new(0),
-            slow_documents: AtomicU64::new(0),
-            postmortems: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             listener_stop: AtomicBool::new(false),
-            slow_log_ns: options.slow_log_ms.map(|ms| ms.saturating_mul(1_000_000)),
-            postmortem_dir: options.postmortem_dir.clone(),
-            flight_window: if options.flight_window == 0 {
-                rsq_obs::DEFAULT_FLIGHT_WINDOW
-            } else {
-                options.flight_window
-            },
         })
     }
 
     /// Whole seconds since the hub's epoch — the window ring's tick.
     fn tick(&self) -> u64 {
         self.epoch.elapsed().as_secs()
-    }
-
-    /// Per-worker flight-recorder capacity.
-    #[must_use]
-    pub fn flight_window(&self) -> usize {
-        self.flight_window
     }
 
     /// The graceful-shutdown flag, in the shape `serve_unix` expects.
@@ -178,80 +130,45 @@ impl Telemetry {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn gauge_emitted(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+    pub(crate) fn gauge_emitted(&self, responses: u64) {
+        self.in_flight.fetch_sub(responses, Ordering::Relaxed);
     }
 
     pub(crate) fn set_workers(&self, workers: u64) {
         self.workers.store(workers, Ordering::Relaxed);
     }
 
-    /// Folds one emitted document's finished span into the live state:
-    /// the rolling window, the live lifetime counters, and — past the
-    /// threshold — the slow-document log. `latency_ns` is the pool's
-    /// recorded admission-to-completion latency (kept alongside the
-    /// span's own telescoped total, which additionally covers reorder
-    /// wait and emission).
-    pub(crate) fn record_doc(&self, record: &SpanRecord, latency_ns: u64) {
+    /// Counts one emitted response into the live state, in the counter
+    /// the emitter's `tally` picked for the connection's report. A
+    /// document a worker ran also lands in the latency histogram and the
+    /// rolling window; a framer-rejected (oversize) line never visited a
+    /// worker, so it counts without a latency sample.
+    pub(crate) fn record_doc(&self, tally: Tally, resp: &Response, route: Route) {
         let tick = self.tick();
-        {
-            #[expect(
-                clippy::unwrap_used,
-                reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
-            )]
-            let mut state = self.state.lock().unwrap();
-            state.ring.record(
-                tick,
-                record.total_ns(),
-                record.bytes,
-                record.failed(),
-                record.run_ns,
-                record.route,
-            );
-            state.latency.record(latency_ns);
-            state.counters.documents = state.counters.documents.saturating_add(1);
-            match record.code {
-                None => {
-                    state.counters.responses_ok = state.counters.responses_ok.saturating_add(1);
-                    if let Some(route) = record.route {
-                        state.counters.record_route(route);
-                    }
-                }
-                Some("timeout") => {
-                    state.counters.timeouts = state.counters.timeouts.saturating_add(1);
-                }
-                Some("malformed") => {
-                    state.counters.malformed_errors =
-                        state.counters.malformed_errors.saturating_add(1);
-                }
-                Some("panic") => {
-                    state.counters.panics = state.counters.panics.saturating_add(1);
-                }
-                Some(code) if code.starts_with("limit:") => {
-                    state.counters.limit_errors = state.counters.limit_errors.saturating_add(1);
-                }
-                Some(_) => {}
-            }
-        }
-        if self.slow_log_ns.is_some_and(|t| record.total_ns() >= t) {
-            self.slow_documents.fetch_add(1, Ordering::Relaxed);
-            // One structured line per offender, on the server process's
-            // stderr (never the connection's response stream).
-            eprintln!("{{\"slow_document\":{}}}", record.to_json());
-        }
-    }
-
-    /// Counts a framer-rejected (oversize) line into the live
-    /// counters. It never visited a worker, so it has no span and no
-    /// place in the latency windows.
-    pub(crate) fn record_reject(&self) {
         #[expect(
             clippy::unwrap_used,
             reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
         )]
         let mut state = self.state.lock().unwrap();
-        state.counters.documents = state.counters.documents.saturating_add(1);
-        state.counters.oversize_rejections = state.counters.oversize_rejections.saturating_add(1);
+        let counters = &mut state.counters;
+        counters.documents = counters.documents.saturating_add(1);
+        let counter = tally(counters);
+        *counter = counter.saturating_add(1);
+        if resp.framer_rejected {
+            return;
+        }
+        if resp.result.is_ok() {
+            counters.record_route(route);
+        }
+        state.latency.record(resp.latency_ns);
+        state.ring.record(
+            tick,
+            resp.latency_ns,
+            resp.bytes,
+            resp.result.is_err(),
+            resp.busy_ns,
+            Some(route),
+        );
     }
 
     /// Folds connection-scoped accounting (fields the per-document path
@@ -262,14 +179,7 @@ impl Telemetry {
             reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
         )]
         let mut state = self.state.lock().unwrap();
-        state.counters += ServeCounters {
-            connections: counters.connections,
-            bytes_in: counters.bytes_in,
-            io_errors: counters.io_errors,
-            backpressure_waits: counters.backpressure_waits,
-            max_inflight: counters.max_inflight,
-            ..ServeCounters::new()
-        };
+        state.counters += *counters;
     }
 
     /// Folds a connection's sampled hardware-counter totals into the
@@ -287,25 +197,6 @@ impl Telemetry {
         state.perf += *perf;
     }
 
-    /// Writes the postmortem artifact for a faulted document: the
-    /// worker's flight-recorder history plus the document's partial
-    /// timeline, one JSON object per file in the configured directory.
-    /// Telemetry must never take the service down, so write failures
-    /// are swallowed (the artifact is best-effort; the error line on
-    /// the response stream is the guaranteed signal).
-    pub(crate) fn dump_postmortem(&self, worker: usize, rec: &FlightRecorder, doc: &SpanRecord) {
-        let Some(dir) = &self.postmortem_dir else {
-            return;
-        };
-        let id = self.postmortems.fetch_add(1, Ordering::Relaxed);
-        let code = doc.code.unwrap_or("unknown").replace(':', "-");
-        let path = dir.join(format!("postmortem-{id:06}-{code}.json"));
-        let mut body = rec.postmortem_json(worker, doc);
-        body.push('\n');
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(path, body);
-    }
-
     /// Current point-in-time gauges.
     #[must_use]
     pub fn gauges(&self) -> TelemetryGauges {
@@ -313,14 +204,12 @@ impl Telemetry {
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             workers: self.workers.load(Ordering::Relaxed),
-            slow_documents: self.slow_documents.load(Ordering::Relaxed),
-            postmortems: self.postmortems.load(Ordering::Relaxed),
         }
     }
 
     /// The last-10s and last-60s windows, merged under the hub's mutex
     /// and rendered by the callers after it is released: every emitted
-    /// document takes that mutex in `record_doc`.
+    /// response takes that mutex in `record_doc`.
     fn windows(&self, state: &HubState) -> [WindowSnapshot; 2] {
         let tick = self.tick();
         [10, 60].map(|secs| WindowSnapshot {
@@ -357,10 +246,9 @@ impl Telemetry {
         expo.finish()
     }
 
-    /// Serializes the live telemetry summary for `--stats-json`:
-    /// rolling windows plus slow-log and postmortem counters. Single
-    /// line, stable keys: `window_10s`, `window_60s`, `slow_documents`,
-    /// `postmortems`.
+    /// Serializes the live telemetry summary for `--stats-json`: the
+    /// rolling windows. Single line, stable keys: `window_10s`,
+    /// `window_60s`.
     #[must_use]
     pub fn to_json(&self) -> String {
         #[expect(
@@ -371,7 +259,6 @@ impl Telemetry {
         let mut object = JsonObject::new();
         object.value("window_10s", Value::Json(w10.to_json()));
         object.value("window_60s", Value::Json(w60.to_json()));
-        object.rows(TelemetryGauges::ROWS, &self.gauges());
         object.finish()
     }
 }
@@ -488,51 +375,44 @@ pub fn serve_telemetry_listener(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsq_obs::DocSpan;
+    use rsq_batch::{DocError, Matches};
+    use rsq_engine::{LimitKind, RunError};
 
-    fn finished_span(seq: u64, bytes: u64, code: Option<&'static str>) -> SpanRecord {
-        let mut span = DocSpan::begin(seq, bytes);
-        span.claimed();
-        span.ran();
-        span.released();
-        if let Some(code) = code {
-            span.fault(code);
+    /// A worker-run response of `bytes` bytes: answered, or failed with
+    /// `err`.
+    fn response(bytes: u64, err: Option<RunError>) -> Response {
+        Response {
+            doc: Vec::new(),
+            result: err.map_or(Ok(Matches::Count(1)), |e| Err(DocError::from_run(&e))),
+            latency_ns: 5_000,
+            framer_rejected: false,
+            bytes,
+            busy_ns: 1_000,
         }
-        span.finish()
     }
 
-    #[test]
-    fn options_gate_the_hub() {
-        assert!(!TelemetryOptions::default().enabled());
-        assert!(TelemetryOptions {
-            live: true,
-            ..TelemetryOptions::default()
-        }
-        .enabled());
-        assert!(TelemetryOptions {
-            slow_log_ms: Some(5),
-            ..TelemetryOptions::default()
-        }
-        .enabled());
-        assert!(TelemetryOptions {
-            postmortem_dir: Some(PathBuf::from("/tmp/x")),
-            ..TelemetryOptions::default()
-        }
-        .enabled());
+    /// Feeds `resp` to the hub the way the emitter does.
+    fn record(hub: &Telemetry, resp: &Response, route: Route) {
+        hub.record_doc(resp.tally(), resp, route);
     }
 
     #[test]
     fn record_doc_feeds_windows_counters_and_exposition() {
-        let hub = Telemetry::new(&TelemetryOptions {
-            live: true,
-            ..TelemetryOptions::default()
-        });
+        let hub = Telemetry::new();
         hub.set_workers(2);
-        for seq in 0..4 {
-            hub.record_doc(&finished_span(seq, 100, None), 5_000);
+        for _ in 0..4 {
+            record(&hub, &response(100, None), Route::General);
         }
-        hub.record_doc(&finished_span(4, 100, Some("timeout")), 9_000);
-        hub.record_doc(&finished_span(5, 100, Some("limit:depth")), 9_000);
+        record(
+            &hub,
+            &response(100, Some(RunError::DeadlineExceeded)),
+            Route::General,
+        );
+        let depth = RunError::LimitExceeded {
+            kind: LimitKind::Depth,
+            limit: 1,
+        };
+        record(&hub, &response(100, Some(depth)), Route::General);
         let text = hub.render_metrics();
         rsq_obs::expo::check(&text).expect("live exposition passes the lint");
         assert!(text.contains("rsq_serve_documents_total 6"), "{text}");
@@ -553,29 +433,16 @@ mod tests {
         assert!(text.contains("rsq_workers 2"), "{text}");
         let json = hub.to_json();
         assert!(json.contains("\"window_10s\":{\"secs\":10"), "{json}");
-        assert!(json.contains("\"slow_documents\":0"), "{json}");
+        assert!(json.contains("\"busy_ns\":6000"), "{json}");
     }
 
     #[test]
-    fn routed_spans_feed_route_series_and_windows() {
-        let hub = Telemetry::new(&TelemetryOptions {
-            live: true,
-            ..TelemetryOptions::default()
-        });
-        let mut span = DocSpan::begin(0, 100);
-        span.route(rsq_obs::Route::FieldChain);
-        span.claimed();
-        span.ran();
-        span.released();
-        hub.record_doc(&span.finish(), 5_000);
+    fn routed_documents_feed_route_series_and_windows() {
+        let hub = Telemetry::new();
+        record(&hub, &response(100, None), Route::FieldChain);
         // A failed document's route never counts as answered.
-        let mut failed = DocSpan::begin(1, 100);
-        failed.route(rsq_obs::Route::FieldChain);
-        failed.claimed();
-        failed.ran();
-        failed.released();
-        failed.fault("timeout");
-        hub.record_doc(&failed.finish(), 5_000);
+        let failed = response(100, Some(RunError::DeadlineExceeded));
+        record(&hub, &failed, Route::FieldChain);
         let text = hub.render_metrics();
         rsq_obs::expo::check(&text).expect("exposition with route series passes the lint");
         assert!(
@@ -589,11 +456,35 @@ mod tests {
     }
 
     #[test]
+    fn framer_rejections_count_without_a_latency_sample() {
+        let hub = Telemetry::new();
+        let oversize = Response {
+            framer_rejected: true,
+            ..response(
+                0,
+                Some(RunError::LimitExceeded {
+                    kind: LimitKind::DocumentBytes,
+                    limit: 8,
+                }),
+            )
+        };
+        record(&hub, &oversize, Route::General);
+        let text = hub.render_metrics();
+        assert!(text.contains("rsq_serve_documents_total 1"), "{text}");
+        assert!(
+            text.contains("rsq_serve_rejections_total{class=\"oversize\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("rsq_window_documents{window=\"10s\"} 0"),
+            "{text}"
+        );
+        assert_eq!(hub.state.lock().unwrap().latency.count(), 0);
+    }
+
+    #[test]
     fn perf_totals_surface_in_exposition_only_once_reported() {
-        let hub = Telemetry::new(&TelemetryOptions {
-            live: true,
-            ..TelemetryOptions::default()
-        });
+        let hub = Telemetry::new();
         assert!(
             !hub.render_metrics().contains("rsq_perf_"),
             "no perf series before any report"
@@ -620,65 +511,21 @@ mod tests {
 
     #[test]
     fn gauges_track_pipeline_occupancy() {
-        let hub = Telemetry::new(&TelemetryOptions {
-            live: true,
-            ..TelemetryOptions::default()
-        });
+        let hub = Telemetry::new();
         hub.gauge_admitted(true);
         hub.gauge_admitted(true);
         hub.gauge_admitted(false); // framer rejection: in flight, never queued
         assert_eq!(hub.gauges().in_flight, 3);
         assert_eq!(hub.gauges().queue_depth, 2);
         hub.gauge_claimed();
-        hub.gauge_emitted();
+        hub.gauge_emitted(1);
         assert_eq!(hub.gauges().queue_depth, 1);
         assert_eq!(hub.gauges().in_flight, 2);
     }
 
     #[test]
-    fn postmortem_artifact_lands_in_dir_with_wellformed_timeline() {
-        let dir = std::env::temp_dir().join(format!("rsq-pm-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let hub = Telemetry::new(&TelemetryOptions {
-            postmortem_dir: Some(dir.clone()),
-            ..TelemetryOptions::default()
-        });
-        let mut rec = FlightRecorder::new(4);
-        rec.push(finished_span(0, 50, None));
-        let mut span = DocSpan::begin(1, 80);
-        span.claimed();
-        span.ran();
-        span.fault("timeout");
-        let doc = span.snapshot();
-        hub.dump_postmortem(3, &rec, &doc);
-        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert_eq!(entries.len(), 1);
-        let path = entries[0].as_ref().unwrap().path();
-        assert!(
-            path.file_name()
-                .unwrap()
-                .to_str()
-                .unwrap()
-                .contains("timeout"),
-            "{path:?}"
-        );
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"code\":\"timeout\""), "{body}");
-        assert!(body.contains("\"worker\":3"), "{body}");
-        assert!(
-            body.contains(&format!("\"latency_ns\":{}", doc.total_ns())),
-            "{body}"
-        );
-        assert_eq!(hub.gauges().postmortems, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn shutdown_flips_health_to_draining() {
-        let hub = Telemetry::new(&TelemetryOptions {
-            live: true,
-            ..TelemetryOptions::default()
-        });
+        let hub = Telemetry::new();
         assert!(!hub.draining());
         hub.request_shutdown();
         assert!(hub.draining());
@@ -695,11 +542,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let sock = dir.join("telemetry.sock");
         let listener = UnixListener::bind(&sock).unwrap();
-        let hub = Telemetry::new(&TelemetryOptions {
-            live: true,
-            ..TelemetryOptions::default()
-        });
-        hub.record_doc(&finished_span(0, 10, None), 1_000);
+        let hub = Telemetry::new();
+        record(&hub, &response(10, None), Route::General);
 
         std::thread::scope(|scope| {
             let hub_ref = &hub;

@@ -18,9 +18,9 @@
 
 use rsq_obs::expo::Exposition;
 use rsq_obs::{
-    BatchCounters, BatchProfile, FlightRecorder, Histogram, ProfileStage, ProfileStats, Recorder,
-    Route, RunStats, ServeCounters, SkipBytes, SkipTechnique, SpanRecord, StageTimes,
-    TelemetryGauges, WindowRing, WindowSnapshot, WorkerProfile,
+    BatchCounters, BatchProfile, Histogram, ProfileStage, ProfileStats, Recorder, Route, RunStats,
+    ServeCounters, SkipBytes, SkipTechnique, StageTimes, TelemetryGauges, WindowRing,
+    WindowSnapshot, WorkerProfile,
 };
 use rsq_perf::PerfStats;
 use std::path::Path;
@@ -164,27 +164,8 @@ fn telemetry() -> (WindowRing, TelemetryGauges) {
         queue_depth: 3,
         in_flight: 5,
         workers: 4,
-        slow_documents: 2,
-        postmortems: 1,
     };
     (ring, gauges)
-}
-
-/// A span with fixed phase durations (a live `DocSpan` reads the clock).
-fn span(seq: u64, route: Option<Route>, code: Option<&'static str>) -> SpanRecord {
-    SpanRecord {
-        seq,
-        bytes: 512,
-        start_ns: 9_000,
-        worker: 3,
-        route,
-        queue_wait_ns: 100 + seq,
-        run_ns: 2_000,
-        reorder_wait_ns: 30,
-        emit_ns: 4,
-        stages: profile().stages,
-        code,
-    }
 }
 
 /// The `--metrics-out` text of a single-document or batch run.
@@ -258,11 +239,6 @@ fn renderings() -> Vec<(&'static str, String)> {
     no_map.map = None;
     let batch = Some((&batch_counters, Some(&batch_profile)));
 
-    let mut recorder = FlightRecorder::new(4);
-    recorder.push(span(0, Some(Route::General), None));
-    recorder.push(span(1, None, Some("limit:depth")));
-    let faulted = span(2, Some(Route::FieldChain), Some("timeout"));
-
     vec![
         ("engine-run.prom", prometheus(&stats, None, None, None)),
         (
@@ -330,12 +306,10 @@ fn renderings() -> Vec<(&'static str, String)> {
         ("perf-stats-core-only.json", core_only.to_json()),
         ("perf-stats-core-only.txt", core_only.to_string()),
         ("perf-stats-default.json", PerfStats::default().to_json()),
-        ("span-record.json", faulted.to_json()),
         (
             "skip-map.json",
             profile.map.as_ref().expect("built with a map").to_json(),
         ),
-        ("postmortem.json", recorder.postmortem_json(3, &faulted)),
     ]
 }
 
