@@ -95,7 +95,7 @@ pub struct BatchOptions {
     /// busy/queue-wait accounting — into [`BatchResult::profile`].
     /// Implies stats collection (the profile recorder carries the Tier A
     /// counters). Off by default: the profiled run reads the monotonic
-    /// clock around every fast-forward and document.
+    /// clock around every document and each of its stages.
     pub profile: bool,
     /// Hardware-counter mode: with anything but [`PerfMode::Off`], each
     /// worker arms a per-thread counter group and brackets every
@@ -582,9 +582,8 @@ impl Drop for CloseOnDrop<'_, '_> {
 }
 
 /// One worker's accumulated Tier C profile: an engine-side profile shared
-/// across the shard's documents (no per-document skip map), the
-/// per-document latency histogram, and the worker's own busy/queue-wait
-/// accounting.
+/// across the shard's documents, the per-document latency histogram, and
+/// the worker's own busy/queue-wait accounting.
 #[derive(Debug, Default)]
 struct ShardProfile {
     profile: ProfileStats,

@@ -23,9 +23,8 @@ pub enum Record<'a> {
     /// accumulator; a failed run leaves it untouched.
     Stats(&'a mut RunStats),
     /// The Tier C profile, accumulated through the recorder hooks — the
-    /// partial work of a failed run stays in it. Build it with
-    /// [`ProfileStats::for_document`] for a skip map, or reuse one
-    /// [`ProfileStats::new`] across the documents of a worker.
+    /// partial work of a failed run stays in it; one [`ProfileStats::new`]
+    /// may be reused across the documents of a worker.
     Profile(&'a mut ProfileStats),
 }
 
@@ -357,7 +356,7 @@ mod tests {
                     assert_eq!(stats.bytes, DOC.len() as u64, "{context}");
 
                     sink.clear();
-                    let mut profile = ProfileStats::for_document(DOC.len());
+                    let mut profile = ProfileStats::new();
                     let record = Record::Profile(&mut profile);
                     runner
                         .run_doc(&engine, DOC, &mut sink, record, true)

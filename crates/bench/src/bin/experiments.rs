@@ -55,7 +55,7 @@ use rsq_baselines::{SkiEngine, SurferEngine};
 use rsq_bench::{dataset, get, put, time_row, Cells, Run, Verdict, SHAPES};
 use rsq_datagen::catalog::{by_id, catalog};
 use rsq_datagen::{Dataset, GenConfig};
-use rsq_engine::{CountSink, Engine, EngineOptions, RouteChoice};
+use rsq_engine::{CountSink, Engine, EngineOptions, ProfileStats, RouteChoice};
 use rsq_query::Query;
 use std::collections::BTreeMap;
 
@@ -961,15 +961,16 @@ fn telemetry_overhead() {
     );
 }
 
-/// Observability ablation (DESIGN.md §8): `try_run` vs
-/// `try_run_with_stats`. Tier A statistics are gathered by monomorphising
-/// the inner loops over a recorder, so the two entry points must be
-/// throughput-indistinguishable.
+/// Observability ablation (DESIGN.md §8, §11): `try_run` vs
+/// `try_run_with_stats` vs a run recorded into a `ProfileStats`. Tier A
+/// statistics are gathered by monomorphising the inner loops over a
+/// recorder, so the first two must be throughput-indistinguishable; the
+/// profile adds byte-span accounting and one clock read per stage.
 fn stats_overhead() {
-    heading("Stats overhead: try_run vs try_run_with_stats (GB/s)");
+    heading("Stats overhead: try_run vs Tier A stats vs the Tier C profile (GB/s)");
     println!(
-        "{:<5} {:<42} {:>8} {:>11} {:>7}",
-        "id", "query", "plain", "with-stats", "ratio"
+        "{:<5} {:<42} {:>8} {:>11} {:>7} {:>13} {:>7}",
+        "id", "query", "plain", "with-stats", "ratio", "with-profile", "ratio"
     );
     for id in ["B1", "W2", "B3r", "Wir", "A2", "C2r"] {
         let entry = by_id(id).expect("known id");
@@ -999,15 +1000,27 @@ fn stats_overhead() {
                         sink.count()
                     }),
                 ),
+                (
+                    "with-profile",
+                    Box::new(|| {
+                        let mut sink = CountSink::new();
+                        engine
+                            .try_run_with_recorder(input, &mut sink, &mut ProfileStats::new())
+                            .expect("catalog run succeeds");
+                        sink.count()
+                    }),
+                ),
             ],
         );
         println!(
-            "{:<5} {:<42} {:>8.2} {:>11.2} {:>7.2}",
+            "{:<5} {:<42} {:>8.2} {:>11.2} {:>7.2} {:>13.2} {:>7.2}",
             entry.id,
             entry.query,
             timed[0].gbps,
             timed[1].gbps,
-            timed[1].gbps / timed[0].gbps
+            timed[1].gbps / timed[0].gbps,
+            timed[2].gbps,
+            timed[2].gbps / timed[0].gbps
         );
     }
 }
@@ -1037,7 +1050,7 @@ fn skip_ablation() {
         let engine = Engine::from_text(entry.query).expect("catalog query compiles");
         let input = dataset(entry.dataset);
         let mut sink = CountSink::new();
-        let mut profile = rsq_engine::ProfileStats::for_document(input.len());
+        let mut profile = ProfileStats::new();
         engine
             .try_run_with_recorder(input, &mut sink, &mut profile)
             .expect("catalog run succeeds");

@@ -68,9 +68,9 @@ options:
   --stats-json        print run statistics as single-line JSON on stderr
                       (stdout stays result-only either way)
   --profile           with a QUERY: print the full profile on stderr —
-                      bytes skipped per technique, pipeline stage times,
-                      and a document skip map (batch mode: per-document
-                      latency percentiles and per-worker busy/queue-wait
+                      bytes skipped per technique and pipeline stage
+                      times (batch mode: per-document latency
+                      percentiles and per-worker busy/queue-wait
                       instead); with --stats-json, adds a \"profile\"
                       object to the JSON report
   --metrics-out PATH  write the run's counters (and profile, when
@@ -286,8 +286,8 @@ pub struct Invocation {
     /// Worker threads for batch mode (`--threads`); 0 = one per CPU.
     pub threads: usize,
     /// Gather the Tier C profile (`--profile`): byte-span skip
-    /// accounting, stage timers, and a skip map for single documents, or
-    /// a latency histogram plus per-worker accounting in batch mode.
+    /// accounting and stage timers for single documents, or a latency
+    /// histogram plus per-worker accounting in batch mode.
     pub profile: bool,
     /// Write Prometheus-style text exposition to this path after the run
     /// (`--metrics-out`).
@@ -836,9 +836,7 @@ fn run_document(
 
     let mut runner = DocRunner::open(invocation.perf_mode());
     let mut stats = RunStats::default();
-    let mut profile = invocation
-        .profile
-        .then(|| ProfileStats::for_document(input.len()));
+    let mut profile = invocation.profile.then(ProfileStats::new);
     let record = match profile.as_mut() {
         Some(profile) => Record::Profile(profile),
         None if invocation.wants_stats() => Record::Stats(&mut stats),
@@ -1721,7 +1719,7 @@ mod tests {
             let mut err = Vec::new();
             run(&inv(false), &mut Vec::new(), &mut err).unwrap();
             let plain = String::from_utf8(err).unwrap();
-            assert!(plain.starts_with("{\"schema_version\":4,"), "{plain}");
+            assert!(plain.starts_with("{\"schema_version\":5,"), "{plain}");
             assert!(!plain.contains("\"profile\""), "{plain}");
 
             let mut err = Vec::new();
@@ -1729,12 +1727,11 @@ mod tests {
             let profiled = String::from_utf8(err).unwrap();
             assert_eq!(profiled.lines().count(), 1, "{profiled}");
             for key in [
-                "\"schema_version\":4,",
+                "\"schema_version\":5,",
                 "\"profile\":{",
                 "\"bytes_skipped\":{",
                 "\"skip_rate_pct\":",
                 "\"stages\":{",
-                "\"skip_map\":{",
             ] {
                 assert!(profiled.contains(key), "{key} missing from {profiled}");
             }
@@ -1742,7 +1739,7 @@ mod tests {
             // the profiled line still carries the identical stats body.
             let stats_body = plain
                 .trim_end()
-                .strip_prefix("{\"schema_version\":4,")
+                .strip_prefix("{\"schema_version\":5,")
                 .unwrap()
                 .strip_suffix('}')
                 .unwrap();
@@ -1775,8 +1772,8 @@ mod tests {
             assert_eq!(out, b"2\n", "stdout unchanged by --profile");
             let err = String::from_utf8(err).unwrap();
             assert!(err.contains("bytes skipped"), "{err}");
-            assert!(err.contains("skip map"), "{err}");
             assert!(err.contains("stage times (ns)"), "{err}");
+            assert!(!err.contains("classify"), "{err}");
         });
     }
 
@@ -1834,7 +1831,7 @@ mod tests {
             let json = String::from_utf8(err).unwrap();
             assert_eq!(json.lines().count(), 1, "{json}");
             for key in [
-                "\"schema_version\":4,",
+                "\"schema_version\":5,",
                 "\"batch\":{",
                 "\"cache_hit_ratio\":",
                 "\"profile\":{",
@@ -2163,7 +2160,7 @@ mod tests {
             assert_eq!(out_off, out_auto);
             assert_eq!(err_off, err_deny, "denial modes agree byte-for-byte");
             assert!(!err_deny.contains("\"perf\""), "{err_deny}");
-            assert!(err_auto.starts_with("{\"schema_version\":4,"), "{err_auto}");
+            assert!(err_auto.starts_with("{\"schema_version\":5,"), "{err_auto}");
             // Auto either matches the denied report exactly (denied
             // host) or adds only the trailing "perf" object.
             if err_auto != err_off {

@@ -160,6 +160,64 @@ fn strict_validates_once_on_every_input_path() {
     }
 }
 
+/// The profile's stages (ingest, validate, automaton, sink) are disjoint
+/// brackets, so on a document that takes thousands of skips their sum
+/// stays within the wall time of the whole process, on both routes and
+/// with validation.
+#[test]
+fn profile_stages_sum_to_at_most_the_wall_time() {
+    let mut doc = String::from("[");
+    for i in 0..20_000 {
+        if i > 0 {
+            doc.push(',');
+        }
+        doc.push_str(&format!(
+            r#"{{"id": {i}, "tags": [1, 2], "meta": {{"x": {{"y": 1}}}}, "name": "n{i}"}}"#
+        ));
+    }
+    doc.push(']');
+    let path = std::env::temp_dir().join(format!("rsq-cli-stages-{}.json", std::process::id()));
+    std::fs::write(&path, &doc).expect("temp document");
+    let file = path.to_str().expect("utf-8 temp path");
+    for route in ["auto", "general"] {
+        for strict in [&[][..], &["--strict"][..]] {
+            let args = [
+                &["--count", "--profile", "--stats-json", "--mmap", "on"][..],
+                strict,
+                &["$[*].name", file][..],
+            ]
+            .concat();
+            let started = std::time::Instant::now();
+            let out = Command::new(BIN)
+                .args(&args)
+                .env("RSQ_ROUTE", route)
+                .output()
+                .expect("binary runs");
+            let wall_ns = started.elapsed().as_nanos();
+            assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+            assert_eq!(stdout(&out), "20000\n");
+            let err = stderr(&out);
+            let (_, profile) = err.split_once("\"profile\":").expect("a profile");
+            let (_, stages) = profile.split_once("\"stages\":{").expect("stage times");
+            let (stages, _) = stages.split_once('}').expect("a closed object");
+            let sum: u128 = stages
+                .split(',')
+                .map(|member| {
+                    let (key, ns) = member.split_once(':').expect("a member");
+                    assert!(key.ends_with("_ns\""), "{key} in {stages}");
+                    ns.parse::<u128>().expect("nanoseconds")
+                })
+                .sum();
+            assert!(
+                sum <= wall_ns,
+                "RSQ_ROUTE={route} {strict:?}: stages {stages} sum to {sum} ns, \
+                 the process took {wall_ns} ns"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn stats_json_goes_to_stderr_and_leaves_stdout_identical() {
     let plain = rsq(&["$..b"], Some(DOC));

@@ -5,7 +5,10 @@
 //! `tests/golden/capture.sh` recorded from the binary of the commit
 //! before the three drivers were folded onto one runner, one renderer and
 //! one report writer. Hardware counters are off (`RSQ_PERF=off`), so the
-//! fixtures hold on hosts that grant `perf_event_open` too.
+//! fixtures hold on hosts that grant `perf_event_open` too. They were
+//! edited once since, by deletion only, when the profile's skip map and
+//! `classify` stage went: the `skip map` line, the `skip_map` object, the
+//! `classify` stage values and rows, and `schema_version` 4 became 5.
 //!
 //! The `doc-deep-skipped-*` pair (recorded from the commit before copied
 //! documents moved into the huge-page region) pins a known divergence

@@ -34,7 +34,7 @@ use crate::main_loop::{run_element, seeker, Seekers};
 use crate::sink::Sink;
 use crate::{EngineOptions, RUN_TABLES_INLINE};
 use rsq_classify::{BracketType, Seek, SeekScope, Structural, StructuralIterator};
-use rsq_obs::{ProfileStage, Recorder, SkipTechnique};
+use rsq_obs::{Recorder, SkipTechnique};
 use rsq_query::{Automaton, PlanStep, RoutePlan, StateId};
 use rsq_simd::Backend;
 use rsq_stackvec::StackVec;
@@ -183,9 +183,7 @@ fn walk<B: Backend>(
                 let accept_atomic = last && plan.tail_accepting;
                 rec.label_seek();
                 let seek_from = it.position();
-                let t = rec.clock();
                 let (outcome, declined) = it.seek(SeekScope::member(accept_atomic), seeker);
-                rec.stage_ns(ProfileStage::Classify, t);
                 rec.skip_span(SkipTechnique::Label, seek_from, it.position());
                 rec.memmem_declines(declined);
                 match outcome {
@@ -268,9 +266,7 @@ fn walk<B: Backend>(
                 // delivered as the next event and consumed here.
                 rec.sibling_skip();
                 let from = it.position();
-                let t = rec.clock();
                 let close = it.fast_forward_to_close(BracketType::Brace);
-                rec.stage_ns(ProfileStage::Classify, t);
                 let end = close.unwrap_or_else(|| it.position());
                 rec.skip_span(SkipTechnique::Sibling, from, end);
                 let Some(ev) = it.next() else { break };
@@ -303,9 +299,7 @@ fn descend<B: Backend>(
     if matches!(plan.steps[stack.height], PlanStep::Label { .. }) && bracket == BracketType::Bracket
     {
         rec.child_skip();
-        let t = rec.clock();
         let close = it.skip_past_close(bracket);
-        rec.stage_ns(ProfileStage::Classify, t);
         let end = close.map_or_else(|| it.position(), |c| c + 1);
         rec.skip_span(SkipTechnique::Child, pos + 1, end);
         return Ok(());
@@ -367,9 +361,7 @@ fn enter_tail<B: Backend>(
         // rejecting): skip the subtree like the general loop's child
         // skip would.
         rec.child_skip();
-        let t = rec.clock();
         let close = it.skip_past_close(bracket);
-        rec.stage_ns(ProfileStage::Classify, t);
         let end = close.map_or_else(|| it.position(), |c| c + 1);
         rec.skip_span(SkipTechnique::Child, pos + 1, end);
         Ok(())

@@ -105,11 +105,9 @@ pub use rsq_obs::{BlockStats, ClassifierCounters, NoStats, Recorder, Route, RunS
 pub use rsq_query::{PlanStep, RoutePlan};
 
 // Tier C observability: the profiling layer — byte-span accounting, stage
-// timers, latency histograms, and the document skip map (drive a run with
-// a `ProfileStats` through `try_run_with_recorder`).
-pub use rsq_obs::{
-    Histogram, ProfileStage, ProfileStats, SkipBytes, SkipMap, SkipTechnique, StageTimes,
-};
+// timers and latency histograms (drive a run with a `ProfileStats` through
+// `try_run_with_recorder`).
+pub use rsq_obs::{Histogram, ProfileStage, ProfileStats, SkipBytes, SkipTechnique, StageTimes};
 
 use error::Interrupt;
 use rsq_classify::{LabelSeeker, StructuralIterator, StructuralValidator};
@@ -288,10 +286,9 @@ impl From<CompileError> for EngineError {
 ///
 /// There is one matching loop, [`Engine::try_run_with_recorder`]; what a
 /// run observes is the recorder you pass, not a different entry point.
-/// For a Tier C profile (what `try_run_with_profile` used to return),
-/// call `try_run_with_recorder(doc, sink, &mut profile)` with
-/// `profile = ProfileStats::for_document(doc.len())`; to reuse buffers
-/// across documents, clear and pass the same `Vec<usize>` as the sink.
+/// For a Tier C profile, call `try_run_with_recorder(doc, sink, &mut
+/// profile)` with `profile = ProfileStats::new()`; to reuse buffers across
+/// documents, clear and pass the same `Vec<usize>` as the sink.
 ///
 /// See the [crate documentation](crate) for an example.
 #[derive(Clone, Debug)]
@@ -481,10 +478,10 @@ impl Engine {
     ///   branches, no atomics, no clock reads;
     /// * a [`RunStats`] adds only saturating integer increments (Tier A);
     /// * a [`ProfileStats`] is the Tier C profile — the Tier A counters
-    ///   plus per-technique `bytes_skipped`, wall-clock per pipeline
-    ///   stage (the only recorder that reads the clock: twice per
-    ///   fast-forward plus twice per run) and, when built with
-    ///   [`ProfileStats::for_document`], a bounded-resolution [`SkipMap`];
+    ///   plus per-technique `bytes_skipped` and wall-clock per pipeline
+    ///   stage (the only recorder that reads the clock: once per stage
+    ///   bracket, so twice per run with `strict` and once without, however
+    ///   many skips the run takes);
     /// * composite recorders (the hardware-counter wrapper in `rsq-perf`)
     ///   observe stage brackets and route decisions the same way, without
     ///   the engine knowing about them.
@@ -494,7 +491,7 @@ impl Engine {
     ///
     /// let engine = Engine::from_text("$..a")?;
     /// let doc = br#"{"a": 1, "b": {"a": 2}}"#;
-    /// let mut profile = ProfileStats::for_document(doc.len());
+    /// let mut profile = ProfileStats::new();
     /// engine.try_run_with_recorder(doc, &mut CountSink::new(), &mut profile)?;
     /// assert_eq!(profile.stats.bytes, doc.len() as u64);
     /// assert_eq!(profile.stats.matches, 2);
@@ -721,8 +718,7 @@ impl Engine {
 
     /// Picks the evaluation strategy and runs it, bracketing the whole
     /// matching pass as the `automaton` stage (classification is fused
-    /// into it; the `classify` stage counts only the dedicated
-    /// fast-forwards within).
+    /// into it, so it has no stage of its own).
     fn dispatch<S: Sink>(
         &self,
         input: &[u8],

@@ -9,7 +9,7 @@ use crate::{Engine, EngineOptions, RUN_TABLES_INLINE};
 use rsq_classify::{
     first_nonws, BracketType, LabelSeeker, Seek, SeekScope, Structural, StructuralIterator,
 };
-use rsq_obs::{ProfileStage, Recorder, SkipTechnique};
+use rsq_obs::{Recorder, SkipTechnique};
 use rsq_query::{Automaton, PathSymbol, StateId};
 use rsq_simd::Backend;
 use rsq_stackvec::StackVec;
@@ -336,11 +336,9 @@ fn element_loop<B: Backend>(
                 let levels = depth.saturating_sub(boundary);
                 rec.label_seek();
                 let seek_from = it.position();
-                let t = rec.clock();
                 // What the seek declines is not reported: the memmem
                 // counters follow the head start and the walker.
                 let (outcome, _) = it.seek(SeekScope::subtree(levels), seeker);
-                rec.stage_ns(ProfileStage::Classify, t);
                 rec.skip_span(SkipTechnique::Label, seek_from, it.position());
                 match outcome {
                     Seek::Composite { depth_delta } => {
@@ -381,9 +379,7 @@ fn element_loop<B: Backend>(
                 if automaton.is_rejecting(target) && options.skip_children {
                     // Skipping children (§3.3): nothing below can match.
                     rec.child_skip();
-                    let t = rec.clock();
                     let close = it.skip_past_close(bracket);
-                    rec.stage_ns(ProfileStage::Classify, t);
                     // Elided: everything after the (delivered) opening
                     // through the consumed closing character.
                     let end = close.map_or_else(|| it.position(), |c| c + 1);
@@ -436,9 +432,7 @@ fn element_loop<B: Backend>(
                         // closing brace is delivered as the next event.
                         rec.sibling_skip();
                         let from = it.position();
-                        let t = rec.clock();
                         let close = it.fast_forward_to_close(BracketType::Brace);
-                        rec.stage_ns(ProfileStage::Classify, t);
                         // The closing brace is left pending (and will be
                         // delivered), so the span excludes it.
                         let end = close.unwrap_or_else(|| it.position());
@@ -473,9 +467,7 @@ fn element_loop<B: Backend>(
                     // remaining siblings.
                     rec.sibling_skip();
                     let from = it.position();
-                    let t = rec.clock();
                     let close = it.fast_forward_to_close(BracketType::Brace);
-                    rec.stage_ns(ProfileStage::Classify, t);
                     let end = close.unwrap_or_else(|| it.position());
                     rec.skip_span(SkipTechnique::Sibling, from, end);
                 }
@@ -592,9 +584,7 @@ fn leapfrog<B: Backend>(
     // checked, the quote classifier touch those bytes.
     let mut frontier = 0;
     loop {
-        let t = rec.clock();
         let (outcome, declined) = it.seek(scope, &mut seeker);
-        rec.stage_ns(ProfileStage::Classify, t);
         rec.memmem_declines(declined);
         match outcome {
             Seek::Composite { .. } => {

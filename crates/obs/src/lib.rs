@@ -16,9 +16,9 @@
 //!
 //! * **Tier C (always compiled, pay-per-use):** the profiling layer
 //!   ([`ProfileStats`]) — per-technique byte-span accounting
-//!   ([`SkipBytes`], [`SkipMap`]), monomorphized stage timers
-//!   ([`StageTimes`]), and a log2-bucketed latency [`Histogram`]. The
-//!   hooks are further defaulted `Recorder` methods, so `NoStats` *and*
+//!   ([`SkipBytes`]), monomorphized stage timers ([`StageTimes`]), and
+//!   a log2-bucketed latency [`Histogram`]. The hooks are further
+//!   defaulted `Recorder` methods, so `NoStats` *and*
 //!   `RunStats` runs still compile to clock-free code; only a run
 //!   driven by `ProfileStats` (the CLI's `--profile`) reads the clock.
 //!
@@ -59,17 +59,15 @@ mod hist;
 mod profile;
 pub mod series;
 mod serve;
-mod skipmap;
 mod stats;
 mod window;
 
 pub use batch::BatchCounters;
 pub use hist::Histogram;
 pub use profile::{
-    BatchProfile, ProfileStage, ProfileStats, SkipBytes, StageTimes, WorkerProfile,
+    BatchProfile, ProfileStage, ProfileStats, SkipBytes, SkipTechnique, StageTimes, WorkerProfile,
     STATS_SCHEMA_VERSION,
 };
 pub use serve::ServeCounters;
-pub use skipmap::{SkipMap, SkipTechnique};
 pub use stats::{BlockStats, ClassifierCounters, NoStats, Recorder, Route, RunStats, SkipStats};
 pub use window::{TelemetryGauges, WindowRing, WindowSnapshot};

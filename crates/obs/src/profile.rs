@@ -3,10 +3,9 @@
 //!
 //! [`ProfileStats`] wraps a [`RunStats`] and additionally consumes the
 //! byte-span and timing hooks of the [`Recorder`] trait: every skip
-//! reports the byte range it elided (accumulated into [`SkipBytes`] and
-//! an optional [`SkipMap`]), and the engine brackets its pipeline stages
-//! with [`Recorder::clock`] / [`Recorder::stage_ns`] pairs (accumulated
-//! into [`StageTimes`]).
+//! reports the byte range it elided (accumulated into [`SkipBytes`]), and
+//! the engine brackets its pipeline stages with [`Recorder::clock`] /
+//! [`Recorder::stage_ns`] pairs (accumulated into [`StageTimes`]).
 //!
 //! Like Tier A this is pay-for-what-you-use: the hooks have empty
 //! `#[inline]` defaults, `NoStats` overrides none of them, and
@@ -15,21 +14,21 @@
 //! no clock reads at all. Only a run driven by `ProfileStats` (the CLI's
 //! `--profile` flag) reads the monotonic clock.
 //!
-//! Stage semantics (the classifier and automaton are *fused* in this
-//! engine, so the stages overlap rather than partition wall-clock):
+//! Stages are timed whole, never per skip: a run reads the clock once per
+//! bracket, however many fast-forwards it takes, and no bracket nests in
+//! another, so the stages partition the run and their sum cannot exceed
+//! its wall time. The classifier and automaton are *fused* in this
+//! engine, so classification has no stage of its own; what each skip
+//! technique elided is counted in bytes ([`SkipBytes`]).
 //!
-//! * `validate` — strict pre-validation pass (disjoint);
+//! * `ingest` — input acquisition, recorded by the CLI driver;
+//! * `validate` — the strict pre-validation pass;
 //! * `automaton` — the whole matching pass, classification included;
-//! * `classify` — the portion of `automaton` spent inside dedicated
-//!   classifier fast-forwards (depth skips, label seeks, `memmem`
-//!   searches);
-//! * `ingest` / `sink` — input acquisition and output writing, recorded
-//!   by the CLI driver (disjoint).
+//! * `sink` — output writing, recorded by the CLI driver.
 
 use crate::expo::Exposition;
 use crate::hist::Histogram;
 use crate::series::{self, Value};
-use crate::skipmap::{SkipMap, SkipTechnique};
 use crate::stats::{ClassifierCounters, Recorder, RunStats};
 use std::fmt;
 use std::time::Instant;
@@ -43,9 +42,60 @@ use std::time::Instant;
 /// route chosen at compile time, DESIGN.md §15). Version 4 added the
 /// hardware-counter layer (DESIGN.md §16): an optional `perf` object
 /// (cycles/instructions per byte, per-stage attribution — absent when
-/// counters are unavailable), per-route document counters in serve
-/// reports, and `start_ns`/`worker`/`route` on pipeline span records.
-pub const STATS_SCHEMA_VERSION: u64 = 4;
+/// counters are unavailable) and per-route document counters in serve
+/// reports. Version 5 removed the profile's `skip_map` object and
+/// `stages.classify_ns`, and the perf object's `ingest`, `classify` and
+/// `sink` stages (counters are only ever armed around `validate` and
+/// `automaton`).
+pub const STATS_SCHEMA_VERSION: u64 = 5;
+
+/// The skipping technique that elided a byte range (§3.3 plus the
+/// `memmem` head start of §4.4).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SkipTechnique {
+    /// Leaf skipping: commas/colons toggled off, atomic members crossed
+    /// without event delivery.
+    Leaf,
+    /// Child skipping: a subtree fast-forwarded on a rejecting
+    /// transition.
+    Child,
+    /// Sibling skipping: fast-forward to the enclosing object's end.
+    Sibling,
+    /// Skip-to-label: the §4.5 in-element label seek.
+    Label,
+    /// `memmem` head start: inter-candidate regions never structurally
+    /// classified.
+    Memmem,
+    /// Route exhaustion (DESIGN.md §15): the fast-path walker proved
+    /// nothing further in the document can match and stopped; the rest
+    /// was never classified.
+    Exit,
+}
+
+impl SkipTechnique {
+    /// All techniques, in display order.
+    pub const ALL: [SkipTechnique; 6] = [
+        SkipTechnique::Leaf,
+        SkipTechnique::Child,
+        SkipTechnique::Sibling,
+        SkipTechnique::Label,
+        SkipTechnique::Memmem,
+        SkipTechnique::Exit,
+    ];
+
+    /// Stable lowercase name (used as a JSON key and metric label).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            SkipTechnique::Leaf => "leaf",
+            SkipTechnique::Child => "child",
+            SkipTechnique::Sibling => "sibling",
+            SkipTechnique::Label => "label",
+            SkipTechnique::Memmem => "memmem",
+            SkipTechnique::Exit => "exit",
+        }
+    }
+}
 
 /// A pipeline stage bracketed by [`Recorder::clock`] /
 /// [`Recorder::stage_ns`].
@@ -55,8 +105,6 @@ pub enum ProfileStage {
     Ingest,
     /// Strict pre-validation.
     Validate,
-    /// Dedicated classifier fast-forwards (subset of `Automaton`).
-    Classify,
     /// The whole matching pass (classification fused in).
     Automaton,
     /// Output writing (CLI driver).
@@ -65,10 +113,9 @@ pub enum ProfileStage {
 
 impl ProfileStage {
     /// All stages, in display order.
-    pub const ALL: [ProfileStage; 5] = [
+    pub const ALL: [ProfileStage; 4] = [
         ProfileStage::Ingest,
         ProfileStage::Validate,
-        ProfileStage::Classify,
         ProfileStage::Automaton,
         ProfileStage::Sink,
     ];
@@ -79,7 +126,6 @@ impl ProfileStage {
         match self {
             ProfileStage::Ingest => "ingest",
             ProfileStage::Validate => "validate",
-            ProfileStage::Classify => "classify",
             ProfileStage::Automaton => "automaton",
             ProfileStage::Sink => "sink",
         }
@@ -91,9 +137,8 @@ impl ProfileStage {
         match self {
             ProfileStage::Ingest => 0,
             ProfileStage::Validate => 1,
-            ProfileStage::Classify => 2,
-            ProfileStage::Automaton => 3,
-            ProfileStage::Sink => 4,
+            ProfileStage::Automaton => 2,
+            ProfileStage::Sink => 3,
         }
     }
 }
@@ -108,7 +153,7 @@ impl fmt::Display for ProfileStage {
 /// element-wise add.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimes {
-    ns: [u64; 5],
+    ns: [u64; 4],
 }
 
 crate::series_rows! {
@@ -121,7 +166,6 @@ crate::series_rows! {
     impl StageTimes, merged {
         "ingest_ns" sum_at(|s| s.ns, ProfileStage::Ingest) => counter rsq_stage_ns_total {stage="ingest"} "Wall-clock nanoseconds per pipeline stage.";
         "validate_ns" sum_at(|s| s.ns, ProfileStage::Validate) => counter rsq_stage_ns_total {stage="validate"} "Wall-clock nanoseconds per pipeline stage.";
-        "classify_ns" sum_at(|s| s.ns, ProfileStage::Classify) => counter rsq_stage_ns_total {stage="classify"} "Wall-clock nanoseconds per pipeline stage.";
         "automaton_ns" sum_at(|s| s.ns, ProfileStage::Automaton) => counter rsq_stage_ns_total {stage="automaton"} "Wall-clock nanoseconds per pipeline stage.";
         "sink_ns" sum_at(|s| s.ns, ProfileStage::Sink) => counter rsq_stage_ns_total {stage="sink"} "Wall-clock nanoseconds per pipeline stage.";
     }
@@ -210,7 +254,7 @@ impl SkipBytes {
 }
 
 /// The Tier C profiling recorder: Tier A counters plus byte-span
-/// accounting, stage timers, and an optional skip map.
+/// accounting and stage timers.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileStats {
     /// The Tier A counters of the run.
@@ -219,39 +263,25 @@ pub struct ProfileStats {
     pub bytes_skipped: SkipBytes,
     /// Wall-clock per pipeline stage.
     pub stages: StageTimes,
-    /// Optional document skip map (built by [`ProfileStats::for_document`]).
-    pub map: Option<SkipMap>,
     /// Monotonic clock epoch, established lazily on first
     /// [`Recorder::clock`] call.
     epoch: Option<Instant>,
 }
 
 crate::series_rows! {
-    /// The profile extension (everything beyond the Tier A stats);
-    /// `skip_map` only when the profile was built with one.
+    /// The profile extension (everything beyond the Tier A stats).
     impl ProfileStats {
         "bytes_skipped" calc(|p| Value::Json(p.bytes_skipped.to_json()));
         "skip_rate_pct" calc(|p| Value::F64(p.skip_rate_pct(), 2, 2));
         "stages" calc(|p| Value::Json(p.stages.to_json()));
-        "skip_map" calc(|p| p.map.as_ref().map_or(Value::Absent, |map| Value::Json(map.to_json())));
     }
 }
 
 impl ProfileStats {
-    /// An empty profile with no skip map.
+    /// An empty profile.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A profile for one `doc_bytes`-long document, with a
-    /// bounded-resolution skip map attached.
-    #[must_use]
-    pub fn for_document(doc_bytes: usize) -> Self {
-        Self {
-            map: Some(SkipMap::new(doc_bytes)),
-            ..Self::default()
-        }
     }
 
     /// Nanoseconds since the profile's clock epoch (0 before the first
@@ -308,15 +338,6 @@ impl fmt::Display for ProfileStats {
         for stage in ProfileStage::ALL {
             write!(f, " {} {}", stage.name(), self.stages.get(stage))?;
         }
-        if let Some(map) = &self.map {
-            writeln!(f)?;
-            write!(
-                f,
-                "skip map           [{}] ({} B/cell)",
-                map.render(64),
-                map.granularity()
-            )?;
-        }
         Ok(())
     }
 }
@@ -330,9 +351,6 @@ impl Recorder for ProfileStats {
     #[inline]
     fn event(&mut self, pos: usize) {
         self.stats.event(pos);
-        if let Some(map) = &mut self.map {
-            map.mark_event(pos);
-        }
     }
 
     #[inline]
@@ -403,9 +421,6 @@ impl Recorder for ProfileStats {
                 SkipTechnique::Exit => &mut self.bytes_skipped.exit,
             };
             *slot = slot.saturating_add(bytes);
-            if let Some(map) = &mut self.map {
-                map.mark_span(technique, from, to);
-            }
         }
     }
 
@@ -527,14 +542,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn skip_span_accumulates_and_marks_map() {
-        let mut p = ProfileStats::for_document(4096);
+    fn skip_span_accumulates_per_technique() {
+        let mut p = ProfileStats::new();
         p.skip_span(SkipTechnique::Child, 0, 640);
         p.skip_span(SkipTechnique::Child, 1024, 1088);
+        p.skip_span(SkipTechnique::Label, 2000, 2010);
         assert_eq!(p.bytes_skipped.child, 704);
-        assert_eq!(p.bytes_skipped.total(), 704);
-        let map = p.map.as_ref().unwrap();
-        assert_eq!(map.covered_bytes(SkipTechnique::Child), 704);
+        assert_eq!(p.bytes_skipped.get(SkipTechnique::Label), 10);
+        assert_eq!(p.bytes_skipped.total(), 714);
     }
 
     #[test]
@@ -561,7 +576,7 @@ mod tests {
 
     #[test]
     fn skip_rate_is_relative_to_bytes() {
-        let mut p = ProfileStats::for_document(1000);
+        let mut p = ProfileStats::new();
         p.document(1000);
         p.skip_span(SkipTechnique::Memmem, 0, 250);
         assert!((p.skip_rate_pct() - 25.0).abs() < 1e-9);
@@ -569,18 +584,18 @@ mod tests {
 
     #[test]
     fn profile_json_has_stable_keys() {
-        let p = ProfileStats::for_document(64);
+        let p = ProfileStats::new();
         let json = p.to_json();
         for key in [
             "\"bytes_skipped\":",
             "\"skip_rate_pct\":",
             "\"stages\":",
-            "\"skip_map\":",
             "\"automaton_ns\":",
             "\"total\":",
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
+        assert!(!json.contains("classify"), "{json}");
     }
 
     #[test]

@@ -344,6 +344,8 @@ pub trait Recorder {
     }
 
     /// Tier C: reads the recorder's monotonic clock, in nanoseconds.
+    /// The engine opens one bracket per stage and never nests them, so a
+    /// run calls this at most once per [`crate::ProfileStage`] it enters.
     ///
     /// Non-profiling recorders return 0 without touching a clock, so
     /// the surrounding timing brackets fold away entirely.

@@ -51,6 +51,12 @@ use std::fmt;
 /// per [`ProfileStage`]).
 pub const STAGE_COUNT: usize = ProfileStage::ALL.len();
 
+/// The stages counters are armed around: the engine's own `validate` and
+/// `automaton` brackets. `ingest` and `sink` are timed by the driver
+/// outside any counter bracket, so their slots stay zero and are not
+/// reported.
+const COUNTED_STAGES: [ProfileStage; 2] = [ProfileStage::Validate, ProfileStage::Automaton];
+
 /// How the process wants hardware counters armed, resolved from the
 /// `RSQ_PERF` environment variable at CLI parse time (so a typo fails
 /// fast, and tests construct the mode directly instead of racing on the
@@ -478,16 +484,10 @@ rsq_obs::series_rows! {
         "counters.time_running_ns" sum(|s| s.total.time_running) => counter rsq_perf_time_running_ns_total "Nanoseconds the counter group was scheduled on the PMU." late;
         "cycles_per_byte" calc(|s| Value::F64(s.cycles_per_byte(), 4, 4)) => gauge rsq_perf_cycles_per_byte "Multiplex-corrected CPU cycles per input byte." late;
         "instructions_per_byte" calc(|s| Value::F64(s.instructions_per_byte(), 4, 4)) => gauge rsq_perf_instructions_per_byte "Multiplex-corrected instructions per input byte." late;
-        "stages.ingest.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Ingest) => counter rsq_perf_stage_cycles_total {stage="ingest"} "CPU cycles attributed per pipeline stage." late;
-        "stages.ingest.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Ingest) => counter rsq_perf_stage_instructions_total {stage="ingest"} "Instructions attributed per pipeline stage." late;
         "stages.validate.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Validate) => counter rsq_perf_stage_cycles_total {stage="validate"} "CPU cycles attributed per pipeline stage." late;
         "stages.validate.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Validate) => counter rsq_perf_stage_instructions_total {stage="validate"} "Instructions attributed per pipeline stage." late;
-        "stages.classify.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Classify) => counter rsq_perf_stage_cycles_total {stage="classify"} "CPU cycles attributed per pipeline stage." late;
-        "stages.classify.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Classify) => counter rsq_perf_stage_instructions_total {stage="classify"} "Instructions attributed per pipeline stage." late;
         "stages.automaton.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Automaton) => counter rsq_perf_stage_cycles_total {stage="automaton"} "CPU cycles attributed per pipeline stage." late;
         "stages.automaton.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Automaton) => counter rsq_perf_stage_instructions_total {stage="automaton"} "Instructions attributed per pipeline stage." late;
-        "stages.sink.cycles" sum_at(|s| s.stage_cycles, ProfileStage::Sink) => counter rsq_perf_stage_cycles_total {stage="sink"} "CPU cycles attributed per pipeline stage." late;
-        "stages.sink.instructions" sum_at(|s| s.stage_instructions, ProfileStage::Sink) => counter rsq_perf_stage_instructions_total {stage="sink"} "Instructions attributed per pipeline stage." late;
     }
 }
 
@@ -581,7 +581,7 @@ impl fmt::Display for PerfStats {
             )?;
         }
         write!(f, "  stage cycles    ")?;
-        for stage in ProfileStage::ALL {
+        for stage in COUNTED_STAGES {
             #[expect(
                 clippy::indexing_slicing,
                 reason = "ProfileStage::index is < the per-stage array length (one slot per stage)"
@@ -594,16 +594,16 @@ impl fmt::Display for PerfStats {
 
 /// A [`Recorder`] adapter that rides the engine's existing stage-timer
 /// brackets: every [`Recorder::clock`] call snapshots the counter group
-/// (LIFO, so nested classify-inside-automaton brackets attribute
-/// correctly) and the matching [`Recorder::stage_ns`] pops the snapshot
-/// and charges the delta to the stage in a [`PerfStats`]. All other
+/// and the matching [`Recorder::stage_ns`] takes the snapshot and
+/// charges the delta to the stage in a [`PerfStats`]. The engine's
+/// brackets never nest, so one open snapshot is all there is. All other
 /// hooks delegate to the wrapped recorder unchanged, so Tier A counters
 /// and Tier C profiles come out identical with or without this wrapper.
 pub struct PerfRecorder<'a, R: Recorder, C: ReadCounters> {
     inner: &'a mut R,
     counters: &'a C,
     stats: &'a mut PerfStats,
-    snaps: Vec<CounterValues>,
+    open: Option<CounterValues>,
 }
 
 impl<'a, R: Recorder, C: ReadCounters> PerfRecorder<'a, R, C> {
@@ -614,7 +614,7 @@ impl<'a, R: Recorder, C: ReadCounters> PerfRecorder<'a, R, C> {
             inner,
             counters,
             stats,
-            snaps: Vec::with_capacity(4),
+            open: None,
         }
     }
 }
@@ -692,14 +692,13 @@ impl<R: Recorder, C: ReadCounters> Recorder for PerfRecorder<'_, R, C> {
 
     #[inline]
     fn clock(&mut self) -> u64 {
-        self.snaps
-            .push(self.counters.read_now().unwrap_or_default());
+        self.open = Some(self.counters.read_now().unwrap_or_default());
         self.inner.clock()
     }
 
     #[inline]
     fn stage_ns(&mut self, stage: ProfileStage, start: u64) {
-        if let Some(open) = self.snaps.pop() {
+        if let Some(open) = self.open.take() {
             if let Some(now) = self.counters.read_now() {
                 self.stats.add_stage(stage, &now.delta_since(&open));
             }
@@ -1070,28 +1069,45 @@ mod tests {
     }
 
     #[test]
-    fn recorder_attributes_nested_brackets_lifo() {
+    fn perf_object_reports_only_the_counted_stages() {
         let fake = FakeCounters::new();
         let mut inner = RunStats::default();
         let mut stats = PerfStats::default();
         {
             let mut rec = PerfRecorder::new(&mut inner, &fake, &mut stats);
-            // Outer automaton bracket: snapshot at read #1.
+            // Validate: snapshot at read #1, closed with #2.
+            let t_validate = rec.clock();
+            rec.stage_ns(ProfileStage::Validate, t_validate);
+            // Automaton: snapshot at read #3, closed with #4.
             let t_auto = rec.clock();
             rec.event(0);
-            // Nested classify bracket: snapshot #2, closed with #3.
-            let t_classify = rec.clock();
-            rec.stage_ns(ProfileStage::Classify, t_classify);
-            // Outer closes with read #4: delta = 3 reads * 100 cycles.
             rec.stage_ns(ProfileStage::Automaton, t_auto);
         }
-        assert_eq!(stats.stage_cycles[ProfileStage::Classify.index()], 100);
-        assert_eq!(
-            stats.stage_instructions[ProfileStage::Classify.index()],
-            300
-        );
-        assert_eq!(stats.stage_cycles[ProfileStage::Automaton.index()], 300);
         assert_eq!(inner.events, 1, "inner recorder still sees its hooks");
+        let json = stats.to_json();
+        let stages = &json[json.find("\"stages\":").expect("stages object")..];
+        assert_eq!(
+            stages,
+            "\"stages\":{\"validate\":{\"cycles\":100,\"instructions\":300},\
+             \"automaton\":{\"cycles\":100,\"instructions\":300}}}"
+        );
+        let mut expo = rsq_obs::expo::Exposition::new();
+        expo.rows(PerfStats::ROWS, &stats, "");
+        let text = expo.finish();
+        let labels: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("rsq_perf_stage_cycles_total{"))
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "rsq_perf_stage_cycles_total{stage=\"validate\"} 100",
+                "rsq_perf_stage_cycles_total{stage=\"automaton\"} 100",
+            ]
+        );
+        assert!(stats
+            .to_string()
+            .ends_with("stage cycles     validate 100 automaton 100"));
     }
 
     #[test]
@@ -1137,9 +1153,9 @@ mod tests {
         let mut inner = RunStats::default();
         let mut stats = PerfStats::default();
         let mut rec = PerfRecorder::new(&mut inner, &fake, &mut stats);
-        // stage_ns without a prior clock(): no snapshot to pop.
-        rec.stage_ns(ProfileStage::Sink, 0);
-        assert_eq!(stats.stage_cycles[ProfileStage::Sink.index()], 0);
+        // stage_ns without a prior clock(): no snapshot to take.
+        rec.stage_ns(ProfileStage::Automaton, 0);
+        assert_eq!(stats.stage_cycles[ProfileStage::Automaton.index()], 0);
     }
 
     #[test]
@@ -1169,7 +1185,7 @@ mod tests {
             "\"counters\":{\"cycles\":500",
             "\"cycles_per_byte\":5.0000",
             "\"instructions_per_byte\":15.0000",
-            "\"stages\":{\"ingest\":{\"cycles\":0",
+            "\"stages\":{\"validate\":{\"cycles\":0",
             "\"automaton\":{\"cycles\":400,\"instructions\":1200}",
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
@@ -1199,7 +1215,7 @@ mod tests {
             },
         );
         stats.add_stage(
-            ProfileStage::Classify,
+            ProfileStage::Automaton,
             &CounterValues {
                 cycles: 32,
                 instructions: 100,
@@ -1212,7 +1228,7 @@ mod tests {
         rsq_obs::expo::check(&text).expect("rsq_perf_* series are well-formed");
         assert!(text.contains("rsq_perf_cycles_total 128"));
         assert!(text.contains("rsq_perf_cycles_per_byte 2.0000"));
-        assert!(text.contains("rsq_perf_stage_cycles_total{stage=\"classify\"} 32"));
+        assert!(text.contains("rsq_perf_stage_cycles_total{stage=\"automaton\"} 32"));
         assert_eq!(text.matches("# TYPE rsq_perf_cycles_total ").count(), 1);
     }
 }

@@ -12,6 +12,15 @@
 //! composed here the way `rsq-cli`'s report writer and `rsq-serve`'s
 //! telemetry hub compose them.
 //!
+//! Since then the fixtures were re-recorded once, when the profile's
+//! document skip map and its per-skip `classify` stage were removed:
+//! every file lost exactly those pieces (the `skip_map` object and the
+//! `skip map` line, the `classify` stage rows, and the perf object's
+//! `ingest`/`classify`/`sink` stage rows, which counters never measured),
+//! and `skip-map.json` and `profile-stats-no-map.json` (identical to
+//! `profile-stats.json` without a map) went. The stage values below are
+//! the ones the fixtures were first recorded with.
+//!
 //! When a rendering is changed on purpose, the failing run leaves the new
 //! text in `CARGO_TARGET_TMPDIR` and names the file to copy over the
 //! fixture.
@@ -47,10 +56,9 @@ fn stats() -> RunStats {
     s
 }
 
-/// A profile with a skip map: the document is 4096 bytes, so the map has
-/// one cell per block and every span below covers whole cells.
+/// A profile of a 4096-byte document with one span per technique.
 fn profile() -> ProfileStats {
-    let mut p = ProfileStats::for_document(4096);
+    let mut p = ProfileStats::new();
     p.stats = stats();
     p.skip_span(SkipTechnique::Leaf, 0, 1000);
     p.skip_span(SkipTechnique::Child, 1024, 1824);
@@ -58,8 +66,13 @@ fn profile() -> ProfileStats {
     p.skip_span(SkipTechnique::Label, 2688, 3088);
     p.skip_span(SkipTechnique::Memmem, 3136, 3336);
     p.skip_span(SkipTechnique::Exit, 3392, 3492);
-    for (i, stage) in ProfileStage::ALL.into_iter().enumerate() {
-        p.add_stage_ns(stage, 1_000_000 + i as u64);
+    for (stage, ns) in [
+        (ProfileStage::Ingest, 1_000_000),
+        (ProfileStage::Validate, 1_000_001),
+        (ProfileStage::Automaton, 1_000_003),
+        (ProfileStage::Sink, 1_000_004),
+    ] {
+        p.add_stage_ns(stage, ns);
     }
     p
 }
@@ -140,9 +153,9 @@ fn perf_stats(core_only: bool) -> PerfStats {
     p.total.cache_misses = 90;
     p.total.time_enabled = 1_000_000;
     p.total.time_running = 900_000;
-    for stage in ProfileStage::ALL {
-        p.stage_cycles[stage.index()] = 2_000 + stage.index() as u64;
-        p.stage_instructions[stage.index()] = 5_000 + stage.index() as u64;
+    for (stage, n) in [(ProfileStage::Validate, 1), (ProfileStage::Automaton, 3)] {
+        p.stage_cycles[stage.index()] = 2_000 + n;
+        p.stage_instructions[stage.index()] = 5_000 + n;
     }
     p
 }
@@ -235,8 +248,6 @@ fn renderings() -> Vec<(&'static str, String)> {
     let [w10, w60] = &windows;
     let perf = perf_stats(false);
     let core_only = perf_stats(true);
-    let mut no_map = profile.clone();
-    no_map.map = None;
     let batch = Some((&batch_counters, Some(&batch_profile)));
 
     vec![
@@ -282,7 +293,6 @@ fn renderings() -> Vec<(&'static str, String)> {
         ("run-stats-default.json", RunStats::new().to_json()),
         ("profile-stats.json", profile.to_json()),
         ("profile-stats.txt", profile.to_string()),
-        ("profile-stats-no-map.json", no_map.to_json()),
         ("skip-bytes.json", profile.bytes_skipped.to_json()),
         ("stage-times.json", profile.stages.to_json()),
         ("batch-counters.json", batch_counters.to_json()),
@@ -306,10 +316,6 @@ fn renderings() -> Vec<(&'static str, String)> {
         ("perf-stats-core-only.json", core_only.to_json()),
         ("perf-stats-core-only.txt", core_only.to_string()),
         ("perf-stats-default.json", PerfStats::default().to_json()),
-        (
-            "skip-map.json",
-            profile.map.as_ref().expect("built with a map").to_json(),
-        ),
     ]
 }
 

@@ -515,11 +515,13 @@ lane "profile-overhead gate (Tier C compiles out of unprofiled runs)"
 # hooks default to empty #[inline] bodies, so NoStats/RunStats runs must
 # stay byte-identical in matches and Tier A counters to a profiled run,
 # and the stats-overhead ablation must stay throughput-neutral. The
-# release-mode guard asserts the consistency half; the skip-map property
-# test pins the byte-span accounting across backends.
+# release-mode guard asserts the consistency half; the skip-span property
+# test pins the byte-span accounting across backends (no consumed event
+# inside an elided [from, to) span) and holds a profiled run to one clock
+# read per stage, however many skips it takes.
 cargo test -p rsq --release --features slow-tests --test obs_overhead -q
-cargo test -p rsq-engine --release --test skipmap -q
-RSQ_BACKEND=swar cargo test -p rsq-engine --release --test skipmap -q
+cargo test -p rsq-engine --release --test skip_spans -q
+RSQ_BACKEND=swar cargo test -p rsq-engine --release --test skip_spans -q
 
 lane "profiling lanes (batch profile merge, CLI --profile surface)"
 filtered_tests -p rsq-batch --release -q profile
@@ -573,7 +575,7 @@ lane "size series (non-test lines, dispatch entries, text bytes, popcnt)"
 # non-test line count is a ratchet (ROADMAP item 4): MAX_LINES is what
 # the last simplicity PR landed at, each one lowers it, and a PR that
 # has to raise it says in its description what the lines bought.
-MAX_LINES=26985
+MAX_LINES=26674
 scripts/loc.sh | tee "$SERVE_TMP/loc.txt"
 LINES="$(awk '/^total non-test lines/{print $NF}' "$SERVE_TMP/loc.txt")"
 TEXT_BYTES="$(awk '/^text bytes/{print $NF}' "$SERVE_TMP/loc.txt")"

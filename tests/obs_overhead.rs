@@ -81,7 +81,7 @@ fn profile_collection_never_changes_matches_or_tier_a_stats() {
         let with_stats = sink.into_positions();
 
         let mut sink = PositionsSink::new();
-        let mut profile = ProfileStats::for_document(doc.len());
+        let mut profile = ProfileStats::new();
         engine
             .try_run_with_recorder(&doc, &mut sink, &mut profile)
             .unwrap();
@@ -95,8 +95,7 @@ fn profile_collection_never_changes_matches_or_tier_a_stats() {
         assert_eq!(stats, profile.stats, "{query}: Tier A counters diverge");
 
         // And the Tier C layer adds real content on top: elided bytes
-        // within the document, a conflict-free skip map, and a nonzero
-        // automaton stage time.
+        // within the document and a nonzero automaton stage time.
         assert!(
             profile.bytes_skipped.total() <= doc.len() as u64,
             "{query}: skipped more bytes than the document has"
@@ -105,8 +104,6 @@ fn profile_collection_never_changes_matches_or_tier_a_stats() {
             profile.bytes_skipped.total() > 0,
             "{query}: catalog queries all skip"
         );
-        let map = profile.map.as_ref().expect("for_document attaches a map");
-        assert_eq!(map.conflicts(), 0, "{query}: skip-map conflict");
         assert!(
             profile.stages.get(rsq::engine::ProfileStage::Automaton) > 0,
             "{query}: automaton stage unmeasured"
