@@ -215,7 +215,7 @@ impl SkiEngine {
                 while let Some(event) = it.next() {
                     match event {
                         Structural::Opening(b, pos) => {
-                            if it.label_before(pos) == Some(label.as_slice()) {
+                            if it.label_before(pos) == Ok(Some(label.as_slice())) {
                                 if !last {
                                     return Scan::Descend(b);
                                 }
@@ -230,10 +230,10 @@ impl SkiEngine {
                             // Only reachable when `last`: atomic values of
                             // the target key (composite values are handled
                             // at their Opening).
-                            let Some(v) = value_start(it.input(), pos) else {
+                            let Some(v) = it.value_after(pos) else {
                                 continue;
                             };
-                            if it.label_before(pos) == Some(label.as_slice()) {
+                            if it.label_before(pos) == Ok(Some(label.as_slice())) {
                                 sink.report(v);
                                 skip_element(it, BracketType::Brace);
                                 return Scan::Done;
@@ -252,7 +252,7 @@ impl SkiEngine {
                 let mut entry = 0u64;
                 if n == 0 && last {
                     // An atomic first entry is not preceded by a comma.
-                    if let Some(v) = value_start(it.input(), it.position() - 1) {
+                    if let Some(v) = it.value_after(it.position() - 1) {
                         sink.report(v);
                         skip_element(it, BracketType::Bracket);
                         return Scan::Done;
@@ -275,7 +275,7 @@ impl SkiEngine {
                         Structural::Comma(pos) => {
                             entry += 1;
                             if entry == n && last {
-                                if let Some(v) = value_start(it.input(), pos) {
+                                if let Some(v) = it.value_after(pos) {
                                     sink.report(v);
                                     skip_element(it, BracketType::Bracket);
                                     return Scan::Done;
@@ -298,7 +298,7 @@ impl SkiEngine {
                 if last {
                     // The first entry is not preceded by a comma; match it
                     // here if atomic.
-                    if let Some(v) = value_start(it.input(), it.position() - 1) {
+                    if let Some(v) = it.value_after(it.position() - 1) {
                         sink.report(v);
                     }
                 }
@@ -352,7 +352,7 @@ fn wildcard_entries<B: Backend, S: Sink>(
             }
             Structural::Comma(pos) => {
                 if last {
-                    if let Some(v) = value_start(it.input(), pos) {
+                    if let Some(v) = it.value_after(pos) {
                         sink.report(v);
                     }
                 }
@@ -369,18 +369,6 @@ fn wildcard_entries<B: Backend, S: Sink>(
 fn skip_element<B: Backend>(it: &mut StructuralIterator<'_, B>, bracket: BracketType) {
     if it.fast_forward_to_close(bracket).is_some() {
         let _ = it.next();
-    }
-}
-
-fn value_start(input: &[u8], pos: usize) -> Option<usize> {
-    let v = input[pos + 1..]
-        .iter()
-        .position(|b| !b.is_ascii_whitespace())?
-        + pos
-        + 1;
-    match input[v] {
-        b'{' | b'[' | b'}' | b']' | b',' | b':' => None,
-        _ => Some(v),
     }
 }
 

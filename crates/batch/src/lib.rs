@@ -8,11 +8,8 @@
 //! byte-identical to a sequential loop**, no matter how many threads
 //! run.
 //!
-//! Three pieces, all dependency-free std:
+//! Two pieces, all dependency-free std:
 //!
-//! * a compiled-query LRU cache ([`QueryCache`]) keyed by normalized
-//!   query text, so a working set of queries compiles once, not once
-//!   per document;
 //! * a document feed (windows of documents published while the run is
 //!   under way, claimed a chunk at a time) feeding a fixed pool of
 //!   [`std::thread::scope`] workers, each with its own [`DocRunner`] and
@@ -54,12 +51,10 @@
     clippy::indexing_slicing
 )]
 
-mod cache;
 mod ndjson;
 mod queue;
 mod runner;
 
-pub use cache::QueryCache;
 pub use ndjson::{split_ndjson, DocBuffers, Frame, NdjsonFramer, QuoteScan};
 pub use runner::{DocRunner, DocSink, Matches, Record};
 
@@ -70,6 +65,7 @@ use rsq_engine::{
 };
 use rsq_obs::{BatchCounters, BatchProfile, Histogram, RunStats, WorkerProfile};
 use rsq_perf::{PerfMode, PerfStats};
+use rsq_query::Query;
 use std::fs;
 use std::io;
 use std::num::NonZeroUsize;
@@ -83,8 +79,7 @@ use std::time::Instant;
 pub struct BatchOptions {
     /// Worker threads. `0` means auto: one per available CPU.
     pub threads: usize,
-    /// Engine options applied to every compiled query. Fixed per
-    /// `BatchEngine`, which keeps them out of the cache key.
+    /// Engine options applied to every compiled query.
     pub engine: EngineOptions,
     /// Gather per-run [`RunStats`] and merge them into
     /// [`BatchResult::stats`]. Off by default: the counting run costs a
@@ -214,8 +209,7 @@ pub struct BatchResult {
     /// Merged [`RunStats`] across all successful documents (all zeros
     /// unless [`BatchOptions::collect_stats`] is set).
     pub stats: RunStats,
-    /// Batch-layer counters: documents, shards, queue claims, cache
-    /// hits/misses/evictions.
+    /// Batch-layer counters: documents, shards, queue claims.
     pub counters: BatchCounters,
     /// Merged Tier C batch profile (`None` unless
     /// [`BatchOptions::profile`] is set). Histograms and byte counters
@@ -240,36 +234,21 @@ impl BatchResult {
     }
 }
 
-/// A multi-document batch executor: compiled-query cache + worker pool.
+/// A multi-document batch executor: one query compiled per batch, run
+/// over the documents by a worker pool.
 ///
-/// One `BatchEngine` owns one [`QueryCache`] and one fixed
-/// [`BatchOptions`] configuration; it is cheap to keep alive across
-/// many batches so the cache pays off. See the [crate
-/// documentation](crate) for the determinism guarantees.
+/// One `BatchEngine` holds one fixed [`BatchOptions`] configuration. See
+/// the [crate documentation](crate) for the determinism guarantees.
 #[derive(Debug)]
 pub struct BatchEngine {
-    cache: QueryCache,
     options: BatchOptions,
 }
 
 impl BatchEngine {
-    /// Distinct compiled queries the cache keeps resident.
-    const CACHE_CAPACITY: usize = 32;
-
-    /// A batch engine with the given configuration and an empty query
-    /// cache.
+    /// A batch engine with the given configuration.
     #[must_use]
     pub fn new(options: BatchOptions) -> Self {
-        BatchEngine {
-            cache: QueryCache::new(Self::CACHE_CAPACITY),
-            options,
-        }
-    }
-
-    /// The compiled-query cache (for hit/miss inspection).
-    #[must_use]
-    pub fn cache(&self) -> &QueryCache {
-        &self.cache
+        BatchEngine { options }
     }
 
     /// The configuration this engine runs with.
@@ -341,21 +320,15 @@ impl BatchEngine {
         Ok((ranges, result))
     }
 
-    /// Compiles `query` (through the cache) and hands the engine to `run`,
-    /// then books what the cache did for it on the result.
+    /// Compiles `query` and hands the engine to `run`.
     fn run_query(
         &self,
         query: &str,
         run: impl FnOnce(&Engine) -> BatchResult,
     ) -> Result<BatchResult, EngineError> {
-        let hits_before = self.cache.hits();
-        let misses_before = self.cache.misses();
-        let evictions_before = self.cache.evictions();
-        let engine = self.cache.get_or_compile(query, &self.options.engine)?;
+        let engine = Engine::with_options(&Query::parse(query)?, self.options.engine)?;
         let mut result = run(&engine);
-        result.counters.cache_hits = self.cache.hits() - hits_before;
-        result.counters.cache_misses = self.cache.misses() - misses_before;
-        result.counters.cache_evictions = self.cache.evictions() - evictions_before;
+        result.counters.cache_misses = 1;
         Ok(result)
     }
 
@@ -677,18 +650,13 @@ mod tests {
 
     #[test]
     fn cache_counters_are_per_batch() {
+        // No batch reuses another's compiled query.
         let batch = BatchEngine::new(BatchOptions::default());
         let docs: [&[u8]; 1] = [br#"{"a": 1}"#];
-        let first = batch.run_slices("$..a", &docs).unwrap();
-        assert_eq!(
-            (first.counters.cache_hits, first.counters.cache_misses),
-            (0, 1)
-        );
-        let second = batch.run_slices("$..a", &docs).unwrap();
-        assert_eq!(
-            (second.counters.cache_hits, second.counters.cache_misses),
-            (1, 0)
-        );
+        for _ in 0..2 {
+            let result = batch.run_slices("$..a", &docs).unwrap();
+            assert_eq!(result.counters.cache_misses, 1);
+        }
     }
 
     #[test]
@@ -767,19 +735,6 @@ mod tests {
                 assert!(result.perf.is_none(), "denied counters leave no report");
             }
         }
-    }
-
-    #[test]
-    fn eviction_counter_is_per_batch() {
-        let batch = BatchEngine::new(BatchOptions::default());
-        let docs: [&[u8]; 1] = [br#"{"a": 1}"#];
-        // Fill the cache exactly: nothing is evicted yet.
-        for n in 0..BatchEngine::CACHE_CAPACITY {
-            let result = batch.run_slices(&format!("$.k{n}"), &docs).unwrap();
-            assert_eq!(result.counters.cache_evictions, 0);
-        }
-        let one_more = batch.run_slices("$.overflow", &docs).unwrap();
-        assert_eq!(one_more.counters.cache_evictions, 1);
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! document run with the thread's hardware-counter group, wraps a
 //! profile in a [`PerfRecorder`], catches a panic at the document
 //! boundary, and maps [`RunError`] onto [`DocError`]. What varies between
-//! the drivers is an argument — the [`Record`] — not a code path.
+//! the drivers is an argument — the [`Record`], and whether the document
+//! is a slice or streams from a reader ([`DocRunner::run_reader`]) — not
+//! a code path.
 
 use crate::{DocError, DocErrorKind};
-use rsq_engine::{Engine, ProfileStats, RunError, RunStats, Sink, SinkFull};
+use rsq_engine::{Engine, NoStats, ProfileStats, Recorder, RunError, RunStats, Sink, SinkFull};
 use rsq_perf::{CounterGroup, CounterSet, PerfMode, PerfRecorder, PerfStats};
+use std::io::Read;
 use std::marker::PhantomData;
 use std::time::Instant;
 
@@ -212,35 +215,75 @@ impl DocRunner {
         record: Record<'_>,
         sample: bool,
     ) -> Result<(), DocError> {
+        self.contained(engine, Doc::Slice(doc), sink, record, sample)
+    }
+
+    /// [`run`](Self::run) over a document streamed from `reader`
+    /// ([`Engine::try_run_reader_with_recorder`]: bounded memory, the
+    /// input checked as it arrives and to its end, the `deadline` before
+    /// every read). The reader is a trait object, so that the engine's
+    /// loops are compiled here, once, for both ways in.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run), plus the reader's failures.
+    pub fn run_reader(
+        &mut self,
+        engine: &Engine,
+        reader: &mut dyn Read,
+        deadline: Option<Instant>,
+        sink: &mut DocSink,
+        record: Record<'_>,
+        sample: bool,
+    ) -> Result<(), DocError> {
+        self.contained(engine, Doc::Reader(reader, deadline), sink, record, sample)
+    }
+
+    /// The one body of [`run`](Self::run) and
+    /// [`run_reader`](Self::run_reader).
+    fn contained<S: Sink>(
+        &mut self,
+        engine: &Engine,
+        doc: Doc<'_>,
+        sink: &mut S,
+        record: Record<'_>,
+        sample: bool,
+    ) -> Result<(), DocError> {
         let group = self.counters.group().filter(|_| sample);
         if let Some(g) = group {
             g.start();
         }
         let perf = &mut self.perf;
-        let run = std::panic::AssertUnwindSafe(move || {
+        let mut bytes = 0;
+        let run = std::panic::AssertUnwindSafe(|| {
             #[cfg(test)]
-            crate::tests::contained_fault(doc);
-            match record {
-                Record::Nothing => engine.try_run(doc, sink),
-                Record::Stats(total) => engine.try_run_with_stats(doc, sink).map(|s| *total += s),
-                Record::Profile(profile) => match group {
-                    Some(g) => {
-                        let mut rec = PerfRecorder::new(profile, g, perf);
-                        engine.try_run_with_recorder(doc, sink, &mut rec)
-                    }
-                    None => engine.try_run_with_recorder(doc, sink, profile),
-                },
+            if let Doc::Slice(doc) = &doc {
+                crate::tests::contained_fault(doc);
             }
+            bytes = match record {
+                Record::Nothing => doc.run(engine, sink, &mut NoStats)?,
+                Record::Stats(total) => {
+                    let mut stats = RunStats::default();
+                    let bytes = doc.run(engine, sink, &mut stats)?;
+                    *total += stats;
+                    bytes
+                }
+                Record::Profile(profile) => match group {
+                    Some(g) => doc.run(engine, sink, &mut PerfRecorder::new(profile, g, perf))?,
+                    None => doc.run(engine, sink, profile)?,
+                },
+            };
+            Ok(())
         });
         let outcome = match std::panic::catch_unwind(run) {
-            Ok(run) => run.map_err(|e| DocError::from_run(&e)),
+            Ok(run) => run.map_err(|e: RunError| DocError::from_run(&e)),
             Err(payload) => Err(DocError {
                 kind: DocErrorKind::Panic,
                 message: format!("worker panicked: {}", panic_message(payload.as_ref())),
             }),
         };
         if let Some(delta) = group.and_then(CounterGroup::stop) {
-            self.perf.add_run(doc.len() as u64, &delta);
+            self.perf.add_run(bytes as u64, &delta);
         }
         outcome
     }
@@ -271,6 +314,32 @@ impl DocRunner {
             Err(timeout())
         } else {
             run
+        }
+    }
+}
+
+/// A document as [`DocRunner`] runs it: one slice, or streamed from a
+/// reader (with the deadline its reads are held to).
+enum Doc<'d> {
+    Slice(&'d [u8]),
+    Reader(&'d mut dyn Read, Option<Instant>),
+}
+
+impl Doc<'_> {
+    /// Runs the document through `engine`, returning its length.
+    fn run<S: Sink>(
+        self,
+        engine: &Engine,
+        sink: &mut S,
+        rec: &mut impl Recorder,
+    ) -> Result<usize, RunError> {
+        match self {
+            Doc::Slice(doc) => engine
+                .try_run_with_recorder(doc, sink, rec)
+                .map(|()| doc.len()),
+            Doc::Reader(reader, deadline) => {
+                engine.try_run_reader_with_recorder(reader, sink, rec, deadline)
+            }
         }
     }
 }

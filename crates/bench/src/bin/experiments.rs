@@ -781,8 +781,8 @@ fn batch_scaling() {
         corpus.len() as f64 / 1e6
     );
     println!(
-        "{:>8} {:>10} {:>8} {:>8} {:>11} {:>13}",
-        "threads", "matches", "GB/s", "speedup", "cache(h/m)", "queue claims"
+        "{:>8} {:>10} {:>8} {:>8} {:>13}",
+        "threads", "matches", "GB/s", "speedup", "queue claims"
     );
     let engines: Vec<BatchEngine> = sweep
         .iter()
@@ -823,15 +823,11 @@ fn batch_scaling() {
     let timed = time_row(corpus.len(), REPS, &mut runs);
     for ((threads, result), cell) in sweep.iter().zip(&results).zip(&timed) {
         println!(
-            "{:>8} {:>10} {:>8.2} {:>7.2}x {:>11} {:>13}",
+            "{:>8} {:>10} {:>8.2} {:>7.2}x {:>13}",
             threads,
             cell.count,
             cell.gbps,
             cell.gbps / timed[0].gbps,
-            format!(
-                "{}/{}",
-                result.counters.cache_hits, result.counters.cache_misses
-            ),
             result.counters.queue_claims
         );
     }

@@ -21,6 +21,7 @@
 
 use crate::depth::{low_bits, scan_block};
 use crate::quotes::QuoteState;
+use crate::stream::{is_ws, Refill, Stream};
 use crate::structural::StructuralTables;
 use rsq_obs::ClassifierCounters;
 use rsq_simd::{Backend, Block, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_BLOCKS, SUPERBLOCK_SIZE};
@@ -139,6 +140,27 @@ impl CurrentBlock {
     }
 }
 
+/// The bytes a [`BlockCursor`] holds: all of a slice, or a streamed
+/// input's window, owned. The slice is the one-window case — the whole
+/// input, never refilled — so the pipeline is compiled once for both
+/// (DESIGN.md §7). Either is a pointer and a length in the same place,
+/// so reading the window does not branch on which it is.
+#[derive(Debug)]
+enum Bytes<'a> {
+    Slice(&'a [u8]),
+    Window(Box<[u8]>),
+}
+
+impl Bytes<'_> {
+    #[inline(always)]
+    fn window(&self) -> &[u8] {
+        match self {
+            Bytes::Slice(input) => input,
+            Bytes::Window(window) => window,
+        }
+    }
+}
+
 /// Walks the input in 64-byte blocks, running the quote classifier over
 /// each exactly once. This is the shared lower layer of the
 /// multi-classifier pipeline (§4.5): both the structural iterator and the
@@ -148,16 +170,27 @@ impl CurrentBlock {
 /// Internally the cursor quote-classifies four blocks at a time through
 /// the superblock kernel, which amortizes the kernel call when the backend
 /// is the per-call [`Simd`] handle.
-#[derive(Clone, Debug)]
+///
+/// Offsets are global. The cursor sees the input through a *window*, the
+/// bytes `[base, end)`: all of it for a slice; for a stream, what its
+/// buffer holds. When the next superblock runs past the window, a cold
+/// [`fetch`](Self::fetch) drops what lies more than the look-back before
+/// the last block handed out and refills from the source.
+#[derive(Debug)]
 struct BlockCursor<'a, B> {
-    input: &'a [u8],
+    bytes: Bytes<'a>,
+    /// Where a streamed input's window is refilled from; `None` for a
+    /// slice.
+    stream: Option<Box<Stream<'a>>>,
+    /// Global offset of the window's first byte (0 for a slice).
+    base: usize,
     backend: B,
     /// Offset of the next block to classify (multiple of [`BLOCK_SIZE`]).
     next_block: usize,
     /// Quote state at `next_block`.
     quote_state: QuoteState,
     /// Classified blocks not yet handed out: (start, within-quotes
-    /// mask). Block bytes are viewed directly in the input — no copies —
+    /// mask). Block bytes are viewed directly in the window — no copies —
     /// except for the zero-padded final partial block, stored in `tail`.
     buf: [(usize, u64); SUPERBLOCK_BLOCKS],
     buf_len: usize,
@@ -169,14 +202,15 @@ struct BlockCursor<'a, B> {
 }
 
 impl<'a, B: Backend> BlockCursor<'a, B> {
-    /// A cursor whose first block starts at `start` outside any string —
-    /// the start of the input, or a restart point taken on trust.
+    /// A cursor at the start of the input.
     #[inline(always)]
-    fn new(input: &'a [u8], backend: B, start: usize) -> Self {
+    fn new(bytes: Bytes<'a>, stream: Option<Box<Stream<'a>>>, backend: B) -> Self {
         BlockCursor {
-            input,
+            bytes,
+            stream,
+            base: 0,
             backend,
-            next_block: start,
+            next_block: 0,
             quote_state: QuoteState::default(),
             buf: [(0, 0); SUPERBLOCK_BLOCKS],
             buf_len: 0,
@@ -184,6 +218,43 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
             tail: [0; BLOCK_SIZE],
             tail_start: usize::MAX,
         }
+    }
+
+    /// The bytes the cursor holds, from global offset `base`.
+    #[inline(always)]
+    fn window(&self) -> &[u8] {
+        self.bytes.window()
+    }
+
+    /// The global offset one past the last byte held.
+    #[inline(always)]
+    fn end(&self) -> usize {
+        self.base + self.window().len()
+    }
+
+    /// Whether every byte of the input has arrived (always, for a slice).
+    #[inline(always)]
+    fn exhausted(&self) -> bool {
+        self.stream.as_ref().is_none_or(|stream| stream.exhausted())
+    }
+
+    /// Refills a stream's window so that it holds the bytes up to `need`
+    /// where the input has them, dropping what lies more than the
+    /// look-back before `hold`, the oldest byte still in use (never one at
+    /// or after `next_block`, which is not quote-classified yet). Returns
+    /// whether `need` is now held; always `false` for a slice.
+    #[cold]
+    #[inline(never)]
+    fn fetch(&mut self, hold: usize, need: usize) -> bool {
+        let keep = hold.min(self.next_block);
+        if let Some(stream) = &mut self.stream {
+            if let Bytes::Window(held) = std::mem::replace(&mut self.bytes, Bytes::Slice(&[])) {
+                let (window, base) = stream.fetch(held, self.base, keep, need);
+                self.bytes = Bytes::Window(window);
+                self.base = base;
+            }
+        }
+        self.end() >= need
     }
 
     /// Classifies the next block's quotes and returns `(start,
@@ -209,13 +280,11 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
         let mut skipped = 0;
         while self.buf_pos == self.buf_len && self.next_block + SUPERBLOCK_SIZE <= until {
             let start = self.next_block;
-            #[expect(
-                clippy::expect_used,
-                reason = "the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail"
-            )]
-            let chunk: &Superblock = self.input[start..start + SUPERBLOCK_SIZE]
-                .try_into()
-                .expect("superblock sized");
+            // The blocks handed out before are being skipped past.
+            if start + SUPERBLOCK_SIZE > self.end() && !self.fetch(start, start + SUPERBLOCK_SIZE) {
+                break;
+            }
+            let chunk = superblock_at(self.bytes.window(), start - self.base);
             let _ = self.backend.classify_quotes4(chunk, &mut self.quote_state);
             self.next_block += SUPERBLOCK_SIZE;
             skipped += SUPERBLOCK_BLOCKS as u64;
@@ -236,17 +305,16 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
         self.buf_pos = 0;
         self.buf_len = 0;
         let start = self.next_block;
-        if start >= self.input.len() {
+        if start + SUPERBLOCK_SIZE > self.end() && !self.exhausted() {
+            // Every block handed out is, and only the last is in use.
+            self.fetch(start.saturating_sub(BLOCK_SIZE), start + SUPERBLOCK_SIZE);
+        }
+        let end = self.end();
+        if start >= end {
             return;
         }
-        if start + SUPERBLOCK_SIZE <= self.input.len() {
-            #[expect(
-                clippy::expect_used,
-                reason = "the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail"
-            )]
-            let chunk: &Superblock = self.input[start..start + SUPERBLOCK_SIZE]
-                .try_into()
-                .expect("superblock sized");
+        if start + SUPERBLOCK_SIZE <= end {
+            let chunk = superblock_at(self.bytes.window(), start - self.base);
             let (within, _) = self.backend.classify_quotes4(chunk, &mut self.quote_state);
             for (i, (slot, within)) in self.buf.iter_mut().zip(within).enumerate() {
                 *slot = (start + i * BLOCK_SIZE, within);
@@ -255,10 +323,12 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
             self.next_block = start + SUPERBLOCK_SIZE;
         } else {
             // Tail: one zero-padded block at a time.
-            let end = (start + BLOCK_SIZE).min(self.input.len());
-            if end < start + BLOCK_SIZE {
+            let stop = (start + BLOCK_SIZE).min(end);
+            if stop < start + BLOCK_SIZE {
                 self.tail = [0u8; BLOCK_SIZE];
-                self.tail[..end - start].copy_from_slice(&self.input[start..end]);
+                let from = start - self.base;
+                self.tail[..stop - start]
+                    .copy_from_slice(&self.bytes.window()[from..from + stop - start]);
                 self.tail_start = start;
             }
             let mut state = self.quote_state;
@@ -276,12 +346,13 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
     /// blocks resolve to the zero-padded `tail` copy.
     #[inline(always)]
     fn bytes_at(&self, start: usize) -> &Block {
-        if start + BLOCK_SIZE <= self.input.len() {
+        if start + BLOCK_SIZE <= self.end() {
+            let from = start - self.base;
             #[expect(
                 clippy::expect_used,
                 reason = "the slice is exactly BLOCK_SIZE bytes, so try_into cannot fail"
             )]
-            self.input[start..start + BLOCK_SIZE]
+            self.window()[from..from + BLOCK_SIZE]
                 .try_into()
                 .expect("full block in bounds")
         } else {
@@ -289,6 +360,18 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
             &self.tail
         }
     }
+}
+
+/// The superblock at `from` in `window`.
+#[inline(always)]
+fn superblock_at(window: &[u8], from: usize) -> &Superblock {
+    #[expect(
+        clippy::expect_used,
+        reason = "the slice is exactly SUPERBLOCK_SIZE bytes, so try_into cannot fail"
+    )]
+    window[from..from + SUPERBLOCK_SIZE]
+        .try_into()
+        .expect("superblock sized")
 }
 
 /// The structural iterator over a JSON byte stream.
@@ -304,7 +387,7 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
 /// // By default only brackets/braces are classified (leaf skipping).
 /// assert_eq!(iter.next(), Some(Structural::Opening(BracketType::Brace, 0)));
 /// assert_eq!(iter.next(), Some(Structural::Opening(BracketType::Bracket, 6)));
-/// assert_eq!(iter.label_before(6), Some(&b"a"[..]));
+/// assert_eq!(iter.label_before(6), Ok(Some(&b"a"[..])));
 /// assert_eq!(iter.next(), Some(Structural::Closing(BracketType::Bracket, 8)));
 /// assert_eq!(iter.next(), Some(Structural::Closing(BracketType::Brace, 9)));
 /// assert_eq!(iter.next(), None);
@@ -314,7 +397,7 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
 /// [`Simd`] handle by default (a `match` and a kernel call per primitive),
 /// a static backend inside a dispatched pass ([`Simd::dispatch`]), where
 /// the whole iterator inlines into the pass.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct StructuralIterator<'a, B: Backend = Simd> {
     cursor: BlockCursor<'a, B>,
     tables: StructuralTables,
@@ -334,8 +417,27 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
     #[inline(always)]
     #[must_use]
     pub fn new(input: &'a [u8], backend: B) -> Self {
+        Self::over(BlockCursor::new(Bytes::Slice(input), None, backend))
+    }
+
+    /// Creates an iterator over a document that arrives from `source`,
+    /// held in a ring of four `window`-byte windows (see
+    /// [`crate::Refill`]). Positions are offsets into the whole document,
+    /// as for a slice.
+    #[must_use]
+    pub fn from_source(source: &'a mut dyn Refill, window: usize, backend: B) -> Self {
+        let stream = Box::new(Stream::new(source, window));
+        Self::over(BlockCursor::new(
+            Bytes::Window(Box::default()),
+            Some(stream),
+            backend,
+        ))
+    }
+
+    #[inline(always)]
+    fn over(cursor: BlockCursor<'a, B>) -> Self {
         StructuralIterator {
-            cursor: BlockCursor::new(input, backend, 0),
+            cursor,
             tables: StructuralTables::new(),
             current: None,
             peeked: None,
@@ -351,17 +453,118 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
     /// which need not be 64-byte aligned.
     #[inline(always)]
     pub(crate) fn restart_at(&mut self, pos: usize) {
-        self.cursor = BlockCursor::new(self.cursor.input, self.cursor.backend, pos);
+        let cursor = &mut self.cursor;
+        cursor.next_block = pos;
+        cursor.quote_state = QuoteState::default();
+        cursor.buf_len = 0;
+        cursor.buf_pos = 0;
+        cursor.tail_start = usize::MAX;
         self.current = None;
         self.peeked = None;
         self.consumed_upto = pos;
     }
 
-    /// The underlying input.
+    /// The offset one past the last byte held: the input's length for a
+    /// slice, and for a stream once it has ended.
     #[inline(always)]
     #[must_use]
-    pub fn input(&self) -> &'a [u8] {
-        self.cursor.input
+    pub fn end(&self) -> usize {
+        self.cursor.end()
+    }
+
+    /// The byte at `pos`, which must be held.
+    #[inline(always)]
+    pub(crate) fn byte(&self, pos: usize) -> u8 {
+        self.cursor.window()[pos - self.cursor.base]
+    }
+
+    /// The bytes held, the offset of the first, and whether they run to
+    /// the end of the input.
+    #[inline(always)]
+    pub(crate) fn held_bytes(&self) -> (&[u8], usize, bool) {
+        (
+            self.cursor.window(),
+            self.cursor.base,
+            self.cursor.exhausted(),
+        )
+    }
+
+    /// Sets the quote-only block count back to `blocks`: a document seek
+    /// that found nothing after classifying blocks only to let a stream
+    /// drop them.
+    #[inline(always)]
+    pub(crate) fn uncount_quote_blocks(&mut self, blocks: u64) {
+        self.counters.blocks_quote = blocks;
+    }
+
+    /// The oldest byte in use: the current block's first.
+    #[inline(always)]
+    fn hold(&self) -> usize {
+        self.current.map_or(self.cursor.next_block, |cur| cur.start)
+    }
+
+    /// Refills a stream past the bytes it holds, keeping the current
+    /// block and the look-back before it.
+    #[inline(always)]
+    pub(crate) fn refill_window(&mut self) {
+        if !self.cursor.exhausted() {
+            self.cursor.fetch(self.hold(), self.cursor.end() + 1);
+        }
+    }
+
+    /// Index of the first non-whitespace byte at or after `pos`, which
+    /// must not precede the current block; a stream is refilled as far as
+    /// the search goes.
+    #[inline(always)]
+    pub fn first_nonws(&mut self, pos: usize) -> Option<usize> {
+        let rest = self
+            .cursor
+            .window()
+            .get(pos.wrapping_sub(self.cursor.base)..);
+        match rest.and_then(|rest| rest.iter().position(|&b| !is_ws(b))) {
+            Some(i) => Some(pos + i),
+            None => self.first_nonws_refilling(pos),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn first_nonws_refilling(&mut self, pos: usize) -> Option<usize> {
+        let mut from = pos.max(self.cursor.end());
+        loop {
+            if self.cursor.exhausted() || !self.cursor.fetch(self.hold(), from + 1) {
+                return None;
+            }
+            let rest = &self.cursor.window()[from - self.cursor.base..];
+            if let Some(i) = rest.iter().position(|&b| !is_ws(b)) {
+                return Some(from + i);
+            }
+            from = self.cursor.end();
+        }
+    }
+
+    /// The start of the atomic value following the `:`, `,` or `[` at
+    /// `pos`, or `None` when what follows is structural (a malformed or
+    /// empty construct, or a composite value).
+    #[inline]
+    pub fn value_after(&mut self, pos: usize) -> Option<usize> {
+        let v = self.first_nonws(pos + 1)?;
+        match self.byte(v) {
+            b'{' | b'[' | b'}' | b']' | b',' | b':' => None,
+            _ => Some(v),
+        }
+    }
+
+    /// The document's first non-whitespace byte: the value of an atomic
+    /// document, which yields no structural character.
+    #[must_use]
+    pub fn document_start(&mut self) -> Option<usize> {
+        if let Some(stream) = &self.cursor.stream {
+            if self.cursor.base > 0 {
+                return stream.first_nonws();
+            }
+        }
+        self.first_nonws(0)
     }
 
     /// The position after the last consumed character.
@@ -417,14 +620,13 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
                     let rel = cur.mask.trailing_zeros();
                     cur.mask &= cur.mask - 1;
                     let pos = cur.start + rel as usize;
-                    let byte = self.cursor.input[pos];
-                    return Some(to_structural(byte, pos));
+                    return Some(to_structural(self.byte(pos), pos));
                 }
             }
             let Some(block) = self.cursor.next() else {
                 // At EOF everything is consumed: a seek from here must not
                 // search the blocks this run went through.
-                self.consumed_upto = self.cursor.input.len();
+                self.consumed_upto = self.cursor.end();
                 return None;
             };
             self.current = Some(CurrentBlock::loaded(block));
@@ -601,7 +803,7 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
                 return BlockScan::Closed(start + rel as usize);
             }
         }
-        self.consumed_upto = self.cursor.input.len();
+        self.consumed_upto = self.cursor.end();
         BlockScan::End
     }
 
@@ -644,8 +846,9 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
         }
     }
 
-    /// Makes the block containing `pos` current for a document seek and
-    /// returns its `(start, within_quotes)`, or `None` at EOF. The blocks
+    /// Makes the block containing `pos` current for a document seek — or
+    /// keeps the current one, when that lies past `pos` — and returns its
+    /// `(start, within_quotes)`, or `None` at EOF. The blocks
     /// before it owe only their quote state — whole superblocks of them
     /// are not even buffered — and every block crossed counts as
     /// quote-only.
@@ -654,7 +857,6 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
         loop {
             if let Some(cur) = &self.current {
                 if pos < cur.start + BLOCK_SIZE {
-                    debug_assert!(pos >= cur.start, "the cursor has passed {pos}");
                     return Some((cur.start, cur.within_quotes));
                 }
             }
@@ -683,7 +885,7 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
                 if let Some(cur) = &mut self.current {
                     cur.mask = 0;
                 }
-                self.consumed_upto = self.cursor.input.len();
+                self.consumed_upto = self.cursor.end();
                 false
             }
         }
@@ -749,15 +951,31 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
     /// `None` when there is no label — the element is an array entry or the
     /// document root — in which case the engine uses the artificial label
     /// (the automaton's fallback transition).
-    #[must_use]
-    pub fn label_before(&self, pos: usize) -> Option<&'a [u8]> {
-        let input = self.cursor.input;
-        let mut j = last_nonws_before(input, pos)?;
-        if input[j] == b':' {
-            j = last_nonws_before(input, j)?;
+    ///
+    /// # Errors
+    ///
+    /// [`LookBack`] when the backtrack runs into bytes a streamed input
+    /// has already dropped (never for a slice).
+    pub fn label_before(&self, pos: usize) -> Result<Option<&[u8]>, LookBack> {
+        let window = self.cursor.window();
+        let base = self.cursor.base;
+        // The window's start is the input's only when nothing was dropped.
+        let held = |found: Option<usize>| match found {
+            Some(i) => Ok(Some(i)),
+            None if base == 0 => Ok(None),
+            None => Err(LookBack),
+        };
+        let Some(mut j) = held(last_nonws_before(window, pos - base))? else {
+            return Ok(None);
+        };
+        if window[j] == b':' {
+            let Some(k) = held(last_nonws_before(window, j))? else {
+                return Ok(None);
+            };
+            j = k;
         }
-        if input[j] != b'"' {
-            return None;
+        if window[j] != b'"' {
+            return Ok(None);
         }
         let close = j;
         // Scan backwards for the nearest unescaped quote — the label's
@@ -765,20 +983,33 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
         // number of backslashes.
         let mut q = close;
         loop {
-            q = input[..q].iter().rposition(|&b| b == b'"')?;
-            let backslashes = input[..q].iter().rev().take_while(|&&b| b == b'\\').count();
+            let Some(found) = held(window[..q].iter().rposition(|&b| b == b'"'))? else {
+                return Ok(None);
+            };
+            q = found;
+            let backslashes = window[..q]
+                .iter()
+                .rev()
+                .take_while(|&&b| b == b'\\')
+                .count();
+            if backslashes == q && base > 0 {
+                return Err(LookBack);
+            }
             if backslashes % 2 == 0 {
-                return Some(&input[q + 1..close]);
+                return Ok(Some(&window[q + 1..close]));
             }
         }
     }
 }
 
+/// A backward probe ran past the start of a streamed input's buffer: the
+/// label's opening quote lies in bytes the stream no longer holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LookBack;
+
 /// Index of the last non-whitespace byte strictly before `pos`.
 fn last_nonws_before(input: &[u8], pos: usize) -> Option<usize> {
-    input[..pos]
-        .iter()
-        .rposition(|&b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+    input[..pos].iter().rposition(|&b| !is_ws(b))
 }
 
 /// The openings and closings of `pairs` in one block outside strings.

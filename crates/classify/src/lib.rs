@@ -54,16 +54,18 @@ mod iterator;
 mod pipeline;
 pub mod quotes;
 mod seek;
+mod stream;
 mod structural;
 mod validate;
 
-pub use iterator::{BracketType, Structural, StructuralIterator};
+pub use iterator::{BracketType, LookBack, Structural, StructuralIterator};
 pub use pipeline::{LineScanner, QuoteScan};
 // The per-classifier block counters live in `rsq-obs` (the dependency-free
 // observability layer); re-exported so classifier consumers need not name
 // that crate.
 pub use quotes::{classify_quotes, QuoteClassification, QuoteState};
 pub use rsq_obs::ClassifierCounters;
-pub use seek::{first_nonws, member_after, LabelSeeker, Member, Seek, SeekScope};
+pub use seek::{LabelSeeker, Member, Seek, SeekScope};
+pub use stream::Refill;
 pub use structural::StructuralTables;
 pub use validate::{StructuralValidator, ValidationError, ValidationErrorKind};

@@ -47,16 +47,6 @@ use crate::iterator::{BlockScan, BracketType, Pairs, StructuralIterator};
 use rsq_memmem::Finder;
 use rsq_simd::{Backend, Simd, BLOCK_SIZE};
 
-/// Index of the first non-whitespace byte at or after `pos`.
-#[inline]
-#[must_use]
-pub fn first_nonws(input: &[u8], pos: usize) -> Option<usize> {
-    input[pos.min(input.len())..]
-        .iter()
-        .position(|&b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        .map(|off| pos + off)
-}
-
 /// What a `memmem` candidate for a quoted label turns out to be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Member {
@@ -70,26 +60,17 @@ pub enum Member {
     NotAMember,
 }
 
-/// Validates the candidate whose closing quote sits just before
-/// `label_end`. `in_string` is what the quote classifier says of that
-/// closing quote: a label's lies *outside* the string (the prefix-XOR
-/// convention marks opening quotes inside and closing quotes outside), so
-/// one that reads as inside belongs to a candidate whose quotes do not
-/// pair up as a label's do — its first quote closed an earlier string.
-#[inline(always)]
-#[must_use]
-pub fn member_after(input: &[u8], label_end: usize, in_string: bool) -> Member {
-    if in_string {
-        return Member::NotAMember;
-    }
-    let Some(colon) = first_nonws(input, label_end).filter(|&i| input[i] == b':') else {
-        return Member::NotAMember;
-    };
-    match first_nonws(input, colon + 1) {
-        Some(v) if matches!(input[v], b'{' | b'[') => Member::Composite(v),
-        Some(v) if !matches!(input[v], b'}' | b']' | b',' | b':') => Member::Atomic(v),
-        _ => Member::NotAMember,
-    }
+/// Where the next occurrence of a needle is, as far as the bytes held
+/// tell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Candidate {
+    /// It starts here.
+    At(usize),
+    /// None starts before this offset, and the stream holds no further
+    /// byte to search: refill, then search on from here.
+    Beyond(usize),
+    /// None through the end of the input.
+    Absent,
 }
 
 /// One sought label over **one input**: the `memmem` finder for its
@@ -99,10 +80,11 @@ pub fn member_after(input: &[u8], label_end: usize, in_string: bool) -> Member {
 #[derive(Clone, Debug)]
 pub struct LabelSeeker<'n, B: Backend = Simd> {
     finder: Finder<'n, B>,
-    /// `(covered_from, next)`: the first occurrence at or after
-    /// `covered_from` is `next` (`None` = no occurrence through EOF).
-    /// `None` until the first search.
-    memo: Option<(usize, Option<usize>)>,
+    /// `(covered_from, covered_to, next)`: the first occurrence at or
+    /// after `covered_from` is `next`, or with `None` there is none that
+    /// starts before `covered_to` (`usize::MAX`: through EOF). `None`
+    /// until the first search.
+    memo: Option<(usize, usize, Option<usize>)>,
 }
 
 impl<'n, B: Backend> LabelSeeker<'n, B> {
@@ -119,22 +101,60 @@ impl<'n, B: Backend> LabelSeeker<'n, B> {
         LabelSeeker { finder, memo: None }
     }
 
-    /// The first occurrence of the needle at or after `pos`, searching
-    /// only when the memo does not already cover `pos`.
-    #[inline(always)]
+    /// The first occurrence of the needle in `input` at or after `pos`,
+    /// searching only when the memo does not already cover `pos`.
+    #[inline]
     pub fn candidate_from(&mut self, input: &[u8], pos: usize) -> Option<usize> {
-        if let Some((covered_from, next)) = self.memo {
+        match self.candidate_in(input, 0, true, pos) {
+            Candidate::At(c) => Some(c),
+            Candidate::Beyond(_) | Candidate::Absent => None,
+        }
+    }
+
+    /// [`candidate_from`](Self::candidate_from) over the bytes held from
+    /// global offset `base`, which are the rest of the input when `eof`.
+    /// The memo never claims more than they cover: up to where a needle
+    /// could still straddle their end.
+    #[inline(always)]
+    pub(crate) fn candidate_in(
+        &mut self,
+        window: &[u8],
+        base: usize,
+        eof: bool,
+        pos: usize,
+    ) -> Candidate {
+        let mut from = pos;
+        if let Some((covered_from, covered_to, next)) = self.memo {
             if pos >= covered_from {
                 match next {
-                    None => return None,
-                    Some(c) if c >= pos => return Some(c),
+                    Some(c) if c >= pos => return Candidate::At(c),
                     Some(_) => {}
+                    None if covered_to == usize::MAX => return Candidate::Absent,
+                    None => from = pos.max(covered_to),
                 }
             }
         }
-        let found = self.finder.find_from(input, pos);
-        self.memo = Some((pos, found));
-        found
+        debug_assert!(
+            from >= base,
+            "search from {from}, before the window at {base}"
+        );
+        let found = self
+            .finder
+            .find_from(window, from.saturating_sub(base))
+            .map(|i| base + i);
+        let covered_to = if eof {
+            usize::MAX
+        } else {
+            (base + window.len() + 1)
+                .saturating_sub(self.finder.needle().len())
+                .max(from)
+        };
+        self.memo = Some((pos, covered_to, found));
+        match found {
+            Some(c) => Candidate::At(c),
+            None if eof => Candidate::Absent,
+            None => Candidate::Beyond(covered_to),
+        }
     }
 }
 
@@ -263,7 +283,6 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
         declined: &mut u64,
     ) -> Seek {
         self.clear_peeked();
-        let input = self.input();
         let needle_len = seeker.finder.needle().len();
 
         // `sim` is the simulated depth with the boundary at zero: the
@@ -271,7 +290,9 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
         // candidate is a direct member exactly when `sim == home` there.
         let home = scope.levels as usize + 1;
         let mut sim = home;
-        let mut cand = seeker.candidate_from(input, self.position());
+        // The offset the current candidate was asked for from.
+        let mut asked = self.position();
+        let mut cand = self.candidate(seeker, asked);
         // The depth scan has reached `cand`, but its closing quote lies in
         // a block not yet quote-classified.
         let mut deferred = false;
@@ -282,12 +303,23 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
             };
             let block_end = start + BLOCK_SIZE;
             let c = match cand {
-                Some(c) if c < block_end => c,
+                Candidate::At(c) if c < block_end => c,
+                Candidate::Beyond(resume) if resume < block_end => {
+                    // The search ran out of buffered bytes: refill past
+                    // them, keeping this block, and search on.
+                    self.refill_window();
+                    cand = self.candidate(seeker, asked);
+                    continue;
+                }
                 _ => {
                     // No candidate in this block: scan the rest of it,
                     // then whole blocks across the gap to the candidate
-                    // (or the boundary, or EOF).
-                    let until = cand.unwrap_or(usize::MAX);
+                    // (or to where the search stopped, or the boundary,
+                    // or EOF).
+                    let until = match cand {
+                        Candidate::At(c) | Candidate::Beyond(c) => c,
+                        Candidate::Absent => usize::MAX,
+                    };
                     match self.scan_blocks(scope.pairs, until, &mut sim, |c| &mut c.blocks_seek) {
                         BlockScan::Closed(pos) => {
                             self.reposition_within_current(pos, false);
@@ -310,7 +342,8 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
                 if scope.direct_only && sim != home {
                     // Nested occurrence: declined without validating.
                     *declined += 1;
-                    cand = seeker.candidate_from(input, c + 1);
+                    asked = c + 1;
+                    cand = self.candidate(seeker, asked);
                     continue;
                 }
             }
@@ -332,7 +365,7 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
             // holds only the label string, whitespace and the colon — no
             // structural characters survive the masks there — and an
             // atomic value holds them only inside strings.
-            match member_after(input, closing_quote + 1, in_string) {
+            match self.member_after(closing_quote + 1, in_string) {
                 Member::Composite(v) if self.advance_to(v) => {
                     return Seek::Composite {
                         depth_delta: sim as i32 - home as i32,
@@ -347,7 +380,8 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
                         deferred = false;
                         self.reposition_within_current(closing_quote, true);
                     }
-                    cand = seeker.candidate_from(input, c + 1);
+                    asked = c + 1;
+                    cand = self.candidate(seeker, asked);
                 }
             }
         }
@@ -360,6 +394,13 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
     /// stops at a hit's value: pending there for a composite one, which
     /// the main loop takes over, parked for an atomic one. Unchecked, a
     /// hit restarts the cursor at its value.
+    ///
+    /// On a stream, a search that runs out of buffered bytes moves the
+    /// cursor to where it stopped — checked, by quote-classifying the
+    /// blocks up to there, which a later candidate's lookup would cross
+    /// anyway — so that the refill can drop them. Those blocks count only
+    /// once a candidate's lookup does cross them, as they would on a
+    /// slice.
     #[inline(always)]
     fn seek_document(
         &mut self,
@@ -368,20 +409,39 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
         declined: &mut u64,
     ) -> Seek {
         self.clear_peeked();
-        let input = self.input();
         let needle_len = seeker.finder.needle().len();
         let mut from = self.position();
-        while let Some(c) = seeker.candidate_from(input, from) {
+        // The quote-block count before the first such stop since the last
+        // candidate lookup.
+        let mut uncounted = None;
+        loop {
+            let c = match self.candidate(seeker, from) {
+                Candidate::At(c) => c,
+                Candidate::Absent => break,
+                Candidate::Beyond(resume) => {
+                    if checked {
+                        uncounted.get_or_insert(self.counters().blocks_quote);
+                        if self.quote_block_at(resume).is_none() {
+                            break;
+                        }
+                    } else {
+                        self.restart_at(resume);
+                    }
+                    self.refill_window();
+                    continue;
+                }
+            };
             let closing_quote = c + needle_len - 1;
             let in_string = if checked {
                 let Some((start, within)) = self.quote_block_at(closing_quote) else {
                     break;
                 };
+                uncounted = None;
                 within >> (closing_quote - start) & 1 == 1
             } else {
                 false
             };
-            let (v, hit) = match member_after(input, closing_quote + 1, in_string) {
+            let (v, hit) = match self.member_after(closing_quote + 1, in_string) {
                 Member::Composite(v) => (v, Seek::Composite { depth_delta: 0 }),
                 Member::Atomic(v) => (v, Seek::Atomic { pos: v }),
                 Member::NotAMember => {
@@ -401,9 +461,45 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
             }
             return hit;
         }
+        if let Some(blocks) = uncounted {
+            self.uncount_quote_blocks(blocks);
+        }
         // Nothing left to find: the rest of the input stays unclassified.
-        self.restart_at(input.len());
+        self.restart_at(self.end());
         Seek::End
+    }
+
+    /// The next occurrence of `seeker`'s needle at or after `pos` in the
+    /// bytes held.
+    #[inline(always)]
+    fn candidate(&mut self, seeker: &mut LabelSeeker<'_, B>, pos: usize) -> Candidate {
+        let (window, base, eof) = self.held_bytes();
+        seeker.candidate_in(window, base, eof, pos)
+    }
+
+    /// Validates the candidate whose closing quote sits just before
+    /// `label_end`. `in_string` is what the quote classifier says of that
+    /// closing quote: a label's lies *outside* the string (the prefix-XOR
+    /// convention marks opening quotes inside and closing quotes
+    /// outside), so one that reads as inside belongs to a candidate whose
+    /// quotes do not pair up as a label's do — its first quote closed an
+    /// earlier string.
+    #[inline(always)]
+    pub fn member_after(&mut self, label_end: usize, in_string: bool) -> Member {
+        if in_string {
+            return Member::NotAMember;
+        }
+        let Some(colon) = self
+            .first_nonws(label_end)
+            .filter(|&i| self.byte(i) == b':')
+        else {
+            return Member::NotAMember;
+        };
+        match self.first_nonws(colon + 1).map(|v| (v, self.byte(v))) {
+            Some((v, b'{' | b'[')) => Member::Composite(v),
+            Some((v, b)) if !matches!(b, b'}' | b']' | b',' | b':') => Member::Atomic(v),
+            _ => Member::NotAMember,
+        }
     }
 }
 
@@ -413,22 +509,26 @@ mod tests {
 
     #[test]
     fn first_nonws_skips_whitespace() {
-        assert_eq!(first_nonws(b"  \t\nx", 0), Some(4));
-        assert_eq!(first_nonws(b"x", 0), Some(0));
-        assert_eq!(first_nonws(b"   ", 0), None);
-        assert_eq!(first_nonws(b"ab", 5), None);
+        let first = |doc: &[u8], pos| StructuralIterator::new(doc, Simd::detect()).first_nonws(pos);
+        assert_eq!(first(b"  \t\nx", 0), Some(4));
+        assert_eq!(first(b"x", 0), Some(0));
+        assert_eq!(first(b"   ", 0), None);
+        assert_eq!(first(b"ab", 5), None);
     }
 
     #[test]
     fn member_after_tells_the_value_kinds_apart() {
         let doc = br#""k" : {"k":[ "k": 7,"k" ,"k":}"k": "#;
-        assert_eq!(member_after(doc, 3, false), Member::Composite(6));
-        assert_eq!(member_after(doc, 3, true), Member::NotAMember);
-        assert_eq!(member_after(doc, 10, false), Member::Composite(11));
-        assert_eq!(member_after(doc, 16, false), Member::Atomic(18));
-        assert_eq!(member_after(doc, 23, false), Member::NotAMember); // a value
-        assert_eq!(member_after(doc, 28, false), Member::NotAMember); // `:}`
-        assert_eq!(member_after(doc, 33, false), Member::NotAMember); // EOF
-        assert_eq!(member_after(doc, doc.len(), false), Member::NotAMember);
+        let member = |end, in_string| {
+            StructuralIterator::new(doc, Simd::detect()).member_after(end, in_string)
+        };
+        assert_eq!(member(3, false), Member::Composite(6));
+        assert_eq!(member(3, true), Member::NotAMember);
+        assert_eq!(member(10, false), Member::Composite(11));
+        assert_eq!(member(16, false), Member::Atomic(18));
+        assert_eq!(member(23, false), Member::NotAMember); // a value
+        assert_eq!(member(28, false), Member::NotAMember); // `:}`
+        assert_eq!(member(33, false), Member::NotAMember); // EOF
+        assert_eq!(member(doc.len(), false), Member::NotAMember);
     }
 }

@@ -95,7 +95,7 @@ fn label_before_openings() {
     let mut labels = Vec::new();
     while let Some(s) = it.next() {
         if s.is_opening() {
-            labels.push(it.label_before(s.position()).map(<[u8]>::to_vec));
+            labels.push(it.label_before(s.position()).unwrap().map(<[u8]>::to_vec));
         }
     }
     assert_eq!(
@@ -116,7 +116,7 @@ fn label_before_handles_whitespace_and_escapes() {
     let mut it = iter(input);
     it.next(); // root
     let inner = it.next().unwrap();
-    assert_eq!(it.label_before(inner.position()), Some(&b"a\\\"b"[..]));
+    assert_eq!(it.label_before(inner.position()), Ok(Some(&b"a\\\"b"[..])));
 }
 
 #[test]
@@ -125,11 +125,11 @@ fn label_before_array_entry_is_none() {
     let mut it = iter(input);
     it.next(); // [
     let first = it.next().unwrap();
-    assert_eq!(it.label_before(first.position()), None);
+    assert_eq!(it.label_before(first.position()), Ok(None));
     it.skip_past_close(BracketType::Brace);
     let second = it.next().unwrap();
     assert!(second.is_opening());
-    assert_eq!(it.label_before(second.position()), None);
+    assert_eq!(it.label_before(second.position()), Ok(None));
 }
 
 #[test]
@@ -138,13 +138,13 @@ fn skip_past_close_consumes_subtree() {
     let mut it = iter(input);
     it.next(); // root {
     let a = it.next().unwrap(); // { of a
-    assert_eq!(it.label_before(a.position()), Some(&b"a"[..]));
+    assert_eq!(it.label_before(a.position()), Ok(Some(&b"a"[..])));
     let close = it.skip_past_close(BracketType::Brace).unwrap();
     assert_eq!(input[close], b'}');
     // Next event: the [ of b.
     let b = it.next().unwrap();
     assert!(matches!(b, Structural::Opening(BracketType::Bracket, _)));
-    assert_eq!(it.label_before(b.position()), Some(&b"b"[..]));
+    assert_eq!(it.label_before(b.position()), Ok(Some(&b"b"[..])));
 }
 
 #[test]
@@ -202,7 +202,7 @@ fn skip_across_many_blocks() {
     assert_eq!(bytes[close], b']');
     let next = it.next().unwrap();
     assert!(matches!(next, Structural::Opening(BracketType::Brace, _)));
-    assert_eq!(it.label_before(next.position()), Some(&b"next"[..]));
+    assert_eq!(it.label_before(next.position()), Ok(Some(&b"next"[..])));
 }
 
 #[test]

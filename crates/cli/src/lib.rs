@@ -23,7 +23,9 @@
 )]
 
 use rsq_batch::{BatchEngine, BatchOptions, DocError, DocErrorKind, DocRunner, DocSink, Record};
-use rsq_engine::{Engine, EngineOptions, ProfileStage, ProfileStats, RunError, RunStats};
+use rsq_engine::{
+    Engine, EngineOptions, LimitKind, ProfileStage, ProfileStats, RunError, RunStats,
+};
 use rsq_mmap::{MapPolicy, MmapInput, Region};
 use rsq_obs::expo::Exposition;
 use rsq_obs::series::{JsonObject, Value};
@@ -79,7 +81,7 @@ options:
   --mmap auto|on|off  zero-copy input: map FILE (and the --batch-ndjson
                       file and --batch-dir files) into memory instead of
                       copying through a read loop; auto (the default)
-                      maps files of at least 1 MiB, off always buffers
+                      maps files of at least 1 MiB, off always reads
                       (as stdin does; results are identical either way)
 
 batch mode (many documents, sharded across threads; output is printed
@@ -131,7 +133,11 @@ exit codes: 0 ok, 1 failure, 2 usage, 3 bad query, 4 I/O error,
 5 resource limit exceeded, 6 malformed document, 7 deadline missed
 
 reads from stdin when FILE is omitted (chunked; limits apply while
-bytes arrive)";
+bytes arrive). --count and --positions stream stdin and any FILE that
+is not mapped in bounded memory (a ring of four 1 MiB windows); the
+default mode, --verify and --profile read such a document whole first.
+Either way nothing is printed before the whole input has been read and
+checked";
 
 /// How serve mode talks to its clients.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -542,48 +548,59 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Stri
         .map_err(|_| format!("{flag}: invalid number {value:?}"))
 }
 
-/// Ingests the document. File inputs are memory-mapped when the
-/// `--mmap` policy allows (zero-copy: the engine reads the page cache
-/// directly); the size limit is checked up front on that path, since
-/// mapping a too-large file and then refusing it would waste nothing
-/// but also prove nothing. Everything else — stdin, small or unmappable
-/// files, `--mmap off` — is copied by the engine's hardened ingest into a
-/// huge-page [`Region`]: reads in place, transient-error retry, and limits
-/// enforced while bytes arrive. With a `--deadline-ms` budget the ingest
-/// loop aborts once the deadline passes (sources that block inside the OS
-/// need a read timeout for the check to fire).
-fn read_input(engine: &Engine, invocation: &Invocation) -> Result<MmapInput, CliError> {
-    let file = invocation.file.as_deref();
-    if let Some(path) = file {
-        // Map only files the size limit admits; an oversized file falls
-        // through to the reader, which rejects it with the exact error
-        // the buffered path always produced.
-        let fits = match invocation.options.max_document_bytes {
-            Some(limit) => std::fs::metadata(path).is_ok_and(|m| m.len() <= limit as u64),
-            None => true,
-        };
-        if fits {
-            if let Some(input) = rsq_mmap::map(std::path::Path::new(path), invocation.mmap) {
-                return Ok(input);
-            }
+/// Where a single document comes from: a mapping, or a reader.
+enum Document {
+    /// A file mapped into memory (zero-copy: the engine reads the page
+    /// cache directly).
+    Mapped(MmapInput),
+    /// Stdin, or a file that is not mapped (small, unmappable, or
+    /// `--mmap off`), with the name its failures are reported under.
+    Read(String, Box<dyn Read>),
+}
+
+/// Opens the document. File inputs are memory-mapped when the `--mmap`
+/// policy allows; the size limit is checked up front on that path, since
+/// mapping a too-large file and then refusing it would waste nothing but
+/// also prove nothing. Everything else is read through the engine's
+/// hardened input loop: reads in place, transient-error retry, limits and
+/// validation enforced while bytes arrive.
+fn open_input(invocation: &Invocation) -> Result<Document, CliError> {
+    let Some(path) = invocation.file.as_deref() else {
+        return Ok(Document::Read(
+            "stdin".to_owned(),
+            Box::new(std::io::stdin().lock()),
+        ));
+    };
+    // Map only files the size limit admits; an oversized file falls
+    // through to the reader, which rejects it with the exact error the
+    // buffered path always produced.
+    let fits = match invocation.options.max_document_bytes {
+        Some(limit) => std::fs::metadata(path).is_ok_and(|m| m.len() <= limit as u64),
+        None => true,
+    };
+    if fits {
+        if let Some(input) = rsq_mmap::map(std::path::Path::new(path), invocation.mmap) {
+            return Ok(Document::Mapped(input));
         }
     }
-    let deadline = invocation
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let (name, ingested) = match file {
-        Some(path) => {
-            let file = std::fs::File::open(path)
-                .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot read {path}: {e}")))?;
-            (path, engine.ingest::<_, Region>(file, deadline))
-        }
-        None => ("stdin", engine.ingest(std::io::stdin().lock(), deadline)),
-    };
-    ingested.map(MmapInput::from).map_err(|e| {
-        let mut err = CliError::from(e);
+    let file = std::fs::File::open(path)
+        .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot read {path}: {e}")))?;
+    Ok(Document::Read(path.to_owned(), Box::new(file)))
+}
+
+/// A document's failure as the CLI reports it: one of the input — the
+/// reader, its size or depth, strict validation, the deadline — names the
+/// input, one of the run (`--max-matches`, a label's length) does not.
+fn input_error(name: &str, e: DocError) -> CliError {
+    let named = !matches!(
+        e.kind,
+        DocErrorKind::Limit(LimitKind::Matches | LimitKind::LabelBytes) | DocErrorKind::Panic
+    );
+    let mut err = CliError::from(e);
+    if named {
         err.message = format!("{name}: {}", err.message);
-        err
-    })
+    }
+    err
 }
 
 /// Copies a file or stdin whole, with no engine to check it against:
@@ -696,12 +713,7 @@ impl Report<'_> {
                 let _ = writeln!(s, "{serve}");
             }
             if let (Some(stats), None) = (self.stats, self.profile) {
-                // `RunStats` ends without a newline; only a profile
-                // block after it needs one.
-                let _ = write!(s, "{stats}");
-                if self.batch_profile.is_some() {
-                    s.push('\n');
-                }
+                let _ = writeln!(s, "{stats}");
             }
         }
         let profile = self.profile.map(|p| p as &dyn fmt::Display);
@@ -813,27 +825,23 @@ pub fn run(
     }
 }
 
-/// Runs the query over one document: ingest, one contained run on the
-/// shared [`DocRunner`], the matches (or the oracle's verdict) on `out`,
-/// the report on `err`. A panic inside the run comes back as a failure
-/// (exit 1), not an abort.
+/// Runs the query over one document: one contained run on the shared
+/// [`DocRunner`], the matches (or the oracle's verdict) on `out`, the
+/// report on `err`. Count and positions stream a document that is not
+/// mapped, in bounded memory; values, `--verify` and `--profile` copy it
+/// whole first (the values are spans of it, the oracle parses it, the
+/// profile times ingest as a stage of its own). Nothing reaches `out`
+/// before the whole input has been read and checked. A panic inside the
+/// run comes back as a failure (exit 1), not an abort.
 fn run_document(
     invocation: &Invocation,
     out: &mut impl Write,
     err: &mut impl Write,
 ) -> Result<(), CliError> {
     let (query, engine) = compile(invocation)?;
-    let t_ingest = invocation.profile.then(Instant::now);
-    let input = read_input(&engine, invocation)?;
-    let ingest_ns = t_ingest.map(elapsed_ns);
-    // A document that was copied was validated while it arrived, and that
-    // verdict stands; only a mapped one is first seen by the run.
-    let engine = if input.is_mapped() {
-        engine
-    } else {
-        engine.without_validation()
-    };
-
+    let deadline = invocation
+        .deadline_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
     let mut runner = DocRunner::open(invocation.perf_mode());
     let mut stats = RunStats::default();
     let mut profile = invocation.profile.then(ProfileStats::new);
@@ -844,7 +852,33 @@ fn run_document(
     };
     let mode = invocation.response_mode();
     let mut sink = DocSink::new(mode != ResponseMode::Count, None);
-    runner.run_doc(&engine, &input, &mut sink, record, true)?;
+    let streams = matches!(invocation.mode, Mode::Count | Mode::Positions) && !invocation.profile;
+
+    let t_ingest = invocation.profile.then(Instant::now);
+    let mut ingest_ns = None;
+    let input = match open_input(invocation)? {
+        Document::Read(name, mut reader) if streams => {
+            runner
+                .run_reader(&engine, &mut reader, deadline, &mut sink, record, true)
+                .map_err(|e| input_error(&name, e))?;
+            MmapInput::from_vec(Vec::new())
+        }
+        Document::Read(name, reader) => {
+            let input = engine
+                .ingest::<_, Region>(reader, deadline)
+                .map_err(|e| input_error(&name, DocError::from_run(&e)))?;
+            ingest_ns = t_ingest.map(elapsed_ns);
+            // Validated while it arrived: the verdict stands.
+            let engine = engine.without_validation();
+            runner.run_doc(&engine, &input, &mut sink, record, true)?;
+            MmapInput::from(input)
+        }
+        Document::Mapped(input) => {
+            ingest_ns = t_ingest.map(elapsed_ns);
+            runner.run_doc(&engine, &input, &mut sink, record, true)?;
+            input
+        }
+    };
     let matches = sink.matches();
 
     if invocation.mode == Mode::Verify {
@@ -1616,7 +1650,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_stats_json_reports_cache_and_merged_stats() {
+    fn batch_stats_json_reports_merged_stats() {
         with_temp_file("{\"a\": 1}\n{\"a\": 2}\n", |path| {
             let inv = Invocation {
                 mode: Mode::Count,
@@ -1641,7 +1675,7 @@ mod tests {
             let err = String::from_utf8(err).unwrap();
             assert_eq!(err.lines().count(), 1, "{err}");
             assert!(err.contains("\"batch\":{\"documents\":2"), "{err}");
-            assert!(err.contains("\"cache_misses\":1"), "{err}");
+            assert!(!err.contains("cache"), "{err}");
             assert!(err.contains("\"stats\":{"), "{err}");
             assert!(err.contains("\"matches\":2"), "{err}");
         });
@@ -1719,7 +1753,7 @@ mod tests {
             let mut err = Vec::new();
             run(&inv(false), &mut Vec::new(), &mut err).unwrap();
             let plain = String::from_utf8(err).unwrap();
-            assert!(plain.starts_with("{\"schema_version\":5,"), "{plain}");
+            assert!(plain.starts_with("{\"schema_version\":6,"), "{plain}");
             assert!(!plain.contains("\"profile\""), "{plain}");
 
             let mut err = Vec::new();
@@ -1727,7 +1761,7 @@ mod tests {
             let profiled = String::from_utf8(err).unwrap();
             assert_eq!(profiled.lines().count(), 1, "{profiled}");
             for key in [
-                "\"schema_version\":5,",
+                "\"schema_version\":6,",
                 "\"profile\":{",
                 "\"bytes_skipped\":{",
                 "\"skip_rate_pct\":",
@@ -1739,7 +1773,7 @@ mod tests {
             // the profiled line still carries the identical stats body.
             let stats_body = plain
                 .trim_end()
-                .strip_prefix("{\"schema_version\":5,")
+                .strip_prefix("{\"schema_version\":6,")
                 .unwrap()
                 .strip_suffix('}')
                 .unwrap();
@@ -1831,9 +1865,8 @@ mod tests {
             let json = String::from_utf8(err).unwrap();
             assert_eq!(json.lines().count(), 1, "{json}");
             for key in [
-                "\"schema_version\":5,",
+                "\"schema_version\":6,",
                 "\"batch\":{",
-                "\"cache_hit_ratio\":",
                 "\"profile\":{",
                 "\"latency\":{",
                 "\"workers\":[{",
@@ -2160,7 +2193,7 @@ mod tests {
             assert_eq!(out_off, out_auto);
             assert_eq!(err_off, err_deny, "denial modes agree byte-for-byte");
             assert!(!err_deny.contains("\"perf\""), "{err_deny}");
-            assert!(err_auto.starts_with("{\"schema_version\":5,"), "{err_auto}");
+            assert!(err_auto.starts_with("{\"schema_version\":6,"), "{err_auto}");
             // Auto either matches the denied report exactly (denied
             // host) or adds only the trailing "perf" object.
             if err_auto != err_off {

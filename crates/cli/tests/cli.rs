@@ -301,7 +301,7 @@ fn batch_ndjson_matches_sequential_loop_across_thread_counts() {
 }
 
 #[test]
-fn batch_stats_json_exposes_cache_counters() {
+fn batch_stats_json_exposes_batch_counters() {
     with_temp_ndjson(|path| {
         let out = rsq(
             &["--count", "--stats-json", "--batch-ndjson", path, "$..a"],
@@ -312,14 +312,7 @@ fn batch_stats_json_exposes_cache_counters() {
         assert_eq!(err.lines().count(), 1, "single-line JSON: {err}");
         let parsed = rsq_json::parse(err.trim().as_bytes()).expect("valid JSON");
         let text = format!("{parsed:?}");
-        for key in [
-            "batch",
-            "documents",
-            "cache_hits",
-            "cache_misses",
-            "stats",
-            "matches",
-        ] {
+        for key in ["batch", "documents", "queue_claims", "stats", "matches"] {
             assert!(text.contains(key), "missing key {key} in {err}");
         }
     });
@@ -381,4 +374,69 @@ fn stats_does_not_corrupt_count_exit_codes() {
     let out = rsq(&["--stats"], Some(DOC));
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("nodes"));
+}
+
+/// Forty thousand `{"a": 1, …}` members, 4.8 MB — more than a streamed
+/// run's ring of four 1 MiB windows holds, so its run trips long before
+/// the end of the input is read.
+fn many_members(tail: &[u8]) -> Vec<u8> {
+    let member = format!(r#"{{"a": 1, "pad": "{}"}}"#, "x".repeat(100));
+    let mut doc = format!("[{}", vec![member; 40_000].join(",")).into_bytes();
+    doc.extend_from_slice(tail);
+    doc
+}
+
+/// A streamed document is checked to its end whatever its run does, and
+/// a failure of the input is reported before one of the run: the exit
+/// code and stderr are those of a document read whole before it runs.
+#[test]
+fn stdin_failures_keep_their_order_while_streaming() {
+    let cases: [(&[&str], Vec<u8>, i32, &str); 4] = [
+        // `--max-matches` trips on the second member, the malformation
+        // is 4.8 MB later.
+        (
+            &["--count", "--strict", "--max-matches", "1", "$..a"],
+            many_members(br#",{"a": [}]"#),
+            6,
+            "rsq: stdin: malformed document: mismatched closing bracket at byte 4800008\n",
+        ),
+        // The only match is found first; the nesting too deep comes after.
+        (
+            &["--count", "$.a"],
+            [
+                &br#"{"a": 1, "p": ""#[..],
+                &[b'x'; 5 << 20],
+                br#"", "b": "#,
+                &[b'['; 2000],
+                &[b']'; 2000],
+                b"}",
+            ]
+            .concat(),
+            5,
+            "rsq: stdin: nesting depth limit exceeded (limit: 1024)\n",
+        ),
+        (
+            &["--count", "--max-bytes", "4500000", "$..a"],
+            many_members(b"]"),
+            5,
+            "rsq: stdin: document size limit exceeded (limit: 4500000)\n",
+        ),
+        // A run's own failure, on a well-formed document, names no input.
+        (
+            &["--positions", "--max-matches", "3", "$..a"],
+            many_members(b"]"),
+            5,
+            "rsq: match count limit exceeded (limit: 3)\n",
+        ),
+    ];
+    for (args, doc, code, message) in cases {
+        let out = rsq(args, Some(&doc));
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {}", stderr(&out));
+        assert_eq!(stderr(&out), message, "{args:?}");
+        assert_eq!(
+            stdout(&out),
+            "",
+            "{args:?}: nothing is printed before the end"
+        );
+    }
 }

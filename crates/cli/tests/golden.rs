@@ -6,9 +6,13 @@
 //! before the three drivers were folded onto one runner, one renderer and
 //! one report writer. Hardware counters are off (`RSQ_PERF=off`), so the
 //! fixtures hold on hosts that grant `perf_event_open` too. They were
-//! edited once since, by deletion only, when the profile's skip map and
-//! `classify` stage went: the `skip map` line, the `skip_map` object, the
-//! `classify` stage values and rows, and `schema_version` 4 became 5.
+//! edited twice since. First by deletion only, when the profile's skip
+//! map and `classify` stage went: the `skip map` line, the `skip_map`
+//! object, the `classify` stage values and rows, and `schema_version` 4
+//! became 5. Then when the batch query cache went: its `query cache`
+//! line, its keys in the `batch` object and its three series were
+//! deleted, `schema_version` 5 became 6, and the three `--stats` tables
+//! that ended without a newline gained one.
 //!
 //! The `doc-deep-skipped-*` pair (recorded from the commit before copied
 //! documents moved into the huge-page region) pins a known divergence

@@ -23,7 +23,9 @@
 pub mod oracle;
 
 use rsq_classify::{Structural, StructuralIterator};
-use rsq_engine::{Engine, EngineOptions, PositionsSink, Route, RouteChoice, RunError};
+use rsq_engine::{
+    Engine, EngineOptions, LimitKind, PositionsSink, Route, RouteChoice, RunError, RunStats,
+};
 use rsq_simd::{
     BackendKind, ByteClassifier, ByteSet, QuoteState, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_SIZE,
 };
@@ -72,8 +74,10 @@ pub enum Target {
     Depth,
     /// Full engine runs vs the DOM reference interpreter.
     Engine,
-    /// `run_reader` over randomized chunk splits vs the one-shot slice
-    /// run (covers pipeline resume handoffs and the memmem head-start).
+    /// `run_reader` over randomized chunk splits, and through windows of
+    /// a few blocks on every backend, route and head start, vs the
+    /// one-shot slice run (covers pipeline resume handoffs, window edges
+    /// and the memmem head-start).
     Reader,
     /// The incremental NDJSON framer over randomized chunk splits vs the
     /// one-shot `split_ndjson` (covers quote/escape state carried across
@@ -691,13 +695,19 @@ pub fn check_fast_path(input: &[u8]) -> Result<(), Mismatch> {
 }
 
 /// The query subset the reader target runs: kept small (the reader path
-/// re-runs the whole battery per chunk plan), but covering the descendant
-/// head-start (`$..a` engages the `memmem` jump), child chains, the
-/// descendant wildcard, and index selection.
+/// re-runs the whole battery per chunk plan and window), but covering the
+/// descendant head-start (`$..a` engages the `memmem` jump), child chains
+/// (the routed walker's member seeks), the descendant wildcard, index
+/// selection, and the general loop's subtree seeks (`..b.c`).
 #[must_use]
 pub fn reader_queries() -> &'static [&'static str] {
-    &["$..a", "$.a.b", "$..*", "$..a[1]"]
+    &["$..a", "$.a.b", "$..*", "$..a[1]", "$..a..b.c", "$.*.b"]
 }
+
+/// The window sizes [`check_windows`] streams through: one block, a size
+/// that keeps window edges off the block grid, and one superblock — so a
+/// document of a few hundred bytes crosses many window edges.
+pub const WINDOWS: [usize; 3] = [64, 100, 256];
 
 /// An `io::Read` that fragments its data according to a chunk plan,
 /// cycling through the plan's sizes — so the reader ingest path sees
@@ -759,7 +769,7 @@ pub fn check_reader(input: &[u8]) -> Result<(), Mismatch> {
         plans.push(plan);
     }
 
-    for query_text in reader_queries() {
+    for query_text in &reader_queries()[..4] {
         let query = rsq_query::Query::parse(query_text).expect("reader queries parse");
         let engine = Engine::with_options(&query, options).expect("reader queries compile");
         let slice_result = engine.try_positions(input);
@@ -787,7 +797,99 @@ pub fn check_reader(input: &[u8]) -> Result<(), Mismatch> {
             }
         }
     }
+    check_windows(input)
+}
+
+/// Differentially checks streamed runs whose windows are a few blocks:
+/// for every query in [`reader_queries`], every backend, both routes, and
+/// the head start checked, unchecked and off, `run_reader` through windows
+/// of each of the [`WINDOWS`] sizes must produce the slice run's result
+/// and [`RunStats`] — or, where a label the automaton examines begins more than a window
+/// before its structural character, the classified look-back error. A
+/// different match is never acceptable.
+///
+/// # Errors
+///
+/// Returns the first [`Mismatch`] found.
+pub fn check_windows(input: &[u8]) -> Result<(), Mismatch> {
+    let heads = [(true, true), (true, false), (false, true)];
+    for query_text in reader_queries() {
+        let query = rsq_query::Query::parse(query_text).expect("reader queries parse");
+        for simd in backends() {
+            for route in [RouteChoice::Auto, RouteChoice::General] {
+                for (head_start, checked_head_start) in heads {
+                    let options = EngineOptions {
+                        max_depth: 1 << 20,
+                        backend: Some(simd.kind()),
+                        route,
+                        head_start,
+                        checked_head_start,
+                        ..EngineOptions::default()
+                    };
+                    let engine =
+                        Engine::with_options(&query, options).expect("reader queries compile");
+                    let mut sink = PositionsSink::new();
+                    let slice = engine
+                        .try_run_with_stats(input, &mut sink)
+                        .map(|stats| (sink.into_positions(), stats));
+                    let slice = format!("{slice:?}");
+                    for window in WINDOWS {
+                        let reader = ChunkedReader {
+                            data: input,
+                            plan: &[61, 7],
+                            step: 0,
+                        };
+                        let mut sink = PositionsSink::new();
+                        let mut stats = RunStats::default();
+                        let streamed = engine
+                            .run_reader_windowed(reader, &mut sink, &mut stats, window)
+                            .map(|_| (sink.into_positions(), stats));
+                        let look_back =
+                            matches!(&streamed, Err(e) if e.is_limit(LimitKind::LabelBytes));
+                        if !look_back && format!("{streamed:?}") != slice {
+                            return Err(mismatch(
+                                "reader",
+                                input,
+                                format!(
+                                    "query {query_text}, {} {route:?} head start \
+                                     {head_start}/{checked_head_start}, window {window}: \
+                                     streamed {streamed:?}, slice {slice}",
+                                    simd.kind()
+                                ),
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
     Ok(())
+}
+
+/// Documents that put what a stream carries across a window edge — a
+/// label and its colon, an escaped quote, a `"label":` lookalike inside a
+/// string, a `memmem` hit after a stretch the search crosses without one,
+/// a run of whitespace longer than a window, a label longer than one, a
+/// stretch without a hit before the end — at
+/// every offset from it: one document per `pad` in `pads`, the features
+/// shifted right by `pad` bytes.
+#[must_use]
+pub fn window_edge_documents(pads: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+    let gap = " ".repeat(120);
+    let long_label = "l".repeat(150);
+    let fill = |n| format!(r#""f": "{}", "#, "y".repeat(n));
+    pads.map(|pad| {
+        format!(
+            r#"{{"pad": "{}", "a": {{"b": {{"c": 1}}, "x\"a\\": "\"a\": {{\"b\": 7}}"}}, {}"s": ["\"a\":", {{"a": [0, {{"b": {{"c": 2}}}}, 3]}}], "w": {{"a"{gap}:{gap}{{"b": {{"c": 3}}, {}"b" : [{{"c": 4}}]}}}}, "{long_label}": {{"a": {{"b": {{"c": 5}}}}}}, "z": [{{"a": 6}}, "a", {{"b": {{{}"a": {{"b": {{"c": 8}}}}}}}}], {}"t": 0}}"#,
+            "x".repeat(pad),
+            fill(300),
+            fill(700),
+            fill(1100),
+            fill(500),
+        )
+        .into_bytes()
+    })
+    .collect()
 }
 
 /// Differentially checks the incremental NDJSON framer against the

@@ -43,3 +43,22 @@ fn engine_corpus_runs_clean() {
     let n = run_corpus(Target::Engine).unwrap_or_else(|m| panic!("{m:?}"));
     assert!(n > 0);
 }
+
+#[test]
+fn reader_corpus_runs_clean() {
+    let n = run_corpus(Target::Reader).unwrap_or_else(|m| panic!("{m:?}"));
+    assert!(n > 0);
+}
+
+#[test]
+fn window_edges_stream_like_the_slice() {
+    // Every offset of the features against the smallest windows' edges.
+    for doc in rsq_difftest::window_edge_documents(0..40) {
+        assert!(
+            rsq_json::parse(&doc).is_ok(),
+            "{}",
+            String::from_utf8_lossy(&doc)
+        );
+        rsq_difftest::check_windows(&doc).unwrap_or_else(|m| panic!("{m:?}"));
+    }
+}

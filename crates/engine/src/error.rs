@@ -121,6 +121,9 @@ pub(crate) enum Interrupt {
     SinkStop,
     /// An engine-enforced resource limit tripped.
     Limit(LimitKind),
+    /// A member label began before the bytes a streamed input still
+    /// holds: reported as a label-length limit of the look-back.
+    LookBack,
 }
 
 impl From<crate::sink::SinkFull> for Interrupt {

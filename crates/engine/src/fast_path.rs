@@ -103,31 +103,7 @@ impl Frames<'_> {
 /// the plan's parity argument relies on enabled (see
 /// `Engine::fast_path_eligible`).
 #[inline(always)]
-#[expect(
-    clippy::too_many_arguments,
-    reason = "internal: mirrors the other drivers' shape"
-)]
 pub(crate) fn run_fast_path<B: Backend>(
-    automaton: &Automaton,
-    plan: &RoutePlan,
-    options: &EngineOptions,
-    seekers: &mut Seekers<'_, B>,
-    backend: B,
-    input: &[u8],
-    sink: &mut impl Sink,
-    rec: &mut impl Recorder,
-) -> Result<(), Interrupt> {
-    let mut it = StructuralIterator::new(input, backend);
-    // Fold the iterator's classifier counters before propagating an
-    // interrupt: an early sink stop maps to `Ok` upstream and must keep
-    // its stats.
-    let result = walk(automaton, plan, options, seekers, &mut it, sink, rec);
-    rec.classifier(&it.counters());
-    result
-}
-
-#[inline(always)]
-fn walk<B: Backend>(
     automaton: &Automaton,
     plan: &RoutePlan,
     options: &EngineOptions,
@@ -151,7 +127,7 @@ fn walk<B: Backend>(
     if matches!(plan.steps[0], PlanStep::Label { .. }) && bracket == BracketType::Bracket {
         // A label step cannot match inside an array, and nothing follows
         // the root container: done without scanning a byte.
-        rec.skip_span(SkipTechnique::Exit, it.position(), it.input().len());
+        rec.skip_span(SkipTechnique::Exit, it.position(), it.end());
         return Ok(());
     }
 
@@ -257,7 +233,7 @@ fn walk<B: Backend>(
                     .iter()
                     .all(|f| *f == Frame::AwaitExit)
                 {
-                    rec.skip_span(SkipTechnique::Exit, it.position(), it.input().len());
+                    rec.skip_span(SkipTechnique::Exit, it.position(), it.end());
                     break;
                 }
                 // Sibling skipping (§3.3): the unitary label was found;

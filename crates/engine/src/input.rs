@@ -1,16 +1,10 @@
-//! Document ingest: the one loop that copies a document out of an
-//! [`io::Read`], whatever it lands in.
+//! Document input: the one loop that reads a document out of an
+//! [`io::Read`], whether a run walks it while it arrives or it is copied
+//! whole first.
 //!
-//! The engine's query algorithm needs the whole document in memory: both
-//! skip-to-label (`memmem` over the full input, §3.3) and the backward
-//! `label_before` probes assume random access. Whatever cannot be mapped
-//! is therefore *ingested* rather than streamed: [`fill`] reads straight
-//! into the tail of a [`Landing`] — a `Vec<u8>` for the library's
-//! [`Engine::read_document`](crate::Engine::read_document), the
-//! huge-page [`Region`](rsq_mmap::Region) for the drivers — one `read`
-//! per pass, no intermediate chunk buffer. [`read_document`] applies
-//! three protections while the bytes arrive, before the document is
-//! buffered whole:
+//! [`Feed`] is that loop. Each pass asks the reader for at most one
+//! 64 KiB chunk and applies three protections to it before anything else
+//! sees it:
 //!
 //! * transient read errors ([`Interrupted`](io::ErrorKind::Interrupted)
 //!   and [`WouldBlock`](io::ErrorKind::WouldBlock)) are retried, other
@@ -22,12 +16,23 @@
 //!   enforcing [`max_depth`](crate::EngineOptions::max_depth) always and
 //!   full structural validation in [strict](crate::EngineOptions::strict)
 //!   mode — a pathological document (e.g. a million unclosed openers)
-//!   fails while its bytes stream past, not after buffering.
+//!   fails while its bytes stream past;
 //!
-//! Once ingest completes, the slice engine runs over the buffer, so the
-//! reader path is byte-identical to [`Engine::try_run`](crate::Engine::try_run)
-//! on the same document by construction — regardless of how the reader
-//! fragments its chunks.
+//! and the wall-clock deadline, if any, is checked before every read.
+//!
+//! A streamed run ([`Engine::run_reader`](crate::Engine::run_reader))
+//! hands the feed to the structural iterator as its [`Refill`] source: the
+//! cursor walks a ring of windows the feed refills (`rsq_classify`'s
+//! `stream` module), so memory stays bounded whatever the document's
+//! size. A failure ends the input for the run and is reported in its
+//! place; a run that stops early still reads and validates the rest, so
+//! an ingest error takes precedence over a run error, as when the whole
+//! document was read first. Whole-document ingest ([`read_document`],
+//! [`read_to_end`]) reads straight into the tail of a [`Landing`] — a
+//! `Vec<u8>` for the library's
+//! [`Engine::read_document`](crate::Engine::read_document), the
+//! huge-page [`Region`](rsq_mmap::Region) for the drivers' modes that
+//! need the whole document.
 //!
 //! Note on `WouldBlock`: retrying it makes the call spin-wait on a
 //! non-blocking source. The engine has no event loop to yield to; callers
@@ -36,7 +41,7 @@
 
 use crate::error::{LimitKind, RunError};
 use crate::EngineOptions;
-use rsq_classify::{StructuralValidator, ValidationError, ValidationErrorKind};
+use rsq_classify::{Refill, StructuralValidator, ValidationError, ValidationErrorKind};
 use rsq_mmap::Landing;
 use rsq_simd::Simd;
 use std::io::{self, Read};
@@ -59,60 +64,170 @@ pub(crate) fn map_validation(err: ValidationError, options: &EngineOptions) -> R
     }
 }
 
-/// Copies everything `reader` yields into a fresh `B`, showing each chunk
-/// to `check` as it lands, and giving up once more than `max_bytes` have
-/// arrived or `deadline` has passed.
-///
-/// The wall clock is checked before every read and on every
-/// transient-error retry: a source that trickles bytes (or spins on
-/// `WouldBlock`) past the deadline aborts with
-/// [`RunError::DeadlineExceeded`] instead of holding the buffer open
-/// indefinitely. A single read blocked inside the OS cannot be
-/// interrupted this way — callers serving sockets should pair the
-/// deadline with a read timeout so blocked reads surface as `WouldBlock`.
-pub(crate) fn fill<R: Read, B: Landing>(
-    reader: &mut R,
+/// A reader read chunk by chunk, each chunk checked as it lands.
+pub(crate) struct Feed<R> {
+    reader: R,
     max_bytes: Option<usize>,
     deadline: Option<Instant>,
-    mut check: impl FnMut(&[u8]) -> Result<(), RunError>,
-) -> Result<B, RunError> {
-    let mut doc = B::default();
-    let mut filled = 0usize;
-    loop {
-        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-            return Err(RunError::DeadlineExceeded);
-        }
-        // One byte past the limit is all it takes to know it is passed.
-        let want = max_bytes.map_or(CHUNK, |limit| CHUNK.min((limit - filled).saturating_add(1)));
-        let tail = &mut doc.tail(filled, want)[..want];
-        match reader.read(tail) {
-            Ok(0) => break,
-            Ok(n) => {
-                if let Some(limit) = max_bytes.filter(|&limit| filled + n > limit) {
-                    return Err(RunError::LimitExceeded {
-                        kind: LimitKind::DocumentBytes,
-                        limit: limit as u64,
-                    });
-                }
-                check(&tail[..n])?;
-                filled += n;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::Interrupted
-                    || e.kind() == io::ErrorKind::WouldBlock =>
-            {
-                // With a deadline armed, a WouldBlock retry yields the
-                // CPU so a stalled non-blocking source counts down the
-                // clock instead of burning a core.
-                if deadline.is_some() && e.kind() == io::ErrorKind::WouldBlock {
-                    std::thread::yield_now();
-                }
-            }
-            Err(e) => return Err(RunError::Io(e)),
+    /// The validator and the options its verdicts are mapped with; `None`
+    /// for input that is not one document.
+    validator: Option<(StructuralValidator, EngineOptions)>,
+    /// Bytes read so far.
+    pub(crate) len: usize,
+    /// The reader has ended and the validator has finished.
+    ended: bool,
+    /// The failure that ended a stream's input.
+    failed: Option<RunError>,
+    /// The most bytes the stream reading from this feed has held.
+    pub(crate) high_water: usize,
+}
+
+impl<R: Read> Feed<R> {
+    /// A feed checking one document against `options`, and the
+    /// `deadline` before each read.
+    pub(crate) fn document(
+        reader: R,
+        options: &EngineOptions,
+        simd: Simd,
+        deadline: Option<Instant>,
+    ) -> Self {
+        let validator = StructuralValidator::new(simd)
+            .strict(options.strict)
+            .with_max_depth(options.max_depth);
+        Feed {
+            validator: Some((validator, *options)),
+            max_bytes: options.max_document_bytes,
+            deadline,
+            ..Feed::plain(reader)
         }
     }
-    doc.finish(filled);
-    Ok(doc)
+
+    /// A feed with no limit, deadline or validation.
+    fn plain(reader: R) -> Self {
+        Feed {
+            reader,
+            max_bytes: None,
+            deadline: None,
+            validator: None,
+            len: 0,
+            ended: false,
+            failed: None,
+            high_water: 0,
+        }
+    }
+
+    /// Reads the next chunk into the front of `buf` and returns its
+    /// length, 0 once the input has ended (and, for a document, passed
+    /// the validator's final check).
+    ///
+    /// The wall clock is checked before every read and on every
+    /// transient-error retry: a source that trickles bytes (or spins on
+    /// `WouldBlock`) past the deadline aborts with
+    /// [`RunError::DeadlineExceeded`] instead of holding the input open
+    /// indefinitely. A single read blocked inside the OS cannot be
+    /// interrupted this way — callers serving sockets should pair the
+    /// deadline with a read timeout so blocked reads surface as
+    /// `WouldBlock`.
+    fn next_chunk(&mut self, buf: &mut [u8]) -> Result<usize, RunError> {
+        if self.ended {
+            return Ok(0);
+        }
+        // One byte past the limit is all it takes to know it is passed.
+        let want = CHUNK.min(buf.len());
+        let want = self
+            .max_bytes
+            .map_or(want, |limit| want.min((limit - self.len).saturating_add(1)));
+        loop {
+            if self
+                .deadline
+                .is_some_and(|deadline| Instant::now() >= deadline)
+            {
+                return Err(RunError::DeadlineExceeded);
+            }
+            match self.reader.read(&mut buf[..want]) {
+                Ok(0) => {
+                    if let Some((validator, options)) = &mut self.validator {
+                        validator.finish().map_err(|e| map_validation(e, options))?;
+                    }
+                    self.ended = true;
+                    return Ok(0);
+                }
+                Ok(n) => {
+                    if let Some(limit) = self.max_bytes.filter(|&limit| self.len + n > limit) {
+                        return Err(RunError::LimitExceeded {
+                            kind: LimitKind::DocumentBytes,
+                            limit: limit as u64,
+                        });
+                    }
+                    if let Some((validator, options)) = &mut self.validator {
+                        validator
+                            .feed(&buf[..n])
+                            .map_err(|e| map_validation(e, options))?;
+                    }
+                    self.len += n;
+                    return Ok(n);
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::Interrupted
+                        || e.kind() == io::ErrorKind::WouldBlock =>
+                {
+                    // With a deadline armed, a WouldBlock retry yields the
+                    // CPU so a stalled non-blocking source counts down the
+                    // clock instead of burning a core.
+                    if self.deadline.is_some() && e.kind() == io::ErrorKind::WouldBlock {
+                        std::thread::yield_now();
+                    }
+                }
+                Err(e) => return Err(RunError::Io(e)),
+            }
+        }
+    }
+
+    /// Copies everything left into a fresh `B`.
+    fn fill<B: Landing>(&mut self) -> Result<B, RunError> {
+        let mut doc = B::default();
+        let mut filled = 0usize;
+        loop {
+            let n = self.next_chunk(&mut doc.tail(filled, CHUNK)[..CHUNK])?;
+            if n == 0 {
+                break;
+            }
+            filled += n;
+        }
+        doc.finish(filled);
+        Ok(doc)
+    }
+
+    /// After a streamed run: the failure that ended its input, or else
+    /// the first in the rest of the input, which is read (and validated)
+    /// to its end and dropped — a run that stopped early does not skip
+    /// the checks the whole document is owed.
+    pub(crate) fn finish(&mut self) -> Result<(), RunError> {
+        if let Some(failed) = self.failed.take() {
+            return Err(failed);
+        }
+        if !self.ended {
+            let mut scratch = vec![0; CHUNK];
+            while self.next_chunk(&mut scratch)? > 0 {}
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> Refill for Feed<R> {
+    fn refill(&mut self, buf: &mut [u8]) -> usize {
+        if self.failed.is_some() {
+            return 0;
+        }
+        self.next_chunk(buf).unwrap_or_else(|e| {
+            self.failed = Some(e);
+            0
+        })
+    }
+
+    fn held(&mut self, bytes: usize) {
+        self.high_water = self.high_water.max(bytes);
+    }
 }
 
 /// Copies `reader` to its end into a `B` through the ingest loop —
@@ -123,10 +238,10 @@ pub(crate) fn fill<R: Read, B: Landing>(
 /// # Errors
 ///
 /// The reader's first non-transient error.
-pub fn read_to_end<R: Read, B: Landing>(mut reader: R) -> io::Result<B> {
-    // With no limit, no deadline and a check that accepts everything, a
-    // read error is the only one `fill` has to return.
-    fill(&mut reader, None, None, |_| Ok(())).map_err(|e| match e {
+pub fn read_to_end<R: Read, B: Landing>(reader: R) -> io::Result<B> {
+    // With no limit, no deadline and no validator, a read error is the
+    // only one the feed has to return.
+    Feed::plain(reader).fill().map_err(|e| match e {
         RunError::Io(e) => e,
         other => io::Error::other(other.to_string()),
     })
@@ -134,23 +249,14 @@ pub fn read_to_end<R: Read, B: Landing>(mut reader: R) -> io::Result<B> {
 
 /// Reads a whole document from `reader` into a `B`, enforcing size,
 /// depth, and (in strict mode) structural validity while the bytes
-/// arrive, and the `deadline` as [`fill`] does.
+/// arrive, and the `deadline` before each read.
 pub(crate) fn read_document<R: Read, B: Landing>(
     reader: &mut R,
     options: &EngineOptions,
     simd: Simd,
     deadline: Option<Instant>,
 ) -> Result<B, RunError> {
-    let mut validator = StructuralValidator::new(simd)
-        .strict(options.strict)
-        .with_max_depth(options.max_depth);
-    let doc = fill(reader, options.max_document_bytes, deadline, |chunk| {
-        validator
-            .feed(chunk)
-            .map_err(|e| map_validation(e, options))
-    })?;
-    validator.finish().map_err(|e| map_validation(e, options))?;
-    Ok(doc)
+    Feed::document(reader, options, simd, deadline).fill()
 }
 
 #[cfg(test)]

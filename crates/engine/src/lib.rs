@@ -77,6 +77,7 @@ mod fast_path;
 mod input;
 mod main_loop;
 mod sink;
+#[cfg(test)]
 mod util;
 
 pub use depth_stack::{DepthStack, Frame};
@@ -110,12 +111,14 @@ pub use rsq_query::{PlanStep, RoutePlan};
 pub use rsq_obs::{Histogram, ProfileStage, ProfileStats, SkipBytes, SkipTechnique, StageTimes};
 
 use error::Interrupt;
-use rsq_classify::{LabelSeeker, StructuralIterator, StructuralValidator};
+use input::Feed;
+use rsq_classify::{LabelSeeker, Refill, StructuralIterator, StructuralValidator};
 use rsq_memmem::{Finder, Prefilter};
 use rsq_query::{Automaton, CompileError, Query, QueryParseError, StateId};
 use rsq_simd::{Backend, Simd, Task};
 use std::fmt;
 use std::io::Read;
+use std::time::Instant;
 
 /// States (and so routed-walker steps) whose per-run tables live on the
 /// stack: a run of a query within it allocates nothing in the engine —
@@ -125,6 +128,19 @@ use std::io::Read;
 /// of the catalog fits (`tests/public_api.rs` holds it to that).
 #[doc(hidden)]
 pub const RUN_TABLES_INLINE: usize = 16;
+
+/// The window of a streamed run ([`Engine::run_reader`]): its ring holds
+/// four — one of look-back before the current block, the rest read
+/// ahead — and a label the automaton examines may be up to one window
+/// long.
+pub const STREAM_WINDOW: usize = 1 << 20;
+
+/// What a run walks: one slice, or a document arriving from a source,
+/// held in a ring of windows of the given size.
+enum Input<'a> {
+    Slice(&'a [u8]),
+    Stream(&'a mut dyn Refill, usize),
+}
 
 /// How the engine picks its evaluation strategy for a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -537,38 +553,105 @@ impl Engine {
     }
 
     /// Streams a document pulled from `reader` in arbitrary-sized chunks,
-    /// reporting every match to `sink`.
+    /// reporting every match to `sink`, in memory bounded by a ring of
+    /// four [`STREAM_WINDOW`]s: the run walks the bytes while they arrive
+    /// and drops them behind it.
     ///
     /// Transient read errors ([`Interrupted`](std::io::ErrorKind::Interrupted),
     /// [`WouldBlock`](std::io::ErrorKind::WouldBlock)) are retried; short
     /// reads of any size are reassembled. Size and depth limits — and, in
     /// strict mode, structural validation — are enforced *while bytes
-    /// arrive*, so a hostile input fails before it is buffered whole. The
-    /// match output is byte-identical to [`try_run`](Self::try_run) on the
-    /// same document, no matter how the reader fragments it.
+    /// arrive*, over the whole document: a run that stops early (a sink
+    /// stop, a tripped `max_matches`) still reads and checks the rest, and
+    /// a failure there is the one reported. The matches are byte-identical
+    /// to [`try_run`](Self::try_run) on the same document, no matter how
+    /// the reader fragments it — but, unlike there, a document that fails
+    /// validation may have reported matches to `sink` before the failure
+    /// surfaced, so a caller that must not show them holds them until
+    /// this returns. One outcome is the stream's own: a member label the
+    /// automaton examines that begins more than a window before the
+    /// structural character after it fails with a
+    /// [`LabelBytes`](LimitKind::LabelBytes) limit of the window.
     ///
     /// # Errors
     ///
     /// Everything [`try_run`](Self::try_run) returns, plus
     /// [`RunError::Io`] when the reader fails with a non-transient error.
-    pub fn run_reader<R: Read, S: Sink>(
+    pub fn run_reader<R: Read, S: Sink>(&self, reader: R, sink: &mut S) -> Result<(), RunError> {
+        self.try_run_reader_with_recorder(reader, sink, &mut NoStats, None)
+            .map(drop)
+    }
+
+    /// [`run_reader`](Self::run_reader) driving a [`Recorder`] as
+    /// [`try_run_with_recorder`](Self::try_run_with_recorder) does — the
+    /// document's length reaches it at the end of the input — and, with a
+    /// `deadline`, aborting with [`RunError::DeadlineExceeded`] if it
+    /// passes before the input ends (checked before every read, as
+    /// [`ingest`](Self::ingest) does). Returns the document's length.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_reader`](Self::run_reader), plus
+    /// [`RunError::DeadlineExceeded`].
+    pub fn try_run_reader_with_recorder<R: Read, S: Sink>(
         &self,
-        mut reader: R,
+        reader: R,
         sink: &mut S,
+        rec: &mut impl Recorder,
+        deadline: Option<Instant>,
+    ) -> Result<usize, RunError> {
+        let mut feed = Feed::document(reader, &self.options, self.simd, deadline);
+        self.run_feed(&mut feed, sink, rec, STREAM_WINDOW)?;
+        Ok(feed.len)
+    }
+
+    /// [`try_run_reader_with_recorder`](Self::try_run_reader_with_recorder)
+    /// through windows of `window` bytes, with no deadline (a test hook:
+    /// small windows put every edge case on a window edge). Returns the
+    /// most bytes the stream's buffer held.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_reader`](Self::run_reader).
+    #[doc(hidden)]
+    pub fn run_reader_windowed<R: Read, S: Sink>(
+        &self,
+        reader: R,
+        sink: &mut S,
+        rec: &mut impl Recorder,
+        window: usize,
+    ) -> Result<usize, RunError> {
+        let mut feed = Feed::document(reader, &self.options, self.simd, None);
+        self.run_feed(&mut feed, sink, rec, window)?;
+        Ok(feed.high_water)
+    }
+
+    /// Runs the query over the document `feed` reads, then reports the
+    /// first failure of the input — the bytes the run saw or the rest —
+    /// before the run's own.
+    fn run_feed<R: Read, S: Sink>(
+        &self,
+        feed: &mut Feed<R>,
+        sink: &mut S,
+        rec: &mut impl Recorder,
+        window: usize,
     ) -> Result<(), RunError> {
-        let doc: Vec<u8> = input::read_document(&mut reader, &self.options, self.simd, None)?;
-        // Ingest already validated and size-checked; go straight to
-        // matching.
-        self.run_limited(&doc, sink, &mut NoStats)
+        let run = self.limited(sink, window, |sink| {
+            self.dispatch(Input::Stream(feed, window), sink, rec)
+        });
+        feed.finish()?;
+        run?;
+        rec.document(feed.len);
+        Ok(())
     }
 
     /// Reads a whole document from `reader` with the same protections as
     /// [`run_reader`](Self::run_reader) — chunk reassembly, transient-error
     /// retry, incremental size/depth limits, strict validation — but
-    /// without running the query. Useful when the caller needs the
-    /// document bytes afterwards, e.g. to extract matched node text:
-    /// ingest once, then query the returned buffer with
-    /// [`try_run`](Self::try_run).
+    /// without running the query, into one buffer holding the whole
+    /// document. Useful when the caller needs the document bytes
+    /// afterwards, e.g. to extract matched node text: ingest once, then
+    /// query the returned buffer with [`try_run`](Self::try_run).
     ///
     /// # Errors
     ///
@@ -603,7 +686,7 @@ impl Engine {
     /// pass of [`try_run`](Self::try_run) — for running documents that its
     /// [`ingest`](Self::ingest) or [`read_document`](Self::read_document)
     /// returned: those were validated while they arrived, and the verdict
-    /// stands ([`run_reader`](Self::run_reader) does the same in one call).
+    /// stands ([`run_reader`](Self::run_reader) validates as it runs).
     #[must_use]
     pub fn without_validation(mut self) -> Engine {
         self.options.strict = false;
@@ -669,17 +752,21 @@ impl Engine {
         sink: &mut S,
         rec: &mut impl Recorder,
     ) -> Result<(), RunError> {
-        self.limited(sink, |sink| self.dispatch(input, sink, rec))
+        self.limited(sink, 0, |sink| {
+            self.dispatch(Input::Slice(input), sink, rec)
+        })
     }
 
     /// Runs `matching` into `sink`, enforcing `max_matches` and
-    /// translating interrupts into the public error vocabulary. The sink
+    /// translating interrupts into the public error vocabulary (a label
+    /// beyond a stream's `look_back` as a label-length limit of it). The sink
     /// is wrapped whether or not a limit is set (none is `u64::MAX`
     /// matches), so that the matching loops are compiled for one sink
     /// type per caller, not two.
     fn limited<S: Sink>(
         &self,
         sink: &mut S,
+        look_back: usize,
         matching: impl FnOnce(&mut LimitSink<'_, S>) -> Result<(), Interrupt>,
     ) -> Result<(), RunError> {
         let mut limited = LimitSink {
@@ -701,6 +788,10 @@ impl Engine {
                 kind,
                 limit: self.limit_value(kind),
             }),
+            Err(Interrupt::LookBack) => Err(RunError::LimitExceeded {
+                kind: LimitKind::LabelBytes,
+                limit: look_back as u64,
+            }),
         }
     }
 
@@ -721,7 +812,7 @@ impl Engine {
     /// into it, so it has no stage of its own).
     fn dispatch<S: Sink>(
         &self,
-        input: &[u8],
+        input: Input<'_>,
         sink: &mut S,
         rec: &mut impl Recorder,
     ) -> Result<(), Interrupt> {
@@ -736,7 +827,7 @@ impl Engine {
     /// once per instruction set and inlined into that backend's entry.
     fn dispatch_inner<S: Sink>(
         &self,
-        input: &[u8],
+        input: Input<'_>,
         sink: &mut S,
         rec: &mut impl Recorder,
     ) -> Result<(), Interrupt> {
@@ -765,7 +856,9 @@ impl Engine {
         input: &[u8],
         sink: &mut S,
     ) -> Result<(), RunError> {
-        self.limited(sink, |sink| self.run_on(backend, input, sink, &mut NoStats))
+        self.limited(sink, 0, |sink| {
+            self.run_on(backend, Input::Slice(input), sink, &mut NoStats)
+        })
     }
 
     /// Picks the evaluation strategy and runs it on `backend`.
@@ -773,12 +866,34 @@ impl Engine {
     fn run_on<B: Backend, S: Sink>(
         &self,
         backend: B,
-        input: &[u8],
+        input: Input<'_>,
+        sink: &mut S,
+        rec: &mut impl Recorder,
+    ) -> Result<(), Interrupt> {
+        let mut it = match input {
+            Input::Slice(bytes) => StructuralIterator::new(bytes, backend),
+            Input::Stream(source, window) => {
+                StructuralIterator::from_source(source, window, backend)
+            }
+        };
+        // Fold the iterator's classifier counters before propagating an
+        // interrupt: an early sink stop maps to `Ok` upstream and must keep
+        // its stats.
+        let result = self.walk(&mut it, sink, rec);
+        rec.classifier(&it.counters());
+        result
+    }
+
+    /// Picks the evaluation strategy and runs it over `it`.
+    #[inline(always)]
+    fn walk<B: Backend, S: Sink>(
+        &self,
+        it: &mut StructuralIterator<'_, B>,
         sink: &mut S,
         rec: &mut impl Recorder,
     ) -> Result<(), Interrupt> {
         let initial = self.automaton.initial_state();
-        let mut seekers = main_loop::seekers(self, backend);
+        let mut seekers = main_loop::seekers(self, it.backend());
         let seekers = seekers.as_mut_slice();
         if self.fast_path_eligible() {
             // Compile-time routing (DESIGN.md §15): the query shape is a
@@ -792,8 +907,7 @@ impl Engine {
                 &self.plan,
                 &self.options,
                 seekers,
-                backend,
-                input,
+                it,
                 sink,
                 rec,
             );
@@ -806,38 +920,32 @@ impl Engine {
         // table: the initial state is not internal, so the main loop must
         // not subtree-seek in it (that scope reports no atomic member).
         let head_start = if self.options.head_start && self.automaton.is_waiting(initial) {
-            let seeker = self.finder(initial, backend);
+            let seeker = self.finder(initial, it.backend());
             seeker.map(|(finder, target)| (LabelSeeker::new(finder), target))
         } else {
             None
         };
-        let mut it = StructuralIterator::new(input, backend);
-        // Fold the iterator's classifier counters before propagating an
-        // interrupt: an early sink stop maps to `Ok` upstream and must keep
-        // its stats.
-        let result = main_loop::run_document(
-            &mut it,
+        main_loop::run_document(
+            it,
             &self.automaton,
             &self.options,
             seekers,
             head_start,
             sink,
             rec,
-        );
-        rec.classifier(&it.counters());
-        result
+        )
     }
 }
 
 /// One engine run as the [`Task`] [`Engine::dispatch_inner`] dispatches.
-struct Run<'r, S, R> {
+struct Run<'r, 'i, S, R> {
     engine: &'r Engine,
-    input: &'r [u8],
+    input: Input<'i>,
     sink: &'r mut S,
     rec: &'r mut R,
 }
 
-impl<S: Sink, R: Recorder> Task for Run<'_, S, R> {
+impl<S: Sink, R: Recorder> Task for Run<'_, '_, S, R> {
     type Output = Result<(), Interrupt>;
 
     #[inline(always)]

@@ -4,10 +4,9 @@
 use crate::depth_stack::DepthStack;
 use crate::error::{Interrupt, LimitKind};
 use crate::sink::Sink;
-use crate::util::value_start_after;
 use crate::{Engine, EngineOptions, RUN_TABLES_INLINE};
 use rsq_classify::{
-    first_nonws, BracketType, LabelSeeker, Seek, SeekScope, Structural, StructuralIterator,
+    BracketType, LabelSeeker, LookBack, Seek, SeekScope, Structural, StructuralIterator,
 };
 use rsq_obs::{Recorder, SkipTechnique};
 use rsq_query::{Automaton, PathSymbol, StateId};
@@ -210,7 +209,7 @@ fn try_match_first_item<B: Backend>(
     }
     // A structural byte after the `[` means the first entry is composite
     // (handled at its Opening) or the array is empty.
-    if let Some(v) = value_start_after(it.input(), open_pos) {
+    if let Some(v) = it.value_after(open_pos) {
         sink.record(v)?;
         rec.matched();
     }
@@ -229,6 +228,12 @@ fn check_label(options: &EngineOptions, label: Option<&[u8]>) -> Result<(), Inte
         }
     }
     Ok(())
+}
+
+/// A label that begins before the bytes a stream still holds is reported
+/// as such, never read as no label.
+fn look_back(_: LookBack) -> Interrupt {
+    Interrupt::LookBack
 }
 
 /// Runs the DFA over one element: the opening character at `root_pos` (of
@@ -369,7 +374,7 @@ fn element_loop<B: Backend>(
         }
         match event {
             Structural::Opening(bracket, pos) => {
-                let label = it.label_before(pos);
+                let label = it.label_before(pos).map_err(look_back)?;
                 check_label(options, label)?;
                 let symbol = match label {
                     Some(label) => PathSymbol::Label(label),
@@ -449,10 +454,10 @@ fn element_loop<B: Backend>(
             Structural::Colon(pos) => {
                 // Composite member values are handled at their Opening; a
                 // direct byte probe is cheaper than peeking the iterator.
-                let Some(v) = value_start_after(it.input(), pos) else {
+                let Some(v) = it.value_after(pos) else {
                     continue;
                 };
-                let label = it.label_before(pos);
+                let label = it.label_before(pos).map_err(look_back)?;
                 check_label(options, label)?;
                 let target = automaton.transition_label(state, label);
                 if automaton.is_accepting(target) {
@@ -483,7 +488,7 @@ fn element_loop<B: Backend>(
                     }
                     CommaMode::All => {
                         indices.increment(depth);
-                        if let Some(v) = value_start_after(it.input(), pos) {
+                        if let Some(v) = it.value_after(pos) {
                             sink.record(v)?;
                             rec.matched();
                         }
@@ -493,7 +498,7 @@ fn element_loop<B: Backend>(
                         let target =
                             automaton.transition(state, PathSymbol::Index(indices.get(depth)));
                         if automaton.is_accepting(target) {
-                            if let Some(v) = value_start_after(it.input(), pos) {
+                            if let Some(v) = it.value_after(pos) {
                                 sink.record(v)?;
                                 rec.matched();
                             }
@@ -541,7 +546,7 @@ pub(crate) fn run_document<B: Backend>(
         None => {
             // Atomic document: only `$` can match it.
             if automaton.is_accepting(initial) {
-                if let Some(v) = first_nonws(it.input(), 0) {
+                if let Some(v) = it.document_start() {
                     sink.record(v)?;
                     rec.matched();
                 }
@@ -617,7 +622,7 @@ fn leapfrog<B: Backend>(
     }
     // Tail: from the last classification frontier to the end of the
     // input, nothing was structurally classified.
-    rec.skip_span(SkipTechnique::Memmem, frontier, it.input().len());
+    rec.skip_span(SkipTechnique::Memmem, frontier, it.end());
     Ok(())
 }
 

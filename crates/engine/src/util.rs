@@ -1,21 +1,16 @@
-//! Small scalar helpers shared by the main loop and skip-to-label.
-
-use rsq_classify::first_nonws;
-
-/// The start of the atomic value following a `:` or `,` at `pos`, or
-/// `None` when what follows is structural (malformed or empty construct).
-#[inline]
-pub(crate) fn value_start_after(input: &[u8], pos: usize) -> Option<usize> {
-    let v = first_nonws(input, pos + 1)?;
-    match input[v] {
-        b'{' | b'[' | b'}' | b']' | b',' | b':' => None,
-        _ => Some(v),
-    }
-}
+//! Checks of the scalar probe the main loop and skip-to-label use to find
+//! the atomic value after a `:` or `,`; the probe itself is
+//! [`StructuralIterator::value_after`], so a streamed document can refill
+//! while it looks.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use rsq_classify::StructuralIterator;
+    use rsq_simd::Simd;
+
+    fn value_start_after(input: &[u8], pos: usize) -> Option<usize> {
+        StructuralIterator::new(input, Simd::detect()).value_after(pos)
+    }
 
     #[test]
     fn value_start_finds_atoms_only() {

@@ -47,7 +47,7 @@ use std::time::Instant;
 /// `stages.classify_ns`, and the perf object's `ingest`, `classify` and
 /// `sink` stages (counters are only ever armed around `validate` and
 /// `automaton`).
-pub const STATS_SCHEMA_VERSION: u64 = 5;
+pub const STATS_SCHEMA_VERSION: u64 = 6;
 
 /// The skipping technique that elided a byte range (§3.3 plus the
 /// `memmem` head start of §4.4).

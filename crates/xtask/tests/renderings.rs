@@ -83,9 +83,7 @@ fn batch_counters() -> BatchCounters {
         failed_documents: 1,
         shards: 4,
         queue_claims: 12,
-        cache_hits: 9,
-        cache_misses: 3,
-        cache_evictions: 2,
+        cache_misses: 1,
     }
 }
 

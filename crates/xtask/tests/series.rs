@@ -61,7 +61,7 @@ fn every_row_follows_the_conventions() {
             "`{name}` has two help texts or types"
         );
     }
-    assert_eq!(headers.len(), 52, "series names in the registry");
+    assert_eq!(headers.len(), 49, "series names in the registry");
 }
 
 /// Every table rendered once into one exposition, with the labels the

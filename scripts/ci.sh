@@ -5,8 +5,8 @@
 # an overflow-checked test pass, the fast-path parity gate (routed
 # walker vs the general engine over the full query catalog), the paper
 # reproduction gate (`experiments check`), the seek linearity gate, the
-# mmap ingest smoke, the input-path parity gate, the hardware-counter
-# and live-telemetry smokes, the profile-overhead gate,
+# mmap ingest smoke, the input-path parity gate, the stdin streaming
+# gate, the hardware-counter and live-telemetry smokes, the profile-overhead gate,
 # differential fuzz smoke, and (when the host toolchain provides them)
 # Miri, AddressSanitizer, and ThreadSanitizer lanes. It ends with the
 # size series (two rows and the line-count ratchet are gates) and a lane
@@ -385,6 +385,40 @@ if [ "$BATCH_PARITY_CASES" -lt 7 ]; then
 fi
 echo "parity gate: $BATCH_PARITY_CASES NDJSON batch cases x 4 input paths agree"
 
+lane "stdin streaming gate (256 MB through a pipe in bounded memory; window-edge differential)"
+# A document made up as it is written — 2 097 152 records of 128 bytes,
+# 256 MiB, never held anywhere whole — is piped into `rsq --count`: the
+# count must be exact and the child's peak RSS under 32 MiB, where a
+# whole-document read would need 256 MiB (DESIGN.md §7). The streamed
+# run's window edges are then checked against the slice run under the
+# forced backends (the detected one ran in tier-1).
+python3 - "$PWD/target/release/rsq" <<'PYEOF'
+import resource, subprocess, sys
+records = 2 * 1024 * 1024
+record = b'{"a": {"b": 0}, "pad": "' + b"x" * 102 + b'"}'
+assert len(record) == 128
+child = subprocess.Popen([sys.argv[1], "--count", "$..b"], stdin=subprocess.PIPE,
+                         stdout=subprocess.PIPE)
+child.stdin.write(b"[" + record)
+chunk = (b"," + record) * 8192
+for _ in range((records - 1) // 8192):
+    child.stdin.write(chunk)
+child.stdin.write((b"," + record) * ((records - 1) % 8192) + b"]")
+child.stdin.close()
+out = child.stdout.read()
+assert child.wait() == 0, child.returncode
+assert out == b"%d\n" % records, out
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"stdin streaming gate: {records} matches in 256 MiB, peak RSS {peak_mib:.1f} MiB")
+assert peak_mib < 32, f"peak RSS {peak_mib:.1f} MiB (limit 32)"
+PYEOF
+RSQ_BACKEND=swar filtered_tests -p rsq-difftest -q --test corpus window_edges
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+  RSQ_BACKEND=avx2 filtered_tests -p rsq-difftest -q --test corpus window_edges
+else
+  skip "window-edge differential under RSQ_BACKEND=avx2" "no AVX2 on this host"
+fi
+
 lane "hardware-counter smoke gate (forced denial + armed path)"
 # Counters must never change results. The forced-denial half runs
 # everywhere: RSQ_PERF=deny (open fails with a simulated EPERM) must
@@ -574,8 +608,10 @@ lane "size series (non-test lines, dispatch entries, text bytes, popcnt)"
 # has silently gone back to shifts and masks (DESIGN.md §9). The
 # non-test line count is a ratchet (ROADMAP item 4): MAX_LINES is what
 # the last simplicity PR landed at, each one lowers it, and a PR that
-# has to raise it says in its description what the lines bought.
-MAX_LINES=26674
+# has to raise it says in its description what the lines bought. The
+# last raise (26 674 -> 27 266) bought streamed input in bounded memory
+# (the windowed block cursor, its bounded probes and the streamed run).
+MAX_LINES=27266
 scripts/loc.sh | tee "$SERVE_TMP/loc.txt"
 LINES="$(awk '/^total non-test lines/{print $NF}' "$SERVE_TMP/loc.txt")"
 TEXT_BYTES="$(awk '/^text bytes/{print $NF}' "$SERVE_TMP/loc.txt")"
