@@ -410,7 +410,7 @@ impl BatchEngine {
                     tests::worker_fault(worker, doc);
                     let outcome = runner
                         .run_doc(engine, doc, &mut sink, record, true)
-                        .map(|()| DocOutput {
+                        .map(|_| DocOutput {
                             count: sink.matches().count(),
                             // Exact-size copy: the kept output never
                             // carries the sink's slack capacity.

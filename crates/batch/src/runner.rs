@@ -11,7 +11,9 @@
 //! a code path.
 
 use crate::{DocError, DocErrorKind};
-use rsq_engine::{Engine, NoStats, ProfileStats, Recorder, RunError, RunStats, Sink, SinkFull};
+use rsq_engine::{
+    Engine, NoStats, ProfileStats, Recorder, Route, RunError, RunStats, Sink, SinkFull,
+};
 use rsq_perf::{CounterGroup, CounterSet, PerfMode, PerfRecorder, PerfStats};
 use std::io::Read;
 use std::marker::PhantomData;
@@ -191,7 +193,7 @@ impl DocRunner {
     }
 
     /// Runs `doc` through `engine` into `sink`, recording what `record`
-    /// asks for. With `sample` set and the counters armed, the run is
+    /// asks for, and returns the route the run took. With `sample` set and the counters armed, the run is
     /// bracketed by one counter-group start/stop and the delta folds into
     /// [`perf`](Self::perf); a profiled run additionally attributes
     /// cycles per pipeline stage by riding the stage-timer brackets.
@@ -214,7 +216,7 @@ impl DocRunner {
         sink: &mut S,
         record: Record<'_>,
         sample: bool,
-    ) -> Result<(), DocError> {
+    ) -> Result<Route, DocError> {
         self.contained(engine, Doc::Slice(doc), sink, record, sample)
     }
 
@@ -235,7 +237,7 @@ impl DocRunner {
         sink: &mut DocSink,
         record: Record<'_>,
         sample: bool,
-    ) -> Result<(), DocError> {
+    ) -> Result<Route, DocError> {
         self.contained(engine, Doc::Reader(reader, deadline), sink, record, sample)
     }
 
@@ -248,7 +250,7 @@ impl DocRunner {
         sink: &mut S,
         record: Record<'_>,
         sample: bool,
-    ) -> Result<(), DocError> {
+    ) -> Result<Route, DocError> {
         let group = self.counters.group().filter(|_| sample);
         if let Some(g) = group {
             g.start();
@@ -260,20 +262,26 @@ impl DocRunner {
             if let Doc::Slice(doc) = &doc {
                 crate::tests::contained_fault(doc);
             }
-            bytes = match record {
+            let route;
+            (bytes, route) = match record {
                 Record::Nothing => doc.run(engine, sink, &mut NoStats)?,
                 Record::Stats(total) => {
                     let mut stats = RunStats::default();
-                    let bytes = doc.run(engine, sink, &mut stats)?;
+                    let ran = doc.run(engine, sink, &mut stats)?;
+                    stats.route = ran.1;
                     *total += stats;
-                    bytes
+                    ran
                 }
-                Record::Profile(profile) => match group {
-                    Some(g) => doc.run(engine, sink, &mut PerfRecorder::new(profile, g, perf))?,
-                    None => doc.run(engine, sink, profile)?,
-                },
+                Record::Profile(profile) => {
+                    let ran = match group {
+                        Some(g) => doc.run(engine, sink, &mut PerfRecorder::new(profile, g, perf)),
+                        None => doc.run(engine, sink, profile),
+                    }?;
+                    profile.stats.route = ran.1;
+                    ran
+                }
             };
-            Ok(())
+            Ok(route)
         });
         let outcome = match std::panic::catch_unwind(run) {
             Ok(run) => run.map_err(|e: RunError| DocError::from_run(&e)),
@@ -304,7 +312,7 @@ impl DocRunner {
         sink: &mut DocSink,
         record: Record<'_>,
         sample: bool,
-    ) -> Result<(), DocError> {
+    ) -> Result<Route, DocError> {
         let timeout = || DocError::from_run(&RunError::DeadlineExceeded);
         if sink.deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(timeout());
@@ -326,17 +334,18 @@ enum Doc<'d> {
 }
 
 impl Doc<'_> {
-    /// Runs the document through `engine`, returning its length.
+    /// Runs the document through `engine`, returning its length and the
+    /// route the run took.
     fn run<S: Sink>(
         self,
         engine: &Engine,
         sink: &mut S,
         rec: &mut impl Recorder,
-    ) -> Result<usize, RunError> {
+    ) -> Result<(usize, Route), RunError> {
         match self {
             Doc::Slice(doc) => engine
                 .try_run_with_recorder(doc, sink, rec)
-                .map(|()| doc.len()),
+                .map(|route| (doc.len(), route)),
             Doc::Reader(reader, deadline) => {
                 engine.try_run_reader_with_recorder(reader, sink, rec, deadline)
             }

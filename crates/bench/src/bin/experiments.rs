@@ -29,8 +29,9 @@
 //! `RSQ_DATASET_MB` like every other subcommand.
 //!
 //! `fast-path` measures every catalog query the compile-time shape
-//! analyzer routes to the memmem-led walker against the same query with
-//! the route forced general, asserting position-for-position parity.
+//! analyzer lets take the memmem-led walker: on the walker, with the
+//! route forced general, and as the engine's probe chooses, asserting
+//! position-for-position parity.
 //!
 //! `skip-ablation` reproduces the paper's Table-6-style skip-rate view
 //! from the Tier C profiler: per dataset × query, the bytes each skipping
@@ -497,23 +498,26 @@ fn ablations() -> Cells {
 }
 
 /// Fast-path routing (DESIGN.md §15): every catalog query whose compiled
-/// shape routes to the memmem-led walker, measured on the fast path and
-/// again with the route forced general. The two configurations must
-/// report byte-identical positions.
+/// shape may take the memmem-led walker, timed on the walker (the shape
+/// rule alone), on the general main loop, and as the engine chooses —
+/// the probe's events per KiB beside it. The three configurations must
+/// report byte-identical positions. The last column is the chosen
+/// configuration over the route it did not take.
 fn fast_path() {
     use rsq_engine::{PositionsSink, Route};
-    heading("Fast-path routing: memmem-led walker vs general main loop");
+    heading("Fast-path routing: memmem-led walker vs general main loop, and the probe's choice");
     println!(
-        "{:<5} {:>11} {:>9} {:>9} {:>9}",
-        "id", "route", "fast", "general", "speedup"
+        "{:<5} {:>8} {:>10} {:>8} {:>8} {:>8} {:>8}",
+        "id", "ev/KiB", "chosen", "walker", "general", "chosen", "vs other"
     );
     let mut routed = 0usize;
     for entry in catalog() {
-        let fast = compile(entry.query, EngineOptions::default());
-        if fast.route() == Route::General {
+        let chosen = compile(entry.query, EngineOptions::default());
+        if chosen.route() == Route::General {
             continue;
         }
         routed += 1;
+        let walker = chosen.clone().routed_by_shape();
         let general = compile(entry.query, general());
         let input = dataset(entry.dataset);
         // Parity first: the routes must agree position for position, not
@@ -523,27 +527,48 @@ fn fast_path() {
             engine.run(input, &mut sink);
             sink.positions().to_vec()
         };
-        assert_eq!(
-            positions(&fast),
-            positions(&general),
-            "routes disagree on {}",
-            entry.id
-        );
+        let expected = positions(&general);
+        for engine in [&walker, &chosen] {
+            assert_eq!(
+                positions(engine),
+                expected,
+                "routes disagree on {}",
+                entry.id
+            );
+        }
+        // What the probe sees: the general loop over the first 16 KiB.
+        let head = &input[..input.len().min(16 << 10)];
+        let probe = general
+            .try_run_with_stats(head, &mut CountSink::new())
+            .expect("no limits are configured");
+        let per_kib = probe.events as f64 * 1024.0 / head.len() as f64;
+        let taken = chosen
+            .try_run_with_stats(input, &mut CountSink::new())
+            .expect("no limits are configured")
+            .route;
         let timed = time_row(
             input.len(),
             REPS,
             &mut [
-                ("fast", Box::new(|| fast.count(input))),
+                ("walker", Box::new(|| walker.count(input))),
                 ("general", Box::new(|| general.count(input))),
+                ("chosen", Box::new(|| chosen.count(input))),
             ],
         );
+        let other = if taken == Route::General {
+            timed[0].gbps
+        } else {
+            timed[1].gbps
+        };
         println!(
-            "{:<5} {:>11} {:>9.2} {:>9.2} {:>8.2}x",
+            "{:<5} {:>8.1} {:>10} {:>8.2} {:>8.2} {:>8.2} {:>7.2}x",
             entry.id,
-            fast.route().to_string(),
+            per_kib,
+            taken.to_string(),
             timed[0].gbps,
             timed[1].gbps,
-            timed[0].gbps / timed[1].gbps,
+            timed[2].gbps,
+            timed[2].gbps / other,
         );
     }
     assert!(routed >= 2, "expected several routed catalog queries");
@@ -593,7 +618,7 @@ fn kernel_efficiency() {
     };
     let mut routed = 0usize;
     for entry in catalog() {
-        let fast = compile(entry.query, EngineOptions::default());
+        let fast = compile(entry.query, EngineOptions::default()).routed_by_shape();
         if fast.route() == Route::General {
             continue;
         }

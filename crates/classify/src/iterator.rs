@@ -489,6 +489,21 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
         )
     }
 
+    /// The input's first `len` bytes, if it has that many — for a look at
+    /// the document before the walk starts. A stream reads until it holds
+    /// them or ends, growing its buffer past the ring if `len` is longer;
+    /// once its cursor has moved past the first window, this is `None`.
+    pub fn head(&mut self, len: usize) -> Option<&[u8]> {
+        let cursor = &mut self.cursor;
+        if cursor.base == 0 && cursor.end() < len && !cursor.exhausted() {
+            cursor.fetch(0, len);
+        }
+        if cursor.base != 0 {
+            return None;
+        }
+        cursor.window().get(..len)
+    }
+
     /// Sets the quote-only block count back to `blocks`: a document seek
     /// that found nothing after classifying blocks only to let a stream
     /// drop them.

@@ -88,6 +88,18 @@ fn peek_does_not_consume() {
     assert_eq!(it.next().unwrap().position(), 1);
 }
 
+/// The scalar probe the main loop and skip-to-label use to find the
+/// atomic value after a `:`, `,` or `[`.
+#[test]
+fn value_start_finds_atoms_only() {
+    let value_after = |input: &[u8]| iter(input).value_after(0);
+    assert_eq!(value_after(b": 42"), Some(2));
+    assert_eq!(value_after(b", \"x\""), Some(2));
+    assert_eq!(value_after(b": {"), None);
+    assert_eq!(value_after(b",]"), None);
+    assert_eq!(value_after(b":"), None);
+}
+
 #[test]
 fn label_before_openings() {
     let input = br#"{"alpha": {"beta": [1]}, "g": [{}]}"#;

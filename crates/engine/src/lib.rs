@@ -77,8 +77,6 @@ mod fast_path;
 mod input;
 mod main_loop;
 mod sink;
-#[cfg(test)]
-mod util;
 
 pub use depth_stack::{DepthStack, Frame};
 pub use error::{LimitKind, RunError};
@@ -134,6 +132,22 @@ pub const RUN_TABLES_INLINE: usize = 16;
 /// ahead — and a label the automaton examines may be up to one window
 /// long.
 pub const STREAM_WINDOW: usize = 1 << 20;
+
+/// The least input a routable query's run probes before it takes the
+/// walker (DESIGN.md §15): one [`STREAM_WINDOW`], and the size from which
+/// the CLI maps a file. A shorter input takes the walker on the query's
+/// shape alone.
+pub const PROBE_MIN_INPUT: usize = STREAM_WINDOW;
+
+/// The bytes at the start of the input the probe runs the general loop
+/// over.
+const PROBE_BYTES: usize = 16 << 10;
+
+/// The events per KiB the probe's general loop must deliver for the
+/// walker to pay: what the walker saves is events, and below this it
+/// saves too few to cover its `memmem` pass (EXPERIMENTS.md "Fast-path
+/// routing").
+const PROBE_EVENTS_PER_KIB: u64 = 3;
 
 /// What a run walks: one slice, or a document arriving from a source,
 /// held in a ring of windows of the given size.
@@ -222,10 +236,14 @@ pub struct EngineOptions {
     /// before aborting with [`RunError::LimitExceeded`] (`None` =
     /// unlimited).
     pub max_matches: Option<u64>,
-    /// Evaluation-route selection (DESIGN.md §15). The default `Auto`
-    /// routes field-chain and selective query shapes to the `memmem`-led
-    /// fast-path walker when every skipping technique its parity
-    /// argument relies on is enabled; `General` forces the main loop.
+    /// Evaluation-route selection (DESIGN.md §15). Under the default
+    /// `Auto`, a run of a selective query — a label step before any
+    /// descendant, with every skipping technique the walker's parity
+    /// argument relies on enabled — takes the `memmem`-led walker on an
+    /// input under [`PROBE_MIN_INPUT`]; on a longer one it takes the
+    /// walker only when the general loop, run over the first 16 KiB,
+    /// delivers enough events per KiB for the walker to save, and the
+    /// general loop otherwise. `General` forces the main loop.
     pub route: RouteChoice,
 }
 
@@ -317,6 +335,9 @@ pub struct Engine {
     prefilters: Vec<Option<Prefilter>>,
     options: EngineOptions,
     simd: Simd,
+    /// Whether a routable run on a long input probes before it takes the
+    /// walker (off only through [`Engine::routed_by_shape`]).
+    probe: bool,
 }
 
 impl Engine {
@@ -363,7 +384,20 @@ impl Engine {
             prefilters,
             options,
             simd,
+            probe: true,
         })
+    }
+
+    /// This engine without the routing probe: a routable query's runs take
+    /// the walker on every input, as they do on inputs under
+    /// [`PROBE_MIN_INPUT`] (an experiment and test hook: the walker's
+    /// column of `experiments fast-path`, and streams through windows
+    /// smaller than the probe, which would otherwise read it whole first).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn routed_by_shape(mut self) -> Engine {
+        self.probe = false;
+        self
     }
 
     /// The ready-made prefilter of `state`'s single label transition, if it
@@ -393,15 +427,18 @@ impl Engine {
     /// The fast-path plan derived from the automaton at compile time
     /// (DESIGN.md §15). Its [`RoutePlan::route`] labels the query shape;
     /// whether a run actually takes the fast path additionally depends
-    /// on the options — see [`Engine::route`].
+    /// on the options and the input — see [`Engine::route`].
     #[must_use]
     pub fn plan(&self) -> &RoutePlan {
         &self.plan
     }
 
-    /// The evaluation route runs of this engine take: the plan's route
-    /// when the fast path is eligible under the configured options,
-    /// [`Route::General`] otherwise.
+    /// The evaluation route runs of this engine take on inputs under
+    /// [`PROBE_MIN_INPUT`]: the plan's route when the fast path is
+    /// eligible under the configured options, [`Route::General`]
+    /// otherwise. A longer input may take the general route all the same
+    /// (the probe, DESIGN.md §15): what a run took is what
+    /// [`try_run_with_recorder`](Self::try_run_with_recorder) returns.
     #[must_use]
     pub fn route(&self) -> Route {
         if self.fast_path_eligible() {
@@ -454,6 +491,7 @@ impl Engine {
     /// [`RunError::Io`] is never returned from the slice path.
     pub fn try_run<S: Sink>(&self, input: &[u8], sink: &mut S) -> Result<(), RunError> {
         self.try_run_with_recorder(input, sink, &mut NoStats)
+            .map(drop)
     }
 
     /// Like [`try_run`](Self::try_run), but additionally returns Tier A
@@ -482,7 +520,7 @@ impl Engine {
         sink: &mut S,
     ) -> Result<RunStats, RunError> {
         let mut stats = RunStats::default();
-        self.try_run_with_recorder(input, sink, &mut stats)?;
+        stats.route = self.try_run_with_recorder(input, sink, &mut stats)?;
         Ok(stats)
     }
 
@@ -499,8 +537,8 @@ impl Engine {
     ///   bracket, so twice per run with `strict` and once without, however
     ///   many skips the run takes);
     /// * composite recorders (the hardware-counter wrapper in `rsq-perf`)
-    ///   observe stage brackets and route decisions the same way, without
-    ///   the engine knowing about them.
+    ///   observe stage brackets the same way, without the engine knowing
+    ///   about them.
     ///
     /// ```
     /// use rsq_engine::{CountSink, Engine, ProfileStats};
@@ -519,6 +557,10 @@ impl Engine {
     /// other hooks, so one recorder may span many runs, and on an error
     /// return the partial work performed before the failure remains in it.
     ///
+    /// Returns the route the run took (DESIGN.md §15), which no recorder
+    /// hook sees: a caller that keeps [`RunStats`] sets
+    /// [`RunStats::route`] from it.
+    ///
     /// # Errors
     ///
     /// As [`try_run`](Self::try_run).
@@ -527,7 +569,7 @@ impl Engine {
         input: &[u8],
         sink: &mut S,
         rec: &mut impl Recorder,
-    ) -> Result<(), RunError> {
+    ) -> Result<Route, RunError> {
         rec.document(input.len());
         if let Some(limit) = self.options.max_document_bytes {
             if input.len() > limit {
@@ -587,7 +629,8 @@ impl Engine {
     /// document's length reaches it at the end of the input — and, with a
     /// `deadline`, aborting with [`RunError::DeadlineExceeded`] if it
     /// passes before the input ends (checked before every read, as
-    /// [`ingest`](Self::ingest) does). Returns the document's length.
+    /// [`ingest`](Self::ingest) does). Returns the document's length and
+    /// the route the run took: the one a slice of the same bytes takes.
     ///
     /// # Errors
     ///
@@ -599,16 +642,16 @@ impl Engine {
         sink: &mut S,
         rec: &mut impl Recorder,
         deadline: Option<Instant>,
-    ) -> Result<usize, RunError> {
+    ) -> Result<(usize, Route), RunError> {
         let mut feed = Feed::document(reader, &self.options, self.simd, deadline);
-        self.run_feed(&mut feed, sink, rec, STREAM_WINDOW)?;
-        Ok(feed.len)
+        let route = self.run_feed(&mut feed, sink, rec, STREAM_WINDOW)?;
+        Ok((feed.len, route))
     }
 
     /// [`try_run_reader_with_recorder`](Self::try_run_reader_with_recorder)
     /// through windows of `window` bytes, with no deadline (a test hook:
     /// small windows put every edge case on a window edge). Returns the
-    /// most bytes the stream's buffer held.
+    /// most bytes the stream's buffer held and the route the run took.
     ///
     /// # Errors
     ///
@@ -620,10 +663,10 @@ impl Engine {
         sink: &mut S,
         rec: &mut impl Recorder,
         window: usize,
-    ) -> Result<usize, RunError> {
+    ) -> Result<(usize, Route), RunError> {
         let mut feed = Feed::document(reader, &self.options, self.simd, None);
-        self.run_feed(&mut feed, sink, rec, window)?;
-        Ok(feed.high_water)
+        let route = self.run_feed(&mut feed, sink, rec, window)?;
+        Ok((feed.high_water, route))
     }
 
     /// Runs the query over the document `feed` reads, then reports the
@@ -635,14 +678,14 @@ impl Engine {
         sink: &mut S,
         rec: &mut impl Recorder,
         window: usize,
-    ) -> Result<(), RunError> {
+    ) -> Result<Route, RunError> {
         let run = self.limited(sink, window, |sink| {
             self.dispatch(Input::Stream(feed, window), sink, rec)
         });
         feed.finish()?;
-        run?;
+        let route = run?;
         rec.document(feed.len);
-        Ok(())
+        Ok(route)
     }
 
     /// Reads a whole document from `reader` with the same protections as
@@ -751,7 +794,7 @@ impl Engine {
         input: &[u8],
         sink: &mut S,
         rec: &mut impl Recorder,
-    ) -> Result<(), RunError> {
+    ) -> Result<Route, RunError> {
         self.limited(sink, 0, |sink| {
             self.dispatch(Input::Slice(input), sink, rec)
         })
@@ -767,14 +810,14 @@ impl Engine {
         &self,
         sink: &mut S,
         look_back: usize,
-        matching: impl FnOnce(&mut LimitSink<'_, S>) -> Result<(), Interrupt>,
-    ) -> Result<(), RunError> {
+        matching: impl FnOnce(&mut LimitSink<'_, S>) -> (Route, Result<(), Interrupt>),
+    ) -> Result<Route, RunError> {
         let mut limited = LimitSink {
-            inner: sink,
+            inner: Some(sink),
             left: self.options.max_matches.unwrap_or(u64::MAX),
             tripped: false,
         };
-        let result = matching(&mut limited);
+        let (route, result) = matching(&mut limited);
         if limited.tripped {
             return Err(RunError::LimitExceeded {
                 kind: LimitKind::Matches,
@@ -783,7 +826,7 @@ impl Engine {
         }
         match result {
             // A sink-initiated stop is a voluntary early exit.
-            Ok(()) | Err(Interrupt::SinkStop) => Ok(()),
+            Ok(()) | Err(Interrupt::SinkStop) => Ok(route),
             Err(Interrupt::Limit(kind)) => Err(RunError::LimitExceeded {
                 kind,
                 limit: self.limit_value(kind),
@@ -813,9 +856,9 @@ impl Engine {
     fn dispatch<S: Sink>(
         &self,
         input: Input<'_>,
-        sink: &mut S,
+        sink: &mut LimitSink<'_, S>,
         rec: &mut impl Recorder,
-    ) -> Result<(), Interrupt> {
+    ) -> (Route, Result<(), Interrupt>) {
         let t = rec.clock();
         let result = self.dispatch_inner(input, sink, rec);
         rec.stage_ns(ProfileStage::Automaton, t);
@@ -828,9 +871,9 @@ impl Engine {
     fn dispatch_inner<S: Sink>(
         &self,
         input: Input<'_>,
-        sink: &mut S,
+        sink: &mut LimitSink<'_, S>,
         rec: &mut impl Recorder,
-    ) -> Result<(), Interrupt> {
+    ) -> (Route, Result<(), Interrupt>) {
         self.simd.dispatch(Run {
             engine: self,
             input,
@@ -859,6 +902,7 @@ impl Engine {
         self.limited(sink, 0, |sink| {
             self.run_on(backend, Input::Slice(input), sink, &mut NoStats)
         })
+        .map(drop)
     }
 
     /// Picks the evaluation strategy and runs it on `backend`.
@@ -867,27 +911,73 @@ impl Engine {
         &self,
         backend: B,
         input: Input<'_>,
-        sink: &mut S,
+        sink: &mut LimitSink<'_, S>,
         rec: &mut impl Recorder,
-    ) -> Result<(), Interrupt> {
+    ) -> (Route, Result<(), Interrupt>) {
         let mut it = match input {
             Input::Slice(bytes) => StructuralIterator::new(bytes, backend),
             Input::Stream(source, window) => {
                 StructuralIterator::from_source(source, window, backend)
             }
         };
+        let route = self.route_of::<B, S>(&mut it);
         // Fold the iterator's classifier counters before propagating an
         // interrupt: an early sink stop maps to `Ok` upstream and must keep
         // its stats.
-        let result = self.walk(&mut it, sink, rec);
+        let result = self.walk(route, &mut it, sink, rec);
         rec.classifier(&it.counters());
-        result
+        (route, result)
     }
 
-    /// Picks the evaluation strategy and runs it over `it`.
+    /// The route a run over `it` takes (DESIGN.md §15): the general one
+    /// unless the fast path is eligible; on an input of at least
+    /// [`PROBE_MIN_INPUT`], the walker only if the general loop over its
+    /// first [`PROBE_BYTES`] delivers [`PROBE_EVENTS_PER_KIB`] — the
+    /// events the walker would save. The probe's matches, limits and
+    /// counters are thrown away; it goes through a sink of the caller's
+    /// type `S` and a [`RunStats`] — a pair the drivers' runs already
+    /// compile — so that it adds no copy of the loop. Out of line: it is
+    /// once per run, and inlined it would copy the root block's
+    /// classification into every entry.
+    #[inline(never)]
+    fn route_of<B: Backend, S: Sink>(&self, it: &mut StructuralIterator<'_, B>) -> Route {
+        if !self.fast_path_eligible() {
+            return Route::General;
+        }
+        let backend = it.backend();
+        let head = if self.probe {
+            it.head(PROBE_MIN_INPUT)
+                .and_then(|head| head.get(..PROBE_BYTES))
+        } else {
+            None
+        };
+        let Some(head) = head else {
+            return self.plan.route;
+        };
+        let mut probe = StructuralIterator::new(head, backend);
+        let mut seekers = main_loop::seekers(self, backend);
+        let mut stats = RunStats::default();
+        let _ = main_loop::run_document(
+            &mut probe,
+            &self.automaton,
+            &self.options,
+            seekers.as_mut_slice(),
+            None,
+            &mut LimitSink::<S>::discarding(),
+            &mut stats,
+        );
+        if stats.events.saturating_mul(1024) >= PROBE_EVENTS_PER_KIB * PROBE_BYTES as u64 {
+            self.plan.route
+        } else {
+            Route::General
+        }
+    }
+
+    /// Runs `route` over `it`.
     #[inline(always)]
     fn walk<B: Backend, S: Sink>(
         &self,
+        route: Route,
         it: &mut StructuralIterator<'_, B>,
         sink: &mut S,
         rec: &mut impl Recorder,
@@ -895,13 +985,12 @@ impl Engine {
         let initial = self.automaton.initial_state();
         let mut seekers = main_loop::seekers(self, it.backend());
         let seekers = seekers.as_mut_slice();
-        if self.fast_path_eligible() {
-            // Compile-time routing (DESIGN.md §15): the query shape is a
-            // field chain or selective path — drive it with memmem-led
-            // direct seeks. Mutually exclusive with the head start by
-            // construction (a waiting initial state is never a plan
-            // step: its fallback loops instead of rejecting).
-            rec.route(self.plan.route);
+        if route != Route::General {
+            // The query shape is selective and the input dense enough for
+            // the walker to pay: drive it with memmem-led direct seeks.
+            // Mutually exclusive with the head start by construction (a
+            // waiting initial state is never a plan step: its fallback
+            // loops instead of rejecting).
             return fast_path::run_fast_path(
                 &self.automaton,
                 &self.plan,
@@ -938,15 +1027,15 @@ impl Engine {
 }
 
 /// One engine run as the [`Task`] [`Engine::dispatch_inner`] dispatches.
-struct Run<'r, 'i, S, R> {
+struct Run<'r, 'i, 's, S: Sink, R> {
     engine: &'r Engine,
     input: Input<'i>,
-    sink: &'r mut S,
+    sink: &'r mut LimitSink<'s, S>,
     rec: &'r mut R,
 }
 
-impl<S: Sink, R: Recorder> Task for Run<'_, '_, S, R> {
-    type Output = Result<(), Interrupt>;
+impl<S: Sink, R: Recorder> Task for Run<'_, '_, '_, S, R> {
+    type Output = (Route, Result<(), Interrupt>);
 
     #[inline(always)]
     fn run<B: Backend>(self, backend: B) -> Self::Output {
@@ -956,11 +1045,22 @@ impl<S: Sink, R: Recorder> Task for Run<'_, '_, S, R> {
 
 /// Wraps the user's sink to enforce `max_matches`, distinguishing the
 /// engine-imposed trip from a voluntary [`SinkFull`] raised by the inner
-/// sink.
+/// sink. Without an inner sink it throws matches away (the probe's).
 struct LimitSink<'a, S: Sink> {
-    inner: &'a mut S,
+    inner: Option<&'a mut S>,
     left: u64,
     tripped: bool,
+}
+
+impl<S: Sink> LimitSink<'_, S> {
+    /// A sink of this type that keeps nothing and never stops a run.
+    fn discarding() -> Self {
+        LimitSink {
+            inner: None,
+            left: u64::MAX,
+            tripped: false,
+        }
+    }
 }
 
 impl<S: Sink> Sink for LimitSink<'_, S> {
@@ -971,7 +1071,9 @@ impl<S: Sink> Sink for LimitSink<'_, S> {
             return Err(SinkFull);
         }
         // The inner sink's own stop propagates without tripping the limit.
-        self.inner.record(pos)?;
+        if let Some(inner) = &mut self.inner {
+            inner.record(pos)?;
+        }
         self.left -= 1;
         Ok(())
     }

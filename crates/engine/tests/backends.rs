@@ -17,7 +17,7 @@ const SMALL: &str = r#"{
 
 const SMALL_QUERIES: &[&str] = &["$..a", "$.a.b", "$..a..b", "$..*", "$.list[1]", "$..a[1]"];
 
-/// Routed (`$.items…` field chains, a selective path) and general
+/// Routed (`$.items…` label chains, a wildcard-mixed path) and general
 /// (descendants, an index, a wildcard tail) queries over [`generated`].
 const GENERATED_QUERIES: &[&str] = &[
     "$.items.*.target.id",

@@ -117,14 +117,14 @@ fn main_loop_stats_count_skips_and_depth() {
 fn fast_path_stats_report_route_and_memmem_counters() {
     use rsq_engine::{Route, RouteChoice};
 
-    // A field chain routes to the fast-path walker: the route is
+    // A label chain routes to the fast-path walker: the route is
     // reported and the direct seeks surface as memmem jumps/declines —
     // previously always zero for non-descendant queries.
     let fast = engine("$.store.book.price", EngineOptions::default());
-    assert_eq!(fast.route(), Route::FieldChain);
+    assert_eq!(fast.route(), Route::Selective);
     let (positions, stats) = positions_with_stats(&fast, RICH);
     assert_eq!(positions.len(), 1);
-    assert_eq!(stats.route, Route::FieldChain);
+    assert_eq!(stats.route, Route::Selective);
     assert!(stats.memmem_jumps > 0, "direct seeks count as jumps");
     // The `"price"` string *value* under `note` sits outside the sought
     // containers, so it is never even a candidate here; declines are

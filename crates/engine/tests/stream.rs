@@ -72,7 +72,7 @@ fn a_long_stream_holds_no_more_than_the_ring() {
     for query in ["$..b", "$.*.a.b", "$[*].pad"] {
         let engine = Engine::from_text(query).unwrap();
         let mut sink = CountSink::new();
-        let held = engine
+        let (held, _) = engine
             .run_reader_windowed(
                 Records::new(records),
                 &mut sink,

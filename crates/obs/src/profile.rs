@@ -384,11 +384,6 @@ impl Recorder for ProfileStats {
     }
 
     #[inline]
-    fn route(&mut self, route: crate::Route) {
-        self.stats.route(route);
-    }
-
-    #[inline]
     fn resume_handoff(&mut self) {
         self.stats.resume_handoff();
     }

@@ -57,7 +57,7 @@ pub struct ServeCounters {
     /// Successfully answered documents by the engine route that ran
     /// them, indexed by [`Route::index`](crate::Route::index) — the
     /// `rsq_route_docs_total{route=...}` series.
-    pub route_docs: [u64; 3],
+    pub route_docs: [u64; 2],
 }
 
 crate::series_rows! {
@@ -81,7 +81,6 @@ crate::series_rows! {
         "io_errors" sum(|c| c.io_errors) => counter rsq_serve_io_errors_total "Connections ended by a non-transient read error." late;
         "backpressure_waits" sum(|c| c.backpressure_waits) => counter rsq_serve_backpressure_waits_total "Reader pauses forced by a full in-flight queue." late;
         "max_inflight" max(|c| c.max_inflight) => gauge rsq_serve_max_inflight "High-water mark of documents in flight at once." late;
-        "route_docs.field_chain" sum_at(|c| c.route_docs, Route::FieldChain) => counter rsq_route_docs_total {route="field_chain"} "Documents answered, by engine route.";
         "route_docs.selective" sum_at(|c| c.route_docs, Route::Selective) => counter rsq_route_docs_total {route="selective"} "Documents answered, by engine route.";
         "route_docs.general" sum_at(|c| c.route_docs, Route::General) => counter rsq_route_docs_total {route="general"} "Documents answered, by engine route.";
     }
@@ -163,8 +162,7 @@ impl fmt::Display for ServeCounters {
         )?;
         write!(
             f,
-            "routes             {} field_chain, {} selective, {} general",
-            self.route_docs(crate::Route::FieldChain),
+            "routes             {} selective, {} general",
             self.route_docs(crate::Route::Selective),
             self.route_docs(crate::Route::General),
         )
@@ -192,7 +190,6 @@ mod tests {
             "backpressure_waits",
             "max_inflight",
             "route_docs",
-            "field_chain",
             "selective",
             "general",
         ] {
@@ -204,18 +201,17 @@ mod tests {
     #[test]
     fn route_docs_count_and_merge() {
         let mut a = ServeCounters::new();
-        a.record_route(crate::Route::FieldChain);
-        a.record_route(crate::Route::FieldChain);
+        a.record_route(crate::Route::Selective);
+        a.record_route(crate::Route::Selective);
         a.record_route(crate::Route::General);
         let mut b = ServeCounters::new();
         b.record_route(crate::Route::Selective);
         let sum = a + b;
-        assert_eq!(sum.route_docs(crate::Route::FieldChain), 2);
-        assert_eq!(sum.route_docs(crate::Route::Selective), 1);
+        assert_eq!(sum.route_docs(crate::Route::Selective), 3);
         assert_eq!(sum.route_docs(crate::Route::General), 1);
         let json = sum.to_json();
         assert!(
-            json.contains("\"route_docs\":{\"field_chain\":2,\"selective\":1,\"general\":1}"),
+            json.contains("\"route_docs\":{\"selective\":3,\"general\":1}"),
             "{json}"
         );
     }

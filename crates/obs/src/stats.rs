@@ -65,22 +65,20 @@ impl BlockStats {
     }
 }
 
-/// The query-shape route the engine chose for a run: which driver
-/// executed the query (see DESIGN.md §15).
+/// The route the engine took for a run: which driver executed the query
+/// (see DESIGN.md §15).
 ///
-/// Routes are decided at compile time from the automaton's shape; the
-/// stats report carries the decision so fast-path work (and fallbacks)
-/// are visible in Tier A. This enum lives in `rsq-obs` (dependency-free)
+/// The query's shape decides which runs may take the fast path, and a
+/// probe of a long input's first bytes whether one does; the stats report
+/// carries the decision so fast-path work (and fallbacks) are visible in
+/// Tier A. This enum lives in `rsq-obs` (dependency-free)
 /// so both `rsq-query` (the analyzer) and the stats plumbing can share
 /// it without cycles — and so future multi-query/sharding layers route
 /// through the same stable seam.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Route {
-    /// Descendant-free label chain (optional interior/trailing
-    /// wildcards): driven by the memmem-led fast path.
-    FieldChain,
-    /// A rare anchor label exists: memmem jumps to its occurrences and
-    /// validates locally.
+    /// Labels and wildcards before any descendant: the memmem-led walker
+    /// seeks each label step's member directly.
     Selective,
     /// Everything else: the general block-classifying main loop.
     #[default]
@@ -90,15 +88,14 @@ pub enum Route {
 impl Route {
     /// All routes, in display order (the label order of
     /// `rsq_route_docs_total`).
-    pub const ALL: [Route; 3] = [Route::FieldChain, Route::Selective, Route::General];
+    pub const ALL: [Route; 2] = [Route::Selective, Route::General];
 
     /// Dense index of this route in per-route arrays (`< ALL.len()`).
     #[must_use]
     pub fn index(self) -> usize {
         match self {
-            Route::FieldChain => 0,
-            Route::Selective => 1,
-            Route::General => 2,
+            Route::Selective => 0,
+            Route::General => 1,
         }
     }
 
@@ -106,7 +103,6 @@ impl Route {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            Route::FieldChain => "field_chain",
             Route::Selective => "selective",
             Route::General => "general",
         }
@@ -116,7 +112,6 @@ impl Route {
     #[must_use]
     pub fn from_str_opt(name: &str) -> Option<Self> {
         match name {
-            "field_chain" => Some(Route::FieldChain),
             "selective" => Some(Route::Selective),
             "general" => Some(Route::General),
             _ => None,
@@ -156,8 +151,10 @@ pub struct SkipStats {
 /// takes the maximum.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// The query-shape route the engine executed (merged reports keep
-    /// the first non-[`Route::General`] route seen).
+    /// The route the run took (merged reports keep the first
+    /// non-[`Route::General`] route seen). The engine returns it rather
+    /// than recording it; the owner of the stats sets it, as
+    /// `Engine::try_run_with_stats` does.
     pub route: Route,
     /// Input bytes processed (document length).
     pub bytes: u64,
@@ -195,9 +192,9 @@ pub struct RunStats {
 
 crate::series_rows! {
     /// Every field, once: its `--stats-json` key, its merge rule and its
-    /// series. Merged runs share one engine, so routes agree; the route
-    /// rule only matters when folding into a default-initialized
-    /// accumulator, which must not mask a fast-path route.
+    /// series. A merged report keeps the walker's route if any run took it
+    /// (runs of one engine differ only where a long input's probe declined
+    /// the walker), so a default-initialized accumulator never masks it.
     impl RunStats, merged {
         "route" keep(|s| Value::Str(s.route.as_str()), |into, from| if into.route == Route::General { into.route = from.route });
         "bytes" sum(|s| s.bytes) => counter rsq_input_bytes_total "Input bytes processed.";
@@ -307,14 +304,6 @@ pub trait Recorder {
     #[inline]
     fn memmem_declines(&mut self, _n: u64) {}
 
-    /// The engine committed to an evaluation route for this run (called
-    /// at most once per run, at dispatch; runs that never call it report
-    /// the default [`Route::General`]).
-    #[inline]
-    fn route(&mut self, route: Route) {
-        let _ = route;
-    }
-
     /// One head-start handoff: a sub-run starts at a composite hit.
     #[inline]
     fn resume_handoff(&mut self) {}
@@ -410,11 +399,6 @@ impl Recorder for RunStats {
     #[inline]
     fn memmem_declines(&mut self, n: u64) {
         self.memmem_declined = self.memmem_declined.saturating_add(n);
-    }
-
-    #[inline]
-    fn route(&mut self, route: Route) {
-        self.route = route;
     }
 
     #[inline]

@@ -74,8 +74,9 @@ impl WindowRing {
 
     /// Records one finished document into second `tick`: its
     /// admission-to-completion latency, its size on the wire, whether it
-    /// failed, the worker time it consumed, and (when known) the engine
-    /// route that ran it.
+    /// failed, the worker time it consumed, and the engine route that
+    /// answered it (`None` for a failed document, which counts in no
+    /// route).
     pub fn record(
         &mut self,
         tick: u64,
@@ -139,9 +140,9 @@ pub struct WindowSnapshot {
     pub errors: u64,
     /// Worker nanoseconds consumed by those documents.
     pub busy_ns: u64,
-    /// Documents by engine route, indexed by
+    /// Answered documents by engine route, indexed by
     /// [`Route::index`](crate::Route::index).
-    pub route_docs: [u64; 3],
+    pub route_docs: [u64; 2],
     /// Worker threads `rsq_window_worker_busy_fraction` is taken over:
     /// the hub fills it in before rendering (0 reads as one worker).
     pub workers: u64,
@@ -164,9 +165,8 @@ crate::series_rows! {
         "bytes_per_sec" calc(|w| Value::F64(w.bytes_per_sec(), 2, 1)) => gauge rsq_window_bytes_per_sec "Input byte rate over the rolling window.";
         "busy_ns" sum(|w| w.busy_ns);
         "" calc(|w| Value::F64(w.busy_fraction(w.workers.max(1)), 4, 4)) => gauge rsq_window_worker_busy_fraction "Fraction of worker-seconds spent running documents over the rolling window.";
-        "route_docs.field_chain" sum_at(|w| w.route_docs, Route::FieldChain) => gauge rsq_window_route_docs {route="field_chain"} "Documents by engine route inside the rolling window.";
-        "route_docs.selective" sum_at(|w| w.route_docs, Route::Selective) => gauge rsq_window_route_docs {route="selective"} "Documents by engine route inside the rolling window.";
-        "route_docs.general" sum_at(|w| w.route_docs, Route::General) => gauge rsq_window_route_docs {route="general"} "Documents by engine route inside the rolling window.";
+        "route_docs.selective" sum_at(|w| w.route_docs, Route::Selective) => gauge rsq_window_route_docs {route="selective"} "Answered documents by engine route inside the rolling window.";
+        "route_docs.general" sum_at(|w| w.route_docs, Route::General) => gauge rsq_window_route_docs {route="general"} "Answered documents by engine route inside the rolling window.";
         "latency" keep(|w| Value::Histogram(&w.latency), |into, from| into.latency += &from.latency) => gauge rsq_window_latency_ns "Document latency quantiles over the rolling window (log2-bucket resolution).";
     }
 }
@@ -238,7 +238,7 @@ mod tests {
     fn window_merges_only_live_ticks() {
         let mut ring = WindowRing::new();
         for tick in 0..5u64 {
-            ring.record(tick, 1000, 100, false, 500, Some(crate::Route::FieldChain));
+            ring.record(tick, 1000, 100, false, 500, Some(crate::Route::Selective));
             ring.record(tick, 3000, 100, tick == 4, 500, None);
         }
         let last3 = ring.window(4, 3);

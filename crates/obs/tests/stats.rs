@@ -104,11 +104,7 @@ fn add_assign_merges_chunked_runs() {
 fn route_merge_keeps_fast_path_visible() {
     use rsq_obs::Route;
     assert_eq!(Route::default(), Route::General);
-    for (name, route) in [
-        ("field_chain", Route::FieldChain),
-        ("selective", Route::Selective),
-        ("general", Route::General),
-    ] {
+    for (name, route) in [("selective", Route::Selective), ("general", Route::General)] {
         assert_eq!(route.as_str(), name);
         assert_eq!(Route::from_str_opt(name), Some(route));
     }
@@ -118,14 +114,14 @@ fn route_merge_keeps_fast_path_visible() {
     // must not reset the route to `general`.
     let mut acc = RunStats::default();
     let doc = RunStats {
-        route: Route::FieldChain,
+        route: Route::Selective,
         bytes: 10,
         ..RunStats::default()
     };
     acc += doc;
-    assert_eq!(acc.route, Route::FieldChain);
+    assert_eq!(acc.route, Route::Selective);
     acc += RunStats::default();
-    assert_eq!(acc.route, Route::FieldChain, "later general docs keep it");
+    assert_eq!(acc.route, Route::Selective, "later general docs keep it");
 }
 
 #[test]

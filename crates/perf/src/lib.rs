@@ -661,11 +661,6 @@ impl<R: Recorder, C: ReadCounters> Recorder for PerfRecorder<'_, R, C> {
     }
 
     #[inline]
-    fn route(&mut self, route: rsq_obs::Route) {
-        self.inner.route(route);
-    }
-
-    #[inline]
     fn resume_handoff(&mut self) {
         self.inner.resume_handoff();
     }
@@ -1127,7 +1122,6 @@ mod tests {
             rec.memmem_declines(1);
             rec.resume_handoff();
             rec.depth(7);
-            rec.route(rsq_obs::Route::FieldChain);
             rec.classifier(&rsq_obs::ClassifierCounters {
                 blocks_quote: 3,
                 ..rsq_obs::ClassifierCounters::default()
@@ -1143,7 +1137,6 @@ mod tests {
         assert_eq!(inner.memmem_declined, 1);
         assert_eq!(inner.resume_handoffs, 1);
         assert_eq!(inner.max_depth, 7);
-        assert_eq!(inner.route, rsq_obs::Route::FieldChain);
         assert_eq!(inner.blocks.quote, 3);
     }
 

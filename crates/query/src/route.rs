@@ -23,10 +23,11 @@
 //! labels, …); everything from there on — the *tail* — is handled by the
 //! general `main_loop` as a sub-run, so results stay byte-identical with
 //! the general route by construction. The resulting [`RoutePlan`] is
-//! labelled with a [`Route`]: `FieldChain` when every step is a label
-//! step, `Selective` when labels and wildcards mix, and `General` when no
-//! label step exists (the fast path is then not worth entering and the
-//! plan must not be executed).
+//! labelled with a [`Route`]: `Selective` when a label step exists, and
+//! `General` when none does (the fast path is then not worth entering
+//! and the plan must not be executed). Whether a run of a selective plan
+//! takes the walker is the engine's call, made per input (DESIGN.md
+//! §15).
 
 use crate::automaton::{Automaton, StateId};
 pub use rsq_obs::Route;
@@ -161,13 +162,10 @@ impl RoutePlan {
                 || a.explicit_index_transitions(state)
                     .any(|(_, t)| !a.is_rejecting(t)));
 
-        let has_label = steps.iter().any(|s| matches!(s, PlanStep::Label { .. }));
-        let route = if !has_label {
-            Route::General
-        } else if steps.iter().all(|s| matches!(s, PlanStep::Label { .. })) {
-            Route::FieldChain
-        } else {
+        let route = if steps.iter().any(|s| matches!(s, PlanStep::Label { .. })) {
             Route::Selective
+        } else {
+            Route::General
         };
 
         RoutePlan {
@@ -218,9 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn pure_chain_is_field_chain() {
+    fn pure_chain_is_selective() {
         let p = plan("$.a.b.c");
-        assert_eq!(p.route, Route::FieldChain);
+        assert_eq!(p.route, Route::Selective);
         assert_eq!(shape("$.a.b.c"), r#"L("a") L("b") L("c")"#);
         assert!(p.tail_accepting, "final value is the match");
         assert!(!p.tail_run, "nothing below the match can match");
@@ -281,7 +279,7 @@ mod tests {
         // The fast prefix composes with a descendant tail: the walk stops
         // at the descendant state and `tail_run` hands it to main_loop.
         let p = plan("$.a.b..c");
-        assert_eq!(p.route, Route::FieldChain);
+        assert_eq!(p.route, Route::Selective);
         assert_eq!(shape("$.a.b..c"), r#"L("a") L("b")"#);
         assert!(!p.tail_accepting);
         assert!(p.tail_run);
@@ -293,7 +291,7 @@ mod tests {
         // the state cannot be a step.
         let p = plan("$.a[0].b");
         assert_eq!(shape("$.a[0].b"), r#"L("a")"#);
-        assert_eq!(p.route, Route::FieldChain);
+        assert_eq!(p.route, Route::Selective);
         assert!(p.tail_run);
     }
 

@@ -65,7 +65,7 @@ pub use telemetry::Telemetry;
 use pool::Pool;
 use rsq_batch::{DocError, DocErrorKind, DocRunner, DocSink, Frame, NdjsonFramer, Record};
 use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
-use rsq_obs::{Histogram, Route, ServeCounters};
+use rsq_obs::{Histogram, ServeCounters};
 use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use std::io::{self, Read, Write};
@@ -234,7 +234,9 @@ pub fn render(
 ) -> io::Result<()> {
     match mode {
         ResponseMode::Count => writeln!(out, "{count}"),
-        ResponseMode::Positions => positions.iter().try_for_each(|p| writeln!(out, "{p}")),
+        ResponseMode::Positions => positions
+            .iter()
+            .try_for_each(|&p| out.write_all(decimal_line(p, &mut [0; DECIMAL_LINE]))),
         // Raw passthrough (DESIGN.md §15): the matched spans are the
         // document's own bytes, written once with no per-match UTF-8
         // validation or formatting. Unterminated spans (truncated input)
@@ -251,6 +253,28 @@ pub fn render(
             out.write_all(b"\n")
         }),
     }
+}
+
+/// The longest [`decimal_line`]: `usize::MAX`'s 20 digits and the newline.
+const DECIMAL_LINE: usize = 21;
+
+/// `n` in decimal and a newline, formatted into the end of `buf` — what
+/// `writeln!` writes, without its formatting machinery per line.
+fn decimal_line(mut n: usize, buf: &mut [u8; DECIMAL_LINE]) -> &[u8] {
+    let mut len = 1;
+    let mut bytes = buf.iter_mut().rev();
+    if let Some(newline) = bytes.next() {
+        *newline = b'\n';
+    }
+    for digit in bytes {
+        *digit = b'0' + (n % 10) as u8;
+        len += 1;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.get(DECIMAL_LINE - len..).unwrap_or_default()
 }
 
 /// The [`ServeCounters`] field a response is counted in.
@@ -284,8 +308,6 @@ struct Emitter<W, E> {
     err: E,
     mode: ResponseMode,
     telemetry: Option<Arc<Telemetry>>,
-    /// The compiled query's route, which ran every document.
-    route: Route,
     /// The lines rendered but not yet written, all bound for one stream.
     lines: Vec<u8>,
     report: ServeReport,
@@ -311,11 +333,14 @@ impl<W: Write, E: Write> Emitter<W, E> {
             }
             let tally = resp.tally();
             *tally(&mut self.report.counters) += 1;
+            if let Some(route) = resp.route {
+                self.report.counters.record_route(route);
+            }
             if !resp.framer_rejected {
                 self.report.latency.record(resp.latency_ns);
             }
             if let Some(t) = &self.telemetry {
-                t.record_doc(tally, resp, self.route);
+                t.record_doc(tally, resp);
             }
             match &resp.result {
                 Ok(matches) => {
@@ -382,7 +407,8 @@ impl<T: pool::Emit> Worker<'_, T> {
             .run_doc(self.engine, &job.doc, &mut sink, Record::Nothing, sampled);
         let resp = pool::Response {
             doc: Vec::new(),
-            result: run.map(|()| sink.into_matches()),
+            route: run.as_ref().ok().copied(),
+            result: run.map(|_| sink.into_matches()),
             latency_ns: nanos_since(job.admitted),
             framer_rejected: false,
             bytes: job.doc.len() as u64,
@@ -478,7 +504,6 @@ where
         err,
         mode: options.mode,
         telemetry: telemetry.cloned(),
-        route: engine.route(),
         lines: Vec::new(),
         report: ServeReport::default(),
     };
@@ -595,14 +620,6 @@ where
     let counters = &mut report.counters;
     *counters += connection;
     counters.documents = documents;
-    // The route is a static property of the compiled query, so every
-    // successfully answered document took the same one.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "Route::index is < the per-route array length (one slot per route)"
-    )]
-    let route_docs = &mut counters.route_docs[engine.route().index()];
-    *route_docs = counters.responses_ok;
     report.clean &= !disconnected && !lost;
     report.perf = (perf.docs > 0).then_some(perf);
 
@@ -797,7 +814,6 @@ mod tests {
             err: Recorder::new((), "err", &log),
             mode: ResponseMode::Count,
             telemetry: None,
-            route: Route::General,
             lines: Vec::new(),
             report: ServeReport::default(),
         };
@@ -808,6 +824,7 @@ mod tests {
             framer_rejected: false,
             bytes: 0,
             busy_ns: 0,
+            route: None,
         };
         let too_many = || {
             Err(DocError::from_run(&RunError::LimitExceeded {
@@ -1024,6 +1041,14 @@ mod tests {
                 "{deadline:?}: {text}"
             );
             assert_eq!(report.latency.count(), 5, "all but the oversize line ran");
+        }
+    }
+
+    #[test]
+    fn decimal_lines_are_what_writeln_writes() {
+        for n in [0, 9, 10, 99, 100, u32::MAX as usize, usize::MAX] {
+            let line = decimal_line(n, &mut [0; DECIMAL_LINE]).to_vec();
+            assert_eq!(line, format!("{n}\n").into_bytes(), "{n}");
         }
     }
 

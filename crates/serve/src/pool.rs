@@ -29,6 +29,7 @@
 use crate::telemetry::Telemetry;
 use crate::ResponseMode;
 use rsq_batch::{DocBuffers, DocError, Matches};
+use rsq_obs::Route;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -64,6 +65,8 @@ pub(crate) struct Response {
     /// The worker's run time: measured only with a telemetry hub, whose
     /// window reports it as busy time; else 0.
     pub(crate) busy_ns: u64,
+    /// The route the document's run took; `None` when it failed.
+    pub(crate) route: Option<Route>,
 }
 
 /// The emitter role: the connection's response writers.
@@ -255,6 +258,7 @@ impl<T: Emit> Pool<T> {
             framer_rejected: true,
             bytes: 0,
             busy_ns: 0,
+            route: None,
         };
         state.done.insert(seq, response);
         if let Some(t) = self.telemetry.as_deref() {
@@ -445,6 +449,7 @@ mod tests {
             framer_rejected: false,
             bytes: 0,
             busy_ns: 0,
+            route: Some(Route::General),
         }
     }
 

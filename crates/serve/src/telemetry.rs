@@ -32,7 +32,7 @@ use crate::pool::Response;
 use crate::Tally;
 use rsq_obs::expo::Exposition;
 use rsq_obs::series::{JsonObject, Value};
-use rsq_obs::{Histogram, Route, ServeCounters, TelemetryGauges, WindowRing, WindowSnapshot};
+use rsq_obs::{Histogram, ServeCounters, TelemetryGauges, WindowRing, WindowSnapshot};
 use rsq_perf::PerfStats;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -143,7 +143,7 @@ impl Telemetry {
     /// document a worker ran also lands in the latency histogram and the
     /// rolling window; a framer-rejected (oversize) line never visited a
     /// worker, so it counts without a latency sample.
-    pub(crate) fn record_doc(&self, tally: Tally, resp: &Response, route: Route) {
+    pub(crate) fn record_doc(&self, tally: Tally, resp: &Response) {
         let tick = self.tick();
         #[expect(
             clippy::unwrap_used,
@@ -157,7 +157,7 @@ impl Telemetry {
         if resp.framer_rejected {
             return;
         }
-        if resp.result.is_ok() {
+        if let Some(route) = resp.route {
             counters.record_route(route);
         }
         state.latency.record(resp.latency_ns);
@@ -167,7 +167,7 @@ impl Telemetry {
             resp.bytes,
             resp.result.is_err(),
             resp.busy_ns,
-            Some(route),
+            resp.route,
         );
     }
 
@@ -377,6 +377,7 @@ mod tests {
     use super::*;
     use rsq_batch::{DocError, Matches};
     use rsq_engine::{LimitKind, RunError};
+    use rsq_obs::Route;
 
     /// A worker-run response of `bytes` bytes: answered, or failed with
     /// `err`.
@@ -388,12 +389,20 @@ mod tests {
             framer_rejected: false,
             bytes,
             busy_ns: 1_000,
+            route: None,
         }
     }
 
-    /// Feeds `resp` to the hub the way the emitter does.
+    /// Feeds `resp` to the hub the way the emitter does, an answered one
+    /// as having taken `route`.
     fn record(hub: &Telemetry, resp: &Response, route: Route) {
-        hub.record_doc(resp.tally(), resp, route);
+        let resp = Response {
+            route: resp.result.is_ok().then_some(route),
+            doc: Vec::new(),
+            result: resp.result.clone(),
+            ..*resp
+        };
+        hub.record_doc(resp.tally(), &resp);
     }
 
     #[test]
@@ -439,18 +448,18 @@ mod tests {
     #[test]
     fn routed_documents_feed_route_series_and_windows() {
         let hub = Telemetry::new();
-        record(&hub, &response(100, None), Route::FieldChain);
-        // A failed document's route never counts as answered.
+        record(&hub, &response(100, None), Route::Selective);
+        // A failed document took no route.
         let failed = response(100, Some(RunError::DeadlineExceeded));
-        record(&hub, &failed, Route::FieldChain);
+        record(&hub, &failed, Route::Selective);
         let text = hub.render_metrics();
         rsq_obs::expo::check(&text).expect("exposition with route series passes the lint");
         assert!(
-            text.contains("rsq_route_docs_total{route=\"field_chain\"} 1"),
+            text.contains("rsq_route_docs_total{route=\"selective\"} 1"),
             "{text}"
         );
         assert!(
-            text.contains("rsq_window_route_docs{window=\"10s\",route=\"field_chain\"} 2"),
+            text.contains("rsq_window_route_docs{window=\"10s\",route=\"selective\"} 1"),
             "{text}"
         );
     }

@@ -132,7 +132,7 @@ fn serve_counters() -> ServeCounters {
         io_errors: 6,
         backpressure_waits: 7,
         max_inflight: 8,
-        route_docs: [6, 3, 11],
+        route_docs: [3, 11],
     }
 }
 
@@ -161,14 +161,16 @@ fn perf_stats(core_only: bool) -> PerfStats {
 fn telemetry() -> (WindowRing, TelemetryGauges) {
     let mut ring = WindowRing::new();
     for tick in 8..70 {
-        let route = [Route::FieldChain, Route::Selective, Route::General][tick as usize % 3];
+        // Every third document reports no route: the ticks a third
+        // route once took.
+        let route = [None, Some(Route::Selective), Some(Route::General)][tick as usize % 3];
         ring.record(
             tick,
             1_000 << (tick % 11),
             1024,
             tick % 7 == 0,
             150_000_000,
-            (tick % 5 != 0).then_some(route),
+            route.filter(|_| tick % 5 != 0),
         );
     }
     let gauges = TelemetryGauges {

@@ -184,7 +184,7 @@ fn run_stats_merge_by_their_rows() {
         route,
         ..RunStats::default()
     };
-    let sum = RunStats::default() + routed(Route::Selective) + routed(Route::FieldChain);
+    let sum = RunStats::default() + routed(Route::Selective) + routed(Route::General);
     assert_eq!(sum.route, Route::Selective);
     assert_eq!((sum + routed(Route::General)).route, Route::Selective);
 }
