@@ -7,12 +7,12 @@
 //! profile in a [`PerfRecorder`], catches a panic at the document
 //! boundary, and maps [`RunError`] onto [`DocError`]. What varies between
 //! the drivers is an argument — the [`Record`], and whether the document
-//! is a slice or streams from a reader ([`DocRunner::run_reader`]) — not
-//! a code path.
+//! is a slice or streams in while it runs ([`DocRunner::run_stream`]) —
+//! not a code path.
 
 use crate::{DocError, DocErrorKind};
 use rsq_engine::{
-    Engine, NoStats, ProfileStats, Recorder, Route, RunError, RunStats, Sink, SinkFull,
+    Engine, NoStats, ProfileStats, Recorder, Route, RunError, RunStats, Sink, SinkFull, Streamed,
 };
 use rsq_perf::{CounterGroup, CounterSet, PerfMode, PerfRecorder, PerfStats};
 use std::io::Read;
@@ -220,29 +220,29 @@ impl DocRunner {
         self.contained(engine, Doc::Slice(doc), sink, record, sample)
     }
 
-    /// [`run`](Self::run) over a document streamed from `reader`
-    /// ([`Engine::try_run_reader_with_recorder`]: bounded memory, the
-    /// input checked as it arrives and to its end, the `deadline` before
-    /// every read). The reader is a trait object, so that the engine's
-    /// loops are compiled here, once, for both ways in.
+    /// [`run`](Self::run) over a document that streams in while it runs
+    /// (bounded memory, the input checked as it arrives and to its end,
+    /// the `deadline` before every read). The reader is a trait object,
+    /// so that the engine's loops are compiled here, once, for every way
+    /// in.
     ///
     /// # Errors
     ///
-    /// As [`run`](Self::run), plus the reader's failures.
-    pub fn run_reader(
+    /// As [`run`](Self::run), plus the input's failures.
+    pub fn run_stream<'d>(
         &mut self,
         engine: &Engine,
-        reader: &mut dyn Read,
+        doc: Streamed<'d, &'d mut dyn Read>,
         deadline: Option<Instant>,
         sink: &mut DocSink,
         record: Record<'_>,
         sample: bool,
     ) -> Result<Route, DocError> {
-        self.contained(engine, Doc::Reader(reader, deadline), sink, record, sample)
+        self.contained(engine, Doc::Stream(doc, deadline), sink, record, sample)
     }
 
     /// The one body of [`run`](Self::run) and
-    /// [`run_reader`](Self::run_reader).
+    /// [`run_stream`](Self::run_stream).
     fn contained<S: Sink>(
         &mut self,
         engine: &Engine,
@@ -326,11 +326,11 @@ impl DocRunner {
     }
 }
 
-/// A document as [`DocRunner`] runs it: one slice, or streamed from a
-/// reader (with the deadline its reads are held to).
+/// A document as [`DocRunner`] runs it: one slice, or streamed (with the
+/// deadline its reads are held to).
 enum Doc<'d> {
     Slice(&'d [u8]),
-    Reader(&'d mut dyn Read, Option<Instant>),
+    Stream(Streamed<'d, &'d mut dyn Read>, Option<Instant>),
 }
 
 impl Doc<'_> {
@@ -346,8 +346,11 @@ impl Doc<'_> {
             Doc::Slice(doc) => engine
                 .try_run_with_recorder(doc, sink, rec)
                 .map(|route| (doc.len(), route)),
-            Doc::Reader(reader, deadline) => {
+            Doc::Stream(Streamed::Reader(reader), deadline) => {
                 engine.try_run_reader_with_recorder(reader, sink, rec, deadline)
+            }
+            Doc::Stream(Streamed::Mapped { file, start, len }, deadline) => {
+                engine.try_run_mapped_with_recorder(file, start, len, sink, rec, deadline)
             }
         }
     }

@@ -21,7 +21,7 @@
 
 use crate::depth::{low_bits, scan_block};
 use crate::quotes::QuoteState;
-use crate::stream::{is_ws, Refill, Stream};
+use crate::stream::{is_ws, Bytes, Source, Stream};
 use crate::structural::StructuralTables;
 use rsq_obs::ClassifierCounters;
 use rsq_simd::{Backend, Block, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_BLOCKS, SUPERBLOCK_SIZE};
@@ -140,27 +140,6 @@ impl CurrentBlock {
     }
 }
 
-/// The bytes a [`BlockCursor`] holds: all of a slice, or a streamed
-/// input's window, owned. The slice is the one-window case — the whole
-/// input, never refilled — so the pipeline is compiled once for both
-/// (DESIGN.md §7). Either is a pointer and a length in the same place,
-/// so reading the window does not branch on which it is.
-#[derive(Debug)]
-enum Bytes<'a> {
-    Slice(&'a [u8]),
-    Window(Box<[u8]>),
-}
-
-impl Bytes<'_> {
-    #[inline(always)]
-    fn window(&self) -> &[u8] {
-        match self {
-            Bytes::Slice(input) => input,
-            Bytes::Window(window) => window,
-        }
-    }
-}
-
 /// Walks the input in 64-byte blocks, running the quote classifier over
 /// each exactly once. This is the shared lower layer of the
 /// multi-classifier pipeline (§4.5): both the structural iterator and the
@@ -248,11 +227,8 @@ impl<'a, B: Backend> BlockCursor<'a, B> {
     fn fetch(&mut self, hold: usize, need: usize) -> bool {
         let keep = hold.min(self.next_block);
         if let Some(stream) = &mut self.stream {
-            if let Bytes::Window(held) = std::mem::replace(&mut self.bytes, Bytes::Slice(&[])) {
-                let (window, base) = stream.fetch(held, self.base, keep, need);
-                self.bytes = Bytes::Window(window);
-                self.base = base;
-            }
+            let held = std::mem::replace(&mut self.bytes, Bytes::Slice(&[]));
+            (self.bytes, self.base) = stream.fetch(held, self.base, keep, need);
         }
         self.end() >= need
     }
@@ -422,16 +398,12 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
 
     /// Creates an iterator over a document that arrives from `source`,
     /// held in a ring of four `window`-byte windows (see
-    /// [`crate::Refill`]). Positions are offsets into the whole document,
+    /// [`crate::Source`]). Positions are offsets into the whole document,
     /// as for a slice.
     #[must_use]
-    pub fn from_source(source: &'a mut dyn Refill, window: usize, backend: B) -> Self {
+    pub fn from_source(source: Source<'a>, window: usize, backend: B) -> Self {
         let stream = Box::new(Stream::new(source, window));
-        Self::over(BlockCursor::new(
-            Bytes::Window(Box::default()),
-            Some(stream),
-            backend,
-        ))
+        Self::over(BlockCursor::new(Bytes::Slice(&[]), Some(stream), backend))
     }
 
     #[inline(always)]

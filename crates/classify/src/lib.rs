@@ -66,6 +66,6 @@ pub use pipeline::{LineScanner, QuoteScan};
 pub use quotes::{classify_quotes, QuoteClassification, QuoteState};
 pub use rsq_obs::ClassifierCounters;
 pub use seek::{LabelSeeker, Member, Seek, SeekScope};
-pub use stream::Refill;
+pub use stream::{Pages, Refill, Source};
 pub use structural::StructuralTables;
 pub use validate::{StructuralValidator, ValidationError, ValidationErrorKind};

@@ -24,9 +24,9 @@
 
 use rsq_batch::{BatchEngine, BatchOptions, DocError, DocErrorKind, DocRunner, DocSink, Record};
 use rsq_engine::{
-    Engine, EngineOptions, LimitKind, ProfileStage, ProfileStats, RunError, RunStats,
+    Engine, EngineOptions, LimitKind, ProfileStage, ProfileStats, RunError, RunStats, Streamed,
 };
-use rsq_mmap::{MapPolicy, MmapInput, Region};
+use rsq_mmap::{MapPolicy, Mapping, MmapInput, Region};
 use rsq_obs::expo::Exposition;
 use rsq_obs::series::{JsonObject, Value};
 use rsq_obs::{
@@ -79,10 +79,11 @@ options:
                       enabled) to PATH as Prometheus-style text
                       exposition
   --mmap auto|on|off  zero-copy input: map FILE (and the --batch-ndjson
-                      file and --batch-dir files) into memory instead of
-                      copying through a read loop; auto (the default)
-                      maps files of at least 1 MiB, off always reads
-                      (as stdin does; results are identical either way)
+                      file and --batch-dir files, and stdin redirected
+                      from a file under --count and --positions) into
+                      memory instead of copying through a read loop;
+                      auto (the default) maps files of at least 1 MiB,
+                      off always reads (results are identical either way)
 
 batch mode (many documents, sharded across threads; output is printed
 in input order, byte-identical to looping rsq over each document):
@@ -134,10 +135,11 @@ exit codes: 0 ok, 1 failure, 2 usage, 3 bad query, 4 I/O error,
 
 reads from stdin when FILE is omitted (chunked; limits apply while
 bytes arrive). --count and --positions stream stdin and any FILE that
-is not mapped in bounded memory (a ring of four 1 MiB windows); the
-default mode, --verify and --profile read such a document whole first.
-Either way nothing is printed before the whole input has been read and
-checked";
+is not mapped in bounded memory (a ring of four 1 MiB windows; stdin
+redirected from a file that --mmap maps is walked from its offset
+through windows mapped one at a time); the default mode, --verify and
+--profile read such a document whole first. Either way nothing is
+printed before the whole input has been read and checked";
 
 /// How serve mode talks to its clients.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -548,11 +550,16 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Stri
         .map_err(|_| format!("{flag}: invalid number {value:?}"))
 }
 
-/// Where a single document comes from: a mapping, or a reader.
+/// Where a single document comes from: a mapping, a file walked through
+/// mapped windows, or a reader.
 enum Document {
     /// A file mapped into memory (zero-copy: the engine reads the page
     /// cache directly).
     Mapped(MmapInput),
+    /// Stdin redirected from a regular file, streamed through windows
+    /// mapped from its offset: the file, the offset and the length after
+    /// it.
+    Pages(std::fs::File, u64, usize),
     /// Stdin, or a file that is not mapped (small, unmappable, or
     /// `--mmap off`), with the name its failures are reported under.
     Read(String, Box<dyn Read>),
@@ -561,11 +568,21 @@ enum Document {
 /// Opens the document. File inputs are memory-mapped when the `--mmap`
 /// policy allows; the size limit is checked up front on that path, since
 /// mapping a too-large file and then refusing it would waste nothing but
-/// also prove nothing. Everything else is read through the engine's
-/// hardened input loop: reads in place, transient-error retry, limits and
-/// validation enforced while bytes arrive.
-fn open_input(invocation: &Invocation) -> Result<Document, CliError> {
+/// also prove nothing. A run that `streams` maps stdin too, window by
+/// window, when it is a regular file the policy maps. Everything else is
+/// read through the engine's hardened input loop: reads in place,
+/// transient-error retry, limits and validation enforced while bytes
+/// arrive.
+fn open_input(invocation: &Invocation, streams: bool) -> Result<Document, CliError> {
     let Some(path) = invocation.file.as_deref() else {
+        let stdin = || {
+            use std::os::fd::AsFd;
+            let fd = std::io::stdin().as_fd().try_clone_to_owned().ok()?;
+            file_pages(fd.into(), invocation.mmap)
+        };
+        if let Some((file, start, len)) = streams.then(stdin).flatten() {
+            return Ok(Document::Pages(file, start, len));
+        }
         return Ok(Document::Read(
             "stdin".to_owned(),
             Box::new(std::io::stdin().lock()),
@@ -586,6 +603,27 @@ fn open_input(invocation: &Invocation) -> Result<Document, CliError> {
     let file = std::fs::File::open(path)
         .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot read {path}: {e}")))?;
     Ok(Document::Read(path.to_owned(), Box::new(file)))
+}
+
+/// An open file (stdin's descriptor, duplicated) as a document to map
+/// window by window, when `fstat` shows a regular file and `policy` maps
+/// the bytes after its offset: the file, the offset and the length after
+/// it. The offset, which a duplicate shares, is moved to the end, where
+/// reading the file would leave it. `None`, for the read loop, for
+/// anything else — and for a descriptor that cannot be mapped (one not
+/// open for reading, a filesystem without `mmap`).
+fn file_pages(mut file: std::fs::File, policy: MapPolicy) -> Option<(std::fs::File, u64, usize)> {
+    use std::io::{Seek, SeekFrom};
+    let size = file
+        .metadata()
+        .ok()
+        .filter(std::fs::Metadata::is_file)?
+        .len();
+    let start = file.stream_position().ok()?;
+    let len = size.checked_sub(start).filter(|&len| policy.maps(len))?;
+    Mapping::of_file(&file, start, 1).ok()?;
+    file.seek(SeekFrom::Start(size)).ok()?;
+    Some((file, start, usize::try_from(len).ok()?))
 }
 
 /// A document's failure as the CLI reports it: one of the input — the
@@ -856,11 +894,23 @@ fn run_document(
 
     let t_ingest = invocation.profile.then(Instant::now);
     let mut ingest_ns = None;
-    let input = match open_input(invocation)? {
+    let input = match open_input(invocation, streams)? {
         Document::Read(name, mut reader) if streams => {
+            let doc = Streamed::Reader(&mut *reader as &mut dyn Read);
             runner
-                .run_reader(&engine, &mut reader, deadline, &mut sink, record, true)
+                .run_stream(&engine, doc, deadline, &mut sink, record, true)
                 .map_err(|e| input_error(&name, e))?;
+            MmapInput::from_vec(Vec::new())
+        }
+        Document::Pages(file, start, len) => {
+            let doc = Streamed::Mapped {
+                file: &file,
+                start,
+                len,
+            };
+            runner
+                .run_stream(&engine, doc, deadline, &mut sink, record, true)
+                .map_err(|e| input_error("stdin", e))?;
             MmapInput::from_vec(Vec::new())
         }
         Document::Read(name, reader) => {
@@ -1309,6 +1359,41 @@ mod tests {
                 assert_eq!(mapped, buffered, "mode {mode:?}");
             }
         });
+    }
+
+    /// Stdin is mapped only when it is a regular file with bytes after its
+    /// offset that the policy maps: from the offset, which is left at the
+    /// end. Everything else goes to the read loop untouched.
+    #[test]
+    fn stdin_maps_only_regular_files_the_policy_admits() {
+        use std::io::{Seek, SeekFrom};
+        let big = vec![b' '; rsq_mmap::AUTO_THRESHOLD as usize + 100];
+        with_temp_file(std::str::from_utf8(&big).unwrap(), |path| {
+            let open = |at| {
+                let mut file = std::fs::File::open(path).unwrap();
+                file.seek(SeekFrom::Start(at)).unwrap();
+                file
+            };
+            let (mut file, start, len) = file_pages(open(99), MapPolicy::Auto).unwrap();
+            assert_eq!((start, len), (99, big.len() - 99));
+            assert_eq!(file.stream_position().unwrap(), big.len() as u64);
+            // Under the threshold from the offset, past the end, or off.
+            assert!(file_pages(open(101), MapPolicy::Auto).is_none());
+            assert!(file_pages(open(big.len() as u64 + 1), MapPolicy::On).is_none());
+            assert!(file_pages(open(0), MapPolicy::Off).is_none());
+            let mut file = open(big.len() as u64 - 1);
+            assert!(file_pages(file.try_clone().unwrap(), MapPolicy::On).is_some());
+            assert_eq!(file.stream_position().unwrap(), big.len() as u64);
+        });
+        with_temp_file("", |path| {
+            let empty = std::fs::File::open(path).unwrap();
+            assert!(file_pages(empty, MapPolicy::On).is_none());
+        });
+        let null = std::fs::File::open("/dev/null").unwrap();
+        assert!(file_pages(null, MapPolicy::On).is_none());
+        let (reader, _writer) = std::io::pipe().unwrap();
+        let pipe = std::fs::File::from(std::os::fd::OwnedFd::from(reader));
+        assert!(file_pages(pipe, MapPolicy::On).is_none());
     }
 
     /// An oversized file is rejected with the Limit class whether or not

@@ -430,13 +430,94 @@ fn stdin_failures_keep_their_order_while_streaming() {
         ),
     ];
     for (args, doc, code, message) in cases {
-        let out = rsq(args, Some(&doc));
-        assert_eq!(out.status.code(), Some(code), "{args:?}: {}", stderr(&out));
-        assert_eq!(stderr(&out), message, "{args:?}");
-        assert_eq!(
-            stdout(&out),
-            "",
-            "{args:?}: nothing is printed before the end"
-        );
+        // Through a pipe, and redirected from a file (mapped: each
+        // document is over 1 MiB).
+        let file = TempFile::new("failures", &doc);
+        for out in [rsq(args, Some(&doc)), rsq_from_file(args, file.open())] {
+            assert_eq!(out.status.code(), Some(code), "{args:?}: {}", stderr(&out));
+            assert_eq!(stderr(&out), message, "{args:?}");
+            assert_eq!(
+                stdout(&out),
+                "",
+                "{args:?}: nothing is printed before the end"
+            );
+        }
+    }
+}
+
+/// A file that removes itself on drop.
+struct TempFile(std::path::PathBuf);
+
+impl TempFile {
+    fn new(tag: &str, bytes: &[u8]) -> TempFile {
+        let path = std::env::temp_dir().join(format!("rsq-cli-{tag}-{}", std::process::id()));
+        std::fs::write(&path, bytes).expect("temp file written");
+        TempFile(path)
+    }
+
+    fn open(&self) -> std::fs::File {
+        std::fs::File::open(&self.0).expect("temp file opens")
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Runs the binary with `stdin` as its standard input.
+fn rsq_from_file(args: &[&str], stdin: impl Into<Stdio>) -> Output {
+    Command::new(BIN)
+        .args(args)
+        .stdin(stdin)
+        .output()
+        .expect("binary runs")
+}
+
+/// Stdin redirected from a regular file is read from its offset, whichever
+/// way it is taken in — mapped window by window (`--mmap on`, or `auto`
+/// from 1 MiB) or read (`off`, smaller files, anything not a regular
+/// file) — and left at the file's end; the answers are the pipe's.
+#[test]
+fn redirected_stdin_is_read_from_its_offset_either_way() {
+    use std::io::{Seek, SeekFrom};
+    let doc = many_members(b"]");
+    let junk = br#"{"a": "not this document"} "#;
+    let file = TempFile::new("offset", &[&junk[..], &doc].concat());
+    let expected = |args: &[&str]| stdout(&rsq(args, Some(&doc)));
+    for args in [&["--count", "$..a"][..], &["--positions", "$[2].a"]] {
+        let want = expected(args);
+        for policy in ["auto", "on", "off"] {
+            let mut stdin = file.open();
+            stdin.seek(SeekFrom::Start(junk.len() as u64)).unwrap();
+            let flags = [&["--mmap", policy][..], args].concat();
+            let out = rsq_from_file(&flags, stdin.try_clone().unwrap());
+            assert_eq!(out.status.code(), Some(0), "{flags:?}: {}", stderr(&out));
+            assert_eq!(stdout(&out), want, "{flags:?}");
+            let end = stdin.stream_position().unwrap();
+            assert_eq!(
+                end,
+                (junk.len() + doc.len()) as u64,
+                "{flags:?}: offset left"
+            );
+        }
+    }
+
+    // Empty, small under `auto`, a pipe and /dev/null are read.
+    let small = TempFile::new("small", DOC);
+    let empty = TempFile::new("empty", b"");
+    for (policy, stdin, bytes) in [
+        ("auto", Stdio::from(small.open()), DOC),
+        ("on", Stdio::from(small.open()), DOC),
+        ("on", Stdio::from(empty.open()), b""),
+        ("on", Stdio::null(), b""),
+    ] {
+        let args = ["--mmap", policy, "--count", "$..b"];
+        let out = rsq_from_file(&args, stdin);
+        let piped = rsq(&args, Some(bytes));
+        assert_eq!(out.status.code(), piped.status.code(), "{policy}");
+        assert_eq!(stdout(&out), stdout(&piped), "{policy}");
+        assert_eq!(stderr(&out), stderr(&piped), "{policy}");
     }
 }

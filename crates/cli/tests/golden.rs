@@ -20,6 +20,13 @@
 //! member the query skips pass when the file is mapped and trip
 //! `--max-depth` when it is copied (DESIGN.md §7).
 //!
+//! Every case that reads a stdin fixture runs a second time with the
+//! fixture file itself as stdin under `--mmap on`, the way a streamed run
+//! walks a redirected file through mapped windows, against the same
+//! fixtures: the pipe's recordings hold for it byte for byte, the
+//! `doc-deep-skipped-stdin` exit included (a redirected file keeps the
+//! whole-document depth check).
+//!
 //! Only values that depend on the clock or on thread scheduling are
 //! masked (on both sides, by [`mask`]): `*_ns` timings, the latency
 //! histogram, and serve's `backpressure_waits`/`max_inflight`.
@@ -148,53 +155,82 @@ fn reports_are_byte_identical_to_the_fixtures() {
     };
     let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8 report");
     let mut ran = 0;
+    let mut mapped = 0;
     for case in cases.lines().filter(|l| !l.starts_with('#')) {
         let fields: Vec<&str> = case.split('\t').collect();
         let [name, exit, stdin, args] = fields[..] else {
             panic!("malformed case line: {case:?}");
         };
-        let _ = std::fs::remove_file(&scratch);
-        let mut child = Command::new(BIN)
-            .args(args.split(' ').map(|arg| match arg {
-                "@METRICS" => scratch.to_str().expect("utf-8 temp path"),
-                other => other,
-            }))
-            .current_dir(&dir)
-            .env("RSQ_PERF", "off")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("binary spawns");
-        let mut pipe = child.stdin.take().expect("stdin piped");
-        if stdin != "-" {
-            // A run that fails early may close its stdin first.
-            let _ = pipe.write_all(&std::fs::read(dir.join(stdin)).expect("stdin fixture"));
-        }
-        drop(pipe);
-        let output = child.wait_with_output().expect("binary exits");
+        // A case with a stdin fixture runs twice: through a pipe, and
+        // with the fixture itself as stdin under `--mmap on`, which a
+        // streamed run walks through mapped windows.
+        let ways: &[&[&str]] = if stdin == "-" {
+            &[&[]]
+        } else {
+            &[&[], &["--mmap", "on"]]
+        };
+        for &way in ways {
+            let label = if way.is_empty() {
+                name.to_owned()
+            } else {
+                mapped += 1;
+                format!("{name} (mapped stdin)")
+            };
+            let _ = std::fs::remove_file(&scratch);
+            let args = way
+                .iter()
+                .copied()
+                .chain(args.split(' ').map(|arg| match arg {
+                    "@METRICS" => scratch.to_str().expect("utf-8 temp path"),
+                    other => other,
+                }));
+            let mut command = Command::new(BIN);
+            command
+                .args(args)
+                .current_dir(&dir)
+                .env("RSQ_PERF", "off")
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped());
+            let output = if way.is_empty() {
+                let mut child = command
+                    .stdin(Stdio::piped())
+                    .spawn()
+                    .expect("binary spawns");
+                let mut pipe = child.stdin.take().expect("stdin piped");
+                if stdin != "-" {
+                    // A run that fails early may close its stdin first.
+                    let _ = pipe.write_all(&std::fs::read(dir.join(stdin)).expect("stdin fixture"));
+                }
+                drop(pipe);
+                child.wait_with_output().expect("binary exits")
+            } else {
+                let file = std::fs::File::open(dir.join(stdin)).expect("stdin fixture");
+                command.stdin(file).output().expect("binary runs")
+            };
 
-        assert_eq!(
-            output.status.code(),
-            Some(exit.parse().expect("exit code")),
-            "{name}: exit code"
-        );
-        assert_eq!(output.stdout, fixture(name, "stdout"), "{name}: stdout");
-        assert_eq!(
-            mask(&text(output.stderr)),
-            mask(&text(fixture(name, "stderr"))),
-            "{name}: stderr"
-        );
-        if args.contains("@METRICS") {
-            let written = std::fs::read(&scratch).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(
-                mask(&text(written)),
-                mask(&text(fixture(name, "metrics"))),
-                "{name}: metrics file"
+                output.status.code(),
+                Some(exit.parse().expect("exit code")),
+                "{label}: exit code"
             );
+            assert_eq!(output.stdout, fixture(name, "stdout"), "{label}: stdout");
+            assert_eq!(
+                mask(&text(output.stderr)),
+                mask(&text(fixture(name, "stderr"))),
+                "{label}: stderr"
+            );
+            if case.contains("@METRICS") {
+                let written = std::fs::read(&scratch).unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(
+                    mask(&text(written)),
+                    mask(&text(fixture(name, "metrics"))),
+                    "{label}: metrics file"
+                );
+            }
         }
         ran += 1;
     }
+    assert!(mapped >= 8, "only {mapped} cases ran with a mapped stdin");
     let _ = std::fs::remove_file(&scratch);
     assert!(ran >= 28, "the case table shrank to {ran} cases");
 }

@@ -800,18 +800,43 @@ pub fn check_reader(input: &[u8]) -> Result<(), Mismatch> {
     check_windows(input)
 }
 
+/// The bytes before the document in the file [`doc_file`] writes.
+const DOC_START: u64 = 7;
+
+/// `input` written to a temporary file after [`DOC_START`] bytes that are
+/// not its own, so that a mapped stream starts off a page boundary; the
+/// file is unlinked at once and lives as long as the handle.
+fn doc_file(input: &[u8]) -> std::fs::File {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "rsq-difftest-{}-{}.json",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, [&b"[{\"x\": "[..], input].concat()).expect("temp file written");
+    let file = std::fs::File::open(&path).expect("temp file opens");
+    let _ = std::fs::remove_file(&path);
+    file
+}
+
 /// Differentially checks streamed runs whose windows are a few blocks:
 /// for every query in [`reader_queries`], every backend, both routes, and
 /// the head start checked, unchecked and off, `run_reader` through windows
 /// of each of the [`WINDOWS`] sizes must produce the slice run's result
 /// and [`RunStats`] — or, where a label the automaton examines begins more than a window
 /// before its structural character, the classified look-back error. A
-/// different match is never acceptable.
+/// different match is never acceptable. The same document read in place
+/// from a file, through windows mapped one by one, must produce exactly
+/// what the copied stream does, look-back errors included — and so must
+/// a strict run of it and of it cut short by a byte, where a byte the
+/// mapped stream did not check would show.
 ///
 /// # Errors
 ///
 /// Returns the first [`Mismatch`] found.
 pub fn check_windows(input: &[u8]) -> Result<(), Mismatch> {
+    let doc = doc_file(input);
     let heads = [(true, true), (true, false), (false, true)];
     for query_text in reader_queries() {
         let query = rsq_query::Query::parse(query_text).expect("reader queries parse");
@@ -838,43 +863,97 @@ pub fn check_windows(input: &[u8]) -> Result<(), Mismatch> {
                         .map(|stats| (sink.into_positions(), stats));
                     let slice = format!("{slice:?}");
                     for window in WINDOWS {
-                        let reader = ChunkedReader {
-                            data: input,
-                            plan: &[61, 7],
-                            step: 0,
+                        let detail = |streamed: &str, held| {
+                            format!(
+                                "query {query_text}, {} {route:?} head start \
+                                 {head_start}/{checked_head_start}, window {window}: \
+                                 streamed {streamed} holding {held} bytes, slice {slice}",
+                                simd.kind()
+                            )
                         };
-                        let mut sink = PositionsSink::new();
-                        let mut stats = RunStats::default();
-                        let mut held = 0;
-                        let streamed = engine
-                            .run_reader_windowed(reader, &mut sink, &mut stats, window)
-                            .map(|(bytes, route)| {
-                                (held, stats.route) = (bytes, route);
-                                (sink.into_positions(), stats)
-                            });
+                        let (copied, held) = run_windowed(&engine, input, &doc, window, false);
                         let look_back =
-                            matches!(&streamed, Err(e) if e.is_limit(LimitKind::LabelBytes));
+                            matches!(&copied, Err(e) if e.is_limit(LimitKind::LabelBytes));
+                        let copied = format!("{copied:?}");
                         // A run that held a document of more than twice
                         // its ring of four windows whole crossed no edge.
                         let whole = input.len() > 8 * window && held >= input.len();
-                        if whole || !look_back && format!("{streamed:?}") != slice {
-                            return Err(mismatch(
-                                "reader",
-                                input,
-                                format!(
-                                    "query {query_text}, {} {route:?} head start \
-                                     {head_start}/{checked_head_start}, window {window}: \
-                                     streamed {streamed:?} holding {held} bytes, slice {slice}",
-                                    simd.kind()
-                                ),
-                            ));
+                        if whole || !look_back && copied != slice {
+                            return Err(mismatch("reader", input, detail(&copied, held)));
+                        }
+                        let (mapped, held) = run_windowed(&engine, input, &doc, window, true);
+                        let mapped = format!("{mapped:?}");
+                        let whole = input.len() > 8 * window && held >= input.len();
+                        if whole || mapped != copied {
+                            let detail = detail(&mapped, held);
+                            return Err(mismatch("mapped", input, detail));
                         }
                     }
                 }
             }
         }
     }
+    let strict = EngineOptions {
+        strict: true,
+        ..EngineOptions::default()
+    };
+    let query = rsq_query::Query::parse("$..a").expect("reader queries parse");
+    let engine = Engine::with_options(&query, strict).expect("reader queries compile");
+    let engine = engine.routed_by_shape();
+    for cut in [input, &input[..input.len().saturating_sub(1)]] {
+        for window in WINDOWS {
+            let (copied, _) = run_windowed(&engine, cut, &doc, window, false);
+            let (mapped, _) = run_windowed(&engine, cut, &doc, window, true);
+            let (copied, mapped) = (format!("{copied:?}"), format!("{mapped:?}"));
+            if mapped != copied {
+                let detail = format!(
+                    "strict $..a over {} bytes, window {window}: mapped {mapped}, copied {copied}",
+                    cut.len()
+                );
+                return Err(mismatch("mapped", input, detail));
+            }
+        }
+    }
     Ok(())
+}
+
+/// What a streamed run found, with its [`RunStats`].
+type StreamedRun = Result<(Vec<usize>, RunStats), RunError>;
+
+/// One streamed run of `engine` over `input` through windows of `window`
+/// bytes — copied from a reader that splits it, or mapped from `doc` —
+/// and the most bytes it held.
+fn run_windowed(
+    engine: &Engine,
+    input: &[u8],
+    doc: &std::fs::File,
+    window: usize,
+    mapped: bool,
+) -> (StreamedRun, usize) {
+    let mut sink = PositionsSink::new();
+    let mut stats = RunStats::default();
+    let mut held = 0;
+    let doc = if mapped {
+        let (start, len) = (DOC_START, input.len());
+        rsq_engine::Streamed::Mapped {
+            file: doc,
+            start,
+            len,
+        }
+    } else {
+        rsq_engine::Streamed::Reader(ChunkedReader {
+            data: input,
+            plan: &[61, 7],
+            step: 0,
+        })
+    };
+    let streamed = engine
+        .run_windowed(doc, &mut sink, &mut stats, window)
+        .map(|(bytes, route)| {
+            (held, stats.route) = (bytes, route);
+            (sink.into_positions(), stats)
+        });
+    (streamed, held)
 }
 
 /// Documents that put what a stream carries across a window edge — a

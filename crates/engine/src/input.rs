@@ -41,9 +41,12 @@
 
 use crate::error::{LimitKind, RunError};
 use crate::EngineOptions;
-use rsq_classify::{Refill, StructuralValidator, ValidationError, ValidationErrorKind};
-use rsq_mmap::Landing;
+use rsq_classify::{
+    Pages, Refill, Source, StructuralValidator, ValidationError, ValidationErrorKind,
+};
+use rsq_mmap::{Landing, Mapping};
 use rsq_simd::Simd;
+use std::fs::File;
 use std::io::{self, Read};
 use std::time::Instant;
 
@@ -82,7 +85,7 @@ pub(crate) struct Feed<R> {
     pub(crate) high_water: usize,
 }
 
-impl<R: Read> Feed<R> {
+impl<R> Feed<R> {
     /// A feed checking one document against `options`, and the
     /// `deadline` before each read.
     pub(crate) fn document(
@@ -116,6 +119,57 @@ impl<R: Read> Feed<R> {
         }
     }
 
+    /// How much of `room` the next chunk may fill: a chunk at most, and
+    /// one byte past the size limit at most — all it takes to know that
+    /// it is passed.
+    fn want(&self, room: usize) -> usize {
+        let want = CHUNK.min(room);
+        self.max_bytes
+            .map_or(want, |limit| want.min((limit - self.len).saturating_add(1)))
+    }
+
+    fn check_deadline(&self) -> Result<(), RunError> {
+        if self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            return Err(RunError::DeadlineExceeded);
+        }
+        Ok(())
+    }
+
+    /// Takes in `chunk`, the input's next bytes, once they pass the size
+    /// limit and the validator, and returns its length. An empty chunk
+    /// is the end of the input, which passes the validator's final check
+    /// or fails.
+    fn accept(&mut self, chunk: &[u8]) -> Result<usize, RunError> {
+        if chunk.is_empty() {
+            if let Some((validator, options)) = &mut self.validator {
+                validator.finish().map_err(|e| map_validation(e, options))?;
+            }
+            self.ended = true;
+            return Ok(0);
+        }
+        if let Some(limit) = self
+            .max_bytes
+            .filter(|&limit| self.len + chunk.len() > limit)
+        {
+            return Err(RunError::LimitExceeded {
+                kind: LimitKind::DocumentBytes,
+                limit: limit as u64,
+            });
+        }
+        if let Some((validator, options)) = &mut self.validator {
+            validator
+                .feed(chunk)
+                .map_err(|e| map_validation(e, options))?;
+        }
+        self.len += chunk.len();
+        Ok(chunk.len())
+    }
+}
+
+impl<R: Read> Feed<R> {
     /// Reads the next chunk into the front of `buf` and returns its
     /// length, 0 once the input has ended (and, for a document, passed
     /// the validator's final check).
@@ -132,41 +186,11 @@ impl<R: Read> Feed<R> {
         if self.ended {
             return Ok(0);
         }
-        // One byte past the limit is all it takes to know it is passed.
-        let want = CHUNK.min(buf.len());
-        let want = self
-            .max_bytes
-            .map_or(want, |limit| want.min((limit - self.len).saturating_add(1)));
+        let want = self.want(buf.len());
         loop {
-            if self
-                .deadline
-                .is_some_and(|deadline| Instant::now() >= deadline)
-            {
-                return Err(RunError::DeadlineExceeded);
-            }
+            self.check_deadline()?;
             match self.reader.read(&mut buf[..want]) {
-                Ok(0) => {
-                    if let Some((validator, options)) = &mut self.validator {
-                        validator.finish().map_err(|e| map_validation(e, options))?;
-                    }
-                    self.ended = true;
-                    return Ok(0);
-                }
-                Ok(n) => {
-                    if let Some(limit) = self.max_bytes.filter(|&limit| self.len + n > limit) {
-                        return Err(RunError::LimitExceeded {
-                            kind: LimitKind::DocumentBytes,
-                            limit: limit as u64,
-                        });
-                    }
-                    if let Some((validator, options)) = &mut self.validator {
-                        validator
-                            .feed(&buf[..n])
-                            .map_err(|e| map_validation(e, options))?;
-                    }
-                    self.len += n;
-                    return Ok(n);
-                }
+                Ok(n) => return self.accept(&buf[..n]),
                 Err(e)
                     if e.kind() == io::ErrorKind::Interrupted
                         || e.kind() == io::ErrorKind::WouldBlock =>
@@ -197,20 +221,16 @@ impl<R: Read> Feed<R> {
         doc.finish(filled);
         Ok(doc)
     }
+}
 
-    /// After a streamed run: the failure that ended its input, or else
-    /// the first in the rest of the input, which is read (and validated)
-    /// to its end and dropped — a run that stopped early does not skip
-    /// the checks the whole document is owed.
-    pub(crate) fn finish(&mut self) -> Result<(), RunError> {
-        if let Some(failed) = self.failed.take() {
-            return Err(failed);
-        }
-        if !self.ended {
-            let mut scratch = vec![0; CHUNK];
-            while self.next_chunk(&mut scratch)? > 0 {}
-        }
-        Ok(())
+impl<R> Feed<R> {
+    /// What a source of the stream makes of a chunk's verdict: its
+    /// length, or 0 with the failure kept for [`finish`](Feed::finish).
+    fn kept(&mut self, chunk: Result<usize, RunError>) -> usize {
+        chunk.unwrap_or_else(|e| {
+            self.failed.get_or_insert(e);
+            0
+        })
     }
 }
 
@@ -219,14 +239,124 @@ impl<R: Read> Refill for Feed<R> {
         if self.failed.is_some() {
             return 0;
         }
-        self.next_chunk(buf).unwrap_or_else(|e| {
-            self.failed = Some(e);
-            0
-        })
+        let chunk = self.next_chunk(buf);
+        self.kept(chunk)
     }
 
     fn held(&mut self, bytes: usize) {
         self.high_water = self.high_water.max(bytes);
+    }
+}
+
+/// The bytes `[start, start + len)` of a regular file: a document that a
+/// streamed run reads in place, one mapping per window.
+pub(crate) struct FilePages<'f> {
+    pub(crate) file: &'f File,
+    pub(crate) start: u64,
+    pub(crate) len: usize,
+}
+
+impl FilePages<'_> {
+    /// Maps the document's bytes `[from, to)`, cut at its end.
+    fn map(&self, from: usize, to: usize) -> Result<Mapping, RunError> {
+        let to = to.min(self.len);
+        let from = from.min(to);
+        Mapping::of_file(self.file, self.start + from as u64, to - from).map_err(RunError::Io)
+    }
+}
+
+impl Feed<FilePages<'_>> {
+    /// Checks the first bytes of `piece`, the document's next, as
+    /// [`next_chunk`](Feed::next_chunk) checks what it reads: at most a
+    /// chunk, after the deadline, and an empty `piece` is the end.
+    fn next_piece(&mut self, piece: &[u8]) -> Result<usize, RunError> {
+        if self.ended {
+            return Ok(0);
+        }
+        self.check_deadline()?;
+        let want = self.want(piece.len());
+        self.accept(&piece[..want])
+    }
+}
+
+impl Pages for Feed<FilePages<'_>> {
+    fn map(&mut self, from: usize, to: usize) -> Option<Mapping> {
+        let window = self
+            .reader
+            .map(from, to)
+            .map_err(|e| self.kept(Err(e)))
+            .ok()?;
+        self.high_water = self.high_water.max(window.len());
+        Some(window)
+    }
+
+    fn check(&mut self, piece: &[u8]) -> usize {
+        if self.failed.is_some() {
+            return 0;
+        }
+        let chunk = self.next_piece(piece);
+        self.kept(chunk)
+    }
+}
+
+/// A feed a streamed run walks: the source it hands the cursor, and how
+/// it takes in what the run left of the document.
+pub(crate) trait Fed {
+    fn source(&mut self) -> Source<'_>;
+
+    /// Takes in (and checks) the next stretch of the input.
+    fn rest(&mut self) -> Result<(), RunError>;
+}
+
+impl<R> Feed<R>
+where
+    Feed<R>: Fed,
+{
+    /// After a streamed run: the failure that ended its input, or else
+    /// the first in the rest of the input, which is taken in (and
+    /// validated) to its end and dropped — a run that stopped early does
+    /// not skip the checks the whole document is owed.
+    pub(crate) fn finish(&mut self) -> Result<(), RunError> {
+        if let Some(failed) = self.failed.take() {
+            return Err(failed);
+        }
+        while !self.ended {
+            self.rest()?;
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> Fed for Feed<R> {
+    fn source(&mut self) -> Source<'_> {
+        Source::Read(self)
+    }
+
+    fn rest(&mut self) -> Result<(), RunError> {
+        let mut scratch = vec![0; CHUNK];
+        while self.next_chunk(&mut scratch)? > 0 {}
+        Ok(())
+    }
+}
+
+impl Fed for Feed<FilePages<'_>> {
+    fn source(&mut self) -> Source<'_> {
+        Source::Pages(self)
+    }
+
+    /// Maps as much as a streamed run's ring holds, and checks it.
+    fn rest(&mut self) -> Result<(), RunError> {
+        let rest = self
+            .reader
+            .map(self.len, self.len + 4 * crate::STREAM_WINDOW)?;
+        let mut at = 0;
+        loop {
+            let n = self.next_piece(&rest[at..])?;
+            at += n;
+            if n == 0 || at == rest.len() {
+                return Ok(());
+            }
+        }
     }
 }
 

@@ -109,12 +109,13 @@ pub use rsq_query::{PlanStep, RoutePlan};
 pub use rsq_obs::{Histogram, ProfileStage, ProfileStats, SkipBytes, SkipTechnique, StageTimes};
 
 use error::Interrupt;
-use input::Feed;
-use rsq_classify::{LabelSeeker, Refill, StructuralIterator, StructuralValidator};
+use input::{Fed, Feed, FilePages};
+use rsq_classify::{LabelSeeker, Source, StructuralIterator, StructuralValidator};
 use rsq_memmem::{Finder, Prefilter};
 use rsq_query::{Automaton, CompileError, Query, QueryParseError, StateId};
 use rsq_simd::{Backend, Simd, Task};
 use std::fmt;
+use std::fs::File;
 use std::io::Read;
 use std::time::Instant;
 
@@ -149,11 +150,28 @@ const PROBE_BYTES: usize = 16 << 10;
 /// routing").
 const PROBE_EVENTS_PER_KIB: u64 = 3;
 
+/// A document a streamed run takes in while it walks it.
+pub enum Streamed<'d, R> {
+    /// Read from `R` into a ring of windows the run owns
+    /// ([`Engine::try_run_reader_with_recorder`]).
+    Reader(R),
+    /// The bytes `[start, start + len)` of a regular file, read in place
+    /// ([`Engine::try_run_mapped_with_recorder`]).
+    Mapped {
+        /// The file.
+        file: &'d File,
+        /// The document's first byte in it.
+        start: u64,
+        /// The document's length.
+        len: usize,
+    },
+}
+
 /// What a run walks: one slice, or a document arriving from a source,
 /// held in a ring of windows of the given size.
 enum Input<'a> {
     Slice(&'a [u8]),
-    Stream(&'a mut dyn Refill, usize),
+    Stream(Source<'a>, usize),
 }
 
 /// How the engine picks its evaluation strategy for a run.
@@ -643,49 +661,91 @@ impl Engine {
         rec: &mut impl Recorder,
         deadline: Option<Instant>,
     ) -> Result<(usize, Route), RunError> {
-        let mut feed = Feed::document(reader, &self.options, self.simd, deadline);
-        let route = self.run_feed(&mut feed, sink, rec, STREAM_WINDOW)?;
+        let feed = Feed::document(reader, &self.options, self.simd, deadline);
+        let (feed, route) = self.run_feed(feed, sink, rec, STREAM_WINDOW)?;
         Ok((feed.len, route))
     }
 
     /// [`try_run_reader_with_recorder`](Self::try_run_reader_with_recorder)
-    /// through windows of `window` bytes, with no deadline (a test hook:
-    /// small windows put every edge case on a window edge). Returns the
-    /// most bytes the stream's buffer held and the route the run took.
+    /// over the bytes `[start, start + len)` of a regular file, read in
+    /// place: each window of the ring is a read-only mapping of exactly
+    /// the bytes a copying ring would hold. Every byte passes the same
+    /// checks in the same chunks, the rest too after a run that stops
+    /// early, so the result, its [`RunStats`] and its error are those of
+    /// reading the bytes — except that a file truncated during the run
+    /// faults (`SIGBUS`), as any mapping of it does.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_run_reader_with_recorder`](Self::try_run_reader_with_recorder),
+    /// with [`RunError::Io`] when a window cannot be mapped.
+    pub fn try_run_mapped_with_recorder<S: Sink>(
+        &self,
+        file: &File,
+        start: u64,
+        len: usize,
+        sink: &mut S,
+        rec: &mut impl Recorder,
+        deadline: Option<Instant>,
+    ) -> Result<(usize, Route), RunError> {
+        let pages = FilePages { file, start, len };
+        let feed = Feed::document(pages, &self.options, self.simd, deadline);
+        let (feed, route) = self.run_feed(feed, sink, rec, STREAM_WINDOW)?;
+        Ok((feed.len, route))
+    }
+
+    /// A streamed run of `doc` through windows of `window` bytes, with no
+    /// deadline (a test hook: small windows put every edge case on a
+    /// window edge). Returns the most bytes the stream held and the route
+    /// the run took.
     ///
     /// # Errors
     ///
     /// As [`run_reader`](Self::run_reader).
     #[doc(hidden)]
-    pub fn run_reader_windowed<R: Read, S: Sink>(
+    pub fn run_windowed<R: Read, S: Sink>(
         &self,
-        reader: R,
+        doc: Streamed<'_, R>,
         sink: &mut S,
         rec: &mut impl Recorder,
         window: usize,
     ) -> Result<(usize, Route), RunError> {
-        let mut feed = Feed::document(reader, &self.options, self.simd, None);
-        let route = self.run_feed(&mut feed, sink, rec, window)?;
-        Ok((feed.high_water, route))
+        let (options, simd) = (&self.options, self.simd);
+        let (high_water, route) = match doc {
+            Streamed::Reader(reader) => {
+                let feed = Feed::document(reader, options, simd, None);
+                self.run_feed(feed, sink, rec, window)
+                    .map(|(feed, route)| (feed.high_water, route))
+            }
+            Streamed::Mapped { file, start, len } => {
+                let feed = Feed::document(FilePages { file, start, len }, options, simd, None);
+                self.run_feed(feed, sink, rec, window)
+                    .map(|(feed, route)| (feed.high_water, route))
+            }
+        }?;
+        Ok((high_water, route))
     }
 
-    /// Runs the query over the document `feed` reads, then reports the
+    /// Runs the query over the document `feed` takes in, then reports the
     /// first failure of the input — the bytes the run saw or the rest —
     /// before the run's own.
-    fn run_feed<R: Read, S: Sink>(
+    fn run_feed<R, S: Sink>(
         &self,
-        feed: &mut Feed<R>,
+        mut feed: Feed<R>,
         sink: &mut S,
         rec: &mut impl Recorder,
         window: usize,
-    ) -> Result<Route, RunError> {
+    ) -> Result<(Feed<R>, Route), RunError>
+    where
+        Feed<R>: Fed,
+    {
         let run = self.limited(sink, window, |sink| {
-            self.dispatch(Input::Stream(feed, window), sink, rec)
+            self.dispatch(Input::Stream(feed.source(), window), sink, rec)
         });
         feed.finish()?;
         let route = run?;
         rec.document(feed.len);
-        Ok(route)
+        Ok((feed, route))
     }
 
     /// Reads a whole document from `reader` with the same protections as

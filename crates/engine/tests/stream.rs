@@ -1,7 +1,7 @@
 //! A streamed run holds a ring of windows of the document, however long
 //! the document is.
 
-use rsq_engine::{CountSink, Engine, NoStats, STREAM_WINDOW};
+use rsq_engine::{CountSink, Engine, NoStats, Streamed, STREAM_WINDOW};
 use std::io::{self, Read};
 
 /// `[{"a": {"b": 0}, "pad": "…"}, …]`, made up as it is read: `records`
@@ -73,8 +73,8 @@ fn a_long_stream_holds_no_more_than_the_ring() {
         let engine = Engine::from_text(query).unwrap();
         let mut sink = CountSink::new();
         let (held, _) = engine
-            .run_reader_windowed(
-                Records::new(records),
+            .run_windowed(
+                Streamed::Reader(Records::new(records)),
                 &mut sink,
                 &mut NoStats,
                 STREAM_WINDOW,

@@ -6,11 +6,16 @@
 //! directly — no copy, no allocation proportional to the input — which
 //! is worth a double-digit percentage of end-to-end latency on cold
 //! multi-hundred-megabyte runs and makes `--batch-dir` ingestion
-//! allocation-free.
+//! allocation-free. [`Mapping`] is the one mmap wrapper: a read-only
+//! window of a file from any offset. [`load`] maps a whole file as the
+//! window at 0; a streamed run over a file (stdin redirected from one)
+//! maps one window at a time, each of its own, so that it holds a
+//! window's pages and not the file's.
 //!
 //! Input that cannot be mapped — a pipe, `--mmap off`, a file below the
 //! threshold — has to be copied, and then the cost is where the bytes
-//! land: a fresh heap buffer takes one page fault per 4 KiB. [`Region`] is the landing place for those copies: one growable
+//! land: a fresh heap buffer takes one page fault per 4 KiB. [`Region`]
+//! is the landing place for the copies of whole documents: one growable
 //! anonymous mapping, backed by huge pages once it is large enough to
 //! fill them, which the read loop (`rsq-engine`'s ingest, generic over
 //! [`Landing`]) fills in place.
@@ -29,14 +34,17 @@
 //! any syscall failure, empty files, or unstatable paths — [`load`]
 //! falls back to `std::fs::read` and [`Region`] to a `Vec<u8>`, so
 //! callers never observe a behavioral difference, only a performance one.
+//! A caller of [`Mapping::of_file`] gets the error and picks its own
+//! fallback.
 //!
 //! # The one sharp edge
 //!
 //! A file-backed mapping is a window onto the file *as it changes*. If
 //! another process truncates the file while we read the tail, the load
 //! faults (`SIGBUS`) instead of returning short data. This is inherent
-//! to `mmap` (every mapping-based reader shares it) and is why the CLI
-//! exposes `--mmap off`. The safety argument for the `unsafe` blocks
+//! to `mmap` (every mapping-based reader shares it), holds for a window
+//! as for a whole file — so for a redirected stdin the CLI maps, too —
+//! and is why the CLI exposes `--mmap off`. The safety argument for the `unsafe` blocks
 //! below covers memory safety of the mapping itself — pointer validity,
 //! length, lifetime — not concurrent-truncation signals, which are a
 //! process-level liveness hazard, not UB.
@@ -81,6 +89,17 @@ pub enum MapPolicy {
 }
 
 impl MapPolicy {
+    /// Whether the policy maps `len` bytes: never under `Off`, nothing
+    /// empty (`mmap` rejects length 0), and under `Auto` nothing below
+    /// [`AUTO_THRESHOLD`], which is not worth the page-table set-up.
+    pub fn maps(self, len: u64) -> bool {
+        match self {
+            MapPolicy::Auto => len >= AUTO_THRESHOLD,
+            MapPolicy::On => len > 0,
+            MapPolicy::Off => false,
+        }
+    }
+
     /// Parses a CLI flag value. Returns `None` for anything but
     /// `auto`, `on`, or `off`.
     pub fn parse(text: &str) -> Option<MapPolicy> {
@@ -101,7 +120,6 @@ pub struct MmapInput {
 }
 
 enum Repr {
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     Mapped(Mapping),
     Buffered(Vec<u8>),
     Region(Region),
@@ -120,7 +138,6 @@ impl MmapInput {
     /// way.
     pub fn is_mapped(&self) -> bool {
         match self.repr {
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             Repr::Mapped(_) => true,
             Repr::Buffered(_) | Repr::Region(_) => false,
         }
@@ -129,8 +146,7 @@ impl MmapInput {
     /// The input bytes, however they are backed.
     pub fn as_bytes(&self) -> &[u8] {
         match &self.repr {
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Repr::Mapped(mapping) => mapping.as_slice(),
+            Repr::Mapped(mapping) => mapping,
             Repr::Buffered(bytes) => bytes,
             Repr::Region(region) => region,
         }
@@ -177,27 +193,15 @@ pub fn map(path: &Path, policy: MapPolicy) -> Option<MmapInput> {
     if policy == MapPolicy::Off {
         return None;
     }
-    try_map(path, policy)
-}
-
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn try_map(path: &Path, policy: MapPolicy) -> Option<MmapInput> {
     let file = File::open(path).ok()?;
     let len = file.metadata().ok()?.len();
-    // Empty files cannot be mapped (`mmap` rejects length 0) and
-    // sub-threshold files are not worth the page-table setup under Auto.
-    if len == 0 || (policy == MapPolicy::Auto && len < AUTO_THRESHOLD) {
+    if !policy.maps(len) {
         return None;
     }
-    let mapping = Mapping::of_file(&file, len as usize)?;
+    let mapping = Mapping::of_file(&file, 0, usize::try_from(len).ok()?).ok()?;
     Some(MmapInput {
         repr: Repr::Mapped(mapping),
     })
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn try_map(_path: &Path, _policy: MapPolicy) -> Option<MmapInput> {
-    None
 }
 
 /// Where a document that has to be copied lands: a growable byte buffer
@@ -397,6 +401,7 @@ impl AnonMapping {
                 sys::PROT_READ | sys::PROT_WRITE,
                 sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
                 -1,
+                0,
             )
         }
         .ok()?;
@@ -482,15 +487,31 @@ fn kernel_allows() -> bool {
     true
 }
 
-/// A live `PROT_READ`/`MAP_PRIVATE` mapping. Constructing one is the
-/// only way to obtain a non-null `ptr`; `Drop` unmaps exactly once.
+/// The x86_64 page size: `mmap` maps from file offsets that are a
+/// multiple of it.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-struct Mapping {
-    /// Page-aligned base returned by a successful `mmap`; never null,
-    /// valid for `len` bytes until `Drop` runs.
+const PAGE: usize = 4096;
+
+/// A private read-only mapping of the bytes `[offset, offset + len)` of a
+/// file: its page cache, seen in place. The one mmap wrapper of the crate
+/// — [`load`] maps a whole file as the window at 0, and a streamed run
+/// maps one window of a file at a time, each of its own, so that what a
+/// run holds is bounded by the window, not the file. `offset` need not
+/// be page-aligned: the pages around the window are mapped and only the
+/// window is shown. A window of 0 bytes maps nothing.
+///
+/// Off `x86_64`-Linux no window but the empty one can be made.
+///
+/// The pointer and the length sit in the order of a slice reference's, so
+/// that a reader holding either kind of window reads it from one place.
+#[repr(C)]
+pub struct Mapping {
+    /// The window's first byte, `offset % PAGE` bytes into a page-aligned
+    /// region a successful `mmap` returned, valid for that many bytes
+    /// plus `len` until `Drop` runs; dangling (and never read) when `len`
+    /// is 0.
     ptr: *const u8,
-    /// Exact file length at map time (the kernel rounds the mapping up
-    /// to a page internally; we only ever expose `len` bytes).
+    /// The window's length.
     len: usize,
 }
 
@@ -499,49 +520,93 @@ struct Mapping {
 // unique to this value (the pointer is never cloned out), so moving it
 // across threads or sharing shared references is as safe as for a
 // `Vec<u8>`.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 unsafe impl Send for Mapping {}
 
 // SAFETY: see the `Send` impl above — read-only region, shared access
 // only through `&[u8]`.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 unsafe impl Sync for Mapping {}
 
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 impl Mapping {
-    /// Maps the first `len` bytes of `file` read-only, or `None` if the
-    /// kernel refuses (exotic filesystems, `RLIMIT_AS`, …).
-    fn of_file(file: &File, len: usize) -> Option<Mapping> {
-        use std::os::unix::io::AsRawFd;
-        debug_assert!(len > 0, "caller filters empty files");
-        // SAFETY: `fd` is a valid open read-only descriptor for the
-        // duration of the call (we hold `&File`), `len > 0`, and the
-        // request is PROT_READ + MAP_PRIVATE at offset 0 — the kernel
-        // either returns a fresh region valid for `len` bytes or an
-        // error, which `sys::mmap` reports as `Err`.
-        let ptr = unsafe { sys::mmap(len, sys::PROT_READ, sys::MAP_PRIVATE, file.as_raw_fd()) }
-            .ok()?
-            .cast_const();
-        Some(Mapping { ptr, len })
+    /// Maps `len` bytes of `file` from `offset` read-only. Fails with the
+    /// kernel's error (a descriptor not open for reading, exotic
+    /// filesystems, `RLIMIT_AS`, …), and with `Unsupported` off
+    /// `x86_64`-Linux.
+    pub fn of_file(file: &File, offset: u64, len: usize) -> io::Result<Mapping> {
+        if len == 0 {
+            return Ok(Mapping {
+                ptr: std::ptr::NonNull::dangling().as_ptr(),
+                len: 0,
+            });
+        }
+        Mapping::map_pages(file, offset, len)
     }
 
-    fn as_slice(&self) -> &[u8] {
-        // SAFETY: `ptr` came from a successful `mmap` of at least `len`
-        // readable bytes and stays mapped until `Drop` (which takes
-        // `&mut self`, so no `&[u8]` borrow can outlive it); `len` is
-        // the exact mapped length, well under `isize::MAX`.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn map_pages(file: &File, offset: u64, len: usize) -> io::Result<Mapping> {
+        use std::os::unix::io::AsRawFd;
+        let offset = usize::try_from(offset).map_err(|_| io::ErrorKind::InvalidInput)?;
+        let pad = offset % PAGE;
+        let span = len.checked_add(pad).ok_or(io::ErrorKind::InvalidInput)?;
+        // SAFETY: `fd` is a valid open descriptor for the duration of the
+        // call (we hold `&File`), `span > 0`, and the request is PROT_READ
+        // + MAP_PRIVATE at the page-aligned `offset - pad` — the kernel
+        // either returns a fresh region valid for `span` bytes or an
+        // error, which `sys::mmap` reports as `Err`.
+        let base = unsafe {
+            sys::mmap(
+                span,
+                sys::PROT_READ,
+                sys::MAP_PRIVATE,
+                file.as_raw_fd(),
+                offset - pad,
+            )
+        }
+        .map_err(io::Error::from_raw_os_error)?;
+        Ok(Mapping {
+            ptr: base.wrapping_add(pad).cast_const(),
+            len,
+        })
+    }
+
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    fn map_pages(_file: &File, _offset: u64, _len: usize) -> io::Result<Mapping> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+}
+
+impl Deref for Mapping {
+    type Target = [u8];
+
+    #[inline(always)]
+    fn deref(&self) -> &[u8] {
+        // SAFETY: `ptr` is valid for reads of `len` bytes until `Drop`
+        // (which takes `&mut self`, so no `&[u8]` borrow can outlive it):
+        // it came from a successful `mmap` of the window, or it is a
+        // dangling, aligned pointer and `len` is 0. `len` is far below
+        // `isize::MAX`.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+impl std::fmt::Debug for Mapping {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Mapping({} bytes)", self.len)
+    }
+}
+
 impl Drop for Mapping {
     fn drop(&mut self) {
-        // SAFETY: `(ptr, len)` is exactly what `mmap` returned in
-        // `of_file` and has not been unmapped — `Drop` runs once and no
-        // other code path calls `munmap`. After this line the struct is
-        // gone, so the dangling `ptr` is never read.
-        unsafe { sys::munmap(self.ptr, self.len) };
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        if self.len > 0 {
+            let pad = self.ptr as usize % PAGE;
+            // SAFETY: `ptr - pad` and `len + pad` are exactly the base and
+            // length `mmap` returned in `map_pages` (its base is page-aligned,
+            // so `pad` is the window's offset into it), and the region has
+            // not been unmapped — `Drop` runs once and no other code path
+            // calls `munmap`. After this line the struct is gone, so the
+            // dangling `ptr` is never read.
+            unsafe { sys::munmap(self.ptr.wrapping_sub(pad), self.len + pad) };
+        }
     }
 }
 
@@ -578,13 +643,14 @@ mod sys {
         }
     }
 
-    /// `mmap(NULL, len, prot, flags, fd, 0)`.
+    /// `mmap(NULL, len, prot, flags, fd, offset)`.
     ///
     /// # Safety
     ///
     /// `len` must be non-zero and `flags` must not contain `MAP_FIXED`;
-    /// unless `flags` contains `MAP_ANONYMOUS` (then `fd` is -1), `fd`
-    /// must be an open descriptor that allows `prot`. On `Ok`, the
+    /// unless `flags` contains `MAP_ANONYMOUS` (then `fd` is -1 and
+    /// `offset` 0), `fd` must be an open descriptor that allows `prot`,
+    /// and `offset` a multiple of the page size. On `Ok`, the
     /// returned pointer is page-aligned and valid for `len` bytes of
     /// `prot` access until passed to [`munmap`] or [`mremap`]; the caller
     /// owns the region and must unmap it exactly once.
@@ -593,6 +659,7 @@ mod sys {
         prot: usize,
         flags: usize,
         fd: i32,
+        offset: usize,
     ) -> Result<*mut u8, i32> {
         let ret: isize;
         // SAFETY: a kernel-chosen-address mapping request (no `MAP_FIXED`,
@@ -609,7 +676,7 @@ mod sys {
                 in("rdx") prot,
                 in("r10") flags,
                 in("r8") fd as isize,
-                in("r9") 0usize,
+                in("r9") offset,
                 lateout("rcx") _,
                 lateout("r11") _,
                 options(nostack),
@@ -783,6 +850,27 @@ mod tests {
         let path = std::env::temp_dir().join("rsq-mmap-test-definitely-missing");
         assert!(load(&path, MapPolicy::On).is_err());
         assert!(load(&path, MapPolicy::Off).is_err());
+    }
+
+    #[test]
+    fn windows_show_exactly_their_bytes_from_any_offset() {
+        let content = pattern(3 * 4096 + 123);
+        let tmp = TempFile::with_bytes(&content);
+        let file = File::open(&tmp.0).expect("open temp file");
+        for (offset, len) in [
+            (0, 1),
+            (1, 4095),
+            (4095, 2),
+            (4096, 4096),
+            (5000, 7000),
+            (0, 0),
+        ] {
+            let window = Mapping::of_file(&file, offset as u64, len);
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            assert_eq!(&*window.expect("maps"), &content[offset..offset + len]);
+            #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+            assert_eq!(window.is_ok(), len == 0);
+        }
     }
 
     #[test]

@@ -309,12 +309,13 @@ cp "$SERVE_TMP/corpus/B.json" "$SERVE_TMP/corpus/G.json" \
 diff -u "$SERVE_TMP/mmap-on.out" "$SERVE_TMP/mmap-off.out"
 diff -u "$SERVE_TMP/mmap-auto.out" "$SERVE_TMP/mmap-off.out"
 
-lane "input-path parity gate (FILE, < FILE, cat FILE |, --mmap off|on FILE; --batch-ndjson FILE|-)"
+lane "input-path parity gate (FILE, < FILE, cat FILE |, --mmap off|on FILE, --mmap on < FILE; --batch-ndjson FILE|-)"
 # Every single-document golden case, through each way a document can reach
 # the engine — the file as named (copied: the fixtures are far below the
 # 1 MiB mapping threshold), redirected, through a pipe, with mapping off,
-# and mapped by force — must give the same stdout and the same exit status
-# (the table's). The one known
+# mapped by force, and redirected with mapping forced (a streamed run walks
+# it through mapped windows) — must give the same stdout and the same exit
+# status (the table's). The one known
 # divergence is listed by name: a mapped document counts only the openings
 # the run examines against --max-depth, a copied one all of them
 # (DESIGN.md §7; both behaviours are pinned by the golden fixtures).
@@ -334,7 +335,7 @@ while IFS=$'\t' read -r name exit stdin args; do
   else
     file="$stdin" flags="$args"
   fi
-  for path in file redirect pipe mmap-off mmap-on; do
+  for path in file redirect pipe mmap-off mmap-on mmap-on-redirect; do
     status=0
     (
       cd crates/cli/tests/golden
@@ -344,6 +345,7 @@ while IFS=$'\t' read -r name exit stdin args; do
         pipe) cat "$file" | RSQ_PERF=off "$PARITY_RSQ" $flags ;;
         mmap-off) RSQ_PERF=off "$PARITY_RSQ" --mmap off $flags "$file" ;;
         mmap-on) RSQ_PERF=off "$PARITY_RSQ" --mmap on $flags "$file" ;;
+        mmap-on-redirect) RSQ_PERF=off "$PARITY_RSQ" --mmap on $flags < "$file" ;;
       esac
     ) > "$SERVE_TMP/parity-$path.out" 2> /dev/null || status=$?
     if [ "$status" -ne "$exit" ]; then
@@ -362,7 +364,7 @@ if [ "$PARITY_CASES" -lt 12 ]; then
   echo "parity gate: only $PARITY_CASES single-document cases ran (expected >= 12)"
   exit 1
 fi
-echo "parity gate: $PARITY_CASES cases x 5 input paths agree"
+echo "parity gate: $PARITY_CASES cases x 6 input paths agree"
 # The batch cases that name an NDJSON file, through each way that file can
 # reach the splitter — as named (copied: the fixture is far below the
 # mapping threshold), mapped by force, with mapping off, and redirected as
@@ -406,32 +408,54 @@ if [ "$BATCH_PARITY_CASES" -lt 7 ]; then
 fi
 echo "parity gate: $BATCH_PARITY_CASES NDJSON batch cases x 4 input paths agree"
 
-lane "stdin streaming gate (256 MB through a pipe in bounded memory; window-edge differential)"
+lane "stdin streaming gate (256 MB through a pipe and from a file in bounded memory; window-edge differential)"
 # A document made up as it is written — 2 097 152 records of 128 bytes,
 # 256 MiB, never held anywhere whole — is piped into `rsq --count`: the
 # count must be exact and the child's peak RSS under 32 MiB, where a
-# whole-document read would need 256 MiB (DESIGN.md §7). The streamed
-# run's window edges are then checked against the slice run under the
-# forced backends (the detected one ran in tier-1).
-python3 - "$PWD/target/release/rsq" <<'PYEOF'
-import resource, subprocess, sys
+# whole-document read would need 256 MiB (DESIGN.md §7). The same document
+# is then written to a temporary file and redirected into it: walked
+# through windows mapped one at a time, and read with `--mmap off`, each
+# child must count exactly under the same bound, which one mapping of the
+# whole file would pass by 224 MiB. The streamed run's window edges are
+# then checked against the slice run under the forced backends (the
+# detected one ran in tier-1).
+python3 - "$PWD/target/release/rsq" "$SERVE_TMP/stream.json" <<'PYEOF'
+import os, subprocess, sys
 records = 2 * 1024 * 1024
 record = b'{"a": {"b": 0}, "pad": "' + b"x" * 102 + b'"}'
 assert len(record) == 128
-child = subprocess.Popen([sys.argv[1], "--count", "$..b"], stdin=subprocess.PIPE,
-                         stdout=subprocess.PIPE)
-child.stdin.write(b"[" + record)
 chunk = (b"," + record) * 8192
-for _ in range((records - 1) // 8192):
-    child.stdin.write(chunk)
-child.stdin.write((b"," + record) * ((records - 1) % 8192) + b"]")
-child.stdin.close()
-out = child.stdout.read()
-assert child.wait() == 0, child.returncode
-assert out == b"%d\n" % records, out
-peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-print(f"stdin streaming gate: {records} matches in 256 MiB, peak RSS {peak_mib:.1f} MiB")
-assert peak_mib < 32, f"peak RSS {peak_mib:.1f} MiB (limit 32)"
+
+def write(sink):
+    sink.write(b"[" + record)
+    for _ in range((records - 1) // 8192):
+        sink.write(chunk)
+    sink.write((b"," + record) * ((records - 1) % 8192) + b"]")
+
+def check(way, args, stdin, feed=None):
+    child = subprocess.Popen([sys.argv[1], *args, "--count", "$..b"], stdin=stdin,
+                             stdout=subprocess.PIPE)
+    if feed:
+        feed(child.stdin)
+        child.stdin.close()
+    out = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    assert status == 0, (way, status)
+    assert out == b"%d\n" % records, (way, out)
+    peak_mib = usage.ru_maxrss / 1024
+    print(f"stdin streaming gate: {records} matches in 256 MiB {way}, peak RSS {peak_mib:.1f} MiB")
+    assert peak_mib < 32, f"{way}: peak RSS {peak_mib:.1f} MiB (limit 32)"
+
+check("through a pipe", [], subprocess.PIPE, write)
+path = sys.argv[2]
+try:
+    with open(path, "wb") as f:
+        write(f)
+    for way, args in [("from a file, mapped", []), ("from a file, read", ["--mmap", "off"])]:
+        with open(path, "rb") as f:
+            check(way, args, f)
+finally:
+    os.remove(path)
 PYEOF
 RSQ_BACKEND=swar filtered_tests -p rsq-difftest -q --test corpus window_edges
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
@@ -644,12 +668,12 @@ lane "size series (non-test lines, dispatch entries, text bytes, popcnt)"
 # non-test line count is a ratchet (ROADMAP item 4): MAX_LINES is what
 # the last simplicity PR landed at, each one lowers it, and a PR that
 # has to raise it says in its description what the lines bought. The
-# last raise (27 266 -> 27 421) counts the 897 lines of
-# crates/engine/src/lib.rs a test-only `mod` declaration had hidden from
-# loc.sh (the true total was 27 273 before it), and buys the routing
-# probe: the per-run route decision, the route each run reports, and
-# the fast-path table's walker/general/chosen columns.
-MAX_LINES=27421
+# last raise (27 421 -> 27 875) buys the mapped-window stream over a
+# redirected stdin: the window mapping at any offset (rsq-mmap), the
+# mapped source and its windows (rsq-classify), the feed that checks
+# mapped pieces and the entry point (rsq-engine), the stdin decision in
+# the CLI and the mapped lane of the window-edge differential.
+MAX_LINES=27875
 scripts/loc.sh | tee "$SERVE_TMP/loc.txt"
 LINES="$(awk '/^total non-test lines/{print $NF}' "$SERVE_TMP/loc.txt")"
 TEXT_BYTES="$(awk '/^text bytes/{print $NF}' "$SERVE_TMP/loc.txt")"
