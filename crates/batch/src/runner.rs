@@ -10,9 +10,9 @@
 //! is a slice or streams in while it runs ([`DocRunner::run_stream`]) —
 //! not a code path.
 
-use crate::{DocError, DocErrorKind};
+use crate::{DocError, DocErrorKind, DocSink};
 use rsq_engine::{
-    Engine, NoStats, ProfileStats, Recorder, Route, RunError, RunStats, Sink, SinkFull, Streamed,
+    Engine, NoStats, ProfileStats, Recorder, Route, RunError, RunStats, Sink, Streamed,
 };
 use rsq_perf::{CounterGroup, CounterSet, PerfMode, PerfRecorder, PerfStats};
 use std::io::Read;
@@ -31,118 +31,6 @@ pub enum Record<'a> {
     /// partial work of a failed run stays in it; one [`ProfileStats::new`]
     /// may be reused across the documents of a worker.
     Profile(&'a mut ProfileStats),
-}
-
-/// What a run found, in the form the output mode renders.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Matches {
-    /// Only the number of matches.
-    Count(u64),
-    /// Every match offset, in document order.
-    Positions(Vec<usize>),
-}
-
-impl Matches {
-    /// The number of matches.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        match self {
-            Matches::Count(count) => *count,
-            Matches::Positions(positions) => positions.len() as u64,
-        }
-    }
-
-    /// The match offsets (empty when only a count was gathered).
-    #[must_use]
-    pub fn positions(&self) -> &[usize] {
-        match self {
-            Matches::Count(_) => &[],
-            Matches::Positions(positions) => positions,
-        }
-    }
-}
-
-/// The one sink the drivers run the engine into — one type, so the
-/// engine's loops are instantiated once per recorder however many output
-/// modes and deadline settings there are. It counts, or records positions
-/// when the mode renders from them, and with a deadline set it checks
-/// the wall clock every few records: the matching-phase half of a
-/// per-document deadline. Tripping reports [`SinkFull`] — a *clean* early
-/// stop for the engine — and [`DocRunner::run_doc`] turns the flag into a
-/// timeout outcome.
-#[derive(Debug)]
-pub struct DocSink {
-    matches: Matches,
-    deadline: Option<Instant>,
-    since_check: u32,
-    expired: bool,
-}
-
-impl DocSink {
-    /// Records between clock reads. The engine can emit matches at
-    /// hundreds of millions per second; reading the clock every record
-    /// would dominate. 64 keeps the deadline granular to microseconds
-    /// of overrun at worst.
-    const CHECK_EVERY: u32 = 64;
-
-    /// A sink gathering positions (`positions == true`) or only a count,
-    /// giving up once `deadline` has passed.
-    #[must_use]
-    pub fn new(positions: bool, deadline: Option<Instant>) -> Self {
-        DocSink {
-            matches: if positions {
-                Matches::Positions(Vec::new())
-            } else {
-                Matches::Count(0)
-            },
-            deadline,
-            since_check: 0,
-            expired: false,
-        }
-    }
-
-    /// What has been gathered so far.
-    #[must_use]
-    pub fn matches(&self) -> &Matches {
-        &self.matches
-    }
-
-    /// Consumes the sink, returning what it gathered.
-    #[must_use]
-    pub fn into_matches(self) -> Matches {
-        self.matches
-    }
-
-    /// Forgets the gathered matches, keeping the positions buffer's
-    /// capacity, so a worker reuses one sink across its documents.
-    pub fn clear(&mut self) {
-        match &mut self.matches {
-            Matches::Count(count) => *count = 0,
-            Matches::Positions(positions) => positions.clear(),
-        }
-        self.since_check = 0;
-        self.expired = false;
-    }
-}
-
-impl Sink for DocSink {
-    fn record(&mut self, pos: usize) -> Result<(), SinkFull> {
-        if let Some(deadline) = self.deadline {
-            self.since_check += 1;
-            if self.since_check >= Self::CHECK_EVERY {
-                self.since_check = 0;
-                if Instant::now() >= deadline {
-                    self.expired = true;
-                    return Err(SinkFull);
-                }
-            }
-        }
-        match &mut self.matches {
-            Matches::Count(count) => *count += 1,
-            Matches::Positions(positions) => positions.push(pos),
-        }
-        Ok(())
-    }
 }
 
 /// Runs documents on the thread that opened it: it owns that thread's
@@ -234,7 +122,7 @@ impl DocRunner {
         engine: &Engine,
         doc: Streamed<'d, &'d mut dyn Read>,
         deadline: Option<Instant>,
-        sink: &mut DocSink,
+        sink: &mut DocSink<'_>,
         record: Record<'_>,
         sample: bool,
     ) -> Result<Route, DocError> {
@@ -296,20 +184,20 @@ impl DocRunner {
         outcome
     }
 
-    /// [`run`](Self::run) into a [`DocSink`], honouring its deadline at
-    /// deterministic points only: once before the run (a document whose
-    /// budget already passed — e.g. held back by backpressure — times out
-    /// without running) and every few matches during it. A deadline in
-    /// the past therefore times out every document deterministically.
+    /// [`run`](Self::run) into a [`DocSink`] (bound to `doc`), honouring
+    /// its deadline at deterministic points only: once before the run (a
+    /// document whose budget already passed — e.g. held back by
+    /// backpressure — times out without running) and every few matches
+    /// during it. A deadline in the past times out every document.
     ///
     /// # Errors
     ///
     /// As [`run`](Self::run), plus [`DocErrorKind::Timeout`].
-    pub fn run_doc(
+    pub fn run_doc<'d>(
         &mut self,
         engine: &Engine,
-        doc: &[u8],
-        sink: &mut DocSink,
+        doc: &'d [u8],
+        sink: &mut DocSink<'d>,
         record: Record<'_>,
         sample: bool,
     ) -> Result<Route, DocError> {
@@ -317,6 +205,7 @@ impl DocRunner {
         if sink.deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(timeout());
         }
+        sink.bind(engine, doc);
         let run = self.run(engine, doc, sink, record, sample);
         if sink.expired {
             Err(timeout())
@@ -371,7 +260,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsq_engine::{EngineOptions, LimitKind};
+    use crate::ResponseMode;
+    use rsq_engine::{EngineOptions, LimitKind, SinkFull};
     use rsq_query::Query;
 
     const DOC: &[u8] = br#"{"a": 1, "b": {"a": [2, {"a": 3}]}, "c": {"a": {"x": {"a": 4}}}}"#;
@@ -408,20 +298,34 @@ mod tests {
             let engine = engine(query, EngineOptions::default());
             let expected = engine.try_positions(DOC).unwrap();
             let expected_stats = engine
-                .try_run_with_stats(DOC, &mut Vec::<usize>::new())
+                .try_run_with_stats(DOC, &mut rsq_engine::CountSink::new())
                 .unwrap();
             for mode in MODES {
                 let mut runner = DocRunner::open(mode);
-                for positions in [false, true] {
-                    let context = format!("{query} {mode:?} positions={positions}");
+                for response in [
+                    ResponseMode::Count,
+                    ResponseMode::Positions,
+                    ResponseMode::Values,
+                ] {
+                    let context = format!("{query} {mode:?} {response:?}");
                     let check = |sink: &DocSink| {
                         assert_eq!(sink.matches().count(), expected.len() as u64, "{context}");
-                        if positions {
+                        if response == ResponseMode::Positions {
                             assert_eq!(sink.matches().positions(), expected, "{context}");
+                        }
+                        if response == ResponseMode::Values {
+                            let (mut got, mut want) = (Vec::new(), Vec::new());
+                            crate::render(&mut got, DOC, sink.matches()).unwrap();
+                            for &p in &expected {
+                                let span = rsq_json::node_span(DOC, p).unwrap();
+                                want.extend_from_slice(&DOC[span]);
+                                want.push(b'\n');
+                            }
+                            assert_eq!(got, want, "{context}");
                         }
                     };
 
-                    let mut sink = DocSink::new(positions, None);
+                    let mut sink = DocSink::new(response, None);
                     runner
                         .run_doc(&engine, DOC, &mut sink, Record::Nothing, true)
                         .unwrap();
@@ -456,7 +360,7 @@ mod tests {
                 // Where the kernel grants counters, every sampled run
                 // was bracketed; where it does not, none was.
                 let docs = runner.perf().map_or(0, |p| p.docs);
-                assert!(docs == 0 || docs == 6, "{mode:?}: {docs} bracketed runs");
+                assert!(docs == 0 || docs == 9, "{mode:?}: {docs} bracketed runs");
             }
         }
     }
@@ -471,7 +375,7 @@ mod tests {
             },
         );
         let mut runner = DocRunner::open(PerfMode::Off);
-        let mut sink = DocSink::new(false, None);
+        let mut sink = DocSink::new(ResponseMode::Count, None);
         let mut stats = RunStats::default();
         let mut profile = ProfileStats::new();
         for _ in 0..2 {
@@ -509,7 +413,7 @@ mod tests {
                 assert_eq!(err.code(), "panic");
                 assert!(err.message.contains("sink exploded"), "{}", err.message);
 
-                let mut sink = DocSink::new(true, None);
+                let mut sink = DocSink::new(ResponseMode::Positions, None);
                 runner
                     .run_doc(&engine, DOC, &mut sink, Record::Nothing, true)
                     .unwrap();
@@ -583,7 +487,7 @@ mod tests {
         ];
         let mut runner = DocRunner::open(PerfMode::Off);
         for (engine, doc, kind, code) in &cases {
-            let mut sink = DocSink::new(true, None);
+            let mut sink = DocSink::new(ResponseMode::Positions, None);
             let err = runner
                 .run_doc(engine, doc, &mut sink, Record::Nothing, true)
                 .unwrap_err();
@@ -600,7 +504,7 @@ mod tests {
         let past = Instant::now();
 
         // Already expired: the document never runs.
-        let mut sink = DocSink::new(true, Some(past));
+        let mut sink = DocSink::new(ResponseMode::Positions, Some(past));
         let err = runner
             .run_doc(&engine, DOC, &mut sink, Record::Nothing, true)
             .unwrap_err();
@@ -615,7 +519,7 @@ mod tests {
             many.extend_from_slice(br#"{"a": 1},"#);
         }
         many.extend_from_slice(b"0]");
-        let mut sink = DocSink::new(false, Some(past));
+        let mut sink = DocSink::new(ResponseMode::Count, Some(past));
         let run = runner.run(&engine, &many, &mut sink, Record::Nothing, true);
         assert!(run.is_ok(), "a sink stop is a clean exit for the engine");
         assert!(sink.expired);
@@ -623,7 +527,7 @@ mod tests {
 
         // A generous deadline changes nothing.
         let later = Instant::now() + std::time::Duration::from_secs(3600);
-        let mut sink = DocSink::new(false, Some(later));
+        let mut sink = DocSink::new(ResponseMode::Count, Some(later));
         runner
             .run_doc(&engine, &many, &mut sink, Record::Nothing, true)
             .unwrap();
@@ -634,7 +538,7 @@ mod tests {
     fn unsampled_runs_are_not_bracketed() {
         let engine = engine("$..a", EngineOptions::default());
         let mut runner = DocRunner::open(PerfMode::Auto);
-        let mut sink = DocSink::new(false, None);
+        let mut sink = DocSink::new(ResponseMode::Count, None);
         runner
             .run_doc(&engine, DOC, &mut sink, Record::Nothing, false)
             .unwrap();

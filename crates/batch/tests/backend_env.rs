@@ -37,7 +37,7 @@ fn batch_is_deterministic_under_env_override() {
         let result = batch.run_slices("$..a", &docs).unwrap();
         for (i, (got, want)) in result.outcomes.iter().zip(&expected).enumerate() {
             assert_eq!(
-                &got.as_ref().unwrap().positions,
+                got.as_ref().unwrap().matches.positions(),
                 want,
                 "doc {i} diverged under RSQ_BACKEND=swar, threads={threads}"
             );

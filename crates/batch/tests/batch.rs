@@ -4,7 +4,7 @@
 //! contract — parallelism is an implementation detail the results must
 //! not leak.
 
-use rsq_batch::{BatchEngine, BatchOptions, DocOutput};
+use rsq_batch::{BatchEngine, BatchOptions, DocOutput, Matches};
 use rsq_engine::{Engine, EngineOptions};
 use rsq_query::Query;
 use rsq_simd::BackendKind;
@@ -47,7 +47,7 @@ fn sequential(query: &str, options: EngineOptions, docs: &[&[u8]]) -> Vec<Option
         .map(|doc| {
             engine.try_positions(doc).ok().map(|positions| DocOutput {
                 count: positions.len() as u64,
-                positions,
+                matches: Matches::Positions(positions),
             })
         })
         .collect()
@@ -164,7 +164,7 @@ fn merged_stats_match_sequential_totals() {
     let engine = Engine::from_text("$..a").unwrap();
     let mut expected = rsq_engine::RunStats::default();
     for doc in &doc_refs {
-        let mut sink = Vec::new();
+        let mut sink = rsq_engine::CountSink::new();
         if let Ok(stats) = engine.try_run_with_stats(doc, &mut sink) {
             expected += stats;
         }

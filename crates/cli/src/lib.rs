@@ -22,7 +22,10 @@
     clippy::indexing_slicing
 )]
 
-use rsq_batch::{BatchEngine, BatchOptions, DocError, DocErrorKind, DocRunner, DocSink, Record};
+use rsq_batch::{
+    render, BatchEngine, BatchOptions, DocError, DocErrorKind, DocRunner, DocSink, Record,
+    ResponseMode,
+};
 use rsq_engine::{
     Engine, EngineOptions, LimitKind, ProfileStage, ProfileStats, RunError, RunStats, Streamed,
 };
@@ -36,8 +39,8 @@ use rsq_obs::{
 use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use rsq_serve::{
-    render, serve_connection_with, serve_telemetry_listener, serve_unix_with, ResponseMode,
-    ServeOptions, ServeReport, Telemetry,
+    serve_connection_with, serve_telemetry_listener, serve_unix_with, ServeOptions, ServeReport,
+    Telemetry,
 };
 use std::fmt;
 use std::io::{Read, Write};
@@ -80,8 +83,8 @@ options:
                       exposition
   --mmap auto|on|off  zero-copy input: map FILE (and the --batch-ndjson
                       file and --batch-dir files, and stdin redirected
-                      from a file under --count and --positions) into
-                      memory instead of copying through a read loop;
+                      from a file) into memory instead of copying
+                      through a read loop;
                       auto (the default) maps files of at least 1 MiB,
                       off always reads (results are identical either way)
 
@@ -556,9 +559,8 @@ enum Document {
     /// A file mapped into memory (zero-copy: the engine reads the page
     /// cache directly).
     Mapped(MmapInput),
-    /// Stdin redirected from a regular file, streamed through windows
-    /// mapped from its offset: the file, the offset and the length after
-    /// it.
+    /// Stdin redirected from a regular file the policy maps: the file, the
+    /// offset, the length after it (mapped window by window when streamed).
     Pages(std::fs::File, u64, usize),
     /// Stdin, or a file that is not mapped (small, unmappable, or
     /// `--mmap off`), with the name its failures are reported under.
@@ -568,19 +570,19 @@ enum Document {
 /// Opens the document. File inputs are memory-mapped when the `--mmap`
 /// policy allows; the size limit is checked up front on that path, since
 /// mapping a too-large file and then refusing it would waste nothing but
-/// also prove nothing. A run that `streams` maps stdin too, window by
-/// window, when it is a regular file the policy maps. Everything else is
+/// also prove nothing. Stdin is mapped too when it is a regular file the
+/// policy maps, and checked as it would be read. Everything else is
 /// read through the engine's hardened input loop: reads in place,
 /// transient-error retry, limits and validation enforced while bytes
 /// arrive.
-fn open_input(invocation: &Invocation, streams: bool) -> Result<Document, CliError> {
+fn open_input(invocation: &Invocation) -> Result<Document, CliError> {
     let Some(path) = invocation.file.as_deref() else {
         let stdin = || {
             use std::os::fd::AsFd;
             let fd = std::io::stdin().as_fd().try_clone_to_owned().ok()?;
             file_pages(fd.into(), invocation.mmap)
         };
-        if let Some((file, start, len)) = streams.then(stdin).flatten() {
+        if let Some((file, start, len)) = stdin() {
             return Ok(Document::Pages(file, start, len));
         }
         return Ok(Document::Read(
@@ -866,11 +868,12 @@ pub fn run(
 /// Runs the query over one document: one contained run on the shared
 /// [`DocRunner`], the matches (or the oracle's verdict) on `out`, the
 /// report on `err`. Count and positions stream a document that is not
-/// mapped, in bounded memory; values, `--verify` and `--profile` copy it
-/// whole first (the values are spans of it, the oracle parses it, the
-/// profile times ingest as a stage of its own). Nothing reaches `out`
-/// before the whole input has been read and checked. A panic inside the
-/// run comes back as a failure (exit 1), not an abort.
+/// mapped, in bounded memory; values, `--verify` and `--profile` take it
+/// in whole and checked first — mapped if the policy maps the file or
+/// redirected stdin, else copied (the oracle parses it, the profile times
+/// ingest as a stage of its own). Nothing reaches `out` before the whole
+/// input has been read and checked. A panic inside the run comes back as
+/// a failure (exit 1), not an abort.
 fn run_document(
     invocation: &Invocation,
     out: &mut impl Write,
@@ -888,21 +891,20 @@ fn run_document(
         None if invocation.wants_stats() => Record::Stats(&mut stats),
         None => Record::Nothing,
     };
-    let mode = invocation.response_mode();
-    let mut sink = DocSink::new(mode != ResponseMode::Count, None);
+    let mut sink = DocSink::new(invocation.response_mode(), None);
     let streams = matches!(invocation.mode, Mode::Count | Mode::Positions) && !invocation.profile;
 
     let t_ingest = invocation.profile.then(Instant::now);
     let mut ingest_ns = None;
-    let input = match open_input(invocation, streams)? {
-        Document::Read(name, mut reader) if streams => {
+    let mut input = MmapInput::from_vec(Vec::new());
+    match (open_input(invocation)?, streams) {
+        (Document::Read(name, mut reader), true) => {
             let doc = Streamed::Reader(&mut *reader as &mut dyn Read);
             runner
                 .run_stream(&engine, doc, deadline, &mut sink, record, true)
                 .map_err(|e| input_error(&name, e))?;
-            MmapInput::from_vec(Vec::new())
         }
-        Document::Pages(file, start, len) => {
+        (Document::Pages(file, start, len), true) => {
             let doc = Streamed::Mapped {
                 file: &file,
                 start,
@@ -911,24 +913,29 @@ fn run_document(
             runner
                 .run_stream(&engine, doc, deadline, &mut sink, record, true)
                 .map_err(|e| input_error("stdin", e))?;
-            MmapInput::from_vec(Vec::new())
         }
-        Document::Read(name, reader) => {
-            let input = engine
-                .ingest::<_, Region>(reader, deadline)
-                .map_err(|e| input_error(&name, DocError::from_run(&e)))?;
+        (held, _) => {
+            let validated = !matches!(held, Document::Mapped(_)); // as it is taken in
+            input = match held {
+                Document::Mapped(mapped) => mapped,
+                Document::Pages(file, start, len) => engine
+                    .ingest_mapped(&file, start, len, deadline)
+                    .map_err(|e| input_error("stdin", DocError::from_run(&e)))?
+                    .into(),
+                Document::Read(name, reader) => engine
+                    .ingest::<_, Region>(reader, deadline)
+                    .map_err(|e| input_error(&name, DocError::from_run(&e)))?
+                    .into(),
+            };
             ingest_ns = t_ingest.map(elapsed_ns);
-            // Validated while it arrived: the verdict stands.
-            let engine = engine.without_validation();
+            let engine = if validated {
+                engine.without_validation()
+            } else {
+                engine
+            };
             runner.run_doc(&engine, &input, &mut sink, record, true)?;
-            MmapInput::from(input)
         }
-        Document::Mapped(input) => {
-            ingest_ns = t_ingest.map(elapsed_ns);
-            runner.run_doc(&engine, &input, &mut sink, record, true)?;
-            input
-        }
-    };
+    }
     let matches = sink.matches();
 
     if invocation.mode == Mode::Verify {
@@ -955,7 +962,7 @@ fn run_document(
             matches.count()
         )
     } else {
-        render(out, mode, &input, matches.count(), matches.positions())
+        render(out, &input, matches)
     }
     .map_err(write_error)?;
     if let Some(profile) = profile.as_mut() {
@@ -1152,6 +1159,7 @@ fn run_batch(
         collect_stats: invocation.wants_stats(),
         profile: invocation.profile,
         perf: invocation.perf_mode(),
+        mode: invocation.response_mode(),
     });
 
     // Load the corpus: ingest is sequential (one disk), compute parallel.
@@ -1198,13 +1206,12 @@ fn run_batch(
         None => format!("document {}", i + 1),
     };
 
-    let mode = invocation.response_mode();
     let mut first_failure: Option<CliErrorKind> = None;
     let mut failed = 0usize;
     // One outcome per document, in input order.
     for (i, (doc, outcome)) in docs.iter().zip(&result.outcomes).enumerate() {
         match outcome {
-            Ok(output) => render(out, mode, doc, output.count, &output.positions),
+            Ok(output) => render(out, doc, &output.matches),
             Err(doc_err) => {
                 failed += 1;
                 first_failure.get_or_insert(doc_error_kind(doc_err.kind));

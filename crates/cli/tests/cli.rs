@@ -388,7 +388,9 @@ fn many_members(tail: &[u8]) -> Vec<u8> {
 
 /// A streamed document is checked to its end whatever its run does, and
 /// a failure of the input is reported before one of the run: the exit
-/// code and stderr are those of a document read whole before it runs.
+/// code and stderr are those of a document read whole before it runs —
+/// as they are in values mode, which holds the document whole (copied
+/// from the pipe, mapped from the file).
 #[test]
 fn stdin_failures_keep_their_order_while_streaming() {
     let cases: [(&[&str], Vec<u8>, i32, &str); 4] = [
@@ -433,14 +435,21 @@ fn stdin_failures_keep_their_order_while_streaming() {
         // Through a pipe, and redirected from a file (mapped: each
         // document is over 1 MiB).
         let file = TempFile::new("failures", &doc);
-        for out in [rsq(args, Some(&doc)), rsq_from_file(args, file.open())] {
-            assert_eq!(out.status.code(), Some(code), "{args:?}: {}", stderr(&out));
-            assert_eq!(stderr(&out), message, "{args:?}");
-            assert_eq!(
-                stdout(&out),
-                "",
-                "{args:?}: nothing is printed before the end"
-            );
+        let values: Vec<&str> = args
+            .iter()
+            .copied()
+            .filter(|a| !matches!(*a, "--count" | "--positions"))
+            .collect();
+        for args in [args, &values[..]] {
+            for out in [rsq(args, Some(&doc)), rsq_from_file(args, file.open())] {
+                assert_eq!(out.status.code(), Some(code), "{args:?}: {}", stderr(&out));
+                assert_eq!(stderr(&out), message, "{args:?}");
+                assert_eq!(
+                    stdout(&out),
+                    "",
+                    "{args:?}: nothing is printed before the end"
+                );
+            }
         }
     }
 }
@@ -486,7 +495,14 @@ fn redirected_stdin_is_read_from_its_offset_either_way() {
     let junk = br#"{"a": "not this document"} "#;
     let file = TempFile::new("offset", &[&junk[..], &doc].concat());
     let expected = |args: &[&str]| stdout(&rsq(args, Some(&doc)));
-    for args in [&["--count", "$..a"][..], &["--positions", "$[2].a"]] {
+    for args in [
+        &["--count", "$..a"][..],
+        &["--positions", "$[2].a"],
+        &["$..a"],
+        &["$[*]"],
+        &["--verify", "$..a"],
+        &["--profile", "--count", "$..a"],
+    ] {
         let want = expected(args);
         for policy in ["auto", "on", "off"] {
             let mut stdin = file.open();
@@ -507,17 +523,19 @@ fn redirected_stdin_is_read_from_its_offset_either_way() {
     // Empty, small under `auto`, a pipe and /dev/null are read.
     let small = TempFile::new("small", DOC);
     let empty = TempFile::new("empty", b"");
-    for (policy, stdin, bytes) in [
-        ("auto", Stdio::from(small.open()), DOC),
-        ("on", Stdio::from(small.open()), DOC),
-        ("on", Stdio::from(empty.open()), b""),
-        ("on", Stdio::null(), b""),
-    ] {
-        let args = ["--mmap", policy, "--count", "$..b"];
-        let out = rsq_from_file(&args, stdin);
-        let piped = rsq(&args, Some(bytes));
-        assert_eq!(out.status.code(), piped.status.code(), "{policy}");
-        assert_eq!(stdout(&out), stdout(&piped), "{policy}");
-        assert_eq!(stderr(&out), stderr(&piped), "{policy}");
+    for mode in ["--count", "--verify", "--positions"] {
+        for (policy, stdin, bytes) in [
+            ("auto", Stdio::from(small.open()), DOC),
+            ("on", Stdio::from(small.open()), DOC),
+            ("on", Stdio::from(empty.open()), b""),
+            ("on", Stdio::null(), b""),
+        ] {
+            let args = ["--mmap", policy, mode, "$..b"];
+            let out = rsq_from_file(&args, stdin);
+            let piped = rsq(&args, Some(bytes));
+            assert_eq!(out.status.code(), piped.status.code(), "{args:?}");
+            assert_eq!(stdout(&out), stdout(&piped), "{args:?}");
+            assert_eq!(stderr(&out), stderr(&piped), "{args:?}");
+        }
     }
 }

@@ -277,6 +277,16 @@ impl Feed<FilePages<'_>> {
         let want = self.want(piece.len());
         self.accept(&piece[..want])
     }
+
+    /// Maps the document whole and checks it, chunk by chunk to its end.
+    pub(crate) fn check_whole(mut self) -> Result<Mapping, RunError> {
+        let doc = self.reader.map(0, self.reader.len)?;
+        let mut at = 0;
+        while let n @ 1.. = self.next_piece(&doc[at..])? {
+            at += n;
+        }
+        Ok(doc)
+    }
 }
 
 impl Pages for Feed<FilePages<'_>> {

@@ -339,8 +339,7 @@ impl From<CompileError> for EngineError {
 /// There is one matching loop, [`Engine::try_run_with_recorder`]; what a
 /// run observes is the recorder you pass, not a different entry point.
 /// For a Tier C profile, call `try_run_with_recorder(doc, sink, &mut
-/// profile)` with `profile = ProfileStats::new()`; to reuse buffers across
-/// documents, clear and pass the same `Vec<usize>` as the sink.
+/// profile)` with `profile = ProfileStats::new()`.
 ///
 /// See the [crate documentation](crate) for an example.
 #[derive(Clone, Debug)]
@@ -488,6 +487,12 @@ impl Engine {
     #[must_use]
     pub fn options(&self) -> &EngineOptions {
         &self.options
+    }
+
+    /// The backend this engine's runs classify with.
+    #[must_use]
+    pub fn simd(&self) -> Simd {
+        self.simd
     }
 
     /// Streams `input`, reporting every match to `sink`, with full error
@@ -783,6 +788,28 @@ impl Engine {
         deadline: Option<std::time::Instant>,
     ) -> Result<B, RunError> {
         input::read_document(&mut reader, &self.options, self.simd, deadline)
+    }
+
+    /// [`ingest`](Self::ingest) of the bytes `[start, start + len)` of a
+    /// regular file, mapped whole and checked in place in the same chunks.
+    ///
+    /// # Errors
+    ///
+    /// As [`ingest`](Self::ingest), or [`RunError::Io`] if unmappable.
+    pub fn ingest_mapped(
+        &self,
+        file: &File,
+        start: u64,
+        len: usize,
+        deadline: Option<Instant>,
+    ) -> Result<rsq_mmap::Mapping, RunError> {
+        Feed::document(
+            FilePages { file, start, len },
+            &self.options,
+            self.simd,
+            deadline,
+        )
+        .check_whole()
     }
 
     /// This engine minus the up-front [`strict`](EngineOptions::strict)

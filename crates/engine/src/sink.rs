@@ -3,8 +3,10 @@
 //! The engine streams; it never materializes matched nodes itself. A
 //! [`Sink`] receives the byte offset at which each matched node's text
 //! starts (in document order). [`CountSink`] mirrors the match counter
-//! used in the paper's benchmarks; [`PositionsSink`] records offsets for
-//! verification and for extracting node text.
+//! used in the paper's benchmarks; [`PositionsSink`] records the offsets,
+//! for verification and tests. The CLI, batch and serve run their own,
+//! `rsq_batch::DocSink`, which also cuts matched values as they are
+//! recorded (DESIGN.md §15.5).
 //!
 //! A sink can stop a run early: [`Sink::record`] returns
 //! `Err(`[`SinkFull`]`)` when the sink declines further matches, and the
@@ -111,19 +113,6 @@ impl Sink for PositionsSink {
     #[inline]
     fn record(&mut self, pos: usize) -> Result<(), SinkFull> {
         self.positions.push(pos);
-        Ok(())
-    }
-}
-
-/// A plain `Vec<usize>` is a sink: offsets are appended in document
-/// order. This is the allocation-reuse form of [`PositionsSink`] — a
-/// caller that runs many documents (e.g. a batch worker) clears and
-/// refills one vector instead of constructing a sink per document, so
-/// the buffer's capacity survives across runs.
-impl Sink for Vec<usize> {
-    #[inline]
-    fn record(&mut self, pos: usize) -> Result<(), SinkFull> {
-        self.push(pos);
         Ok(())
     }
 }

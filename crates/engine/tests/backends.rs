@@ -4,7 +4,7 @@
 //! ran it, and whether the backend was chosen once for the run or once per
 //! block primitive.
 
-use rsq_engine::{Engine, EngineOptions, RouteChoice};
+use rsq_engine::{Engine, EngineOptions, PositionsSink, RouteChoice};
 use rsq_query::Query;
 use rsq_simd::{BackendKind, Simd};
 
@@ -95,11 +95,14 @@ fn runs(query: &Query, doc: &[u8]) -> Vec<(String, Vec<usize>)> {
                 format!("{kind} dispatched, {route:?}"),
                 engine.try_positions(doc).expect("document is valid"),
             ));
-            let mut per_call = Vec::new();
+            let mut per_call = PositionsSink::new();
             engine
                 .try_run_on(Simd::with_kind(kind), doc, &mut per_call)
                 .expect("document is valid");
-            out.push((format!("{kind} per call, {route:?}"), per_call));
+            out.push((
+                format!("{kind} per call, {route:?}"),
+                per_call.into_positions(),
+            ));
         }
     }
     out

@@ -12,8 +12,8 @@
 //! reads the clock once per stage bracket, however many skips it takes.
 
 use rsq_engine::{
-    ClassifierCounters, Engine, EngineOptions, ProfileStage, ProfileStats, Recorder, Route,
-    RouteChoice, SkipTechnique,
+    ClassifierCounters, CountSink, Engine, EngineOptions, PositionsSink, ProfileStage,
+    ProfileStats, Recorder, Route, RouteChoice, SkipTechnique,
 };
 use rsq_query::Query;
 use rsq_simd::BackendKind;
@@ -267,11 +267,12 @@ fn check(input: &[u8], query_text: &str, context: &str) {
         let engine = Engine::with_options(&query, options).expect("query compiles");
         let expected = engine.try_positions(input).expect("lenient run");
 
-        let mut positions: Vec<usize> = Vec::new();
+        let mut positions = PositionsSink::new();
         let mut rec = Spans::default();
         engine
             .try_run_with_recorder(input, &mut positions, &mut rec)
             .expect("lenient run");
+        let positions = positions.into_positions();
         let context = format!("{query_text} {context} backend={backend:?} {route:?}");
 
         // The profiled run observes the plain run's matches.
@@ -395,7 +396,7 @@ fn a_run_reads_the_clock_once_per_stage() {
                 let engine = Engine::with_options(&query, options).expect("query compiles");
                 let mut rec = Spans::default();
                 let taken = engine
-                    .try_run_with_recorder(input, &mut Vec::new(), &mut rec)
+                    .try_run_with_recorder(input, &mut CountSink::new(), &mut rec)
                     .expect("well-formed document");
                 let context = format!("{query_text} {route:?} strict={strict} backend={backend:?}");
                 let stats = &rec.profile.stats;

@@ -2,10 +2,10 @@
 //!
 //! The streaming engines report matches as byte offsets. Turning an
 //! offset back into the matched node does not need a DOM — a
-//! quote-aware bracket scan finds the end of the value — and every
-//! value emitter (the CLI's default output mode, batch output, the
-//! serve layer's value responses) uses this shared routine, so their
-//! rendered output is identical by construction.
+//! quote-aware bracket scan finds the end of the value. It is the
+//! oracle of the value emitters (`rsq_batch::render`, which cuts a
+//! short value at record time from one 64-byte load and spans the rest
+//! with this routine after the run, DESIGN.md §15.5).
 //!
 //! [`node_span`] is the raw-passthrough primitive (DESIGN.md §15): it
 //! returns the matched byte range so emitters can `write_all` the

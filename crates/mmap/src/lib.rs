@@ -162,6 +162,15 @@ impl From<Region> for MmapInput {
     }
 }
 
+/// A window of a file mapped whole.
+impl From<Mapping> for MmapInput {
+    fn from(mapping: Mapping) -> MmapInput {
+        MmapInput {
+            repr: Repr::Mapped(mapping),
+        }
+    }
+}
+
 impl Deref for MmapInput {
     type Target = [u8];
 

@@ -63,7 +63,8 @@ pub use telemetry::serve_telemetry_listener;
 pub use telemetry::Telemetry;
 
 use pool::Pool;
-use rsq_batch::{DocError, DocErrorKind, DocRunner, DocSink, Frame, NdjsonFramer, Record};
+pub use rsq_batch::ResponseMode;
+use rsq_batch::{render, DocError, DocErrorKind, DocRunner, DocSink, Frame, NdjsonFramer, Record};
 use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
 use rsq_obs::{Histogram, ServeCounters};
 use rsq_perf::{PerfMode, PerfStats};
@@ -78,19 +79,6 @@ use std::time::{Duration, Instant};
 /// hardware-counter group when counters are armed; the rest run without
 /// the group's start and stop syscalls.
 const PERF_SAMPLE_INTERVAL: usize = 32;
-
-/// What the server writes back for each successfully processed
-/// document. Mirrors the batch CLI's output modes byte-for-byte.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ResponseMode {
-    /// One line per document: the match count.
-    #[default]
-    Count,
-    /// One line per match: the byte offset.
-    Positions,
-    /// One line per match: the matched node's text.
-    Values,
-}
 
 /// Configuration for a serving session.
 #[derive(Clone, Debug)]
@@ -217,66 +205,6 @@ impl ServeReport {
     }
 }
 
-/// Writes what one document matched — exactly the bytes every driver
-/// prints for it: the count, one offset per line, or one matched node per
-/// line. `positions` is only read outside [`ResponseMode::Count`], `doc`
-/// only in [`ResponseMode::Values`].
-///
-/// # Errors
-///
-/// The writer's.
-pub fn render(
-    out: &mut impl Write,
-    mode: ResponseMode,
-    doc: &[u8],
-    count: u64,
-    positions: &[usize],
-) -> io::Result<()> {
-    match mode {
-        ResponseMode::Count => writeln!(out, "{count}"),
-        ResponseMode::Positions => positions
-            .iter()
-            .try_for_each(|&p| out.write_all(decimal_line(p, &mut [0; DECIMAL_LINE]))),
-        // Raw passthrough (DESIGN.md §15): the matched spans are the
-        // document's own bytes, written once with no per-match UTF-8
-        // validation or formatting. Unterminated spans (truncated input)
-        // render as `<malformed>`.
-        ResponseMode::Values => positions.iter().try_for_each(|&p| {
-            match rsq_json::node_span(doc, p) {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "node_span ranges are in bounds of `doc` by construction"
-                )]
-                Some(span) => out.write_all(&doc[span])?,
-                None => out.write_all(b"<malformed>")?,
-            }
-            out.write_all(b"\n")
-        }),
-    }
-}
-
-/// The longest [`decimal_line`]: `usize::MAX`'s 20 digits and the newline.
-const DECIMAL_LINE: usize = 21;
-
-/// `n` in decimal and a newline, formatted into the end of `buf` — what
-/// `writeln!` writes, without its formatting machinery per line.
-fn decimal_line(mut n: usize, buf: &mut [u8; DECIMAL_LINE]) -> &[u8] {
-    let mut len = 1;
-    let mut bytes = buf.iter_mut().rev();
-    if let Some(newline) = bytes.next() {
-        *newline = b'\n';
-    }
-    for digit in bytes {
-        *digit = b'0' + (n % 10) as u8;
-        len += 1;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    buf.get(DECIMAL_LINE - len..).unwrap_or_default()
-}
-
 /// The [`ServeCounters`] field a response is counted in.
 type Tally = fn(&mut ServeCounters) -> &mut u64;
 
@@ -306,7 +234,6 @@ impl pool::Response {
 struct Emitter<W, E> {
     out: W,
     err: E,
-    mode: ResponseMode,
     telemetry: Option<Arc<Telemetry>>,
     /// The lines rendered but not yet written, all bound for one stream.
     lines: Vec<u8>,
@@ -343,15 +270,7 @@ impl<W: Write, E: Write> Emitter<W, E> {
                 t.record_doc(tally, resp);
             }
             match &resp.result {
-                Ok(matches) => {
-                    render(
-                        &mut self.lines,
-                        self.mode,
-                        &resp.doc,
-                        matches.count(),
-                        matches.positions(),
-                    )?;
-                }
+                Ok(matches) => render(&mut self.lines, &resp.doc, matches)?,
                 Err(e) => {
                     self.report.first_failure.get_or_insert(e.kind);
                     let (doc_no, message, code) = (seq + 1, &e.message, e.code());
@@ -396,11 +315,9 @@ impl<T: pool::Emit> Worker<'_, T> {
         let sampled = self.doc_index.is_multiple_of(PERF_SAMPLE_INTERVAL);
         self.doc_index = self.doc_index.wrapping_add(1);
         // The deadline runs from admission (see `DocRunner::run_doc` for
-        // where it is checked); a count never builds the positions vector.
-        let mut sink = DocSink::new(
-            self.options.mode != ResponseMode::Count,
-            self.options.deadline.map(|d| job.admitted + d),
-        );
+        // where it is checked).
+        let deadline = self.options.deadline.map(|d| job.admitted + d);
+        let mut sink = DocSink::new(self.options.mode, deadline);
         let started = self.hub.map(|_| Instant::now());
         let run = self
             .runner
@@ -502,7 +419,6 @@ where
     let emitter = Emitter {
         out,
         err,
-        mode: options.mode,
         telemetry: telemetry.cloned(),
         lines: Vec::new(),
         report: ServeReport::default(),
@@ -812,7 +728,6 @@ mod tests {
         let mut emitter = Emitter {
             out: Recorder::new((), "out", &log),
             err: Recorder::new((), "err", &log),
-            mode: ResponseMode::Count,
             telemetry: None,
             lines: Vec::new(),
             report: ServeReport::default(),
@@ -1041,14 +956,6 @@ mod tests {
                 "{deadline:?}: {text}"
             );
             assert_eq!(report.latency.count(), 5, "all but the oversize line ran");
-        }
-    }
-
-    #[test]
-    fn decimal_lines_are_what_writeln_writes() {
-        for n in [0, 9, 10, 99, 100, u32::MAX as usize, usize::MAX] {
-            let line = decimal_line(n, &mut [0; DECIMAL_LINE]).to_vec();
-            assert_eq!(line, format!("{n}\n").into_bytes(), "{n}");
         }
     }
 

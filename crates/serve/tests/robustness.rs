@@ -54,13 +54,13 @@ fn batch_oracle(
                     let _ = writeln!(out, "{}", doc_out.count);
                 }
                 ResponseMode::Positions => {
-                    for p in &doc_out.positions {
+                    for p in doc_out.matches.positions() {
                         let _ = writeln!(out, "{p}");
                     }
                 }
                 ResponseMode::Values => {
                     let doc = &input[ranges[i].clone()];
-                    for &p in &doc_out.positions {
+                    for &p in doc_out.matches.positions() {
                         let _ = writeln!(
                             out,
                             "{}",

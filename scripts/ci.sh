@@ -5,8 +5,9 @@
 # an overflow-checked test pass, the fast-path parity gate (routed
 # walker vs the general engine over the full query catalog), the paper
 # reproduction gate (`experiments check`), the seek linearity gate, the
-# mmap ingest smoke, the input-path parity gate, the stdin streaming
-# gate, the hardware-counter and live-telemetry smokes, the profile-overhead gate,
+# mmap ingest smoke, the input-path parity gate, the values parity gate,
+# the stdin streaming gate, the hardware-counter and live-telemetry
+# smokes, the profile-overhead gate (counters and wall time),
 # differential fuzz smoke, and (when the host toolchain provides them)
 # Miri, AddressSanitizer, and ThreadSanitizer lanes. It ends with the
 # size series (two rows and the line-count ratchet are gates) and a lane
@@ -298,8 +299,8 @@ lane "mmap smoke gate (--mmap on vs off over a multi-MB batch dir)"
 # corpus files are above the 1 MiB threshold, so `auto` maps too.
 MMAP_DIR="$SERVE_TMP/mmap-batch"
 mkdir -p "$MMAP_DIR"
-cp "$SERVE_TMP/corpus/B.json" "$SERVE_TMP/corpus/G.json" \
-  "$SERVE_TMP/corpus/Wa.json" "$MMAP_DIR/"
+cp "$SERVE_TMP/corpus-2/B.json" "$SERVE_TMP/corpus-2/G.json" \
+  "$SERVE_TMP/corpus-2/Wa.json" "$MMAP_DIR/"
 ./target/release/rsq --count '$..id' --batch-dir "$MMAP_DIR" --mmap on \
   > "$SERVE_TMP/mmap-on.out"
 ./target/release/rsq --count '$..id' --batch-dir "$MMAP_DIR" --mmap off \
@@ -407,6 +408,75 @@ if [ "$BATCH_PARITY_CASES" -lt 7 ]; then
   exit 1
 fi
 echo "parity gate: $BATCH_PARITY_CASES NDJSON batch cases x 4 input paths agree"
+
+lane "values parity gate (an 8 MiB document of known values: FILE, < FILE, cat FILE |, --mmap off FILE; \$ in bounded memory)"
+# Values mode cuts a short value at record time from one 64-byte load and
+# spans the rest after the run (DESIGN.md §15.5). A document of 8 MiB and
+# more whose `v` values are known by construction — strings of 0-200
+# bytes, with and without escapes, and numbers, shifted so their ends
+# fall on every byte of a 64-byte block — must print exactly those values
+# through each way in. `$` over the same file prints the document; it is
+# held as its start and spanned when written, never copied, so the
+# child's peak RSS stays under the file's size plus 16 MiB.
+python3 - "$PWD/target/release/rsq" "$SERVE_TMP/values.json" <<'PYEOF'
+import hashlib, os, subprocess, sys
+rsq, path = sys.argv[1], sys.argv[2]
+# The document is written and the values hashed as they are made, so
+# that this process stays small: a child's peak RSS, as wait4 reports
+# it, is never below its parent's at the spawn.
+expected, size, count = hashlib.sha256(), 0, 0
+with open(path, "wb") as f:
+    f.write(b"[")
+    while size < 8 << 20:
+        n = count % 201
+        if count % 4 == 0:
+            v = '"' + "s" * n + '"'
+        elif count % 4 == 1:
+            v = '"' + "e" * (n // 2) + '\\"' + "e" * (n - n // 2) + '"'
+        elif count % 4 == 2:
+            v = '"' + "b" * n + '\\\\"'
+        else:
+            v = "1" + "0" * n + (".5e3" if n % 3 else "")
+        record = ("," if count else "") + '{"p": "%s", "v": %s}' % ("x" * (count % 64), v)
+        f.write(record.encode())
+        expected.update((v + "\n").encode())
+        size += len(record)
+        count += 1
+    f.write(b"]")
+size += 2
+
+def run(way, command, stdin=None):
+    child = subprocess.Popen(command, stdin=stdin, stdout=subprocess.PIPE)
+    out = hashlib.sha256()
+    while chunk := child.stdout.read(1 << 16):
+        out.update(chunk)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert status == 0, (way, status)
+    return out.digest(), usage.ru_maxrss / 1024
+
+try:
+    digest, peak_mib = run("$", [rsq, "$", path])
+    whole = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            whole.update(chunk)
+    whole.update(b"\n")
+    assert digest == whole.digest(), "values parity gate: $ does not print the document"
+    limit = size / (1 << 20) + 16
+    print(f"values parity gate: $ peak RSS {peak_mib:.1f} MiB (limit {limit:.1f})")
+    assert peak_mib < limit, f"$: peak RSS {peak_mib:.1f} MiB (limit {limit:.1f})"
+    for way, command, stdin in [
+        ("FILE", [rsq, "$..v", path], None),
+        ("< FILE", [rsq, "$..v"], open(path, "rb")),
+        ("cat FILE |", ["sh", "-c", 'cat "$1" | "$0" \'$..v\'', rsq, path], None),
+        ("--mmap off FILE", [rsq, "--mmap", "off", "$..v", path], None),
+    ]:
+        digest, _ = run(way, command, stdin)
+        assert digest == expected.digest(), f"values parity gate: $..v as {way} differs from the values written"
+    print(f"values parity gate: {count} values of a {size >> 20} MiB document agree on 4 paths")
+finally:
+    os.remove(path)
+PYEOF
 
 lane "stdin streaming gate (256 MB through a pipe and from a file in bounded memory; window-edge differential)"
 # A document made up as it is written — 2 097 152 records of 128 bytes,
@@ -599,6 +669,10 @@ lane "profile-overhead gate (Tier C compiles out of unprofiled runs)"
 # inside an elided [from, to) span) and holds a profiled run to one clock
 # read per stage, however many skips it takes.
 cargo test -p rsq --release --features slow-tests --test obs_overhead -q
+# The wall-clock half: the best of 31 alternating runs of `--count
+# --profile` within 1.1x of the best of 31 of `--count` on a 29 MB
+# document, in one of up to three attempts (ROADMAP 8(d)).
+cargo test -p rsq-cli --release --features slow-tests --test profile_overhead -q
 cargo test -p rsq-engine --release --test skip_spans -q
 RSQ_BACKEND=swar cargo test -p rsq-engine --release --test skip_spans -q
 
@@ -668,12 +742,11 @@ lane "size series (non-test lines, dispatch entries, text bytes, popcnt)"
 # non-test line count is a ratchet (ROADMAP item 4): MAX_LINES is what
 # the last simplicity PR landed at, each one lowers it, and a PR that
 # has to raise it says in its description what the lines bought. The
-# last raise (27 421 -> 27 875) buys the mapped-window stream over a
-# redirected stdin: the window mapping at any offset (rsq-mmap), the
-# mapped source and its windows (rsq-classify), the feed that checks
-# mapped pieces and the entry point (rsq-engine), the stdin decision in
-# the CLI and the mapped lane of the window-edge differential.
-MAX_LINES=27875
+# last raise (27 875 -> 28 025) buys values cut at record time: the
+# block-wide cut and the held values beside the one sink and the one
+# renderer (rsq-batch), and a redirected stdin mapped whole and checked
+# in place for values, --verify and --profile (rsq-engine, the CLI).
+MAX_LINES=28025
 scripts/loc.sh | tee "$SERVE_TMP/loc.txt"
 LINES="$(awk '/^total non-test lines/{print $NF}' "$SERVE_TMP/loc.txt")"
 TEXT_BYTES="$(awk '/^text bytes/{print $NF}' "$SERVE_TMP/loc.txt")"
