@@ -2,13 +2,12 @@
 //!
 //! The engine's classifiers (§4) assume well-formed input; on garbage they
 //! merely guarantee absence of panics, not meaningful results. For inputs
-//! from untrusted sources the engine offers a *strict* mode, and for the
-//! chunked-reader path it enforces a nesting-depth limit while bytes
-//! arrive. Both are powered by [`StructuralValidator`]: an incremental,
-//! SIMD-backed checker that consumes arbitrary-sized chunks, carries the
-//! quote-classifier state across chunk boundaries (§4.5's stop/resume
-//! handoff, between chunks instead of classifiers), and tracks one
-//! bracket-type bit per nesting level.
+//! from untrusted sources the engine offers a *strict* mode, powered by
+//! [`StructuralValidator`]: an incremental, SIMD-backed checker that
+//! consumes arbitrary-sized chunks, carries the quote-classifier state
+//! across chunk boundaries (§4.5's stop/resume handoff, between chunks
+//! instead of classifiers), and tracks one bracket-type bit per nesting
+//! level.
 //!
 //! The validator checks *structure*, not full JSON grammar:
 //!
@@ -20,9 +19,8 @@
 //!
 //! Token-level mistakes (`{:1}`, `[,]`, misplaced literals) pass — the
 //! engine's event loop tolerates them by construction, so rejecting them
-//! is a parser's job, not this validator's. Depth accounting always runs;
-//! malformation *reporting* is opt-in (`strict`), so the lenient reader
-//! path can enforce the depth limit alone.
+//! is a parser's job, not this validator's. Without strict mode nothing
+//! validates: `max_depth` then bounds only the nesting a run traverses.
 
 use crate::quotes::QuoteState;
 use rsq_simd::{
@@ -135,8 +133,7 @@ pub struct StructuralValidator {
     /// One bit per open container: 1 = array (`[`), 0 = object (`{`).
     stack: Vec<u64>,
     depth: u32,
-    max_depth: Option<u32>,
-    strict: bool,
+    max_depth: u32,
     /// Absolute offset of the first byte of `staging`.
     consumed: usize,
     staging: Block,
@@ -146,8 +143,8 @@ pub struct StructuralValidator {
 }
 
 impl StructuralValidator {
-    /// A validator reporting every structural defect (strict), with no
-    /// depth limit.
+    /// A validator reporting every structural defect, with no depth
+    /// limit.
     #[must_use]
     pub fn new(simd: Simd) -> Self {
         StructuralValidator {
@@ -156,8 +153,7 @@ impl StructuralValidator {
             quote_state: QuoteState::default(),
             stack: Vec::new(),
             depth: 0,
-            max_depth: None,
-            strict: true,
+            max_depth: u32::MAX,
             consumed: 0,
             staging: [0; BLOCK_SIZE],
             staged: 0,
@@ -166,21 +162,10 @@ impl StructuralValidator {
         }
     }
 
-    /// Caps nesting depth; exceeding it is reported even when malformation
-    /// reporting is off.
+    /// Caps nesting depth.
     #[must_use]
     pub fn with_max_depth(mut self, limit: u32) -> Self {
-        self.max_depth = Some(limit);
-        self
-    }
-
-    /// Enables or disables malformation reporting. With `false`, only
-    /// [`DepthLimitExceeded`](ValidationErrorKind::DepthLimitExceeded) is
-    /// ever reported; depth bookkeeping continues best-effort through
-    /// malformed structure (extra closers are ignored).
-    #[must_use]
-    pub fn strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
+        self.max_depth = limit;
         self
     }
 
@@ -277,16 +262,14 @@ impl StructuralValidator {
         if let Some(err) = self.error {
             return Err(err);
         }
-        if self.strict {
-            if self.quote_state.in_string {
-                return Err(self.set_error(self.consumed, ValidationErrorKind::UnclosedString));
-            }
-            if self.depth > 0 {
-                return Err(self.set_error(
-                    self.consumed,
-                    ValidationErrorKind::UnclosedBrackets { open: self.depth },
-                ));
-            }
+        if self.quote_state.in_string {
+            return Err(self.set_error(self.consumed, ValidationErrorKind::UnclosedString));
+        }
+        if self.depth > 0 {
+            return Err(self.set_error(
+                self.consumed,
+                ValidationErrorKind::UnclosedBrackets { open: self.depth },
+            ));
         }
         Ok(())
     }
@@ -324,22 +307,6 @@ impl StructuralValidator {
         let (open_bracket, close_bracket) = backend.eq_mask2(block, b'[', b']');
         let opens = (open_brace | open_bracket) & outside;
         let closes = (close_brace | close_bracket) & outside;
-
-        // Lenient mode keeps nothing but the depth counter, and when
-        // neither the limit nor the zero floor can be reached inside this
-        // block the order of its brackets does not matter: count them.
-        // A block that could reach either goes bracket by bracket below,
-        // so the limit error keeps its exact byte offset.
-        if !self.strict {
-            let (opened, closed) = (opens.count_ones(), closes.count_ones());
-            let limit = self.max_depth.unwrap_or(u32::MAX);
-            if closed <= self.depth && opened <= limit.saturating_sub(self.depth) {
-                self.depth = self.depth + opened - closed;
-                self.consumed += len;
-                return Ok(());
-            }
-        }
-
         let array_bits = open_bracket | close_bracket;
         // `trailing_from` is the bit after which non-whitespace bytes are
         // trailing content (the root closed there), if any.
@@ -349,60 +316,48 @@ impl StructuralValidator {
             let pos = self.consumed + bit as usize;
             let is_array = array_bits >> bit & 1 == 1;
             if opens >> bit & 1 == 1 {
-                if let Some(limit) = self.max_depth {
-                    if self.depth >= limit {
-                        return Err(
-                            self.set_error(pos, ValidationErrorKind::DepthLimitExceeded { limit })
-                        );
-                    }
+                let limit = self.max_depth;
+                if self.depth >= limit {
+                    return Err(
+                        self.set_error(pos, ValidationErrorKind::DepthLimitExceeded { limit })
+                    );
                 }
-                // The bracket-type stack only ever answers `strict`'s
-                // mismatch check.
-                if self.strict {
-                    let (word, level_bit) = (self.depth as usize / 64, self.depth % 64);
-                    if word == self.stack.len() {
-                        self.stack.push(0);
-                    }
-                    if is_array {
-                        self.stack[word] |= 1 << level_bit;
-                    } else {
-                        self.stack[word] &= !(1 << level_bit);
-                    }
+                let (word, level_bit) = (self.depth as usize / 64, self.depth % 64);
+                if word == self.stack.len() {
+                    self.stack.push(0);
+                }
+                if is_array {
+                    self.stack[word] |= 1 << level_bit;
+                } else {
+                    self.stack[word] &= !(1 << level_bit);
                 }
                 self.depth += 1;
             } else if self.depth == 0 {
-                if self.strict {
-                    return Err(self.set_error(pos, ValidationErrorKind::UnexpectedCloser));
-                }
-                // Lenient: ignore the extra closer.
+                return Err(self.set_error(pos, ValidationErrorKind::UnexpectedCloser));
             } else {
                 self.depth -= 1;
-                if self.strict {
-                    let (word, level_bit) = (self.depth as usize / 64, self.depth % 64);
-                    let opened_array = self.stack[word] >> level_bit & 1 == 1;
-                    if opened_array != is_array {
-                        return Err(self.set_error(pos, ValidationErrorKind::MismatchedCloser));
-                    }
-                    if self.depth == 0 && !self.root_closed {
-                        self.root_closed = true;
-                        trailing_from = Some(bit + 1);
-                    }
+                let (word, level_bit) = (self.depth as usize / 64, self.depth % 64);
+                let opened_array = self.stack[word] >> level_bit & 1 == 1;
+                if opened_array != is_array {
+                    return Err(self.set_error(pos, ValidationErrorKind::MismatchedCloser));
+                }
+                if self.depth == 0 && !self.root_closed {
+                    self.root_closed = true;
+                    trailing_from = Some(bit + 1);
                 }
             }
         }
 
-        if self.strict {
-            if let Some(from) = trailing_from {
-                // Any non-whitespace byte after the root closed is trailing
-                // content — including string bytes, so use `valid`, not
-                // `outside`.
-                let after = if from >= 64 { 0 } else { !0u64 << from };
-                let nonws = !self.whitespace.classify_block(backend, block) & valid;
-                let trailing = nonws & after;
-                if trailing != 0 {
-                    let pos = self.consumed + trailing.trailing_zeros() as usize;
-                    return Err(self.set_error(pos, ValidationErrorKind::TrailingContent));
-                }
+        if let Some(from) = trailing_from {
+            // Any non-whitespace byte after the root closed is trailing
+            // content — including string bytes, so use `valid`, not
+            // `outside`.
+            let after = if from >= 64 { 0 } else { !0u64 << from };
+            let nonws = !self.whitespace.classify_block(backend, block) & valid;
+            let trailing = nonws & after;
+            if trailing != 0 {
+                let pos = self.consumed + trailing.trailing_zeros() as usize;
+                return Err(self.set_error(pos, ValidationErrorKind::TrailingContent));
             }
         }
 
@@ -528,27 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn lenient_mode_reports_only_depth() {
-        let mut v = StructuralValidator::new(simd())
-            .strict(false)
-            .with_max_depth(4);
-        v.feed(b"}}}} [1, 2").unwrap();
-        v.finish().unwrap();
-
-        let mut v = StructuralValidator::new(simd())
-            .strict(false)
-            .with_max_depth(4);
-        let err = v
-            .feed(b"]]] [[[[[ 1")
-            .and_then(|()| v.finish())
-            .unwrap_err();
-        assert_eq!(
-            err.kind,
-            ValidationErrorKind::DepthLimitExceeded { limit: 4 }
-        );
-    }
-
-    #[test]
     fn deep_document_fails_fast_without_memory_blowup() {
         // One million openers, fed in chunks: the validator must stop at
         // the limit, long before buffering the rest.
@@ -569,14 +503,13 @@ mod tests {
         assert_eq!(err.pos, 1024);
     }
 
-    /// The validator as it was before superblocks and the popcount path:
-    /// one block at a time, every bracket visited in order — here with
+    /// The validator as it was before superblocks: one block at a time,
+    /// every bracket visited in order — here with
     /// scalar string tracking instead of the SIMD quote classifier, so the
     /// differential below checks that too. Verdicts surface per complete
     /// 64-byte block, as the real one's do.
     struct PerBracket {
-        strict: bool,
-        max_depth: Option<u32>,
+        max_depth: u32,
         in_string: bool,
         escaped: bool,
         stack: Vec<bool>,
@@ -588,9 +521,8 @@ mod tests {
     }
 
     impl PerBracket {
-        fn new(strict: bool, max_depth: Option<u32>) -> Self {
+        fn new(max_depth: u32) -> Self {
             PerBracket {
-                strict,
                 max_depth,
                 in_string: false,
                 escaped: false,
@@ -628,7 +560,8 @@ mod tests {
                 match byte {
                     b'"' => self.in_string = true,
                     b'{' | b'[' => {
-                        if let Some(limit) = self.max_depth.filter(|&l| self.depth >= l) {
+                        let limit = self.max_depth;
+                        if self.depth >= limit {
                             return self
                                 .fail(at, ValidationErrorKind::DepthLimitExceeded { limit });
                         }
@@ -636,14 +569,12 @@ mod tests {
                         self.stack.push(byte == b'[');
                         self.depth += 1;
                     }
-                    b'}' | b']' if self.depth == 0 && self.strict => {
+                    b'}' | b']' if self.depth == 0 => {
                         return self.fail(at, ValidationErrorKind::UnexpectedCloser);
                     }
-                    // Lenient: a surplus closer is ignored.
-                    b'}' | b']' if self.depth == 0 => {}
                     b'}' | b']' => {
                         self.depth -= 1;
-                        if self.strict && self.stack[self.depth as usize] != (byte == b']') {
+                        if self.stack[self.depth as usize] != (byte == b']') {
                             return self.fail(at, ValidationErrorKind::MismatchedCloser);
                         }
                         if self.depth == 0 && !self.root_closed {
@@ -654,7 +585,7 @@ mod tests {
                     _ => {}
                 }
             }
-            if let (true, Some(from)) = (self.strict, trailing_from) {
+            if let Some(from) = trailing_from {
                 let content = |b: &u8| !b" \t\n\r".contains(b);
                 if let Some(at) = bytes.iter().skip(from).position(content) {
                     return self.fail(from + at, ValidationErrorKind::TrailingContent);
@@ -678,10 +609,10 @@ mod tests {
             self.error.map_or(Ok(()), Err)?;
             let rest = std::mem::take(&mut self.pending);
             self.block(&rest)?;
-            if self.strict && self.in_string {
+            if self.in_string {
                 return self.fail(0, ValidationErrorKind::UnclosedString);
             }
-            if self.strict && self.depth > 0 {
+            if self.depth > 0 {
                 return self.fail(
                     0,
                     ValidationErrorKind::UnclosedBrackets { open: self.depth },
@@ -724,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn popcount_and_superblock_paths_match_the_per_bracket_reference() {
+    fn superblock_path_matches_the_per_bracket_reference() {
         const LIMIT: u32 = 40;
         let mut docs: Vec<(String, Vec<u8>)> = Vec::new();
         for depth in [LIMIT - 1, LIMIT, LIMIT + 1] {
@@ -733,25 +664,10 @@ mod tests {
                 docs.push((name, nested(depth as usize, pad)));
             }
         }
-        // Surplus closers: the lenient depth floors at zero, mid-block and
-        // across blocks, and climbs again afterwards.
-        let mut surplus = b"]]}} ".to_vec();
-        surplus.extend(nested(5, 9));
-        surplus.extend(std::iter::repeat_n(b'}', 70));
-        surplus.extend(nested(LIMIT as usize, 1));
+        // One closer too many, past a block edge.
+        let mut surplus = nested(5, 9);
+        surplus.resize(surplus.len().next_multiple_of(BLOCK_SIZE) + 3, b' ');
         surplus.extend_from_slice(b"]] [[[ ]]]");
-        // One closer too many and an opener after it, alone in a block, at
-        // depths 0..4: the count of the block is fine, its order is not.
-        for depth in 0..4 {
-            surplus.resize(surplus.len().next_multiple_of(BLOCK_SIZE), b' ');
-            surplus.extend(std::iter::repeat_n(b'[', depth));
-            surplus.resize(surplus.len().next_multiple_of(BLOCK_SIZE), b' ');
-            surplus.extend(std::iter::repeat_n(b']', depth + 1));
-            surplus.extend_from_slice(b" [");
-            surplus.resize(surplus.len().next_multiple_of(BLOCK_SIZE), b' ');
-            surplus.push(b']');
-        }
-        surplus.extend(nested(LIMIT as usize + 1, 2));
         docs.push(("surplus closers".to_owned(), surplus));
         for lead in [0, 40, 55, 56, 57, 200, 247, 248, 249] {
             docs.push((format!("strings lead {lead}"), hostile_strings(lead)));
@@ -768,43 +684,35 @@ mod tests {
         docs.push(("mismatched closer".to_owned(), mismatched));
 
         for (name, doc) in &docs {
-            for strict in [false, true] {
-                for limit in [Some(LIMIT), None] {
-                    for chunk in 1..=300 {
-                        let context = format!("{name}, strict {strict}, {limit:?}, chunk {chunk}");
-                        let mut real = StructuralValidator::new(simd()).strict(strict);
-                        real.max_depth = limit;
-                        let mut reference = PerBracket::new(strict, limit);
-                        for piece in doc.chunks(chunk) {
-                            assert_eq!(real.feed(piece), reference.feed(piece), "{context}");
-                            if reference.error.is_none() {
-                                assert_eq!(real.depth(), reference.depth, "{context}");
-                            }
+            for limit in [LIMIT, u32::MAX] {
+                for chunk in 1..=300 {
+                    let context = format!("{name}, limit {limit}, chunk {chunk}");
+                    let mut real = StructuralValidator::new(simd()).with_max_depth(limit);
+                    let mut reference = PerBracket::new(limit);
+                    for piece in doc.chunks(chunk) {
+                        assert_eq!(real.feed(piece), reference.feed(piece), "{context}");
+                        if reference.error.is_none() {
+                            assert_eq!(real.depth(), reference.depth, "{context}");
                         }
-                        assert_eq!(real.finish(), reference.finish(), "{context}");
-                        assert_eq!(real.finish(), reference.finish(), "{context}: sticky");
                     }
+                    assert_eq!(real.finish(), reference.finish(), "{context}");
+                    assert_eq!(real.finish(), reference.finish(), "{context}: sticky");
                 }
             }
         }
         // The matrix met every verdict it was built to meet.
-        let verdict = |doc: &[u8], strict| {
-            let mut v = PerBracket::new(strict, Some(LIMIT));
+        let verdict = |doc: &[u8]| {
+            let mut v = PerBracket::new(LIMIT);
             v.feed(doc).and_then(|()| v.finish()).map_err(|e| e.kind)
         };
         let depth = ValidationErrorKind::DepthLimitExceeded { limit: LIMIT };
-        assert_eq!(verdict(&nested(40, 3), false), Ok(()));
-        assert_eq!(verdict(&nested(41, 3), false), Err(depth));
+        assert_eq!(verdict(&nested(40, 3)), Ok(()));
+        assert_eq!(verdict(&nested(41, 3)), Err(depth));
         assert_eq!(
-            verdict(&docs[9].1, false),
-            Err(depth),
-            "floor, then the limit"
-        );
-        assert_eq!(
-            verdict(&docs[9].1, true),
+            verdict(&docs[9].1),
             Err(ValidationErrorKind::UnexpectedCloser)
         );
-        assert_eq!(verdict(&hostile_strings(56), true), Ok(()));
+        assert_eq!(verdict(&hostile_strings(56)), Ok(()));
     }
 
     #[test]

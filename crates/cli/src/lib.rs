@@ -629,12 +629,15 @@ fn file_pages(mut file: std::fs::File, policy: MapPolicy) -> Option<(std::fs::Fi
 }
 
 /// A document's failure as the CLI reports it: one of the input — the
-/// reader, its size or depth, strict validation, the deadline — names the
-/// input, one of the run (`--max-matches`, a label's length) does not.
+/// reader, its size, strict validation, the deadline — names the input,
+/// one of the run (`--max-matches`, a label's length, the nesting it
+/// traverses) does not. `--max-depth` is the run's on every path, so a
+/// strict trip of it is reported as a mapped document's is, unnamed.
 fn input_error(name: &str, e: DocError) -> CliError {
     let named = !matches!(
         e.kind,
-        DocErrorKind::Limit(LimitKind::Matches | LimitKind::LabelBytes) | DocErrorKind::Panic
+        DocErrorKind::Limit(LimitKind::Matches | LimitKind::LabelBytes | LimitKind::Depth)
+            | DocErrorKind::Panic
     );
     let mut err = CliError::from(e);
     if named {

@@ -88,7 +88,18 @@ fn tripped_limit_exits_5() {
     let out = rsq(&["--count", "--max-bytes", "10", "$..b"], Some(DOC));
     assert_eq!(out.status.code(), Some(5));
 
+    // `--max-depth` bounds the nesting the run traverses: `$..*` enters
+    // the array at depth 2, the `$..b` leapfrog never does — unless
+    // `--strict` holds the whole document to it.
+    let out = rsq(&["--count", "--max-depth", "1", "$..*"], Some(DOC));
+    assert_eq!(out.status.code(), Some(5));
     let out = rsq(&["--count", "--max-depth", "1", "$..b"], Some(DOC));
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out), "2\n");
+    let out = rsq(
+        &["--count", "--strict", "--max-depth", "1", "$..b"],
+        Some(DOC),
+    );
     assert_eq!(out.status.code(), Some(5));
 }
 
@@ -402,9 +413,10 @@ fn stdin_failures_keep_their_order_while_streaming() {
             6,
             "rsq: stdin: malformed document: mismatched closing bracket at byte 4800008\n",
         ),
-        // The only match is found first; the nesting too deep comes after.
+        // The only match is found first; the nesting too deep comes after,
+        // under a member the run skips, so only `--strict` trips on it.
         (
-            &["--count", "$.a"],
+            &["--count", "--strict", "$.a"],
             [
                 &br#"{"a": 1, "p": ""#[..],
                 &[b'x'; 5 << 20],
@@ -415,7 +427,7 @@ fn stdin_failures_keep_their_order_while_streaming() {
             ]
             .concat(),
             5,
-            "rsq: stdin: nesting depth limit exceeded (limit: 1024)\n",
+            "rsq: nesting depth limit exceeded (limit: 1024)\n",
         ),
         (
             &["--count", "--max-bytes", "4500000", "$..a"],
@@ -450,6 +462,57 @@ fn stdin_failures_keep_their_order_while_streaming() {
                     "{args:?}: nothing is printed before the end"
                 );
             }
+        }
+    }
+}
+
+/// `--max-depth` bounds the nesting the run traverses, on each of the six
+/// ways a document reaches it: 2 000 levels under a member `$.b` skips,
+/// or under an array it never enters, pass everywhere, and `$..*`, which
+/// enters them, trips everywhere. `--strict` holds the whole document to
+/// the limit on every way in.
+#[test]
+fn one_depth_rule_on_every_path() {
+    let deep = [
+        &br#"{"a": "#[..],
+        &[b'['; 2000],
+        &[b']'; 2000],
+        br#", "b": 1}"#,
+    ]
+    .concat();
+    let openers = vec![b'['; 2000];
+    // Exit 5 prints nothing on stdout and this on stderr.
+    let too_deep = "rsq: nesting depth limit exceeded (limit: 1024)\n";
+    let cases: [(&[u8], &[&str], i32, &str); 6] = [
+        (&deep, &["--count", "$.b"], 0, "1\n"),
+        (&deep, &["--count", "$..*"], 5, ""),
+        (&deep, &["--count", "--strict", "$.b"], 5, ""),
+        (&openers, &["--count", "$.b"], 0, "0\n"),
+        (&openers, &["--positions", "$..*"], 5, ""),
+        (&openers, &["--count", "--strict", "$.b"], 5, ""),
+    ];
+    for (doc, args, code, out) in cases {
+        let err = if code == 5 { too_deep } else { "" };
+        let file = TempFile::new("depth-rule", doc);
+        let path = file.0.to_str().expect("utf-8 temp path");
+        let named = |flags: &[&str]| rsq(&[flags, args, &[path]].concat(), None);
+        let redirected = |flags: &[&str]| rsq_from_file(&[flags, args].concat(), file.open());
+        for (way, got) in [
+            ("FILE", named(&[])),
+            ("< FILE", redirected(&[])),
+            ("cat FILE |", rsq(args, Some(doc))),
+            ("--mmap off FILE", named(&["--mmap", "off"])),
+            ("--mmap on FILE", named(&["--mmap", "on"])),
+            ("--mmap on < FILE", redirected(&["--mmap", "on"])),
+        ] {
+            assert_eq!(
+                got.status.code(),
+                Some(code),
+                "{args:?} as {way}: {}",
+                stderr(&got)
+            );
+            assert_eq!(stdout(&got), out, "{args:?} as {way}");
+            assert_eq!(stderr(&got), err, "{args:?} as {way}");
         }
     }
 }

@@ -14,18 +14,16 @@
 //! deleted, `schema_version` 5 became 6, and the three `--stats` tables
 //! that ended without a newline gained one.
 //!
-//! The `doc-deep-skipped-*` pair (recorded from the commit before copied
-//! documents moved into the huge-page region) pins a known divergence
-//! between input paths rather than an agreement: 2 000 levels under a
-//! member the query skips pass when the file is mapped and trip
-//! `--max-depth` when it is copied (DESIGN.md §7).
+//! The `doc-deep-skipped-*` pair pins the one `--max-depth` rule: 2 000
+//! levels under a member the query skips pass, mapped or streamed, since
+//! the limit bounds only the nesting the run traverses (DESIGN.md §7).
+//! `doc-deep-skipped-stdin` was re-recorded to that answer when streamed
+//! input stopped checking the depth of the whole document.
 //!
 //! Every case that reads a stdin fixture runs a second time with the
 //! fixture file itself as stdin under `--mmap on`, the way a streamed run
 //! walks a redirected file through mapped windows, against the same
-//! fixtures: the pipe's recordings hold for it byte for byte, the
-//! `doc-deep-skipped-stdin` exit included (a redirected file keeps the
-//! whole-document depth check).
+//! fixtures: the pipe's recordings hold for it byte for byte.
 //!
 //! Only values that depend on the clock or on thread scheduling are
 //! masked (on both sides, by [`mask`]): `*_ns` timings, the latency

@@ -740,20 +740,14 @@ impl std::io::Read for ChunkedReader<'_> {
 /// bytes. This exercises the classifier pipeline's resume handoffs and
 /// the `memmem` head-start across arbitrary read fragmentation.
 ///
-/// Both sides run with an effectively unlimited `max_depth`: the reader
-/// validates the *whole* document's nesting during ingest, while the
-/// slice path only charges nesting it actually traverses (child-skipped
-/// subtrees are free), so a small limit would trip on one side only —
-/// a documented asymmetry, not a bug this check hunts.
+/// Both sides run with the default `max_depth`, which bounds the nesting
+/// the run traverses on either, so a depth error must match too.
 ///
 /// # Errors
 ///
 /// Returns the first [`Mismatch`] found.
 pub fn check_reader(input: &[u8]) -> Result<(), Mismatch> {
-    let options = EngineOptions {
-        max_depth: 1 << 20,
-        ..EngineOptions::default()
-    };
+    let options = EngineOptions::default();
 
     // Fixed plans bracket the kernel geometry (single bytes, a 64-byte
     // block, one past it, a large read); random plans come from the input
@@ -844,7 +838,6 @@ pub fn check_windows(input: &[u8]) -> Result<(), Mismatch> {
             for route in [RouteChoice::Auto, RouteChoice::General] {
                 for (head_start, checked_head_start) in heads {
                     let options = EngineOptions {
-                        max_depth: 1 << 20,
                         backend: Some(simd.kind()),
                         route,
                         head_start,

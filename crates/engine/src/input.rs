@@ -12,20 +12,23 @@
 //! * [`max_document_bytes`](crate::EngineOptions::max_document_bytes) is
 //!   enforced incrementally — no read asks for more than one byte past
 //!   the limit — so an unbounded input cannot exhaust memory;
-//! * an incremental [`StructuralValidator`] runs over every chunk,
-//!   enforcing [`max_depth`](crate::EngineOptions::max_depth) always and
-//!   full structural validation in [strict](crate::EngineOptions::strict)
-//!   mode — a pathological document (e.g. a million unclosed openers)
+//! * in [strict](crate::EngineOptions::strict) mode, an incremental
+//!   [`StructuralValidator`] runs over every chunk, enforcing structure
+//!   and [`max_depth`](crate::EngineOptions::max_depth) over the whole
+//!   document — a pathological one (e.g. a million unclosed openers)
 //!   fails while its bytes stream past;
 //!
 //! and the wall-clock deadline, if any, is checked before every read.
+//! Without strict mode nothing looks inside the bytes here: `max_depth`
+//! bounds the nesting the run traverses, on every input path as on a
+//! slice, and a skipped subtree is never measured.
 //!
 //! A streamed run ([`Engine::run_reader`](crate::Engine::run_reader))
 //! hands the feed to the structural iterator as its [`Refill`] source: the
 //! cursor walks a ring of windows the feed refills (`rsq_classify`'s
 //! `stream` module), so memory stays bounded whatever the document's
 //! size. A failure ends the input for the run and is reported in its
-//! place; a run that stops early still reads and validates the rest, so
+//! place; a run that stops early still reads and checks the rest, so
 //! an ingest error takes precedence over a run error, as when the whole
 //! document was read first. Whole-document ingest ([`read_document`],
 //! [`read_to_end`]) reads straight into the tail of a [`Landing`] — a
@@ -72,8 +75,8 @@ pub(crate) struct Feed<R> {
     reader: R,
     max_bytes: Option<usize>,
     deadline: Option<Instant>,
-    /// The validator and the options its verdicts are mapped with; `None`
-    /// for input that is not one document.
+    /// The strict validator and the options its verdicts are mapped with;
+    /// `None` without strict mode, and for input that is not one document.
     validator: Option<(StructuralValidator, EngineOptions)>,
     /// Bytes read so far.
     pub(crate) len: usize,
@@ -94,11 +97,12 @@ impl<R> Feed<R> {
         simd: Simd,
         deadline: Option<Instant>,
     ) -> Self {
-        let validator = StructuralValidator::new(simd)
-            .strict(options.strict)
-            .with_max_depth(options.max_depth);
+        let validator = options.strict.then(|| {
+            let validator = StructuralValidator::new(simd).with_max_depth(options.max_depth);
+            (validator, *options)
+        });
         Feed {
-            validator: Some((validator, *options)),
+            validator,
             max_bytes: options.max_document_bytes,
             deadline,
             ..Feed::plain(reader)
@@ -278,9 +282,15 @@ impl Feed<FilePages<'_>> {
         self.accept(&piece[..want])
     }
 
-    /// Maps the document whole and checks it, chunk by chunk to its end.
+    /// Maps the document whole and checks it: in strict mode chunk by
+    /// chunk to its end, else by its length and the deadline alone.
     pub(crate) fn check_whole(mut self) -> Result<Mapping, RunError> {
         let doc = self.reader.map(0, self.reader.len)?;
+        if self.validator.is_none() {
+            self.check_deadline()?;
+            self.accept(&doc)?;
+            return Ok(doc);
+        }
         let mut at = 0;
         while let n @ 1.. = self.next_piece(&doc[at..])? {
             at += n;
@@ -387,8 +397,8 @@ pub fn read_to_end<R: Read, B: Landing>(reader: R) -> io::Result<B> {
     })
 }
 
-/// Reads a whole document from `reader` into a `B`, enforcing size,
-/// depth, and (in strict mode) structural validity while the bytes
+/// Reads a whole document from `reader` into a `B`, enforcing size and
+/// (in strict mode) structural validity and depth while the bytes
 /// arrive, and the `deadline` before each read.
 pub(crate) fn read_document<R: Read, B: Landing>(
     reader: &mut R,
@@ -626,9 +636,20 @@ mod tests {
                 Ok(buf.len())
             }
         }
-        let options = EngineOptions::default(); // lenient: depth still enforced
-        let err = ingest(|| Openers, &options, None).unwrap_err();
+        // Strict: the validator trips depth while the openers arrive.
+        let strict = EngineOptions {
+            strict: true,
+            ..EngineOptions::default()
+        };
+        let err = ingest(|| Openers, &strict, None).unwrap_err();
         assert!(err.is_limit(LimitKind::Depth), "{err}");
+        // Lenient ingest looks at no byte: the size limit stops it.
+        let lenient = EngineOptions {
+            max_document_bytes: Some(1 << 20),
+            ..EngineOptions::default()
+        };
+        let err = ingest(|| Openers, &lenient, None).unwrap_err();
+        assert!(err.is_limit(LimitKind::DocumentBytes), "{err}");
     }
 
     #[test]

@@ -238,9 +238,9 @@ pub struct EngineOptions {
     pub strict: bool,
     /// Maximum nesting depth, always enforced. The default (1024) matches
     /// simdjson's; the deepest document in the paper's evaluation reaches
-    /// 269 levels. On the slice path the limit applies to nesting the
-    /// engine actually traverses; the reader path validates the whole
-    /// document's depth during ingest.
+    /// 269 levels. On every input path the limit applies to the nesting
+    /// the run traverses — a subtree it skips is never measured — and
+    /// under [`strict`](Self::strict) to the whole document as well.
     pub max_depth: u32,
     /// Maximum document size in bytes for the fallible entry points
     /// (`None` = unlimited). [`Engine::run_reader`] enforces this while
@@ -604,9 +604,8 @@ impl Engine {
         }
         if self.options.strict {
             let t = rec.clock();
-            let mut validator = StructuralValidator::new(self.simd)
-                .strict(true)
-                .with_max_depth(self.options.max_depth);
+            let mut validator =
+                StructuralValidator::new(self.simd).with_max_depth(self.options.max_depth);
             let validated = validator
                 .feed(input)
                 .and_then(|()| validator.finish())
@@ -624,8 +623,8 @@ impl Engine {
     ///
     /// Transient read errors ([`Interrupted`](std::io::ErrorKind::Interrupted),
     /// [`WouldBlock`](std::io::ErrorKind::WouldBlock)) are retried; short
-    /// reads of any size are reassembled. Size and depth limits — and, in
-    /// strict mode, structural validation — are enforced *while bytes
+    /// reads of any size are reassembled. The size limit — and, in strict
+    /// mode, structural validation and depth — are enforced *while bytes
     /// arrive*, over the whole document: a run that stops early (a sink
     /// stop, a tripped `max_matches`) still reads and checks the rest, and
     /// a failure there is the one reported. The matches are byte-identical
@@ -755,7 +754,7 @@ impl Engine {
 
     /// Reads a whole document from `reader` with the same protections as
     /// [`run_reader`](Self::run_reader) — chunk reassembly, transient-error
-    /// retry, incremental size/depth limits, strict validation — but
+    /// retry, the incremental size limit, strict validation — but
     /// without running the query, into one buffer holding the whole
     /// document. Useful when the caller needs the document bytes
     /// afterwards, e.g. to extract matched node text: ingest once, then
@@ -791,7 +790,8 @@ impl Engine {
     }
 
     /// [`ingest`](Self::ingest) of the bytes `[start, start + len)` of a
-    /// regular file, mapped whole and checked in place in the same chunks.
+    /// regular file, mapped whole and checked in place: in strict mode in
+    /// the same chunks, else by its length and the deadline alone.
     ///
     /// # Errors
     ///

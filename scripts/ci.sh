@@ -316,20 +316,13 @@ lane "input-path parity gate (FILE, < FILE, cat FILE |, --mmap off|on FILE, --mm
 # 1 MiB mapping threshold), redirected, through a pipe, with mapping off,
 # mapped by force, and redirected with mapping forced (a streamed run walks
 # it through mapped windows) — must give the same stdout and the same exit
-# status (the table's). The one known
-# divergence is listed by name: a mapped document counts only the openings
-# the run examines against --max-depth, a copied one all of them
-# (DESIGN.md §7; both behaviours are pinned by the golden fixtures).
-PARITY_EXCEPT=" doc-deep-skipped-mapped doc-deep-skipped-stdin "
+# status (the table's), with no exception: --max-depth bounds the nesting
+# the run traverses on every path (DESIGN.md §7).
 PARITY_RSQ="$PWD/target/release/rsq"
 PARITY_CASES=0
 set -f # the arguments are split on spaces, not globbed (queries hold `*`)
 while IFS=$'\t' read -r name exit stdin args; do
   case "$name" in doc-*) ;; *) continue ;; esac
-  case "$PARITY_EXCEPT" in *" $name "*)
-    echo "parity gate: $name skipped (known divergence)"
-    continue ;;
-  esac
   args="${args//@METRICS/$SERVE_TMP/parity.metrics}"
   if [ "$stdin" = "-" ]; then
     file="${args##* }" flags="${args% *}"
@@ -742,11 +735,10 @@ lane "size series (non-test lines, dispatch entries, text bytes, popcnt)"
 # non-test line count is a ratchet (ROADMAP item 4): MAX_LINES is what
 # the last simplicity PR landed at, each one lowers it, and a PR that
 # has to raise it says in its description what the lines bought. The
-# last raise (27 875 -> 28 025) buys values cut at record time: the
-# block-wide cut and the held values beside the one sink and the one
-# renderer (rsq-batch), and a redirected stdin mapped whole and checked
-# in place for values, --verify and --profile (rsq-engine, the CLI).
-MAX_LINES=28025
+# last raise (27 875 -> 28 025) bought values cut at record time; the
+# lenient validator's deletion (one max_depth rule on every path) then
+# lowered it to 27 992.
+MAX_LINES=27992
 scripts/loc.sh | tee "$SERVE_TMP/loc.txt"
 LINES="$(awk '/^total non-test lines/{print $NF}' "$SERVE_TMP/loc.txt")"
 TEXT_BYTES="$(awk '/^text bytes/{print $NF}' "$SERVE_TMP/loc.txt")"

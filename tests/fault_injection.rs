@@ -104,10 +104,25 @@ fn strict_reader_rejects_garbage_with_structured_errors() {
 
 #[test]
 fn reader_enforces_limits_mid_stream() {
-    // Depth: a pathological all-openers stream trips during ingest, for
-    // ANY query — including ones whose slice path would not track depth.
+    // Depth: a pathological all-openers stream trips where the run
+    // traverses it, as the slice does; under strict mode it trips while
+    // the bytes arrive, for ANY query — including ones whose run would
+    // not track depth.
     let deep = vec![b'['; 100_000];
+    let engine = Engine::from_text("$..*").unwrap();
+    let err = reader_positions(&engine, ChaosReader::new(&deep, 3)).unwrap_err();
+    assert!(err.is_limit(LimitKind::Depth), "{err}");
     let engine = Engine::from_text("$..a").unwrap();
+    let got = reader_positions(&engine, ChaosReader::new(&deep, 3));
+    assert_eq!(got.unwrap(), engine.try_positions(&deep).unwrap());
+    let engine = Engine::with_options(
+        &Query::parse("$..a").unwrap(),
+        EngineOptions {
+            strict: true,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
     let err = reader_positions(&engine, ChaosReader::new(&deep, 3)).unwrap_err();
     assert!(err.is_limit(LimitKind::Depth), "{err}");
 

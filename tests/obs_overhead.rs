@@ -82,7 +82,8 @@ fn profile_collection_never_changes_matches_or_tier_a_stats() {
 
         let mut sink = PositionsSink::new();
         let mut profile = ProfileStats::new();
-        engine
+        // The route reaches no recorder hook: the caller copies it in.
+        profile.stats.route = engine
             .try_run_with_recorder(&doc, &mut sink, &mut profile)
             .unwrap();
         let with_profile = sink.into_positions();

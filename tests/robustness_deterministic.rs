@@ -122,8 +122,9 @@ fn million_deep_document_trips_default_depth_limit() {
     let mut doc = vec![b'['; 1_000_000];
     doc.extend(std::iter::repeat_n(b']', 1_000_000));
 
-    // Slice path: `$..*` traverses every level, so the main loop's own
-    // depth accounting must trip at the default limit.
+    // `$..*` traverses every level, so the main loop's own depth
+    // accounting trips at the default limit — on the slice and while the
+    // document streams in alike.
     let engine = Engine::from_text("$..*").unwrap();
     let err = engine.try_count(&doc).unwrap_err();
     assert!(err.is_limit(LimitKind::Depth), "{err}");
@@ -133,19 +134,149 @@ fn million_deep_document_trips_default_depth_limit() {
         }
         other => panic!("unexpected: {other}"),
     }
-
-    // Reader path: ingest-time validation trips for ANY query, including
-    // ones whose skip-to-label path never tracks absolute depth.
-    let engine = Engine::from_text("$..a").unwrap();
-    let mut sink = CountSink::new();
     let err = engine
+        .run_reader(ChaosReader::new(&doc, 23), &mut CountSink::new())
+        .unwrap_err();
+    assert!(err.is_limit(LimitKind::Depth), "{err}");
+
+    // `$..a` leapfrogs to a label the document lacks and traverses
+    // nothing: no path trips, unless `--strict` holds the whole document
+    // to the limit, for any query.
+    let engine = Engine::from_text("$..a").unwrap();
+    assert_eq!(engine.try_count(&doc).unwrap(), 0);
+    let mut sink = CountSink::new();
+    engine
         .run_reader(ChaosReader::new(&doc, 23), &mut sink)
+        .unwrap();
+    assert_eq!(sink.count(), 0);
+    let strict = Engine::with_options(
+        &Query::parse("$..a").unwrap(),
+        EngineOptions {
+            strict: true,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    let err = strict
+        .run_reader(ChaosReader::new(&doc, 23), &mut CountSink::new())
         .unwrap_err();
     assert!(err.is_limit(LimitKind::Depth), "{err}");
 
     // The lenient API survives the same document without panicking.
     let lenient = Engine::from_text("$..*").unwrap();
     let _ = lenient.count(&doc);
+}
+
+/// `max_depth` bounds the nesting the run traverses, on every input path
+/// — the slice, the reader (through `ChaosReader`), mapped windows — and
+/// through windows small enough to put the nesting across their edges:
+/// 2 000 levels under a member `$.b` skips, or in an array it never
+/// enters, pass, and `$..*` trips on them. Strict mode trips on them
+/// for every query while the bytes arrive, an endless source included.
+#[test]
+fn one_depth_rule_on_every_input_path() {
+    use rsq::engine::{NoStats, Streamed};
+    let deep = [
+        &br#"{"a": "#[..],
+        &[b'['; 2000],
+        &[b']'; 2000],
+        br#", "b": 1}"#,
+    ]
+    .concat();
+    let openers = vec![b'['; 2000];
+    let path = std::env::temp_dir().join(format!("rsq-depth-rule-{}", std::process::id()));
+    for (doc, query, want) in [
+        (&deep, "$.b", Some(1)),
+        (&deep, "$..*", None),
+        (&openers, "$.b", Some(0)),
+        (&openers, "$..*", None),
+    ] {
+        std::fs::write(&path, doc).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let context = format!("{query} over {} bytes", doc.len());
+        let verdict = |result: Result<(), RunError>, sink: CountSink, way: &str| match result {
+            Ok(_) => assert_eq!(Some(sink.count()), want, "{context} {way}"),
+            Err(err) => {
+                assert!(want.is_none(), "{context} {way}: {err}");
+                assert!(err.is_limit(LimitKind::Depth), "{context} {way}: {err}");
+            }
+        };
+        let engine = Engine::from_text(query).unwrap();
+        let mut sink = CountSink::new();
+        verdict(engine.try_run(doc, &mut sink), sink, "slice");
+        for seed in [1, 2] {
+            let mut sink = CountSink::new();
+            let run = engine.run_reader(ChaosReader::new(doc, seed), &mut sink);
+            verdict(run, sink, "reader");
+        }
+        let mut sink = CountSink::new();
+        let run =
+            engine.try_run_mapped_with_recorder(&file, 0, doc.len(), &mut sink, &mut NoStats, None);
+        verdict(run.map(drop), sink, "mapped");
+        for window in [64, 100, 256] {
+            let mut sink = CountSink::new();
+            let run =
+                engine.run_windowed(Streamed::Reader(&doc[..]), &mut sink, &mut NoStats, window);
+            verdict(run.map(drop), sink, "copied windows");
+            let mut sink = CountSink::new();
+            let mapped: Streamed<'_, &[u8]> = Streamed::Mapped {
+                file: &file,
+                start: 0,
+                len: doc.len(),
+            };
+            let run = engine.run_windowed(mapped, &mut sink, &mut NoStats, window);
+            verdict(run.map(drop), sink, "mapped windows");
+        }
+
+        let strict = Engine::with_options(
+            &Query::parse(query).unwrap(),
+            EngineOptions {
+                strict: true,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        let err = strict
+            .run_reader(ChaosReader::new(doc, 3), &mut CountSink::new())
+            .unwrap_err();
+        assert!(err.is_limit(LimitKind::Depth), "{context} strict: {err}");
+        let err = strict
+            .try_run_mapped_with_recorder(
+                &file,
+                0,
+                doc.len(),
+                &mut CountSink::new(),
+                &mut NoStats,
+                None,
+            )
+            .unwrap_err();
+        assert!(
+            err.is_limit(LimitKind::Depth),
+            "{context} strict mapped: {err}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+
+    // Strict mode trips mid-stream: a source of endless openers ends.
+    struct Openers;
+    impl std::io::Read for Openers {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            buf.fill(b'[');
+            Ok(buf.len())
+        }
+    }
+    let strict = Engine::with_options(
+        &Query::parse("$.b").unwrap(),
+        EngineOptions {
+            strict: true,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    let err = strict
+        .run_reader(Openers, &mut CountSink::new())
+        .unwrap_err();
+    assert!(err.is_limit(LimitKind::Depth), "{err}");
 }
 
 #[test]
