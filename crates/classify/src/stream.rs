@@ -142,11 +142,11 @@ impl<'a> Stream<'a> {
     ///
     /// A copied window moves its bytes to the front of its allocation
     /// and reads after them; once the ring is full the allocation only
-    /// moves bytes. The first allocation is zeroed by the allocator
-    /// (`calloc`), whose fresh pages fault in only as bytes arrive, so an
-    /// input shorter than the ring never touches the rest of it. A mapped
-    /// window is replaced by a mapping of exactly the new window's bytes,
-    /// and only the bytes it adds are checked.
+    /// moves bytes. An empty window's allocation is zeroed by the
+    /// allocator (`calloc`), whose fresh pages fault in only as bytes
+    /// arrive, so an input shorter than the ring never touches the rest
+    /// of it. A mapped window is replaced by a mapping of exactly the new
+    /// window's bytes, and only the bytes it adds are checked.
     /// Either way the new window is the same `[base, end)`.
     #[inline(never)]
     pub(crate) fn fetch(
@@ -173,16 +173,17 @@ impl<'a> Stream<'a> {
         match &mut self.source {
             Source::Read(source) => {
                 let mut buf = match held {
-                    Bytes::Window(held) => held.into_vec(),
+                    Bytes::Window(held) => Vec::from(held),
                     // Before the first fetch.
-                    Bytes::Slice(_) | Bytes::Mapped(_) => {
-                        source.held(want);
-                        vec![0; want]
-                    }
+                    Bytes::Slice(_) | Bytes::Mapped(_) => Vec::new(),
                 };
-                buf.copy_within(keep - base..end - base, 0);
+                buf.copy_within(keep - base.., 0);
                 if buf.len() < want {
-                    buf.resize(want, 0);
+                    if buf.is_empty() {
+                        buf = vec![0; want];
+                    } else {
+                        buf.resize(want, 0);
+                    }
                     source.held(want);
                 }
                 while !self.eof && filled < want {

@@ -630,15 +630,16 @@ fn file_pages(mut file: std::fs::File, policy: MapPolicy) -> Option<(std::fs::Fi
 
 /// A document's failure as the CLI reports it: one of the input — the
 /// reader, its size, strict validation, the deadline — names the input,
-/// one of the run (`--max-matches`, a label's length, the nesting it
-/// traverses) does not. `--max-depth` is the run's on every path, so a
-/// strict trip of it is reported as a mapped document's is, unnamed.
-fn input_error(name: &str, e: DocError) -> CliError {
-    let named = !matches!(
-        e.kind,
-        DocErrorKind::Limit(LimitKind::Matches | LimitKind::LabelBytes | LimitKind::Depth)
-            | DocErrorKind::Panic
-    );
+/// one of the run (`--max-matches`, a label's length) does not. Depth is
+/// the run's unless `strict` held the whole document to it first.
+fn input_error(name: &str, strict: bool, e: DocError) -> CliError {
+    let named = match e.kind {
+        DocErrorKind::Limit(LimitKind::Matches | LimitKind::LabelBytes) | DocErrorKind::Panic => {
+            false
+        }
+        DocErrorKind::Limit(LimitKind::Depth) => strict,
+        _ => true,
+    };
     let mut err = CliError::from(e);
     if named {
         err.message = format!("{name}: {}", err.message);
@@ -900,12 +901,13 @@ fn run_document(
     let t_ingest = invocation.profile.then(Instant::now);
     let mut ingest_ns = None;
     let mut input = MmapInput::from_vec(Vec::new());
+    let failed = |name: &str, e| input_error(name, invocation.options.strict, e);
     match (open_input(invocation)?, streams) {
         (Document::Read(name, mut reader), true) => {
             let doc = Streamed::Reader(&mut *reader as &mut dyn Read);
             runner
                 .run_stream(&engine, doc, deadline, &mut sink, record, true)
-                .map_err(|e| input_error(&name, e))?;
+                .map_err(|e| failed(&name, e))?;
         }
         (Document::Pages(file, start, len), true) => {
             let doc = Streamed::Mapped {
@@ -915,7 +917,7 @@ fn run_document(
             };
             runner
                 .run_stream(&engine, doc, deadline, &mut sink, record, true)
-                .map_err(|e| input_error("stdin", e))?;
+                .map_err(|e| failed("stdin", e))?;
         }
         (held, _) => {
             let validated = !matches!(held, Document::Mapped(_)); // as it is taken in
@@ -923,11 +925,11 @@ fn run_document(
                 Document::Mapped(mapped) => mapped,
                 Document::Pages(file, start, len) => engine
                     .ingest_mapped(&file, start, len, deadline)
-                    .map_err(|e| input_error("stdin", DocError::from_run(&e)))?
+                    .map_err(|e| failed("stdin", DocError::from_run(&e)))?
                     .into(),
                 Document::Read(name, reader) => engine
                     .ingest::<_, Region>(reader, deadline)
-                    .map_err(|e| input_error(&name, DocError::from_run(&e)))?
+                    .map_err(|e| failed(&name, DocError::from_run(&e)))?
                     .into(),
             };
             ingest_ns = t_ingest.map(elapsed_ns);
@@ -936,7 +938,10 @@ fn run_document(
             } else {
                 engine
             };
-            runner.run_doc(&engine, &input, &mut sink, record, true)?;
+            // A mapped file is validated by the run, under its own name.
+            runner
+                .run_doc(&engine, &input, &mut sink, record, true)
+                .map_err(|e| failed(invocation.file.as_deref().unwrap_or("stdin"), e))?;
         }
     }
     let matches = sink.matches();

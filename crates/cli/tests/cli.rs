@@ -427,7 +427,7 @@ fn stdin_failures_keep_their_order_while_streaming() {
             ]
             .concat(),
             5,
-            "rsq: nesting depth limit exceeded (limit: 1024)\n",
+            "rsq: stdin: nesting depth limit exceeded (limit: 1024)\n",
         ),
         (
             &["--count", "--max-bytes", "4500000", "$..a"],
@@ -469,8 +469,9 @@ fn stdin_failures_keep_their_order_while_streaming() {
 /// `--max-depth` bounds the nesting the run traverses, on each of the six
 /// ways a document reaches it: 2 000 levels under a member `$.b` skips,
 /// or under an array it never enters, pass everywhere, and `$..*`, which
-/// enters them, trips everywhere. `--strict` holds the whole document to
-/// the limit on every way in.
+/// enters them, trips everywhere, naming no input. `--strict` holds the
+/// whole document to the limit, and to its structure, on every way in,
+/// and names the input that failed it.
 #[test]
 fn one_depth_rule_on_every_path() {
     let deep = [
@@ -481,30 +482,40 @@ fn one_depth_rule_on_every_path() {
     ]
     .concat();
     let openers = vec![b'['; 2000];
-    // Exit 5 prints nothing on stdout and this on stderr.
-    let too_deep = "rsq: nesting depth limit exceeded (limit: 1024)\n";
-    let cases: [(&[u8], &[&str], i32, &str); 6] = [
+    let broken = br#"{"a": [1, 2}, "b": 1}"#;
+    let too_deep = "nesting depth limit exceeded (limit: 1024)";
+    let mismatched = "malformed document: mismatched closing bracket at byte 11";
+    // Exit 0 prints the text on stdout; a failure prints nothing there
+    // and the text on stderr, after `rsq: ` and, if strict, the input.
+    let cases: [(&[u8], &[&str], i32, &str); 7] = [
         (&deep, &["--count", "$.b"], 0, "1\n"),
-        (&deep, &["--count", "$..*"], 5, ""),
-        (&deep, &["--count", "--strict", "$.b"], 5, ""),
+        (&deep, &["--count", "$..*"], 5, too_deep),
+        (&deep, &["--count", "--strict", "$.b"], 5, too_deep),
         (&openers, &["--count", "$.b"], 0, "0\n"),
-        (&openers, &["--positions", "$..*"], 5, ""),
-        (&openers, &["--count", "--strict", "$.b"], 5, ""),
+        (&openers, &["--positions", "$..*"], 5, too_deep),
+        (&openers, &["--count", "--strict", "$.b"], 5, too_deep),
+        (broken, &["--count", "--strict", "$.b"], 6, mismatched),
     ];
-    for (doc, args, code, out) in cases {
-        let err = if code == 5 { too_deep } else { "" };
+    for (doc, args, code, text) in cases {
+        let (out, message) = if code == 0 { (text, "") } else { ("", text) };
+        let named = args.contains(&"--strict");
         let file = TempFile::new("depth-rule", doc);
         let path = file.0.to_str().expect("utf-8 temp path");
-        let named = |flags: &[&str]| rsq(&[flags, args, &[path]].concat(), None);
+        let by_name = |flags: &[&str]| rsq(&[flags, args, &[path]].concat(), None);
         let redirected = |flags: &[&str]| rsq_from_file(&[flags, args].concat(), file.open());
-        for (way, got) in [
-            ("FILE", named(&[])),
-            ("< FILE", redirected(&[])),
-            ("cat FILE |", rsq(args, Some(doc))),
-            ("--mmap off FILE", named(&["--mmap", "off"])),
-            ("--mmap on FILE", named(&["--mmap", "on"])),
-            ("--mmap on < FILE", redirected(&["--mmap", "on"])),
+        for (way, name, got) in [
+            ("FILE", path, by_name(&[])),
+            ("< FILE", "stdin", redirected(&[])),
+            ("cat FILE |", "stdin", rsq(args, Some(doc))),
+            ("--mmap off FILE", path, by_name(&["--mmap", "off"])),
+            ("--mmap on FILE", path, by_name(&["--mmap", "on"])),
+            ("--mmap on < FILE", "stdin", redirected(&["--mmap", "on"])),
         ] {
+            let err = match (message, named) {
+                ("", _) => String::new(),
+                (message, true) => format!("rsq: {name}: {message}\n"),
+                (message, false) => format!("rsq: {message}\n"),
+            };
             assert_eq!(
                 got.status.code(),
                 Some(code),

@@ -282,15 +282,10 @@ impl Feed<FilePages<'_>> {
         self.accept(&piece[..want])
     }
 
-    /// Maps the document whole and checks it: in strict mode chunk by
-    /// chunk to its end, else by its length and the deadline alone.
+    /// Maps the document whole and checks it, chunk by chunk to its end;
+    /// without strict mode a chunk's check is its length and the deadline.
     pub(crate) fn check_whole(mut self) -> Result<Mapping, RunError> {
         let doc = self.reader.map(0, self.reader.len)?;
-        if self.validator.is_none() {
-            self.check_deadline()?;
-            self.accept(&doc)?;
-            return Ok(doc);
-        }
         let mut at = 0;
         while let n @ 1.. = self.next_piece(&doc[at..])? {
             at += n;

@@ -790,8 +790,7 @@ impl Engine {
     }
 
     /// [`ingest`](Self::ingest) of the bytes `[start, start + len)` of a
-    /// regular file, mapped whole and checked in place: in strict mode in
-    /// the same chunks, else by its length and the deadline alone.
+    /// regular file, mapped whole and checked in place in the same chunks.
     ///
     /// # Errors
     ///
