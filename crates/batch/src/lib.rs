@@ -12,8 +12,8 @@
 //!
 //! * a document feed (windows of documents published while the run is
 //!   under way, claimed a chunk at a time) feeding a fixed pool of
-//!   [`std::thread::scope`] workers, each with its own [`DocRunner`] and
-//!   reusable [`DocSink`] so steady-state workers allocate nothing per
+//!   [`std::thread::scope`] workers, each with its own reusable
+//!   [`DocSink`] so steady-state workers allocate nothing per
 //!   document beyond the output they keep;
 //! * a deterministic merge: workers tag every result with its document
 //!   index, the merge orders by index, and [`RunStats`] merge with the
@@ -53,11 +53,11 @@
 
 mod ndjson;
 mod queue;
-mod runner;
+pub mod runner;
 mod sink;
 
 pub use ndjson::{split_ndjson, DocBuffers, Frame, NdjsonFramer, QuoteScan};
-pub use runner::{DocRunner, Record};
+pub use runner::Record;
 pub use sink::{render, DocSink, Matches, ResponseMode, Values};
 
 use ndjson::Windows;
@@ -66,7 +66,6 @@ use rsq_engine::{
     Engine, EngineError, EngineOptions, LimitKind, LineScanner, ProfileStats, RunError,
 };
 use rsq_obs::{BatchCounters, BatchProfile, Histogram, RunStats, WorkerProfile};
-use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use std::fs;
 use std::io;
@@ -94,11 +93,6 @@ pub struct BatchOptions {
     /// counters). Off by default: the profiled run reads the monotonic
     /// clock around every document and each of its stages.
     pub profile: bool,
-    /// Hardware-counter mode: with anything but [`PerfMode::Off`], each
-    /// worker arms a per-thread counter group and brackets every
-    /// document run, accumulating into [`BatchResult::perf`]. Denied
-    /// hosts degrade to no report with zero behavior change.
-    pub perf: PerfMode,
     /// What each document's [`DocOutput::matches`] gathers (positions by
     /// default; values are cut from the documents while they run).
     pub mode: ResponseMode,
@@ -111,7 +105,6 @@ impl Default for BatchOptions {
             engine: EngineOptions::default(),
             collect_stats: false,
             profile: false,
-            perf: PerfMode::Off,
             mode: ResponseMode::Positions,
         }
     }
@@ -224,9 +217,6 @@ pub struct BatchResult {
     /// worker index. Partial work from failed documents stays in the
     /// aggregate.
     pub profile: Option<BatchProfile>,
-    /// Hardware-counter totals across all workers (`None` unless
-    /// [`BatchOptions::perf`] armed counters the kernel granted).
-    pub perf: Option<PerfStats>,
 }
 
 impl BatchResult {
@@ -362,7 +352,6 @@ impl BatchEngine {
         feed.publish(first, Feed::auto_chunk(first.len(), threads));
         let collect_stats = self.options.collect_stats;
         let profile = self.options.profile;
-        let perf_mode = self.options.perf;
         let mode = self.options.mode;
 
         // Each worker collects (index, outcome) pairs privately and
@@ -373,7 +362,6 @@ impl BatchEngine {
             Vec<(usize, Result<DocOutput, DocError>)>,
             RunStats,
             Option<ShardProfile>,
-            Option<PerfStats>,
         );
         let shard = |worker: usize| -> ShardOutput {
             // Only the test fault hook reads the worker's index.
@@ -382,7 +370,6 @@ impl BatchEngine {
             let mut local: Vec<(usize, Result<DocOutput, DocError>)> = Vec::new();
             let mut stats = RunStats::default();
             let mut sink = DocSink::new(mode, None);
-            let mut runner = DocRunner::open(perf_mode);
             let mut docs: Vec<&[u8]> = Vec::new();
             // The lap taken after `claim` returns is queue wait, the lap
             // after each document is busy time, and consecutive laps
@@ -415,9 +402,8 @@ impl BatchEngine {
                     sink.clear();
                     #[cfg(test)]
                     tests::worker_fault(worker, doc);
-                    let outcome = runner
-                        .run_doc(engine, doc, &mut sink, record, true)
-                        .map(|_| DocOutput {
+                    let outcome =
+                        runner::run_doc(engine, doc, &mut sink, record).map(|_| DocOutput {
                             count: sink.matches().count(),
                             // Exact-size copy: the kept output never
                             // carries the sink's slack capacity.
@@ -432,7 +418,7 @@ impl BatchEngine {
                     local.push((i, outcome));
                 }
             }
-            (local, stats, prof.map(|(p, _)| p), runner.perf())
+            (local, stats, prof.map(|(p, _)| p))
         };
 
         // The calling thread publishes the remaining windows, then is
@@ -475,11 +461,8 @@ impl BatchEngine {
         outcomes.resize_with(documents, || None);
         // Shards come back in worker-index order (spawn order), so the
         // merged `workers` vec is stable across runs of the same shape.
-        for (local, stats, shard_profile, shard_perf) in shards.drain(..) {
+        for (local, stats, shard_profile) in shards.drain(..) {
             result.stats += stats;
-            if let Some(p) = shard_perf {
-                *result.perf.get_or_insert_with(PerfStats::default) += p;
-            }
             if let (Some(merged), Some(sp)) = (result.profile.as_mut(), shard_profile) {
                 result.stats += sp.profile.stats;
                 merged.bytes_skipped += sp.profile.bytes_skipped;
@@ -742,25 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn perf_deny_and_auto_change_nothing_observable() {
-        let docs: [&[u8]; 2] = [br#"{"a": 1}"#, br#"{"b": {"a": 2}}"#];
-        let plain = BatchEngine::new(BatchOptions::default())
-            .run_slices("$..a", &docs)
-            .unwrap();
-        for mode in [PerfMode::Deny, PerfMode::Auto] {
-            let batch = BatchEngine::new(BatchOptions {
-                perf: mode,
-                ..BatchOptions::default()
-            });
-            let result = batch.run_slices("$..a", &docs).unwrap();
-            assert_eq!(result.outcomes, plain.outcomes, "{mode:?}");
-            if mode == PerfMode::Deny {
-                assert!(result.perf.is_none(), "denied counters leave no report");
-            }
-        }
-    }
-
-    #[test]
     fn ndjson_entry_point_maps_lines_to_outcomes() {
         let input = b"{\"a\": 1}\n\n{\"a\": {\"a\": 2}}\n[3]\n";
         let batch = BatchEngine::new(BatchOptions::default());
@@ -774,7 +738,7 @@ mod tests {
     }
 
     /// A document that panics inside the contained region of whichever
-    /// worker runs it ([`DocRunner::run`] calls [`contained_fault`]).
+    /// worker runs it ([`runner::run`] calls [`contained_fault`]).
     const PANICS: &[u8] = br#"{"rsq-test": "this document panics"}"#;
     /// A document that takes the *spawned* worker claiming it down, outside
     /// the contained region (the shard loop calls [`worker_fault`]).

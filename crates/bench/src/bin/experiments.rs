@@ -9,7 +9,8 @@
 //! Subcommands: `table2`, `table3`, `a`, `b`, `c`, `d`, `appendix-c`,
 //! `semantics`, `ablations`, `fast-path`, `mmap-ingest`,
 //! `stats-overhead`, `skip-ablation`, `batch-scaling`, `serve-latency`,
-//! `telemetry-overhead`, `kernel-efficiency`, `all`, `check`.
+//! `telemetry-overhead`, `all`, `check`, and `instructions` (not in
+//! `all`: it steps for minutes).
 //!
 //! Every throughput cell is timed by [`rsq_bench::time_row`]: the
 //! configurations of a row run interleaved, every rep must report the
@@ -39,13 +40,11 @@
 //! checks the byte-accounting identity (classified + memmem-elided bytes
 //! equal the padded document size).
 //!
-//! `kernel-efficiency` re-runs the fast-path comparison in hardware-counter
-//! units: multiplex-corrected CPU cycles and instructions per input byte for
-//! each routed catalog query, fast route vs forced-general, read from a
-//! `perf_event_open` counter group on the measuring thread. On hosts where
-//! the kernel denies counters (containers, VMs without a PMU,
-//! `perf_event_paranoid`) the experiment prints the denial reason and emits
-//! no rows — it never fails the run.
+//! `instructions` counts instructions per byte with `rsq-perf`'s stepping
+//! meter at `RSQ_METER_KB` KiB per row (256 by default; DESIGN.md §16):
+//! `instructions [ROW...]` for every Table 4 row (or those named),
+//! `--split ROW` by source file, `--seeded ROW` for the CI lane's
+//! seeded +2 % pass, `--command CMD [ARG...]` for any command.
 //!
 //! `batch-scaling` sweeps worker threads over an NDJSON corpus through
 //! `rsq-batch`; the sweep's upper bound is the host's available
@@ -58,16 +57,22 @@ use rsq_datagen::catalog::{by_id, catalog};
 use rsq_datagen::{Dataset, GenConfig};
 use rsq_engine::{CountSink, Engine, EngineOptions, ProfileStats, RouteChoice};
 use rsq_query::Query;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 const REPS: usize = 5;
 
 fn main() {
     let mut subcommands: Vec<String> = Vec::new();
     let mut ran_utility = false;
+    let mut failed = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        if arg == "dump-corpus" {
+        if arg == "instructions" {
+            failed |= !instructions(&it.by_ref().collect::<Vec<_>>());
+            ran_utility = true;
+        } else if arg == "dump-corpus" {
             let Some(dir) = it.next() else {
                 eprintln!("dump-corpus requires a directory");
                 std::process::exit(2);
@@ -81,7 +86,6 @@ fn main() {
     if subcommands.is_empty() && !ran_utility {
         subcommands.push("all".to_owned());
     }
-    let mut failed = false;
     for arg in &subcommands {
         match arg.as_str() {
             "table2" => drop(table2()),
@@ -100,7 +104,6 @@ fn main() {
             "batch-scaling" => batch_scaling(),
             "serve-latency" => serve_latency(),
             "telemetry-overhead" => telemetry_overhead(),
-            "kernel-efficiency" => kernel_efficiency(),
             "check" => failed |= !check(),
             "all" => {
                 drop(table2());
@@ -119,7 +122,6 @@ fn main() {
                 batch_scaling();
                 serve_latency();
                 telemetry_overhead();
-                kernel_efficiency();
             }
             other => {
                 eprintln!("unknown subcommand {other:?}");
@@ -569,93 +571,6 @@ fn fast_path() {
             timed[1].gbps,
             timed[2].gbps,
             timed[2].gbps / other,
-        );
-    }
-    assert!(routed >= 2, "expected several routed catalog queries");
-}
-
-/// Kernel efficiency: the fast-path comparison in hardware-counter units.
-/// For every routed catalog query, multiplex-corrected CPU cycles and
-/// instructions per input byte on the shape-routed engine vs the same
-/// query forced through the general main loop, summed over every rep and
-/// read from one `perf_event_open` group on the measuring thread. On
-/// hosts where the kernel denies counters this prints the reason and
-/// emits no rows.
-fn kernel_efficiency() {
-    use rsq_batch::{DocRunner, Record};
-    use rsq_engine::Route;
-    use rsq_perf::{PerfMode, PerfStats};
-    use std::cell::RefCell;
-    heading("Kernel efficiency: cycles per byte by route (perf_event_open)");
-    // One runner, so one counter group, for the whole experiment.
-    let runner = RefCell::new(DocRunner::open(PerfMode::Auto));
-    if let Some(reason) = runner.borrow().counters_unavailable() {
-        println!("SKIPPED: hardware counters unavailable ({reason})");
-        println!("(no rows emitted; re-run on a host with perf_event_open access)");
-        return;
-    }
-    println!(
-        "{:<5} {:>11} {:>10} {:>10} {:>7} {:>10} {:>10}",
-        "id", "route", "fast c/B", "gen c/B", "ratio", "fast i/B", "gen i/B"
-    );
-    // One run, its counter delta added to `into`; a failed group read
-    // adds nothing.
-    let counted = |engine: &Engine, input: &[u8], into: &mut PerfStats| {
-        let mut runner = runner.borrow_mut();
-        let before = runner.perf().unwrap_or_default();
-        let mut sink = CountSink::new();
-        runner
-            .run(engine, input, &mut sink, Record::Nothing, true)
-            .expect("catalog run succeeds");
-        let after = runner.perf().unwrap_or_default();
-        if after.docs > before.docs {
-            into.add_run(
-                after.bytes - before.bytes,
-                &after.total.delta_since(&before.total),
-            );
-        }
-        sink.count()
-    };
-    let mut routed = 0usize;
-    for entry in catalog() {
-        let fast = compile(entry.query, EngineOptions::default()).routed_by_shape();
-        if fast.route() == Route::General {
-            continue;
-        }
-        routed += 1;
-        let general = compile(entry.query, general());
-        let input = dataset(entry.dataset);
-        let (mut fast_perf, mut general_perf) = (PerfStats::default(), PerfStats::default());
-        time_row(
-            input.len(),
-            REPS,
-            &mut [
-                ("fast", Box::new(|| counted(&fast, input, &mut fast_perf))),
-                (
-                    "general",
-                    Box::new(|| counted(&general, input, &mut general_perf)),
-                ),
-            ],
-        );
-        if fast_perf.docs == 0 || general_perf.docs == 0 {
-            // The group opened but every read failed (e.g. a cgroup limit
-            // kicked in); skip the row rather than report a zero rate as
-            // if it were measured.
-            println!(
-                "{:<5} {:>11} counters unreadable, row skipped",
-                entry.id, "-"
-            );
-            continue;
-        }
-        println!(
-            "{:<5} {:>11} {:>10.3} {:>10.3} {:>6.2}x {:>10.3} {:>10.3}",
-            entry.id,
-            fast.route().to_string(),
-            fast_perf.cycles_per_byte(),
-            general_perf.cycles_per_byte(),
-            general_perf.cycles_per_byte() / fast_perf.cycles_per_byte(),
-            fast_perf.instructions_per_byte(),
-            general_perf.instructions_per_byte(),
         );
     }
     assert!(routed >= 2, "expected several routed catalog queries");
@@ -1169,4 +1084,205 @@ fn check() -> bool {
         verdicts.len()
     );
     failed == 0
+}
+
+/// The `instructions` subcommand (see the module docs); `false` when the
+/// seeded pass was not flagged.
+fn instructions(args: &[String]) -> bool {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        ["--child", config, row, file] => meter_child(config, row, file),
+        ["--command", command, args @ ..] => {
+            let mut cmd = Command::new(command);
+            cmd.args(args).stdout(Stdio::null());
+            let steps = rsq_perf::step(&mut cmd, false).unwrap_or_else(|e| panic!("{e}"));
+            let (n, strings) = (steps.instructions, steps.string_iterations);
+            println!("instructions {n} string_iterations {strings}");
+        }
+        ["--seeded", row] => {
+            let meter = Meter::new();
+            let file = meter.write(row);
+            let floor = meter.steps("rsq", row, &meter.floor, false).instructions;
+            let net = |config| meter.steps(config, row, &file, false).instructions - floor;
+            let (plain, seeded) = (net("rsq"), net("rsq+2%"));
+            let ratio = seeded as f64 / plain as f64;
+            println!("{row} over the floor: rsq {plain}, rsq+2% {seeded} ({ratio:.4}x)");
+            return ratio >= 1.01;
+        }
+        ["--split", row] => meter_split(row),
+        [] => meter_table(&rsq_bench::TABLE4),
+        rows => meter_table(rows),
+    }
+    true
+}
+
+/// The child: runs one configuration of `row` over `file` and prints the
+/// match count. `CONFIG+2%` runs a second pass over the first 2 % of the
+/// document, the seeded extra work the meter lane must flag.
+fn meter_child(config: &str, row: &str, file: &str) {
+    let query = by_id(row).expect("a catalog id").query;
+    let input = std::fs::read(file).expect("the child's document reads");
+    let (config, seeded) = config
+        .strip_suffix("+2%")
+        .map_or((config, false), |c| (c, true));
+    let engine = match config {
+        "rsq" => Ok(compile(query, general())),
+        "routed" => Ok(compile(query, EngineOptions::default())),
+        "jsonski*" => Err(SkiEngine::from_text(query).expect("JSONSki runs the query")),
+        other => panic!("unknown configuration {other}"),
+    };
+    let run = |doc: &[u8]| {
+        engine
+            .as_ref()
+            .map_or_else(|ski| ski.count(doc), |e| e.count(doc))
+    };
+    let count = run(&input);
+    if seeded {
+        std::hint::black_box(run(&input[..input.len() / 50]));
+    }
+    println!("{count}");
+}
+
+/// The rows' documents, at `RSQ_METER_KB` KiB (256 by default), written
+/// where the stepped children read them.
+struct Meter {
+    kb: usize,
+    dir: PathBuf,
+    /// `{}`: the floor every row's count is taken over.
+    floor: PathBuf,
+}
+
+impl Meter {
+    fn new() -> Self {
+        let dir = std::env::temp_dir().join(format!("rsq-instructions-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let floor = dir.join("floor.json");
+        std::fs::write(&floor, "{}").expect("floor document");
+        let kb = std::env::var("RSQ_METER_KB").map_or(256, |kb| kb.parse().expect("KiB"));
+        Meter { kb, dir, floor }
+    }
+
+    /// Writes `row`'s document at the meter's size.
+    fn write(&self, row: &str) -> PathBuf {
+        let entry = by_id(row).expect("a catalog id");
+        let config = GenConfig {
+            target_bytes: self.kb << 10,
+            seed: rsq_bench::BENCH_SEED,
+        };
+        let path = self.dir.join(format!("{row}.json"));
+        std::fs::write(&path, entry.dataset.generate(&config)).expect("row document");
+        path
+    }
+
+    /// Steps this binary as the child `config row file`, with the
+    /// stepped addresses when `sites` is set.
+    fn steps(&self, config: &str, row: &str, file: &Path, sites: bool) -> rsq_perf::Steps {
+        let mut child = Command::new(std::env::current_exe().expect("own path"));
+        child
+            .args(["instructions", "--child", config, row])
+            .arg(file)
+            .stdout(Stdio::null());
+        rsq_perf::step(&mut child, sites).unwrap_or_else(|e| panic!("{config} {row}: {e}"))
+    }
+}
+
+impl Drop for Meter {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Instructions per byte over the floor, and string iterations per byte,
+/// for every configuration of each row.
+fn meter_table(rows: &[&str]) {
+    let meter = Meter::new();
+    heading(&format!(
+        "Instructions per byte at {} KiB (over the floor; string iterations apart)",
+        meter.kb
+    ));
+    println!(
+        "{:<5} {:>9} {:>9} {:>9} {:>12}",
+        "id", "rsq", "routed", "jsonski*", "string it/B"
+    );
+    for row in rows {
+        let file = meter.write(row);
+        let bytes = std::fs::metadata(&file).expect("row document").len() as f64;
+        let ski = SkiEngine::from_text(by_id(row).expect("row id").query).is_ok();
+        let mut line = format!("{row:<5}");
+        let mut strings = 0;
+        for config in ["rsq", "routed", "jsonski*"] {
+            if config == "jsonski*" && !ski {
+                line += &format!(" {:>9}", "-");
+                continue;
+            }
+            let floor = meter.steps(config, row, &meter.floor, false);
+            let run = meter.steps(config, row, &file, false);
+            let per_byte = (run.instructions - floor.instructions) as f64 / bytes;
+            line += &format!(" {per_byte:>9.4}");
+            strings = strings.max(run.string_iterations - floor.string_iterations);
+        }
+        println!("{line} {:>12.3}", strings as f64 / bytes);
+    }
+}
+
+/// `row`'s `rsq` instructions by the innermost workspace source file of
+/// each stepped address, out of every instruction of the run (start-up
+/// included). The child is this binary, which has to carry line tables:
+/// build it with `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only` into a
+/// target directory of its own (line tables do not change the code).
+fn meter_split(row: &str) {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let root = root.canonicalize().expect("workspace root");
+    let bin = std::env::current_exe().expect("own path");
+    let meter = Meter::new();
+    let file = meter.write(row);
+    let steps = meter.steps("rsq", row, &file, true);
+    let len = std::fs::metadata(&bin).expect("binary").len();
+    let offsets: Vec<_> = steps
+        .sites
+        .iter()
+        .map(|(&rip, &n)| (rip.wrapping_sub(steps.exe_base), n))
+        .collect();
+    let inside = offsets.iter().filter(|&&(at, _)| at < len);
+    let out = Command::new("addr2line")
+        .args(["-a", "-i", "-e"])
+        .arg(&bin)
+        .args(inside.map(|(at, _)| format!("{at:#x}")))
+        .output()
+        .expect("addr2line runs");
+    // Each address line is followed by its frames, innermost first.
+    let mut file_of: HashMap<u64, String> = HashMap::new();
+    let mut current = None;
+    for line in String::from_utf8_lossy(&out.stdout).lines() {
+        if let Some(hex) = line.strip_prefix("0x") {
+            current = u64::from_str_radix(hex, 16).ok();
+        } else if let Some(at) = current {
+            let path = Path::new(line.rsplit_once(':').map_or(line, |(path, _)| path));
+            let path = path.strip_prefix(&root).unwrap_or(path);
+            if path.starts_with("crates") {
+                file_of.insert(at, path.display().to_string());
+                current = None;
+            }
+        }
+    }
+    assert!(!file_of.is_empty(), "{} has no line tables", bin.display());
+    let mut by_file: HashMap<&str, u64> = HashMap::new();
+    for (at, n) in offsets {
+        let file = match file_of.get(&at) {
+            _ if at >= len => "(outside the binary)",
+            Some(file) => file,
+            None => "(no workspace frame)",
+        };
+        *by_file.entry(file).or_default() += n;
+    }
+    let mut by_file: Vec<_> = by_file.into_iter().collect();
+    by_file.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    heading(&format!(
+        "{row}, rsq at {} KiB: {} instructions by innermost workspace source file",
+        meter.kb, steps.instructions
+    ));
+    for (file, n) in by_file {
+        let share = n as f64 * 100.0 / steps.instructions as f64;
+        println!("{share:>6.2} %  {n:>10}  {file}");
+    }
 }

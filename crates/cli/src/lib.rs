@@ -23,7 +23,7 @@
 )]
 
 use rsq_batch::{
-    render, BatchEngine, BatchOptions, DocError, DocErrorKind, DocRunner, DocSink, Record,
+    render, runner, BatchEngine, BatchOptions, DocError, DocErrorKind, DocSink, Record,
     ResponseMode,
 };
 use rsq_engine::{
@@ -36,7 +36,6 @@ use rsq_obs::{
     BatchCounters, BatchProfile, Histogram, ServeCounters, SkipBytes, StageTimes,
     STATS_SCHEMA_VERSION,
 };
-use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use rsq_serve::{
     serve_connection_with, serve_telemetry_listener, serve_unix_with, ServeOptions, ServeReport,
@@ -123,15 +122,6 @@ live telemetry (serve mode only; costs nothing when unused):
                       gauges), GET /healthz, GET /readyz, and POST
                       /shutdown (graceful drain) over a second Unix
                       socket — curl-able while serving
-
-hardware counters (Linux perf_event_open; never change results):
-  runs that already gather statistics (--stats, --stats-json,
-  --profile, --metrics-out) also read CPU cycle/instruction/cache/
-  branch counters when the kernel allows, reporting cycles-per-byte
-  (per pipeline stage in single-document mode); a denying kernel
-  degrades to no counters with byte-identical output. RSQ_PERF forces
-  the policy: auto (default), off (never open counters), deny
-  (simulate a denying kernel)
 
 exit codes: 0 ok, 1 failure, 2 usage, 3 bad query, 4 I/O error,
 5 resource limit exceeded, 6 malformed document, 7 deadline missed
@@ -315,28 +305,12 @@ pub struct Invocation {
     /// Zero-copy input policy (`--mmap auto|on|off`): whether file
     /// inputs are memory-mapped or buffered through the reader.
     pub mmap: MapPolicy,
-    /// Hardware-counter policy (`RSQ_PERF` env: auto|off|deny). Counters
-    /// only arm on runs that already gather statistics; a denying kernel
-    /// (or `off`/`deny`) degrades to no counters with identical output.
-    pub perf: PerfMode,
 }
 
 impl Invocation {
     /// Whether the run gathers Tier A counters: some report renders them.
     fn wants_stats(&self) -> bool {
         self.stats.is_some() || self.metrics_out.is_some()
-    }
-
-    /// The hardware-counter mode the run's workers open with — the one
-    /// rule for when counters arm: only when a report will surface them
-    /// (`--stats*`, `--metrics-out`, `--profile`, live telemetry). The
-    /// plain result-only path never opens a perf fd.
-    fn perf_mode(&self) -> PerfMode {
-        if self.wants_stats() || self.profile || self.telemetry_socket.is_some() {
-            self.perf
-        } else {
-            PerfMode::Off
-        }
     }
 
     /// What the drivers render per document (`--verify` compares
@@ -438,13 +412,6 @@ impl Invocation {
                 other => return Err(format!("RSQ_ROUTE: unknown route {other:?} (auto|general)")),
             };
         }
-        // Hardware-counter policy override, same fail-fast contract as
-        // `RSQ_ROUTE`: an explicit `RSQ_PERF` with a typo is a usage
-        // error, not a silent fall-through to the default.
-        let perf = match std::env::var("RSQ_PERF") {
-            Ok(value) => PerfMode::parse(&value)?,
-            Err(_) => PerfMode::default(),
-        };
         // `--stats` is overloaded: without a query it is the document
         // statistics mode (back compat); alongside a query (or with
         // `--stats-json` or another mode flag) it requests run statistics.
@@ -512,7 +479,6 @@ impl Invocation {
             deadline_ms,
             telemetry_socket: telemetry_socket.clone(),
             mmap,
-            perf,
         };
         if serve.is_some() {
             return match rest.as_slice() {
@@ -702,10 +668,6 @@ struct Report<'a> {
     profile: Option<&'a ProfileStats>,
     /// A batch's merged Tier C profile.
     batch_profile: Option<&'a BatchProfile>,
-    /// Hardware-counter totals, when any run was counted.
-    perf: Option<&'a PerfStats>,
-    /// Why there are none (single-document runs say so in the profile).
-    counters_unavailable: Option<&'a str>,
     /// The live-telemetry hub of a serve run.
     telemetry: Option<&'a Telemetry>,
 }
@@ -713,7 +675,7 @@ struct Report<'a> {
 impl Report<'_> {
     /// The `--stats-json` line: `schema_version`, then the driver's
     /// objects — or a single document's counters as top-level fields —
-    /// then the `profile`, `perf` and `telemetry` objects that exist.
+    /// then the `profile` and `telemetry` objects that exist.
     fn json(&self) -> String {
         let mut object = JsonObject::new();
         object.value("schema_version", Value::U64(STATS_SCHEMA_VERSION));
@@ -732,9 +694,6 @@ impl Report<'_> {
         if let Some(profile) = profile.or_else(|| self.batch_profile.map(BatchProfile::to_json)) {
             object.value("profile", Value::Json(profile));
         }
-        if let Some(perf) = self.perf {
-            object.value("perf", Value::Json(perf.to_json()));
-        }
         if let Some(hub) = self.telemetry {
             object.value("telemetry", Value::Json(hub.to_json()));
         }
@@ -743,8 +702,7 @@ impl Report<'_> {
 
     /// The human block: the counter tables when `--stats` asked for them,
     /// then the profile (whose single-document table opens with the
-    /// counters itself) and the hardware-counter table or the reason
-    /// there is none.
+    /// counters itself).
     fn human(&self, with_stats: bool) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -763,18 +721,13 @@ impl Report<'_> {
         let profile = self.profile.map(|p| p as &dyn fmt::Display);
         if let Some(profile) = profile.or(self.batch_profile.map(|p| p as &dyn fmt::Display)) {
             let _ = writeln!(s, "{profile}");
-            if let Some(perf) = self.perf {
-                let _ = write!(s, "{perf}");
-            } else if let Some(reason) = self.counters_unavailable {
-                let _ = writeln!(s, "hw counters        unavailable: {reason}");
-            }
         }
         s
     }
 
     /// The `--metrics-out` exposition. With telemetry on it is the hub's
     /// live rendering (lifetime series plus rolling windows and gauges —
-    /// identical to a scrape, `rsq_perf_*` already folded in).
+    /// identical to a scrape).
     fn metrics(&self) -> String {
         if let Some(hub) = self.telemetry {
             return hub.render_metrics();
@@ -796,9 +749,6 @@ impl Report<'_> {
                     profile.expose(&mut expo);
                 }
             }
-        }
-        if let Some(perf) = self.perf {
-            expo.rows(PerfStats::ROWS, perf, "");
         }
         expo.finish()
     }
@@ -869,8 +819,8 @@ pub fn run(
     }
 }
 
-/// Runs the query over one document: one contained run on the shared
-/// [`DocRunner`], the matches (or the oracle's verdict) on `out`, the
+/// Runs the query over one document: one contained run
+/// ([`runner::run_doc`] or [`runner::run_stream`]), the matches (or the oracle's verdict) on `out`, the
 /// report on `err`. Count and positions stream a document that is not
 /// mapped, in bounded memory; values, `--verify` and `--profile` take it
 /// in whole and checked first — mapped if the policy maps the file or
@@ -887,7 +837,6 @@ fn run_document(
     let deadline = invocation
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut runner = DocRunner::open(invocation.perf_mode());
     let mut stats = RunStats::default();
     let mut profile = invocation.profile.then(ProfileStats::new);
     let record = match profile.as_mut() {
@@ -905,8 +854,7 @@ fn run_document(
     match (open_input(invocation)?, streams) {
         (Document::Read(name, mut reader), true) => {
             let doc = Streamed::Reader(&mut *reader as &mut dyn Read);
-            runner
-                .run_stream(&engine, doc, deadline, &mut sink, record, true)
+            runner::run_stream(&engine, doc, deadline, &mut sink, record)
                 .map_err(|e| failed(&name, e))?;
         }
         (Document::Pages(file, start, len), true) => {
@@ -915,8 +863,7 @@ fn run_document(
                 start,
                 len,
             };
-            runner
-                .run_stream(&engine, doc, deadline, &mut sink, record, true)
+            runner::run_stream(&engine, doc, deadline, &mut sink, record)
                 .map_err(|e| failed("stdin", e))?;
         }
         (held, _) => {
@@ -939,8 +886,7 @@ fn run_document(
                 engine
             };
             // A mapped file is validated by the run, under its own name.
-            runner
-                .run_doc(&engine, &input, &mut sink, record, true)
+            runner::run_doc(&engine, &input, &mut sink, record)
                 .map_err(|e| failed(invocation.file.as_deref().unwrap_or("stdin"), e))?;
         }
     }
@@ -978,12 +924,9 @@ fn run_document(
         profile.add_stage_ns(ProfileStage::Sink, t_sink.map_or(0, elapsed_ns));
     }
 
-    let perf = runner.perf();
     Report {
         stats: Some(profile.as_ref().map_or(&stats, |p| &p.stats)),
         profile: profile.as_ref(),
-        perf: perf.as_ref(),
-        counters_unavailable: runner.counters_unavailable(),
         ..Report::default()
     }
     .write(invocation, err)
@@ -997,7 +940,6 @@ fn serve_options(invocation: &Invocation) -> ServeOptions {
         mode: invocation.response_mode(),
         threads: invocation.threads,
         deadline: invocation.deadline_ms.map(Duration::from_millis),
-        perf: invocation.perf_mode(),
     }
 }
 
@@ -1042,7 +984,6 @@ fn stop_telemetry_listener(
 fn serve_report<'a>(report: &'a ServeReport, hub: Option<&'a Arc<Telemetry>>) -> Report<'a> {
     Report {
         serve: Some((&report.counters, &report.latency)),
-        perf: report.perf.as_ref(),
         telemetry: hub.map(Arc::as_ref),
         ..Report::default()
     }
@@ -1166,7 +1107,6 @@ fn run_batch(
         engine: invocation.options,
         collect_stats: invocation.wants_stats(),
         profile: invocation.profile,
-        perf: invocation.perf_mode(),
         mode: invocation.response_mode(),
     });
 
@@ -1233,7 +1173,6 @@ fn run_batch(
         batch: Some(&result.counters),
         stats: Some(&result.stats),
         batch_profile: result.profile.as_ref(),
-        perf: result.perf.as_ref(),
         ..Report::default()
     }
     .write(invocation, err)?;
@@ -1367,7 +1306,6 @@ mod tests {
                     deadline_ms: None,
                     telemetry_socket: None,
                     mmap,
-                    perf: PerfMode::Off,
                 };
                 let mapped = run_to_string(&inv(MapPolicy::On)).unwrap();
                 let buffered = run_to_string(&inv(MapPolicy::Off)).unwrap();
@@ -1434,7 +1372,6 @@ mod tests {
                     deadline_ms: None,
                     telemetry_socket: None,
                     mmap,
-                    perf: PerfMode::Off,
                 };
                 let err = run_to_string(&inv).unwrap_err();
                 assert_eq!(err.kind, CliErrorKind::Limit, "policy {mmap:?}");
@@ -1476,7 +1413,6 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             assert_eq!(run_to_string(&inv(Mode::Count)).unwrap(), "2\n");
             assert_eq!(run_to_string(&inv(Mode::Values)).unwrap(), "2\n3\n");
@@ -1503,7 +1439,6 @@ mod tests {
             deadline_ms: None,
             telemetry_socket: None,
             mmap: MapPolicy::Auto,
-            perf: PerfMode::Off,
         };
         assert_eq!(
             run(&bad_query, &mut Vec::new(), &mut Vec::new())
@@ -1526,7 +1461,6 @@ mod tests {
             deadline_ms: None,
             telemetry_socket: None,
             mmap: MapPolicy::Auto,
-            perf: PerfMode::Off,
         };
         assert_eq!(
             run(&missing_file, &mut Vec::new(), &mut Vec::new())
@@ -1553,7 +1487,6 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             assert_eq!(
                 run(&strict, &mut Vec::new(), &mut Vec::new())
@@ -1581,7 +1514,6 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             assert_eq!(
                 run(&limited, &mut Vec::new(), &mut Vec::new())
@@ -1609,7 +1541,6 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             let out = run_to_string(&inv).unwrap();
             assert!(out.contains("nodes     4"), "{out}");
@@ -1634,7 +1565,6 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -1704,7 +1634,6 @@ mod tests {
                     deadline_ms: None,
                     telemetry_socket: None,
                     mmap: MapPolicy::Auto,
-                    perf: PerfMode::Off,
                 };
                 assert_eq!(run_to_string(&inv(Mode::Count)).unwrap(), "1\n1\n0\n");
                 assert_eq!(
@@ -1736,7 +1665,6 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -1766,7 +1694,6 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -1804,7 +1731,6 @@ mod tests {
             deadline_ms: None,
             telemetry_socket: None,
             mmap: MapPolicy::Auto,
-            perf: PerfMode::Off,
         };
         let mut out = Vec::new();
         let mut err = Vec::new();
@@ -1848,12 +1774,11 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             let mut err = Vec::new();
             run(&inv(false), &mut Vec::new(), &mut err).unwrap();
             let plain = String::from_utf8(err).unwrap();
-            assert!(plain.starts_with("{\"schema_version\":6,"), "{plain}");
+            assert!(plain.starts_with("{\"schema_version\":7,"), "{plain}");
             assert!(!plain.contains("\"profile\""), "{plain}");
 
             let mut err = Vec::new();
@@ -1861,7 +1786,7 @@ mod tests {
             let profiled = String::from_utf8(err).unwrap();
             assert_eq!(profiled.lines().count(), 1, "{profiled}");
             for key in [
-                "\"schema_version\":6,",
+                "\"schema_version\":7,",
                 "\"profile\":{",
                 "\"bytes_skipped\":{",
                 "\"skip_rate_pct\":",
@@ -1873,7 +1798,7 @@ mod tests {
             // the profiled line still carries the identical stats body.
             let stats_body = plain
                 .trim_end()
-                .strip_prefix("{\"schema_version\":6,")
+                .strip_prefix("{\"schema_version\":7,")
                 .unwrap()
                 .strip_suffix('}')
                 .unwrap();
@@ -1898,7 +1823,6 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -1929,7 +1853,6 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             let mut err = Vec::new();
             run(&inv, &mut Vec::new(), &mut err).unwrap();
@@ -1958,14 +1881,13 @@ mod tests {
                 deadline_ms: None,
                 telemetry_socket: None,
                 mmap: MapPolicy::Auto,
-                perf: PerfMode::Off,
             };
             let mut err = Vec::new();
             run(&inv(Some(StatsFormat::Json)), &mut Vec::new(), &mut err).unwrap();
             let json = String::from_utf8(err).unwrap();
             assert_eq!(json.lines().count(), 1, "{json}");
             for key in [
-                "\"schema_version\":6,",
+                "\"schema_version\":7,",
                 "\"batch\":{",
                 "\"profile\":{",
                 "\"latency\":{",
@@ -1999,7 +1921,6 @@ mod tests {
             deadline_ms: None,
             telemetry_socket: None,
             mmap: MapPolicy::Auto,
-            perf: PerfMode::Off,
         };
         let out = run_to_string(&inv).unwrap();
         assert!(out.starts_with("digraph"));
@@ -2080,7 +2001,6 @@ mod tests {
             deadline_ms: None,
             telemetry_socket: None,
             mmap: MapPolicy::Auto,
-            perf: PerfMode::Off,
         }
     }
 
@@ -2258,87 +2178,5 @@ mod tests {
         for p in [&serve_sock, &tele_sock, &metrics_path] {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn perf_denial_changes_no_output() {
-        with_temp_file(r#"{"a": [1, {"b": 2}], "b": 3}"#, |path| {
-            let inv = |perf| Invocation {
-                mode: Mode::Count,
-                query: "$..b".to_owned(),
-                file: Some(path.to_owned()),
-                options: EngineOptions::default(),
-                stats: Some(StatsFormat::Json),
-                batch: None,
-                threads: 0,
-                profile: false,
-                metrics_out: None,
-                serve: None,
-                deadline_ms: None,
-                telemetry_socket: None,
-                mmap: MapPolicy::Auto,
-                perf,
-            };
-            let capture = |perf| {
-                let mut out = Vec::new();
-                let mut err = Vec::new();
-                run(&inv(perf), &mut out, &mut err).unwrap();
-                (out, String::from_utf8(err).unwrap())
-            };
-            let (out_off, err_off) = capture(PerfMode::Off);
-            let (out_deny, err_deny) = capture(PerfMode::Deny);
-            let (out_auto, err_auto) = capture(PerfMode::Auto);
-            assert_eq!(out_off, b"2\n");
-            assert_eq!(out_off, out_deny);
-            assert_eq!(out_off, out_auto);
-            assert_eq!(err_off, err_deny, "denial modes agree byte-for-byte");
-            assert!(!err_deny.contains("\"perf\""), "{err_deny}");
-            assert!(err_auto.starts_with("{\"schema_version\":6,"), "{err_auto}");
-            // Auto either matches the denied report exactly (denied
-            // host) or adds only the trailing "perf" object.
-            if err_auto != err_off {
-                assert!(err_auto.contains(",\"perf\":{\"core_only\":"), "{err_auto}");
-                let stats_body = err_off
-                    .trim_end()
-                    .strip_prefix('{')
-                    .unwrap()
-                    .strip_suffix('}')
-                    .unwrap();
-                assert!(err_auto.contains(stats_body), "{err_auto}");
-            }
-        });
-    }
-
-    /// `--profile` reports why counters are missing instead of silently
-    /// dropping the block.
-    #[test]
-    fn profile_reports_counter_denial_reason() {
-        with_temp_file(r#"{"a": 1}"#, |path| {
-            let inv = Invocation {
-                mode: Mode::Count,
-                query: "$.a".to_owned(),
-                file: Some(path.to_owned()),
-                options: EngineOptions::default(),
-                stats: None,
-                batch: None,
-                threads: 0,
-                profile: true,
-                metrics_out: None,
-                serve: None,
-                deadline_ms: None,
-                telemetry_socket: None,
-                mmap: MapPolicy::Auto,
-                perf: PerfMode::Deny,
-            };
-            let mut out = Vec::new();
-            let mut err = Vec::new();
-            run(&inv, &mut out, &mut err).unwrap();
-            assert_eq!(out, b"1\n", "stdout untouched");
-            let err = String::from_utf8(err).unwrap();
-            assert!(
-                err.contains("hw counters        unavailable: RSQ_PERF=deny:"),
-                "{err}"
-            );
-        });
     }
 }

@@ -4,15 +4,15 @@
 //! byte-identical to the fixtures in `tests/golden/`, which
 //! `tests/golden/capture.sh` recorded from the binary of the commit
 //! before the three drivers were folded onto one runner, one renderer and
-//! one report writer. Hardware counters are off (`RSQ_PERF=off`), so the
-//! fixtures hold on hosts that grant `perf_event_open` too. They were
-//! edited twice since. First by deletion only, when the profile's skip
-//! map and `classify` stage went: the `skip map` line, the `skip_map`
-//! object, the `classify` stage values and rows, and `schema_version` 4
-//! became 5. Then when the batch query cache went: its `query cache`
-//! line, its keys in the `batch` object and its three series were
-//! deleted, `schema_version` 5 became 6, and the three `--stats` tables
-//! that ended without a newline gained one.
+//! one report writer. They were edited three times since. First by
+//! deletion only, when the profile's skip map and `classify` stage went:
+//! the `skip map` line, the `skip_map` object, the `classify` stage
+//! values and rows, and `schema_version` 4 became 5. Then when the batch
+//! query cache went: its `query cache` line, its keys in the `batch`
+//! object and its three series were deleted, `schema_version` 5 became
+//! 6, and the three `--stats` tables that ended without a newline gained
+//! one. Then when the hardware-counter layer went: `schema_version` 6
+//! became 7, and the profile's `hw counters` line was deleted.
 //!
 //! The `doc-deep-skipped-*` pair pins the one `--max-depth` rule: 2 000
 //! levels under a member the query skips pass, mapped or streamed, since
@@ -186,7 +186,6 @@ fn reports_are_byte_identical_to_the_fixtures() {
             command
                 .args(args)
                 .current_dir(&dir)
-                .env("RSQ_PERF", "off")
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped());
             let output = if way.is_empty() {

@@ -5,7 +5,7 @@
 //! ends on the load's edge, on every backend and on both routes (as
 //! routed, and forced onto the general loop).
 
-use rsq_batch::{render, DocRunner, DocSink, Record, ResponseMode};
+use rsq_batch::{render, runner, DocSink, Record, ResponseMode};
 use rsq_datagen::catalog::catalog;
 use rsq_datagen::GenConfig;
 use rsq_difftest::{backends, engine_queries, random_json, XorShift64};
@@ -37,9 +37,7 @@ fn check_values(query: &str, doc: &[u8]) {
                 spanned.push(b'\n');
             }
             let mut sink = DocSink::new(ResponseMode::Values, None);
-            DocRunner::open(rsq_perf::PerfMode::Off)
-                .run_doc(&engine, doc, &mut sink, Record::Nothing, false)
-                .unwrap();
+            runner::run_doc(&engine, doc, &mut sink, Record::Nothing).unwrap();
             let mut cut = Vec::new();
             render(&mut cut, doc, sink.matches()).unwrap();
             if let Some((line, (c, s))) = cut

@@ -559,9 +559,8 @@ impl Engine {
     ///   stage (the only recorder that reads the clock: once per stage
     ///   bracket, so twice per run with `strict` and once without, however
     ///   many skips the run takes);
-    /// * composite recorders (the hardware-counter wrapper in `rsq-perf`)
-    ///   observe stage brackets the same way, without the engine knowing
-    ///   about them.
+    /// * a composite recorder would observe stage brackets the same way,
+    ///   without the engine knowing about it.
     ///
     /// ```
     /// use rsq_engine::{CountSink, Engine, ProfileStats};
@@ -651,8 +650,8 @@ impl Engine {
     /// document's length reaches it at the end of the input — and, with a
     /// `deadline`, aborting with [`RunError::DeadlineExceeded`] if it
     /// passes before the input ends (checked before every read, as
-    /// [`ingest`](Self::ingest) does). Returns the document's length and
-    /// the route the run took: the one a slice of the same bytes takes.
+    /// [`ingest`](Self::ingest) does). Returns the route the run took:
+    /// the one a slice of the same bytes takes.
     ///
     /// # Errors
     ///
@@ -664,10 +663,10 @@ impl Engine {
         sink: &mut S,
         rec: &mut impl Recorder,
         deadline: Option<Instant>,
-    ) -> Result<(usize, Route), RunError> {
+    ) -> Result<Route, RunError> {
         let feed = Feed::document(reader, &self.options, self.simd, deadline);
-        let (feed, route) = self.run_feed(feed, sink, rec, STREAM_WINDOW)?;
-        Ok((feed.len, route))
+        self.run_feed(feed, sink, rec, STREAM_WINDOW)
+            .map(|(_, route)| route)
     }
 
     /// [`try_run_reader_with_recorder`](Self::try_run_reader_with_recorder)
@@ -691,11 +690,11 @@ impl Engine {
         sink: &mut S,
         rec: &mut impl Recorder,
         deadline: Option<Instant>,
-    ) -> Result<(usize, Route), RunError> {
+    ) -> Result<Route, RunError> {
         let pages = FilePages { file, start, len };
         let feed = Feed::document(pages, &self.options, self.simd, deadline);
-        let (feed, route) = self.run_feed(feed, sink, rec, STREAM_WINDOW)?;
-        Ok((feed.len, route))
+        self.run_feed(feed, sink, rec, STREAM_WINDOW)
+            .map(|(_, route)| route)
     }
 
     /// A streamed run of `doc` through windows of `window` bytes, with no

@@ -21,7 +21,7 @@
 //! [`Landing`]) fills in place.
 //!
 //! This is one of the audited kernel crates (with `rsq-simd`,
-//! `rsq-stackvec` and `rsq-perf`): the workspace-wide
+//! `rsq-stackvec` and the instruction meter, `rsq-perf`): the workspace-wide
 //! `unsafe_code = "forbid"` is lifted here and every unsafe block carries
 //! its proof obligation next to the code, which the crate's `[lints]`
 //! table makes clippy check. The unsafe surface is

@@ -39,15 +39,12 @@ use std::time::Instant;
 /// different version.
 ///
 /// Version 3 added the `route` field to [`RunStats`] (the query-shape
-/// route chosen at compile time, DESIGN.md §15). Version 4 added the
-/// hardware-counter layer (DESIGN.md §16): an optional `perf` object
-/// (cycles/instructions per byte, per-stage attribution — absent when
-/// counters are unavailable) and per-route document counters in serve
-/// reports. Version 5 removed the profile's `skip_map` object and
-/// `stages.classify_ns`, and the perf object's `ingest`, `classify` and
-/// `sink` stages (counters are only ever armed around `validate` and
-/// `automaton`).
-pub const STATS_SCHEMA_VERSION: u64 = 6;
+/// route chosen at compile time, DESIGN.md §15). Version 4 added an
+/// optional hardware-counter `perf` object and per-route document
+/// counters in serve reports. Version 5 removed the profile's `skip_map`
+/// object and `stages.classify_ns`. Version 7 removed the `perf` object:
+/// instruction counts are taken outside the product (DESIGN.md §16).
+pub const STATS_SCHEMA_VERSION: u64 = 7;
 
 /// The skipping technique that elided a byte range (§3.3 plus the
 /// `memmem` head start of §4.4).

@@ -3,7 +3,7 @@
 //! Each counter set ([`RunStats`](crate::RunStats),
 //! [`SkipBytes`](crate::SkipBytes), [`BatchCounters`](crate::BatchCounters),
 //! [`ServeCounters`](crate::ServeCounters),
-//! [`WindowSnapshot`](crate::WindowSnapshot), `rsq_perf::PerfStats`, …)
+//! [`WindowSnapshot`](crate::WindowSnapshot), …)
 //! declares a `ROWS` table with [`series_rows!`](crate::series_rows), and a
 //! row is the only place that names a value: how to read it, its key in
 //! `--stats-json` (dots nest objects: `skips.leaf`), how two reports
@@ -36,9 +36,9 @@ pub struct Series {
     /// `# TYPE`: `counter` (a monotone total, named `*_total`) or `gauge`.
     pub kind: &'static str,
     /// Emitted after the table's other series. The exposition order of
-    /// three sets is pinned and differs from their JSON order:
-    /// `rsq_max_depth` follows `rsq_matches_total`, the serve I/O series
-    /// follow `rsq_route_docs_total`, and the perf totals lead.
+    /// two sets is pinned and differs from their JSON order:
+    /// `rsq_max_depth` follows `rsq_matches_total`, and the serve I/O
+    /// series follow `rsq_route_docs_total`.
     pub late: bool,
 }
 
@@ -335,8 +335,7 @@ pub fn entries<T>(set: &'static str, rows: &'static [Row<T>]) -> impl Iterator<I
     })
 }
 
-/// Every row this crate registers, in exposition order of the sets
-/// (`rsq-perf` adds `PerfStats::ROWS` under `perf`).
+/// Every row the workspace registers, in exposition order of the sets.
 #[must_use]
 pub fn catalog() -> Vec<Entry> {
     use crate::{

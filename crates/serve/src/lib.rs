@@ -64,21 +64,15 @@ pub use telemetry::Telemetry;
 
 use pool::Pool;
 pub use rsq_batch::ResponseMode;
-use rsq_batch::{render, DocError, DocErrorKind, DocRunner, DocSink, Frame, NdjsonFramer, Record};
+use rsq_batch::{render, runner, DocError, DocErrorKind, DocSink, Frame, NdjsonFramer, Record};
 use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
 use rsq_obs::{Histogram, ServeCounters};
-use rsq_perf::{PerfMode, PerfStats};
 use rsq_query::Query;
 use std::io::{self, Read, Write};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// One in every this-many documents per worker is bracketed by the
-/// hardware-counter group when counters are armed; the rest run without
-/// the group's start and stop syscalls.
-const PERF_SAMPLE_INTERVAL: usize = 32;
 
 /// Configuration for a serving session.
 #[derive(Clone, Debug)]
@@ -100,10 +94,6 @@ pub struct ServeOptions {
     /// `None` = no deadline. `Some(Duration::ZERO)` deterministically
     /// times out every document (useful in tests).
     pub deadline: Option<Duration>,
-    /// Hardware-counter mode for the per-worker sampled cycle
-    /// accounting. [`PerfMode::Off`] by default — the CLI arms this
-    /// only when a reporting sink (stats, metrics, telemetry) exists.
-    pub perf: PerfMode,
 }
 
 impl ServeOptions {
@@ -126,7 +116,6 @@ impl ServeOptions {
             mode: ResponseMode::Count,
             threads: 0,
             deadline: None,
-            perf: PerfMode::Off,
         }
     }
 
@@ -173,9 +162,6 @@ pub struct ServeReport {
     /// written; `false` after a mid-stream disconnect or a failed
     /// response write.
     pub clean: bool,
-    /// Sampled hardware-counter totals across the session's workers.
-    /// `None` when counters were off or unavailable (denied hosts).
-    pub perf: Option<PerfStats>,
 }
 
 impl Default for ServeReport {
@@ -185,7 +171,6 @@ impl Default for ServeReport {
             latency: Histogram::new(),
             first_failure: None,
             clean: true,
-            perf: None,
         }
     }
 }
@@ -199,9 +184,6 @@ impl ServeReport {
             self.first_failure = other.first_failure;
         }
         self.clean &= other.clean;
-        if let Some(p) = other.perf {
-            *self.perf.get_or_insert_with(PerfStats::default) += p;
-        }
     }
 }
 
@@ -295,33 +277,25 @@ fn nanos_since(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One thread's kit for running documents: the connection's thread and
-/// each helper build their own, on the thread they run on. Perf events
-/// count the opening thread, so each worker arms its own counter set (a
-/// `DocRunner` is not `Send`).
+/// What running a document needs; the connection's thread and every
+/// helper share one.
 struct Worker<'a, T> {
     pool: &'a Pool<T>,
     engine: &'a Engine,
     options: &'a ServeOptions,
     /// With a hub, each run is timed for the window's busy fraction.
     hub: Option<&'a Telemetry>,
-    runner: DocRunner,
-    doc_index: usize,
 }
 
 impl<T: pool::Emit> Worker<'_, T> {
     /// Runs `job` and completes it, which may write responses.
-    fn run(&mut self, job: pool::Job) {
-        let sampled = self.doc_index.is_multiple_of(PERF_SAMPLE_INTERVAL);
-        self.doc_index = self.doc_index.wrapping_add(1);
-        // The deadline runs from admission (see `DocRunner::run_doc` for
+    fn run(&self, job: pool::Job) {
+        // The deadline runs from admission (see `runner::run_doc` for
         // where it is checked).
         let deadline = self.options.deadline.map(|d| job.admitted + d);
         let mut sink = DocSink::new(self.options.mode, deadline);
         let started = self.hub.map(|_| Instant::now());
-        let run = self
-            .runner
-            .run_doc(self.engine, &job.doc, &mut sink, Record::Nothing, sampled);
+        let run = runner::run_doc(self.engine, &job.doc, &mut sink, Record::Nothing);
         let resp = pool::Response {
             doc: Vec::new(),
             route: run.as_ref().ok().copied(),
@@ -339,7 +313,7 @@ impl<T: pool::Emit> Worker<'_, T> {
 /// run right here by the connection's `worker`; an oversize line resolves
 /// at once with the error the engine's own `max_document_bytes` check
 /// gives, as batch mode would. Returns `false` once the pool has aborted.
-fn admit_frame<T: pool::Emit>(worker: &mut Worker<'_, T>, frame: Frame) -> bool {
+fn admit_frame<T: pool::Emit>(worker: &Worker<'_, T>, frame: Frame) -> bool {
     let pool = worker.pool;
     match frame {
         Frame::Doc(doc) => pool.admit(doc, |job| worker.run(job)),
@@ -434,36 +408,29 @@ where
     let mut bytes_in: u64 = 0;
     let mut disconnected = false;
 
-    // Sampled hardware-counter deltas are folded in per worker at drain,
-    // never on the per-document path.
-    let perf = thread::scope(|scope| {
-        let worker = || Worker {
-            pool: &pool,
-            engine: &engine,
-            options,
-            hub,
-            runner: DocRunner::open(options.perf),
-            doc_index: 0,
-        };
+    let worker = &Worker {
+        pool: &pool,
+        engine: &engine,
+        options,
+        hub,
+    };
+    thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut helper = worker();
-                    while let Some(job) = helper.pool.take_job() {
-                        helper.run(job);
+                    while let Some(job) = worker.pool.take_job() {
+                        worker.run(job);
                     }
-                    helper.runner.perf()
                 })
             })
             .collect();
-        let mut worker = worker();
 
         let mut chunk = [0u8; 8192];
         loop {
             match reader.read(&mut chunk) {
                 Ok(0) => {
                     if let Some(frame) = framer.finish() {
-                        admit_frame(&mut worker, frame);
+                        admit_frame(worker, frame);
                     }
                     break;
                 }
@@ -477,7 +444,7 @@ where
                     let read = &chunk[..n];
                     framer.push(read, &mut |frame| {
                         if alive {
-                            alive = admit_frame(&mut worker, frame);
+                            alive = admit_frame(worker, frame);
                         }
                     });
                     if !alive {
@@ -505,17 +472,14 @@ where
 
         // Helpers drain the queue; the last completion empties the reorder
         // buffer.
-        let mut perf = worker.runner.perf().unwrap_or_default();
         for h in helpers {
-            match h.join() {
-                Ok(p) => perf += p.unwrap_or_default(),
-                // Only if pool bookkeeping itself panicked (the document
-                // run is contained): the response it held never arrives,
-                // so stop the others rather than drain behind it.
-                Err(_) => pool.abort(),
+            // Only if pool bookkeeping itself panicked (the document run
+            // is contained): the response it held never arrives, so stop
+            // the others rather than drain behind it.
+            if h.join().is_err() {
+                pool.abort();
             }
         }
-        perf
     });
 
     let (documents, backpressure_waits, max_inflight) = pool.accounting();
@@ -537,11 +501,9 @@ where
     *counters += connection;
     counters.documents = documents;
     report.clean &= !disconnected && !lost;
-    report.perf = (perf.docs > 0).then_some(perf);
 
     if let Some(t) = hub {
         t.record_connection(&connection);
-        t.record_perf(&perf);
     }
     Ok(report)
 }
@@ -967,24 +929,6 @@ mod tests {
             .map(|&r| report.counters.route_docs(r))
             .sum();
         assert_eq!(total, report.counters.responses_ok);
-    }
-
-    #[test]
-    fn perf_deny_keeps_output_identical_and_report_empty() {
-        let (plain_out, plain_err, _) = serve_bytes(&opts("$..b"), INPUT);
-        for mode in [PerfMode::Deny, PerfMode::Auto] {
-            let mut o = opts("$..b");
-            o.perf = mode;
-            let (out, err, report) = serve_bytes(&o, INPUT);
-            assert_eq!(out, plain_out, "{mode:?}");
-            assert_eq!(err, plain_err, "{mode:?}");
-            if mode == PerfMode::Deny {
-                assert!(
-                    report.perf.is_none(),
-                    "denied counters must vanish from the report"
-                );
-            }
-        }
     }
 
     #[test]

@@ -33,7 +33,6 @@ use crate::Tally;
 use rsq_obs::expo::Exposition;
 use rsq_obs::series::{JsonObject, Value};
 use rsq_obs::{Histogram, ServeCounters, TelemetryGauges, WindowRing, WindowSnapshot};
-use rsq_perf::PerfStats;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,11 +44,6 @@ struct HubState {
     counters: ServeCounters,
     latency: Histogram,
     ring: WindowRing,
-    /// Hardware-counter totals folded in at connection end (sampled
-    /// per-worker deltas). All zeros until a connection with armed
-    /// counters reports; the exposition omits the `rsq_perf_*` series
-    /// while `docs == 0`.
-    perf: PerfStats,
 }
 
 /// The shared telemetry hub of one serving session (see module docs).
@@ -80,7 +74,6 @@ impl Telemetry {
                 counters: ServeCounters::new(),
                 latency: Histogram::new(),
                 ring: WindowRing::new(),
-                perf: PerfStats::default(),
             }),
             queue_depth: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
@@ -182,21 +175,6 @@ impl Telemetry {
         state.counters += *counters;
     }
 
-    /// Folds a connection's sampled hardware-counter totals into the
-    /// hub, surfacing them as `rsq_perf_*` series on the scrape
-    /// endpoint. No-op for all-zero stats (counters never armed).
-    pub(crate) fn record_perf(&self, perf: &PerfStats) {
-        if perf.docs == 0 {
-            return;
-        }
-        #[expect(
-            clippy::unwrap_used,
-            reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
-        )]
-        let mut state = self.state.lock().unwrap();
-        state.perf += *perf;
-    }
-
     /// Current point-in-time gauges.
     #[must_use]
     pub fn gauges(&self) -> TelemetryGauges {
@@ -223,14 +201,14 @@ impl Telemetry {
     /// the CLI appends the same text to `--metrics-out`.
     #[must_use]
     pub fn render_metrics(&self) -> String {
-        let (counters, latency, windows, perf) = {
+        let (counters, latency, windows) = {
             #[expect(
                 clippy::unwrap_used,
                 reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
             )]
             let state = self.state.lock().unwrap();
             let windows = self.windows(&state);
-            (state.counters, state.latency.clone(), windows, state.perf)
+            (state.counters, state.latency.clone(), windows)
         };
         let mut expo = Exposition::new();
         expo.rows(ServeCounters::ROWS, &counters, "");
@@ -240,9 +218,6 @@ impl Telemetry {
             expo.rows(WindowSnapshot::ROWS, window, &label);
         }
         expo.rows(TelemetryGauges::ROWS, &self.gauges(), "");
-        if perf.docs > 0 {
-            expo.rows(PerfStats::ROWS, &perf, "");
-        }
         expo.finish()
     }
 
@@ -489,33 +464,6 @@ mod tests {
             "{text}"
         );
         assert_eq!(hub.state.lock().unwrap().latency.count(), 0);
-    }
-
-    #[test]
-    fn perf_totals_surface_in_exposition_only_once_reported() {
-        let hub = Telemetry::new();
-        assert!(
-            !hub.render_metrics().contains("rsq_perf_"),
-            "no perf series before any report"
-        );
-        hub.record_perf(&PerfStats::default()); // zero docs: ignored
-        assert!(!hub.render_metrics().contains("rsq_perf_"));
-        let mut perf = PerfStats::default();
-        perf.add_run(
-            1_000,
-            &rsq_perf::CounterValues {
-                cycles: 2_000,
-                instructions: 4_000,
-                time_enabled: 10,
-                time_running: 10,
-                ..rsq_perf::CounterValues::default()
-            },
-        );
-        hub.record_perf(&perf);
-        let text = hub.render_metrics();
-        rsq_obs::expo::check(&text).expect("exposition with perf series passes the lint");
-        assert!(text.contains("rsq_perf_cycles_total 2000"), "{text}");
-        assert!(text.contains("rsq_perf_cycles_per_byte 2.0000"), "{text}");
     }
 
     #[test]

@@ -123,13 +123,11 @@ pub(crate) fn analyze_workspace(root: &Path, passes: &[&'static str]) -> std::io
     Ok(analyze_sources(&files, passes))
 }
 
-/// Every series name in the registry (`rsq-obs`'s sets plus
-/// `rsq-perf`'s) — the ground truth for the consistency pass's
-/// metric-name checks.
+/// Every series name in the registry — the ground truth for the
+/// consistency pass's metric-name checks.
 fn series_names() -> Vec<&'static str> {
-    let perf = rsq_obs::series::entries("perf", rsq_perf::PerfStats::ROWS);
-    let entries = rsq_obs::series::catalog().into_iter().chain(perf);
-    let names: std::collections::BTreeSet<&str> = entries
+    let names: std::collections::BTreeSet<&str> = rsq_obs::series::catalog()
+        .into_iter()
         .filter_map(|entry| entry.series.map(|series| series.name))
         .collect();
     names.into_iter().collect()
@@ -241,7 +239,9 @@ mod tests {
     #[test]
     fn series_names_are_rsq_series() {
         let names = series_names();
-        assert!(names.contains(&"rsq_matches_total") && names.contains(&"rsq_perf_cycles_total"));
+        assert!(
+            names.contains(&"rsq_matches_total") && names.contains(&"rsq_serve_documents_total")
+        );
         assert!(names.iter().all(|s| s.starts_with("rsq_")), "{names:?}");
     }
 

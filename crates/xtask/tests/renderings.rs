@@ -1,9 +1,8 @@
 //! Byte-for-byte pins of every machine-readable and human rendering of
 //! the counter sets, over deterministic nonzero values.
 //!
-//! The CLI golden fixtures run with `RSQ_PERF=off` and without a
-//! telemetry hub, so nothing there pins the `rsq_perf_*` series, the
-//! rolling windows and gauges, the serve exposition with a latency
+//! The CLI golden fixtures run without a telemetry hub, so nothing there
+//! pins the rolling windows and gauges, the serve exposition with a latency
 //! histogram, or a batch profile with more than one worker. The texts
 //! under `tests/renderings/` were recorded from the hand-written
 //! renderers (four `prometheus*` functions, eleven positional `to_json`
@@ -12,14 +11,16 @@
 //! composed here the way `rsq-cli`'s report writer and `rsq-serve`'s
 //! telemetry hub compose them.
 //!
-//! Since then the fixtures were re-recorded once, when the profile's
-//! document skip map and its per-skip `classify` stage were removed:
-//! every file lost exactly those pieces (the `skip_map` object and the
-//! `skip map` line, the `classify` stage rows, and the perf object's
-//! `ingest`/`classify`/`sink` stage rows, which counters never measured),
-//! and `skip-map.json` and `profile-stats-no-map.json` (identical to
-//! `profile-stats.json` without a map) went. The stage values below are
-//! the ones the fixtures were first recorded with.
+//! Since then the fixtures were edited twice, by deletion only. First
+//! when the profile's document skip map and its per-skip `classify` stage
+//! were removed: every file lost exactly those pieces (the `skip_map`
+//! object and the `skip map` line, the `classify` stage rows, and the
+//! hardware-counter object's `ingest`/`classify`/`sink` stage rows), and
+//! `skip-map.json` and `profile-stats-no-map.json` (identical to
+//! `profile-stats.json` without a map) went. Then when the
+//! hardware-counter layer went: `scrape.prom` lost its counter series,
+//! and the renderings of the counter object went. The
+//! stage values below are the ones the fixtures were first recorded with.
 //!
 //! When a rendering is changed on purpose, the failing run leaves the new
 //! text in `CARGO_TARGET_TMPDIR` and names the file to copy over the
@@ -31,7 +32,6 @@ use rsq_obs::{
     ServeCounters, SkipBytes, SkipTechnique, StageTimes, TelemetryGauges, WindowRing,
     WindowSnapshot, WorkerProfile,
 };
-use rsq_perf::PerfStats;
 use std::path::Path;
 
 fn stats() -> RunStats {
@@ -136,28 +136,6 @@ fn serve_counters() -> ServeCounters {
     }
 }
 
-fn perf_stats(core_only: bool) -> PerfStats {
-    let mut p = PerfStats {
-        bytes: 4096,
-        docs: 2,
-        core_only,
-        ..PerfStats::default()
-    };
-    p.total.cycles = 12_000;
-    p.total.instructions = 30_000;
-    p.total.branches = 4_000;
-    p.total.branch_misses = 40;
-    p.total.cache_references = 900;
-    p.total.cache_misses = 90;
-    p.total.time_enabled = 1_000_000;
-    p.total.time_running = 900_000;
-    for (stage, n) in [(ProfileStage::Validate, 1), (ProfileStage::Automaton, 3)] {
-        p.stage_cycles[stage.index()] = 2_000 + n;
-        p.stage_instructions[stage.index()] = 5_000 + n;
-    }
-    p
-}
-
 fn telemetry() -> (WindowRing, TelemetryGauges) {
     let mut ring = WindowRing::new();
     for tick in 8..70 {
@@ -186,7 +164,6 @@ fn prometheus(
     stats: &RunStats,
     profile: Option<&ProfileStats>,
     batch: Option<(&BatchCounters, Option<&BatchProfile>)>,
-    perf: Option<&PerfStats>,
 ) -> String {
     let mut expo = Exposition::new();
     expo.rows(RunStats::ROWS, stats, "");
@@ -200,9 +177,6 @@ fn prometheus(
             profile.expose(&mut expo);
         }
     }
-    if let Some(perf) = perf {
-        expo.rows(PerfStats::ROWS, perf, "");
-    }
     expo.finish()
 }
 
@@ -210,7 +184,6 @@ fn prometheus(
 fn scrape(
     serve: Option<(&ServeCounters, Option<&Histogram>)>,
     telemetry: Option<(&[WindowSnapshot], &TelemetryGauges)>,
-    perf: Option<&PerfStats>,
 ) -> String {
     let mut expo = Exposition::new();
     if let Some((counters, latency)) = serve {
@@ -225,9 +198,6 @@ fn scrape(
             expo.rows(WindowSnapshot::ROWS, window, &label);
         }
         expo.rows(TelemetryGauges::ROWS, gauges, "");
-    }
-    if let Some(perf) = perf {
-        expo.rows(PerfStats::ROWS, perf, "");
     }
     expo.finish()
 }
@@ -246,47 +216,32 @@ fn renderings() -> Vec<(&'static str, String)> {
         ..ring.window(70, secs)
     });
     let [w10, w60] = &windows;
-    let perf = perf_stats(false);
-    let core_only = perf_stats(true);
     let batch = Some((&batch_counters, Some(&batch_profile)));
 
     vec![
-        ("engine-run.prom", prometheus(&stats, None, None, None)),
+        ("engine-run.prom", prometheus(&stats, None, None)),
         (
             "engine-profile.prom",
-            prometheus(&stats, Some(&profile), None, None),
+            prometheus(&stats, Some(&profile), None),
         ),
         (
             "batch-counters.prom",
-            prometheus(&stats, None, Some((&batch_counters, None)), None),
+            prometheus(&stats, None, Some((&batch_counters, None))),
         ),
         (
             "batch-profile.prom",
-            prometheus(&stats, Some(&profile), batch, None),
+            prometheus(&stats, Some(&profile), batch),
         ),
-        // `--metrics-out` after a profiled batch with armed counters.
-        (
-            "batch-perf.prom",
-            prometheus(&stats, None, batch, Some(&perf)),
-        ),
-        ("serve.prom", scrape(Some((&serve, None)), None, None)),
+        ("serve.prom", scrape(Some((&serve, None)), None)),
         (
             "serve-latency.prom",
-            scrape(Some((&serve, Some(&latency))), None, None),
+            scrape(Some((&serve, Some(&latency))), None),
         ),
-        (
-            "telemetry.prom",
-            scrape(None, Some((&windows, &gauges)), None),
-        ),
-        ("perf.prom", scrape(None, None, Some(&perf))),
-        // A scrape of a serving process with armed counters.
+        ("telemetry.prom", scrape(None, Some((&windows, &gauges)))),
+        // A scrape of a serving process.
         (
             "scrape.prom",
-            scrape(
-                Some((&serve, Some(&latency))),
-                Some((&windows, &gauges)),
-                Some(&perf),
-            ),
+            scrape(Some((&serve, Some(&latency))), Some((&windows, &gauges))),
         ),
         ("run-stats.json", stats.to_json()),
         ("run-stats.txt", stats.to_string()),
@@ -311,11 +266,6 @@ fn renderings() -> Vec<(&'static str, String)> {
         ("histogram.json", latency.to_json()),
         ("histogram.txt", latency.to_string()),
         ("histogram-empty.json", Histogram::new().to_json()),
-        ("perf-stats.json", perf.to_json()),
-        ("perf-stats.txt", perf.to_string()),
-        ("perf-stats-core-only.json", core_only.to_json()),
-        ("perf-stats-core-only.txt", core_only.to_string()),
-        ("perf-stats-default.json", PerfStats::default().to_json()),
     ]
 }
 

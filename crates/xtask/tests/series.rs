@@ -1,5 +1,5 @@
-//! Checks over the whole series registry — `rsq-obs`'s counter sets and
-//! `rsq-perf`'s — that hold by reading the tables, not by rendering each
+//! Checks over the whole series registry — `rsq-obs`'s counter sets —
+//! that hold by reading the tables, not by rendering each
 //! exposition and parsing the text back (what `cargo xtask metrics-lint`
 //! did while seven renderers had to be kept in agreement by hand): the
 //! naming conventions, the merge rules of every row, and the README's
@@ -11,22 +11,15 @@ use rsq_obs::{
     BatchCounters, BatchProfile, Histogram, Route, RunStats, ServeCounters, SkipBytes, StageTimes,
     TelemetryGauges, WindowSnapshot, WorkerProfile,
 };
-use rsq_perf::PerfStats;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-
-fn catalog() -> Vec<Entry> {
-    let mut entries = series::catalog();
-    entries.extend(series::entries("perf", PerfStats::ROWS));
-    entries
-}
 
 #[test]
 fn every_row_follows_the_conventions() {
     let mut samples = BTreeSet::new();
     let mut headers = BTreeMap::new();
     let mut keys = BTreeSet::new();
-    for Entry { set, key, series } in catalog() {
+    for Entry { set, key, series } in series::catalog() {
         assert!(
             key.is_empty() || keys.insert((set, key)),
             "JSON key `{key}` twice in `{set}`"
@@ -61,7 +54,7 @@ fn every_row_follows_the_conventions() {
             "`{name}` has two help texts or types"
         );
     }
-    assert_eq!(headers.len(), 49, "series names in the registry");
+    assert_eq!(headers.len(), 35, "series names in the registry");
 }
 
 /// Every table rendered once into one exposition, with the labels the
@@ -83,7 +76,6 @@ fn full_exposition() -> String {
         expo.rows(WindowSnapshot::ROWS, &WindowSnapshot::default(), label);
     }
     expo.rows(TelemetryGauges::ROWS, &TelemetryGauges::default(), "");
-    expo.rows(PerfStats::ROWS, &PerfStats::default(), "");
     expo.finish()
 }
 
@@ -97,7 +89,7 @@ fn the_full_table_renders_a_wellformed_exposition() {
         .filter(|line| !line.starts_with('#'))
         .filter_map(|line| line.split(['{', ' ']).next())
         .collect();
-    let registered: BTreeSet<&str> = catalog()
+    let registered: BTreeSet<&str> = series::catalog()
         .iter()
         .filter_map(|entry| entry.series.map(|series| series.name))
         .collect();
@@ -224,19 +216,6 @@ fn windows_merge_by_their_rows() {
     assert_eq!((window.latency.count(), window.latency.max()), (2, 900));
 }
 
-#[test]
-fn perf_stats_merge_by_their_rows() {
-    merge_laws("perf", PerfStats::ROWS);
-    // One degraded contribution taints the merged report.
-    let mut total = PerfStats::default();
-    total += PerfStats {
-        core_only: true,
-        ..PerfStats::default()
-    };
-    total += PerfStats::default();
-    assert!(total.core_only);
-}
-
 /// The README's metric reference: one row per series name, in registry
 /// order, with the labels its samples carry in [`full_exposition`] and
 /// the JSON keys of the rows behind it.
@@ -246,7 +225,7 @@ fn metric_reference() -> String {
         "| series | type | labels | `--stats-json` key | help |\n|---|---|---|---|---|\n",
     );
     let mut rows: Vec<(&str, Vec<Entry>)> = Vec::new();
-    for entry in catalog() {
+    for entry in series::catalog() {
         let Some(series) = entry.series else { continue };
         match rows.iter_mut().find(|(name, _)| *name == series.name) {
             Some((_, entries)) => entries.push(entry),
