@@ -55,6 +55,7 @@ mod ndjson;
 mod queue;
 pub mod runner;
 mod sink;
+pub mod sync;
 
 pub use ndjson::{split_ndjson, DocBuffers, Frame, NdjsonFramer, QuoteScan};
 pub use runner::Record;
@@ -139,6 +140,18 @@ pub enum DocErrorKind {
 }
 
 impl DocErrorKind {
+    /// Every failure class, each limit on its own.
+    pub const ALL: [DocErrorKind; 8] = [
+        DocErrorKind::Io,
+        DocErrorKind::Limit(LimitKind::Depth),
+        DocErrorKind::Limit(LimitKind::DocumentBytes),
+        DocErrorKind::Limit(LimitKind::LabelBytes),
+        DocErrorKind::Limit(LimitKind::Matches),
+        DocErrorKind::Malformed,
+        DocErrorKind::Timeout,
+        DocErrorKind::Panic,
+    ];
+
     /// Stable machine-readable code for this failure class, used in the
     /// serve protocol's per-document error lines and in metrics labels.
     #[must_use]
@@ -581,7 +594,7 @@ impl Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use crate::sync::Flag;
 
     #[test]
     fn a_documents_output_is_as_small_as_its_positions_vector() {
@@ -744,7 +757,7 @@ mod tests {
     /// the contained region (the shard loop calls [`worker_fault`]).
     const KILLS: &[u8] = br#"{"rsq-test": "this document kills its worker"}"#;
     /// Set just before a worker dies of [`KILLS`].
-    static WORKER_KILLED: AtomicBool = AtomicBool::new(false);
+    static WORKER_KILLED: Flag = Flag::new(false);
 
     pub(crate) fn contained_fault(doc: &[u8]) {
         assert!(doc != PANICS, "document exploded");
@@ -752,7 +765,7 @@ mod tests {
 
     pub(crate) fn worker_fault(worker: usize, doc: &[u8]) {
         if worker != 0 && doc == KILLS {
-            WORKER_KILLED.store(true, Ordering::Release);
+            WORKER_KILLED.set(true);
             panic!("worker {worker} exploded");
         }
     }
@@ -860,13 +873,13 @@ mod tests {
         let rest = many_lines(40);
         let rest: Vec<&[u8]> = split_ndjson(&rest).into_iter().map(|r| &rest[r]).collect();
         for threads in [2, 4] {
-            WORKER_KILLED.store(false, Ordering::Release);
+            WORKER_KILLED.set(false);
             let windows = [vec![KILLS], rest[..10].to_vec(), rest[10..].to_vec()]
                 .into_iter()
                 .enumerate()
                 .inspect(|(k, _)| {
                     // The third window is the first pulled after the spawn.
-                    while *k == 2 && !WORKER_KILLED.load(Ordering::Acquire) {
+                    while *k == 2 && !WORKER_KILLED.get() {
                         thread::yield_now();
                     }
                 })

@@ -49,9 +49,10 @@
 //! and any chunk plan, the framer's documents are byte-identical to the
 //! splitter's.
 
+use crate::sync::Lock;
 use rsq_engine::LineScanner;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 pub use rsq_engine::QuoteScan;
 
@@ -172,7 +173,7 @@ fn push_line(input: &[u8], start: usize, mut end: usize, docs: &mut Vec<Range<us
 /// connection.
 #[derive(Debug)]
 pub struct DocBuffers {
-    free: Mutex<Vec<Vec<u8>>>,
+    free: Lock<Vec<Vec<u8>>>,
     max_bytes: usize,
 }
 
@@ -181,7 +182,7 @@ impl DocBuffers {
     #[must_use]
     pub fn new(max_bytes: usize) -> Self {
         DocBuffers {
-            free: Mutex::new(Vec::new()),
+            free: Lock::new(Vec::new()),
             max_bytes,
         }
     }
@@ -193,11 +194,7 @@ impl DocBuffers {
             return;
         }
         buf.clear();
-        #[expect(
-            clippy::expect_used,
-            reason = "no code panics while holding this lock, so it cannot be poisoned"
-        )]
-        let mut free = self.free.lock().expect("doc buffer list");
+        let mut free = self.free.lock();
         // The list is a handful of buffers (a connection's window).
         let parked: usize = free.iter().map(Vec::capacity).sum();
         if parked.saturating_add(buf.capacity()) <= self.max_bytes {
@@ -209,11 +206,7 @@ impl DocBuffers {
     /// any is parked.
     #[must_use]
     pub fn take(&self) -> Option<Vec<u8>> {
-        #[expect(
-            clippy::expect_used,
-            reason = "no code panics while holding this lock, so it cannot be poisoned"
-        )]
-        self.free.lock().expect("doc buffer list").pop()
+        self.free.lock().pop()
     }
 }
 

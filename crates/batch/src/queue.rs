@@ -18,12 +18,13 @@
 //! result with its document index and the merge step orders by index, so
 //! any interleaving of claims produces byte-identical output.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use crate::sync::Lock;
+use std::sync::Condvar;
 
 /// The documents of one batch run, as far as they have been published.
 #[derive(Debug, Default)]
 pub(crate) struct Feed<'d> {
-    state: Mutex<Published<'d>>,
+    state: Lock<Published<'d>>,
     more: Condvar,
 }
 
@@ -51,20 +52,12 @@ impl<'d> Feed<'d> {
         per_claim.clamp(1, 32)
     }
 
-    fn lock(&self) -> MutexGuard<'_, Published<'d>> {
-        #[expect(
-            clippy::expect_used,
-            reason = "no code panics while holding this lock, so it cannot be poisoned"
-        )]
-        self.state.lock().expect("document feed")
-    }
-
     /// Publishes one window, to be claimed `chunk` documents at a time.
     pub(crate) fn publish(&self, window: &[&'d [u8]], chunk: usize) {
         if window.is_empty() {
             return;
         }
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         state.docs.extend_from_slice(window);
         let end = state.docs.len();
         state.windows.push((end, chunk.max(1)));
@@ -75,7 +68,7 @@ impl<'d> Feed<'d> {
     /// Declares the last window published: workers that find nothing
     /// left stop instead of waiting.
     pub(crate) fn close(&self) {
-        self.lock().closed = true;
+        self.state.lock().closed = true;
         self.more.notify_all();
     }
 
@@ -84,7 +77,7 @@ impl<'d> Feed<'d> {
     /// be published if none is; `None` once the feed is closed and
     /// drained. Each document is handed out exactly once.
     pub(crate) fn claim(&self, into: &mut Vec<&'d [u8]>) -> Option<usize> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         loop {
             match state.windows.get(state.window).copied() {
                 Some((end, chunk)) if state.next < end => {
@@ -101,13 +94,7 @@ impl<'d> Feed<'d> {
                 }
                 Some(_) => state.window += 1,
                 None if state.closed => return None,
-                #[expect(
-                    clippy::expect_used,
-                    reason = "as in `lock`: nothing panics under this mutex"
-                )]
-                None => {
-                    state = self.more.wait(state).expect("document feed");
-                }
+                None => state = state.wait(&self.more),
             }
         }
     }
@@ -115,7 +102,7 @@ impl<'d> Feed<'d> {
     /// Documents published and claims made (the `documents` and
     /// `queue_claims` counters).
     pub(crate) fn totals(&self) -> (usize, u64) {
-        let state = self.lock();
+        let state = self.state.lock();
         (state.docs.len(), state.claims)
     }
 }
@@ -181,13 +168,13 @@ mod tests {
     #[test]
     fn concurrent_claims_partition_the_space() {
         let feed = Feed::default();
-        let seen = Mutex::new(vec![false; 1000]);
+        let seen = Lock::new(vec![false; 1000]);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     let mut chunk = Vec::new();
                     while let Some(first) = feed.claim(&mut chunk) {
-                        let mut seen = seen.lock().unwrap();
+                        let mut seen = seen.lock();
                         for i in first..first + chunk.len() {
                             assert!(!seen[i], "index {i} claimed twice");
                             seen[i] = true;

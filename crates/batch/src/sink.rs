@@ -166,6 +166,7 @@ fn cut(simd: Simd, doc: &[u8], pos: usize) -> Option<(&Block, usize)> {
 ///
 /// The writer's.
 pub fn render(out: &mut impl Write, doc: &[u8], matches: &Matches) -> io::Result<()> {
+    crate::sync::assert_no_lock_held();
     match matches {
         Matches::Count(count) => writeln!(out, "{count}"),
         Matches::Positions(positions) => positions

@@ -22,6 +22,7 @@
     clippy::indexing_slicing
 )]
 
+use rsq_batch::sync::Flag;
 use rsq_batch::{
     render, runner, BatchEngine, BatchOptions, DocError, DocErrorKind, DocSink, Record,
     ResponseMode,
@@ -43,7 +44,6 @@ use rsq_serve::{
 };
 use std::fmt;
 use std::io::{Read, Write};
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -197,6 +197,16 @@ pub enum CliErrorKind {
 }
 
 impl CliErrorKind {
+    /// Every failure class, in exit-code order.
+    pub const ALL: [CliErrorKind; 6] = [
+        CliErrorKind::Failure,
+        CliErrorKind::Query,
+        CliErrorKind::Io,
+        CliErrorKind::Limit,
+        CliErrorKind::Malformed,
+        CliErrorKind::Deadline,
+    ];
+
     /// The exit code for this failure class (usage errors are code 2,
     /// raised before a `CliError` exists).
     #[must_use]
@@ -1041,9 +1051,9 @@ pub fn run_serve_pipe(
 }
 
 /// Serves connections on a Unix socket. A stale socket file at `path`
-/// is replaced. Reports (`--stats*`, `--metrics-out`, `--trace-out`) are
-/// refreshed after every connection drains, so a long-lived server keeps
-/// its files current.
+/// is replaced. Reports (`--stats*`, `--metrics-out`) are refreshed after
+/// every connection drains, so a long-lived server keeps its files
+/// current.
 ///
 /// Without telemetry the loop runs until the process is killed. With
 /// `--telemetry-socket`, `POST /shutdown` on the scrape endpoint requests
@@ -1070,8 +1080,8 @@ fn run_serve_unix(
     };
     // Without a hub there is no shutdown channel: the flag below never
     // flips and the loop runs until the process dies.
-    let never = AtomicBool::new(false);
-    let shutdown: &AtomicBool = hub.as_deref().map_or(&never, Telemetry::shutdown_flag);
+    let never = Flag::new(false);
+    let shutdown = hub.as_deref().map_or(&never, Telemetry::shutdown_flag);
 
     // A report that cannot be written ends the loop with that error.
     let mut refreshed = Ok(());

@@ -12,8 +12,8 @@
 //!   plus an engine check asserting `try_run` agrees across backends and
 //!   with the DOM reference interpreter;
 //! * a deterministic input generator and the corpus loader shared by the
-//!   `cargo-fuzz` targets in `fuzz/` and the no-nightly fallback driver
-//!   (`cargo xtask fuzz-smoke`).
+//!   `cargo-fuzz` targets in `fuzz/` and the stable suites in `tests/`
+//!   (the corpus replay and the seeded random sweep).
 //!
 //! Checks return [`Mismatch`] rather than panicking so fuzz drivers can
 //! print the offending input before aborting.
@@ -801,12 +801,11 @@ const DOC_START: u64 = 7;
 /// not its own, so that a mapped stream starts off a page boundary; the
 /// file is unlinked at once and lives as long as the handle.
 fn doc_file(input: &[u8]) -> std::fs::File {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static FILES: AtomicUsize = AtomicUsize::new(0);
+    static FILES: rsq_batch::sync::Counter = rsq_batch::sync::Counter::new(0);
     let path = std::env::temp_dir().join(format!(
         "rsq-difftest-{}-{}.json",
         std::process::id(),
-        FILES.fetch_add(1, Ordering::Relaxed)
+        FILES.add(1)
     ));
     std::fs::write(&path, [&b"[{\"x\": "[..], input].concat()).expect("temp file written");
     let file = std::fs::File::open(&path).expect("temp file opens");

@@ -791,14 +791,18 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A unique temp file that cleans up on drop; no tempfile crate in
     /// the offline workspace.
     struct TempFile(PathBuf);
 
     impl TempFile {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "a kernel crate cannot reach rsq_batch::sync; a Relaxed count names temp files"
+        )]
         fn with_bytes(bytes: &[u8]) -> TempFile {
+            use std::sync::atomic::{AtomicUsize, Ordering};
             static COUNTER: AtomicUsize = AtomicUsize::new(0);
             let path = std::env::temp_dir().join(format!(
                 "rsq-mmap-test-{}-{}",

@@ -12,7 +12,7 @@
 //! [`JsonObject::rows`] writes the JSON members, `Exposition::rows`
 //! ([`crate::expo`]) the `--metrics-out` / `/metrics` text, [`merge`] is
 //! `+=`, and [`catalog`] lists every row for the README's metric
-//! reference and `cargo xtask analyze`'s `consistency` pass.
+//! reference and the test that holds the docs' `rsq_*` names to it.
 //!
 //! The human `--stats`/`--profile` tables are *not* rendered from rows:
 //! their lines group several values with prose (`memmem jumps       2

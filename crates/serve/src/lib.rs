@@ -226,6 +226,7 @@ impl<W: Write, E: Write> Emitter<W, E> {
     /// Writes the pending lines to `err` or `out`.
     fn write_lines(&mut self, to_err: bool) -> io::Result<()> {
         let stream: &mut dyn Write = if to_err { &mut self.err } else { &mut self.out };
+        rsq_batch::sync::assert_no_lock_held();
         stream.write_all(&self.lines)?;
         self.lines.clear();
         stream.flush()
@@ -532,14 +533,12 @@ pub fn serve_unix_with(
     options: &ServeOptions,
     telemetry: Option<&Arc<Telemetry>>,
     listener: &std::os::unix::net::UnixListener,
-    shutdown: &std::sync::atomic::AtomicBool,
+    shutdown: &rsq_batch::sync::Flag,
     mut after_connection: impl FnMut(&ServeReport) -> bool,
 ) -> io::Result<ServeReport> {
-    use std::sync::atomic::Ordering;
-
     listener.set_nonblocking(true)?;
     let mut aggregate = ServeReport::default();
-    while !shutdown.load(Ordering::Acquire) {
+    while !shutdown.get() {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

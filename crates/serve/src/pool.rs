@@ -28,10 +28,11 @@
 
 use crate::telemetry::Telemetry;
 use crate::ResponseMode;
+use rsq_batch::sync::{Guard, Lock};
 use rsq_batch::{DocBuffers, DocError, Matches};
 use rsq_obs::Route;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar};
 use std::time::Instant;
 
 /// Document bytes a connection holds in flight per worker before it stops
@@ -104,7 +105,7 @@ struct State<T> {
 
 /// The shared coordination hub (see module docs).
 pub(crate) struct Pool<T> {
-    state: Mutex<State<T>>,
+    state: Lock<State<T>>,
     /// Helpers wait here for jobs.
     job_ready: Condvar,
     /// The producer waits here for in-flight capacity.
@@ -131,7 +132,7 @@ impl<T: Emit> Pool<T> {
     ) -> Self {
         let byte_budget = INFLIGHT_BYTES_PER_WORKER.saturating_mul(workers.max(1));
         Pool {
-            state: Mutex::new(State {
+            state: Lock::new(State {
                 jobs: VecDeque::new(),
                 done: BTreeMap::new(),
                 emitter: Some(emitter),
@@ -157,23 +158,6 @@ impl<T: Emit> Pool<T> {
         }
     }
 
-    #[expect(
-        clippy::unwrap_used,
-        reason = "poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down"
-    )]
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap()
-    }
-
-    /// Parks on `cv`, giving the lock up until it is notified.
-    #[expect(
-        clippy::unwrap_used,
-        reason = "poisoned only if a panic escaped per-document containment; the pool cannot recover, take the connection down"
-    )]
-    fn wait<'a>(&self, cv: &Condvar, state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
-        cv.wait(state).unwrap()
-    }
-
     /// The connection's document-buffer free list, for the framer to take
     /// from.
     pub(crate) fn buffers(&self) -> Arc<DocBuffers> {
@@ -186,15 +170,15 @@ impl<T: Emit> Pool<T> {
     /// flight, or when both the document ceiling and the byte budget have
     /// some left. Returns `None` without admitting when the pool has
     /// aborted.
-    fn admit_slot(&self, bytes: usize) -> Option<(MutexGuard<'_, State<T>>, u64)> {
-        let mut state = self.lock();
+    fn admit_slot(&self, bytes: usize) -> Option<(Guard<'_, State<T>>, u64)> {
+        let mut state = self.state.lock();
         while state.outstanding > 0
             && (state.outstanding >= self.capacity || state.outstanding_bytes >= self.byte_budget)
             && !state.aborted
         {
             state.backpressure_waits += 1;
             state.blocked = true;
-            state = self.wait(&self.slot_free, state);
+            state = state.wait(&self.slot_free);
             state.blocked = false;
         }
         if state.aborted {
@@ -272,14 +256,14 @@ impl<T: Emit> Pool<T> {
     /// Marks the stream complete: no further admissions. Helpers drain
     /// what is already queued and exit.
     pub(crate) fn close(&self) {
-        self.lock().closed = true;
+        self.state.lock().closed = true;
         self.job_ready.notify_all();
     }
 
     /// Something went wrong that ends the connection: everyone winds down
     /// without draining.
     pub(crate) fn abort(&self) {
-        self.lock().aborted = true;
+        self.state.lock().aborted = true;
         self.job_ready.notify_all();
         self.slot_free.notify_all();
     }
@@ -287,7 +271,7 @@ impl<T: Emit> Pool<T> {
     /// Helper-side: blocks for the next job; `None` means drain-and-exit
     /// (stream closed and queue empty, or pool aborted).
     pub(crate) fn take_job(&self) -> Option<Job> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         loop {
             if state.aborted {
                 return None;
@@ -303,7 +287,7 @@ impl<T: Emit> Pool<T> {
                 return None;
             }
             state.idle += 1;
-            state = self.wait(&self.job_ready, state);
+            state = state.wait(&self.job_ready);
             state.idle -= 1;
         }
     }
@@ -321,7 +305,7 @@ impl<T: Emit> Pool<T> {
             released = doc.len();
             self.buffers.put(doc);
         }
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         state.done.insert(seq, response);
         state.outstanding_bytes -= released;
         if released > 0 && state.blocked {
@@ -334,7 +318,7 @@ impl<T: Emit> Pool<T> {
     /// the role is free, and writes it and every consecutive ready one, in
     /// one batch outside the lock. Whoever holds the role looks again
     /// before it puts the writers back. A failed write aborts the pool.
-    fn emit_ready<'p>(&'p self, mut state: MutexGuard<'p, State<T>>) {
+    fn emit_ready<'p>(&'p self, mut state: Guard<'p, State<T>>) {
         let mut batch = Vec::new();
         loop {
             let ready = !state.aborted && state.done.contains_key(&state.next_emit);
@@ -362,7 +346,7 @@ impl<T: Emit> Pool<T> {
             for (_, response) in batch.drain(..) {
                 self.buffers.put(response.doc);
             }
-            state = self.lock();
+            state = self.state.lock();
             state.emitter = Some(emitter);
         }
     }
@@ -370,7 +354,7 @@ impl<T: Emit> Pool<T> {
     /// Post-run accounting: (documents admitted, backpressure waits,
     /// in-flight high-water mark).
     pub(crate) fn accounting(&self) -> (u64, u64, u64) {
-        let state = self.lock();
+        let state = self.state.lock();
         (
             state.next_seq,
             state.backpressure_waits,
@@ -380,7 +364,7 @@ impl<T: Emit> Pool<T> {
 
     /// The response writers, unless a thread panicked holding them.
     pub(crate) fn into_emitter(self) -> Option<T> {
-        self.state.into_inner().ok().and_then(|state| state.emitter)
+        self.state.into_inner().and_then(|state| state.emitter)
     }
 }
 
@@ -404,7 +388,7 @@ mod tests {
 
     impl Pool<Log> {
         fn in_flight_bytes(&self) -> usize {
-            self.lock().outstanding_bytes
+            self.state.lock().outstanding_bytes
         }
 
         fn waits(&self) -> u64 {
@@ -412,26 +396,30 @@ mod tests {
         }
 
         fn idle(&self) -> usize {
-            self.lock().idle
+            self.state.lock().idle
         }
 
         /// Each emission so far: (sequence number, document bytes) per
         /// response.
         fn emitted(&self) -> Vec<Vec<(u64, usize)>> {
-            let state = self.lock();
+            let state = self.state.lock();
             let log = state.emitter.as_ref().expect("no thread holds the writers");
             log.0.iter().map(|(_, batch)| batch.clone()).collect()
         }
 
         /// Holds the emitter role, as a thread busy writing would.
         fn seize_emitter(&self) -> Log {
-            self.lock().emitter.take().expect("the writers are free")
+            self.state
+                .lock()
+                .emitter
+                .take()
+                .expect("the writers are free")
         }
 
         /// Hands the role back, and emits what became ready meanwhile —
         /// what a writing thread does when its write returns.
         fn release_emitter(&self, log: Log) {
-            let mut state = self.lock();
+            let mut state = self.state.lock();
             state.emitter = Some(log);
             self.emit_ready(state);
         }
@@ -649,7 +637,7 @@ mod tests {
     fn the_caller_runs_the_job_a_helper_has_not_claimed_yet() {
         let pool = Pool::new(64, 2, ResponseMode::Count, None, Log::default());
         // A helper parked in `take_job`, and not yet woken.
-        pool.lock().idle = 1;
+        pool.state.lock().idle = 1;
         assert!(admit(&pool, b"[0]".to_vec()).is_none(), "queued");
         assert_eq!(run(&pool, b"[1]".to_vec()).seq, 0);
         assert_eq!(pool.take_job().map(|job| job.seq), Some(1));

@@ -30,12 +30,12 @@
 
 use crate::pool::Response;
 use crate::Tally;
+use rsq_batch::sync::{Counter, Flag, Lock};
 use rsq_obs::expo::Exposition;
 use rsq_obs::series::{JsonObject, Value};
 use rsq_obs::{Histogram, ServeCounters, TelemetryGauges, WindowRing, WindowSnapshot};
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Live mutable state behind the hub's mutex: touched once per emitted
@@ -50,18 +50,18 @@ struct HubState {
 pub struct Telemetry {
     /// Clock epoch for window ticks.
     epoch: Instant,
-    state: Mutex<HubState>,
+    state: Lock<HubState>,
     /// Framed documents waiting for a worker.
-    queue_depth: AtomicU64,
+    queue_depth: Counter,
     /// Documents admitted but not yet emitted.
-    in_flight: AtomicU64,
+    in_flight: Counter,
     /// Worker threads per connection.
-    workers: AtomicU64,
+    workers: Counter,
     /// Shutdown requested: the accept loop stops taking connections.
-    shutdown: AtomicBool,
+    shutdown: Flag,
     /// The telemetry listener thread's own stop flag (set when the
     /// serving session ends for any reason, not just via `/shutdown`).
-    listener_stop: AtomicBool,
+    listener_stop: Flag,
 }
 
 impl Telemetry {
@@ -70,16 +70,16 @@ impl Telemetry {
     pub fn new() -> Arc<Self> {
         Arc::new(Telemetry {
             epoch: Instant::now(),
-            state: Mutex::new(HubState {
+            state: Lock::new(HubState {
                 counters: ServeCounters::new(),
                 latency: Histogram::new(),
                 ring: WindowRing::new(),
             }),
-            queue_depth: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            workers: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            listener_stop: AtomicBool::new(false),
+            queue_depth: Counter::new(0),
+            in_flight: Counter::new(0),
+            workers: Counter::new(0),
+            shutdown: Flag::new(false),
+            listener_stop: Flag::new(false),
         })
     }
 
@@ -90,7 +90,7 @@ impl Telemetry {
 
     /// The graceful-shutdown flag, in the shape `serve_unix` expects.
     #[must_use]
-    pub fn shutdown_flag(&self) -> &AtomicBool {
+    pub fn shutdown_flag(&self) -> &Flag {
         &self.shutdown
     }
 
@@ -98,37 +98,37 @@ impl Telemetry {
     /// embedding process).
     #[must_use]
     pub fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+        self.shutdown.get()
     }
 
     /// Requests graceful shutdown: `/healthz` flips to draining, the
     /// accept loop stops taking connections, in-flight work drains.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.shutdown.set(true);
     }
 
     /// Stops the telemetry listener thread (the serving session ended).
     pub fn stop_listener(&self) {
-        self.listener_stop.store(true, Ordering::Release);
+        self.listener_stop.set(true);
     }
 
     pub(crate) fn gauge_admitted(&self, queued: bool) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.in_flight.add(1);
         if queued {
-            self.queue_depth.fetch_add(1, Ordering::Relaxed);
+            self.queue_depth.add(1);
         }
     }
 
     pub(crate) fn gauge_claimed(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.queue_depth.sub(1);
     }
 
     pub(crate) fn gauge_emitted(&self, responses: u64) {
-        self.in_flight.fetch_sub(responses, Ordering::Relaxed);
+        self.in_flight.sub(responses);
     }
 
     pub(crate) fn set_workers(&self, workers: u64) {
-        self.workers.store(workers, Ordering::Relaxed);
+        self.workers.set(workers);
     }
 
     /// Counts one emitted response into the live state, in the counter
@@ -138,11 +138,7 @@ impl Telemetry {
     /// worker, so it counts without a latency sample.
     pub(crate) fn record_doc(&self, tally: Tally, resp: &Response) {
         let tick = self.tick();
-        #[expect(
-            clippy::unwrap_used,
-            reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
-        )]
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state.lock();
         let counters = &mut state.counters;
         counters.documents = counters.documents.saturating_add(1);
         let counter = tally(counters);
@@ -167,11 +163,7 @@ impl Telemetry {
     /// Folds connection-scoped accounting (fields the per-document path
     /// cannot see) into the live counters when a connection ends.
     pub(crate) fn record_connection(&self, counters: &ServeCounters) {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
-        )]
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state.lock();
         state.counters += *counters;
     }
 
@@ -179,9 +171,9 @@ impl Telemetry {
     #[must_use]
     pub fn gauges(&self) -> TelemetryGauges {
         TelemetryGauges {
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            workers: self.workers.load(Ordering::Relaxed),
+            queue_depth: self.queue_depth.get(),
+            in_flight: self.in_flight.get(),
+            workers: self.workers.get(),
         }
     }
 
@@ -191,7 +183,7 @@ impl Telemetry {
     fn windows(&self, state: &HubState) -> [WindowSnapshot; 2] {
         let tick = self.tick();
         [10, 60].map(|secs| WindowSnapshot {
-            workers: self.workers.load(Ordering::Relaxed),
+            workers: self.workers.get(),
             ..state.ring.window(tick, secs)
         })
     }
@@ -202,11 +194,7 @@ impl Telemetry {
     #[must_use]
     pub fn render_metrics(&self) -> String {
         let (counters, latency, windows) = {
-            #[expect(
-                clippy::unwrap_used,
-                reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
-            )]
-            let state = self.state.lock().unwrap();
+            let state = self.state.lock();
             let windows = self.windows(&state);
             (state.counters, state.latency.clone(), windows)
         };
@@ -226,11 +214,7 @@ impl Telemetry {
     /// `window_60s`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "telemetry mutex poisoned only if a panic escaped containment; crash rather than publish torn counters"
-        )]
-        let [w10, w60] = self.windows(&self.state.lock().unwrap());
+        let [w10, w60] = self.windows(&self.state.lock());
         let mut object = JsonObject::new();
         object.value("window_10s", Value::Json(w10.to_json()));
         object.value("window_60s", Value::Json(w60.to_json()));
@@ -329,7 +313,7 @@ pub fn serve_telemetry_listener(
     listener: &std::os::unix::net::UnixListener,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    while !hub.listener_stop.load(Ordering::Acquire) {
+    while !hub.listener_stop.get() {
         match listener.accept() {
             Ok((mut stream, _)) => {
                 let _ = stream.set_nonblocking(false);
@@ -463,7 +447,7 @@ mod tests {
             text.contains("rsq_window_documents{window=\"10s\"} 0"),
             "{text}"
         );
-        assert_eq!(hub.state.lock().unwrap().latency.count(), 0);
+        assert_eq!(hub.state.lock().latency.count(), 0);
     }
 
     #[test]
@@ -486,7 +470,7 @@ mod tests {
         assert!(!hub.draining());
         hub.request_shutdown();
         assert!(hub.draining());
-        assert!(hub.shutdown_flag().load(Ordering::SeqCst));
+        assert!(hub.shutdown_flag().get());
     }
 
     #[cfg(unix)]

@@ -7,11 +7,11 @@
 
 #![cfg(unix)]
 
+use rsq_batch::sync::Flag;
 use rsq_serve::{serve_unix_with, ServeOptions};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Most descriptors the test will hoard before giving up on reaching the
@@ -25,7 +25,7 @@ fn a_connection_lost_during_setup_is_counted_and_the_next_client_is_served() {
     let path = dir.join("sock");
     let _ = std::fs::remove_file(&path);
     let listener = UnixListener::bind(&path).unwrap();
-    let shutdown = AtomicBool::new(false);
+    let shutdown = Flag::new(false);
     let mut options = ServeOptions::new("$..b");
     options.threads = 1;
 
@@ -67,7 +67,7 @@ fn a_connection_lost_during_setup_is_counted_and_the_next_client_is_served() {
         if !matches!(eof, Ok(0)) {
             // The loop never dropped the connection (say `accept` itself
             // ran out of descriptors): stop it and report what it said.
-            shutdown.store(true, Ordering::Release);
+            shutdown.set(true);
             panic!("lost connection read {eof:?}; server: {:?}", server.join());
         }
 

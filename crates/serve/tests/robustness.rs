@@ -310,14 +310,13 @@ fn generous_deadline_does_not_interfere() {
 fn unix_socket_roundtrip_with_graceful_drain() {
     use std::io::{Read as _, Write as _};
     use std::os::unix::net::UnixListener;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     let dir = std::env::temp_dir().join(format!("rsq-serve-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sock");
     let _ = std::fs::remove_file(&path);
     let listener = UnixListener::bind(&path).unwrap();
-    let shutdown = AtomicBool::new(false);
+    let shutdown = rsq_batch::sync::Flag::new(false);
     let options = serve_opts("$..b");
 
     let report = std::thread::scope(|scope| {
@@ -335,7 +334,7 @@ fn unix_socket_roundtrip_with_graceful_drain() {
         assert_eq!(response, "1\n1\n1\n0\n1\n");
         drop(client);
 
-        shutdown.store(true, Ordering::SeqCst);
+        shutdown.set(true);
         server.join().unwrap().unwrap()
     });
     assert_eq!(report.counters.connections, 1);

@@ -1,20 +1,26 @@
-//! Observability overhead guard (slow): on a large generated document,
+//! Observability overhead guard: on a generated document,
 //! `try_run_with_stats` and a Tier C `ProfileStats` recorder must report
 //! byte-identical match positions to `try_run`, and the statistics must
-//! be consistent with the run. The throughput comparison lives in the
-//! `stats-overhead` experiments subcommand (timing assertions are too
-//! flaky for CI).
-
-#![cfg(feature = "slow-tests")]
+//! be consistent with the run. Tier-1 runs it on 256 KB documents, and
+//! `--features slow-tests` on 4 MB ones. The throughput comparison lives
+//! in the `stats-overhead` experiments subcommand (timing assertions are
+//! too flaky for CI).
 
 use rsq::datagen::{Dataset, GenConfig};
 use rsq::engine::{PositionsSink, ProfileStats, RunStats};
 use rsq::{Engine, EngineOptions, Query};
 
+/// The generated document's size.
+const DOC_BYTES: usize = if cfg!(feature = "slow-tests") {
+    4_000_000
+} else {
+    256_000
+};
+
 fn large_doc(dataset: Dataset) -> Vec<u8> {
     dataset
         .generate(&GenConfig {
-            target_bytes: 4_000_000,
+            target_bytes: DOC_BYTES,
             seed: 0x0b5_2023,
         })
         .into_bytes()
@@ -57,7 +63,12 @@ fn stats_collection_never_changes_matches() {
             assert_eq!(plain, with_stats, "{query} with {options:?}");
             assert_eq!(stats.bytes, doc.len() as u64, "{query}");
             assert_eq!(stats.matches, plain.len() as u64, "{query}");
-            assert!(stats.blocks.total() > 0, "{query}: no classification work");
+            // The head start may pass over a document without the label
+            // whole (`$..videoChapters` in 256 KB of BestBuy).
+            assert!(
+                stats.blocks.total() > 0 || plain.is_empty(),
+                "{query}: no classification work"
+            );
         }
     }
 }
