@@ -316,7 +316,7 @@ enum Scan {
     Done,
 }
 
-/// One [`SkiEngine`] run as the [`Task`] [`SkiEngine::run`] dispatches.
+/// One [`SkiEngine`] run as the [`Task`] its `run` dispatches.
 struct SkiRun<'r, S> {
     engine: &'r SkiEngine,
     input: &'r [u8],

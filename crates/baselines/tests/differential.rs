@@ -138,10 +138,8 @@ proptest! {
             EngineOptions { backend: Some(rsq_simd::BackendKind::Swar), ..d },
         ] {
             let engine = Engine::with_options(&query, options).unwrap();
-            let mut sink = PositionsSink::new();
-            engine.run(bytes, &mut sink);
             prop_assert_eq!(
-                sink.positions(),
+                engine.positions(bytes),
                 expected.as_slice(),
                 "engine {:?} on {} with {}",
                 options, text, query

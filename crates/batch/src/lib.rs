@@ -64,7 +64,7 @@ pub use sink::{render, DocSink, Matches, ResponseMode, Values};
 use ndjson::Windows;
 use queue::Feed;
 use rsq_engine::{
-    Engine, EngineError, EngineOptions, LimitKind, LineScanner, ProfileStats, RunError,
+    Engine, EngineError, EngineOptions, Input, LimitKind, LineScanner, ProfileStats, RunError,
 };
 use rsq_obs::{BatchCounters, BatchProfile, Histogram, RunStats, WorkerProfile};
 use rsq_query::Query;
@@ -415,8 +415,9 @@ impl BatchEngine {
                     sink.clear();
                     #[cfg(test)]
                     tests::worker_fault(worker, doc);
+                    let input = Input::Slice(doc);
                     let outcome =
-                        runner::run_doc(engine, doc, &mut sink, record).map(|_| DocOutput {
+                        runner::run(engine, input, &mut sink, record).map(|_| DocOutput {
                             count: sink.matches().count(),
                             // Exact-size copy: the kept output never
                             // carries the sink's slack capacity.

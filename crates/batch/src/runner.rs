@@ -4,22 +4,18 @@
 //!
 //! This module is the only place in the workspace that catches a panic at
 //! the document boundary and maps [`RunError`] onto [`DocError`]. What varies
-//! between the drivers is an argument — the [`Record`], and whether the
-//! document is a slice or streams in while it runs ([`run_stream`]) — not
-//! a code path. The run holds no state between documents, so these are
-//! free functions.
+//! between the drivers is an argument — the [`Record`], and the [`Input`]
+//! — not a code path. The run holds no state between documents, so this
+//! is a free function.
 
 use crate::{DocError, DocErrorKind, DocSink};
-use rsq_engine::{
-    Engine, NoStats, ProfileStats, Recorder, Route, RunError, RunStats, Sink, Streamed,
-};
-use std::io::Read;
+use rsq_engine::{Engine, Input, NoStats, ProfileStats, Route, RunError, RunStats, Sink};
 use std::time::Instant;
 
 /// What one run records besides its matches.
 #[derive(Debug)]
 pub enum Record<'a> {
-    /// Nothing: [`Engine::try_run`] — no clock read.
+    /// Nothing: [`NoStats`] — no clock read.
     Nothing,
     /// Tier A counters. A successful run's [`RunStats`] are added to the
     /// accumulator; a failed run leaves it untouched.
@@ -30,8 +26,16 @@ pub enum Record<'a> {
     Profile(&'a mut ProfileStats),
 }
 
-/// Runs `doc` through `engine` into `sink`, recording what `record` asks
-/// for, and returns the route the run took.
+/// Runs `input` through [`Engine::exec`] into `sink`, recording what
+/// `record` asks for, and returns the route the run took.
+///
+/// A slice is bound to the sink, which cuts values from it, and the
+/// sink's deadline is honoured at deterministic points only: once before
+/// the run (a document whose budget already passed — e.g. held back by
+/// backpressure — times out without running) and every few matches during
+/// it. A deadline in the past times out every document. A streamed input
+/// has no bytes to cut values from, so its sink counts or keeps
+/// positions, and its deadline is the input's own.
 ///
 /// A panic anywhere inside the run (including a panicking [`Sink`]) comes
 /// back as a [`DocErrorKind::Panic`] outcome for *this* document instead
@@ -42,56 +46,23 @@ pub enum Record<'a> {
 ///
 /// # Errors
 ///
-/// As [`Engine::try_run`], mapped through [`DocError::from_run`], plus
-/// [`DocErrorKind::Panic`] for contained panics.
-pub fn run<S: Sink>(
+/// As [`Engine::exec`], mapped through [`DocError::from_run`], plus
+/// [`DocErrorKind::Timeout`] and [`DocErrorKind::Panic`] for contained
+/// panics.
+pub fn run<'d>(
     engine: &Engine,
-    doc: &[u8],
-    sink: &mut S,
-    record: Record<'_>,
-) -> Result<Route, DocError> {
-    contained(engine, Doc::Slice(doc), sink, record)
-}
-
-/// [`run`] over a document that streams in while it runs (bounded
-/// memory, the input checked as it arrives and to its end, the
-/// `deadline` before every read). The reader is a trait object, so that
-/// the engine's loops are compiled here, once, for every way in.
-///
-/// # Errors
-///
-/// As [`run`], plus the input's failures.
-pub fn run_stream<'d>(
-    engine: &Engine,
-    doc: Streamed<'d, &'d mut dyn Read>,
-    deadline: Option<Instant>,
-    sink: &mut DocSink<'_>,
-    record: Record<'_>,
-) -> Result<Route, DocError> {
-    contained(engine, Doc::Stream(doc, deadline), sink, record)
-}
-
-/// [`run`] into a [`DocSink`] (bound to `doc`), honouring its deadline at
-/// deterministic points only: once before the run (a document whose
-/// budget already passed — e.g. held back by backpressure — times out
-/// without running) and every few matches during it. A deadline in the
-/// past times out every document.
-///
-/// # Errors
-///
-/// As [`run`], plus [`DocErrorKind::Timeout`].
-pub fn run_doc<'d>(
-    engine: &Engine,
-    doc: &'d [u8],
+    input: Input<'d>,
     sink: &mut DocSink<'d>,
     record: Record<'_>,
 ) -> Result<Route, DocError> {
     let timeout = || DocError::from_run(&RunError::DeadlineExceeded);
-    if sink.deadline.is_some_and(|d| Instant::now() >= d) {
-        return Err(timeout());
+    if let Input::Slice(doc) = input {
+        if sink.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(timeout());
+        }
+        sink.bind(engine, doc);
     }
-    sink.bind(engine, doc);
-    let run = run(engine, doc, sink, record);
+    let run = contained(engine, input, sink, record);
     if sink.expired {
         Err(timeout())
     } else {
@@ -99,29 +70,29 @@ pub fn run_doc<'d>(
     }
 }
 
-/// The one body of [`run`] and [`run_stream`].
+/// The body of [`run`], into any sink.
 fn contained<S: Sink>(
     engine: &Engine,
-    doc: Doc<'_>,
+    input: Input<'_>,
     sink: &mut S,
     record: Record<'_>,
 ) -> Result<Route, DocError> {
     let run = std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
-        if let Doc::Slice(doc) = &doc {
+        if let Input::Slice(doc) = &input {
             crate::tests::contained_fault(doc);
         }
         match record {
-            Record::Nothing => doc.run(engine, sink, &mut NoStats),
+            Record::Nothing => engine.exec(input, sink, &mut NoStats),
             Record::Stats(total) => {
                 let mut stats = RunStats::default();
-                let route = doc.run(engine, sink, &mut stats)?;
+                let route = engine.exec(input, sink, &mut stats)?;
                 stats.route = route;
                 *total += stats;
                 Ok(route)
             }
             Record::Profile(profile) => {
-                let route = doc.run(engine, sink, profile)?;
+                let route = engine.exec(input, sink, profile)?;
                 profile.stats.route = route;
                 Ok(route)
             }
@@ -133,34 +104,6 @@ fn contained<S: Sink>(
             kind: DocErrorKind::Panic,
             message: format!("worker panicked: {}", panic_message(payload.as_ref())),
         }),
-    }
-}
-
-/// A document as [`run`] runs it: one slice, or streamed (with the
-/// deadline its reads are held to).
-enum Doc<'d> {
-    Slice(&'d [u8]),
-    Stream(Streamed<'d, &'d mut dyn Read>, Option<Instant>),
-}
-
-impl Doc<'_> {
-    /// Runs the document through `engine`, returning the route the run
-    /// took.
-    fn run<S: Sink>(
-        self,
-        engine: &Engine,
-        sink: &mut S,
-        rec: &mut impl Recorder,
-    ) -> Result<Route, RunError> {
-        match self {
-            Doc::Slice(doc) => engine.try_run_with_recorder(doc, sink, rec),
-            Doc::Stream(Streamed::Reader(reader), deadline) => {
-                engine.try_run_reader_with_recorder(reader, sink, rec, deadline)
-            }
-            Doc::Stream(Streamed::Mapped { file, start, len }, deadline) => {
-                engine.try_run_mapped_with_recorder(file, start, len, sink, rec, deadline)
-            }
-        }
     }
 }
 
@@ -242,12 +185,18 @@ mod tests {
                 };
 
                 let mut sink = DocSink::new(response, None);
-                run_doc(&engine, DOC, &mut sink, Record::Nothing).unwrap();
+                run(&engine, Input::Slice(DOC), &mut sink, Record::Nothing).unwrap();
                 check(&sink);
 
                 sink.clear();
                 let mut stats = RunStats::default();
-                run_doc(&engine, DOC, &mut sink, Record::Stats(&mut stats)).unwrap();
+                run(
+                    &engine,
+                    Input::Slice(DOC),
+                    &mut sink,
+                    Record::Stats(&mut stats),
+                )
+                .unwrap();
                 check(&sink);
                 assert_eq!(stats, expected_stats, "{context}");
                 assert_eq!(stats.bytes, DOC.len() as u64, "{context}");
@@ -255,7 +204,7 @@ mod tests {
                 sink.clear();
                 let mut profile = ProfileStats::new();
                 let record = Record::Profile(&mut profile);
-                run_doc(&engine, DOC, &mut sink, record).unwrap();
+                run(&engine, Input::Slice(DOC), &mut sink, record).unwrap();
                 check(&sink);
                 assert_eq!(profile.stats, expected_stats, "{context}");
                 assert!(
@@ -281,9 +230,9 @@ mod tests {
         for _ in 0..2 {
             sink.clear();
             let record = Record::Stats(&mut stats);
-            run_doc(&capped, DOC, &mut sink, record).unwrap_err();
+            run(&capped, Input::Slice(DOC), &mut sink, record).unwrap_err();
             let record = Record::Profile(&mut profile);
-            run_doc(&capped, DOC, &mut sink, record).unwrap_err();
+            run(&capped, Input::Slice(DOC), &mut sink, record).unwrap_err();
         }
         assert_eq!(stats, RunStats::default());
         assert_eq!(profile.stats.bytes, 2 * DOC.len() as u64);
@@ -301,13 +250,14 @@ mod tests {
                 1 => Record::Stats(&mut stats),
                 _ => Record::Profile(&mut profile),
             };
-            let err = quietly(|| run(&engine, DOC, &mut Bomb(0), record)).unwrap_err();
+            let err = quietly(|| contained(&engine, Input::Slice(DOC), &mut Bomb(0), record))
+                .unwrap_err();
             assert_eq!(err.kind, DocErrorKind::Panic);
             assert_eq!(err.code(), "panic");
             assert!(err.message.contains("sink exploded"), "{}", err.message);
 
             let mut sink = DocSink::new(ResponseMode::Positions, None);
-            run_doc(&engine, DOC, &mut sink, Record::Nothing).unwrap();
+            run(&engine, Input::Slice(DOC), &mut sink, Record::Nothing).unwrap();
             assert_eq!(
                 sink.matches().positions(),
                 engine.try_positions(DOC).unwrap()
@@ -377,7 +327,7 @@ mod tests {
         ];
         for (engine, doc, kind, code) in &cases {
             let mut sink = DocSink::new(ResponseMode::Positions, None);
-            let err = run_doc(engine, doc, &mut sink, Record::Nothing).unwrap_err();
+            let err = run(engine, Input::Slice(doc), &mut sink, Record::Nothing).unwrap_err();
             assert_eq!((err.kind, err.code()), (*kind, *code));
             let direct = engine.try_positions(doc).unwrap_err();
             assert_eq!(err.message, direct.to_string(), "{code}");
@@ -391,7 +341,7 @@ mod tests {
 
         // Already expired: the document never runs.
         let mut sink = DocSink::new(ResponseMode::Positions, Some(past));
-        let err = run_doc(&engine, DOC, &mut sink, Record::Nothing).unwrap_err();
+        let err = run(&engine, Input::Slice(DOC), &mut sink, Record::Nothing).unwrap_err();
         assert_eq!((err.kind, err.code()), (DocErrorKind::Timeout, "timeout"));
         assert_eq!(err.message, "deadline exceeded");
         assert_eq!(sink.matches().count(), 0);
@@ -404,15 +354,18 @@ mod tests {
         }
         many.extend_from_slice(b"0]");
         let mut sink = DocSink::new(ResponseMode::Count, Some(past));
-        let run = run(&engine, &many, &mut sink, Record::Nothing);
-        assert!(run.is_ok(), "a sink stop is a clean exit for the engine");
+        let engine_run = contained(&engine, Input::Slice(&many), &mut sink, Record::Nothing);
+        assert!(
+            engine_run.is_ok(),
+            "a sink stop is a clean exit for the engine"
+        );
         assert!(sink.expired);
         assert!(sink.matches().count() < 200);
 
         // A generous deadline changes nothing.
         let later = Instant::now() + std::time::Duration::from_secs(3600);
         let mut sink = DocSink::new(ResponseMode::Count, Some(later));
-        run_doc(&engine, &many, &mut sink, Record::Nothing).unwrap();
+        run(&engine, Input::Slice(&many), &mut sink, Record::Nothing).unwrap();
         assert_eq!(sink.matches().count(), 200);
     }
 }

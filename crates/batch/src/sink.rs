@@ -205,12 +205,12 @@ pub(crate) fn decimal_line(mut n: usize, buf: &mut [u8; DECIMAL_LINE]) -> &[u8] 
 /// as its [`ResponseMode`] renders them, and with a deadline set it
 /// checks the wall clock every few records: the matching-phase half of a
 /// per-document deadline. Tripping reports [`SinkFull`] — a *clean* early
-/// stop for the engine — and [`runner::run_doc`](crate::runner::run_doc)
+/// stop for the engine — and [`runner::run`](crate::runner::run)
 /// turns the flag into a timeout outcome.
 #[derive(Debug)]
 pub struct DocSink<'d> {
     matches: Matches,
-    /// What a values sink cuts from, and with: set by `run_doc`.
+    /// What a values sink cuts from, and with: set by `runner::run`.
     doc: &'d [u8],
     simd: Simd,
     pub(crate) deadline: Option<Instant>,

@@ -55,7 +55,7 @@ use rsq_baselines::{SkiEngine, SurferEngine};
 use rsq_bench::{dataset, get, put, time_row, Cells, Run, Verdict, SHAPES};
 use rsq_datagen::catalog::{by_id, catalog};
 use rsq_datagen::{Dataset, GenConfig};
-use rsq_engine::{CountSink, Engine, EngineOptions, ProfileStats, RouteChoice};
+use rsq_engine::{CountSink, Engine, EngineOptions, Input, NoStats, ProfileStats, RouteChoice};
 use rsq_query::Query;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -506,7 +506,7 @@ fn ablations() -> Cells {
 /// report byte-identical positions. The last column is the chosen
 /// configuration over the route it did not take.
 fn fast_path() {
-    use rsq_engine::{PositionsSink, Route};
+    use rsq_engine::Route;
     heading("Fast-path routing: memmem-led walker vs general main loop, and the probe's choice");
     println!(
         "{:<5} {:>8} {:>10} {:>8} {:>8} {:>8} {:>8}",
@@ -524,11 +524,7 @@ fn fast_path() {
         let input = dataset(entry.dataset);
         // Parity first: the routes must agree position for position, not
         // just on counts.
-        let positions = |engine: &Engine| {
-            let mut sink = PositionsSink::new();
-            engine.run(input, &mut sink);
-            sink.positions().to_vec()
-        };
+        let positions = |engine: &Engine| engine.positions(input);
         let expected = positions(&general);
         for engine in [&walker, &chosen] {
             assert_eq!(
@@ -610,7 +606,7 @@ fn mmap_ingest() {
                 Box::new(|| {
                     let file = std::fs::File::open(&path).expect("dataset opens");
                     let region: Region =
-                        rsq_engine::read_to_end(file).expect("region copy succeeds");
+                        rsq_engine::read_to_end(file, None, None).expect("region copy succeeds");
                     engine.count(&region)
                 }),
             ),
@@ -921,7 +917,7 @@ fn stats_overhead() {
                     Box::new(|| {
                         let mut sink = CountSink::new();
                         engine
-                            .try_run(input, &mut sink)
+                            .exec(Input::Slice(input), &mut sink, &mut NoStats)
                             .expect("catalog run succeeds");
                         sink.count()
                     }),
@@ -941,7 +937,7 @@ fn stats_overhead() {
                     Box::new(|| {
                         let mut sink = CountSink::new();
                         engine
-                            .try_run_with_recorder(input, &mut sink, &mut ProfileStats::new())
+                            .exec(Input::Slice(input), &mut sink, &mut ProfileStats::new())
                             .expect("catalog run succeeds");
                         sink.count()
                     }),
@@ -988,7 +984,7 @@ fn skip_ablation() {
         let mut sink = CountSink::new();
         let mut profile = ProfileStats::new();
         engine
-            .try_run_with_recorder(input, &mut sink, &mut profile)
+            .exec(Input::Slice(input), &mut sink, &mut profile)
             .expect("catalog run succeeds");
         assert_eq!(
             sink.count(),
@@ -1086,10 +1082,26 @@ fn check() -> bool {
     failed == 0
 }
 
+/// The `instructions` subcommand's usage, printed for an argument it
+/// does not take.
+const INSTRUCTIONS_USAGE: &str = "usage: experiments instructions [ROW...] | --split ROW \
+     | --seeded ROW | --command CMD [ARG...]   (ROW: a catalog id, e.g. B1)";
+
 /// The `instructions` subcommand (see the module docs); `false` when the
-/// seeded pass was not flagged.
+/// seeded pass was not flagged. Exits 2 with the usage on a row that is
+/// not a catalog id.
 fn instructions(args: &[String]) -> bool {
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let rows = match args.as_slice() {
+        ["--child", _, _, _] | ["--command", _, ..] => &[][..],
+        ["--seeded" | "--split", row] => std::slice::from_ref(row),
+        [flag, ..] if flag.starts_with('-') => &[*flag][..],
+        rows => rows,
+    };
+    if rows.iter().any(|row| by_id(row).is_none()) {
+        eprintln!("{INSTRUCTIONS_USAGE}");
+        std::process::exit(2);
+    }
     match args.as_slice() {
         ["--child", config, row, file] => meter_child(config, row, file),
         ["--command", command, args @ ..] => {

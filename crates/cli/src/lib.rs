@@ -28,7 +28,8 @@ use rsq_batch::{
     ResponseMode,
 };
 use rsq_engine::{
-    Engine, EngineOptions, LimitKind, ProfileStage, ProfileStats, RunError, RunStats, Streamed,
+    Engine, EngineOptions, Input, LimitKind, ProfileStage, ProfileStats, Recorder, RunError,
+    RunStats,
 };
 use rsq_mmap::{MapPolicy, Mapping, MmapInput, Region};
 use rsq_obs::expo::Exposition;
@@ -130,9 +131,9 @@ reads from stdin when FILE is omitted (chunked; limits apply while
 bytes arrive). --count and --positions stream stdin and any FILE that
 is not mapped in bounded memory (a ring of four 1 MiB windows; stdin
 redirected from a file that --mmap maps is walked from its offset
-through windows mapped one at a time); the default mode, --verify and
---profile read such a document whole first. Either way nothing is
-printed before the whole input has been read and checked";
+through windows mapped one at a time); the default mode and --verify
+read such a document whole first. Either way nothing is printed before
+the whole input has been read and checked";
 
 /// How serve mode talks to its clients.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -529,28 +530,27 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Stri
         .map_err(|_| format!("{flag}: invalid number {value:?}"))
 }
 
-/// Where a single document comes from: a mapping, a file walked through
-/// mapped windows, or a reader.
+/// Where a single document comes from: held in memory, a file walked
+/// through mapped windows, or a reader.
 enum Document {
-    /// A file mapped into memory (zero-copy: the engine reads the page
-    /// cache directly).
-    Mapped(MmapInput),
+    /// The whole document in memory: a file mapped (zero-copy: the engine
+    /// reads the page cache directly), or a copy ([`hold`]).
+    Held(MmapInput),
     /// Stdin redirected from a regular file the policy maps: the file, the
     /// offset, the length after it (mapped window by window when streamed).
     Pages(std::fs::File, u64, usize),
     /// Stdin, or a file that is not mapped (small, unmappable, or
-    /// `--mmap off`), with the name its failures are reported under.
-    Read(String, Box<dyn Read>),
+    /// `--mmap off`).
+    Read(Box<dyn Read>),
 }
 
 /// Opens the document. File inputs are memory-mapped when the `--mmap`
 /// policy allows; the size limit is checked up front on that path, since
 /// mapping a too-large file and then refusing it would waste nothing but
 /// also prove nothing. Stdin is mapped too when it is a regular file the
-/// policy maps, and checked as it would be read. Everything else is
-/// read through the engine's hardened input loop: reads in place,
-/// transient-error retry, limits and validation enforced while bytes
-/// arrive.
+/// policy maps. Everything else is read through the engine's input loop:
+/// reads in place, transient-error retry, the size limit enforced while
+/// bytes arrive.
 fn open_input(invocation: &Invocation) -> Result<Document, CliError> {
     let Some(path) = invocation.file.as_deref() else {
         let stdin = || {
@@ -561,10 +561,7 @@ fn open_input(invocation: &Invocation) -> Result<Document, CliError> {
         if let Some((file, start, len)) = stdin() {
             return Ok(Document::Pages(file, start, len));
         }
-        return Ok(Document::Read(
-            "stdin".to_owned(),
-            Box::new(std::io::stdin().lock()),
-        ));
+        return Ok(Document::Read(Box::new(std::io::stdin().lock())));
     };
     // Map only files the size limit admits; an oversized file falls
     // through to the reader, which rejects it with the exact error the
@@ -575,12 +572,35 @@ fn open_input(invocation: &Invocation) -> Result<Document, CliError> {
     };
     if fits {
         if let Some(input) = rsq_mmap::map(std::path::Path::new(path), invocation.mmap) {
-            return Ok(Document::Mapped(input));
+            return Ok(Document::Held(input));
         }
     }
     let file = std::fs::File::open(path)
         .map_err(|e| CliError::new(CliErrorKind::Io, format!("cannot read {path}: {e}")))?;
-    Ok(Document::Read(path.to_owned(), Box::new(file)))
+    Ok(Document::Read(Box::new(file)))
+}
+
+/// Holds a document whole, for values and `--verify`: a mapped FILE as it
+/// is, redirected stdin mapped whole, anything else copied — held to the
+/// size limit and the deadline, which are failures of the input `name`.
+/// The slice run of the bytes checks them as it checks a mapped FILE.
+fn hold(
+    document: Document,
+    invocation: &Invocation,
+    name: &str,
+    deadline: Option<Instant>,
+) -> Result<MmapInput, CliError> {
+    let held = match document {
+        Document::Held(doc) => return Ok(doc),
+        Document::Pages(file, start, len) => Mapping::of_file(&file, start, len)
+            .map(MmapInput::from)
+            .map_err(RunError::Io),
+        Document::Read(reader) => {
+            let limit = invocation.options.max_document_bytes;
+            rsq_engine::read_to_end::<_, Region>(reader, limit, deadline).map(MmapInput::from)
+        }
+    };
+    held.map_err(|e| input_error(name, invocation.options.strict, DocError::from_run(&e)))
 }
 
 /// An open file (stdin's descriptor, duplicated) as a document to map
@@ -628,11 +648,18 @@ fn input_error(name: &str, strict: bool, e: DocError) -> CliError {
 /// documents, not the input.
 fn read_unchecked(file: Option<&str>) -> Result<Region, CliError> {
     match file {
-        Some(path) => std::fs::File::open(path).and_then(rsq_engine::read_to_end),
-        None => rsq_engine::read_to_end(std::io::stdin().lock()),
+        Some(path) => std::fs::File::open(path)
+            .map_err(RunError::Io)
+            .and_then(|file| rsq_engine::read_to_end(file, None, None)),
+        None => rsq_engine::read_to_end(std::io::stdin().lock(), None, None),
     }
     .map_err(|e| {
         let name = file.unwrap_or("stdin");
+        // With no limit and no deadline, only a read fails the copy.
+        let e: &dyn fmt::Display = match &e {
+            RunError::Io(e) => e,
+            other => other,
+        };
         CliError::new(CliErrorKind::Io, format!("cannot read {name}: {e}"))
     })
 }
@@ -824,21 +851,19 @@ pub fn run(
             write!(out, "{}", automaton.to_dot()).map_err(write_error)
         }
         Mode::Count | Mode::Positions | Mode::Values | Mode::Verify => {
-            run_document(invocation, out, err)
+            run_single(invocation, out, err)
         }
     }
 }
 
 /// Runs the query over one document: one contained run
-/// ([`runner::run_doc`] or [`runner::run_stream`]), the matches (or the oracle's verdict) on `out`, the
-/// report on `err`. Count and positions stream a document that is not
-/// mapped, in bounded memory; values, `--verify` and `--profile` take it
-/// in whole and checked first — mapped if the policy maps the file or
-/// redirected stdin, else copied (the oracle parses it, the profile times
-/// ingest as a stage of its own). Nothing reaches `out` before the whole
-/// input has been read and checked. A panic inside the run comes back as
-/// a failure (exit 1), not an abort.
-fn run_document(
+/// ([`runner::run`]), the matches (or the oracle's verdict) on `out`, the
+/// report on `err`. Count and positions stream a document that is not a
+/// mapped FILE, in bounded memory, profiled or not; values and `--verify`
+/// hold it whole ([`hold`]), to cut values from or parse. Nothing reaches
+/// `out` before the whole input has been read and checked. A panic
+/// inside the run comes back as a failure (exit 1), not an abort.
+fn run_single(
     invocation: &Invocation,
     out: &mut impl Write,
     err: &mut impl Write,
@@ -847,6 +872,14 @@ fn run_document(
     let deadline = invocation
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
+    let name = invocation.file.as_deref().unwrap_or("stdin");
+    let t_ingest = invocation.profile.then(Instant::now);
+    let mut document = open_input(invocation)?;
+    if !matches!(invocation.mode, Mode::Count | Mode::Positions) {
+        document = Document::Held(hold(document, invocation, name, deadline)?);
+    }
+    let ingest_ns = t_ingest.map_or(0, elapsed_ns);
+
     let mut stats = RunStats::default();
     let mut profile = invocation.profile.then(ProfileStats::new);
     let record = match profile.as_mut() {
@@ -855,55 +888,26 @@ fn run_document(
         None => Record::Nothing,
     };
     let mut sink = DocSink::new(invocation.response_mode(), None);
-    let streams = matches!(invocation.mode, Mode::Count | Mode::Positions) && !invocation.profile;
-
-    let t_ingest = invocation.profile.then(Instant::now);
-    let mut ingest_ns = None;
-    let mut input = MmapInput::from_vec(Vec::new());
-    let failed = |name: &str, e| input_error(name, invocation.options.strict, e);
-    match (open_input(invocation)?, streams) {
-        (Document::Read(name, mut reader), true) => {
-            let doc = Streamed::Reader(&mut *reader as &mut dyn Read);
-            runner::run_stream(&engine, doc, deadline, &mut sink, record)
-                .map_err(|e| failed(&name, e))?;
-        }
-        (Document::Pages(file, start, len), true) => {
-            let doc = Streamed::Mapped {
-                file: &file,
+    let (input, doc): (_, &[u8]) = match &mut document {
+        Document::Held(held) => (Input::Slice(held), held),
+        Document::Pages(file, start, len) => {
+            let (start, len) = (*start, *len);
+            let pages = Input::Pages {
+                file,
                 start,
                 len,
+                deadline,
             };
-            runner::run_stream(&engine, doc, deadline, &mut sink, record)
-                .map_err(|e| failed("stdin", e))?;
+            (pages, &[])
         }
-        (held, _) => {
-            let validated = !matches!(held, Document::Mapped(_)); // as it is taken in
-            input = match held {
-                Document::Mapped(mapped) => mapped,
-                Document::Pages(file, start, len) => engine
-                    .ingest_mapped(&file, start, len, deadline)
-                    .map_err(|e| failed("stdin", DocError::from_run(&e)))?
-                    .into(),
-                Document::Read(name, reader) => engine
-                    .ingest::<_, Region>(reader, deadline)
-                    .map_err(|e| failed(&name, DocError::from_run(&e)))?
-                    .into(),
-            };
-            ingest_ns = t_ingest.map(elapsed_ns);
-            let engine = if validated {
-                engine.without_validation()
-            } else {
-                engine
-            };
-            // A mapped file is validated by the run, under its own name.
-            runner::run_doc(&engine, &input, &mut sink, record)
-                .map_err(|e| failed(invocation.file.as_deref().unwrap_or("stdin"), e))?;
-        }
-    }
+        Document::Read(reader) => (Input::Reader { reader, deadline }, &[]),
+    };
+    runner::run(&engine, input, &mut sink, record)
+        .map_err(|e| input_error(name, invocation.options.strict, e))?;
     let matches = sink.matches();
 
     if invocation.mode == Mode::Verify {
-        let dom = rsq_json::parse(&input)
+        let dom = rsq_json::parse(doc)
             .map_err(|e| CliError::new(CliErrorKind::Malformed, e.to_string()))?;
         let oracle = rsq_baselines::positions(&query, &dom);
         if matches.positions() != oracle {
@@ -926,11 +930,11 @@ fn run_document(
             matches.count()
         )
     } else {
-        render(out, &input, matches)
+        render(out, doc, matches)
     }
     .map_err(write_error)?;
     if let Some(profile) = profile.as_mut() {
-        profile.add_stage_ns(ProfileStage::Ingest, ingest_ns.unwrap_or(0));
+        profile.add_stage_ns(ProfileStage::Ingest, ingest_ns);
         profile.add_stage_ns(ProfileStage::Sink, t_sink.map_or(0, elapsed_ns));
     }
 

@@ -28,6 +28,10 @@
 //! Only values that depend on the clock or on thread scheduling are
 //! masked (on both sides, by [`mask`]): `*_ns` timings, the latency
 //! histogram, and serve's `backpressure_waits`/`max_inflight`.
+//!
+//! Every single-document case also runs through each of the six ways a
+//! document reaches the engine ([`WAYS`]), which must answer as the file
+//! named on the command line does.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -230,4 +234,92 @@ fn reports_are_byte_identical_to_the_fixtures() {
     assert!(mapped >= 8, "only {mapped} cases ran with a mapped stdin");
     let _ = std::fs::remove_file(&scratch);
     assert!(ran >= 28, "the case table shrank to {ran} cases");
+}
+
+/// How a way in hands the case's document to the binary.
+#[derive(Clone, Copy, PartialEq)]
+enum Hand {
+    /// Named on the command line.
+    Named,
+    /// As stdin, redirected from the file.
+    Redirected,
+    /// As stdin, through a pipe.
+    Piped,
+}
+
+/// The six ways a single document reaches the engine: each is mapped,
+/// streamed through a copying ring or through mapped windows, or held,
+/// by its mode and the `--mmap` policy (DESIGN.md §7).
+const WAYS: [(&str, &[&str], Hand); 6] = [
+    ("FILE", &[], Hand::Named),
+    ("< FILE", &[], Hand::Redirected),
+    ("cat FILE |", &[], Hand::Piped),
+    ("--mmap off FILE", &["--mmap", "off"], Hand::Named),
+    ("--mmap on FILE", &["--mmap", "on"], Hand::Named),
+    ("--mmap on < FILE", &["--mmap", "on"], Hand::Redirected),
+];
+
+#[test]
+fn every_way_in_answers_as_the_named_file_does() {
+    let dir = golden_dir();
+    let cases = std::fs::read_to_string(dir.join("cases.tsv")).expect("case table");
+    let scratch = std::env::temp_dir().join(format!("rsq-parity-{}.metrics", std::process::id()));
+    let scratch = scratch.to_str().expect("utf-8 temp path");
+    let mut ran = 0;
+    for case in cases.lines().filter(|l| l.starts_with("doc-")) {
+        let fields: Vec<&str> = case.split('\t').collect();
+        let [name, exit, stdin, args] = fields[..] else {
+            panic!("malformed case line: {case:?}");
+        };
+        let args: Vec<&str> = args
+            .split(' ')
+            .map(|arg| if arg == "@METRICS" { scratch } else { arg })
+            .collect();
+        let (file, flags) = match (stdin, args.split_last()) {
+            ("-", Some((file, flags))) => (*file, flags),
+            _ => (stdin, &args[..]),
+        };
+        let mut named = None;
+        for (way, mmap, hand) in WAYS {
+            let mut command = Command::new(BIN);
+            command.args(mmap).args(flags).current_dir(&dir);
+            let output = match hand {
+                Hand::Named => command.arg(file).stdin(Stdio::null()).output(),
+                Hand::Redirected => {
+                    let doc = std::fs::File::open(dir.join(file)).expect("case document");
+                    command.stdin(doc).output()
+                }
+                Hand::Piped => {
+                    let mut child = command
+                        .stdin(Stdio::piped())
+                        .stdout(Stdio::piped())
+                        .stderr(Stdio::piped())
+                        .spawn()
+                        .expect("binary spawns");
+                    let mut pipe = child.stdin.take().expect("stdin piped");
+                    // A run that fails early may close its stdin first.
+                    let _ = pipe.write_all(&std::fs::read(dir.join(file)).expect("case document"));
+                    drop(pipe);
+                    child.wait_with_output()
+                }
+            }
+            .expect("binary runs");
+            let label = format!("{name} as {way}");
+            assert_eq!(
+                output.status.code(),
+                Some(exit.parse().expect("exit code")),
+                "{label}: exit code"
+            );
+            let stderr = mask(&String::from_utf8(output.stderr).expect("utf-8 report"));
+            let (stdout, report) = named.get_or_insert((output.stdout.clone(), stderr.clone()));
+            assert_eq!(&output.stdout, stdout, "{label}: stdout");
+            // A failure names its input; a report does not.
+            if exit == "0" {
+                assert_eq!(&stderr, report, "{label}: stderr");
+            }
+        }
+        ran += 1;
+    }
+    let _ = std::fs::remove_file(scratch);
+    assert!(ran >= 12, "only {ran} single-document cases ran");
 }

@@ -24,7 +24,8 @@ pub mod oracle;
 
 use rsq_classify::{Structural, StructuralIterator};
 use rsq_engine::{
-    Engine, EngineOptions, LimitKind, PositionsSink, Route, RouteChoice, RunError, RunStats,
+    Engine, EngineOptions, Input, LimitKind, NoStats, PositionsSink, ProfileStats, Route,
+    RouteChoice, RunError, RunStats, SkipBytes,
 };
 use rsq_simd::{
     BackendKind, ByteClassifier, ByteSet, QuoteState, Simd, Superblock, BLOCK_SIZE, SUPERBLOCK_SIZE,
@@ -74,10 +75,11 @@ pub enum Target {
     Depth,
     /// Full engine runs vs the DOM reference interpreter.
     Engine,
-    /// `run_reader` over randomized chunk splits, and through windows of
+    /// A streamed run over randomized chunk splits, and through windows of
     /// a few blocks on every backend, route and head start, vs the
-    /// one-shot slice run (covers pipeline resume handoffs, window edges
-    /// and the memmem head-start).
+    /// one-shot slice run — matches, counters and profiled skip bytes
+    /// (covers pipeline resume handoffs, window edges and the memmem
+    /// head-start).
     Reader,
     /// The incremental NDJSON framer over randomized chunk splits vs the
     /// one-shot `split_ndjson` (covers quote/escape state carried across
@@ -735,7 +737,7 @@ impl std::io::Read for ChunkedReader<'_> {
 /// Differentially checks the chunked-reader path: for every query in
 /// [`reader_queries`] and every chunk plan — fixed sizes around the
 /// block/superblock boundaries plus deterministic pseudo-random splits
-/// seeded from the input — `run_reader` must produce a byte-identical
+/// seeded from the input — a streamed run must produce a byte-identical
 /// result (positions or error) to the one-shot slice run over the same
 /// bytes. This exercises the classifier pipeline's resume handoffs and
 /// the `memmem` head-start across arbitrary read fragmentation.
@@ -768,15 +770,19 @@ pub fn check_reader(input: &[u8]) -> Result<(), Mismatch> {
         let engine = Engine::with_options(&query, options).expect("reader queries compile");
         let slice_result = engine.try_positions(input);
         for plan in &plans {
-            let reader = ChunkedReader {
+            let mut reader = ChunkedReader {
                 data: input,
                 plan,
                 step: 0,
             };
+            let streamed = Input::Reader {
+                reader: &mut reader,
+                deadline: None,
+            };
             let mut sink = PositionsSink::new();
             let reader_result = engine
-                .run_reader(reader, &mut sink)
-                .map(|()| sink.into_positions());
+                .exec(streamed, &mut sink, &mut NoStats)
+                .map(|_| sink.into_positions());
             // RunError wraps io::Error and cannot be PartialEq; Debug
             // rendering distinguishes every variant.
             if format!("{reader_result:?}") != format!("{slice_result:?}") {
@@ -815,10 +821,12 @@ fn doc_file(input: &[u8]) -> std::fs::File {
 
 /// Differentially checks streamed runs whose windows are a few blocks:
 /// for every query in [`reader_queries`], every backend, both routes, and
-/// the head start checked, unchecked and off, `run_reader` through windows
-/// of each of the [`WINDOWS`] sizes must produce the slice run's result
-/// and [`RunStats`] — or, where a label the automaton examines begins more than a window
-/// before its structural character, the classified look-back error. A
+/// the head start checked, unchecked and off, a profiled streamed run
+/// through windows of each of the [`WINDOWS`] sizes must produce the
+/// profiled slice run's result, [`RunStats`] and bytes skipped per
+/// technique — or, where a label the automaton examines begins more than
+/// a window before its structural character, the classified look-back
+/// error. A
 /// different match is never acceptable. The same document read in place
 /// from a file, through windows mapped one by one, must produce exactly
 /// what the copied stream does, look-back errors included — and so must
@@ -849,10 +857,7 @@ pub fn check_windows(input: &[u8]) -> Result<(), Mismatch> {
                     // before the walk, which would hold these documents
                     // whole. Under 1 MiB the route is the same either way.
                     let engine = engine.routed_by_shape();
-                    let mut sink = PositionsSink::new();
-                    let slice = engine
-                        .try_run_with_stats(input, &mut sink)
-                        .map(|stats| (sink.into_positions(), stats));
+                    let slice = run_windowed(&engine, Input::Slice(input), 0).0;
                     let slice = format!("{slice:?}");
                     for window in WINDOWS {
                         let detail = |streamed: &str, held| {
@@ -863,7 +868,7 @@ pub fn check_windows(input: &[u8]) -> Result<(), Mismatch> {
                                 simd.kind()
                             )
                         };
-                        let (copied, held) = run_windowed(&engine, input, &doc, window, false);
+                        let (copied, held) = copied_windows(&engine, input, window);
                         let look_back =
                             matches!(&copied, Err(e) if e.is_limit(LimitKind::LabelBytes));
                         let copied = format!("{copied:?}");
@@ -873,7 +878,7 @@ pub fn check_windows(input: &[u8]) -> Result<(), Mismatch> {
                         if whole || !look_back && copied != slice {
                             return Err(mismatch("reader", input, detail(&copied, held)));
                         }
-                        let (mapped, held) = run_windowed(&engine, input, &doc, window, true);
+                        let (mapped, held) = mapped_windows(&engine, input, &doc, window);
                         let mapped = format!("{mapped:?}");
                         let whole = input.len() > 8 * window && held >= input.len();
                         if whole || mapped != copied {
@@ -894,8 +899,8 @@ pub fn check_windows(input: &[u8]) -> Result<(), Mismatch> {
     let engine = engine.routed_by_shape();
     for cut in [input, &input[..input.len().saturating_sub(1)]] {
         for window in WINDOWS {
-            let (copied, _) = run_windowed(&engine, cut, &doc, window, false);
-            let (mapped, _) = run_windowed(&engine, cut, &doc, window, true);
+            let (copied, _) = copied_windows(&engine, cut, window);
+            let (mapped, _) = mapped_windows(&engine, cut, &doc, window);
             let (copied, mapped) = (format!("{copied:?}"), format!("{mapped:?}"));
             if mapped != copied {
                 let detail = format!(
@@ -909,43 +914,53 @@ pub fn check_windows(input: &[u8]) -> Result<(), Mismatch> {
     Ok(())
 }
 
-/// What a streamed run found, with its [`RunStats`].
-type StreamedRun = Result<(Vec<usize>, RunStats), RunError>;
+/// What a profiled run found: its matches, [`RunStats`] and bytes
+/// skipped per technique.
+type ProfiledRun = Result<(Vec<usize>, RunStats, SkipBytes), RunError>;
 
-/// One streamed run of `engine` over `input` through windows of `window`
-/// bytes — copied from a reader that splits it, or mapped from `doc` —
-/// and the most bytes it held.
-fn run_windowed(
+/// One profiled run of `engine` over `input` — a stream through windows
+/// of `window` bytes — and the most bytes it held.
+fn run_windowed(engine: &Engine, input: Input<'_>, window: usize) -> (ProfiledRun, usize) {
+    let mut sink = PositionsSink::new();
+    let mut profile = ProfileStats::new();
+    let mut held = 0;
+    let run = engine
+        .run_windowed(input, &mut sink, &mut profile, window)
+        .map(|(bytes, route)| {
+            (held, profile.stats.route) = (bytes, route);
+            (sink.into_positions(), profile.stats, profile.bytes_skipped)
+        });
+    (run, held)
+}
+
+/// [`run_windowed`] of `input` copied from a reader that splits it.
+fn copied_windows(engine: &Engine, input: &[u8], window: usize) -> (ProfiledRun, usize) {
+    let mut reader = ChunkedReader {
+        data: input,
+        plan: &[61, 7],
+        step: 0,
+    };
+    let input = Input::Reader {
+        reader: &mut reader,
+        deadline: None,
+    };
+    run_windowed(engine, input, window)
+}
+
+/// [`run_windowed`] of `input` mapped from `doc`, as [`doc_file`] wrote it.
+fn mapped_windows(
     engine: &Engine,
     input: &[u8],
     doc: &std::fs::File,
     window: usize,
-    mapped: bool,
-) -> (StreamedRun, usize) {
-    let mut sink = PositionsSink::new();
-    let mut stats = RunStats::default();
-    let mut held = 0;
-    let doc = if mapped {
-        let (start, len) = (DOC_START, input.len());
-        rsq_engine::Streamed::Mapped {
-            file: doc,
-            start,
-            len,
-        }
-    } else {
-        rsq_engine::Streamed::Reader(ChunkedReader {
-            data: input,
-            plan: &[61, 7],
-            step: 0,
-        })
+) -> (ProfiledRun, usize) {
+    let input = Input::Pages {
+        file: doc,
+        start: DOC_START,
+        len: input.len(),
+        deadline: None,
     };
-    let streamed = engine
-        .run_windowed(doc, &mut sink, &mut stats, window)
-        .map(|(bytes, route)| {
-            (held, stats.route) = (bytes, route);
-            (sink.into_positions(), stats)
-        });
-    (streamed, held)
+    run_windowed(engine, input, window)
 }
 
 /// Documents that put what a stream carries across a window edge — a

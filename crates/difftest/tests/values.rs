@@ -9,7 +9,7 @@ use rsq_batch::{render, runner, DocSink, Record, ResponseMode};
 use rsq_datagen::catalog::catalog;
 use rsq_datagen::GenConfig;
 use rsq_difftest::{backends, engine_queries, random_json, XorShift64};
-use rsq_engine::{Engine, EngineOptions, RouteChoice};
+use rsq_engine::{Engine, EngineOptions, Input, RouteChoice};
 
 /// Requires the cut render of `query` over `doc` to equal the post-pass
 /// render — every match offset spanned by `node_span` after the run,
@@ -37,7 +37,7 @@ fn check_values(query: &str, doc: &[u8]) {
                 spanned.push(b'\n');
             }
             let mut sink = DocSink::new(ResponseMode::Values, None);
-            runner::run_doc(&engine, doc, &mut sink, Record::Nothing).unwrap();
+            runner::run(&engine, Input::Slice(doc), &mut sink, Record::Nothing).unwrap();
             let mut cut = Vec::new();
             render(&mut cut, doc, sink.matches()).unwrap();
             if let Some((line, (c, s))) = cut

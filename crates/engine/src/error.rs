@@ -1,12 +1,12 @@
 //! Failure modes of a fallible engine run.
 //!
-//! The classic slice API ([`Engine::run`](crate::Engine::run)) is lenient:
-//! it processes malformed input best-effort and never reports failure. The
-//! hardened entry points ([`Engine::try_run`](crate::Engine::try_run),
-//! [`Engine::run_reader`](crate::Engine::run_reader)) surface three
-//! distinct failure classes as [`RunError`]:
+//! The classic slice API ([`Engine::count`](crate::Engine::count),
+//! [`Engine::positions`](crate::Engine::positions)) is lenient: it
+//! processes malformed input best-effort and never reports failure.
+//! [`Engine::exec`](crate::Engine::exec) surfaces three distinct failure
+//! classes as [`RunError`]:
 //!
-//! * **I/O** — the reader failed (chunked input only);
+//! * **I/O** — the reader failed (streamed input only);
 //! * **resource limits** — a configured cap in
 //!   [`EngineOptions`](crate::EngineOptions) tripped, identified by
 //!   [`LimitKind`];
@@ -60,9 +60,9 @@ pub enum RunError {
     /// Structural validation rejected the document (strict mode only).
     Malformed(ValidationError),
     /// A caller-supplied wall-clock deadline passed before the work
-    /// finished. Produced by the deadline-aware ingest entry points
-    /// ([`Engine::ingest`](crate::Engine::ingest)),
-    /// the serving layer's slow-loris protection: a client that trickles
+    /// finished. Produced by a streamed [`Input`](crate::Input) and by
+    /// [`read_to_end`](crate::read_to_end) with a deadline — slow-loris
+    /// protection for serving layers: a client that trickles
     /// bytes slower than the deadline allows is cut off mid-ingest
     /// instead of holding a buffer open forever.
     DeadlineExceeded,
@@ -124,6 +124,10 @@ pub(crate) enum Interrupt {
     /// A member label began before the bytes a streamed input still
     /// holds: reported as a label-length limit of the look-back.
     LookBack,
+    /// The walker found that nothing in the rest of the document can
+    /// match, and attributed the rest it held to the `exit` bucket: a
+    /// clean early stop.
+    Exit,
 }
 
 impl From<crate::sink::SinkFull> for Interrupt {

@@ -113,7 +113,7 @@ pub(crate) fn run_fast_path<B: Backend>(
     rec: &mut impl Recorder,
 ) -> Result<(), Interrupt> {
     debug_assert!(!plan.steps.is_empty(), "general routes never reach here");
-    // Root handling mirrors `run_document`: the plan is non-empty, so
+    // Root handling mirrors `main_loop::run`: the plan is non-empty, so
     // the initial state is non-accepting and an atomic document cannot
     // match.
     let Some(first) = it.next() else {
@@ -128,7 +128,7 @@ pub(crate) fn run_fast_path<B: Backend>(
         // A label step cannot match inside an array, and nothing follows
         // the root container: done without scanning a byte.
         rec.skip_span(SkipTechnique::Exit, it.position(), it.end());
-        return Ok(());
+        return Err(Interrupt::Exit);
     }
 
     // `stack.frames[k]` is the frame for plan step `k`; its container's
@@ -234,7 +234,7 @@ pub(crate) fn run_fast_path<B: Backend>(
                     .all(|f| *f == Frame::AwaitExit)
                 {
                     rec.skip_span(SkipTechnique::Exit, it.position(), it.end());
-                    break;
+                    return Err(Interrupt::Exit);
                 }
                 // Sibling skipping (§3.3): the unitary label was found;
                 // labels do not repeat among siblings, so fast-forward to

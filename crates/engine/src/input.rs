@@ -12,30 +12,30 @@
 //! * [`max_document_bytes`](crate::EngineOptions::max_document_bytes) is
 //!   enforced incrementally — no read asks for more than one byte past
 //!   the limit — so an unbounded input cannot exhaust memory;
-//! * in [strict](crate::EngineOptions::strict) mode, an incremental
-//!   [`StructuralValidator`] runs over every chunk, enforcing structure
-//!   and [`max_depth`](crate::EngineOptions::max_depth) over the whole
-//!   document — a pathological one (e.g. a million unclosed openers)
-//!   fails while its bytes stream past;
+//! * in a streamed run under [strict](crate::EngineOptions::strict) mode,
+//!   an incremental [`StructuralValidator`] runs over every chunk,
+//!   enforcing structure and [`max_depth`](crate::EngineOptions::max_depth)
+//!   over the whole document — a pathological one (e.g. a million
+//!   unclosed openers) fails while its bytes stream past;
 //!
 //! and the wall-clock deadline, if any, is checked before every read.
 //! Without strict mode nothing looks inside the bytes here: `max_depth`
 //! bounds the nesting the run traverses, on every input path as on a
 //! slice, and a skipped subtree is never measured.
 //!
-//! A streamed run ([`Engine::run_reader`](crate::Engine::run_reader))
-//! hands the feed to the structural iterator as its [`Refill`] source: the
-//! cursor walks a ring of windows the feed refills (`rsq_classify`'s
-//! `stream` module), so memory stays bounded whatever the document's
-//! size. A failure ends the input for the run and is reported in its
-//! place; a run that stops early still reads and checks the rest, so
-//! an ingest error takes precedence over a run error, as when the whole
-//! document was read first. Whole-document ingest ([`read_document`],
-//! [`read_to_end`]) reads straight into the tail of a [`Landing`] — a
+//! A streamed run ([`Input::Reader`](crate::Input::Reader)) hands the feed
+//! to the structural iterator as its [`Refill`] source: the cursor walks a
+//! ring of windows the feed refills (`rsq_classify`'s `stream` module), so
+//! memory stays bounded whatever the document's size. A failure ends the
+//! input for the run and is reported in its place; a run that stops early
+//! still reads and checks the rest, so an input error takes precedence
+//! over a run error, as when the whole document was read first. A copy
+//! ([`read_to_end`]) reads straight into the tail of a [`Landing`] — a
 //! `Vec<u8>` for the library's
 //! [`Engine::read_document`](crate::Engine::read_document), the
 //! huge-page [`Region`](rsq_mmap::Region) for the drivers' modes that
-//! need the whole document.
+//! need the whole document — and leaves the bytes' checks to the slice
+//! run of them.
 //!
 //! Note on `WouldBlock`: retrying it makes the call spin-wait on a
 //! non-blocking source. The engine has no event loop to yield to; callers
@@ -86,6 +86,8 @@ pub(crate) struct Feed<R> {
     failed: Option<RunError>,
     /// The most bytes the stream reading from this feed has held.
     pub(crate) high_water: usize,
+    /// Nanoseconds spent taking bytes in, when a profile times them.
+    pub(crate) ingest_ns: Option<u64>,
 }
 
 impl<R> Feed<R> {
@@ -103,24 +105,35 @@ impl<R> Feed<R> {
         });
         Feed {
             validator,
-            max_bytes: options.max_document_bytes,
-            deadline,
-            ..Feed::plain(reader)
+            ..Feed::new(reader, options.max_document_bytes, deadline)
         }
     }
 
-    /// A feed with no limit, deadline or validation.
-    fn plain(reader: R) -> Self {
+    /// A feed held to `max_bytes` and `deadline`, with no validation.
+    fn new(reader: R, max_bytes: Option<usize>, deadline: Option<Instant>) -> Self {
         Feed {
             reader,
-            max_bytes: None,
-            deadline: None,
+            max_bytes,
+            deadline,
             validator: None,
             len: 0,
             ended: false,
             failed: None,
             high_water: 0,
+            ingest_ns: None,
         }
+    }
+
+    /// Runs `f`, adding its wall time to `ingest_ns` when a profile asks.
+    fn timed<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        let Some(before) = self.ingest_ns else {
+            return f(self);
+        };
+        let t = Instant::now();
+        let out = f(self);
+        let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.ingest_ns = Some(before.saturating_add(ns));
+        out
     }
 
     /// How much of `room` the next chunk may fill: a chunk at most, and
@@ -243,7 +256,7 @@ impl<R: Read> Refill for Feed<R> {
         if self.failed.is_some() {
             return 0;
         }
-        let chunk = self.next_chunk(buf);
+        let chunk = self.timed(|feed| feed.next_chunk(buf));
         self.kept(chunk)
     }
 
@@ -281,26 +294,12 @@ impl Feed<FilePages<'_>> {
         let want = self.want(piece.len());
         self.accept(&piece[..want])
     }
-
-    /// Maps the document whole and checks it, chunk by chunk to its end;
-    /// without strict mode a chunk's check is its length and the deadline.
-    pub(crate) fn check_whole(mut self) -> Result<Mapping, RunError> {
-        let doc = self.reader.map(0, self.reader.len)?;
-        let mut at = 0;
-        while let n @ 1.. = self.next_piece(&doc[at..])? {
-            at += n;
-        }
-        Ok(doc)
-    }
 }
 
 impl Pages for Feed<FilePages<'_>> {
     fn map(&mut self, from: usize, to: usize) -> Option<Mapping> {
-        let window = self
-            .reader
-            .map(from, to)
-            .map_err(|e| self.kept(Err(e)))
-            .ok()?;
+        let window = self.timed(|feed| feed.reader.map(from, to));
+        let window = window.map_err(|e| self.kept(Err(e))).ok()?;
         self.high_water = self.high_water.max(window.len());
         Some(window)
     }
@@ -309,7 +308,7 @@ impl Pages for Feed<FilePages<'_>> {
         if self.failed.is_some() {
             return 0;
         }
-        let chunk = self.next_piece(piece);
+        let chunk = self.timed(|feed| feed.next_piece(piece));
         self.kept(chunk)
     }
 }
@@ -336,7 +335,7 @@ where
             return Err(failed);
         }
         while !self.ended {
-            self.rest()?;
+            self.timed(Fed::rest)?;
         }
         Ok(())
     }
@@ -375,51 +374,41 @@ impl Fed for Feed<FilePages<'_>> {
     }
 }
 
-/// Copies `reader` to its end into a `B` through the ingest loop —
-/// transient errors retried, bytes read in place — with no limit, deadline
-/// or validation: for input that is not one document of an engine's (an
-/// NDJSON file whose lines are the documents).
+/// Copies `reader` to its end into a `B`, the one copy loop — transient
+/// errors retried, bytes read in place, no read asking for more than one
+/// byte past `max_bytes`, `deadline` checked before every read. Nothing
+/// looks inside the bytes: a document's are checked by the slice run of
+/// them, and an NDJSON input's lines are the documents.
 ///
 /// # Errors
 ///
-/// The reader's first non-transient error.
-pub fn read_to_end<R: Read, B: Landing>(reader: R) -> io::Result<B> {
-    // With no limit, no deadline and no validator, a read error is the
-    // only one the feed has to return.
-    Feed::plain(reader).fill().map_err(|e| match e {
-        RunError::Io(e) => e,
-        other => io::Error::other(other.to_string()),
-    })
-}
-
-/// Reads a whole document from `reader` into a `B`, enforcing size and
-/// (in strict mode) structural validity and depth while the bytes
-/// arrive, and the `deadline` before each read.
-pub(crate) fn read_document<R: Read, B: Landing>(
-    reader: &mut R,
-    options: &EngineOptions,
-    simd: Simd,
+/// [`RunError::Io`] on the reader's first non-transient error; a
+/// [`DocumentBytes`](LimitKind::DocumentBytes) limit past `max_bytes`;
+/// [`RunError::DeadlineExceeded`].
+pub fn read_to_end<R: Read, B: Landing>(
+    reader: R,
+    max_bytes: Option<usize>,
     deadline: Option<Instant>,
 ) -> Result<B, RunError> {
-    Feed::document(reader, options, simd, deadline).fill()
+    Feed::new(reader, max_bytes, deadline).fill()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, Input, NoStats, Route};
     use rsq_mmap::Region;
     use std::time::Duration;
 
-    /// Ingests through both landings and requires them to agree: on the
+    /// Copies through both landings and requires them to agree: on the
     /// bytes, or on the error's text.
-    fn ingest<R: Read>(
+    fn copy<R: Read>(
         reader: impl Fn() -> R,
-        options: &EngineOptions,
+        max_bytes: Option<usize>,
         deadline: Option<Instant>,
     ) -> Result<Vec<u8>, RunError> {
-        let simd = Simd::detect();
-        let heap: Result<Vec<u8>, _> = read_document(&mut reader(), options, simd, deadline);
-        let region: Result<Region, _> = read_document(&mut reader(), options, simd, deadline);
+        let heap: Result<Vec<u8>, _> = read_to_end(reader(), max_bytes, deadline);
+        let region: Result<Region, _> = read_to_end(reader(), max_bytes, deadline);
         match (&heap, &region) {
             (Ok(heap), Ok(region)) => assert!(heap[..] == region[..], "landings differ"),
             (Err(heap), Err(region)) => assert_eq!(heap.to_string(), region.to_string()),
@@ -430,6 +419,17 @@ mod tests {
             ),
         }
         heap
+    }
+
+    /// A streamed run of `$..a` under `options` over what `reader` yields.
+    fn exec(options: EngineOptions, mut reader: impl Read) -> Result<Route, RunError> {
+        let query = rsq_query::Query::parse("$..a").unwrap();
+        let engine = Engine::with_options(&query, options).unwrap();
+        let input = Input::Reader {
+            reader: &mut reader,
+            deadline: None,
+        };
+        engine.exec(input, &mut crate::CountSink::new(), &mut NoStats)
     }
 
     /// A reader that yields its data `step` bytes at a time, with a
@@ -481,39 +481,33 @@ mod tests {
 
     #[test]
     fn any_fragmentation_reassembles_byte_identically_in_both_landings() {
-        let options = EngineOptions::default();
         let small = br#"{"a": [1, 2, 3]}"#;
-        let got = ingest(|| Stutter::new(small, 1), &options, None).unwrap();
+        let got = copy(|| Stutter::new(small, 1), None, None).unwrap();
         assert_eq!(got, small);
         let big = big_document();
         for step in [1, 7, 4096, CHUNK - 1, CHUNK, usize::MAX] {
             // One byte at a time over the big document is the slow case:
             // give it the first 10 000 bytes only.
             let doc = if step == 1 { &big[..10_000] } else { &big[..] };
-            let got = ingest(|| Stutter::new(doc, step), &options, None).unwrap();
+            let got = copy(|| Stutter::new(doc, step), None, None).unwrap();
             assert!(got == doc, "step {step}");
         }
-        assert_eq!(ingest(|| &b""[..], &options, None).unwrap(), b"");
+        assert_eq!(copy(|| &b""[..], None, None).unwrap(), b"");
     }
 
     #[test]
     fn document_size_limit_is_exact_and_never_reads_far_past_it() {
         let doc = big_document();
         for step in [1000, usize::MAX] {
-            let options = |limit| EngineOptions {
-                max_document_bytes: Some(limit),
-                ..EngineOptions::default()
-            };
-            let fits = ingest(|| Stutter::new(&doc, step), &options(doc.len()), None);
+            let fits = copy(|| Stutter::new(&doc, step), Some(doc.len()), None);
             assert!(fits.unwrap() == doc, "a limit of exactly the length passes");
             for limit in [doc.len() - 1, doc.len() / 2, 0] {
-                let err = ingest(|| Stutter::new(&doc, step), &options(limit), None).unwrap_err();
+                let err = copy(|| Stutter::new(&doc, step), Some(limit), None).unwrap_err();
                 assert!(err.is_limit(LimitKind::DocumentBytes), "{err}");
                 // What the reader handed out before the verdict: nothing is
                 // asked for beyond one byte past the limit.
                 let mut reader = Stutter::new(&doc, step);
-                let simd = Simd::detect();
-                read_document::<_, Region>(&mut reader, &options(limit), simd, None).unwrap_err();
+                read_to_end::<_, Region>(&mut reader, Some(limit), None).unwrap_err();
                 assert_eq!(reader.at, limit + 1, "limit {limit}, step {step}");
             }
         }
@@ -525,11 +519,7 @@ mod tests {
                 Ok(buf.len())
             }
         }
-        let options = EngineOptions {
-            max_document_bytes: Some(1 << 20),
-            ..EngineOptions::default()
-        };
-        let err = ingest(|| Endless, &options, None).unwrap_err();
+        let err = copy(|| Endless, Some(1 << 20), None).unwrap_err();
         assert!(err.is_limit(LimitKind::DocumentBytes), "{err}");
     }
 
@@ -541,11 +531,11 @@ mod tests {
                 Err(io::Error::new(io::ErrorKind::UnexpectedEof, "pipe gone"))
             }
         }
-        let options = EngineOptions::default();
-        let err = ingest(|| Broken, &options, None).unwrap_err();
-        assert!(matches!(err, RunError::Io(_)), "{err}");
-        let err = read_to_end::<_, Vec<u8>>(Broken).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let err = copy(|| Broken, None, None).unwrap_err();
+        assert!(
+            matches!(&err, RunError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
     }
 
     #[test]
@@ -554,10 +544,10 @@ mod tests {
         // same to a plain copy.
         let mut bytes = vec![b'['; 5000];
         bytes.extend_from_slice(b"\n}}}\n{\"a\": 1}\n");
-        let heap: Vec<u8> = read_to_end(Stutter::new(&bytes, 999)).unwrap();
-        let region: Region = read_to_end(Stutter::new(&bytes, 999)).unwrap();
-        assert_eq!(heap, bytes);
-        assert!(region[..] == bytes[..]);
+        assert_eq!(
+            copy(|| Stutter::new(&bytes, 999), None, None).unwrap(),
+            bytes
+        );
     }
 
     #[test]
@@ -579,11 +569,9 @@ mod tests {
                 Ok(1)
             }
         }
-        let options = EngineOptions::default();
         let deadline = Instant::now() + Duration::from_millis(20);
         let mut reader = Trickle { reads: 0, deadline };
-        let err = read_document::<_, Region>(&mut reader, &options, Simd::detect(), Some(deadline))
-            .unwrap_err();
+        let err = read_to_end::<_, Region>(&mut reader, None, Some(deadline)).unwrap_err();
         assert!(err.is_deadline(), "{err}");
         assert_eq!(reader.reads, 3, "no read is started after the deadline");
 
@@ -591,8 +579,7 @@ mod tests {
         let doc = br#"{"a": 1}"#;
         let past = Instant::now() - Duration::from_millis(1);
         let mut reader = Stutter::new(doc, 1);
-        let err = read_document::<_, Vec<u8>>(&mut reader, &options, Simd::detect(), Some(past))
-            .unwrap_err();
+        let err = read_to_end::<_, Vec<u8>>(&mut reader, None, Some(past)).unwrap_err();
         assert!(err.is_deadline(), "{err}");
         assert_eq!(reader.calls, 0);
     }
@@ -607,18 +594,16 @@ mod tests {
                 Err(io::Error::new(io::ErrorKind::WouldBlock, "stalled"))
             }
         }
-        let options = EngineOptions::default();
         let deadline = Instant::now() + Duration::from_millis(5);
-        let err = ingest(|| Stalled, &options, Some(deadline)).unwrap_err();
+        let err = copy(|| Stalled, None, Some(deadline)).unwrap_err();
         assert!(err.is_deadline(), "{err}");
     }
 
     #[test]
     fn generous_deadline_does_not_interfere() {
         let doc = br#"{"a": [1, 2, 3]}"#;
-        let options = EngineOptions::default();
         let deadline = Instant::now() + Duration::from_secs(60);
-        let got = ingest(|| Stutter::new(doc, 1), &options, Some(deadline)).unwrap();
+        let got = copy(|| Stutter::new(doc, 1), None, Some(deadline)).unwrap();
         assert_eq!(got, doc);
     }
 
@@ -636,14 +621,15 @@ mod tests {
             strict: true,
             ..EngineOptions::default()
         };
-        let err = ingest(|| Openers, &strict, None).unwrap_err();
+        let err = exec(strict, Openers).unwrap_err();
         assert!(err.is_limit(LimitKind::Depth), "{err}");
-        // Lenient ingest looks at no byte: the size limit stops it.
+        // Lenient: the run trips depth in what it traverses, but the input
+        // goes on to its size limit, whose failure is reported first.
         let lenient = EngineOptions {
             max_document_bytes: Some(1 << 20),
             ..EngineOptions::default()
         };
-        let err = ingest(|| Openers, &lenient, None).unwrap_err();
+        let err = exec(lenient, Openers).unwrap_err();
         assert!(err.is_limit(LimitKind::DocumentBytes), "{err}");
     }
 
@@ -657,7 +643,7 @@ mod tests {
         let at = doc.iter().rposition(|&b| b == b'}').unwrap();
         doc[at] = b']';
         for step in [1000, usize::MAX] {
-            let err = ingest(|| Stutter::new(&doc, step), &options, None).unwrap_err();
+            let err = exec(options, Stutter::new(&doc, step)).unwrap_err();
             match err {
                 RunError::Malformed(e) => assert_eq!(e.pos, at),
                 other => panic!("{other}"),

@@ -30,11 +30,11 @@
 //! # Ok::<(), rsq_engine::EngineError>(())
 //! ```
 //!
-//! For untrusted input, the fallible entry points add strict validation,
-//! resource limits, and chunked [`std::io::Read`] ingest:
+//! For untrusted input, [`Engine::exec`] adds strict validation, resource
+//! limits, and a document streamed from any [`std::io::Read`]:
 //!
 //! ```
-//! use rsq_engine::{Engine, EngineOptions, LimitKind, PositionsSink, RunError};
+//! use rsq_engine::{Engine, EngineOptions, Input, NoStats, PositionsSink, RunError};
 //! use rsq_query::Query;
 //!
 //! let options = EngineOptions {
@@ -46,15 +46,16 @@
 //!
 //! // Strict mode rejects structurally broken documents up front…
 //! assert!(matches!(
-//!     engine.try_count(br#"{"price": 9"#),
+//!     engine.try_positions(br#"{"price": 9"#),
 //!     Err(RunError::Malformed(_))
 //! ));
 //!
-//! // …and the reader path enforces limits while bytes arrive.
-//! let doc: &[u8] = br#"{"store": {"bike": {"price": 20}}}"#;
+//! // …and a streamed document is checked while its bytes arrive.
+//! let mut doc: &[u8] = br#"{"store": {"bike": {"price": 20}}}"#;
 //! let mut sink = PositionsSink::new();
-//! engine.run_reader(doc, &mut sink)?;
-//! assert_eq!(sink.positions(), engine.try_positions(doc)?.as_slice());
+//! let reader = Input::Reader { reader: &mut doc, deadline: None };
+//! engine.exec(reader, &mut sink, &mut NoStats)?;
+//! assert_eq!(sink.positions(), [29]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -83,7 +84,7 @@ pub use error::{LimitKind, RunError};
 pub use input::read_to_end;
 pub use sink::{CountSink, PositionsSink, Sink, SinkFull};
 
-/// Where [`Engine::ingest`] lands a document (re-exported so callers need
+/// Where [`read_to_end`] lands a document (re-exported so callers need
 /// not name `rsq-mmap` for the bound).
 pub use rsq_mmap::Landing;
 
@@ -105,7 +106,7 @@ pub use rsq_query::{PlanStep, RoutePlan};
 
 // Tier C observability: the profiling layer — byte-span accounting, stage
 // timers and latency histograms (drive a run with a `ProfileStats` through
-// `try_run_with_recorder`).
+// `exec`).
 pub use rsq_obs::{Histogram, ProfileStage, ProfileStats, SkipBytes, SkipTechnique, StageTimes};
 
 use error::Interrupt;
@@ -128,7 +129,7 @@ use std::time::Instant;
 #[doc(hidden)]
 pub const RUN_TABLES_INLINE: usize = 16;
 
-/// The window of a streamed run ([`Engine::run_reader`]): its ring holds
+/// The window of a streamed run ([`Input::Reader`]): its ring holds
 /// four — one of look-back before the current block, the rest read
 /// ahead — and a label the automaton examines may be up to one window
 /// long.
@@ -150,26 +151,40 @@ const PROBE_BYTES: usize = 16 << 10;
 /// routing").
 const PROBE_EVENTS_PER_KIB: u64 = 3;
 
-/// A document a streamed run takes in while it walks it.
-pub enum Streamed<'d, R> {
-    /// Read from `R` into a ring of windows the run owns
-    /// ([`Engine::try_run_reader_with_recorder`]).
-    Reader(R),
-    /// The bytes `[start, start + len)` of a regular file, read in place
-    /// ([`Engine::try_run_mapped_with_recorder`]).
-    Mapped {
+/// A document as [`Engine::exec`] takes it: held whole, or streamed — its
+/// bytes walked while they arrive, in memory bounded by a ring of four
+/// [`STREAM_WINDOW`]s, and checked as they arrive.
+pub enum Input<'a> {
+    /// The whole document, checked by the run: the size limit, then (in
+    /// [strict](EngineOptions::strict) mode) structure and depth, before
+    /// anything is matched.
+    Slice(&'a [u8]),
+    /// A document read from `reader` in chunks of any size into a ring the
+    /// run owns, with `deadline` checked before every read.
+    Reader {
+        /// The source; transient errors are retried.
+        reader: &'a mut dyn Read,
+        /// When the input must have ended.
+        deadline: Option<Instant>,
+    },
+    /// The bytes `[start, start + len)` of a regular file, read in place:
+    /// each window of the ring is a read-only mapping of exactly the bytes
+    /// a copying ring would hold.
+    Pages {
         /// The file.
-        file: &'d File,
+        file: &'a File,
         /// The document's first byte in it.
         start: u64,
         /// The document's length.
         len: usize,
+        /// When the input must have been checked to its end.
+        deadline: Option<Instant>,
     },
 }
 
 /// What a run walks: one slice, or a document arriving from a source,
 /// held in a ring of windows of the given size.
-enum Input<'a> {
+enum Walk<'a> {
     Slice(&'a [u8]),
     Stream(Source<'a>, usize),
 }
@@ -243,8 +258,8 @@ pub struct EngineOptions {
     /// under [`strict`](Self::strict) to the whole document as well.
     pub max_depth: u32,
     /// Maximum document size in bytes for the fallible entry points
-    /// (`None` = unlimited). [`Engine::run_reader`] enforces this while
-    /// bytes arrive, bounding memory for unbounded inputs.
+    /// (`None` = unlimited). A streamed [`Input`] and [`read_to_end`]
+    /// enforce it while bytes arrive, bounding memory for unbounded inputs.
     pub max_document_bytes: Option<usize>,
     /// Maximum length in bytes of a member label the automaton examines
     /// (`None` = unlimited). Labels in skipped-over subtrees are never
@@ -333,13 +348,13 @@ impl From<CompileError> for EngineError {
 /// A compiled streaming JSONPath engine.
 ///
 /// Compile once with [`Engine::from_text`] (or [`Engine::from_query`]),
-/// then run over any number of documents with [`Engine::run`],
+/// then run over any number of documents with [`Engine::exec`],
 /// [`Engine::count`], or [`Engine::positions`].
 ///
-/// There is one matching loop, [`Engine::try_run_with_recorder`]; what a
-/// run observes is the recorder you pass, not a different entry point.
-/// For a Tier C profile, call `try_run_with_recorder(doc, sink, &mut
-/// profile)` with `profile = ProfileStats::new()`.
+/// There is one entry, [`Engine::exec`]; what a run observes is the
+/// recorder you pass, not a different entry point. For a Tier C profile,
+/// call `exec(input, sink, &mut profile)` with `profile =
+/// ProfileStats::new()`.
 ///
 /// See the [crate documentation](crate) for an example.
 #[derive(Clone, Debug)]
@@ -455,7 +470,7 @@ impl Engine {
     /// eligible under the configured options, [`Route::General`]
     /// otherwise. A longer input may take the general route all the same
     /// (the probe, DESIGN.md §15): what a run took is what
-    /// [`try_run_with_recorder`](Self::try_run_with_recorder) returns.
+    /// [`exec`](Self::exec) returns.
     #[must_use]
     pub fn route(&self) -> Route {
         if self.fast_path_eligible() {
@@ -495,12 +510,54 @@ impl Engine {
         self.simd
     }
 
-    /// Streams `input`, reporting every match to `sink`, with full error
-    /// reporting.
+    /// Runs the query over `input`, reporting every match to `sink` and
+    /// what the run did to `rec`, and returns the route it took (DESIGN.md
+    /// §15), which no recorder hook sees: a caller that keeps
+    /// [`RunStats`] sets [`RunStats::route`] from it.
     ///
     /// Matches are reported in document order, once per matched node (node
-    /// semantics). The sink may stop the run early by returning
-    /// [`SinkFull`]; that is a clean `Ok(())` exit, not an error.
+    /// semantics), byte-identical on every [`Input`] of the same bytes, no
+    /// matter how a reader fragments them. The sink may stop the run early
+    /// by returning [`SinkFull`]; that is a clean exit, not an error.
+    ///
+    /// The recorder is the only thing that varies what a run observes:
+    ///
+    /// * [`NoStats`] compiles to the plain loops — no branches, no
+    ///   atomics, no clock reads;
+    /// * a [`RunStats`] adds only saturating integer increments (Tier A);
+    /// * a [`ProfileStats`] is the Tier C profile — the Tier A counters
+    ///   plus per-technique `bytes_skipped` and wall-clock per pipeline
+    ///   stage: a slice's strict pass is `validate`, a stream's refills
+    ///   (its strict pass among them) are `ingest`, the rest `automaton`.
+    ///
+    /// ```
+    /// use rsq_engine::{CountSink, Engine, Input, ProfileStats};
+    ///
+    /// let engine = Engine::from_text("$..a")?;
+    /// let doc = br#"{"a": 1, "b": {"a": 2}}"#;
+    /// let mut profile = ProfileStats::new();
+    /// engine.exec(Input::Slice(doc), &mut CountSink::new(), &mut profile)?;
+    /// assert_eq!(profile.stats.bytes, doc.len() as u64);
+    /// assert_eq!(profile.stats.matches, 2);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// The recorder accumulates, so one may span many runs, and on an
+    /// error return the partial work performed before the failure remains
+    /// in it. A slice's length reaches [`Recorder::document`] before its
+    /// checks, a stream's at the end of a successful run.
+    ///
+    /// A streamed input is checked as it arrives — the size limit and, in
+    /// strict mode, structure and depth over the whole document — and to
+    /// its end: a run that stops early (a sink stop, a tripped
+    /// `max_matches`) still takes in and checks the rest, and a failure of
+    /// the input is reported before the run's own. Unlike a slice, a
+    /// stream that fails validation may have reported matches to `sink`
+    /// before the failure surfaced, so a caller that must not show them
+    /// holds them until this returns. One outcome is the stream's own: a
+    /// member label the automaton examines that begins more than a window
+    /// before the structural character after it fails with a
+    /// [`LabelBytes`](LimitKind::LabelBytes) limit of the window.
     ///
     /// # Errors
     ///
@@ -508,85 +565,79 @@ impl Engine {
     ///   [`EngineOptions`] trips. Matches reported before the trip have
     ///   already reached the sink.
     /// * [`RunError::Malformed`] when [`EngineOptions::strict`] is set and
-    ///   the document fails structural validation (checked up front; no
-    ///   matches are reported).
-    ///
-    /// [`RunError::Io`] is never returned from the slice path.
-    pub fn try_run<S: Sink>(&self, input: &[u8], sink: &mut S) -> Result<(), RunError> {
-        self.try_run_with_recorder(input, sink, &mut NoStats)
-            .map(drop)
+    ///   the document fails structural validation.
+    /// * [`RunError::Io`] when a reader fails with a non-transient error
+    ///   or a window cannot be mapped; [`RunError::DeadlineExceeded`] when
+    ///   a stream's deadline passes before its input ends. A slice
+    ///   returns neither.
+    pub fn exec<S: Sink>(
+        &self,
+        input: Input<'_>,
+        sink: &mut S,
+        rec: &mut impl Recorder,
+    ) -> Result<Route, RunError> {
+        self.run_windowed(input, sink, rec, STREAM_WINDOW)
+            .map(|(_, route)| route)
     }
 
-    /// Like [`try_run`](Self::try_run), but additionally returns Tier A
-    /// [`RunStats`] for the run: bytes and blocks processed per classifier,
-    /// structural events delivered, skip events by kind, `memmem` jumps
-    /// taken and declined, maximum depth reached, and matches reported.
-    ///
-    /// The match output is byte-identical to [`try_run`](Self::try_run) on
-    /// the same document: the statistics are gathered by monomorphising the
-    /// engine's inner loops over a recorder parameter, so the plain entry
-    /// points compile to the exact pre-instrumentation code (no branches,
-    /// no atomics) and the counting variant adds only saturating integer
-    /// increments.
-    ///
-    /// On a run that ends early — the sink declines a match, or
-    /// `max_matches` trips — the statistics cover the work performed up to
-    /// that point; for error returns the partial statistics are discarded
-    /// with the run.
+    /// [`exec`](Self::exec) with a streamed input held in windows of
+    /// `window` bytes (a test hook: small windows put every edge case on a
+    /// window edge). Returns the most bytes the run held and the route it
+    /// took.
     ///
     /// # Errors
     ///
-    /// As [`try_run`](Self::try_run).
+    /// As [`exec`](Self::exec).
+    #[doc(hidden)]
+    pub fn run_windowed<S: Sink>(
+        &self,
+        input: Input<'_>,
+        sink: &mut S,
+        rec: &mut impl Recorder,
+        window: usize,
+    ) -> Result<(usize, Route), RunError> {
+        let (options, simd) = (&self.options, self.simd);
+        match input {
+            Input::Slice(doc) => self.run_slice(doc, sink, rec).map(|r| (doc.len(), r)),
+            Input::Reader { reader, deadline } => {
+                let feed = Feed::document(reader, options, simd, deadline);
+                self.run_feed(feed, sink, rec, window)
+            }
+            Input::Pages {
+                file,
+                start,
+                len,
+                deadline,
+            } => {
+                let feed = Feed::document(FilePages { file, start, len }, options, simd, deadline);
+                self.run_feed(feed, sink, rec, window)
+            }
+        }
+    }
+
+    /// [`exec`](Self::exec) of a slice, returning Tier A [`RunStats`] for
+    /// the run: bytes and blocks processed per classifier, structural
+    /// events delivered, skip events by kind, `memmem` jumps taken and
+    /// declined, maximum depth reached, matches reported, and the route.
+    /// On a run that ends early the statistics cover the work performed
+    /// up to that point; for error returns they are discarded with the
+    /// run.
+    ///
+    /// # Errors
+    ///
+    /// As [`exec`](Self::exec).
     pub fn try_run_with_stats<S: Sink>(
         &self,
         input: &[u8],
         sink: &mut S,
     ) -> Result<RunStats, RunError> {
         let mut stats = RunStats::default();
-        stats.route = self.try_run_with_recorder(input, sink, &mut stats)?;
+        stats.route = self.exec(Input::Slice(input), sink, &mut stats)?;
         Ok(stats)
     }
 
-    /// The spine: every other run method is a thin wrapper over this one.
-    /// Like [`try_run`](Self::try_run), but drives a caller-supplied
-    /// [`Recorder`] through the engine's monomorphized inner loops:
-    ///
-    /// * [`NoStats`] compiles to exactly [`try_run`](Self::try_run) — no
-    ///   branches, no atomics, no clock reads;
-    /// * a [`RunStats`] adds only saturating integer increments (Tier A);
-    /// * a [`ProfileStats`] is the Tier C profile — the Tier A counters
-    ///   plus per-technique `bytes_skipped` and wall-clock per pipeline
-    ///   stage (the only recorder that reads the clock: once per stage
-    ///   bracket, so twice per run with `strict` and once without, however
-    ///   many skips the run takes);
-    /// * a composite recorder would observe stage brackets the same way,
-    ///   without the engine knowing about it.
-    ///
-    /// ```
-    /// use rsq_engine::{CountSink, Engine, ProfileStats};
-    ///
-    /// let engine = Engine::from_text("$..a")?;
-    /// let doc = br#"{"a": 1, "b": {"a": 2}}"#;
-    /// let mut profile = ProfileStats::new();
-    /// engine.try_run_with_recorder(doc, &mut CountSink::new(), &mut profile)?;
-    /// assert_eq!(profile.stats.bytes, doc.len() as u64);
-    /// assert_eq!(profile.stats.matches, 2);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// The recorder accumulates: the engine reports the document length
-    /// through [`Recorder::document`] and everything else through the
-    /// other hooks, so one recorder may span many runs, and on an error
-    /// return the partial work performed before the failure remains in it.
-    ///
-    /// Returns the route the run took (DESIGN.md §15), which no recorder
-    /// hook sees: a caller that keeps [`RunStats`] sets
-    /// [`RunStats::route`] from it.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_run`](Self::try_run).
-    pub fn try_run_with_recorder<S: Sink>(
+    /// A slice's run: its checks, then the matching loops.
+    fn run_slice<S: Sink>(
         &self,
         input: &[u8],
         sink: &mut S,
@@ -612,277 +663,98 @@ impl Engine {
             rec.stage_ns(ProfileStage::Validate, t);
             validated?;
         }
-        self.run_limited(input, sink, rec)
-    }
-
-    /// Streams a document pulled from `reader` in arbitrary-sized chunks,
-    /// reporting every match to `sink`, in memory bounded by a ring of
-    /// four [`STREAM_WINDOW`]s: the run walks the bytes while they arrive
-    /// and drops them behind it.
-    ///
-    /// Transient read errors ([`Interrupted`](std::io::ErrorKind::Interrupted),
-    /// [`WouldBlock`](std::io::ErrorKind::WouldBlock)) are retried; short
-    /// reads of any size are reassembled. The size limit — and, in strict
-    /// mode, structural validation and depth — are enforced *while bytes
-    /// arrive*, over the whole document: a run that stops early (a sink
-    /// stop, a tripped `max_matches`) still reads and checks the rest, and
-    /// a failure there is the one reported. The matches are byte-identical
-    /// to [`try_run`](Self::try_run) on the same document, no matter how
-    /// the reader fragments it — but, unlike there, a document that fails
-    /// validation may have reported matches to `sink` before the failure
-    /// surfaced, so a caller that must not show them holds them until
-    /// this returns. One outcome is the stream's own: a member label the
-    /// automaton examines that begins more than a window before the
-    /// structural character after it fails with a
-    /// [`LabelBytes`](LimitKind::LabelBytes) limit of the window.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`try_run`](Self::try_run) returns, plus
-    /// [`RunError::Io`] when the reader fails with a non-transient error.
-    pub fn run_reader<R: Read, S: Sink>(&self, reader: R, sink: &mut S) -> Result<(), RunError> {
-        self.try_run_reader_with_recorder(reader, sink, &mut NoStats, None)
-            .map(drop)
-    }
-
-    /// [`run_reader`](Self::run_reader) driving a [`Recorder`] as
-    /// [`try_run_with_recorder`](Self::try_run_with_recorder) does — the
-    /// document's length reaches it at the end of the input — and, with a
-    /// `deadline`, aborting with [`RunError::DeadlineExceeded`] if it
-    /// passes before the input ends (checked before every read, as
-    /// [`ingest`](Self::ingest) does). Returns the route the run took:
-    /// the one a slice of the same bytes takes.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_reader`](Self::run_reader), plus
-    /// [`RunError::DeadlineExceeded`].
-    pub fn try_run_reader_with_recorder<R: Read, S: Sink>(
-        &self,
-        reader: R,
-        sink: &mut S,
-        rec: &mut impl Recorder,
-        deadline: Option<Instant>,
-    ) -> Result<Route, RunError> {
-        let feed = Feed::document(reader, &self.options, self.simd, deadline);
-        self.run_feed(feed, sink, rec, STREAM_WINDOW)
-            .map(|(_, route)| route)
-    }
-
-    /// [`try_run_reader_with_recorder`](Self::try_run_reader_with_recorder)
-    /// over the bytes `[start, start + len)` of a regular file, read in
-    /// place: each window of the ring is a read-only mapping of exactly
-    /// the bytes a copying ring would hold. Every byte passes the same
-    /// checks in the same chunks, the rest too after a run that stops
-    /// early, so the result, its [`RunStats`] and its error are those of
-    /// reading the bytes — except that a file truncated during the run
-    /// faults (`SIGBUS`), as any mapping of it does.
-    ///
-    /// # Errors
-    ///
-    /// As [`try_run_reader_with_recorder`](Self::try_run_reader_with_recorder),
-    /// with [`RunError::Io`] when a window cannot be mapped.
-    pub fn try_run_mapped_with_recorder<S: Sink>(
-        &self,
-        file: &File,
-        start: u64,
-        len: usize,
-        sink: &mut S,
-        rec: &mut impl Recorder,
-        deadline: Option<Instant>,
-    ) -> Result<Route, RunError> {
-        let pages = FilePages { file, start, len };
-        let feed = Feed::document(pages, &self.options, self.simd, deadline);
-        self.run_feed(feed, sink, rec, STREAM_WINDOW)
-            .map(|(_, route)| route)
-    }
-
-    /// A streamed run of `doc` through windows of `window` bytes, with no
-    /// deadline (a test hook: small windows put every edge case on a
-    /// window edge). Returns the most bytes the stream held and the route
-    /// the run took.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_reader`](Self::run_reader).
-    #[doc(hidden)]
-    pub fn run_windowed<R: Read, S: Sink>(
-        &self,
-        doc: Streamed<'_, R>,
-        sink: &mut S,
-        rec: &mut impl Recorder,
-        window: usize,
-    ) -> Result<(usize, Route), RunError> {
-        let (options, simd) = (&self.options, self.simd);
-        let (high_water, route) = match doc {
-            Streamed::Reader(reader) => {
-                let feed = Feed::document(reader, options, simd, None);
-                self.run_feed(feed, sink, rec, window)
-                    .map(|(feed, route)| (feed.high_water, route))
-            }
-            Streamed::Mapped { file, start, len } => {
-                let feed = Feed::document(FilePages { file, start, len }, options, simd, None);
-                self.run_feed(feed, sink, rec, window)
-                    .map(|(feed, route)| (feed.high_water, route))
-            }
-        }?;
-        Ok((high_water, route))
+        let t = rec.clock();
+        let run = self.limited(sink, 0, |sink| self.dispatch(Walk::Slice(input), sink, rec));
+        rec.stage_ns(ProfileStage::Automaton, t);
+        run
     }
 
     /// Runs the query over the document `feed` takes in, then reports the
     /// first failure of the input — the bytes the run saw or the rest —
-    /// before the run's own.
-    fn run_feed<R, S: Sink>(
+    /// before the run's own. Returns the most bytes the run held and its
+    /// route.
+    fn run_feed<F, S: Sink, R: Recorder>(
         &self,
-        mut feed: Feed<R>,
+        mut feed: Feed<F>,
         sink: &mut S,
-        rec: &mut impl Recorder,
+        rec: &mut R,
         window: usize,
-    ) -> Result<(Feed<R>, Route), RunError>
+    ) -> Result<(usize, Route), RunError>
     where
-        Feed<R>: Fed,
+        Feed<F>: Fed,
     {
+        if R::TIMED {
+            feed.ingest_ns = Some(0);
+        }
+        let t = rec.clock();
+        let mut exited = false;
         let run = self.limited(sink, window, |sink| {
-            self.dispatch(Input::Stream(feed.source(), window), sink, rec)
+            let (route, result) = self.dispatch(Walk::Stream(feed.source(), window), sink, rec);
+            exited = matches!(result, Err(Interrupt::Exit));
+            (route, result)
         });
-        feed.finish()?;
+        // The refills inside the run are the ingest stage's, not the
+        // automaton's.
+        let ran = rec.clock().saturating_sub(t);
+        let refilled = feed.ingest_ns.unwrap_or(0);
+        rec.add_stage_ns(ProfileStage::Automaton, ran.saturating_sub(refilled));
+        let seen = feed.len;
+        let finished = feed.finish();
+        rec.add_stage_ns(ProfileStage::Ingest, feed.ingest_ns.unwrap_or(0));
+        finished?;
+        if exited {
+            // The walker's exit elides the rest of the document, as on a
+            // slice; it saw the input only as far as the run had read it.
+            rec.skip_span(SkipTechnique::Exit, seen, feed.len);
+        }
         let route = run?;
         rec.document(feed.len);
-        Ok((feed, route))
+        Ok((feed.high_water, route))
     }
 
-    /// Reads a whole document from `reader` with the same protections as
-    /// [`run_reader`](Self::run_reader) — chunk reassembly, transient-error
-    /// retry, the incremental size limit, strict validation — but
-    /// without running the query, into one buffer holding the whole
-    /// document. Useful when the caller needs the document bytes
-    /// afterwards, e.g. to extract matched node text: ingest once, then
-    /// query the returned buffer with [`try_run`](Self::try_run).
+    /// Reads a whole document from `reader` through [`read_to_end`], held
+    /// to [`max_document_bytes`](EngineOptions::max_document_bytes): for a
+    /// caller that needs the bytes afterwards, e.g. to cut matched values
+    /// out of them. Nothing looks inside the bytes here; the slice run of
+    /// them applies [`strict`](EngineOptions::strict).
     ///
     /// # Errors
     ///
-    /// As [`run_reader`](Self::run_reader), minus match-time errors.
+    /// As [`read_to_end`].
     pub fn read_document<R: Read>(&self, reader: R) -> Result<Vec<u8>, RunError> {
-        self.ingest(reader, None)
+        read_to_end(reader, self.options.max_document_bytes, None)
     }
 
-    /// [`read_document`](Self::read_document) into any [`Landing`] — the
-    /// drivers land documents in an [`rsq_mmap::Region`], whose huge pages
-    /// take a fraction of the page faults a fresh `Vec` does — and, with a
-    /// `deadline`, aborting with [`RunError::DeadlineExceeded`] if it
-    /// passes before ingest completes. The check runs before every read
-    /// and on every transient-error retry — slow-loris protection for
-    /// serving layers. A read already blocked inside the OS is not
-    /// interrupted; pair the deadline with a read timeout on the
-    /// underlying source.
-    ///
-    /// # Errors
-    ///
-    /// As [`read_document`](Self::read_document), plus
-    /// [`RunError::DeadlineExceeded`].
-    pub fn ingest<R: Read, B: Landing>(
-        &self,
-        mut reader: R,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<B, RunError> {
-        input::read_document(&mut reader, &self.options, self.simd, deadline)
-    }
-
-    /// [`ingest`](Self::ingest) of the bytes `[start, start + len)` of a
-    /// regular file, mapped whole and checked in place in the same chunks.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest), or [`RunError::Io`] if unmappable.
-    pub fn ingest_mapped(
-        &self,
-        file: &File,
-        start: u64,
-        len: usize,
-        deadline: Option<Instant>,
-    ) -> Result<rsq_mmap::Mapping, RunError> {
-        Feed::document(
-            FilePages { file, start, len },
-            &self.options,
-            self.simd,
-            deadline,
-        )
-        .check_whole()
-    }
-
-    /// This engine minus the up-front [`strict`](EngineOptions::strict)
-    /// pass of [`try_run`](Self::try_run) — for running documents that its
-    /// [`ingest`](Self::ingest) or [`read_document`](Self::read_document)
-    /// returned: those were validated while they arrived, and the verdict
-    /// stands ([`run_reader`](Self::run_reader) validates as it runs).
-    #[must_use]
-    pub fn without_validation(mut self) -> Engine {
-        self.options.strict = false;
-        self
-    }
-
-    /// Streams `input`, reporting every match to `sink` — the lenient
-    /// classic API.
-    ///
-    /// Equivalent to [`try_run`](Self::try_run) with the error discarded:
-    /// malformed JSON is processed best-effort without panicking (results
-    /// on such input are unspecified), and a tripped resource limit simply
-    /// ends the run after the matches already reported.
-    pub fn run<S: Sink>(&self, input: &[u8], sink: &mut S) {
-        let _ = self.try_run(input, sink);
-    }
-
-    /// Counts the matches in `input`.
+    /// Counts the matches in `input`; a failure ends the count with the
+    /// matches reported before it (on malformed JSON, without
+    /// [`strict`](EngineOptions::strict), results are unspecified but the
+    /// run never panics).
     #[must_use]
     pub fn count(&self, input: &[u8]) -> u64 {
         let mut sink = CountSink::new();
-        self.run(input, &mut sink);
+        let _ = self.exec(Input::Slice(input), &mut sink, &mut NoStats);
         sink.count()
     }
 
-    /// Counts the matches in `input`, with full error reporting (see
-    /// [`try_run`](Self::try_run)).
-    ///
-    /// # Errors
-    ///
-    /// As [`try_run`](Self::try_run).
-    pub fn try_count(&self, input: &[u8]) -> Result<u64, RunError> {
-        let mut sink = CountSink::new();
-        self.try_run(input, &mut sink)?;
-        Ok(sink.count())
-    }
-
     /// Returns the byte offset of each match in `input`, in document
-    /// order.
+    /// order, as leniently as [`count`](Self::count).
     #[must_use]
     pub fn positions(&self, input: &[u8]) -> Vec<usize> {
         let mut sink = PositionsSink::new();
-        self.run(input, &mut sink);
+        let _ = self.exec(Input::Slice(input), &mut sink, &mut NoStats);
         sink.into_positions()
     }
 
     /// Returns the byte offset of each match in `input`, with full error
-    /// reporting (see [`try_run`](Self::try_run)).
+    /// reporting.
     ///
     /// # Errors
     ///
-    /// As [`try_run`](Self::try_run).
+    /// As [`exec`](Self::exec).
     pub fn try_positions(&self, input: &[u8]) -> Result<Vec<usize>, RunError> {
         let mut sink = PositionsSink::new();
-        self.try_run(input, &mut sink)?;
+        self.exec(Input::Slice(input), &mut sink, &mut NoStats)?;
         Ok(sink.into_positions())
-    }
-
-    /// Runs the matching loops over an already-validated document.
-    fn run_limited<S: Sink>(
-        &self,
-        input: &[u8],
-        sink: &mut S,
-        rec: &mut impl Recorder,
-    ) -> Result<Route, RunError> {
-        self.limited(sink, 0, |sink| {
-            self.dispatch(Input::Slice(input), sink, rec)
-        })
     }
 
     /// Runs `matching` into `sink`, enforcing `max_matches` and
@@ -911,7 +783,7 @@ impl Engine {
         }
         match result {
             // A sink-initiated stop is a voluntary early exit.
-            Ok(()) | Err(Interrupt::SinkStop) => Ok(route),
+            Ok(()) | Err(Interrupt::SinkStop | Interrupt::Exit) => Ok(route),
             Err(Interrupt::Limit(kind)) => Err(RunError::LimitExceeded {
                 kind,
                 limit: self.limit_value(kind),
@@ -935,27 +807,14 @@ impl Engine {
         }
     }
 
-    /// Picks the evaluation strategy and runs it, bracketing the whole
-    /// matching pass as the `automaton` stage (classification is fused
-    /// into it, so it has no stage of its own).
-    fn dispatch<S: Sink>(
-        &self,
-        input: Input<'_>,
-        sink: &mut LimitSink<'_, S>,
-        rec: &mut impl Recorder,
-    ) -> (Route, Result<(), Interrupt>) {
-        let t = rec.clock();
-        let result = self.dispatch_inner(input, sink, rec);
-        rec.stage_ns(ProfileStage::Automaton, t);
-        result
-    }
-
     /// The single backend dispatch of a run: everything below here —
     /// finders, classifiers, the walker and the main loop — is compiled
     /// once per instruction set and inlined into that backend's entry.
-    fn dispatch_inner<S: Sink>(
+    /// The caller brackets it as the `automaton` stage (classification is
+    /// fused into it, so it has no stage of its own).
+    fn dispatch<S: Sink>(
         &self,
-        input: Input<'_>,
+        input: Walk<'_>,
         sink: &mut LimitSink<'_, S>,
         rec: &mut impl Recorder,
     ) -> (Route, Result<(), Interrupt>) {
@@ -975,7 +834,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// As [`try_run`](Self::try_run), except that `strict` and
+    /// As [`exec`](Self::exec) of a slice, except that `strict` and
     /// `max_document_bytes` are not applied.
     #[doc(hidden)]
     pub fn try_run_on<B: Backend, S: Sink>(
@@ -985,7 +844,7 @@ impl Engine {
         sink: &mut S,
     ) -> Result<(), RunError> {
         self.limited(sink, 0, |sink| {
-            self.run_on(backend, Input::Slice(input), sink, &mut NoStats)
+            self.run_on(backend, Walk::Slice(input), sink, &mut NoStats)
         })
         .map(drop)
     }
@@ -995,13 +854,13 @@ impl Engine {
     fn run_on<B: Backend, S: Sink>(
         &self,
         backend: B,
-        input: Input<'_>,
+        input: Walk<'_>,
         sink: &mut LimitSink<'_, S>,
         rec: &mut impl Recorder,
     ) -> (Route, Result<(), Interrupt>) {
         let mut it = match input {
-            Input::Slice(bytes) => StructuralIterator::new(bytes, backend),
-            Input::Stream(source, window) => {
+            Walk::Slice(bytes) => StructuralIterator::new(bytes, backend),
+            Walk::Stream(source, window) => {
                 StructuralIterator::from_source(source, window, backend)
             }
         };
@@ -1042,7 +901,7 @@ impl Engine {
         let mut probe = StructuralIterator::new(head, backend);
         let mut seekers = main_loop::seekers(self, backend);
         let mut stats = RunStats::default();
-        let _ = main_loop::run_document(
+        let _ = main_loop::run(
             &mut probe,
             &self.automaton,
             &self.options,
@@ -1099,7 +958,7 @@ impl Engine {
         } else {
             None
         };
-        main_loop::run_document(
+        main_loop::run(
             it,
             &self.automaton,
             &self.options,
@@ -1111,10 +970,10 @@ impl Engine {
     }
 }
 
-/// One engine run as the [`Task`] [`Engine::dispatch_inner`] dispatches.
+/// One engine run as the [`Task`] [`Engine::dispatch`] dispatches.
 struct Run<'r, 'i, 's, S: Sink, R> {
     engine: &'r Engine,
-    input: Input<'i>,
+    input: Walk<'i>,
     sink: &'r mut LimitSink<'s, S>,
     rec: &'r mut R,
 }

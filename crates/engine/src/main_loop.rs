@@ -515,7 +515,7 @@ fn element_loop<B: Backend>(
 /// the initial waiting state's seeker and the target of its label
 /// transition — from the head start's hits.
 #[inline(always)]
-pub(crate) fn run_document<B: Backend>(
+pub(crate) fn run<B: Backend>(
     it: &mut StructuralIterator<'_, B>,
     automaton: &Automaton,
     options: &EngineOptions,

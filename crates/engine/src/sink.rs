@@ -10,7 +10,7 @@
 //!
 //! A sink can stop a run early: [`Sink::record`] returns
 //! `Err(`[`SinkFull`]`)` when the sink declines further matches, and the
-//! engine unwinds promptly — [`Engine::try_run`](crate::Engine::try_run)
+//! engine unwinds promptly — [`Engine::exec`](crate::Engine::exec)
 //! treats this as a successful (voluntary) early exit, not an error.
 
 use std::fmt;

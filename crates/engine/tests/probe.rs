@@ -7,8 +7,8 @@
 
 use rsq_datagen::{Dataset, GenConfig};
 use rsq_engine::{
-    Engine, EngineOptions, LimitKind, PositionsSink, Route, RouteChoice, RunError, RunStats, Sink,
-    SinkFull, PROBE_MIN_INPUT,
+    Engine, EngineOptions, Input, LimitKind, NoStats, PositionsSink, Route, RouteChoice, RunError,
+    RunStats, Sink, SinkFull, PROBE_MIN_INPUT,
 };
 use rsq_query::Query;
 use rsq_simd::BackendKind;
@@ -68,9 +68,11 @@ fn streamed(engine: &Engine, doc: &[u8]) -> (Vec<usize>, RunStats, Route) {
     }
     let mut sink = PositionsSink::new();
     let mut stats = RunStats::default();
-    let route = engine
-        .try_run_reader_with_recorder(Chunks(doc), &mut sink, &mut stats, None)
-        .unwrap();
+    let reader = Input::Reader {
+        reader: &mut Chunks(doc),
+        deadline: None,
+    };
+    let route = engine.exec(reader, &mut sink, &mut stats).unwrap();
     assert_eq!(stats.bytes, doc.len() as u64);
     stats.route = route;
     (sink.into_positions(), stats, route)
@@ -155,7 +157,8 @@ fn the_probe_never_reaches_the_callers_sink_or_limits() {
             records: 0,
             stop_after: u64::MAX,
         };
-        auto.try_run(&doc, &mut sink).unwrap();
+        auto.exec(Input::Slice(&doc), &mut sink, &mut NoStats)
+            .unwrap();
         assert_eq!(sink.records, all.len() as u64, "{query}");
 
         // A sink that stops at its first match (a driver's deadline) gets
@@ -164,7 +167,8 @@ fn the_probe_never_reaches_the_callers_sink_or_limits() {
             records: 0,
             stop_after: 1,
         };
-        auto.try_run(&doc, &mut sink).unwrap();
+        auto.exec(Input::Slice(&doc), &mut sink, &mut NoStats)
+            .unwrap();
         assert_eq!(sink.records, 1, "{query}");
 
         // `max_matches` counts the run's matches only.
@@ -178,7 +182,9 @@ fn the_probe_never_reaches_the_callers_sink_or_limits() {
         )
         .unwrap();
         let mut sink = PositionsSink::new();
-        let err = capped.try_run(&doc, &mut sink).unwrap_err();
+        let err = capped
+            .exec(Input::Slice(&doc), &mut sink, &mut NoStats)
+            .unwrap_err();
         assert!(
             matches!(
                 err,

@@ -12,7 +12,7 @@
 //! reads the clock once per stage bracket, however many skips it takes.
 
 use rsq_engine::{
-    ClassifierCounters, CountSink, Engine, EngineOptions, PositionsSink, ProfileStage,
+    ClassifierCounters, CountSink, Engine, EngineOptions, Input, PositionsSink, ProfileStage,
     ProfileStats, Recorder, Route, RouteChoice, SkipTechnique,
 };
 use rsq_query::Query;
@@ -270,7 +270,7 @@ fn check(input: &[u8], query_text: &str, context: &str) {
         let mut positions = PositionsSink::new();
         let mut rec = Spans::default();
         engine
-            .try_run_with_recorder(input, &mut positions, &mut rec)
+            .exec(Input::Slice(input), &mut positions, &mut rec)
             .expect("lenient run");
         let positions = positions.into_positions();
         let context = format!("{query_text} {context} backend={backend:?} {route:?}");
@@ -396,7 +396,7 @@ fn a_run_reads_the_clock_once_per_stage() {
                 let engine = Engine::with_options(&query, options).expect("query compiles");
                 let mut rec = Spans::default();
                 let taken = engine
-                    .try_run_with_recorder(input, &mut CountSink::new(), &mut rec)
+                    .exec(Input::Slice(input), &mut CountSink::new(), &mut rec)
                     .expect("well-formed document");
                 let context = format!("{query_text} {route:?} strict={strict} backend={backend:?}");
                 let stats = &rec.profile.stats;

@@ -1,7 +1,7 @@
 //! Tier A observability: `try_run_with_stats` must report the work the
 //! engine actually performed, without changing what it reports to the sink.
 
-use rsq_engine::{Engine, EngineOptions, PositionsSink, RunStats};
+use rsq_engine::{Engine, EngineOptions, Input, NoStats, PositionsSink, RunStats};
 use rsq_query::Query;
 
 /// A document exercising every skipping technique: decoy subtrees for
@@ -231,7 +231,7 @@ fn reader_ingest_then_stats_run_matches_slice_path() {
     // The reader path is ingest + the slice engine: a document pulled
     // through `read_document` one byte at a time reports the same
     // matches and the same counters (`bytes` = the assembled length) as
-    // the slice it was read from, and `run_reader` the same matches.
+    // the slice it was read from, and a streamed run the same matches.
     struct OneByte<'a>(&'a [u8]);
     impl std::io::Read for OneByte<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
@@ -249,7 +249,11 @@ fn reader_ingest_then_stats_run_matches_slice_path() {
     assert_eq!(reader_stats, slice_stats);
     assert_eq!(reader_stats.bytes, RICH.len() as u64);
     let mut sink = PositionsSink::new();
-    engine.run_reader(OneByte(RICH), &mut sink).unwrap();
+    let reader = Input::Reader {
+        reader: &mut OneByte(RICH),
+        deadline: None,
+    };
+    engine.exec(reader, &mut sink, &mut NoStats).unwrap();
     assert_eq!(sink.positions(), slice_positions.as_slice());
 }
 

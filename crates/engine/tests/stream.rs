@@ -1,7 +1,7 @@
 //! A streamed run holds a ring of windows of the document, however long
 //! the document is.
 
-use rsq_engine::{CountSink, Engine, NoStats, Streamed, STREAM_WINDOW};
+use rsq_engine::{CountSink, Engine, Input, NoStats, STREAM_WINDOW};
 use std::io::{self, Read};
 
 /// `[{"a": {"b": 0}, "pad": "…"}, …]`, made up as it is read: `records`
@@ -72,13 +72,12 @@ fn a_long_stream_holds_no_more_than_the_ring() {
     for query in ["$..b", "$.*.a.b", "$[*].pad"] {
         let engine = Engine::from_text(query).unwrap();
         let mut sink = CountSink::new();
+        let reader = Input::Reader {
+            reader: &mut Records::new(records),
+            deadline: None,
+        };
         let (held, _) = engine
-            .run_windowed(
-                Streamed::Reader(Records::new(records)),
-                &mut sink,
-                &mut NoStats,
-                STREAM_WINDOW,
-            )
+            .run_windowed(reader, &mut sink, &mut NoStats, STREAM_WINDOW)
             .unwrap();
         assert_eq!(sink.count(), records as u64, "{query}");
         assert!(held <= bound, "{query}: the stream held {held} bytes");

@@ -294,12 +294,6 @@ impl ProfileStats {
         }
     }
 
-    /// Adds externally measured time (CLI ingest/sink brackets) to a
-    /// stage.
-    pub fn add_stage_ns(&mut self, stage: ProfileStage, ns: u64) {
-        self.stages.add_ns(stage, ns);
-    }
-
     /// Skip rate: elided bytes as a percentage of document bytes (0 when
     /// the document is empty).
     #[must_use]
@@ -425,6 +419,13 @@ impl Recorder for ProfileStats {
     fn stage_ns(&mut self, stage: ProfileStage, start: u64) {
         let elapsed = self.now_ns().saturating_sub(start);
         self.stages.add_ns(stage, elapsed);
+    }
+
+    const TIMED: bool = true;
+
+    #[inline]
+    fn add_stage_ns(&mut self, stage: ProfileStage, ns: u64) {
+        self.stages.add_ns(stage, ns);
     }
 }
 

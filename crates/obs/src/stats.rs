@@ -350,6 +350,17 @@ pub trait Recorder {
     fn stage_ns(&mut self, stage: crate::ProfileStage, start: u64) {
         let _ = (stage, start);
     }
+
+    /// Tier C: whether [`Recorder::clock`] reads a clock — and so whether
+    /// work the engine does between its brackets (a stream's refills) is
+    /// worth timing for [`Recorder::add_stage_ns`].
+    const TIMED: bool = false;
+
+    /// Tier C: adds `ns`, measured by the caller, to `stage`.
+    #[inline]
+    fn add_stage_ns(&mut self, stage: crate::ProfileStage, ns: u64) {
+        let _ = (stage, ns);
+    }
 }
 
 /// The no-op recorder: all methods are empty and inline away. Running the

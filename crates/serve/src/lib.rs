@@ -65,7 +65,7 @@ pub use telemetry::Telemetry;
 use pool::Pool;
 pub use rsq_batch::ResponseMode;
 use rsq_batch::{render, runner, DocError, DocErrorKind, DocSink, Frame, NdjsonFramer, Record};
-use rsq_engine::{Engine, EngineOptions, LimitKind, RunError};
+use rsq_engine::{Engine, EngineOptions, Input, LimitKind, RunError};
 use rsq_obs::{Histogram, ServeCounters};
 use rsq_query::Query;
 use std::io::{self, Read, Write};
@@ -291,12 +291,13 @@ struct Worker<'a, T> {
 impl<T: pool::Emit> Worker<'_, T> {
     /// Runs `job` and completes it, which may write responses.
     fn run(&self, job: pool::Job) {
-        // The deadline runs from admission (see `runner::run_doc` for
+        // The deadline runs from admission (see `runner::run` for
         // where it is checked).
         let deadline = self.options.deadline.map(|d| job.admitted + d);
         let mut sink = DocSink::new(self.options.mode, deadline);
         let started = self.hub.map(|_| Instant::now());
-        let run = runner::run_doc(self.engine, &job.doc, &mut sink, Record::Nothing);
+        let input = Input::Slice(&job.doc);
+        let run = runner::run(self.engine, input, &mut sink, Record::Nothing);
         let resp = pool::Response {
             doc: Vec::new(),
             route: run.as_ref().ok().copied(),

@@ -1,4 +1,4 @@
-//! Differential target: `run_reader` over randomized chunk splits must
+//! Differential target: a streamed `exec` over randomized chunk splits must
 //! return a byte-identical result to the one-shot slice run — the
 //! classifier pipeline's resume handoffs and the memmem head-start must
 //! not depend on how the reader fragments the document.

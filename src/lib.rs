@@ -64,7 +64,7 @@ pub use rsq_simd as simd;
 pub use rsq_stackvec as stackvec;
 
 pub use rsq_engine::{
-    CountSink, Engine, EngineError, EngineOptions, LimitKind, PositionsSink, RunError, Sink,
+    CountSink, Engine, EngineError, EngineOptions, Input, LimitKind, PositionsSink, RunError, Sink,
     SinkFull, ValidationError, ValidationErrorKind,
 };
 pub use rsq_query::{Automaton, Query, Selector};

@@ -1,6 +1,30 @@
-//! Shared test infrastructure: a deterministic fault-injecting reader.
+//! Shared test infrastructure: a deterministic fault-injecting reader,
+//! and the slice and streamed runs the suites compare.
 
+use rsq::engine::NoStats;
+use rsq::{CountSink, Engine, Input, RunError, Sink};
 use std::io::{self, Read};
+
+/// The count of a slice run of `doc`, or its error.
+#[allow(dead_code)]
+pub fn count_slice(engine: &Engine, doc: &[u8]) -> Result<u64, RunError> {
+    let mut sink = CountSink::new();
+    engine.exec(Input::Slice(doc), &mut sink, &mut NoStats)?;
+    Ok(sink.count())
+}
+
+/// A streamed run of what `reader` yields, into `sink`.
+pub fn stream(
+    engine: &Engine,
+    mut reader: impl Read,
+    sink: &mut impl Sink,
+) -> Result<(), RunError> {
+    let input = Input::Reader {
+        reader: &mut reader,
+        deadline: None,
+    };
+    engine.exec(input, sink, &mut NoStats).map(drop)
+}
 
 /// A reader that delivers its data in pseudo-random short reads (1 to 64
 /// bytes), interleaved with transient errors, and optionally truncated —

@@ -1,10 +1,10 @@
 //! Fault injection for the chunked-reader input layer: whatever chunk
-//! sizes and transient errors the reader produces, `run_reader` must
+//! sizes and transient errors the reader produces, a streamed run must
 //! report exactly the matches the slice API reports — and never panic.
 
 mod common;
 
-use common::ChaosReader;
+use common::{stream, ChaosReader};
 use rsq::datagen::{Dataset, GenConfig};
 use rsq::{Engine, EngineOptions, LimitKind, PositionsSink, Query, RunError};
 
@@ -38,7 +38,7 @@ fn corpus() -> Vec<Vec<u8>> {
 
 fn reader_positions(engine: &Engine, reader: ChaosReader<'_>) -> Result<Vec<usize>, RunError> {
     let mut sink = PositionsSink::new();
-    engine.run_reader(reader, &mut sink)?;
+    stream(engine, reader, &mut sink)?;
     Ok(sink.into_positions())
 }
 

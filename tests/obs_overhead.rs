@@ -8,7 +8,7 @@
 
 use rsq::datagen::{Dataset, GenConfig};
 use rsq::engine::{PositionsSink, ProfileStats, RunStats};
-use rsq::{Engine, EngineOptions, Query};
+use rsq::{Engine, EngineOptions, Input, Query};
 
 /// The generated document's size.
 const DOC_BYTES: usize = if cfg!(feature = "slow-tests") {
@@ -95,7 +95,7 @@ fn profile_collection_never_changes_matches_or_tier_a_stats() {
         let mut profile = ProfileStats::new();
         // The route reaches no recorder hook: the caller copies it in.
         profile.stats.route = engine
-            .try_run_with_recorder(&doc, &mut sink, &mut profile)
+            .exec(Input::Slice(&doc), &mut sink, &mut profile)
             .unwrap();
         let with_profile = sink.into_positions();
 

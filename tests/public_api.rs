@@ -75,7 +75,8 @@ fn sinks_compose_with_custom_impls() {
     let engine = Engine::from_text("$..target").unwrap();
     let doc = br#"{"x": 1, "target": 2, "y": {"target": 3}}"#;
     let mut sink = FirstMatch(None);
-    engine.run(doc, &mut sink);
+    let route = engine.exec(rsq::Input::Slice(doc), &mut sink, &mut rsq::engine::NoStats);
+    assert!(route.is_ok(), "a sink's stop is no error");
     assert_eq!(sink.0.map(|p| doc[p]), Some(b'2'));
 }
 

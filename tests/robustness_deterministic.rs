@@ -6,8 +6,8 @@
 
 mod common;
 
-use common::ChaosReader;
-use rsq::{CountSink, Engine, EngineOptions, LimitKind, Query, RunError, Sink, SinkFull};
+use common::{count_slice, stream, ChaosReader};
+use rsq::{CountSink, Engine, EngineOptions, Input, LimitKind, Query, RunError, Sink, SinkFull};
 
 fn engines() -> Vec<Engine> {
     let d = EngineOptions::default();
@@ -70,10 +70,10 @@ fn structural_only_garbage() {
             let _ = engine.count(case);
             // Fallible API: never panics, and errors (if any) are the
             // structured kind, not unwinds.
-            let _ = engine.try_count(case);
+            let _ = count_slice(&engine, case);
             // Reader path, chunked adversarially.
             let mut sink = CountSink::new();
-            let _ = engine.run_reader(ChaosReader::new(case, 17), &mut sink);
+            let _ = stream(&engine, ChaosReader::new(case, 17), &mut sink);
         }
     }
 }
@@ -99,7 +99,7 @@ fn strict_mode_returns_structured_errors_on_garbage() {
         b"[{\"x\": ]1}",
         b"\x00\x01\x02{\"a\":1}\xff\xfe", // leading garbage = no bracketed root + trailing bytes
     ] {
-        let err = engine.try_count(case).unwrap_err();
+        let err = count_slice(&engine, case).unwrap_err();
         assert!(
             matches!(err, RunError::Malformed(_)),
             "{:?} gave {err}",
@@ -110,7 +110,7 @@ fn strict_mode_returns_structured_errors_on_garbage() {
     // pass through to best-effort matching.
     for case in [b"{\"a\":}".as_slice(), b"{:1}", b"[,]"] {
         assert!(
-            engine.try_count(case).is_ok(),
+            count_slice(&engine, case).is_ok(),
             "{:?}",
             String::from_utf8_lossy(case)
         );
@@ -126,7 +126,7 @@ fn million_deep_document_trips_default_depth_limit() {
     // accounting trips at the default limit — on the slice and while the
     // document streams in alike.
     let engine = Engine::from_text("$..*").unwrap();
-    let err = engine.try_count(&doc).unwrap_err();
+    let err = count_slice(&engine, &doc).unwrap_err();
     assert!(err.is_limit(LimitKind::Depth), "{err}");
     match err {
         RunError::LimitExceeded { limit, .. } => {
@@ -134,20 +134,16 @@ fn million_deep_document_trips_default_depth_limit() {
         }
         other => panic!("unexpected: {other}"),
     }
-    let err = engine
-        .run_reader(ChaosReader::new(&doc, 23), &mut CountSink::new())
-        .unwrap_err();
+    let err = stream(&engine, ChaosReader::new(&doc, 23), &mut CountSink::new()).unwrap_err();
     assert!(err.is_limit(LimitKind::Depth), "{err}");
 
     // `$..a` leapfrogs to a label the document lacks and traverses
     // nothing: no path trips, unless `--strict` holds the whole document
     // to the limit, for any query.
     let engine = Engine::from_text("$..a").unwrap();
-    assert_eq!(engine.try_count(&doc).unwrap(), 0);
+    assert_eq!(count_slice(&engine, &doc).unwrap(), 0);
     let mut sink = CountSink::new();
-    engine
-        .run_reader(ChaosReader::new(&doc, 23), &mut sink)
-        .unwrap();
+    stream(&engine, ChaosReader::new(&doc, 23), &mut sink).unwrap();
     assert_eq!(sink.count(), 0);
     let strict = Engine::with_options(
         &Query::parse("$..a").unwrap(),
@@ -157,9 +153,7 @@ fn million_deep_document_trips_default_depth_limit() {
         },
     )
     .unwrap();
-    let err = strict
-        .run_reader(ChaosReader::new(&doc, 23), &mut CountSink::new())
-        .unwrap_err();
+    let err = stream(&strict, ChaosReader::new(&doc, 23), &mut CountSink::new()).unwrap_err();
     assert!(err.is_limit(LimitKind::Depth), "{err}");
 
     // The lenient API survives the same document without panicking.
@@ -175,7 +169,7 @@ fn million_deep_document_trips_default_depth_limit() {
 /// for every query while the bytes arrive, an endless source included.
 #[test]
 fn one_depth_rule_on_every_input_path() {
-    use rsq::engine::{NoStats, Streamed};
+    use rsq::engine::NoStats;
     let deep = [
         &br#"{"a": "#[..],
         &[b'['; 2000],
@@ -203,28 +197,32 @@ fn one_depth_rule_on_every_input_path() {
         };
         let engine = Engine::from_text(query).unwrap();
         let mut sink = CountSink::new();
-        verdict(engine.try_run(doc, &mut sink), sink, "slice");
+        let run = engine.exec(Input::Slice(doc), &mut sink, &mut NoStats);
+        verdict(run.map(drop), sink, "slice");
         for seed in [1, 2] {
             let mut sink = CountSink::new();
-            let run = engine.run_reader(ChaosReader::new(doc, seed), &mut sink);
+            let run = stream(&engine, ChaosReader::new(doc, seed), &mut sink);
             verdict(run, sink, "reader");
         }
+        let pages = || Input::Pages {
+            file: &file,
+            start: 0,
+            len: doc.len(),
+            deadline: None,
+        };
         let mut sink = CountSink::new();
-        let run =
-            engine.try_run_mapped_with_recorder(&file, 0, doc.len(), &mut sink, &mut NoStats, None);
+        let run = engine.exec(pages(), &mut sink, &mut NoStats);
         verdict(run.map(drop), sink, "mapped");
         for window in [64, 100, 256] {
             let mut sink = CountSink::new();
-            let run =
-                engine.run_windowed(Streamed::Reader(&doc[..]), &mut sink, &mut NoStats, window);
+            let copied = Input::Reader {
+                reader: &mut &doc[..],
+                deadline: None,
+            };
+            let run = engine.run_windowed(copied, &mut sink, &mut NoStats, window);
             verdict(run.map(drop), sink, "copied windows");
             let mut sink = CountSink::new();
-            let mapped: Streamed<'_, &[u8]> = Streamed::Mapped {
-                file: &file,
-                start: 0,
-                len: doc.len(),
-            };
-            let run = engine.run_windowed(mapped, &mut sink, &mut NoStats, window);
+            let run = engine.run_windowed(pages(), &mut sink, &mut NoStats, window);
             verdict(run.map(drop), sink, "mapped windows");
         }
 
@@ -236,19 +234,10 @@ fn one_depth_rule_on_every_input_path() {
             },
         )
         .unwrap();
-        let err = strict
-            .run_reader(ChaosReader::new(doc, 3), &mut CountSink::new())
-            .unwrap_err();
+        let err = stream(&strict, ChaosReader::new(doc, 3), &mut CountSink::new()).unwrap_err();
         assert!(err.is_limit(LimitKind::Depth), "{context} strict: {err}");
         let err = strict
-            .try_run_mapped_with_recorder(
-                &file,
-                0,
-                doc.len(),
-                &mut CountSink::new(),
-                &mut NoStats,
-                None,
-            )
+            .exec(pages(), &mut CountSink::new(), &mut NoStats)
             .unwrap_err();
         assert!(
             err.is_limit(LimitKind::Depth),
@@ -273,9 +262,7 @@ fn one_depth_rule_on_every_input_path() {
         },
     )
     .unwrap();
-    let err = strict
-        .run_reader(Openers, &mut CountSink::new())
-        .unwrap_err();
+    let err = stream(&strict, Openers, &mut CountSink::new()).unwrap_err();
     assert!(err.is_limit(LimitKind::Depth), "{err}");
 }
 
@@ -285,15 +272,15 @@ fn depth_limit_is_configurable_and_exact() {
     let doc = br#"{"a": {"b": {"c": 1}}}"#;
     let query = Query::parse("$..*").unwrap();
     let at = |max_depth| {
-        Engine::with_options(
+        let engine = Engine::with_options(
             &query,
             EngineOptions {
                 max_depth,
                 ..EngineOptions::default()
             },
         )
-        .unwrap()
-        .try_count(doc)
+        .unwrap();
+        count_slice(&engine, doc)
     };
     assert_eq!(at(3).unwrap(), 3);
     assert!(at(2).unwrap_err().is_limit(LimitKind::Depth));
@@ -311,7 +298,7 @@ fn label_limit_guards_examined_labels() {
         },
     )
     .unwrap();
-    let err = engine.try_count(doc).unwrap_err();
+    let err = count_slice(&engine, doc).unwrap_err();
     assert!(err.is_limit(LimitKind::LabelBytes), "{err}");
 
     // Generous limit: passes.
@@ -323,7 +310,7 @@ fn label_limit_guards_examined_labels() {
         },
     )
     .unwrap();
-    assert_eq!(engine.try_count(doc).unwrap(), 1);
+    assert_eq!(count_slice(&engine, doc).unwrap(), 1);
 }
 
 #[test]
@@ -368,7 +355,10 @@ fn sink_early_stop_is_clean_not_an_error() {
         left: 2,
         got: Vec::new(),
     };
-    engine.try_run(doc, &mut sink).unwrap(); // NOT an error
+    let input = Input::Slice(doc);
+    engine
+        .exec(input, &mut sink, &mut rsq::engine::NoStats)
+        .unwrap(); // NOT an error
     assert_eq!(sink.got, engine.positions(doc)[..2].to_vec());
 }
 
@@ -382,9 +372,9 @@ fn document_byte_limit_applies_to_slices_up_front() {
         },
     )
     .unwrap();
-    let err = engine.try_count(br#"{"a": [1, 2, 3]}"#).unwrap_err();
+    let err = count_slice(&engine, br#"{"a": [1, 2, 3]}"#).unwrap_err();
     assert!(err.is_limit(LimitKind::DocumentBytes), "{err}");
-    assert_eq!(engine.try_count(b"{...a..}").unwrap(), 0); // exactly 8 bytes: allowed
+    assert_eq!(count_slice(&engine, b"{...a..}").unwrap(), 0); // exactly 8 bytes: allowed
 }
 
 /// Regression guards for the two `expect`s removed from the hot paths
@@ -422,7 +412,11 @@ fn label_seek_and_head_start_paths_stay_correct() {
         },
     ] {
         let engine = Engine::with_options(&query, options).unwrap();
-        assert_eq!(engine.try_count(doc.as_bytes()).unwrap(), 1, "{options:?}");
+        assert_eq!(
+            count_slice(&engine, doc.as_bytes()).unwrap(),
+            1,
+            "{options:?}"
+        );
     }
 }
 

@@ -5,9 +5,9 @@
 
 mod common;
 
-use common::ChaosReader;
+use common::{count_slice, stream, ChaosReader};
 use rsq::datagen::{Dataset, GenConfig};
-use rsq::{CountSink, Engine, EngineOptions, PositionsSink, Query};
+use rsq::{Engine, EngineOptions, PositionsSink, Query};
 
 fn configs() -> [EngineOptions; 4] {
     let d = EngineOptions::default();
@@ -54,10 +54,9 @@ fn every_cut_offset_is_survivable() {
         let truncated = &doc[..cut];
         for engines in &queries {
             for engine in engines {
-                let mut sink = CountSink::new();
                 // Lenient slice path: must not panic; the error channel
                 // (if a limit trips) must be clean.
-                let _ = engine.try_run(truncated, &mut sink);
+                let _ = count_slice(engine, truncated);
             }
         }
     }
@@ -75,9 +74,7 @@ fn every_cut_offset_reader_path_matches_slice() {
         let truncated = &doc[..cut];
         let expected = engine.try_positions(truncated).unwrap();
         let mut sink = PositionsSink::new();
-        engine
-            .run_reader(ChaosReader::new(truncated, cut as u64), &mut sink)
-            .unwrap();
+        stream(&engine, ChaosReader::new(truncated, cut as u64), &mut sink).unwrap();
         assert_eq!(sink.into_positions(), expected, "cut {cut}");
     }
 }
