@@ -7,79 +7,87 @@
 //!
 //! Generated documents have unique keys per object, matching the
 //! assumption behind sibling skipping (RFC 8259 SHOULD; see §3.3).
+//!
+//! Case `n` draws its document and query from `StdRng::seed_from_u64(n)`,
+//! so a failure names the seed that replays it.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rsq_baselines::{positions as oracle_positions, SkiEngine, SurferEngine};
 use rsq_engine::{Engine, EngineOptions, PositionsSink};
-use rsq_json::{Key, Span, ValueKind, ValueNode};
+use rsq_json::{Key, Number, Span, ValueKind, ValueNode};
 use rsq_query::{Query, Selector};
+use std::collections::BTreeMap;
 
 const LABELS: [&str; 5] = ["a", "b", "c", "dd", "a b"];
 
-fn leaf() -> impl Strategy<Value = ValueNode> {
-    let kind = prop_oneof![
-        Just(ValueKind::Null),
-        any::<bool>().prop_map(ValueKind::Bool),
-        (-99i64..100).prop_map(|n| ValueKind::Number(rsq_json::Number::from_raw(n.to_string()))),
-        // Strings with structural lookalikes, escaped quotes and label text.
-        prop_oneof![
-            Just(r#"x"#.to_owned()),
-            Just(r#"{\"a\": 1}"#.to_owned()),
-            Just(r#"[,:]}"#.to_owned()),
-            Just(r#"\\"#.to_owned()),
-            Just(r#"\"b\":"#.to_owned()),
-            Just("żółć".to_owned()),
-        ]
-        .prop_map(ValueKind::String),
-    ];
-    kind.prop_map(|kind| ValueNode {
-        kind,
-        span: Span { start: 0, end: 0 },
-    })
-}
+const NO_SPAN: Span = Span { start: 0, end: 0 };
 
-fn arb_doc() -> impl Strategy<Value = ValueNode> {
-    leaf().prop_recursive(5, 80, 5, |inner| {
-        prop_oneof![
-            proptest::collection::vec(inner.clone(), 0..5).prop_map(|items| ValueNode {
-                kind: ValueKind::Array(items),
-                span: Span { start: 0, end: 0 },
-            }),
-            // Unique keys per object: sample a subset of the label pool.
-            proptest::collection::btree_map(0usize..LABELS.len(), inner, 0..5).prop_map(
-                |members| ValueNode {
-                    kind: ValueKind::Object(
-                        members
-                            .into_iter()
-                            .map(|(k, v)| {
-                                (
-                                    Key {
-                                        text: LABELS[k].to_owned(),
-                                        span: Span { start: 0, end: 0 },
-                                    },
-                                    v,
-                                )
-                            })
-                            .collect(),
-                    ),
-                    span: Span { start: 0, end: 0 },
-                }
+/// A document at most `depth` containers deep: a leaf one time in three,
+/// else an array or object of up to four members.
+fn doc(rng: &mut StdRng, depth: u32) -> ValueNode {
+    let kind = if depth == 0 || rng.gen_range(0..3) == 0 {
+        match rng.gen_range(0..4) {
+            0 => ValueKind::Null,
+            1 => ValueKind::Bool(rng.gen()),
+            2 => ValueKind::Number(Number::from_raw(rng.gen_range(-99i64..100).to_string())),
+            // Strings with structural lookalikes, escaped quotes and label
+            // text.
+            _ => ValueKind::String(
+                [
+                    r#"x"#,
+                    r#"{\"a\": 1}"#,
+                    r#"[,:]}"#,
+                    r#"\\"#,
+                    r#"\"b\":"#,
+                    "żółć",
+                ][rng.gen_range(0..6)]
+                .to_owned(),
             ),
-        ]
-    })
+        }
+    } else if rng.gen() {
+        ValueKind::Array(
+            (0..rng.gen_range(0..5))
+                .map(|_| doc(rng, depth - 1))
+                .collect(),
+        )
+    } else {
+        // Unique keys per object: a subset of the label pool.
+        let mut members = BTreeMap::new();
+        for _ in 0..rng.gen_range(0..5) {
+            members.insert(rng.gen_range(0..LABELS.len()), doc(rng, depth - 1));
+        }
+        let members = members.into_iter().map(|(k, v)| {
+            let text = LABELS[k].to_owned();
+            (
+                Key {
+                    text,
+                    span: NO_SPAN,
+                },
+                v,
+            )
+        });
+        ValueKind::Object(members.collect())
+    };
+    ValueNode {
+        kind,
+        span: NO_SPAN,
+    }
 }
 
-fn arb_query() -> impl Strategy<Value = Query> {
-    let label = prop_oneof![Just("a"), Just("b"), Just("c"), Just("dd"), Just("zz")];
-    let selector = prop_oneof![
-        3 => label.clone().prop_map(|l| Selector::Child(l.to_owned())),
-        2 => Just(Selector::ChildWildcard),
-        3 => label.prop_map(|l| Selector::Descendant(l.to_owned())),
-        1 => Just(Selector::DescendantWildcard),
-        2 => (0u64..4).prop_map(Selector::Index),
-        1 => (0u64..3).prop_map(Selector::DescendantIndex),
-    ];
-    proptest::collection::vec(selector, 0..5).prop_map(Query::from_selectors)
+fn query(rng: &mut StdRng) -> Query {
+    let selectors = (0..rng.gen_range(0..5)).map(|_| {
+        let label = ["a", "b", "c", "dd", "zz"][rng.gen_range(0..5)].to_owned();
+        match rng.gen_range(0..12) {
+            0..=2 => Selector::Child(label),
+            3..=4 => Selector::ChildWildcard,
+            5..=7 => Selector::Descendant(label),
+            8 => Selector::DescendantWildcard,
+            9..=10 => Selector::Index(rng.gen_range(0..4)),
+            _ => Selector::DescendantIndex(rng.gen_range(0..3)),
+        }
+    });
+    Query::from_selectors(selectors.collect())
 }
 
 /// Serializes with random-ish whitespace so block boundaries move around.
@@ -113,74 +121,80 @@ fn serialize_spaced(doc: &ValueNode, pad: usize) -> String {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-    #[test]
-    fn engines_agree_with_oracle(
-        doc in arb_doc(),
-        query in arb_query(),
-        pad in 0usize..3,
-    ) {
-        let text = serialize_spaced(&doc, pad);
+#[test]
+fn engines_agree_with_oracle() {
+    for case in 0..256 {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let (doc, query) = (doc(rng, 5), query(rng));
+        let text = serialize_spaced(&doc, rng.gen_range(0..3));
         let bytes = text.as_bytes();
-        let parsed = rsq_json::parse(bytes).expect("generated JSON is valid");
+        let what = format!("case {case}: {query} on {text}");
+        let parsed = rsq_json::parse(bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
         let expected = oracle_positions(&query, &parsed);
 
         // The SIMD engine under default options and with each feature off.
         let d = EngineOptions::default();
         for options in [
             d,
-            EngineOptions { skip_leaves: false, ..d },
-            EngineOptions { skip_children: false, ..d },
-            EngineOptions { skip_siblings: false, ..d },
-            EngineOptions { head_start: false, ..d },
-            EngineOptions { sparse_stack: false, ..d },
-            EngineOptions { backend: Some(rsq_simd::BackendKind::Swar), ..d },
+            EngineOptions {
+                skip_leaves: false,
+                ..d
+            },
+            EngineOptions {
+                skip_children: false,
+                ..d
+            },
+            EngineOptions {
+                skip_siblings: false,
+                ..d
+            },
+            EngineOptions {
+                head_start: false,
+                ..d
+            },
+            EngineOptions {
+                sparse_stack: false,
+                ..d
+            },
+            EngineOptions {
+                backend: Some(rsq_simd::BackendKind::Swar),
+                ..d
+            },
         ] {
-            let engine = Engine::with_options(&query, options).unwrap();
-            prop_assert_eq!(
-                engine.positions(bytes),
-                expected.as_slice(),
-                "engine {:?} on {} with {}",
-                options, text, query
-            );
+            let engine = Engine::with_options(&query, options);
+            let engine = engine.unwrap_or_else(|e| panic!("{what}: {e}"));
+            let got = engine.positions(bytes);
+            assert_eq!(got, expected, "{what}: engine {options:?}");
         }
 
         // The scalar surfer baseline.
-        let surfer = SurferEngine::from_query(&query).unwrap();
-        prop_assert_eq!(
-            surfer.positions(bytes),
-            expected.as_slice(),
-            "surfer on {} with {}",
-            text, query
-        );
+        let surfer = SurferEngine::from_query(&query);
+        let surfer = surfer.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(surfer.positions(bytes), expected, "{what}: surfer");
     }
+}
 
-    /// JSONSki-style engine agrees with an oracle restricted to its
-    /// non-idiomatic wildcard (array entries only).
-    #[test]
-    fn ski_agrees_with_restricted_oracle(
-        doc in arb_doc(),
-        query in arb_query(),
-        pad in 0usize..2,
-    ) {
+/// JSONSki-style engine agrees with an oracle restricted to its
+/// non-idiomatic wildcard (array entries only).
+#[test]
+fn ski_agrees_with_restricted_oracle() {
+    for case in 0..256 {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let (doc, query) = (doc(rng, 5), query(rng));
         if query.has_descendants() {
-            prop_assert!(SkiEngine::from_query(&query).is_err());
-            return Ok(());
+            let refused = SkiEngine::from_query(&query).is_err();
+            assert!(refused, "case {case}: ski ran {query}");
+            continue;
         }
-        let text = serialize_spaced(&doc, pad);
+        let text = serialize_spaced(&doc, rng.gen_range(0..2));
         let bytes = text.as_bytes();
-        let parsed = rsq_json::parse(bytes).expect("generated JSON is valid");
+        let what = format!("case {case}: {query} on {text}");
+        let parsed = rsq_json::parse(bytes).unwrap_or_else(|e| panic!("{what}: {e}"));
         let expected = ski_oracle(&query, &parsed);
-        let ski = SkiEngine::from_query(&query).unwrap();
+        let ski = SkiEngine::from_query(&query).unwrap_or_else(|e| panic!("{what}: {e}"));
         let mut sink = PositionsSink::new();
         ski.run(bytes, &mut sink);
-        prop_assert_eq!(
-            sink.positions(),
-            expected.as_slice(),
-            "ski on {} with {}",
-            text, query
-        );
+        assert_eq!(sink.positions(), expected, "{what}: ski");
     }
 }
 

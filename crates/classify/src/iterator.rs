@@ -444,6 +444,26 @@ impl<'a, B: Backend> StructuralIterator<'a, B> {
         self.cursor.end()
     }
 
+    /// Marks a walk that stops because nothing in the rest of the input
+    /// can match. A slice's run ends there; a stream reports it through
+    /// [`exited`](Self::exited), so that its driver attributes the bytes
+    /// it reads afterwards to the `exit` elision.
+    #[inline(always)]
+    pub fn exit(&mut self) {
+        if let Some(stream) = &mut self.cursor.stream {
+            stream.exited = true;
+        }
+    }
+
+    /// Whether a streamed walk was [`exit`](Self::exit)ed.
+    #[must_use]
+    pub fn exited(&self) -> bool {
+        self.cursor
+            .stream
+            .as_ref()
+            .is_some_and(|stream| stream.exited)
+    }
+
     /// The byte at `pos`, which must be held.
     #[inline(always)]
     pub(crate) fn byte(&self, pos: usize) -> u8 {

@@ -105,6 +105,8 @@ pub(crate) struct Stream<'a> {
     /// read: the value of an atomic document, which a long one may have
     /// dropped by the time the walk ends.
     first_nonws: Option<usize>,
+    /// The walk stopped early: nothing in the rest can match.
+    pub(crate) exited: bool,
 }
 
 impl fmt::Debug for Stream<'_> {
@@ -123,6 +125,7 @@ impl<'a> Stream<'a> {
             window: window.max(1),
             eof: false,
             first_nonws: None,
+            exited: false,
         }
     }
 

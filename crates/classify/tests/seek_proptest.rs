@@ -20,8 +20,12 @@
 //! convention (the escaped quote reads as a needle-opening quote), and
 //! both routes resolve it the same way — that corner belongs to the
 //! `fast_path_diff` fuzz lane, not to this oracle.
+//!
+//! The random case `n` draws its document from `StdRng::seed_from_u64(n)`,
+//! so a failure names the seed that replays it.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rsq_classify::{LabelSeeker, Seek, SeekScope, Structural, StructuralIterator};
 use rsq_memmem::Finder;
 use rsq_simd::{BackendKind, Simd};
@@ -168,8 +172,9 @@ fn oracle(doc: &[u8], label: &[u8], from: usize, scope: Scope) -> Expected {
 
 /// Seeks `label` after consuming `openings` opening characters (which must
 /// be the document's first events), under the member scope and the subtree
-/// scope at every level the starting depth allows.
-fn check(doc: &[u8], label: &str, openings: usize) -> Result<(), TestCaseError> {
+/// scope at every level the starting depth allows. `case` names the input
+/// in every failure.
+fn check(doc: &[u8], label: &str, openings: usize, case: &str) {
     let needle = format!("\"{label}\"");
     let needle = needle.as_bytes();
     let mut scopes = vec![Scope::member(false), Scope::member(true), Scope::document()];
@@ -177,46 +182,51 @@ fn check(doc: &[u8], label: &str, openings: usize) -> Result<(), TestCaseError> 
     for scope in scopes {
         for simd in BackendKind::supported().map(Simd::with_kind) {
             for prewarm in [false, true] {
+                let context = format!(
+                    "{case}: {scope:?} backend={:?} prewarm={prewarm} doc={}",
+                    simd.kind(),
+                    String::from_utf8_lossy(doc)
+                );
                 let mut seeker = LabelSeeker::new(Finder::with_backend(needle, simd));
                 if prewarm {
                     seeker.candidate_from(doc, 0);
                 }
                 let mut it = StructuralIterator::new(doc, simd);
                 for _ in 0..openings {
-                    prop_assert!(matches!(it.next(), Some(Structural::Opening(..))));
+                    let opening = it.next();
+                    assert!(
+                        matches!(opening, Some(Structural::Opening(..))),
+                        "{context}"
+                    );
                 }
                 let from = it.position();
                 let expect = oracle(doc, label.as_bytes(), from, scope);
                 let (got, declined) = it.seek(scope.seek, &mut seeker);
-                let context = format!(
-                    "{scope:?} backend={:?} prewarm={prewarm} doc={}",
-                    simd.kind(),
-                    String::from_utf8_lossy(doc)
-                );
-                prop_assert_eq!(got, expect.outcome, "{}", context);
+                assert_eq!(got, expect.outcome, "{context}");
                 match got {
                     Seek::Composite { .. } => {
-                        let next = it.next().expect("value opening pending");
-                        prop_assert!(next.is_opening(), "{}", context);
-                        prop_assert_eq!(Some(next.position()), expect.pending, "{}", context);
+                        let next = it.next();
+                        let next = next.unwrap_or_else(|| panic!("{context}: no opening"));
+                        assert!(next.is_opening(), "{context}");
+                        assert_eq!(Some(next.position()), expect.pending, "{context}");
                     }
-                    Seek::Atomic { pos } => prop_assert_eq!(it.position(), pos, "{}", context),
+                    Seek::Atomic { pos } => assert_eq!(it.position(), pos, "{context}"),
                     Seek::Boundary => {
-                        let next = it.next().expect("closing character pending");
-                        prop_assert!(matches!(next, Structural::Closing(..)), "{}", context);
-                        prop_assert_eq!(Some(next.position()), expect.pending, "{}", context);
+                        let next = it.next();
+                        let next = next.unwrap_or_else(|| panic!("{context}: no closing"));
+                        assert!(matches!(next, Structural::Closing(..)), "{context}");
+                        assert_eq!(Some(next.position()), expect.pending, "{context}");
                     }
-                    Seek::End => prop_assert_eq!(it.next(), None, "{}", context),
+                    Seek::End => assert_eq!(it.next(), None, "{context}"),
                 }
                 let passed_over = doc[from..expect.stop]
                     .windows(needle.len())
                     .filter(|w| *w == needle)
                     .count();
-                prop_assert_eq!(declined, passed_over as u64, "{}", context);
+                assert_eq!(declined, passed_over as u64, "{context}");
             }
         }
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -228,73 +238,82 @@ fn check(doc: &[u8], label: &str, openings: usize) -> Result<(), TestCaseError> 
 /// even surface as candidates.
 const DECOY_LABELS: &[&str] = &["a", "b", "dd", "x y", "tar", "target2", "ta\\rget"];
 
-fn arb_adversarial_string() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just(r#""plain value""#.to_string()),
+fn adversarial_string(rng: &mut StdRng) -> String {
+    let fixed = [
+        r#""plain value""#,
         // Escaped-quote prefix: the raw bytes `"target"` appear, with the
         // needle's closing quote doubling as the string's terminator — a
         // candidate that must fail the colon check.
-        Just(r#""x\"target""#.to_string()),
-        Just(r#""\"target\" in quotes""#.to_string()),
+        r#""x\"target""#,
+        r#""\"target\" in quotes""#,
         // JSON-shaped text inside a string: label-with-colon lookalike.
-        Just(r#""{\"target\": 1}, \"y\": 2""#.to_string()),
+        r#""{\"target\": 1}, \"y\": 2""#,
         // The label as a string *value*: no colon follows.
-        Just(r#""target""#.to_string()),
+        r#""target""#,
         // Structural noise the depth scan must ignore.
-        Just(r#""}}}{{{,,::[[]]""#.to_string()),
-        Just(r#""trailing backslash\\""#.to_string()),
+        r#""}}}{{{,,::[[]]""#,
+        r#""trailing backslash\\""#,
+    ];
+    match fixed.get(rng.gen_range(0..fixed.len() + 1)) {
+        Some(s) => s.to_string(),
         // Padding sweeps later members across block edges.
-        (0usize..150).prop_map(|n| format!("\"{}\"", "q".repeat(n))),
-    ]
+        None => format!("\"{}\"", "q".repeat(rng.gen_range(0..150))),
+    }
 }
 
-fn arb_atomic() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("1".to_string()),
-        Just("-3.5e2".to_string()),
-        Just("true".to_string()),
-        Just("null".to_string()),
-        arb_adversarial_string(),
-    ]
+fn atomic(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..5) {
+        0 => "1".to_string(),
+        1 => "-3.5e2".to_string(),
+        2 => "true".to_string(),
+        3 => "null".to_string(),
+        _ => adversarial_string(rng),
+    }
 }
 
 /// Composite values, several of which bury a genuine `"target"` member
 /// one or two levels down.
-fn arb_composite() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("{}".to_string()),
-        Just("[]".to_string()),
-        Just(r#"{"target": {"n": 1}}"#.to_string()),
-        Just(r#"{"deep": {"target": [1, 2]}}"#.to_string()),
-        Just(r#"[{"target": 7}, "x\"target", 3]"#.to_string()),
-        Just(r#"[[{"k": [0]}], {"target": {"v": 1}}]"#.to_string()),
-        (arb_atomic(), arb_atomic()).prop_map(|(a, b)| format!(r#"{{"k": {a}, "target": {b}}}"#)),
-        proptest::collection::vec(arb_atomic(), 0..3).prop_map(|xs| format!("[{}]", xs.join(", "))),
-    ]
+fn composite(rng: &mut StdRng) -> String {
+    let fixed = [
+        "{}",
+        "[]",
+        r#"{"target": {"n": 1}}"#,
+        r#"{"deep": {"target": [1, 2]}}"#,
+        r#"[{"target": 7}, "x\"target", 3]"#,
+        r#"[[{"k": [0]}], {"target": {"v": 1}}]"#,
+    ];
+    match rng.gen_range(0..fixed.len() + 2) {
+        i if i < fixed.len() => fixed[i].to_string(),
+        i if i == fixed.len() => {
+            format!(r#"{{"k": {}, "target": {}}}"#, atomic(rng), atomic(rng))
+        }
+        _ => {
+            let xs: Vec<String> = (0..rng.gen_range(0..3)).map(|_| atomic(rng)).collect();
+            format!("[{}]", xs.join(", "))
+        }
+    }
 }
 
-fn arb_member() -> impl Strategy<Value = String> {
-    (
-        0u32..10,
-        0usize..DECOY_LABELS.len(),
-        prop_oneof![arb_atomic(), arb_composite()],
-        0usize..3,
-    )
-        .prop_map(|(roll, decoy, value, gap)| {
-            // ~30% of members are genuine `"target"` members.
-            let label = if roll < 3 {
-                "target"
-            } else {
-                DECOY_LABELS[decoy]
-            };
-            format!("\"{label}\":{}{value}", &"  "[..gap.min(2)])
-        })
+fn member(rng: &mut StdRng) -> String {
+    // ~30% of members are genuine `"target"` members.
+    let label = if rng.gen_range(0..10) < 3 {
+        "target"
+    } else {
+        DECOY_LABELS[rng.gen_range(0..DECOY_LABELS.len())]
+    };
+    let value = if rng.gen() {
+        atomic(rng)
+    } else {
+        composite(rng)
+    };
+    let gap = &"  "[..rng.gen_range(0..3)];
+    format!("\"{label}\":{gap}{value}")
 }
 
 /// The members of one object, separated, without the braces.
-fn arb_members() -> impl Strategy<Value = String> {
-    (proptest::collection::vec(arb_member(), 0..5), 0usize..3)
-        .prop_map(|(members, sep)| members.join([", ", ",", ",\n "][sep]))
+fn members(rng: &mut StdRng) -> String {
+    let members: Vec<String> = (0..rng.gen_range(0..5)).map(|_| member(rng)).collect();
+    members.join([", ", ",", ",\n "][rng.gen_range(0..3)])
 }
 
 /// Wraps `inner` (a value) as the *first* member of an object — directly,
@@ -312,24 +331,21 @@ fn nest(inner: &str, siblings: &str, in_array: bool) -> String {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// A chain of up to three objects (some through an array) around the
-    /// object the seek starts in: climbing `levels` finds the outer
-    /// objects' later members, at a negative depth delta.
-    #[test]
-    fn seek_agrees_with_oracle(
-        members in proptest::collection::vec(arb_members(), 1..4),
-        arrays in proptest::collection::vec(any::<bool>(), 3..4),
-    ) {
-        let mut doc = format!("{{{}}}", members[0]);
+/// A chain of up to three objects (some through an array) around the
+/// object the seek starts in: climbing `levels` finds the outer objects'
+/// later members, at a negative depth delta.
+#[test]
+fn seek_agrees_with_oracle() {
+    for case in 0..200 {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let mut doc = format!("{{{}}}", members(rng));
         let mut openings = 1;
-        for (siblings, &in_array) in members[1..].iter().zip(&arrays) {
-            doc = nest(&doc, siblings, in_array);
+        for _ in 1..rng.gen_range(1..4) {
+            let (siblings, in_array) = (members(rng), rng.gen());
+            doc = nest(&doc, &siblings, in_array);
             openings += 1 + usize::from(in_array);
         }
-        check(doc.as_bytes(), "target", openings)?;
+        check(doc.as_bytes(), "target", openings, &format!("case {case}"));
     }
 }
 
@@ -362,7 +378,7 @@ const CASES: &[(&str, usize)] = &[
 #[test]
 fn hand_written_cases() {
     for &(doc, openings) in CASES {
-        check(doc.as_bytes(), "target", openings).unwrap();
+        check(doc.as_bytes(), "target", openings, "hand-written");
     }
 }
 
@@ -374,11 +390,11 @@ fn straddle_sweep() {
     for pad in 0..=330 {
         let q = "q".repeat(pad);
         let hit = format!(r#"{{"p": "{q}", "target": {{"v": 1}}, "z": 0}}"#);
-        check(hit.as_bytes(), "target", 1).unwrap();
+        check(hit.as_bytes(), "target", 1, "straddle");
         let atomic = format!(r#"{{"p": "{q}", "target": 1, "target": [2]}}"#);
-        check(atomic.as_bytes(), "target", 1).unwrap();
+        check(atomic.as_bytes(), "target", 1, "straddle");
         let above = format!(r#"{{"n": {{"p": "{q}"}}, "target"  : {{"v": 1}}}}"#);
-        check(above.as_bytes(), "target", 2).unwrap();
+        check(above.as_bytes(), "target", 2, "straddle");
     }
 }
 
@@ -392,7 +408,7 @@ fn label_longer_than_a_block() {
             r#"{{"p": "{}", "s": "\"{label}\": {{", "{label}": {{"v": 1}}}}"#,
             "q".repeat(pad)
         );
-        check(doc.as_bytes(), &label, 1).unwrap();
+        check(doc.as_bytes(), &label, 1, "long label");
     }
 }
 

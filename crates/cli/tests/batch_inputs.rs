@@ -3,7 +3,8 @@
 //! on either side of its threshold, stdin redirected from the file, stdin
 //! a pipe — stdout, the stderr diagnostics (`document N: …` ordinals
 //! included) and the exit status are the same, in every output mode and
-//! at one and two threads.
+//! at one and two threads. `--batch-dir` answers the same under every
+//! `--mmap` policy.
 
 use std::fs::File;
 use std::io::Write;
@@ -197,4 +198,50 @@ fn auto_agrees_on_either_side_of_its_threshold() {
         assert_eq!(stderr.lines().count(), lines / 8_000 + 1);
         assert_eq!(status, Some(5));
     }
+}
+
+/// Three documents above the 1 MiB `--mmap auto` threshold through
+/// `--batch-dir`: mapped (`on`, and `auto` at this size) and copied
+/// (`off`), the output is the same bytes.
+#[test]
+fn batch_dir_answers_alike_mapped_and_copied() {
+    let dir = std::env::temp_dir().join(format!("rsq-batch-dir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let records = |record: &dyn Fn(usize) -> String| {
+        let mut doc = String::from("[");
+        for i in 0.. {
+            if doc.len() > (1 << 20) + 4096 {
+                break;
+            }
+            doc += &format!("{}{}", if i > 0 { "," } else { "" }, record(i));
+        }
+        doc + "]"
+    };
+    // Flat, nested, and with ids only inside strings and escapes.
+    let docs = [
+        records(&|i| format!(r#"{{"id": {i}, "name": "n{i}", "tags": [1, 2]}}"#)),
+        records(&|i| {
+            format!(r#"{{"item": {{"meta": {{"id": "{i}"}}, "list": [{{"id": [{i}]}}]}}}}"#)
+        }),
+        records(&|i| format!(r#"{{"s": "\"id\": {i}", "v": {{"x": [{i}, "id"]}}, "id": null}}"#)),
+    ];
+    for (name, doc) in ["a.json", "b.json", "c.json"].iter().zip(&docs) {
+        std::fs::write(dir.join(name), doc).expect("document written");
+    }
+    let run = |policy: &str| {
+        let out = Command::new(BIN)
+            .args(["--count", "--mmap", policy, "--batch-dir"])
+            .arg(&dir)
+            .arg("$..id")
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "--mmap {policy}: {out:?}");
+        out.stdout
+    };
+    let (copied, mapped, auto) = (run("off"), run("on"), run("auto"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let counts = String::from_utf8(copied.clone()).expect("utf-8 stdout");
+    assert_eq!(counts.lines().filter(|n| *n != "0").count(), 3, "{counts}");
+    assert_eq!(mapped, copied);
+    assert_eq!(auto, copied);
 }

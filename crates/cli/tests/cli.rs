@@ -7,6 +7,12 @@ use std::process::{Command, Output, Stdio};
 const BIN: &str = env!("CARGO_BIN_EXE_rsq");
 
 fn rsq(args: &[&str], stdin: Option<&[u8]>) -> Output {
+    rsq_fed(args, stdin, 7)
+}
+
+/// Runs the binary with `stdin`, if any, written `chunk` bytes at a time,
+/// so that its reader sees many short reads rather than one big one.
+fn rsq_fed(args: &[&str], stdin: Option<&[u8]>, chunk: usize) -> Output {
     let mut child = Command::new(BIN)
         .args(args)
         .stdin(if stdin.is_some() {
@@ -19,12 +25,10 @@ fn rsq(args: &[&str], stdin: Option<&[u8]>) -> Output {
         .spawn()
         .expect("binary spawns");
     if let Some(bytes) = stdin {
-        // Feed the document in small fragments so the reader sees many
-        // short reads rather than one big one. The child may exit before
-        // draining stdin (bad query, tripped limit) — a broken pipe here
-        // is expected, not a test failure.
+        // The child may exit before draining stdin (bad query, tripped
+        // limit) — a broken pipe here is expected, not a test failure.
         let mut pipe = child.stdin.take().expect("stdin piped");
-        for chunk in bytes.chunks(7) {
+        for chunk in bytes.chunks(chunk) {
             if pipe.write_all(chunk).and_then(|()| pipe.flush()).is_err() {
                 break;
             }
@@ -309,6 +313,32 @@ fn batch_ndjson_matches_sequential_loop_across_thread_counts() {
             assert_eq!(stdout(&out), expected, "threads={threads}");
         }
     });
+}
+
+/// The serve protocol over a pipe: a corpus with a CRLF line, a blank
+/// line, an escaped newline inside a string and no trailing newline,
+/// written three bytes at a time so that the incremental framer's reads
+/// cross escapes and CRLFs, is answered byte for byte as `--batch-ndjson`
+/// answers it, with a clean drain (exit 0, nothing on stderr). The
+/// default worker count, `--threads 1` (every document on the
+/// connection's thread) and `--threads 3` (two helpers, so that answers
+/// finish out of order) alike.
+#[test]
+fn serve_answers_as_batch_does_under_three_byte_writes() {
+    const CORPUS: &[u8] =
+        b"{\"a\": {\"b\": 1}}\n{\"b\": [1, 2, 3]}\r\n\n{\"b\": \"x\\ny\"}\n{\"c\": 0}";
+    let corpus = TempFile::new("serve-smoke.ndjson", CORPUS);
+    let path = corpus.0.to_str().expect("utf-8 temp path");
+    let batch = rsq(&["--count", "$..b", "--batch-ndjson", path], None);
+    assert_eq!(batch.status.code(), Some(0), "stderr: {}", stderr(&batch));
+    assert_eq!(stdout(&batch), "1\n1\n1\n0\n");
+    for threads in [&[][..], &["--threads", "1"], &["--threads", "3"]] {
+        let args = [&["--serve", "--count", "$..b"], threads].concat();
+        let served = rsq_fed(&args, Some(CORPUS), 3);
+        assert_eq!(stdout(&served), stdout(&batch), "{args:?}");
+        assert_eq!(stderr(&served), "", "{args:?}");
+        assert_eq!(served.status.code(), Some(0), "{args:?}");
+    }
 }
 
 #[test]

@@ -124,9 +124,11 @@ pub(crate) enum Interrupt {
     /// A member label began before the bytes a streamed input still
     /// holds: reported as a label-length limit of the look-back.
     LookBack,
-    /// The walker found that nothing in the rest of the document can
-    /// match, and attributed the rest it held to the `exit` bucket: a
-    /// clean early stop.
+    /// The walker found that nothing in the rest of a streamed document
+    /// can match ([`StructuralIterator::exited`]), and attributed the rest
+    /// it held to the `exit` bucket: a clean early stop.
+    ///
+    /// [`StructuralIterator::exited`]: rsq_classify::StructuralIterator::exited
     Exit,
 }
 

@@ -128,7 +128,8 @@ pub(crate) fn run_fast_path<B: Backend>(
         // A label step cannot match inside an array, and nothing follows
         // the root container: done without scanning a byte.
         rec.skip_span(SkipTechnique::Exit, it.position(), it.end());
-        return Err(Interrupt::Exit);
+        it.exit();
+        return Ok(());
     }
 
     // `stack.frames[k]` is the frame for plan step `k`; its container's
@@ -234,7 +235,8 @@ pub(crate) fn run_fast_path<B: Backend>(
                     .all(|f| *f == Frame::AwaitExit)
                 {
                     rec.skip_span(SkipTechnique::Exit, it.position(), it.end());
-                    return Err(Interrupt::Exit);
+                    it.exit();
+                    return Ok(());
                 }
                 // Sibling skipping (§3.3): the unitary label was found;
                 // labels do not repeat among siblings, so fast-forward to

@@ -868,7 +868,12 @@ impl Engine {
         // Fold the iterator's classifier counters before propagating an
         // interrupt: an early sink stop maps to `Ok` upstream and must keep
         // its stats.
-        let result = self.walk(route, &mut it, sink, rec);
+        let mut result = self.walk(route, &mut it, sink, rec);
+        if it.exited() {
+            // The walker stopped a stream early: its driver attributes the
+            // rest of the document, which it reads to check it.
+            result = Err(Interrupt::Exit);
+        }
         rec.classifier(&it.counters());
         (route, result)
     }

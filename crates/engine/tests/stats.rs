@@ -128,7 +128,7 @@ fn fast_path_stats_report_route_and_memmem_counters() {
     assert!(stats.memmem_jumps > 0, "direct seeks count as jumps");
     // The `"price"` string *value* under `note` sits outside the sought
     // containers, so it is never even a candidate here; declines are
-    // exercised by the quote/escape proptests instead.
+    // exercised by the seek oracle (`rsq-classify`'s `seek_proptest.rs`).
     assert!(stats.skips.label > 0, "each seek is a label engagement");
     // No sibling skips here: once the single match is recorded every
     // frame is waiting out its container, and the walker stops instead

@@ -2,9 +2,12 @@
 //! must recognize exactly the same language as a naive full-subset NFA
 //! simulation of the query, on arbitrary path words over labels *and*
 //! array indices. This validates the greedy match property (§3.1), the
-//! minimization, and the array-index alphabet extension.
+//! minimization, and the array-index alphabet extension. Case `n` draws
+//! its query and words from `StdRng::seed_from_u64(n)`, so a failure names
+//! the seed that replays it.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rsq_query::{Automaton, PathSymbol, Query, Selector};
 
 /// A symbol of a generated path word.
@@ -18,7 +21,7 @@ enum Sym {
 fn nfa_accepts(query: &Query, word: &[Sym]) -> bool {
     let sels = query.selectors();
     let accept = sels.len();
-    let mut set: Vec<usize> = vec![0.min(accept)];
+    let mut set: Vec<usize> = vec![0];
     for &symbol in word {
         let mut next: Vec<usize> = Vec::new();
         for &s in &set {
@@ -51,105 +54,111 @@ fn nfa_accepts(query: &Query, word: &[Sym]) -> bool {
     set.contains(&accept)
 }
 
+fn symbol(sym: Sym) -> PathSymbol<'static> {
+    match sym {
+        Sym::Label(l) => PathSymbol::Label(l.as_bytes()),
+        Sym::Index(n) => PathSymbol::Index(n),
+    }
+}
+
+fn compile(query: &Query, case: u64) -> Automaton {
+    Automaton::compile(query).unwrap_or_else(|e| panic!("case {case}: {query}: {e}"))
+}
+
 fn dfa_accepts(automaton: &Automaton, word: &[Sym]) -> bool {
     let mut state = automaton.initial_state();
-    for &symbol in word {
-        let sym = match symbol {
-            Sym::Label(l) => PathSymbol::Label(l.as_bytes()),
-            Sym::Index(n) => PathSymbol::Index(n),
-        };
-        state = automaton.transition(state, sym);
+    for &sym in word {
+        state = automaton.transition(state, symbol(sym));
     }
     automaton.is_accepting(state)
 }
 
-fn arb_selector() -> impl Strategy<Value = Selector> {
-    let label = prop_oneof![Just("a"), Just("b"), Just("c")];
-    prop_oneof![
-        3 => label.clone().prop_map(|l| Selector::Child(l.to_owned())),
-        2 => Just(Selector::ChildWildcard),
-        3 => label.prop_map(|l| Selector::Descendant(l.to_owned())),
-        1 => Just(Selector::DescendantWildcard),
-        2 => prop_oneof![Just(0u64), Just(1), Just(5)].prop_map(Selector::Index),
-        1 => prop_oneof![Just(0u64), Just(1)].prop_map(Selector::DescendantIndex),
-    ]
+/// A query of `lens` selectors over the labels `a`, `b`, `c` and the
+/// indices 0, 1 and 5.
+fn query(rng: &mut StdRng, lens: std::ops::Range<usize>) -> Query {
+    let selectors = (0..rng.gen_range(lens)).map(|_| {
+        let label = ["a", "b", "c"][rng.gen_range(0..3)].to_owned();
+        match rng.gen_range(0..12) {
+            0..=2 => Selector::Child(label),
+            3..=4 => Selector::ChildWildcard,
+            5..=7 => Selector::Descendant(label),
+            8 => Selector::DescendantWildcard,
+            9..=10 => Selector::Index([0, 1, 5][rng.gen_range(0..3)]),
+            _ => Selector::DescendantIndex(rng.gen_range(0..2)),
+        }
+    });
+    Query::from_selectors(selectors.collect())
 }
 
-fn arb_word() -> impl Strategy<Value = Vec<Sym>> {
-    proptest::collection::vec(
-        prop_oneof![
-            Just(Sym::Label("a")),
-            Just(Sym::Label("b")),
-            Just(Sym::Label("c")),
-            Just(Sym::Label("z")), // label outside every query
-            Just(Sym::Index(0)),
-            Just(Sym::Index(1)),
-            Just(Sym::Index(5)),
-            Just(Sym::Index(7)), // index outside every query
-        ],
-        0..12,
-    )
+/// A path word of up to 11 symbols, with a label (`z`) and an index (7)
+/// outside every query.
+fn word(rng: &mut StdRng) -> Vec<Sym> {
+    const SYMBOLS: [Sym; 8] = [
+        Sym::Label("a"),
+        Sym::Label("b"),
+        Sym::Label("c"),
+        Sym::Label("z"),
+        Sym::Index(0),
+        Sym::Index(1),
+        Sym::Index(5),
+        Sym::Index(7),
+    ];
+    (0..rng.gen_range(0..12))
+        .map(|_| SYMBOLS[rng.gen_range(0..SYMBOLS.len())])
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-    #[test]
-    fn dfa_equals_nfa(
-        selectors in proptest::collection::vec(arb_selector(), 0..6),
-        words in proptest::collection::vec(arb_word(), 1..20),
-    ) {
-        let query = Query::from_selectors(selectors);
-        let automaton = Automaton::compile(&query).unwrap();
-        for word in &words {
-            prop_assert_eq!(
-                dfa_accepts(&automaton, word),
-                nfa_accepts(&query, word),
-                "query {} word {:?}",
-                query,
-                word
+#[test]
+fn dfa_equals_nfa() {
+    for case in 0..512 {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let query = query(rng, 0..6);
+        let automaton = compile(&query, case);
+        for _ in 0..rng.gen_range(1..20) {
+            let word = word(rng);
+            assert_eq!(
+                dfa_accepts(&automaton, &word),
+                nfa_accepts(&query, &word),
+                "case {case}: query {query} word {word:?}"
             );
         }
     }
+}
 
-    #[test]
-    fn rejecting_states_never_recover(
-        selectors in proptest::collection::vec(arb_selector(), 1..5),
-        word in arb_word(),
-    ) {
-        let query = Query::from_selectors(selectors);
-        let automaton = Automaton::compile(&query).unwrap();
+#[test]
+fn rejecting_states_never_recover() {
+    for case in 0..512 {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let query = query(rng, 1..5);
+        let word = word(rng);
+        let automaton = compile(&query, case);
         let mut state = automaton.initial_state();
         let mut rejected = false;
-        for &symbol in &word {
-            let sym = match symbol {
-                Sym::Label(l) => PathSymbol::Label(l.as_bytes()),
-                Sym::Index(n) => PathSymbol::Index(n),
-            };
-            state = automaton.transition(state, sym);
+        for &sym in &word {
+            state = automaton.transition(state, symbol(sym));
             if rejected {
-                prop_assert!(automaton.is_rejecting(state));
+                let what = format!("case {case}: query {query} word {word:?}");
+                assert!(automaton.is_rejecting(state), "{what}");
             }
             rejected |= automaton.is_rejecting(state);
         }
     }
+}
 
-    #[test]
-    fn internal_states_cannot_accept_next(
-        selectors in proptest::collection::vec(arb_selector(), 1..5),
-        word in arb_word(),
-    ) {
-        let query = Query::from_selectors(selectors);
-        let automaton = Automaton::compile(&query).unwrap();
+#[test]
+fn internal_states_cannot_accept_next() {
+    for case in 0..512 {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let query = query(rng, 1..5);
+        let word = word(rng);
+        let automaton = compile(&query, case);
         let mut state = automaton.initial_state();
-        for &symbol in &word {
+        for &sym in &word {
             let was_internal = automaton.is_internal(state);
-            let sym = match symbol {
-                Sym::Label(l) => PathSymbol::Label(l.as_bytes()),
-                Sym::Index(n) => PathSymbol::Index(n),
-            };
-            state = automaton.transition(state, sym);
+            state = automaton.transition(state, symbol(sym));
             if was_internal {
-                prop_assert!(!automaton.is_accepting(state));
+                let what = format!("case {case}: query {query} word {word:?}");
+                assert!(!automaton.is_accepting(state), "{what}");
             }
         }
     }

@@ -4,8 +4,8 @@
 //! output is **byte-identical** to a batch run over the same NDJSON
 //! lines — under every chunk fragmentation the chaos stream can
 //! produce, with every failure class answered per-document and the
-//! connection left serving. The fast suite runs deterministic plans;
-//! the `slow-tests` feature adds a seeded random sweep.
+//! connection left serving. Deterministic plans come first, then a
+//! seeded random sweep of 200 plans.
 
 use rsq_batch::{BatchEngine, BatchOptions, DocErrorKind};
 use rsq_engine::EngineOptions;
@@ -346,9 +346,7 @@ fn unix_socket_roundtrip_with_graceful_drain() {
 
 /// The full chaos sweep: seeded random plans across fragmentation,
 /// stalls, and every fault kind, asserting the byte-parity invariant
-/// for surviving documents on each. Gated behind `slow-tests` with a
-/// trimmed version inline above.
-#[cfg(feature = "slow-tests")]
+/// for surviving documents on each.
 #[test]
 fn chaos_sweep_holds_parity_across_random_plans() {
     let o = serve_opts("$..b");

@@ -1,8 +1,9 @@
 //! Shared test infrastructure: a deterministic fault-injecting reader,
-//! and the slice and streamed runs the suites compare.
+//! the slice and streamed runs the suites compare, and the engines the
+//! robustness suites feed garbage.
 
 use rsq::engine::NoStats;
-use rsq::{CountSink, Engine, Input, RunError, Sink};
+use rsq::{CountSink, Engine, EngineOptions, Input, Query, RunError, Sink};
 use std::io::{self, Read};
 
 /// The count of a slice run of `doc`, or its error.
@@ -13,7 +14,45 @@ pub fn count_slice(engine: &Engine, doc: &[u8]) -> Result<u64, RunError> {
     Ok(sink.count())
 }
 
+/// Six queries, each under six configurations: the defaults, three
+/// with one technique off or forced, strict mode, and tight limits.
+#[allow(dead_code)]
+pub fn engines() -> Vec<Engine> {
+    let d = EngineOptions::default();
+    let queries = ["$..a", "$.a.b", "$.*.*", "$..a.b[1]", "$", "$..[0]..x"];
+    let mut out = Vec::new();
+    for q in queries {
+        let query = Query::parse(q).unwrap();
+        for options in [
+            d,
+            EngineOptions {
+                skip_leaves: false,
+                ..d
+            },
+            EngineOptions {
+                checked_head_start: false,
+                ..d
+            },
+            EngineOptions {
+                backend: Some(rsq::simd::BackendKind::Swar),
+                ..d
+            },
+            EngineOptions { strict: true, ..d },
+            EngineOptions {
+                max_depth: 4,
+                max_label_bytes: Some(8),
+                max_matches: Some(2),
+                ..d
+            },
+        ] {
+            out.push(Engine::with_options(&query, options).unwrap());
+        }
+    }
+    out
+}
+
 /// A streamed run of what `reader` yields, into `sink`.
+#[allow(dead_code)]
 pub fn stream(
     engine: &Engine,
     mut reader: impl Read,

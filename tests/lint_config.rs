@@ -126,3 +126,48 @@ fn every_production_crate_root_declares_its_tier() {
     }
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
+
+/// The manifests whose `slow-tests` feature picks a size or a timing that
+/// needs a release build: the root (`tests/obs_overhead.rs` at 4 MB),
+/// `rsq-cli` (`profile_overhead`) and `rsq-difftest` (the 10 000-round
+/// sweep).
+const SLOW_TESTS: [&str; 3] = ["", "crates/cli", "crates/difftest"];
+
+/// Every correctness suite runs in tier-1 (ROADMAP item 22): no manifest
+/// names the deleted `proptest` shim, only [`SLOW_TESTS`] declare
+/// `slow-tests`, the one test target it gates whole is the wall-clock
+/// `profile_overhead`, and no test file is compiled out without it.
+#[test]
+fn no_correctness_suite_hides_behind_a_feature() {
+    let gate = format!("cfg(feature = {:?})", "slow-tests");
+    let mut wrong = Vec::new();
+    for (name, dir, manifest) in crates() {
+        let at = if name.is_empty() { "the root" } else { &name };
+        if manifest.contains("proptest") {
+            wrong.push(format!("{at}: the manifest names proptest"));
+        }
+        let declares = manifest.lines().any(|l| l.starts_with("slow-tests"));
+        if declares && !SLOW_TESTS.contains(&name.as_str()) {
+            wrong.push(format!("{at}: declares slow-tests"));
+        }
+        for target in manifest.split("[[test]]").skip(1) {
+            let target = target.split("\n[").next().unwrap_or("").trim();
+            let timing = name == "crates/cli" && target.contains("name = \"profile_overhead\"");
+            if target.contains("required-features") && !timing {
+                wrong.push(format!("{at}: a test target needs a feature: {target}"));
+            }
+        }
+        let Ok(tests) = fs::read_dir(dir.join("tests")) else {
+            continue;
+        };
+        for path in tests.map(|entry| entry.unwrap().path()) {
+            if fs::read_to_string(&path).is_ok_and(|text| text.contains(&gate)) {
+                let file = path.file_name().unwrap().to_string_lossy();
+                wrong.push(format!(
+                    "{at}: tests/{file} is compiled out without slow-tests"
+                ));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}

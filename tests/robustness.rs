@@ -1,85 +1,85 @@
 //! Robustness: the streaming engines must never panic, whatever bytes they
 //! are fed — malformed JSON, truncations, binary garbage — under every
 //! configuration. Results on invalid input are unspecified; crashes are
-//! bugs.
+//! bugs. Case `n` draws its input from `StdRng::seed_from_u64(n)`, and a
+//! panic is reported with that case and its input. The deterministic
+//! structural-garbage cases are in `tests/robustness_deterministic.rs`.
 
-use proptest::prelude::*;
+mod common;
+
+use common::engines;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rsq::baselines::{SkiEngine, SurferEngine};
-use rsq::{Engine, EngineOptions, Query};
+use rsq::datagen::{Dataset, GenConfig};
+use rsq::Engine;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-fn engines() -> Vec<Engine> {
-    let d = EngineOptions::default();
-    let queries = ["$..a", "$.a.b", "$.*.*", "$..a.b[1]", "$", "$..[0]..x"];
-    let mut out = Vec::new();
-    for q in queries {
-        let query = Query::parse(q).unwrap();
-        for options in [
-            d,
-            EngineOptions {
-                skip_leaves: false,
-                ..d
-            },
-            EngineOptions {
-                checked_head_start: false,
-                ..d
-            },
-            EngineOptions {
-                backend: Some(rsq::simd::BackendKind::Swar),
-                ..d
-            },
-        ] {
-            out.push(Engine::with_options(&query, options).unwrap());
+const CASES: u64 = 128;
+
+/// Counts `bytes` with every engine, and fails naming `case` if one
+/// panics.
+fn count_all(engines: &[Engine], bytes: &[u8], case: &str) {
+    let counted = catch_unwind(AssertUnwindSafe(|| {
+        for engine in engines {
+            let _ = engine.count(bytes);
         }
-    }
-    out
+    }));
+    let input = String::from_utf8_lossy(bytes);
+    assert!(counted.is_ok(), "{case}: an engine panicked on {input:?}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-    #[test]
-    fn never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        for engine in engines() {
-            let _ = engine.count(&bytes);
-        }
-        let surfer = SurferEngine::from_text("$..a").unwrap();
-        let _ = surfer.count(&bytes);
-        let ski = SkiEngine::from_text("$.a.*").unwrap();
-        let _ = ski.count(&bytes);
+#[test]
+fn never_panics_on_garbage() {
+    let engines = engines();
+    let surfer = SurferEngine::from_text("$..a").unwrap();
+    let ski = SkiEngine::from_text("$.a.*").unwrap();
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let bytes: Vec<u8> = (0..rng.gen_range(0..512)).map(|_| rng.gen()).collect();
+        count_all(&engines, &bytes, &format!("case {case}"));
+        let baselines = catch_unwind(AssertUnwindSafe(|| {
+            (surfer.count(&bytes), ski.count(&bytes))
+        }));
+        assert!(
+            baselines.is_ok(),
+            "case {case}: a baseline panicked on {bytes:?}"
+        );
     }
+}
 
-    #[test]
-    fn never_panics_on_truncated_json(
-        cut in 0usize..200,
-        seed in any::<u64>(),
-    ) {
-        // Truncate a VALID document at every possible point.
-        let doc = rsq::datagen::Dataset::TwitterSmall
-            .generate(&rsq::datagen::GenConfig { target_bytes: 2_000, seed });
-        let cut = cut.min(doc.len());
-        let truncated = &doc.as_bytes()[..cut];
-        for engine in engines() {
-            let _ = engine.count(truncated);
-        }
+#[test]
+fn never_panics_on_truncated_json() {
+    let engines = engines();
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        // Truncate a VALID document anywhere in its first 200 bytes.
+        let cut = rng.gen_range(0..200);
+        let seed = rng.gen();
+        let doc = Dataset::TwitterSmall.generate(&GenConfig {
+            target_bytes: 2_000,
+            seed,
+        });
+        let truncated = &doc.as_bytes()[..cut.min(doc.len())];
+        count_all(&engines, truncated, &format!("case {case}"));
     }
+}
 
-    #[test]
-    fn never_panics_on_json_with_bit_flips(
-        seed in any::<u64>(),
-        flips in proptest::collection::vec((0usize..2000, 0u8..8), 1..8),
-    ) {
-        let doc = rsq::datagen::Dataset::Crossref
-            .generate(&rsq::datagen::GenConfig { target_bytes: 1_500, seed });
+#[test]
+fn never_panics_on_json_with_bit_flips() {
+    let engines = engines();
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let seed = rng.gen();
+        let doc = Dataset::Crossref.generate(&GenConfig {
+            target_bytes: 1_500,
+            seed,
+        });
         let mut bytes = doc.into_bytes();
-        for (pos, bit) in flips {
-            let pos = pos % bytes.len();
-            bytes[pos] ^= 1 << bit;
+        for _ in 0..rng.gen_range(1..8) {
+            let pos = rng.gen_range(0..2000) % bytes.len();
+            bytes[pos] ^= 1 << rng.gen_range(0..8);
         }
-        for engine in engines() {
-            let _ = engine.count(&bytes);
-        }
+        count_all(&engines, &bytes, &format!("case {case}"));
     }
 }
-
-// The deterministic structural-garbage cases moved to
-// `tests/robustness_deterministic.rs`, which runs in every tier-1
-// invocation (this randomized suite is gated behind `slow-tests`).

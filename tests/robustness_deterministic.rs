@@ -1,51 +1,13 @@
-//! Deterministic, dependency-free robustness suite — always on, so tier-1
-//! covers it offline (the randomized `robustness` suite needs the
-//! `slow-tests` feature). Ported structural-garbage cases plus the
-//! resource-limit and strict-mode acceptance checks of the hardened input
-//! layer.
+//! Deterministic robustness suite, the companion of the randomized
+//! `robustness` suite: structural-garbage cases plus the resource-limit
+//! and strict-mode acceptance checks of the hardened input layer.
 
 mod common;
 
-use common::{count_slice, stream, ChaosReader};
+use common::{count_slice, engines, stream, ChaosReader};
 use rsq::{CountSink, Engine, EngineOptions, Input, LimitKind, Query, RunError, Sink, SinkFull};
 
-fn engines() -> Vec<Engine> {
-    let d = EngineOptions::default();
-    let queries = ["$..a", "$.a.b", "$.*.*", "$..a.b[1]", "$", "$..[0]..x"];
-    let mut out = Vec::new();
-    for q in queries {
-        let query = Query::parse(q).unwrap();
-        for options in [
-            d,
-            EngineOptions {
-                skip_leaves: false,
-                ..d
-            },
-            EngineOptions {
-                checked_head_start: false,
-                ..d
-            },
-            EngineOptions {
-                backend: Some(rsq::simd::BackendKind::Swar),
-                ..d
-            },
-            EngineOptions { strict: true, ..d },
-            EngineOptions {
-                max_depth: 4,
-                max_label_bytes: Some(8),
-                max_matches: Some(2),
-                ..d
-            },
-        ] {
-            out.push(Engine::with_options(&query, options).unwrap());
-        }
-    }
-    out
-}
-
-/// Deterministic nasty inputs exercising unbalanced structure (ported
-/// from the feature-gated randomized suite, where it sat behind
-/// `slow-tests`).
+/// Deterministic nasty inputs exercising unbalanced structure.
 const GARBAGE: &[&[u8]] = &[
     b"}}}}}}",
     b"]]]]{{{{",
